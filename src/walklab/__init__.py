@@ -2,11 +2,9 @@
 random walks with absorption at a point, on a half line, or partial."""
 
 from .laws import StepLaw, build_law, lattice_structure, load_law, moments
-from .dp import backend_name
 
 __all__ = [
     "StepLaw", "build_law", "lattice_structure", "load_law", "moments",
-    "backend_name",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Dynamic-programming evolution of absorbed lattice walks.
 
-The walk's distribution after k steps is represented as a dense float64
-window (offset, weights) where site = offset + index.  One call to
-``run_dp`` evolves an initial window n steps under a step pmf, applying
-one of three absorption modes after every step:
+A distribution over consecutive sites is a ``Window``: a dense float64
+array of weights with site = offset + index.  One step stream evolves a
+window under a step pmf by convolution, applying one of three
+absorption modes after every step:
 
   FREE      no absorption,
   POINT     mass arriving at the origin is removed with probability alpha
@@ -12,15 +12,14 @@ one of three absorption modes after every step:
   HALFLINE  all mass arriving at a site <= 0 is removed, and the profile
             of where it landed is recorded per step (the entrance law).
 
-The convolution that dominates the run time is delegated to a compiled
-extension when available; a numpy fallback is selected at import.  Set
-WALKLAB_BACKEND=numpy or WALKLAB_BACKEND=native to force a choice.
+``run_dp`` runs the stream n steps and collects what was absorbed; the
+potential kernel's partial sums, the negative-side mass and the Green
+partial sums read the stream step by step instead.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,51 +32,12 @@ HALFLINE = 2
 DEFAULT_WINDOW_BUDGET = 4_000_000
 
 
-def _numpy_convolve(cur: np.ndarray, pmf: np.ndarray) -> np.ndarray:
-    return np.convolve(cur, pmf)
-
-
-def _select_backend():
-    forced = os.environ.get("WALKLAB_BACKEND", "").strip().lower()
-    if forced == "numpy":
-        return _numpy_convolve, "numpy"
-    try:
-        from . import _dp_native
-    except ImportError:
-        if forced == "native":
-            raise
-        return _numpy_convolve, "numpy"
-    return _dp_native.convolve, "native"
-
-
-_convolve, BACKEND = _select_backend()
-
-
-def backend_name() -> str:
-    return BACKEND
-
-
 @dataclass
-class DPResult:
-    """Outcome of an n-step absorbed evolution.
-
-    offset/weights: the surviving distribution after n steps.
-    absorbed: per-step absorbed mass (POINT mode), index k-1 = step k.
-    entry: (n, depth) array of per-step landing profiles in HALFLINE
-        mode; entry[k-1, j] is the mass landing at site entry_base + j
-        on step k.
-    neg_mass: per-step mass on sites <= -1 after absorption (length
-        n+1, index = step), recorded when track_negative is set.
-    snapshots: step -> (offset, weights) copies taken after absorption.
-    """
+class Window:
+    """Dense window of weights over consecutive sites offset, offset+1, ..."""
 
     offset: int
     weights: np.ndarray
-    absorbed: np.ndarray | None = None
-    entry: np.ndarray | None = None
-    entry_base: int = 0
-    neg_mass: np.ndarray | None = None
-    snapshots: dict[int, tuple[int, np.ndarray]] = field(default_factory=dict)
 
     def prob(self, y: int) -> float:
         i = y - self.offset
@@ -88,12 +48,101 @@ class DPResult:
     def mass(self) -> float:
         return float(self.weights.sum())
 
+    def sites(self) -> np.ndarray:
+        return self.offset + np.arange(len(self.weights))
+
+    def restricted_sum(self, lo: int, hi: int) -> float:
+        """Sum of weights over sites in [lo, hi]."""
+        a = max(lo - self.offset, 0)
+        b = min(hi - self.offset + 1, len(self.weights))
+        if b <= a:
+            return 0.0
+        return float(self.weights[a:b].sum())
+
+    def dot(self, other: Window) -> float:
+        """Sum over common sites of the product of the two weights."""
+        lo = max(self.offset, other.offset)
+        hi = min(self.offset + len(self.weights),
+                 other.offset + len(other.weights))
+        if hi <= lo:
+            return 0.0
+        return float(np.dot(self.weights[lo - self.offset: hi - self.offset],
+                            other.weights[lo - other.offset: hi - other.offset]))
+
+    def minus(self, other: Window) -> Window:
+        """self - other as a window over the union of the two supports."""
+        lo = min(self.offset, other.offset)
+        hi = max(self.offset + len(self.weights),
+                 other.offset + len(other.weights))
+        out = np.zeros(hi - lo)
+        out[self.offset - lo: self.offset - lo + len(self.weights)] += \
+            self.weights
+        out[other.offset - lo: other.offset - lo + len(other.weights)] -= \
+            other.weights
+        return Window(lo, out)
+
+
+@dataclass
+class DPResult(Window):
+    """Outcome of an n-step absorbed evolution.
+
+    The window is the surviving distribution after n steps.
+    absorbed: per-step absorbed mass (POINT mode), index k-1 = step k.
+    entry: (n, depth) array of per-step landing profiles in HALFLINE
+        mode; entry[k-1, j] is the mass landing at site entry_base + j
+        on step k.
+    """
+
+    absorbed: np.ndarray | None = None
+    entry: np.ndarray | None = None
+    entry_base: int = 0
+
 
 def _trim(off: int, arr: np.ndarray) -> tuple[int, np.ndarray]:
     nz = np.flatnonzero(arr)
     if len(nz) == 0:
         return off, arr[:0]
     return off + int(nz[0]), arr[nz[0]:nz[-1] + 1]
+
+
+def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
+           n: int, mode: int, alpha: float, window_budget: float):
+    """Yield (k, offset, weights, absorbed) after each step k = 1..n.
+
+    absorbed is the mass removed on step k: a float in POINT mode, the
+    landing profile as a Window in HALFLINE mode, None in FREE mode.  The
+    yielded weights are the live array, not a copy; the stream never
+    writes to an array after yielding it.  The stream ends early once
+    the window is empty.
+    """
+    cur, off = weights, offset
+    for k in range(1, n + 1):
+        if len(cur) == 0:
+            return
+        if len(cur) + len(pmf) - 1 > window_budget:
+            raise WindowOverflow(
+                f"window of {len(cur) + len(pmf) - 1} sites at step {k} "
+                f"exceeds budget {window_budget}"
+            )
+        cur = np.convolve(cur, pmf)
+        off = off + zmin
+
+        absorbed = None
+        if mode == POINT:
+            absorbed = 0.0
+            i0 = -off
+            if 0 <= i0 < len(cur):
+                m = cur[i0]
+                absorbed = alpha * m
+                cur[i0] = (1.0 - alpha) * m
+        elif mode == HALFLINE:
+            hi = min(len(cur), -off + 1)  # indices with site <= 0
+            if hi > 0:
+                absorbed = Window(off, cur[:hi])
+                cur = cur[hi:]
+                off += hi
+            off, cur = _trim(off, cur)
+        yield k, off, cur, absorbed
 
 
 def run_dp(
@@ -104,8 +153,6 @@ def run_dp(
     n: int,
     mode: int = FREE,
     alpha: float = 1.0,
-    track_negative: bool = False,
-    snapshot_steps=(),
     window_budget: int = DEFAULT_WINDOW_BUDGET,
 ) -> DPResult:
     """Evolve an initial window n steps with per-step absorption.
@@ -113,72 +160,18 @@ def run_dp(
     In POINT/HALFLINE modes the initial window is taken as already past
     the step-0 absorption (the zero-step kernel is the identity).
     """
-    cur = np.array(init_weights, dtype=np.float64)
-    off = init_offset
-    snapshot_steps = set(snapshot_steps)
-
+    off, cur = init_offset, np.array(init_weights, dtype=np.float64)
     absorbed = np.zeros(n) if mode == POINT else None
-    neg_mass = np.zeros(n + 1) if track_negative else None
     entry = None
     entry_base = 0
     if mode == HALFLINE:
-        depth = -zmin
-        entry = np.zeros((n, depth))
-        entry_base = 1 - depth
-
-    def record_neg(step):
-        if neg_mass is None:
-            return
-        hi = min(len(cur), -off)  # indices with site <= -1
-        if hi > 0:
-            neg_mass[step] = cur[:hi].sum()
-
-    record_neg(0)
-    result = DPResult(offset=off, weights=cur)
-    if 0 in snapshot_steps:
-        result.snapshots[0] = (off, cur.copy())
-
-    for k in range(1, n + 1):
-        if len(cur) == 0:
-            for s in snapshot_steps:
-                if s >= k:
-                    result.snapshots[s] = (off, cur[:0].copy())
-            break
-        if len(cur) + len(pmf) - 1 > window_budget:
-            raise WindowOverflow(
-                f"window of {len(cur) + len(pmf) - 1} sites at step {k} "
-                f"exceeds budget {window_budget}"
-            )
-        cur = _convolve(cur, pmf)
-        off = off + zmin
-
+        entry = np.zeros((n, -zmin))
+        entry_base = 1 + zmin
+    for k, off, cur, removed in _steps(off, cur, zmin, pmf, n, mode, alpha,
+                                       window_budget):
         if mode == POINT:
-            i0 = -off
-            if 0 <= i0 < len(cur):
-                m = cur[i0]
-                absorbed[k - 1] = alpha * m
-                cur[i0] = (1.0 - alpha) * m
-        elif mode == HALFLINE:
-            hi = min(len(cur), -off + 1)  # indices with site <= 0
-            if hi > 0:
-                lo_site = off
-                entry[k - 1, lo_site - entry_base: lo_site - entry_base + hi] = cur[:hi]
-                cur = cur[hi:]
-                off += hi
-            off, cur = _trim(off, cur)
-
-        record_neg(k)
-        if k in snapshot_steps:
-            result.snapshots[k] = (off, cur.copy())
-
-    result.offset = off
-    result.weights = cur
-    result.absorbed = absorbed
-    result.entry = entry
-    result.entry_base = entry_base
-    result.neg_mass = neg_mass
-    return result
-
-
-def point_mass(x: int) -> tuple[int, np.ndarray]:
-    return x, np.ones(1)
+            absorbed[k - 1] = removed
+        elif removed is not None:
+            j = removed.offset - entry_base
+            entry[k - 1, j: j + len(removed.weights)] = removed.weights
+    return DPResult(off, cur, absorbed, entry, entry_base)

@@ -1,9 +1,10 @@
 """Exact path functionals of absorbed lattice walks.
 
-Everything here is a thin, typed layer over the DP in walklab.dp: free
+Everything here is a thin, typed layer over walklab.dp.  Free
 evolution, kill-at-origin and kill-on-halfline kernels, first-passage
-and entrance laws, partial absorption, negative-side mass, and the
-finite-strip exit problem (solved as a dense linear system).
+and entrance laws, partial absorption and negative-side mass each come
+from one run of the step stream, and every kernel is a dp.Window.  The
+finite-strip exit problem is solved as a dense linear system.
 
 "Exact" means exact up to float64 rounding; an optional rational mode
 (evolve_free_exact / absorbed_at_origin_exact, n <= 64) computes the
@@ -14,7 +15,7 @@ tolerances quoted elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,47 +29,15 @@ EXACT_STEP_LIMIT = 64
 
 
 @dataclass
-class LatticeDistribution:
-    """Dense window of weights over consecutive sites."""
-
-    offset: int
-    weights: np.ndarray
-
-    def prob(self, y: int) -> float:
-        i = y - self.offset
-        if 0 <= i < len(self.weights):
-            return float(self.weights[i])
-        return 0.0
-
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-    def sites(self) -> np.ndarray:
-        return self.offset + np.arange(len(self.weights))
-
-    def restricted_sum(self, lo: int, hi: int) -> float:
-        """Sum of weights over sites in [lo, hi]."""
-        a = max(lo - self.offset, 0)
-        b = min(hi - self.offset + 1, len(self.weights))
-        if b <= a:
-            return 0.0
-        return float(self.weights[a:b].sum())
-
-
-@dataclass
 class AbsorbedKernelSlice:
+    """n-step kernel from x; distribution is the dp.DPResult, which also
+    holds what was absorbed on each step."""
+
     mode: str  # "free" | "point" | "halfline" | "partial"
     alpha: float
     x: int
     n: int
-    distribution: LatticeDistribution
-    absorbed_by_step: np.ndarray | None = None
-    snapshots: dict[int, LatticeDistribution] = field(default_factory=dict)
-
-    def absorbed_total(self) -> float:
-        if self.absorbed_by_step is None:
-            return 0.0
-        return float(self.absorbed_by_step.sum())
+    distribution: dp.Window
 
 
 @dataclass
@@ -109,66 +78,37 @@ class EntranceTable:
         return self.entry_base, self.h.sum(axis=0)
 
 
-def _snapshots_to_dists(raw: dict) -> dict[int, LatticeDistribution]:
-    return {k: LatticeDistribution(off, w) for k, (off, w) in raw.items()}
-
-
-def evolve_free(law: StepLaw, x: int, n: int,
-                snapshot_steps=()) -> AbsorbedKernelSlice:
+def evolve_free(law: StepLaw, x: int, n: int) -> AbsorbedKernelSlice:
     zmin, pmf = law.pmf_array()
-    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.FREE,
-                    snapshot_steps=snapshot_steps)
-    return AbsorbedKernelSlice(
-        mode="free", alpha=0.0, x=x, n=n,
-        distribution=LatticeDistribution(res.offset, res.weights),
-        snapshots=_snapshots_to_dists(res.snapshots),
-    )
+    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.FREE)
+    return AbsorbedKernelSlice(mode="free", alpha=0.0, x=x, n=n,
+                               distribution=res)
 
 
-def absorbed_at_origin(law: StepLaw, x: int, n: int, snapshot_steps=(),
-                       track_negative: bool = False):
+def absorbed_at_origin(law: StepLaw, x: int, n: int):
     """Kill-at-origin kernel q^k(x, .) and passage law f_x(k), k <= n."""
     zmin, pmf = law.pmf_array()
-    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.POINT, alpha=1.0,
-                    snapshot_steps=snapshot_steps,
-                    track_negative=track_negative)
-    sl = AbsorbedKernelSlice(
-        mode="point", alpha=1.0, x=x, n=n,
-        distribution=LatticeDistribution(res.offset, res.weights),
-        absorbed_by_step=res.absorbed,
-        snapshots=_snapshots_to_dists(res.snapshots),
-    )
-    fp = FirstPassageSeries(x=x, values=res.absorbed)
-    if track_negative:
-        sl.neg_mass = res.neg_mass  # per-step sum over sites <= -1
-    return sl, fp
+    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.POINT, alpha=1.0)
+    sl = AbsorbedKernelSlice(mode="point", alpha=1.0, x=x, n=n,
+                             distribution=res)
+    return sl, FirstPassageSeries(x=x, values=res.absorbed)
 
 
-def absorbed_on_halfline(law: StepLaw, x: int, n: int, snapshot_steps=()):
+def absorbed_on_halfline(law: StepLaw, x: int, n: int):
     """Kill-on-(-inf,0] kernel and the entrance table h_x(k, y)."""
     if x < 1:
         raise ValueError("halfline absorption requires start x >= 1")
     zmin, pmf = law.pmf_array()
-    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.HALFLINE,
-                    snapshot_steps=snapshot_steps)
-    sl = AbsorbedKernelSlice(
-        mode="halfline", alpha=1.0, x=x, n=n,
-        distribution=LatticeDistribution(res.offset, res.weights),
-        absorbed_by_step=res.entry.sum(axis=1),
-        snapshots=_snapshots_to_dists(res.snapshots),
-    )
+    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.HALFLINE)
+    sl = AbsorbedKernelSlice(mode="halfline", alpha=1.0, x=x, n=n,
+                             distribution=res)
     table = EntranceTable(x=x, n=n, entry_base=res.entry_base, h=res.entry,
                           deficit=float(res.weights.sum()))
     return sl, table
 
 
-def entrance_law(law: StepLaw, x: int, n: int) -> EntranceTable:
-    _, table = absorbed_on_halfline(law, x, n)
-    return table
-
-
-def partial_absorption(law: StepLaw, alpha: float, x: int, n: int,
-                       snapshot_steps=()) -> AbsorbedKernelSlice:
+def partial_absorption(law: StepLaw, alpha: float, x: int,
+                       n: int) -> AbsorbedKernelSlice:
     """q_alpha^k(x, .): mass arriving at 0 is removed with probability alpha.
 
     Starting at 0 does not count as an arrival; the zero-step kernel is
@@ -177,35 +117,27 @@ def partial_absorption(law: StepLaw, alpha: float, x: int, n: int,
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     zmin, pmf = law.pmf_array()
-    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.POINT, alpha=alpha,
-                    snapshot_steps=snapshot_steps)
-    return AbsorbedKernelSlice(
-        mode="partial", alpha=alpha, x=x, n=n,
-        distribution=LatticeDistribution(res.offset, res.weights),
-        absorbed_by_step=res.absorbed,
-        snapshots=_snapshots_to_dists(res.snapshots),
-    )
+    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.POINT, alpha=alpha)
+    return AbsorbedKernelSlice(mode="partial", alpha=alpha, x=x, n=n,
+                               distribution=res)
 
 
-def r_alpha(law: StepLaw, alpha: float, x: int, n: int) -> LatticeDistribution:
+def r_alpha(law: StepLaw, alpha: float, x: int, n: int) -> dp.Window:
     """r_alpha^n = q_alpha^n - q^n as a window over the union of supports."""
     qa = partial_absorption(law, alpha, x, n).distribution
-    q1, _ = absorbed_at_origin(law, x, n)
-    q = q1.distribution
-    lo = min(qa.offset, q.offset)
-    hi = max(qa.offset + len(qa.weights), q.offset + len(q.weights))
-    out = np.zeros(hi - lo)
-    out[qa.offset - lo: qa.offset - lo + len(qa.weights)] += qa.weights
-    out[q.offset - lo: q.offset - lo + len(q.weights)] -= q.weights
-    return LatticeDistribution(lo, out)
+    q = absorbed_at_origin(law, x, n)[0].distribution
+    return qa.minus(q)
 
 
 def negative_mass(law: StepLaw, x: int, n: int):
     """Q_x^+(n) = sum_{y <= -1} q^n(x, y), plus the per-step table."""
     zmin, pmf = law.pmf_array()
-    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.POINT, alpha=1.0,
-                    track_negative=True)
-    return float(res.neg_mass[n]), res.neg_mass
+    neg = np.zeros(n + 1)
+    neg[0] = 1.0 if x <= -1 else 0.0
+    for k, off, cur, _ in dp._steps(x, np.ones(1), zmin, pmf, n, dp.POINT,
+                                    1.0, dp.DEFAULT_WINDOW_BUDGET):
+        neg[k] = cur[:max(-off, 0)].sum()  # sites <= -1
+    return float(neg[n]), neg
 
 
 def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
@@ -227,9 +159,8 @@ def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
         x_max = math.ceil(8.0 * math.sqrt(n_star))
     zmin, pmf = law.pmf_array()
     init = np.ones(x_max)
-    res = dp.run_dp(1, init, zmin, pmf, n, mode=dp.POINT, alpha=1.0,
-                    track_negative=True)
-    nu_trunc = float(res.neg_mass[n])
+    res = dp.run_dp(1, init, zmin, pmf, n, mode=dp.POINT, alpha=1.0)
+    nu_trunc = res.restricted_sum(res.offset, -1)
 
     # Gaussian envelope tail (the big-jump term is identically zero here
     # because x_max/2 >= |support_min|).
@@ -247,9 +178,8 @@ def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
     if tail > tol:
         raise TailNotNegligible(f"tail bound {tail:.3g} exceeds tol {tol:.3g}")
 
-    dist = LatticeDistribution(res.offset, res.weights)
     lo = -int(math.floor(ell * math.sqrt(n_star)))
-    expected_particles = dist.restricted_sum(lo, -1)
+    expected_particles = res.restricted_sum(lo, -1)
     return nu_trunc, tail, expected_particles
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine, ladder, potential
+from .dp import Window
 from .errors import InconsistentEstimates
 from .laws import LatticeStructure, Moments, StepLaw, lattice_structure, moments
 
@@ -28,10 +29,10 @@ class WalkKernels:
     constants: potential.WalkConstants
     c_plus_entrance: float
     c_minus_entrance: float
-    _free_cache: dict[int, engine.LatticeDistribution] = field(
+    _free_cache: dict[int, Window] = field(
         default_factory=dict, repr=False)
 
-    def p_n(self, n: int) -> engine.LatticeDistribution:
+    def p_n(self, n: int) -> Window:
         """Exact free n-step distribution from 0 (cached)."""
         if n not in self._free_cache:
             self._free_cache[n] = engine.evolve_free(

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dp import Window
 from .engine import absorbed_on_halfline
 from .errors import DeficitTooLarge, OutOfWindow
 from .laws import StepLaw, moments
@@ -196,23 +197,11 @@ def green_halfline(pair: HarmonicPair, sigma2: float, x: int, y: int) -> float:
 
 
 @dataclass
-class EntranceLaw:
+class EntranceLaw(Window):
+    """Hitting law as a window over the sites it can charge."""
+
     kind: str    # "H_x_plus" | "H_inf_plus" | "H_minus_inf"
     x: int | None
-    base: int    # lowest site of pmf window
-    pmf: np.ndarray
-
-    def prob(self, y: int) -> float:
-        i = y - self.base
-        if 0 <= i < len(self.pmf):
-            return float(self.pmf[i])
-        return 0.0
-
-    def total(self) -> float:
-        return float(self.pmf.sum())
-
-    def sites(self) -> np.ndarray:
-        return self.base + np.arange(len(self.pmf))
 
 
 def _h_inf(law: StepLaw, f_table: np.ndarray, sigma2: float) -> EntranceLaw:
@@ -225,7 +214,7 @@ def _h_inf(law: StepLaw, f_table: np.ndarray, sigma2: float) -> EntranceLaw:
         for j in range(1, y - law.zmin + 1):
             s += f_table[j - 1] * float(law.prob(y - j))
         pmf[i] = 2.0 * s / sigma2
-    return EntranceLaw("H_inf_plus", None, base, pmf)
+    return EntranceLaw(base, pmf, "H_inf_plus", None)
 
 
 def entrance_law_inf(law: StepLaw, pair: HarmonicPair) -> EntranceLaw:
@@ -239,7 +228,7 @@ def entrance_law_minus_inf(law: StepLaw, pair: HarmonicPair) -> EntranceLaw:
     -inf; same code run on the reflected law, pmf reported on y >= 0."""
     sigma2 = float(moments(law).sigma2)
     h = _h_inf(law.reflected(), pair.f_plus, sigma2)
-    return EntranceLaw("H_minus_inf", None, 0, h.pmf[::-1].copy())
+    return EntranceLaw(0, h.weights[::-1].copy(), "H_minus_inf", None)
 
 
 def entrance_law_from(law: StepLaw, pair: HarmonicPair, x: int) -> EntranceLaw:
@@ -253,7 +242,7 @@ def entrance_law_from(law: StepLaw, pair: HarmonicPair, x: int) -> EntranceLaw:
         for w in range(1, y - law.zmin + 1):
             s += green_halfline(pair, sigma2, x, w) * float(law.prob(y - w))
         pmf[i] = s
-    return EntranceLaw("H_x_plus", x, base, pmf)
+    return EntranceLaw(base, pmf, "H_x_plus", x)
 
 
 @dataclass
@@ -278,10 +267,10 @@ def potential_identities(law: StepLaw, pair: HarmonicPair,
     sigma2 = float(moments(law).sigma2)
     h_inf = entrance_law_inf(law, pair)
     out = []
-    out.append(IdentityCheck("H_inf_plus normalization", h_inf.total(), 1.0))
+    out.append(IdentityCheck("H_inf_plus normalization", h_inf.mass(), 1.0))
     for x in xs:
         hx = entrance_law_from(law, pair, x)
-        out.append(IdentityCheck(f"hitting-law mass x={x}", hx.total(), 1.0))
+        out.append(IdentityCheck(f"hitting-law mass x={x}", hx.mass(), 1.0))
         lhs = sum(hx.prob(z) * (-z) for z in hx.sites())
         out.append(IdentityCheck(
             f"overshoot mean vs f_+(x)-x, x={x}", lhs, pair.fp(x) - x))

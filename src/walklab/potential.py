@@ -31,6 +31,7 @@ from mpmath import mp
 from scipy.integrate import quad
 from scipy.special import sici, zeta
 
+from . import dp
 from .errors import InconsistentEstimates, OutOfWindow, QuadratureNotConverged
 from .laws import StepLaw, lattice_structure, moments, one_minus_phi_cos, phi_sin
 
@@ -132,24 +133,22 @@ PS_EXPONENTS = np.arange(1.5, 6.51, 0.5)
 
 @lru_cache(maxsize=None)
 def _partial_sum_table(law: StepLaw, X: int, K: int):
-    """Accumulate sum_{k<=K} [p^k(0) - p^k(-x)] for all |x| <= X, plus the
-    block-aggregated increments on the fit window, by one free DP from 0."""
+    """(acc, tail, bound) for all |x| <= X: acc accumulates
+    sum_{k<=K} [p^k(0) - p^k(-x)] along one free DP from 0, and the tail
+    beyond K is fitted to the block-aggregated increments."""
     d = lattice_structure(law).period
     M = K // d
     K = M * d
     m0 = M // 16  # fit window: blocks m0+1 .. M (several octaves for conditioning)
     zmin, pmf = law.pmf_array()
-    span = len(pmf) - 1
 
     acc = np.ones(2 * X + 1)                # k = 0 term; index x + X
     acc[X] = 0.0                            # except at x = 0
     blocks = np.zeros((M - m0, 2 * X + 1))
-    cur = np.ones(1)
-    off = 0
     win = np.empty(2 * X + 1)
-    for k in range(1, K + 1):
-        cur = np.convolve(cur, pmf)
-        off += zmin
+    # no window budget: the window is bounded by K * span + 1 sites
+    for k, off, cur, _ in dp._steps(0, np.ones(1), zmin, pmf, K, dp.FREE,
+                                    1.0, math.inf):
         # p^k(s) for s in [-X, X]
         win[:] = 0.0
         lo = max(-X, off)
@@ -161,7 +160,8 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
         m = (k - 1) // d                    # block index, 0-based
         if m >= m0:
             blocks[m - m0] += delta
-    return acc, blocks, m0, M, d
+    tail, bound = _fit_tail(blocks, m0, M)
+    return acc, tail, bound
 
 
 def _fit_tail(blocks: np.ndarray, m0: int, M: int):
@@ -194,8 +194,7 @@ def a_partial_sums(law: StepLaw, x: int, K: int = 2 ** 16,
         X = max(55, abs(x))
     elif abs(x) > X:
         raise OutOfWindow(f"|x|={abs(x)} exceeds window {X}")
-    acc, blocks, m0, M, _ = _partial_sum_table(law, X, K)
-    tail, bound = _fit_tail(blocks, m0, M)
+    acc, tail, bound = _partial_sum_table(law, X, K)
     i = x + X
     return float(acc[i] + tail[i]), float(bound[i])
 

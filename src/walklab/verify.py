@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asymptotics, engine, ladder, potential
+from . import asymptotics, dp, engine, ladder, potential
 from .asymptotics import TheoremId
 from .errors import ConstraintViolation
 from .kernels import WalkKernels
@@ -50,27 +50,6 @@ def _check(results, name, residual, tol, detail=""):
 
 def _skip(results, name, reason):
     results.append(InvariantResult(name, "skip", 0.0, 0.0, reason))
-
-
-def _window_dot(d1: engine.LatticeDistribution,
-                d2: engine.LatticeDistribution) -> float:
-    lo = max(d1.offset, d2.offset)
-    hi = min(d1.offset + len(d1.weights), d2.offset + len(d2.weights))
-    if hi <= lo:
-        return 0.0
-    return float(np.dot(d1.weights[lo - d1.offset: hi - d1.offset],
-                        d2.weights[lo - d2.offset: hi - d2.offset]))
-
-
-def _max_window_diff(d1: engine.LatticeDistribution,
-                     d2: engine.LatticeDistribution) -> float:
-    lo = min(d1.offset, d2.offset)
-    hi = max(d1.offset + len(d1.weights), d2.offset + len(d2.weights))
-    a = np.zeros(hi - lo)
-    b = np.zeros(hi - lo)
-    a[d1.offset - lo: d1.offset - lo + len(d1.weights)] = d1.weights
-    b[d2.offset - lo: d2.offset - lo + len(d2.weights)] = d2.weights
-    return float(np.max(np.abs(a - b)))
 
 
 def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
@@ -106,7 +85,7 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
         x, y = 2, 3
         a = runner(law, x).distribution
         b = runner(refl, y).distribution
-        lhs = _window_dot(a, b)
+        lhs = a.dot(b)
         if mode == "point":
             full, _ = engine.absorbed_at_origin(law, x, n_big)
         else:
@@ -217,9 +196,9 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
     _check(results, "ladder-mean identity (sigma^2/2)", rem_a, 1e-8)
 
     _check(results, "H_inf_plus normalization",
-           k.h_inf_plus.total() - 1.0, 1e-8)
+           k.h_inf_plus.mass() - 1.0, 1e-8)
     _check(results, "H_minus_inf normalization",
-           k.h_minus_inf.total() - 1.0, 1e-8)
+           k.h_minus_inf.mass() - 1.0, 1e-8)
 
     # Green functions dominate their DP partial sums, gap shrinking
     for name, fn in (
@@ -251,15 +230,11 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
 def _green_partial_sum(law: StepLaw, mode: str, x: int, y: int,
                        n: int) -> float:
     """sum_{k<=n} q^k(x, y), accumulated step by step."""
-    from . import dp
     zmin, pmf = law.pmf_array()
     total = 1.0 if x == y else 0.0
-    cur = np.ones(1)
-    off = x
     md = dp.POINT if mode == "point" else dp.HALFLINE
-    for _ in range(n):
-        res = dp.run_dp(off, cur, zmin, pmf, 1, mode=md)
-        off, cur = res.offset, res.weights
+    for _, off, cur, _ in dp._steps(x, np.ones(1), zmin, pmf, n, md, 1.0,
+                                    dp.DEFAULT_WINDOW_BUDGET):
         i = y - off
         if 0 <= i < len(cur):
             total += float(cur[i])

@@ -8,6 +8,7 @@ from walklab.cli import main
 L1 = {"name": "l1",
       "pairs": [[-2, "1/6"], [-1, "1/6"], [0, "1/6"], [1, "1/2"]]}
 BAD = {"name": "drift", "pairs": [[-1, "1/4"], [1, "3/4"]]}
+SPAN3 = {"name": "span3", "pairs": [[-1, "2/3"], [2, "1/3"]]}
 
 
 @pytest.fixture()
@@ -83,6 +84,16 @@ class TestVerify:
                    "--n", "256", "--tol", "0.001", "--out", str(out)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_zero_rows_fail(self, tmp_path, capsys):
+        # span3 has period 3: every default T11i cell is unreachable
+        law = tmp_path / "span3.json"
+        law.write_text(json.dumps(SPAN3))
+        rc = main(["verify", "--law", str(law), "--theorem", "T11i",
+                   "--out", str(tmp_path / "cmp.csv")])
+        assert rc == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("FAIL: no comparable cells")
 
     def test_unknown_theorem_is_usage_error(self, law_file, tmp_path):
         with pytest.raises(SystemExit) as e:

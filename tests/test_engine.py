@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from walklab import engine
-from walklab.errors import TailNotNegligible, WindowOverflow
+from walklab import build_law, dp, engine
+from walklab.errors import Reducible, TailNotNegligible, WindowOverflow
 
 
 def _binom_pmf(n, k):
@@ -26,15 +27,7 @@ class TestFree:
         sl = engine.evolve_free(l1, 3, 500)
         assert sl.distribution.mass() == pytest.approx(1.0, abs=1e-12)
 
-    def test_snapshots(self, l1):
-        sl = engine.evolve_free(l1, 0, 10, snapshot_steps=(4, 7))
-        direct = engine.evolve_free(l1, 0, 7).distribution
-        snap = sl.snapshots[7]
-        for y in range(-10, 8):
-            assert snap.prob(y) == pytest.approx(direct.prob(y), abs=1e-15)
-
     def test_window_budget(self, srw):
-        from walklab import dp
         zmin, pmf = srw.pmf_array()
         with pytest.raises(WindowOverflow):
             dp.run_dp(0, np.ones(1), zmin, pmf, 100, mode=dp.FREE,
@@ -206,3 +199,60 @@ def test_reachability_zeros(srw):
     for y in range(-9, 10):
         if (y - 9) % 2 != 0:
             assert sl.distribution.prob(y) == 0.0
+
+
+@st.composite
+def zero_mean_laws(draw):
+    """Mixtures of two-point zero-mean laws {-u, v} (plus an atom at 0)
+    with support inside [-a, b], a + b <= 8."""
+    a = draw(st.integers(1, 7))
+    b = draw(st.integers(1, 8 - a))
+    parts = draw(st.lists(st.tuples(st.integers(1, a), st.integers(1, b),
+                                    st.integers(1, 5)), min_size=1,
+                          max_size=3))
+    c0 = draw(st.integers(0, 3))
+    total = c0 + sum(c for _, _, c in parts)
+    pairs = [(0, Fraction(c0, total))]
+    for u, v, c in parts:
+        pairs += [(-u, Fraction(c * v, total * (u + v))),
+                  (v, Fraction(c * u, total * (u + v)))]
+    try:
+        return build_law(pairs)
+    except Reducible:
+        assume(False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(zero_mean_laws(), st.integers(-6, 6), st.integers(1, 48),
+       st.sampled_from([0.0, 0.5, 1.0]))
+def test_run_dp_properties(law, x, n, alpha):
+    """run_dp(n) is n chained run_dp(1) calls bit for bit in every mode;
+    FREE and POINT match the rational DP; HALFLINE conserves mass."""
+    zmin, pmf = law.pmf_array()
+    for mode, x0 in ((dp.FREE, x), (dp.POINT, x), (dp.HALFLINE, abs(x) + 1)):
+        full = dp.run_dp(x0, np.ones(1), zmin, pmf, n, mode=mode, alpha=alpha)
+        off, w, absorbed, entry = x0, np.ones(1), [], []
+        for _ in range(n):
+            one = dp.run_dp(off, w, zmin, pmf, 1, mode=mode, alpha=alpha)
+            off, w = one.offset, one.weights
+            if mode == dp.POINT:
+                absorbed.append(one.absorbed)
+            if mode == dp.HALFLINE:
+                entry.append(one.entry)
+        assert full.offset == off
+        assert np.array_equal(full.weights, w)
+        if mode == dp.POINT:
+            assert np.array_equal(full.absorbed, np.concatenate(absorbed))
+        if mode == dp.HALFLINE:
+            assert np.array_equal(full.entry, np.concatenate(entry))
+            assert abs(full.mass() + full.entry.sum() - 1.0) <= 1e-12
+
+    free = engine.evolve_free(law, x, n).distribution
+    exact = engine.evolve_free_exact(law, x, n)
+    for y in set(exact) | set(free.sites().tolist()):
+        assert abs(free.prob(y) - float(exact.get(y, 0))) <= 1e-13
+    sl, fp = engine.absorbed_at_origin(law, x, n)
+    exact, passage = engine.absorbed_at_origin_exact(law, x, n)
+    for y in set(exact) | set(sl.distribution.sites().tolist()):
+        assert abs(sl.distribution.prob(y) - float(exact.get(y, 0))) <= 1e-13
+    assert np.max(np.abs(fp.values - np.array(passage, dtype=float))) <= 1e-13

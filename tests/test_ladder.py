@@ -112,7 +112,7 @@ class TestEntranceLaws:
         h = entrance_law_inf(l1, l1_kernels.pair)
         assert h.prob(0) == pytest.approx(0.75, abs=1e-12)
         assert h.prob(-1) == pytest.approx(0.25, abs=1e-12)
-        assert h.total() == pytest.approx(1.0, abs=1e-12)
+        assert h.mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_walk_hits_origin_exactly(self, srw, srw_kernels):
         h = entrance_law_inf(srw, srw_kernels.pair)
@@ -120,7 +120,7 @@ class TestEntranceLaws:
 
     def test_minus_infinity_mirror(self, l1, l1_kernels):
         h = entrance_law_minus_inf(l1, l1_kernels.pair)
-        assert h.total() == pytest.approx(1.0, abs=1e-10)
+        assert h.mass() == pytest.approx(1.0, abs=1e-10)
         # right-continuous law enters [0, inf) only at 0 from below
         assert h.prob(0) == pytest.approx(1.0, abs=1e-10)
 
