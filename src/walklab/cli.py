@@ -132,10 +132,11 @@ def cmd_verify(args) -> int:
     if args.summary:
         report.atomic_write(args.summary, text)
     print(text, end="")
-    if not rep.rows:
-        print(f"FAIL: no comparable cells ({len(rep.skipped)} skipped)")
-        return 1
     final_err = rep.max_rel_err(max(args.n))
+    if final_err is None:
+        print(f"FAIL: no comparable cells at n={max(args.n)} "
+              f"({len(rep.skipped)} skipped)")
+        return 1
     if final_err > args.tol:
         print(f"FAIL: max rel_err {final_err:.3g} at n={max(args.n)} "
               f"exceeds tol {args.tol}")

@@ -31,6 +31,13 @@ HALFLINE = 2
 
 DEFAULT_WINDOW_BUDGET = 4_000_000
 
+# A stream given ``keep`` cuts outer edges whose weights are at most
+# TRIM_FLOOR: the mass cut stays far below half an ulp of the weights kept.
+TRIM_FLOOR = 1e-300
+# It cuts every TRIM_EVERY steps: a scan on every step costs as much as
+# the convolution it saves.
+TRIM_EVERY = 16
+
 
 @dataclass
 class Window:
@@ -98,15 +105,23 @@ class DPResult(Window):
     entry_base: int = 0
 
 
-def _trim(off: int, arr: np.ndarray) -> tuple[int, np.ndarray]:
-    nz = np.flatnonzero(arr)
-    if len(nz) == 0:
+def _trim(off: int, arr: np.ndarray, floor: float = 0.0,
+          keep: tuple[int, int] | None = None) -> tuple[int, np.ndarray]:
+    """Cut the outer runs of sites with |weight| <= floor (exact zeros by
+    default), but never a site in keep = (lo, hi)."""
+    live = np.flatnonzero(np.abs(arr) > floor if floor else arr)
+    a, b = (live[0], live[-1] + 1) if len(live) else (len(arr), 0)
+    if keep is not None:
+        a = min(a, max(keep[0] - off, 0))
+        b = max(b, min(keep[1] - off + 1, len(arr)))
+    if b <= a:
         return off, arr[:0]
-    return off + int(nz[0]), arr[nz[0]:nz[-1] + 1]
+    return off + int(a), arr[a:b]
 
 
 def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
-           n: int, mode: int, alpha: float, window_budget: float):
+           n: int, mode: int, alpha: float, window_budget: float,
+           keep: tuple[int, int] | None = None):
     """Yield (k, offset, weights, absorbed) after each step k = 1..n.
 
     absorbed is the mass removed on step k: a float in POINT mode, the
@@ -114,6 +129,11 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     yielded weights are the live array, not a copy; the stream never
     writes to an array after yielding it.  The stream ends early once
     the window is empty.
+
+    keep = (lo, hi), FREE mode only: every TRIM_EVERY steps, cut the
+    outer edges whose weights have fallen to TRIM_FLOOR or below, never a
+    site in [lo, hi].  A reader of [lo, hi] sees the same bits as without the
+    cut, in a window that stops growing once the tails underflow.
     """
     cur, off = weights, offset
     for k in range(1, n + 1):
@@ -142,6 +162,8 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                 cur = cur[hi:]
                 off += hi
             off, cur = _trim(off, cur)
+        elif keep is not None and k % TRIM_EVERY == 0:
+            off, cur = _trim(off, cur, TRIM_FLOOR, keep)
         yield k, off, cur, absorbed
 
 

@@ -117,7 +117,9 @@ def summary_text(reports: list[ComparisonReport],
     for rep in reports:
         parts.append(f"theorem {rep.spec.theorem.value} on {rep.law_name}:")
         for n in rep.spec.ns:
-            parts.append(f"  n={n}: max rel_err {_fmt(rep.max_rel_err(n))}")
+            err = rep.max_rel_err(n)
+            parts.append(f"  n={n}: no rows compared" if err is None
+                         else f"  n={n}: max rel_err {_fmt(err)}")
         for s in rep.skipped:
             parts.append(f"  skipped: {s}")
     if slopes:

@@ -280,9 +280,10 @@ class ComparisonReport:
     rows: list[Row] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
 
-    def max_rel_err(self, n: int) -> float:
+    def max_rel_err(self, n: int) -> float | None:
+        """Largest rel_err over the rows at n; None if n compared no rows."""
         errs = [r.rel_err for r in self.rows if r.n == n]
-        return max(errs) if errs else 0.0
+        return max(errs) if errs else None
 
     def cells(self):
         """Group rows by scaled coordinates, sorted: {(theorem,xi,eta): rows}."""

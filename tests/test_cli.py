@@ -95,6 +95,17 @@ class TestVerify:
         last = capsys.readouterr().out.splitlines()[-1]
         assert last.startswith("FAIL: no comparable cells")
 
+    def test_no_rows_at_largest_n_fail(self, tmp_path, capsys):
+        # rows at n=255 do not make up for none at n=256
+        law = tmp_path / "span3.json"
+        law.write_text(json.dumps(SPAN3))
+        rc = main(["verify", "--law", str(law), "--theorem", "T11i",
+                   "--n", "255,256", "--out", str(tmp_path / "cmp.csv")])
+        assert rc == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "  n=256: no rows compared" in out
+        assert out[-1].startswith("FAIL: no comparable cells at n=256")
+
     def test_unknown_theorem_is_usage_error(self, law_file, tmp_path):
         with pytest.raises(SystemExit) as e:
             main(["verify", "--law", law_file, "--theorem", "nope",

@@ -256,3 +256,15 @@ def test_run_dp_properties(law, x, n, alpha):
     for y in set(exact) | set(sl.distribution.sites().tolist()):
         assert abs(sl.distribution.prob(y) - float(exact.get(y, 0))) <= 1e-13
     assert np.max(np.abs(fp.values - np.array(passage, dtype=float))) <= 1e-13
+
+
+def test_trim_never_cuts_kept_sites():
+    arr = np.array([0.0, 1e-310, 0.5, 1e-310, 0.0, 0.25, 0.0])  # sites -3..3
+    assert dp._trim(-3, arr)[0] == -2                       # exact zeros only
+    off, w = dp._trim(-3, arr, dp.TRIM_FLOOR)
+    assert (off, list(w)) == (-1, [0.5, 1e-310, 0.0, 0.25])
+    off, w = dp._trim(-3, arr, dp.TRIM_FLOOR, keep=(-3, -3))
+    assert (off, len(w)) == (-3, 6)
+    off, w = dp._trim(-3, arr, 1.0, keep=(1, 9))            # nothing live
+    assert (off, list(w)) == (1, [0.0, 0.25, 0.0])
+    assert len(dp._trim(-3, arr, 1.0, keep=(5, 9))[1]) == 0

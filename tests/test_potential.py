@@ -3,11 +3,12 @@ and the walk constants."""
 import numpy as np
 import pytest
 
+from walklab import build_law, dp
 from walklab.errors import OutOfWindow
-from walklab.laws import moments
-from walklab.potential import (a_fourier, a_partial_sums,
-                               build_potential_table, constants,
-                               expansion_check, green_point,
+from walklab.laws import lattice_structure, moments
+from walklab.potential import (_fit_tail, _partial_sum_table, a_fourier,
+                               a_partial_sums, build_potential_table,
+                               constants, expansion_check, green_point,
                                harmonicity_residuals)
 
 
@@ -57,6 +58,60 @@ class TestPartialSumRoute:
     def test_window_guard(self, l1):
         with pytest.raises(OutOfWindow):
             a_partial_sums(l1, 60, X=55)
+
+
+def _reference_table(law, X, K):
+    """_partial_sum_table by a plain loop: every step convolves the whole
+    window, nothing is ever cut."""
+    d = lattice_structure(law).period
+    M = K // d
+    K = M * d
+    m0 = M // 16
+    zmin, pmf = law.pmf_array()
+    acc = np.ones(2 * X + 1)
+    acc[X] = 0.0
+    blocks = np.zeros((M - m0, 2 * X + 1))
+    cur, off = np.ones(1), 0
+    for k in range(1, K + 1):
+        cur = np.convolve(cur, pmf)
+        off += zmin
+        i = np.arange(-X, X + 1) - off      # index of each site in cur
+        inside = (i >= 0) & (i < len(cur))
+        win = np.zeros(2 * X + 1)
+        win[inside] = cur[i[inside]]
+        delta = win[X] - win[::-1]
+        acc += delta
+        if (k - 1) // d >= m0:
+            blocks[(k - 1) // d - m0] += delta
+    tail, bound = _fit_tail(blocks, m0, M)
+    return acc, tail, bound
+
+
+@pytest.mark.parametrize("pairs", [
+    [(-1, "1/2"), (1, "1/2")],                                # srw
+    [(-2, "1/6"), (-1, "1/6"), (0, "1/6"), (1, "1/2")],       # l1
+    [(-1, "2/3"), (2, "1/3")],                                # span3
+    [(z, "1/5") for z in range(-2, 3)],                       # sym5
+    [(-1, "6/103"), (0, "91/103"), (1, "6/103")],             # lazy walk
+])
+def test_trimmed_table_is_bit_identical(pairs, monkeypatch):
+    law = build_law(pairs, "law")
+    X, K = 55, 2 ** 12
+    widths = []
+    steps = dp._steps
+
+    def watched(*args, **kwargs):
+        for item in steps(*args, **kwargs):
+            widths.append(len(item[2]))
+            yield item
+
+    monkeypatch.setattr(dp, "_steps", watched)
+    got = _partial_sum_table.__wrapped__(law, X, K)
+    for a, b in zip(got, _reference_table(law, X, K)):
+        assert np.array_equal(a, b)
+    # the underflowed edges were cut: the untrimmed window ends at
+    # K * span + 1 sites, the cut one at 21-56% of that for these laws
+    assert max(widths) < 0.6 * (K * (law.zmax - law.zmin) + 1)
 
 
 class TestPotentialTable:

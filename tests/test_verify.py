@@ -4,7 +4,7 @@ import pytest
 
 from walklab.asymptotics import TheoremId
 from walklab.errors import ConstraintViolation
-from walklab.report import csv_text, emit_comparison
+from walklab.report import csv_text, emit_comparison, summary_text
 from walklab.verify import (GridSpec, compare_grid, convergence_report,
                             invariant_suite)
 
@@ -95,6 +95,18 @@ def emit_text(rep):
         ("theorem", "law", "n", "x", "y", "exact", "rhs", "rel_err"),
         [(r.theorem, r.law, r.n, r.x, r.y, r.exact, r.rhs, r.rel_err)
          for r in rep.rows])
+
+
+def test_n_without_rows_is_not_an_exact_match(span3_kernels):
+    # span3 has period 3: the default T11i cells are reachable at n = 255
+    # but not at n = 256
+    rep = compare_grid(GridSpec(TheoremId.T11i, ns=(255, 256)),
+                       span3_kernels)
+    assert rep.max_rel_err(255) is not None
+    assert rep.max_rel_err(256) is None
+    text = summary_text([rep], [])
+    assert "  n=255: max rel_err " in text
+    assert "  n=256: no rows compared" in text
 
 
 class TestConvergenceReport:
