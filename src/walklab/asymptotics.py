@@ -1,11 +1,12 @@
 """Closed-form asymptotic right-hand sides and bound envelopes.
 
-Every limit law the verification harness checks is evaluated here as a
-pure function of (x, y, n) and the precomputed kernels.  Formulas that
-contain the free n-step probability consume the exact DP value by
-default; pass use_local_clt=True to substitute the Gaussian surrogate
-d * g_n(y - x) * 1(reachable), which isolates local-CLT error from
-limit-theorem error in reports.
+THEOREMS holds one entry per limit law the verification harness checks:
+its right-hand side as a pure function of (x, y, n) and the precomputed
+kernels, the exact quantity it is compared with, its domain and its
+lattice rule.  Formulas that contain the free n-step probability consume
+the exact DP value by default; pass use_local_clt=True to substitute the
+Gaussian surrogate d * g_n(y - x) * 1(reachable), which isolates
+local-CLT error from limit-theorem error in reports.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .errors import MissingKernel
+from scipy.integrate import quad
+from scipy.special import erf
+
+from .errors import ConstraintViolation, MissingKernel
 from .kernels import WalkKernels
-from .laws import LatticeStructure
+from .potential import PotentialTable
 
 
 @dataclass(frozen=True)
@@ -56,18 +61,122 @@ class TheoremId(enum.Enum):
     EQ14bound = "EQ14bound"          # envelope for h_x(n, y)
 
 
-def reachable(structure: LatticeStructure, n: int, displacement: int) -> bool:
-    return structure.reachable(n, displacement)
+class _Env(NamedTuple):
+    """Values shared by every right-hand side at one n."""
+    g: GaussKernel
+    s2: float
+    n_star: float
+    t: PotentialTable
+    extras: dict
+    clt: bool
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One limit theorem, everything verify needs to check it."""
+
+    id: TheoremId
+    # the exact side verify compares with: the "point", "halfline" or
+    # "r_alpha" kernel, "f_x" = f_x(n), "T" = P_x[T = n], "h" = h_x(n, y),
+    # "Q+" = Q_x^+(n), "nu" = nu_n or "particles" (the expected count)
+    exact: str
+    formula: Callable  # (k, x, y, n, _Env) -> right-hand side
+    domain: str = ""   # the condition `inside` tests, for the error text
+    inside: Callable | None = None   # (x, y, n) -> bool
+    gated: bool = False    # needs |x| v |y| <= a_circ sqrt(n*)
+    lattice: bool = False  # cells off the walk's congruence class skipped
+
+    def check(self, x: int, y: int, n: int, lim: float):
+        """Raise ConstraintViolation if the cell lies outside the domain;
+        lim is a_circ sqrt(n*)."""
+        big = max(abs(x), abs(y))
+        if self.gated and big > lim:
+            raise ConstraintViolation(
+                f"{self.id.value}: |x| v |y| = {big} exceeds a_circ "
+                f"sqrt(n*) = {lim:.1f} at n={n}")
+        if self.inside is not None and not self.inside(x, y, n):
+            raise ConstraintViolation(
+                f"{self.id.value} requires {self.domain}")
+
+
+def _lattice(k: WalkKernels, n: int, displacement: int, v: float) -> float:
+    """v times the period on reachable cells, else 0: a leading term
+    carried on the walk's congruence class only."""
+    if not k.structure.reachable(n, displacement):
+        return 0.0
+    return k.structure.period * v
 
 
 def _p_n(k: WalkKernels, n: int, displacement: int,
          use_local_clt: bool) -> float:
     if use_local_clt:
-        if not reachable(k.structure, n, displacement):
-            return 0.0
-        g = GaussKernel(k.sigma2())
-        return k.structure.period * g.g(n, displacement)
+        return _lattice(k, n, displacement,
+                        GaussKernel(k.sigma2()).g(n, displacement))
     return k.p_n_at(n, displacement)
+
+
+def _entrance(k, x, y, n, e):
+    """T14; its local-CLT form carries no lattice factor."""
+    base = k.pair.fp(x) * e.g.g(n, x) / n * k.h_inf_plus.prob(y)
+    return base if e.clt else _lattice(k, n, y - x, base)
+
+
+def _r_alpha(k, x, y, n, e):
+    """P61_ralpha, in both emitted forms."""
+    alpha = e.extras["alpha"]
+    lead = (1.0 - alpha) / alpha * e.s2 * (e.t.a_star(x) + e.t.a_star(-y)) / n
+    return {"p_form": lead * _p_n(k, n, y - x, e.clt),
+            "g_form": lead * e.g.g(n, abs(x) + abs(y))}
+
+
+def _x_nonzero(x, y, n):
+    return x != 0
+
+
+THEOREMS = {t.id: t for t in (
+    Theorem(TheoremId.T11i, "point", lambda k, x, y, n, e:
+            _p_n(k, n, y - x, e.clt) * ((e.s2 * e.s2 * e.t.a_star(x)
+                                         * e.t.a(-y) + x * y) / e.n_star),
+            gated=True, lattice=True),
+    Theorem(TheoremId.T11ii, "point", lambda k, x, y, n, e:
+            _lattice(k, n, y - x, e.g.g(n, y - x) - e.g.g(n, y + x)),
+            "xy > 0", lambda x, y, n: x * y > 0, lattice=True),
+    Theorem(TheoremId.T11iii_bound, "point", lambda k, x, y, n, e:
+            min(abs(x), abs(y)) / max(abs(x), abs(y))
+            * e.g.g(4 * n, max(abs(x), abs(y))),
+            "0 < |x|^|y| < sqrt(n) < |x|v|y|", lambda x, y, n:
+            0 < min(abs(x), abs(y)) < math.sqrt(n) < max(abs(x), abs(y))),
+    Theorem(TheoremId.T12_refined, "point", lambda k, x, y, n, e:
+            k.constants.c_plus * passage_density(x + abs(y), e.n_star),
+            "y < 0 < x", lambda x, y, n: y < 0 < x, gated=True),
+    Theorem(TheoremId.T13, "halfline", lambda k, x, y, n, e:
+            _p_n(k, n, y - x, e.clt)
+            * (2.0 * k.pair.fp(x) * k.pair.fm(y) / e.n_star),
+            "x, y >= 1", lambda x, y, n: x >= 1 and y >= 1, lattice=True),
+    Theorem(TheoremId.T14, "h", _entrance, "x != 0", _x_nonzero),
+    Theorem(TheoremId.C11, "T", lambda k, x, y, n, e:
+            k.pair.fp(x) * e.g.g(n, x) / n,
+            "x != 0", _x_nonzero),
+    Theorem(TheoremId.P12_Qplus, "Q+", lambda k, x, y, n, e:
+            (e.s2 * e.t.a_star(x) - x) / math.sqrt(2.0 * math.pi * e.n_star)
+            if x > 0 else float(erf(abs(x) / math.sqrt(2.0 * e.n_star))),
+            "x != 0", _x_nonzero),
+    Theorem(TheoremId.T15_nu, "nu", lambda k, x, y, n, e:
+            0.5 * k.constants.c_plus),
+    Theorem(TheoremId.C12_particles, "particles", lambda k, x, y, n, e:
+            k.constants.c_plus / math.sqrt(2.0 * math.pi)
+            * quad(lambda u: math.exp(-u * u / 2.0), 0.0, e.extras["ell"])[0]),
+    Theorem(TheoremId.P61_ralpha, "r_alpha", _r_alpha),
+    Theorem(TheoremId.ThmA_passage, "f_x", lambda k, x, y, n, e:
+            math.sqrt(e.s2) * e.t.a_star(x) * math.exp(-x * x / (
+                2.0 * e.s2 * n)) / (math.sqrt(2.0 * math.pi) * n ** 1.5),
+            "x != 0", _x_nonzero),
+    Theorem(TheoremId.IVbound, "point", lambda k, x, y, n, e:
+            (abs(x) + 1.0) * abs(y) / n ** 1.5),
+    Theorem(TheoremId.EQ14bound, "h", lambda k, x, y, n, e:
+            k.h_inf_plus.prob(y) / (x * math.sqrt(n)),
+            "x != 0", _x_nonzero),
+)}
 
 
 def rhs(theorem: TheoremId, k: WalkKernels, x: int, y: int, n: int,
@@ -77,79 +186,9 @@ def rhs(theorem: TheoremId, k: WalkKernels, x: int, y: int, n: int,
     Returns a float for most ids; P61_ralpha returns a dict with both
     emitted forms ('p_form' uses p^n(y-x), 'g_form' uses g_n(|x|+|y|)).
     """
-    extras = extras or {}
-    g = GaussKernel(k.sigma2())
-    s2 = k.sigma2()
-    n_star = s2 * n
-    t = k.table
-    if t is None:
+    if k.table is None:
         raise MissingKernel("potential table not built")
-
-    if theorem is TheoremId.T11i:
-        pn = _p_n(k, n, y - x, use_local_clt)
-        return (s2 * s2 * t.a_star(x) * t.a(-y) + x * y) / n_star * pn
-
-    if theorem is TheoremId.T11ii:
-        if not reachable(k.structure, n, y - x):
-            return 0.0
-        return k.structure.period * (g.g(n, y - x) - g.g(n, y + x))
-
-    if theorem is TheoremId.T11iii_bound:
-        lo, hi = min(abs(x), abs(y)), max(abs(x), abs(y))
-        return lo / hi * g.g(4 * n, hi)
-
-    if theorem is TheoremId.T12_refined:
-        return k.constants.c_plus * passage_density(x + abs(y), n_star)
-
-    if theorem is TheoremId.T13:
-        pn = _p_n(k, n, y - x, use_local_clt)
-        return 2.0 * k.pair.fp(x) * k.pair.fm(y) / n_star * pn
-
-    if theorem is TheoremId.T14:
-        base = k.pair.fp(x) * g.g(n, x) / n * k.h_inf_plus.prob(y)
-        if use_local_clt:
-            return base
-        # periodic correction: leading term carried on reachable steps only
-        if not reachable(k.structure, n, y - x):
-            return 0.0
-        return k.structure.period * base
-
-    if theorem is TheoremId.C11:
-        return k.pair.fp(x) * g.g(n, x) / n
-
-    if theorem is TheoremId.P12_Qplus:
-        if x > 0:
-            return (s2 * t.a_star(x) - x) / math.sqrt(2.0 * math.pi * n_star)
-        from scipy.special import erf
-        return float(erf(abs(x) / math.sqrt(2.0 * n_star)))
-
-    if theorem is TheoremId.T15_nu:
-        return 0.5 * k.constants.c_plus
-
-    if theorem is TheoremId.C12_particles:
-        ell = extras["ell"]
-        from scipy.integrate import quad
-        val, _ = quad(lambda u: math.exp(-u * u / 2.0), 0.0, ell)
-        return k.constants.c_plus / math.sqrt(2.0 * math.pi) * val
-
-    if theorem is TheoremId.P61_ralpha:
-        alpha = extras["alpha"]
-        gamma = (1.0 - alpha) / alpha
-        lead = gamma * s2 * (t.a_star(x) + t.a_star(-y)) / n
-        return {
-            "p_form": lead * _p_n(k, n, y - x, use_local_clt),
-            "g_form": lead * g.g(n, abs(x) + abs(y)),
-        }
-
-    if theorem is TheoremId.ThmA_passage:
-        sigma = math.sqrt(s2)
-        return sigma * t.a_star(x) * math.exp(-x * x / (2.0 * s2 * n)) \
-            / (math.sqrt(2.0 * math.pi) * n ** 1.5)
-
-    if theorem is TheoremId.IVbound:
-        return (abs(x) + 1.0) * abs(y) / n ** 1.5
-
-    if theorem is TheoremId.EQ14bound:
-        return k.h_inf_plus.prob(y) / (x * math.sqrt(n))
-
-    raise MissingKernel(f"no evaluator for {theorem!r}")
+    s2 = k.sigma2()
+    env = _Env(GaussKernel(s2), s2, s2 * n, k.table, extras or {},
+               use_local_clt)
+    return THEOREMS[theorem].formula(k, x, y, n, env)

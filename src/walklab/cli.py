@@ -25,6 +25,16 @@ def _floats(s: str):
     return tuple(float(v) for v in s.split(","))
 
 
+def _where(parse, ok, need: str):
+    """An argparse type: parse the text, then require ok of every value."""
+    def convert(s: str):
+        v = parse(s)
+        if not all(map(ok, v if isinstance(v, tuple) else (v,))):
+            raise argparse.ArgumentTypeError(f"{s!r}: need {need}")
+        return v
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="walklab",
@@ -40,8 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mode", required=True,
                    choices=["free", "point", "halfline", "partial"])
     c.add_argument("--x", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--alpha", type=float, default=0.5)
+    c.add_argument("--n", type=_where(int, lambda n: n >= 0, "n >= 0"),
+                   required=True)
+    c.add_argument("--alpha", default=0.5, type=_where(
+        float, lambda a: 0.0 <= a <= 1.0, "0 <= alpha <= 1"))
     c.add_argument("--out", required=True)
 
     k = sub.add_parser("kernels", help="build and dump potential/ladder "
@@ -58,9 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[t.value for t in TheoremId])
     w.add_argument("--xi", type=_floats, default=(0.2,))
     w.add_argument("--eta", type=_floats, default=(0.2,))
-    w.add_argument("--n", type=_ints, default=(256, 1024, 4096))
-    w.add_argument("--alpha", type=float, default=0.5)
-    w.add_argument("--ell", type=float, default=1.0)
+    w.add_argument("--n", type=_where(_ints, lambda n: n >= 1, "n >= 1"),
+                   default=(256, 1024, 4096))
+    w.add_argument("--alpha", default=0.5, type=_where(
+        float, lambda a: 0.0 < a <= 1.0, "0 < alpha <= 1"))
+    w.add_argument("--ell", type=_where(float, lambda e: e > 0.0, "ell > 0"),
+                   default=1.0)
     w.add_argument("--a-circ", type=float, default=2.0)
     w.add_argument("--ys", type=_ints, default=None,
                    help="literal y values (entrance-law theorems)")

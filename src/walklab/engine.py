@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import dp
-from .errors import SingularSystem, TailNotNegligible
+from .errors import ConstraintViolation, SingularSystem, TailNotNegligible
 from .laws import StepLaw, moments
 
 EXACT_STEP_LIMIT = 64
@@ -46,9 +46,6 @@ class FirstPassageSeries:
 
     x: int
     values: np.ndarray
-
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.values)
 
 
 @dataclass
@@ -97,7 +94,7 @@ def absorbed_at_origin(law: StepLaw, x: int, n: int):
 def absorbed_on_halfline(law: StepLaw, x: int, n: int):
     """Kill-on-(-inf,0] kernel and the entrance table h_x(k, y)."""
     if x < 1:
-        raise ValueError("halfline absorption requires start x >= 1")
+        raise ConstraintViolation("halfline absorption requires start x >= 1")
     zmin, pmf = law.pmf_array()
     res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.HALFLINE)
     sl = AbsorbedKernelSlice(mode="halfline", alpha=1.0, x=x, n=n,
@@ -115,7 +112,7 @@ def partial_absorption(law: StepLaw, alpha: float, x: int,
     the identity for every alpha.
     """
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+        raise ConstraintViolation("alpha must lie in [0, 1]")
     zmin, pmf = law.pmf_array()
     res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.POINT, alpha=alpha)
     return AbsorbedKernelSlice(mode="partial", alpha=alpha, x=x, n=n,
@@ -217,7 +214,7 @@ def _interior_system(law: StepLaw, states: np.ndarray):
 
 def strip_exit(law: StepLaw, x: int, N: int, lower_cut: int | None = None) -> StripExit:
     if not 0 < x < N:
-        raise ValueError("need 0 < x < N")
+        raise ConstraintViolation("need 0 < x < N")
     fw = {z: float(w) for z, w in law.items()}
 
     # Half-line variant: states 1..N-1, absorbed below 1 or at/above N.
@@ -275,7 +272,8 @@ def _conv_exact(cur: dict[int, Fraction], law: StepLaw) -> dict[int, Fraction]:
 
 def evolve_free_exact(law: StepLaw, x: int, n: int) -> dict[int, Fraction]:
     if n > EXACT_STEP_LIMIT:
-        raise ValueError(f"exact mode limited to n <= {EXACT_STEP_LIMIT}")
+        raise ConstraintViolation(
+            f"exact mode limited to n <= {EXACT_STEP_LIMIT}")
     cur = {x: Fraction(1)}
     for _ in range(n):
         cur = _conv_exact(cur, law)
@@ -285,7 +283,8 @@ def evolve_free_exact(law: StepLaw, x: int, n: int) -> dict[int, Fraction]:
 def absorbed_at_origin_exact(law: StepLaw, x: int, n: int):
     """Rational q^n(x, .) and passage law; n <= 64."""
     if n > EXACT_STEP_LIMIT:
-        raise ValueError(f"exact mode limited to n <= {EXACT_STEP_LIMIT}")
+        raise ConstraintViolation(
+            f"exact mode limited to n <= {EXACT_STEP_LIMIT}")
     cur = {x: Fraction(1)}
     passage = []
     for _ in range(n):

@@ -62,4 +62,4 @@ class InconsistentEstimates(WalklabError):
 
 
 class ConstraintViolation(WalklabError, ValueError):
-    """Grid point violates the domain constraints of the requested law."""
+    """An input lies outside the domain of the requested computation or law."""

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import asymptotics, dp, engine, ladder, potential
 from .asymptotics import TheoremId
-from .errors import ConstraintViolation
 from .kernels import WalkKernels
 from .laws import StepLaw, lattice_structure, moments
 
@@ -254,8 +253,6 @@ class GridSpec:
     alpha: float = 0.5
     ell: float = 1.0
     ys_literal: tuple[int, ...] | None = None
-    xs_literal: tuple[int, ...] | None = None
-    use_local_clt: bool = False
 
 
 @dataclass
@@ -299,34 +296,11 @@ def _rel_err(exact: float, rhs_val: float) -> float:
     return abs(exact - rhs_val) / max(abs(exact), REL_ERR_FLOOR)
 
 
-def _gate(theorem: TheoremId, x: int, y: int, n: int, n_star: float,
-          a_circ: float):
-    lim = a_circ * math.sqrt(n_star)
-    big = max(abs(x), abs(y))
-    if theorem in (TheoremId.T11i, TheoremId.T12_refined) and big > lim:
-        raise ConstraintViolation(
-            f"{theorem.value}: |x| v |y| = {big} exceeds a_circ sqrt(n*) = "
-            f"{lim:.1f} at n={n}")
-    if theorem is TheoremId.T11ii and x * y <= 0:
-        raise ConstraintViolation("T11ii requires xy > 0")
-    if theorem is TheoremId.T11iii_bound:
-        small = min(abs(x), abs(y))
-        if not (0 < small < math.sqrt(n) < big):
-            raise ConstraintViolation(
-                "T11iii_bound requires 0 < |x|^|y| < sqrt(n) < |x|v|y|")
-    if theorem is TheoremId.T12_refined and not (y < 0 < x):
-        raise ConstraintViolation(f"{theorem.value} requires y < 0 < x")
-    if theorem is TheoremId.T13 and not (x >= 1 and y >= 1):
-        raise ConstraintViolation("T13 requires x, y >= 1")
-    if theorem in (TheoremId.T14, TheoremId.C11, TheoremId.ThmA_passage,
-                   TheoremId.P12_Qplus, TheoremId.EQ14bound) and x == 0:
-        raise ConstraintViolation(f"{theorem.value} requires x != 0")
-
-
 def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
     report = ComparisonReport(spec=spec, law_name=k.law.name)
     sigma2 = k.sigma2()
-    th = spec.theorem
+    th = asymptotics.THEOREMS[spec.theorem]
+    extras = {"alpha": spec.alpha, "ell": spec.ell}
 
     # Lock each scaled cell to the same effective coordinate across n: pick
     # the lattice point at the smallest n and scale it by sqrt(n/n0) whenever
@@ -345,102 +319,73 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
         return round(v * math.sqrt(sigma2 * n))
 
     for n in spec.ns:
-        n_star = sigma2 * n
-        scale = math.sqrt(n_star)
-
-        if th in (TheoremId.T15_nu, TheoremId.C12_particles):
+        lim = spec.a_circ * math.sqrt(sigma2 * n)
+        if th.exact in ("nu", "particles"):
             nu, tail, particles = engine.nu_and_particles(
                 k.law, n, ell=spec.ell)
-            if th is TheoremId.T15_nu:
-                exact = nu
-                rv = asymptotics.rhs(th, k, 0, 0, n)
-            else:
-                exact = particles
-                rv = asymptotics.rhs(th, k, 0, 0, n, {"ell": spec.ell})
-            if exact == 0.0 and abs(rv) < 1e-12:
-                report.skipped.append(f"{th.value} n={n}: exact = rhs = 0")
-                report.rows.append(Row(th.value, k.law.name, n, 0, 0,
-                                       exact, rv, 0.0,
-                                       note=f"tail_bound={tail:.3g}"))
-            else:
-                report.rows.append(Row(th.value, k.law.name, n, 0, 0, exact,
-                                       rv, _rel_err(exact, rv),
-                                       note=f"tail_bound={tail:.3g}"))
+            exact = nu if th.exact == "nu" else particles
+            rv = asymptotics.rhs(spec.theorem, k, 0, 0, n, extras)
+            both_zero = exact == 0.0 and abs(rv) < 1e-12
+            if both_zero:
+                report.skipped.append(f"{th.id.value} n={n}: exact = rhs = 0")
+            report.rows.append(Row(
+                th.id.value, k.law.name, n, 0, 0, exact, rv,
+                0.0 if both_zero else _rel_err(exact, rv),
+                note=f"tail_bound={tail:.3g}"))
             continue
-
         for xi in spec.xis:
-            x = max(1, coord(xi, n))
-            if th is TheoremId.ThmA_passage:
-                _gate(th, x, 0, n, n_star, spec.a_circ)
-                _, fp = engine.absorbed_at_origin(k.law, x, n)
-                exact = float(fp.values[n - 1])
-                rv = asymptotics.rhs(th, k, x, 0, n)
-                _append(report, th, k, n, x, 0, exact, rv, xi, 0.0)
-                continue
-            if th is TheoremId.P12_Qplus:
-                # fixed x > 0 cells (the vanishing form) come from
-                # xs_literal; the scaled grid covers the x < 0 form
-                xxs = spec.xs_literal or (x, -x)
-                for xx in xxs:
-                    _gate(th, xx, 0, n, n_star, spec.a_circ)
-                    exact, _ = engine.negative_mass(k.law, xx, n)
-                    rv = asymptotics.rhs(th, k, xx, 0, n)
-                    _append(report, th, k, n, xx, 0, exact, rv,
-                            math.copysign(xi, xx), 0.0)
-                continue
-            if th is TheoremId.C11:
-                _gate(th, x, 0, n, n_star, spec.a_circ)
-                _, tab = engine.absorbed_on_halfline(k.law, x, n)
-                exact = float(tab.t_pmf()[n - 1])
-                rv = asymptotics.rhs(th, k, x, 0, n)
-                _append(report, th, k, n, x, 0, exact, rv, xi, 0.0)
-                continue
-            if th in (TheoremId.T14, TheoremId.EQ14bound):
-                _, tab = engine.absorbed_on_halfline(k.law, x, n)
-                ys = spec.ys_literal or tuple(
-                    range(tab.entry_base, 1))
-                for y in ys:
-                    _gate(th, x, y, n, n_star, spec.a_circ)
-                    exact = tab.h_at(n, y)
-                    rv = asymptotics.rhs(th, k, x, y, n)
-                    _append(report, th, k, n, x, y, exact, rv, xi, float(y))
-                continue
-
-            # kernel-valued theorems: one DP per (x, n), many y
-            if th is TheoremId.T13:
-                dist = engine.absorbed_on_halfline(
-                    k.law, x, n)[0].distribution
-            elif th is TheoremId.P61_ralpha:
-                dist = engine.r_alpha(k.law, spec.alpha, x, n)
-            else:
-                dist = engine.absorbed_at_origin(k.law, x, n)[0].distribution
-            for eta in spec.etas:
-                y = coord(eta, n)
-                _gate(th, x, y, n, n_star, spec.a_circ)
-                exact = dist.prob(y)
-                if th is TheoremId.P61_ralpha:
-                    rv = asymptotics.rhs(th, k, x, y, n,
-                                         {"alpha": spec.alpha},
-                                         spec.use_local_clt)
-                    _append(report, TheoremId.P61_ralpha, k, n, x, y, exact,
-                            rv["p_form"], xi, eta, suffix="_p")
-                    _append(report, TheoremId.P61_ralpha, k, n, x, y, exact,
-                            rv["g_form"], xi, eta, suffix="_g")
-                else:
-                    rv = asymptotics.rhs(th, k, x, y, n,
-                                         use_local_clt=spec.use_local_clt)
-                    _append(report, th, k, n, x, y, exact, rv, xi, eta)
+            for x, y, row_xi, row_eta, exact in _cells(th.exact, spec, k, n,
+                                                       xi, coord):
+                th.check(x, y, n, lim)
+                rv = asymptotics.rhs(spec.theorem, k, x, y, n, extras)
+                # P61_ralpha emits both of its forms, as rows _p and _g
+                forms = ((("_p", rv["p_form"]), ("_g", rv["g_form"]))
+                         if isinstance(rv, dict) else (("", rv),))
+                for suffix, v in forms:
+                    _append(report, th, k, n, x, y, exact, v, row_xi,
+                            row_eta, suffix)
     return report
 
 
-def _append(report: ComparisonReport, th: TheoremId, k: WalkKernels, n, x, y,
-            exact, rv, xi, eta, suffix=""):
-    name = th.value + suffix
+def _cells(quantity: str, spec: GridSpec, k: WalkKernels, n: int, xi: float,
+           coord):
+    """(x, y, xi, eta, exact) of every cell at xi and n, with one exact
+    run per start x."""
+    x = max(1, coord(xi, n))
+    if quantity == "Q+":
+        # both signs of x: the vanishing form (x > 0) and the erf form
+        for xx in (x, -x):
+            exact, _ = engine.negative_mass(k.law, xx, n)
+            yield xx, 0, math.copysign(xi, xx), 0.0, exact
+        return
+    if quantity == "r_alpha":
+        dist = engine.r_alpha(k.law, spec.alpha, x, n)
+    elif quantity in ("point", "f_x"):
+        sl, fp = engine.absorbed_at_origin(k.law, x, n)
+        dist = sl.distribution
+    else:
+        sl, tab = engine.absorbed_on_halfline(k.law, x, n)
+        dist = sl.distribution
+    if quantity == "f_x":
+        yield x, 0, xi, 0.0, float(fp.values[n - 1])
+    elif quantity == "T":
+        yield x, 0, xi, 0.0, float(tab.t_pmf()[n - 1])
+    elif quantity == "h":
+        for y in spec.ys_literal or range(tab.entry_base, 1):
+            yield x, y, xi, float(y), tab.h_at(n, y)
+    else:
+        for eta in spec.etas:
+            y = coord(eta, n)
+            yield x, y, xi, eta, dist.prob(y)
+
+
+def _append(report: ComparisonReport, th: asymptotics.Theorem,
+            k: WalkKernels, n, x, y, exact, rv, xi, eta, suffix=""):
+    name = th.id.value + suffix
     if exact == 0.0 and rv == 0.0:
         report.skipped.append(f"{name} n={n} x={x} y={y}: exact = rhs = 0")
         return
-    if not k.structure.reachable(n, y - x) and th in (
-            TheoremId.T11i, TheoremId.T11ii, TheoremId.T13):
+    if th.lattice and not k.structure.reachable(n, y - x):
         report.skipped.append(f"{name} n={n} x={x} y={y}: unreachable cell")
         return
     report.rows.append(Row(name, k.law.name, n, x, y, float(exact),

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from walklab.asymptotics import (GaussKernel, TheoremId, passage_density,
-                                 reachable, rhs)
+from walklab.asymptotics import GaussKernel, TheoremId, passage_density, rhs
 from walklab.errors import MissingKernel
 from walklab.laws import lattice_structure
 
@@ -52,12 +51,12 @@ class TestPassageDensity:
 class TestReachable:
     def test_parity_walk(self, srw):
         s = lattice_structure(srw)
-        assert reachable(s, 3, 1)
-        assert not reachable(s, 3, 2)
+        assert s.reachable(3, 1)
+        assert not s.reachable(3, 2)
 
     def test_aperiodic(self, l1):
         s = lattice_structure(l1)
-        assert all(reachable(s, n, d) for n in (1, 5) for d in (-3, 0, 7))
+        assert all(s.reachable(n, d) for n in (1, 5) for d in (-3, 0, 7))
 
 
 class TestEvaluators:

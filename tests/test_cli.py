@@ -121,3 +121,33 @@ class TestReport:
         text = out.read_text()
         assert "invariant suite" in text
         assert "[fail]" not in text
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["verify", "--theorem", "T11i", "--n", "0"], 2,
+     "argument --n: '0': need n >= 1"),
+    (["verify", "--theorem", "T11i", "--n", "-4"], 2,
+     "argument --n: '-4': need n >= 1"),
+    (["verify", "--theorem", "P61_ralpha", "--alpha", "0"], 2,
+     "argument --alpha: '0': need 0 < alpha <= 1"),
+    (["verify", "--theorem", "P61_ralpha", "--alpha", "2"], 2,
+     "argument --alpha: '2': need 0 < alpha <= 1"),
+    (["verify", "--theorem", "C12_particles", "--ell", "-1"], 2,
+     "argument --ell: '-1': need ell > 0"),
+    (["compute", "--mode", "partial", "--alpha", "1.5", "--x", "3",
+      "--n", "8"], 2, "argument --alpha: '1.5': need 0 <= alpha <= 1"),
+    (["compute", "--mode", "free", "--x", "0", "--n", "-2"], 2,
+     "argument --n: '-2': need n >= 0"),
+    (["compute", "--mode", "halfline", "--x", "0", "--n", "8"], 1,
+     "error: ConstraintViolation: halfline absorption requires start x >= 1"),
+])
+def test_bad_input_is_a_typed_error(argv, code, message, law_file, tmp_path,
+                                    capsys):
+    out = tmp_path / "out.csv"
+    try:
+        rc = main(argv + ["--law", law_file, "--out", str(out)])
+    except SystemExit as e:
+        rc = e.code
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()

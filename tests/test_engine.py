@@ -48,7 +48,7 @@ class TestKillAtOrigin:
     def test_mass_bookkeeping(self, l1):
         n = 300
         sl, fp = engine.absorbed_at_origin(l1, 2, n)
-        total = sl.distribution.mass() + fp.cumulative()[-1]
+        total = sl.distribution.mass() + fp.values.sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_start_at_origin_not_absorbed(self, l1):

@@ -2,7 +2,7 @@
 convergence summaries."""
 import pytest
 
-from walklab.asymptotics import TheoremId
+from walklab.asymptotics import THEOREMS, TheoremId
 from walklab.errors import ConstraintViolation
 from walklab.report import csv_text, emit_comparison, summary_text
 from walklab.verify import (GridSpec, compare_grid, convergence_report,
@@ -53,6 +53,57 @@ class TestRegionGating:
         spec = GridSpec(TheoremId.T13, ns=(256,), xis=(0.2,), etas=(-0.2,))
         with pytest.raises(ConstraintViolation):
             compare_grid(spec, l1_kernels)
+
+
+# In-domain grids for the ids whose default cell (xi = eta = 0.2) is outside.
+IN_DOMAIN = {
+    TheoremId.T12_refined: dict(etas=(-0.2,)),
+    TheoremId.T11iii_bound: dict(xis=(0.02,), etas=(2.0,)),
+    TheoremId.T14: dict(ys_literal=(0, -1, -2)),
+    TheoremId.EQ14bound: dict(ys_literal=(0, -1, -2)),
+}
+
+
+class TestTheoremTable:
+    def test_one_entry_per_id(self):
+        assert set(THEOREMS) == set(TheoremId)
+        assert all(t.id is i for i, t in THEOREMS.items())
+
+    @pytest.mark.parametrize("theorem", list(TheoremId),
+                             ids=lambda t: t.value)
+    def test_every_theorem_compares(self, theorem, l1_kernels):
+        spec = GridSpec(theorem, ns=(64, 256), **IN_DOMAIN.get(theorem, {}))
+        rep = compare_grid(spec, l1_kernels)
+        assert rep.rows
+        for r in rep.rows:
+            assert r.rel_err == abs(r.exact - r.rhs) / max(abs(r.exact),
+                                                           1e-16)
+
+    @pytest.mark.parametrize("theorem, grid, message", [
+        (TheoremId.T11i, dict(xis=(5.0,)),
+         "T11i: |x| v |y| = 46 exceeds a_circ sqrt(n*) = 18.5 at n=64"),
+        (TheoremId.T11ii, dict(etas=(-0.2,)), "T11ii requires xy > 0"),
+        (TheoremId.T11iii_bound, {},
+         "T11iii_bound requires 0 < |x|^|y| < sqrt(n) < |x|v|y|"),
+        (TheoremId.T12_refined, {}, "T12_refined requires y < 0 < x"),
+        (TheoremId.T13, dict(etas=(-0.2,)), "T13 requires x, y >= 1"),
+    ], ids=["a_circ", "same_sign", "T11iii_window", "opposite_sign",
+            "halfline"])
+    def test_out_of_domain_grid_raises(self, theorem, grid, message,
+                                       l1_kernels):
+        spec = GridSpec(theorem, ns=(64, 256), **grid)
+        with pytest.raises(ConstraintViolation) as e:
+            compare_grid(spec, l1_kernels)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("theorem", [
+        TheoremId.T14, TheoremId.C11, TheoremId.P12_Qplus,
+        TheoremId.ThmA_passage, TheoremId.EQ14bound], ids=lambda t: t.value)
+    def test_start_at_origin_raises(self, theorem):
+        # the scaled grid never places x at 0, so the cell check is called
+        with pytest.raises(ConstraintViolation) as e:
+            THEOREMS[theorem].check(0, -1, 64, 18.5)
+        assert str(e.value) == f"{theorem.value} requires x != 0"
 
 
 class TestCompareGrid:
