@@ -7,6 +7,7 @@ Subcommands: validate, compute, kernels, verify, report.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -68,20 +69,23 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--law", required=True)
     w.add_argument("--theorem", required=True,
                    choices=[t.value for t in TheoremId])
-    w.add_argument("--xi", type=_floats, default=(0.2,))
-    w.add_argument("--eta", type=_floats, default=(0.2,))
+    w.add_argument("--xi", type=_where(_floats, math.isfinite, "finite xi"),
+                   default=(0.2,))
+    w.add_argument("--eta", type=_where(_floats, math.isfinite, "finite eta"),
+                   default=(0.2,))
     w.add_argument("--n", type=_where(_ints, lambda n: n >= 1, "n >= 1"),
                    default=(256, 1024, 4096))
     w.add_argument("--alpha", default=0.5, type=_where(
         float, lambda a: 0.0 < a <= 1.0, "0 < alpha <= 1"))
     w.add_argument("--ell", type=_where(float, lambda e: e > 0.0, "ell > 0"),
                    default=1.0)
-    w.add_argument("--a-circ", type=float, default=2.0)
+    w.add_argument("--a-circ", default=2.0, type=_where(
+        float, lambda a: math.isfinite(a) and a > 0.0, "finite a_circ > 0"))
     w.add_argument("--ys", type=_ints, default=None,
                    help="literal y values (entrance-law theorems)")
-    w.add_argument("--tol", type=float, default=0.15,
-                   help="max relative error at the largest n "
-                        "(engineering calibration)")
+    w.add_argument("--tol", default=0.15, type=_where(
+        float, lambda t: math.isfinite(t) and t >= 0.0, "finite tol >= 0"),
+        help="max relative error at the largest n (engineering calibration)")
     w.add_argument("--out", required=True)
     w.add_argument("--summary", default=None)
 

@@ -49,8 +49,8 @@ class TailNotNegligible(WalklabError):
     """A truncated sum's tail bound exceeds the requested tolerance."""
 
 
-class DeficitTooLarge(WalklabError):
-    """A ladder-height law's unresolved mass exceeds tolerance."""
+class FactorizationFailed(WalklabError):
+    """The Wiener-Hopf roots of a step law could not be resolved."""
 
 
 class MissingKernel(WalklabError, KeyError):

@@ -1,39 +1,41 @@
 """Ladder heights, the harmonic pair f_+/f_-, and entrance laws.
 
-The ascending ladder height is the overshoot S at the first entry of
-the walk into [1, inf) from 0; its renewal function generates f_-, the
-positive harmonic function of the walk killed on (-inf, 0].  Descending
-objects are the same construction under the reflected law (never a
-separate formula), which enforces the duality structurally:
+The ascending ladder height H+ is the overshoot at the first entry of the
+walk into [1, inf) from 0; its renewal function generates f_-, the positive
+harmonic function of the walk killed on (-inf, 0].  The descending ladder
+of p is the ascending ladder of p~ (p reflected).
 
-    descending ladder of p  ==  ascending ladder of p~ (p reflected).
+Both come from one exact Wiener-Hopf factorisation (Spitzer, Principles of
+Random Walk, sections 17-19; Feller II, XII).  With a = -zmin, b = zmax,
+s^a (1 - phi(s)) / (s - 1)^2 has a - 1 roots inside the unit disc and
+b - 1 outside (none on it, as the law generates Z), and
 
-Computation: the first entry into [1, inf) of S from 0 is the first
-entry into (-inf, 0] of V = 1 - S from 1, and V steps with the
-reflected law; so one half-line absorbed DP yields the ladder buckets.
-Two exactness shortcuts cover unit-jump sides:
+    1 - E s^{H+} = (1 - s) prod_{|r| > 1} (1 - s / r);
 
-* max jump in the ladder direction is 1  ->  point mass at height 1;
-* opposite side has unit max jump        ->  the ladder mean is exactly
-  sigma^2 / (2 P[one-step move to the ladder side]), which pins the pmf
-  completely when the support is {1, 2}.
-
-Otherwise the DP buckets are renormalized over the unresolved deficit
-(the bucket shape stabilizes much faster than the total mass) and a
-shape-drift diagnostic is recorded.
+the descending ladder takes 1/r for each root r inside the disc.  The
+product is expanded at ROOT_DPS digits and rounded to float once.  The
+truncated half-line DP is kept as the independent route (ladder_buckets),
+checked against the exact laws in verify.invariant_suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
+from mpmath import mp
 
 from .dp import Window
 from .engine import absorbed_on_halfline
-from .errors import DeficitTooLarge, OutOfWindow
+from .errors import FactorizationFailed, OutOfWindow
 from .laws import StepLaw, moments
 from .potential import PotentialTable
+
+ROOT_DPS = 50         # digits of the root polish and the product expansion
+NEWTON_STEPS = 60     # a simple root needs about 3 from a float64 seed
+BUCKET_STEPS = 2048   # steps of the DP cross-check
 
 
 @dataclass
@@ -41,77 +43,83 @@ class LadderHeightLaw:
     direction: str            # "ascending" | "descending"
     pmf: np.ndarray           # index h-1, heights 1..len(pmf)
     mean: float
-    deficit_estimate: float
-    shape_drift: float
-    exact: bool
+    # always True now; kept because the benchmark's trace probe reads it
+    exact: bool = True
 
     def height_mean(self) -> float:
         return self.mean
 
 
-def _ladder_buckets(step_law: StepLaw, n_steps: int):
-    """Entry-height buckets of the first passage of 1 - S below 1, where
-    S steps with the reflection of `step_law` -- i.e. the ascending
-    ladder of `step_law` truncated at n_steps."""
-    _, table = absorbed_on_halfline(step_law.reflected(), 1, n_steps)
-    # entry site y <= 0 corresponds to ladder height 1 - y
-    h = table.h
-    base = table.entry_base
-    hmax = 1 - base
-    buckets = np.zeros(hmax)
-    part = np.zeros(hmax)  # buckets at n_steps // 4, for the drift check
-    csum = h.cumsum(axis=0)
-    for j in range(h.shape[1]):
-        height = 1 - (base + j)
-        buckets[height - 1] = csum[-1, j]
-        part[height - 1] = csum[n_steps // 4 - 1, j]
-    return buckets, part, table.deficit
+def _newton(coef: list, r, eps):
+    """Polish a root r of coef (highest degree first); None if the steps
+    do not settle within NEWTON_STEPS."""
+    for _ in range(NEWTON_STEPS):
+        p, d = coef[0], 0
+        for v in coef[1:]:
+            p, d = p * r + v, d * r + p
+        if d == 0:
+            return None
+        step = p / d
+        r -= step
+        if abs(step) <= eps * abs(r):
+            return r
+    return None
 
 
-def ladder_height_law(law: StepLaw, direction: str, n_steps: int = 2048,
-                      tol: float = 0.05) -> LadderHeightLaw:
-    if direction == "ascending":
-        base_law = law
-    elif direction == "descending":
-        base_law = law.reflected()
-    else:
+@lru_cache(maxsize=None)
+def _roots(law: StepLaw) -> tuple:
+    """Roots of s^a (1 - phi(s)) / (s - 1)^2 at ROOT_DPS digits, from
+    numpy.roots seeds polished by Newton steps."""
+    a = -law.zmin
+    q = [int(k == a) - law.prob(k - a) for k in range(law.zmax + a, -1, -1)]
+    for _ in range(2):          # exact division by s - 1, remainder 0
+        q = list(accumulate(q))[:-1]
+    roots = []
+    with mp.workdps(ROOT_DPS):
+        coef = [mp.mpf(v.numerator) / v.denominator for v in q]
+        eps = mp.mpf(10) ** (10 - ROOT_DPS)
+        seeds = np.roots([float(v) for v in q]) if len(q) > 1 else []
+        for seed in map(complex, seeds):
+            r = _newton(coef, mp.mpc(seed), eps)
+            if r is None:
+                raise FactorizationFailed(f"{law.name}: the root near "
+                                          f"{seed:.6g} did not converge")
+            if any(abs(r - t) <= eps ** 0.5 * max(1, abs(r)) for t in roots):
+                raise FactorizationFailed(f"{law.name}: roots near "
+                                          f"{complex(r):.6g} are not distinct")
+            roots.append(r)
+    outside = sum(abs(r) > 1 for r in roots)
+    if outside != law.zmax - 1:
+        raise FactorizationFailed(f"{law.name}: {outside} roots outside the "
+                                  f"unit disc, expected {law.zmax - 1}")
+    return tuple(roots)
+
+
+def ladder_height_law(law: StepLaw, direction: str) -> LadderHeightLaw:
+    """Exact ladder-height law from the Wiener-Hopf roots of `law`."""
+    if direction not in ("ascending", "descending"):
         raise ValueError("direction must be 'ascending' or 'descending'")
-    up = base_law.zmax          # max jump toward the ladder side
-    down = base_law.zmin        # opposite side
+    with mp.workdps(ROOT_DPS):
+        up = direction == "ascending"
+        ladder = [r if up else 1 / r
+                  for r in _roots(law) if (abs(r) > 1) == up]
+        c = [mp.mpc(1)]     # (1 - s) prod (1 - s / r), lowest degree first
+        for r in [mp.mpc(1)] + ladder:
+            c = [u - v / r for u, v in zip(c + [0], [0] + c)]
+        pmf = [-v.real for v in c[1:]]
+        mean = sum(h * p for h, p in enumerate(pmf, 1))
+        return LadderHeightLaw(direction, np.array([float(p) for p in pmf]),
+                               float(mean))
 
-    if up == 1:
-        return LadderHeightLaw(direction, np.ones(1), 1.0, 0.0, 0.0, True)
 
-    exact_mean = None
-    if down == -1:
-        # dual of the f_-(j) P[Y <= -j] = sigma^2/2 identity with a
-        # single term on the unit-jump side
-        m = moments(base_law)
-        p_side = sum(w for z, w in base_law.items() if z <= -1)
-        exact_mean = m.sigma2 / (2 * p_side)
-        if up == 2:
-            # support {1,2}: mean pins the pmf
-            mean = float(exact_mean)
-            pmf = np.array([2.0 - mean, mean - 1.0])
-            return LadderHeightLaw(direction, pmf, mean, 0.0, 0.0, True)
-
-    buckets, part, deficit = _ladder_buckets(base_law, n_steps)
-    pmf = buckets / buckets.sum()
-    pmf_part = part / part.sum()
-    drift = float(np.max(np.abs(pmf - pmf_part)))
-    if drift > tol:
-        raise DeficitTooLarge(
-            f"ladder bucket shape drift {drift:.3g} exceeds tol {tol:.3g}")
-    heights = np.arange(1, len(pmf) + 1)
-    if exact_mean is not None:
-        # tilt the pmf onto the exact-mean constraint, preserving total mass
-        c = heights - heights.mean()
-        lam = (float(exact_mean) - heights @ pmf) / (heights @ c)
-        pmf = pmf + lam * c
-        mean = float(exact_mean)
-    else:
-        mean = float(heights @ pmf)
-    return LadderHeightLaw(direction, pmf, mean, float(deficit), drift, False)
+def ladder_buckets(law: StepLaw, direction: str) -> tuple[np.ndarray, float]:
+    """The DP route: (mass entering each height 1..b within BUCKET_STEPS
+    steps, mass not entered by then).  The first entry of S into [1, inf)
+    from 0 is that of V = 1 - S into (-inf, 0] from 1, and V steps with the
+    reflected law; entry site y <= 0 is height 1 - y."""
+    walk = law.reflected() if direction == "ascending" else law
+    _, table = absorbed_on_halfline(walk, 1, BUCKET_STEPS)
+    return table.partial_entrance()[1][::-1], table.deficit
 
 
 @dataclass
@@ -157,18 +165,11 @@ def _f_table(ladder: LadderHeightLaw, X: int):
     return f, u
 
 
-def harmonic_pair(asc: LadderHeightLaw, desc: LadderHeightLaw,
-                  X: int = 400) -> HarmonicPair:
-    f_minus, u_minus = _f_table(asc, X)
-    f_plus, u_plus = _f_table(desc, X)
+def build_harmonic_pair(law: StepLaw, X: int = 400) -> HarmonicPair:
+    f_minus, u_minus = _f_table(ladder_height_law(law, "ascending"), X)
+    f_plus, u_plus = _f_table(ladder_height_law(law, "descending"), X)
     return HarmonicPair(X=X, f_plus=f_plus, f_minus=f_minus,
                         u_plus=u_plus, u_minus=u_minus)
-
-
-def build_harmonic_pair(law: StepLaw, X: int = 400, **kw) -> HarmonicPair:
-    asc = ladder_height_law(law, "ascending", **kw)
-    desc = ladder_height_law(law, "descending", **kw)
-    return harmonic_pair(asc, desc, X)
 
 
 def harmonicity_residual(law: StepLaw, pair: HarmonicPair, side: str,
@@ -187,12 +188,8 @@ def green_halfline(pair: HarmonicPair, sigma2: float, x: int, y: int) -> float:
     """Expected visits to y before entering (-inf, 0], started at x."""
     if not (1 <= x <= pair.X and 1 <= y <= pair.X):
         raise OutOfWindow(f"(x={x}, y={y}) outside 1..{pair.X}")
-    m = min(x, y)
-    up = pair.u_plus
-    um = pair.u_minus
-    s = 0.0
-    for z in range(0, m + 1):
-        s += up[x - z] * um[y - z]
+    s = sum(pair.u_plus[x - z] * pair.u_minus[y - z]
+            for z in range(min(x, y) + 1))
     return 2.0 * s / sigma2
 
 
@@ -204,17 +201,17 @@ class EntranceLaw(Window):
     x: int | None
 
 
+def _entrance_sums(law: StepLaw, weight) -> np.ndarray:
+    """sum_{w>=1} weight(w) p(y - w) for y in [zmin+1, 0]."""
+    return np.array([sum(weight(w) * float(law.prob(y - w))
+                         for w in range(1, y - law.zmin + 1))
+                     for y in range(law.zmin + 1, 1)])
+
+
 def _h_inf(law: StepLaw, f_table: np.ndarray, sigma2: float) -> EntranceLaw:
     """(2/sigma2) sum_{j>=1} f(j) p(y - j) on y in [zmin+1, 0]."""
-    base = law.zmin + 1
-    pmf = np.zeros(-law.zmin)
-    for i in range(len(pmf)):
-        y = base + i
-        s = 0.0
-        for j in range(1, y - law.zmin + 1):
-            s += f_table[j - 1] * float(law.prob(y - j))
-        pmf[i] = 2.0 * s / sigma2
-    return EntranceLaw(base, pmf, "H_inf_plus", None)
+    s = _entrance_sums(law, lambda j: f_table[j - 1])
+    return EntranceLaw(law.zmin + 1, 2.0 * s / sigma2, "H_inf_plus", None)
 
 
 def entrance_law_inf(law: StepLaw, pair: HarmonicPair) -> EntranceLaw:
@@ -234,15 +231,8 @@ def entrance_law_minus_inf(law: StepLaw, pair: HarmonicPair) -> EntranceLaw:
 def entrance_law_from(law: StepLaw, pair: HarmonicPair, x: int) -> EntranceLaw:
     """H_x^+(y) = sum_{w>=1} g_halfline(x, w) p(y - w), y <= 0."""
     sigma2 = float(moments(law).sigma2)
-    base = law.zmin + 1
-    pmf = np.zeros(-law.zmin)
-    for i in range(len(pmf)):
-        y = base + i
-        s = 0.0
-        for w in range(1, y - law.zmin + 1):
-            s += green_halfline(pair, sigma2, x, w) * float(law.prob(y - w))
-        pmf[i] = s
-    return EntranceLaw(base, pmf, "H_x_plus", x)
+    s = _entrance_sums(law, lambda w: green_halfline(pair, sigma2, x, w))
+    return EntranceLaw(law.zmin + 1, s, "H_x_plus", x)
 
 
 @dataclass

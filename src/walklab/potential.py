@@ -174,23 +174,24 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
 
 
 def _fit_tail(blocks: np.ndarray, m0: int, M: int):
-    """Fit block sums to sum_e c_e m^{-e} and return (tail, bound) arrays."""
+    """Fit block sums to sum_e c_e m^{-e} and return (tail, bound) arrays;
+    the bound compares with the fit on all but the last two exponents."""
     m = np.arange(m0 + 1, M + 1, dtype=float)
     t = m / M
+    design = t[:, None] ** (-PS_EXPONENTS[None, :])
+    norms = np.linalg.norm(design, axis=0)
+    scaled = design / norms
+    # tail over m > M of c_e m^{-e} = c_e M^e zeta(e, M+1)
+    scale = np.array([M ** e * zeta(e, M + 1) for e in PS_EXPONENTS])
 
-    def solve(exps: np.ndarray):
-        design = t[:, None] ** (-exps[None, :])
-        norms = np.linalg.norm(design, axis=0)
-        coef, *_ = np.linalg.lstsq(design / norms, blocks, rcond=None)
-        coef /= norms[:, None]
-        resid = blocks - design @ coef
-        # tail over m > M of c_e m^{-e} = c_e M^e zeta(e, M+1)
-        scale = np.array([M ** e * zeta(e, M + 1) for e in exps])
-        return scale @ coef, resid
+    def solve(j: int):
+        coef, *_ = np.linalg.lstsq(scaled[:, :j], blocks, rcond=None)
+        coef /= norms[:j, None]
+        return scale[:j] @ coef, coef
 
-    tail, resid = solve(PS_EXPONENTS)
-    tail_r, _ = solve(PS_EXPONENTS[:-2])
-    bound = np.abs(tail - tail_r) + np.abs(resid).sum(axis=0)
+    tail, coef = solve(len(PS_EXPONENTS))
+    tail_r, _ = solve(len(PS_EXPONENTS) - 2)
+    bound = np.abs(tail - tail_r) + np.abs(blocks - design @ coef).sum(axis=0)
     return tail, bound
 
 

@@ -54,9 +54,7 @@ def _skip(results, name, reason):
 def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
                     n_big: int = 4096) -> list[InvariantResult]:
     results: list[InvariantResult] = []
-    m = moments(law)
     struct = lattice_structure(law)
-    sigma2 = float(m.sigma2)
     refl = law.reflected()
 
     # free evolution mass
@@ -75,35 +73,21 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
         _check(results, f"halfline mass bookkeeping x={x}",
                hl.distribution.mass() + tab.h.sum() - 1.0, 1e-10)
 
-    # Chapman-Kolmogorov via the dual window (q^n(z, y) = q~^n(y, z))
-    mhalf = n_big // 2
-    for mode, runner in (("point", lambda lw, s: engine.absorbed_at_origin(
-                              lw, s, mhalf)[0]),
-                         ("halfline", lambda lw, s: engine.absorbed_on_halfline(
-                              lw, s, mhalf)[0])):
-        x, y = 2, 3
-        a = runner(law, x).distribution
-        b = runner(refl, y).distribution
-        lhs = a.dot(b)
-        if mode == "point":
-            full, _ = engine.absorbed_at_origin(law, x, n_big)
-        else:
-            full, _ = engine.absorbed_on_halfline(law, x, n_big)
-        _check(results, f"Chapman-Kolmogorov {mode} ({mhalf}+{mhalf})",
-               lhs - full.distribution.prob(y), 1e-10)
-
+    # Chapman-Kolmogorov via the dual window (q^n(z, y) = q~^n(y, z)), then
     # duality (time reversal)
-    nd = 256
-    for mode in ("point", "halfline"):
-        x, y = 2, 5
-        if mode == "point":
-            a = engine.absorbed_at_origin(law, x, nd)[0].distribution
-            b = engine.absorbed_at_origin(refl, y, nd)[0].distribution
-        else:
-            a = engine.absorbed_on_halfline(law, x, nd)[0].distribution
-            b = engine.absorbed_on_halfline(refl, y, nd)[0].distribution
-        _check(results, f"duality {mode} n={nd}",
-               a.prob(y) - b.prob(x), 1e-12)
+    kill = {"point": engine.absorbed_at_origin,
+            "halfline": engine.absorbed_on_halfline}
+    mhalf, nd = n_big // 2, 256
+    for mode, run in kill.items():
+        a = run(law, 2, mhalf)[0].distribution
+        b = run(refl, 3, mhalf)[0].distribution
+        full = run(law, 2, n_big)[0].distribution
+        _check(results, f"Chapman-Kolmogorov {mode} ({mhalf}+{mhalf})",
+               a.dot(b) - full.prob(3), 1e-10)
+    for mode, run in kill.items():
+        a = run(law, 2, nd)[0].distribution
+        b = run(refl, 5, nd)[0].distribution
+        _check(results, f"duality {mode} n={nd}", a.prob(5) - b.prob(2), 1e-12)
 
     # reachability: support of p^n confined to the congruence class
     nr = 257
@@ -178,26 +162,7 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
     _check(results, "potential kernel harmonicity", np.max(np.abs(res)), 1e-8)
     _check(results, "a(0) = 0", table.a(0), 0.0)
 
-    worst = 0.0
-    for side in ("plus", "minus"):
-        for x in range(-law.zmin + 1, 40):
-            worst = max(worst, abs(ladder.harmonicity_residual(
-                law, pair, side, x)))
-    _check(results, "harmonic pair harmonicity", worst, 1e-6)
-
-    edge = max(abs(pair.fp(pair.X) / pair.X - 1.0),
-               abs(pair.fm(pair.X) / pair.X - 1.0))
-    _check(results, "f_pm(X)/X near 1 at table edge", edge, 0.05)
-
-    rem_a = sum(float(pair.fm(j)) *
-                float(sum(w for z, w in law.items() if z <= -j))
-                for j in range(1, -law.zmin + 1)) - sigma2 / 2.0
-    _check(results, "ladder-mean identity (sigma^2/2)", rem_a, 1e-8)
-
-    _check(results, "H_inf_plus normalization",
-           k.h_inf_plus.mass() - 1.0, 1e-8)
-    _check(results, "H_minus_inf normalization",
-           k.h_minus_inf.mass() - 1.0, 1e-8)
+    ladder_invariants(law, pair, results)
 
     # Green functions dominate their DP partial sums, gap shrinking
     for name, fn in (
@@ -224,6 +189,41 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
                se.p_hit_high_before_origin - ratio,
                se.undecided + 1e-8,
                f"undecided={se.undecided:.3g}")
+
+
+def ladder_invariants(law: StepLaw, pair: ladder.HarmonicPair,
+                      results: list[InvariantResult]):
+    """Checks of the ladder-height laws and of the harmonic pair built from
+    them; they need no potential table."""
+    sigma2 = float(moments(law).sigma2)
+    worst = 0.0
+    for side in ("plus", "minus"):
+        for x in range(-law.zmin + 1, 40):
+            worst = max(worst, abs(ladder.harmonicity_residual(
+                law, pair, side, x)))
+    _check(results, "harmonic pair harmonicity", worst, 1e-6)
+
+    edge = max(abs(pair.fp(pair.X) / pair.X - 1.0),
+               abs(pair.fm(pair.X) / pair.X - 1.0))
+    _check(results, "f_pm(X)/X near 1 at table edge", edge, 0.05)
+
+    rem_a = sum(float(pair.fm(j)) *
+                float(sum(w for z, w in law.items() if z <= -j))
+                for j in range(1, -law.zmin + 1)) - sigma2 / 2.0
+    _check(results, "ladder-mean identity (sigma^2/2)", rem_a, 1e-8)
+
+    # each exact height probability lies in [DP bucket, bucket + deficit]
+    for d in ("ascending", "descending"):
+        buckets, deficit = ladder.ladder_buckets(law, d)
+        gap = ladder.ladder_height_law(law, d).pmf - buckets
+        _check(results, f"{d} ladder heights vs DP buckets",
+               max(0.0, -gap.min(), (gap - deficit).max()), 1e-12,
+               f"deficit={deficit:.3g}")
+
+    _check(results, "H_inf_plus normalization",
+           ladder.entrance_law_inf(law, pair).mass() - 1.0, 1e-8)
+    _check(results, "H_minus_inf normalization",
+           ladder.entrance_law_minus_inf(law, pair).mass() - 1.0, 1e-8)
 
 
 def _green_partial_sum(law: StepLaw, mode: str, x: int, y: int,

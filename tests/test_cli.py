@@ -122,6 +122,19 @@ class TestReport:
         assert "invariant suite" in text
         assert "[fail]" not in text
 
+    @pytest.mark.parametrize("pairs", [
+        [[-1, "5/8"], [1, "1/4"], [3, "1/8"]],
+        [[-3, "1/8"], [-1, "1/4"], [1, "5/8"]],
+    ])
+    def test_wide_ladder_side_passes(self, pairs, tmp_path):
+        # ladder heights {1, 2, 3} on one side, a unit jump on the other
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"name": "wide", "pairs": pairs}))
+        out = tmp_path / "report.txt"
+        assert main(["report", "--law", str(law), "--n-big", "256",
+                     "--out", str(out)]) == 0
+        assert "[fail]" not in out.read_text()
+
 
 @pytest.mark.parametrize("argv, code, message", [
     (["verify", "--theorem", "T11i", "--n", "0"], 2,
@@ -140,6 +153,21 @@ class TestReport:
      "argument --n: '-2': need n >= 0"),
     (["compute", "--mode", "halfline", "--x", "0", "--n", "8"], 1,
      "error: ConstraintViolation: halfline absorption requires start x >= 1"),
+    (["verify", "--theorem", "T11i", "--n", "64", "--tol", "nan"], 2,
+     "argument --tol: 'nan': need finite tol >= 0"),
+    (["verify", "--theorem", "T11i", "--n", "64", "--tol", "-1"], 2,
+     "argument --tol: '-1': need finite tol >= 0"),
+    (["verify", "--theorem", "T11i", "--n", "64", "--xi", "5",
+      "--a-circ", "nan"], 2,
+     "argument --a-circ: 'nan': need finite a_circ > 0"),
+    (["verify", "--theorem", "T11i", "--n", "64", "--a-circ", "inf"], 2,
+     "argument --a-circ: 'inf': need finite a_circ > 0"),
+    (["verify", "--theorem", "T11i", "--n", "64", "--xi", "nan"], 2,
+     "argument --xi: 'nan': need finite xi"),
+    (["verify", "--theorem", "T11i", "--n", "64", "--xi", "0.2,inf"], 2,
+     "argument --xi: '0.2,inf': need finite xi"),
+    (["verify", "--theorem", "C11", "--n", "64", "--eta=-inf"], 2,
+     "argument --eta: '-inf': need finite eta"),
 ])
 def test_bad_input_is_a_typed_error(argv, code, message, law_file, tmp_path,
                                     capsys):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from walklab import build_law, dp, engine
-from walklab.errors import Reducible, TailNotNegligible, WindowOverflow
+from walklab import dp, engine
+from walklab.errors import TailNotNegligible, WindowOverflow
+
+from conftest import zero_mean_laws
 
 
 def _binom_pmf(n, k):
@@ -199,27 +201,6 @@ def test_reachability_zeros(srw):
     for y in range(-9, 10):
         if (y - 9) % 2 != 0:
             assert sl.distribution.prob(y) == 0.0
-
-
-@st.composite
-def zero_mean_laws(draw):
-    """Mixtures of two-point zero-mean laws {-u, v} (plus an atom at 0)
-    with support inside [-a, b], a + b <= 8."""
-    a = draw(st.integers(1, 7))
-    b = draw(st.integers(1, 8 - a))
-    parts = draw(st.lists(st.tuples(st.integers(1, a), st.integers(1, b),
-                                    st.integers(1, 5)), min_size=1,
-                          max_size=3))
-    c0 = draw(st.integers(0, 3))
-    total = c0 + sum(c for _, _, c in parts)
-    pairs = [(0, Fraction(c0, total))]
-    for u, v, c in parts:
-        pairs += [(-u, Fraction(c * v, total * (u + v))),
-                  (v, Fraction(c * u, total * (u + v)))]
-    try:
-        return build_law(pairs)
-    except Reducible:
-        assume(False)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,14 +1,23 @@
 """Ladder height laws, the harmonic pair (f_+, f_-), half-line Green
 function, and entrance laws with their exact identities."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from walklab import build_law, ladder, verify
+from walklab.errors import FactorizationFailed
 from walklab.ladder import (build_harmonic_pair, c_minus_entrance_route,
                             c_plus_entrance_route, entrance_law_from,
                             entrance_law_inf, entrance_law_minus_inf,
                             green_halfline, harmonicity_residual,
                             ladder_height_law, potential_identities)
 from walklab.laws import moments
+
+from conftest import zero_mean_laws
+
+SYM5_PAIRS = [(z, "1/5") for z in range(-2, 3)]
 
 
 class TestLadderHeights:
@@ -44,6 +53,43 @@ class TestLadderHeights:
             for d in ("ascending", "descending"):
                 lad = ladder_height_law(law, d)
                 assert lad.pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_symmetric_five_point_golden_ratio(self):
+        # s^2 (1 - phi(s)) / (s - 1)^2 = -(s^2 + 3s + 1)/5, whose root
+        # outside the disc is -(3 + sqrt 5)/2
+        law = build_law(SYM5_PAIRS, "sym5")
+        want = [(math.sqrt(5) - 1) / 2, (3 - math.sqrt(5)) / 2]
+        for d in ("ascending", "descending"):
+            lad = ladder_height_law(law, d)
+            assert lad.pmf == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("patch, message", [
+        (lambda mp_: mp_.setattr(ladder, "NEWTON_STEPS", 0),
+         "did not converge"),
+        (lambda mp_: mp_.setattr(ladder.np, "roots",
+                                 lambda c: np.array([-2.6, -2.6])),
+         "not distinct"),
+        (lambda mp_: (mp_.setattr(ladder.np, "roots",
+                                  lambda c: np.array([-2.0, -3.0])),
+                      mp_.setattr(ladder, "_newton", lambda c, r, e: r)),
+         "2 roots outside the unit disc, expected 1"),
+    ])
+    def test_unresolved_roots_are_typed_errors(self, monkeypatch, patch,
+                                               message):
+        law = build_law(SYM5_PAIRS, f"sym5-{message}")   # a fresh cache key
+        patch(monkeypatch)
+        with pytest.raises(FactorizationFailed, match=message):
+            ladder_height_law(law, "ascending")
+
+
+@settings(max_examples=15, deadline=None)
+@given(zero_mean_laws(span=12))
+def test_ladder_invariants_for_any_law(law):
+    """The ladder laws and the harmonic pair pass the invariant suite's
+    checks, at its tolerances, for random laws of span up to 12."""
+    results = []
+    verify.ladder_invariants(law, build_harmonic_pair(law), results)
+    assert [r for r in results if r.status != "pass"] == []
 
 
 class TestHarmonicPair:
