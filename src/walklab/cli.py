@@ -61,8 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
                                        "tables and constants")
     k.add_argument("--law", required=True)
     k.add_argument("--out-dir", required=True)
-    k.add_argument("--table-window", type=int, default=80)
-    k.add_argument("--pair-window", type=int, default=400)
+    k.add_argument("--table-window", default=80,
+                   type=_where(int, lambda x: x >= 1, "table window >= 1"))
+    k.add_argument("--pair-window", default=400,
+                   type=_where(int, lambda x: x >= 1, "pair window >= 1"))
 
     w = sub.add_parser("verify", help="compare a limit theorem against "
                                       "the exact engine on a scaled grid")
@@ -77,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(256, 1024, 4096))
     w.add_argument("--alpha", default=0.5, type=_where(
         float, lambda a: 0.0 < a <= 1.0, "0 < alpha <= 1"))
-    w.add_argument("--ell", type=_where(float, lambda e: e > 0.0, "ell > 0"),
-                   default=1.0)
+    w.add_argument("--ell", default=1.0, type=_where(
+        _where(float, math.isfinite, "finite ell"), lambda e: e > 0.0,
+        "ell > 0"))
     w.add_argument("--a-circ", default=2.0, type=_where(
         float, lambda a: math.isfinite(a) and a > 0.0, "finite a_circ > 0"))
     w.add_argument("--ys", type=_ints, default=None,
@@ -93,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "a summary")
     r.add_argument("--law", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--n-big", type=int, default=4096)
+    r.add_argument("--n-big", default=4096,
+                   type=_where(int, lambda n: n >= 1, "n_big >= 1"))
     return p
 
 

@@ -13,8 +13,13 @@ import numpy as np
 
 from . import engine, ladder, potential
 from .dp import Window
-from .errors import InconsistentEstimates
+from .errors import ConstraintViolation, InconsistentEstimates
 from .laws import LatticeStructure, Moments, StepLaw, lattice_structure, moments
+
+# relative gap allowed between the root-solve and entrance-sum C+-; both
+# routes are exact, and over 102 random laws of span up to 64 they agreed
+# within 5.4e-12
+ROUTE_TOL = 1e-9
 
 
 @dataclass
@@ -46,8 +51,16 @@ class WalkKernels:
         return float(self.moments.sigma2)
 
 
-def build_kernels(law: StepLaw, table_X: int = 80, pair_X: int = 400,
-                  cross_check_tol: float = 0.02) -> WalkKernels:
+def build_kernels(law: StepLaw, table_X: int = 80,
+                  pair_X: int = 400) -> WalkKernels:
+    # the entrance sums read a(y) for |y| < reach and f_+-(j) for j <= reach
+    reach = max(-law.zmin, law.zmax)
+    for name, X, need in (("table", table_X, reach - 1),
+                          ("pair", pair_X, reach)):
+        if X < need:
+            raise ConstraintViolation(
+                f"{name} window {X} is narrower than the {need} sites the "
+                f"entrance sums read for {law.name}")
     m = moments(law)
     table = potential.build_potential_table(law, X=table_X)
     consts = potential.constants(law, table)
@@ -56,16 +69,13 @@ def build_kernels(law: StepLaw, table_X: int = 80, pair_X: int = 400,
     h_minf = ladder.entrance_law_minus_inf(law, pair)
     cpe = ladder.c_plus_entrance_route(law, pair, table)
     cme = ladder.c_minus_entrance_route(law, pair, table)
-    scale = max(abs(consts.c_plus), abs(cpe), 0.05)
-    if abs(consts.c_plus - cpe) > cross_check_tol * scale:
-        raise InconsistentEstimates(
-            f"C^+ routes disagree: edge fit {consts.c_plus!r}, "
-            f"entrance sum {cpe!r}")
-    scale = max(abs(consts.c_minus), abs(cme), 0.05)
-    if abs(consts.c_minus - cme) > cross_check_tol * scale:
-        raise InconsistentEstimates(
-            f"C^- routes disagree: edge fit {consts.c_minus!r}, "
-            f"entrance sum {cme!r}")
+    for name, solved, entrance in (("C^+", consts.c_plus, cpe),
+                                   ("C^-", consts.c_minus, cme)):
+        scale = max(abs(solved), abs(entrance), 0.05)
+        if abs(solved - entrance) > ROUTE_TOL * scale:
+            raise InconsistentEstimates(
+                f"{name} routes disagree: root solve {solved!r}, "
+                f"entrance sum {entrance!r}")
     return WalkKernels(
         law=law, moments=m, structure=lattice_structure(law), table=table,
         pair=pair, h_inf_plus=h_inf, h_minus_inf=h_minf, constants=consts,

@@ -13,7 +13,9 @@ b - 1 outside (none on it, as the law generates Z), and
     1 - E s^{H+} = (1 - s) prod_{|r| > 1} (1 - s / r);
 
 the descending ladder takes 1/r for each root r inside the disc.  The
-product is expanded at ROOT_DPS digits and rounded to float once.  The
+roots are laws.wiener_hopf_roots, the same ones the potential table is
+solved from.  The product is expanded at ROOT_DPS digits and rounded to
+float once.  The
 truncated half-line DP is kept as the independent route (ladder_buckets),
 checked against the exact laws in verify.invariant_suite.
 """
@@ -21,20 +23,16 @@ checked against the exact laws in verify.invariant_suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 from mpmath import mp
 
 from .dp import Window
 from .engine import absorbed_on_halfline
-from .errors import FactorizationFailed, OutOfWindow
-from .laws import StepLaw, moments
+from .errors import OutOfWindow
+from .laws import ROOT_DPS, StepLaw, moments, wiener_hopf_roots
 from .potential import PotentialTable
 
-ROOT_DPS = 50         # digits of the root polish and the product expansion
-NEWTON_STEPS = 60     # a simple root needs about 3 from a float64 seed
 BUCKET_STEPS = 2048   # steps of the DP cross-check
 
 
@@ -50,51 +48,6 @@ class LadderHeightLaw:
         return self.mean
 
 
-def _newton(coef: list, r, eps):
-    """Polish a root r of coef (highest degree first); None if the steps
-    do not settle within NEWTON_STEPS."""
-    for _ in range(NEWTON_STEPS):
-        p, d = coef[0], 0
-        for v in coef[1:]:
-            p, d = p * r + v, d * r + p
-        if d == 0:
-            return None
-        step = p / d
-        r -= step
-        if abs(step) <= eps * abs(r):
-            return r
-    return None
-
-
-@lru_cache(maxsize=None)
-def _roots(law: StepLaw) -> tuple:
-    """Roots of s^a (1 - phi(s)) / (s - 1)^2 at ROOT_DPS digits, from
-    numpy.roots seeds polished by Newton steps."""
-    a = -law.zmin
-    q = [int(k == a) - law.prob(k - a) for k in range(law.zmax + a, -1, -1)]
-    for _ in range(2):          # exact division by s - 1, remainder 0
-        q = list(accumulate(q))[:-1]
-    roots = []
-    with mp.workdps(ROOT_DPS):
-        coef = [mp.mpf(v.numerator) / v.denominator for v in q]
-        eps = mp.mpf(10) ** (10 - ROOT_DPS)
-        seeds = np.roots([float(v) for v in q]) if len(q) > 1 else []
-        for seed in map(complex, seeds):
-            r = _newton(coef, mp.mpc(seed), eps)
-            if r is None:
-                raise FactorizationFailed(f"{law.name}: the root near "
-                                          f"{seed:.6g} did not converge")
-            if any(abs(r - t) <= eps ** 0.5 * max(1, abs(r)) for t in roots):
-                raise FactorizationFailed(f"{law.name}: roots near "
-                                          f"{complex(r):.6g} are not distinct")
-            roots.append(r)
-    outside = sum(abs(r) > 1 for r in roots)
-    if outside != law.zmax - 1:
-        raise FactorizationFailed(f"{law.name}: {outside} roots outside the "
-                                  f"unit disc, expected {law.zmax - 1}")
-    return tuple(roots)
-
-
 def ladder_height_law(law: StepLaw, direction: str) -> LadderHeightLaw:
     """Exact ladder-height law from the Wiener-Hopf roots of `law`."""
     if direction not in ("ascending", "descending"):
@@ -102,7 +55,7 @@ def ladder_height_law(law: StepLaw, direction: str) -> LadderHeightLaw:
     with mp.workdps(ROOT_DPS):
         up = direction == "ascending"
         ladder = [r if up else 1 / r
-                  for r in _roots(law) if (abs(r) > 1) == up]
+                  for r in wiener_hopf_roots(law) if (abs(r) > 1) == up]
         c = [mp.mpc(1)]     # (1 - s) prod (1 - s / r), lowest degree first
         for r in [mp.mpc(1)] + ladder:
             c = [u - v / r for u, v in zip(c + [0], [0] + c)]

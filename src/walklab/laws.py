@@ -12,12 +12,15 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
+from mpmath import mp
 
 from .errors import (
     DegenerateLaw,
+    FactorizationFailed,
     NonUnitMass,
     NonzeroMean,
     Reducible,
@@ -25,6 +28,8 @@ from .errors import (
 )
 
 DEFAULT_MAX_SPAN = 64
+ROOT_DPS = 50         # digits of the root polish and the product expansion
+NEWTON_STEPS = 60     # a simple root needs about 3 from a float64 seed
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,52 @@ def moments(law: StepLaw) -> Moments:
         left_continuous=law.zmin >= -1,
         right_continuous=law.zmax <= 1,
     )
+
+
+def _newton(coef: list, r, eps):
+    """Polish a root r of coef (highest degree first); None if the steps
+    do not settle within NEWTON_STEPS."""
+    for _ in range(NEWTON_STEPS):
+        p, d = coef[0], 0
+        for v in coef[1:]:
+            p, d = p * r + v, d * r + p
+        if d == 0:
+            return None
+        step = p / d
+        r -= step
+        if abs(step) <= eps * abs(r):
+            return r
+    return None
+
+
+@lru_cache(maxsize=None)
+def wiener_hopf_roots(law: StepLaw) -> tuple:
+    """Roots of s^a (1 - phi(s)) / (s - 1)^2 at ROOT_DPS digits, from
+    numpy.roots seeds polished by Newton steps; a = -zmin.  The ladder
+    laws and the potential table are both built from them."""
+    a = -law.zmin
+    q = [int(k == a) - law.prob(k - a) for k in range(law.zmax + a, -1, -1)]
+    for _ in range(2):          # exact division by s - 1, remainder 0
+        q = list(accumulate(q))[:-1]
+    roots = []
+    with mp.workdps(ROOT_DPS):
+        coef = [mp.mpf(v.numerator) / v.denominator for v in q]
+        eps = mp.mpf(10) ** (10 - ROOT_DPS)
+        seeds = np.roots([float(v) for v in q]) if len(q) > 1 else []
+        for seed in map(complex, seeds):
+            r = _newton(coef, mp.mpc(seed), eps)
+            if r is None:
+                raise FactorizationFailed(f"{law.name}: the root near "
+                                          f"{seed:.6g} did not converge")
+            if any(abs(r - t) <= eps ** 0.5 * max(1, abs(r)) for t in roots):
+                raise FactorizationFailed(f"{law.name}: roots near "
+                                          f"{complex(r):.6g} are not distinct")
+            roots.append(r)
+    outside = sum(abs(r) > 1 for r in roots)
+    if outside != law.zmax - 1:
+        raise FactorizationFailed(f"{law.name}: {outside} roots outside the "
+                                  f"unit disc, expected {law.zmax - 1}")
+    return tuple(roots)
 
 
 def lattice_structure(law: StepLaw) -> LatticeStructure:

@@ -1,6 +1,9 @@
 """Potential kernel a(x), point-absorption Green function, and constants.
 
-Two independent routes to a(x):
+build_potential_table gives a(x) and C+- exactly, by one linear solve over
+the Wiener-Hopf roots of the law.  Two independent routes to a(x) check
+it: verify compares the table with a_fourier, and the tests compare both
+with a_partial_sums.
 
 * a_fourier: a(x) = (1/2pi) Int_{-pi}^{pi} Re[(1 - e^{ixl})/(1 - phi(l))] dl.
   The 2(1-cos xl)/(sigma2 l^2) singular part is integrated semi-
@@ -40,8 +43,10 @@ from scipy.integrate import quad
 from scipy.special import sici, zeta
 
 from . import dp
-from .errors import InconsistentEstimates, OutOfWindow, QuadratureNotConverged
-from .laws import StepLaw, lattice_structure, moments, one_minus_phi_cos, phi_sin
+from .errors import (InconsistentEstimates, OutOfWindow,
+                     QuadratureNotConverged, SingularSystem)
+from .laws import (StepLaw, lattice_structure, moments, one_minus_phi_cos,
+                   phi_sin, wiener_hopf_roots)
 
 MP_PATCH = 0.02       # high-precision patch is [0, MP_PATCH]
 MP_DPS = 40
@@ -216,9 +221,10 @@ def a_partial_sums(law: StepLaw, x: int, K: int = 2 ** 16,
 class PotentialTable:
     X: int
     a_values: np.ndarray       # index x + X
-    a_star_values: np.ndarray
+    c_plus: float
+    c_minus: float
     method: str
-    error_estimate: np.ndarray
+    error_estimate: float
 
     def a(self, x: int) -> float:
         i = x + self.X
@@ -227,20 +233,68 @@ class PotentialTable:
         return float(self.a_values[i])
 
     def a_star(self, x: int) -> float:
-        i = x + self.X
-        if not 0 <= i < len(self.a_star_values):
-            raise OutOfWindow(f"x={x} outside [−{self.X}, {self.X}]")
-        return float(self.a_star_values[i])
+        return self.a(x) + (1.0 if x == 0 else 0.0)
 
 
 def build_potential_table(law: StepLaw, X: int = 80) -> PotentialTable:
-    xs = np.arange(-X, X + 1)
-    a = np.array([a_fourier(law, int(x)) for x in xs])
-    a_star = a.copy()
-    a_star[X] += 1.0
-    err = np.full(len(xs), 1e-10)
-    return PotentialTable(X=X, a_values=a, a_star_values=a_star,
-                          method="fourier", error_estimate=err)
+    """a(x) on [-X, X] and C+- from one linear solve over the roots of
+    laws.wiener_hopf_roots.
+
+    With a = -zmin, b = zmax, a solves sum_z p(z) a(x+z) - a(x) = 1{x=0}
+    with a(0) = 0 and sigma2 a(x) - |x| bounded, so
+
+        sigma2 a(x) =  x + C+ + sum_{|r|<1} alpha_r r^x   for x >= 1-a,
+        sigma2 a(x) = -x + C- + sum_{|r|>1} beta_r r^x    for x <= b-1.
+
+    The two forms agree on [1-a, b-1] and vanish at 0: a + b equations in
+    C+, C-, the a-1 alphas and the b-1 betas.  Each root's column is
+    anchored where it is largest, r^(x-(1-a)) inside the disc and
+    r^(x-(b-1)) outside, which keeps the system well conditioned.  The
+    source equation at 0 is not imposed; its residual, with that of the
+    solve, is the table's error estimate.
+    """
+    a, b = -law.zmin, law.zmax
+    sigma2 = float(moments(law).sigma2)
+    roots = [complex(r) for r in wiener_hopf_roots(law)]
+    inner = np.array([r for r in roots if abs(r) < 1])
+    outer = np.array([r for r in roots if abs(r) > 1])
+
+    def right(x):   # inner-root columns at sites x >= 1-a
+        return inner[None, :] ** (x[:, None] - (1 - a))
+
+    def left(x):    # outer-root columns at sites x <= b-1
+        return outer[None, :] ** (x[:, None] - (b - 1))
+
+    # unknowns C+, C-, alphas, betas; rows: the forms agree at each y of
+    # [1-a, b-1], then the right form vanishes at 0
+    ys = np.arange(1 - a, b)
+    one = np.ones((len(ys), 1))
+    agree = np.hstack([one, -one, right(ys), -left(ys)])
+    at_zero = np.hstack([[1.0, 0.0], right(np.zeros(1, int))[0],
+                         np.zeros(b - 1)])
+    A = np.vstack([agree, at_zero])
+    rhs = np.append(-2.0 * ys, 0.0)
+    try:
+        coef = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as e:
+        raise SingularSystem(f"{law.name}: potential root solve: {e}") from e
+    c_plus, c_minus = coef[0].real, coef[1].real
+    alpha, beta = coef[2:a + 1], coef[a + 1:]
+
+    def a_of(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(x))
+        pos, neg = x > 0, x < 0
+        out[pos] = x[pos] + c_plus + (right(x[pos]) @ alpha).real
+        out[neg] = -x[neg] + c_minus + (left(x[neg]) @ beta).real
+        return out / sigma2
+
+    zs, ps = law.pmf_array()
+    source = ps @ a_of(np.arange(zs, zs + len(ps))) - 1.0
+    err = np.abs(A @ coef - rhs).max() / sigma2 + abs(source)
+    return PotentialTable(X=X, a_values=a_of(np.arange(-X, X + 1)),
+                          c_plus=float(c_plus), c_minus=float(c_minus),
+                          method="Wiener-Hopf root solve",
+                          error_estimate=float(err))
 
 
 def harmonicity_residuals(law: StepLaw, table: PotentialTable) -> np.ndarray:
@@ -295,62 +349,48 @@ def _c_star_quadrature(law: StepLaw) -> tuple[float, float]:
     return c_star_sub, c_star_direct
 
 
-def _edge_fit(xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Fit vals ~ C + b/x; return (C, error estimate)."""
-    design = np.stack([np.ones_like(xs, dtype=float), 1.0 / xs], axis=1)
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    resid = vals - design @ coef
-    return float(coef[0]), float(3.0 * np.max(np.abs(resid)) + 1e-10)
+CONSTANTS_TOL = 1e-8   # root solve vs each form of C*, and vs lambda3
 
 
 def constants(law: StepLaw, table: PotentialTable) -> WalkConstants:
-    """lambda3 exact; C* by quadrature (two forms cross-checked); C^+/C^-
-    by windowed-limit fits of sigma2*a(x) -/+ x on the outer third of the
-    table, cross-checked against C* -/+ lambda3."""
+    """lambda3 exact; C+- from the table's root solve and C* = (C+ + C-)/2,
+    checked against both quadrature forms of C* and against the exact
+    lambda3 = (C- - C+)/2.  Each error is the gap to the independent route
+    plus the solve's own error."""
     m = moments(law)
     sigma2 = float(m.sigma2)
     lam3 = float(m.lambda3)
+    c_plus, c_minus = table.c_plus, table.c_minus
+    c_star = (c_plus + c_minus) / 2.0
 
     cs_sub, cs_dir = _c_star_quadrature(law)
-    if abs(cs_sub - cs_dir) > 1e-8:
-        raise InconsistentEstimates(
-            f"C* quadrature forms disagree: {cs_sub!r} vs {cs_dir!r}")
-    c_star = cs_sub
-
-    X = table.X
-    xs = np.arange(2 * X // 3, X + 1, dtype=float)
-    plus_vals = np.array([sigma2 * table.a(int(x)) - x for x in xs])
-    minus_vals = np.array([sigma2 * table.a(-int(x)) - x for x in xs])
-    c_plus, e_plus = _edge_fit(xs, plus_vals)
-    c_minus, e_minus = _edge_fit(xs, minus_vals)
-
-    for val, ref, err, name in [(c_plus, c_star - lam3, e_plus, "C+"),
-                                (c_minus, c_star + lam3, e_minus, "C-")]:
-        if abs(val - ref) > err + 1e-6:
+    for name, val, ref in [
+            ("C* subtracted quadrature", cs_sub, c_star),
+            ("C* direct quadrature", cs_dir, c_star),
+            ("lambda3 vs (C- - C+)/2", lam3, (c_minus - c_plus) / 2.0)]:
+        if not abs(val - ref) <= CONSTANTS_TOL:
             raise InconsistentEstimates(
-                f"{name}: edge fit {val!r} vs expansion {ref!r}")
+                f"{name}: {val!r} vs root solve {ref!r}")
 
+    solve = sigma2 * table.error_estimate
     return WalkConstants(
         lambda3=lam3, c_star=c_star, c_plus=c_plus, c_minus=c_minus,
-        errors={"c_star": abs(cs_sub - cs_dir) + 1e-11,
-                "c_plus": e_plus, "c_minus": e_minus},
+        errors={"c_star": max(abs(cs_sub - c_star),
+                              abs(cs_dir - c_star)) + solve,
+                "c_plus": abs(c_plus - (cs_sub - lam3)) + solve,
+                "c_minus": abs(c_minus - (cs_sub + lam3)) + solve},
         provenance={"lambda3": "exact moments",
-                    "c_star": "quadrature, two subtractions",
-                    "c_plus": "edge fit of sigma2*a(x)-x",
-                    "c_minus": "edge fit of sigma2*a(-x)-x"},
+                    "c_star": "(C+ + C-)/2, checked by two quadratures",
+                    "c_plus": table.method,
+                    "c_minus": table.method},
     )
 
 
 def expansion_check(law: StepLaw, table: PotentialTable,
                     consts: WalkConstants) -> np.ndarray:
     """Residual r(x) = sigma2 a(x) - |x| - C* + sign(x) lambda3 over the
-    window, as rows (x, r)."""
+    window, as rows (x, r); sign(0) = 0."""
     sigma2 = float(moments(law).sigma2)
-    rows = []
-    for x in range(-table.X, table.X + 1):
-        if x == 0:
-            continue
-        r = sigma2 * table.a(x) - abs(x) - consts.c_star \
-            + math.copysign(1.0, x) * consts.lambda3
-        rows.append((x, r))
-    return np.array(rows)
+    return np.array([(x, sigma2 * table.a(x) - abs(x) - consts.c_star
+                      + ((x > 0) - (x < 0)) * consts.lambda3)
+                     for x in range(-table.X, table.X + 1)])

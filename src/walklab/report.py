@@ -12,6 +12,7 @@ import tempfile
 
 from .engine import AbsorbedKernelSlice, slice_rows
 from .kernels import WalkKernels
+from .potential import expansion_check
 from .verify import ComparisonReport, InvariantResult, SlopeSummary
 
 
@@ -55,14 +56,9 @@ def emit_comparison(report: ComparisonReport, path: str):
 
 
 def emit_potential_table(k: WalkKernels, path: str):
-    c = k.constants
-    sigma2 = k.sigma2()
-    rows = []
-    for x in range(-k.table.X, k.table.X + 1):
-        a = k.table.a(x)
-        r = sigma2 * a - abs(x) - c.c_star \
-            + (0.0 if x == 0 else (c.lambda3 if x > 0 else -c.lambda3))
-        rows.append((x, a, k.table.a_star(x), r))
+    rows = [(x, k.table.a(x), k.table.a_star(x), r) for x, r in
+            zip(range(-k.table.X, k.table.X + 1),
+                expansion_check(k.law, k.table, k.constants)[:, 1])]
     atomic_write(path, csv_text(("x", "a", "a_star", "expansion_residual"),
                                 rows))
 

@@ -23,10 +23,12 @@ import numpy as np
 
 from . import asymptotics, dp, engine, ladder, potential
 from .asymptotics import TheoremId
+from .errors import QuadratureNotConverged
 from .kernels import WalkKernels
 from .laws import StepLaw, lattice_structure, moments
 
 REL_ERR_FLOOR = 1e-16
+FOURIER_XS = (1, -1, 2, -2, 5, -5, 20, -20, 50, -50, 80, -80)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,14 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
     res = potential.harmonicity_residuals(law, table)
     _check(results, "potential kernel harmonicity", np.max(np.abs(res)), 1e-8)
     _check(results, "a(0) = 0", table.a(0), 0.0)
+    # the root-free route, at the convergence gate of its own quadratures
+    try:
+        gap, detail = max((abs(table.a(x) - potential.a_fourier(law, x))
+                           for x in FOURIER_XS if abs(x) <= table.X),
+                          default=0.0), ""
+    except QuadratureNotConverged as e:
+        gap, detail = math.inf, str(e)
+    _check(results, "potential table vs Fourier route", gap, 1e-10, detail)
 
     ladder_invariants(law, pair, results)
 

@@ -168,6 +168,19 @@ class TestReport:
      "argument --xi: '0.2,inf': need finite xi"),
     (["verify", "--theorem", "C11", "--n", "64", "--eta=-inf"], 2,
      "argument --eta: '-inf': need finite eta"),
+    (["verify", "--theorem", "C12_particles", "--n", "64", "--ell", "inf"], 2,
+     "argument --ell: 'inf': need finite ell"),
+    (["kernels", "--table-window", "-3"], 2,
+     "argument --table-window: '-3': need table window >= 1"),
+    (["kernels", "--table-window", "0"], 2,
+     "argument --table-window: '0': need table window >= 1"),
+    (["kernels", "--pair-window", "0"], 2,
+     "argument --pair-window: '0': need pair window >= 1"),
+    (["kernels", "--pair-window", "1"], 1,
+     "error: ConstraintViolation: pair window 1 is narrower than the 2 "
+     "sites the entrance sums read for l1"),
+    (["report", "--n-big", "-4"], 2,
+     "argument --n-big: '-4': need n_big >= 1"),
 ])
 def test_bad_input_is_a_typed_error(argv, code, message, law_file, tmp_path,
                                     capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from walklab import build_law, ladder, verify
+from walklab import build_law, laws, verify
 from walklab.errors import FactorizationFailed
 from walklab.ladder import (build_harmonic_pair, c_minus_entrance_route,
                             c_plus_entrance_route, entrance_law_from,
@@ -64,14 +64,14 @@ class TestLadderHeights:
             assert lad.pmf == pytest.approx(want, abs=1e-15)
 
     @pytest.mark.parametrize("patch, message", [
-        (lambda mp_: mp_.setattr(ladder, "NEWTON_STEPS", 0),
+        (lambda mp_: mp_.setattr(laws, "NEWTON_STEPS", 0),
          "did not converge"),
-        (lambda mp_: mp_.setattr(ladder.np, "roots",
+        (lambda mp_: mp_.setattr(laws.np, "roots",
                                  lambda c: np.array([-2.6, -2.6])),
          "not distinct"),
-        (lambda mp_: (mp_.setattr(ladder.np, "roots",
+        (lambda mp_: (mp_.setattr(laws.np, "roots",
                                   lambda c: np.array([-2.0, -3.0])),
-                      mp_.setattr(ladder, "_newton", lambda c, r, e: r)),
+                      mp_.setattr(laws, "_newton", lambda c, r, e: r)),
          "2 roots outside the unit disc, expected 1"),
     ])
     def test_unresolved_roots_are_typed_errors(self, monkeypatch, patch,

@@ -2,14 +2,20 @@
 and the walk constants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from walklab import build_law, dp
-from walklab.errors import OutOfWindow
+from walklab.errors import OutOfWindow, SingularSystem
+from walklab.kernels import build_kernels
 from walklab.laws import lattice_structure, moments
-from walklab.potential import (_fit_tail, _partial_sum_table, a_fourier,
-                               a_partial_sums, build_potential_table,
-                               constants, expansion_check, green_point,
+from walklab.potential import (_c_star_quadrature, _fit_tail,
+                               _partial_sum_table, a_fourier, a_partial_sums,
+                               build_potential_table, constants,
+                               expansion_check, green_point,
                                harmonicity_residuals)
+from walklab.verify import FOURIER_XS
+
+from conftest import zero_mean_laws
 
 
 class TestFourierRoute:
@@ -211,7 +217,50 @@ class TestExpansion:
 
 
 def test_fourier_vs_table(l1, l1_kernels):
-    # the table is built from the Fourier route; spot-check consistency
+    # the table comes from the root solve; the Fourier route is independent
     for x in (-11, 4, 37):
         assert l1_kernels.table.a(x) == pytest.approx(
             a_fourier(l1, x), abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(zero_mean_laws(span=12))
+def test_root_solve_for_any_law(law):
+    """The root-solve table matches the Fourier route, is harmonic off 0
+    with the unit source at 0, and its C+- match the entrance routes."""
+    k = build_kernels(law)
+    for x in FOURIER_XS:
+        assert k.table.a(x) == pytest.approx(a_fourier(law, x), abs=1e-10)
+    assert np.abs(harmonicity_residuals(law, k.table)).max() <= 1e-12
+    assert k.constants.c_plus == pytest.approx(k.c_plus_entrance, rel=1e-9,
+                                               abs=1e-12)
+    assert k.constants.c_minus == pytest.approx(k.c_minus_entrance,
+                                                rel=1e-9, abs=1e-12)
+
+
+def test_widest_law_constants():
+    # uniform on {-32..32}: symmetric, so lambda3 = 0 and C+ = C- = C*,
+    # which both quadrature forms give as 337.667621366924...
+    law = build_law([(z, "1/65") for z in range(-32, 33)], "u32")
+    t = build_potential_table(law)
+    c = constants(law, t)
+    want = _c_star_quadrature(law)[0]
+    assert want == pytest.approx(337.667621366924, rel=1e-12)
+    assert c.lambda3 == 0.0
+    for v in (c.c_plus, c.c_minus, c.c_star):
+        assert v == pytest.approx(want, rel=1e-12)
+
+
+def test_table_errors_are_computed(l1_kernels, span3_kernels):
+    for k in (l1_kernels, span3_kernels):
+        assert 0.0 <= k.table.error_estimate < 1e-13
+        assert k.constants.errors["c_plus"] > 0.0
+        assert k.table.method == "Wiener-Hopf root solve"
+
+
+def test_singular_solve_is_typed(l1, monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSystem, match="root solve"):
+        build_potential_table(l1)
