@@ -12,9 +12,12 @@ absorption modes after every step:
   HALFLINE  all mass arriving at a site <= 0 is removed, and the profile
             of where it landed is recorded per step (the entrance law).
 
-``run_dp`` runs the stream n steps and collects what was absorbed; the
-potential kernel's partial sums, the negative-side mass and the Green
-partial sums read the stream step by step instead.
+After every step, in every mode, the stream cuts the outer runs of sites
+whose weight is zero or subnormal (|w| < TINY), so the window follows the
+mass instead of growing by the span on every step.  ``run_dp`` runs the
+stream n steps and collects what was absorbed; the potential kernel's
+partial sums, the negative-side mass and the Green partial sums read the
+stream step by step instead.
 """
 
 from __future__ import annotations
@@ -31,12 +34,9 @@ HALFLINE = 2
 
 DEFAULT_WINDOW_BUDGET = 4_000_000
 
-# A stream given ``keep`` cuts outer edges whose weights are at most
-# TRIM_FLOOR: the mass cut stays far below half an ulp of the weights kept.
-TRIM_FLOOR = 1e-300
-# It cuts every TRIM_EVERY steps: a scan on every step costs as much as
-# the convolution it saves.
-TRIM_EVERY = 16
+# Weights below the smallest normal float64 are cut from the edges: each
+# moves a kept neighbour by under TINY, and subnormal arithmetic is slow.
+TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -105,35 +105,31 @@ class DPResult(Window):
     entry_base: int = 0
 
 
-def _trim(off: int, arr: np.ndarray, floor: float = 0.0,
-          keep: tuple[int, int] | None = None) -> tuple[int, np.ndarray]:
-    """Cut the outer runs of sites with |weight| <= floor (exact zeros by
-    default), but never a site in keep = (lo, hi)."""
-    live = np.flatnonzero(np.abs(arr) > floor if floor else arr)
-    a, b = (live[0], live[-1] + 1) if len(live) else (len(arr), 0)
-    if keep is not None:
-        a = min(a, max(keep[0] - off, 0))
-        b = max(b, min(keep[1] - off + 1, len(arr)))
-    if b <= a:
-        return off, arr[:0]
-    return off + int(a), arr[a:b]
+def _cut(off: int, arr: np.ndarray) -> tuple[int, np.ndarray]:
+    """Cut the outer runs of zero or subnormal weights, scanning inward
+    from each edge only: a step pays for the sites it cuts, and each site
+    is cut at most once."""
+    a, b = 0, len(arr)
+    while a < b and abs(arr[a]) < TINY:
+        a += 1
+    while b > a and abs(arr[b - 1]) < TINY:
+        b -= 1
+    return off + a, arr[a:b]
 
 
 def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
-           n: int, mode: int, alpha: float, window_budget: float,
-           keep: tuple[int, int] | None = None):
+           n: int, mode: int, alpha: float, window_budget: float):
     """Yield (k, offset, weights, absorbed) after each step k = 1..n.
 
     absorbed is the mass removed on step k: a float in POINT mode, the
     landing profile as a Window in HALFLINE mode, None in FREE mode.  The
     yielded weights are the live array, not a copy; the stream never
-    writes to an array after yielding it.  The stream ends early once
-    the window is empty.
+    writes to an array after yielding it.
 
-    keep = (lo, hi), FREE mode only: every TRIM_EVERY steps, cut the
-    outer edges whose weights have fallen to TRIM_FLOOR or below, never a
-    site in [lo, hi].  A reader of [lo, hi] sees the same bits as without the
-    cut, in a window that stops growing once the tails underflow.
+    After the absorption, every step cuts the outer runs of zero or
+    subnormal weights (``_cut``).  The cut reads the window alone, so n
+    steps are m steps followed by n - m steps, bit for bit.  The stream
+    ends early once the window is empty.
     """
     cur, off = weights, offset
     for k in range(1, n + 1):
@@ -161,9 +157,7 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                 absorbed = Window(off, cur[:hi])
                 cur = cur[hi:]
                 off += hi
-            off, cur = _trim(off, cur)
-        elif keep is not None and k % TRIM_EVERY == 0:
-            off, cur = _trim(off, cur, TRIM_FLOOR, keep)
+        off, cur = _cut(off, cur)
         yield k, off, cur, absorbed
 
 

@@ -8,8 +8,9 @@ finite-strip exit problem is solved as a dense linear system.
 
 "Exact" means exact up to float64 rounding; an optional rational mode
 (evolve_free_exact / absorbed_at_origin_exact, n <= 64) computes the
-same kernels in Fraction arithmetic and is used to calibrate the float
-tolerances quoted elsewhere.
+same kernels as Fractions, from integer numerators over a power of the
+law's common denominator, and is used to calibrate the float tolerances
+quoted elsewhere.
 """
 
 from __future__ import annotations
@@ -262,35 +263,34 @@ def strip_exit(law: StepLaw, x: int, N: int, lower_cut: int | None = None) -> St
 # ---------------------------------------------------------------------------
 # Exact rational mode (small n), used to calibrate float tolerances.
 
-def _conv_exact(cur: dict[int, Fraction], law: StepLaw) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for s, m in cur.items():
-        for z, w in law.items():
-            out[s + z] = out.get(s + z, Fraction(0)) + m * w
-    return out
-
-
-def evolve_free_exact(law: StepLaw, x: int, n: int) -> dict[int, Fraction]:
+def _exact_stream(law: StepLaw, x: int, n: int, kill_origin: bool):
+    """Rational n-step kernel from x and, with kill_origin, the passage
+    law.  The DP carries integer numerators over D^k, D the lcm of the
+    law's denominators; the Fractions are built once at the end."""
     if n > EXACT_STEP_LIMIT:
         raise ConstraintViolation(
             f"exact mode limited to n <= {EXACT_STEP_LIMIT}")
-    cur = {x: Fraction(1)}
-    for _ in range(n):
-        cur = _conv_exact(cur, law)
-    return cur
+    D = math.lcm(*(w.denominator for _, w in law.items()))
+    steps = [(z, int(w * D)) for z, w in law.items()]
+    cur, passage = {x: 1}, []
+    for k in range(1, n + 1):
+        out: dict[int, int] = {}
+        for s, m in cur.items():
+            for z, c in steps:
+                out[s + z] = out.get(s + z, 0) + m * c
+        cur = out
+        if kill_origin:
+            passage.append(Fraction(cur.pop(0, 0), D ** k))
+    return {s: Fraction(m, D ** n) for s, m in cur.items()}, passage
+
+
+def evolve_free_exact(law: StepLaw, x: int, n: int) -> dict[int, Fraction]:
+    return _exact_stream(law, x, n, kill_origin=False)[0]
 
 
 def absorbed_at_origin_exact(law: StepLaw, x: int, n: int):
     """Rational q^n(x, .) and passage law; n <= 64."""
-    if n > EXACT_STEP_LIMIT:
-        raise ConstraintViolation(
-            f"exact mode limited to n <= {EXACT_STEP_LIMIT}")
-    cur = {x: Fraction(1)}
-    passage = []
-    for _ in range(n):
-        cur = _conv_exact(cur, law)
-        passage.append(cur.pop(0, Fraction(0)))
-    return cur, passage
+    return _exact_stream(law, x, n, kill_origin=True)
 
 
 def slice_rows(sl: AbsorbedKernelSlice):

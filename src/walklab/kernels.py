@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine, ladder, potential
-from .dp import Window
+from . import ladder, potential
+from .dp import Window, run_dp
 from .errors import ConstraintViolation, InconsistentEstimates
 from .laws import LatticeStructure, Moments, StepLaw, lattice_structure, moments
 
@@ -38,10 +38,15 @@ class WalkKernels:
         default_factory=dict, repr=False)
 
     def p_n(self, n: int) -> Window:
-        """Exact free n-step distribution from 0 (cached)."""
+        """Exact free n-step distribution from 0 (cached).  A miss extends
+        the largest cached p^m, m < n, by n - m steps; runs compose bit for
+        bit, so this is the same window as n steps from 0."""
         if n not in self._free_cache:
-            self._free_cache[n] = engine.evolve_free(
-                self.law, 0, n).distribution
+            m = max((k for k in self._free_cache if k < n), default=0)
+            start = self._free_cache.get(m, Window(0, np.ones(1)))
+            zmin, pmf = self.law.pmf_array()
+            self._free_cache[n] = run_dp(start.offset, start.weights, zmin,
+                                         pmf, n - m)
         return self._free_cache[n]
 
     def p_n_at(self, n: int, displacement: int) -> float:

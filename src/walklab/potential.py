@@ -20,15 +20,12 @@ with a_partial_sums.
   increments to a half-integer power basis and summing the fitted model
   with Hurwitz zeta functions.  The increments admit an asymptotic
   expansion in powers k^{-3/2}, k^{-2}, ... , which is what makes the
-  extrapolation quantitatively reliable.  The DP reads only sites in
-  [-X, X], so every 16 steps it drops the edge sites outside [-X, X]
-  whose weights have underflowed below 1e-300; the window then stops
-  growing like K * span.  Every value stays bit-identical: a step only
+  extrapolation quantitatively reliable.  The DP stream cuts its zero and
+  subnormal edges after every step, so the window stops growing like
+  K * span.  The table stays bit-identical to an uncut DP: a step only
   averages weights, so the cuts shift later weights by at most the mass
-  cut (under 1e-290 in all at K = 2^16), while from the first cut on
-  every nonzero weight in [-X, X] stays above 1e-21 for the laws tested,
-  so the shift is far below half an ulp and rounds away.  Exact zeros
-  stay exact, as the cuts only touch the lattice class that carries mass.
+  cut, while every nonzero weight in [-X, X] stays far above it for the
+  laws tested, so the shift rounds away.
 """
 
 from __future__ import annotations
@@ -160,9 +157,9 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     blocks = np.zeros((M - m0, 2 * X + 1))
     win = np.empty(2 * X + 1)
     # no window budget: the window is bounded by K * span + 1 sites, and
-    # far less once the underflowed edges outside [-X, X] are cut
+    # far less once its underflowed edges are cut
     for k, off, cur, _ in dp._steps(0, np.ones(1), zmin, pmf, K, dp.FREE,
-                                    1.0, math.inf, keep=(-X, X)):
+                                    1.0, math.inf):
         # p^k(s) for s in [-X, X]
         win[:] = 0.0
         lo = max(-X, off)

@@ -1,5 +1,6 @@
 """Exact transition kernels: free evolution, kill-at-origin, kill-on-halfline,
 partial absorption, strip exits, and the rational calibration mode."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -239,13 +240,83 @@ def test_run_dp_properties(law, x, n, alpha):
     assert np.max(np.abs(fp.values - np.array(passage, dtype=float))) <= 1e-13
 
 
-def test_trim_never_cuts_kept_sites():
-    arr = np.array([0.0, 1e-310, 0.5, 1e-310, 0.0, 0.25, 0.0])  # sites -3..3
-    assert dp._trim(-3, arr)[0] == -2                       # exact zeros only
-    off, w = dp._trim(-3, arr, dp.TRIM_FLOOR)
+def test_cut_takes_only_outer_zero_and_subnormal_runs(srw):
+    arr = np.array([0.0, 1e-310, 0.5, 1e-310, 0.0, 0.25, 5e-324, 0.0])
+    off, w = dp._cut(-3, arr)                      # sites -3..4
     assert (off, list(w)) == (-1, [0.5, 1e-310, 0.0, 0.25])
-    off, w = dp._trim(-3, arr, dp.TRIM_FLOOR, keep=(-3, -3))
-    assert (off, len(w)) == (-3, 6)
-    off, w = dp._trim(-3, arr, 1.0, keep=(1, 9))            # nothing live
-    assert (off, list(w)) == (1, [0.0, 0.25, 0.0])
-    assert len(dp._trim(-3, arr, 1.0, keep=(5, 9))[1]) == 0
+    # a period-2 law: the interior zeros between live sites stay
+    res = dp.run_dp(0, np.ones(1), -1, srw.pmf_array()[1], 9)
+    assert (res.offset, len(res.weights)) == (-9, 19)
+    assert np.count_nonzero(res.weights == 0.0) == 9
+    # an all-subnormal window empties on the first step, ends the stream
+    steps = list(dp._steps(0, np.full(3, 1e-310), -1, np.full(3, 1 / 3), 5,
+                           dp.FREE, 1.0, dp.DEFAULT_WINDOW_BUDGET))
+    assert [(k, len(w)) for k, _, w, _ in steps] == [(1, 0)]
+    assert len(dp.run_dp(0, np.full(3, 1e-310), -1, np.full(3, 1 / 3),
+                         5).weights) == 0
+
+
+def _uncut_dp(x0, zmin, pmf, n, mode, alpha):
+    """run_dp without any cut: the reference for the edge cut."""
+    off, cur = x0, np.ones(1)
+    for _ in range(n):
+        cur = np.convolve(cur, pmf)
+        off += zmin
+        if mode == dp.POINT and 0 <= -off < len(cur):
+            cur[-off] *= 1.0 - alpha
+        elif mode == dp.HALFLINE:
+            hi = max(min(len(cur), -off + 1), 0)
+            cur, off = cur[hi:], off + hi
+    return off, cur
+
+
+@settings(max_examples=20, deadline=None)
+@given(zero_mean_laws(span=8), st.integers(1, 6), st.integers(1, 1500),
+       st.sampled_from([dp.FREE, dp.POINT, dp.HALFLINE]),
+       st.sampled_from([0.5, 1.0]))
+def test_cut_keeps_every_normal_weight(law, x, n, mode, alpha):
+    """Against an uncut DP, every site the reference puts at 1e-280 or
+    more agrees to 1e-14 relative, and the cut window lies inside the
+    reference window."""
+    zmin, pmf = law.pmf_array()
+    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=mode, alpha=alpha)
+    off, ref = _uncut_dp(x, zmin, pmf, n, mode, alpha)
+    assert off <= res.offset
+    assert res.offset + len(res.weights) <= off + len(ref)
+    big = np.flatnonzero(ref >= 1e-280)
+    got = np.array([res.prob(off + int(i)) for i in big])
+    assert np.all(np.abs(got - ref[big]) <= 1e-14 * ref[big])
+
+
+def test_p_n_extends_the_largest_cached_window(l1, l1_kernels):
+    kernels = dataclasses.replace(l1_kernels, _free_cache={})
+    for n in (256, 1024, 300, 4096):
+        got = kernels.p_n(n)
+        want = engine.evolve_free(l1, 0, n).distribution
+        assert got.offset == want.offset
+        assert np.array_equal(got.weights, want.weights)
+    assert sorted(kernels._free_cache) == [256, 300, 1024, 4096]
+
+
+def _fraction_dp(law, x, n, kill_origin):
+    """The rational DP in Fractions, step by step: the reference for the
+    integer-numerator DP."""
+    cur, passage = {x: Fraction(1)}, []
+    for _ in range(n):
+        out = {}
+        for s, m in cur.items():
+            for z, w in law.items():
+                out[s + z] = out.get(s + z, Fraction(0)) + m * w
+        cur = out
+        if kill_origin:
+            passage.append(cur.pop(0, Fraction(0)))
+    return cur, passage
+
+
+@settings(max_examples=20, deadline=None)
+@given(zero_mean_laws(), st.integers(-6, 6), st.integers(0, 24))
+def test_integer_rational_dp_equals_fractions(law, x, n):
+    assert engine.absorbed_at_origin_exact(law, x, n) == \
+        _fraction_dp(law, x, n, True)
+    assert engine.evolve_free_exact(law, x, n) == \
+        _fraction_dp(law, x, n, False)[0]

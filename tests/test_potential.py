@@ -116,7 +116,7 @@ def test_trimmed_table_is_bit_identical(pairs, monkeypatch):
     for a, b in zip(got, _reference_table(law, X, K)):
         assert np.array_equal(a, b)
     # the underflowed edges were cut: the untrimmed window ends at
-    # K * span + 1 sites, the cut one at 21-56% of that for these laws
+    # K * span + 1 sites, the cut one at 21-57% of that for these laws
     assert max(widths) < 0.6 * (K * (law.zmax - law.zmin) + 1)
 
 
