@@ -16,9 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from scipy.integrate import quad
-from scipy.special import erf
-
 from .errors import ConstraintViolation, MissingKernel
 from .kernels import WalkKernels
 from .potential import PotentialTable
@@ -159,13 +156,13 @@ THEOREMS = {t.id: t for t in (
             "x != 0", _x_nonzero),
     Theorem(TheoremId.P12_Qplus, "Q+", lambda k, x, y, n, e:
             (e.s2 * e.t.a_star(x) - x) / math.sqrt(2.0 * math.pi * e.n_star)
-            if x > 0 else float(erf(abs(x) / math.sqrt(2.0 * e.n_star))),
+            if x > 0 else math.erf(abs(x) / math.sqrt(2.0 * e.n_star)),
             "x != 0", _x_nonzero),
     Theorem(TheoremId.T15_nu, "nu", lambda k, x, y, n, e:
             0.5 * k.constants.c_plus),
     Theorem(TheoremId.C12_particles, "particles", lambda k, x, y, n, e:
-            k.constants.c_plus / math.sqrt(2.0 * math.pi)
-            * quad(lambda u: math.exp(-u * u / 2.0), 0.0, e.extras["ell"])[0]),
+            0.5 * k.constants.c_plus
+            * math.erf(e.extras["ell"] / math.sqrt(2.0))),
     Theorem(TheoremId.P61_ralpha, "r_alpha", _r_alpha),
     Theorem(TheoremId.ThmA_passage, "f_x", lambda k, x, y, n, e:
             math.sqrt(e.s2) * e.t.a_star(x) * math.exp(-x * x / (

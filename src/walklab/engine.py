@@ -4,7 +4,8 @@ Everything here is a thin, typed layer over walklab.dp.  Free
 evolution, kill-at-origin and kill-on-halfline kernels, first-passage
 and entrance laws, partial absorption and negative-side mass each come
 from one run of the step stream, and every kernel is a dp.Window.  The
-finite-strip exit problem is solved as a dense linear system.
+finite-strip exit problem is one dense solve on the states 1..N-1, and
+its hit-N-before-0 probability comes exact from potential.hit_before_origin.
 
 "Exact" means exact up to float64 rounding; an optional rational mode
 (evolve_free_exact / absorbed_at_origin_exact, n <= 64) computes the
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import dp
-from .errors import ConstraintViolation, SingularSystem, TailNotNegligible
+from .errors import ConstraintViolation, TailNotNegligible
 from .laws import StepLaw, moments
+from .potential import hit_before_origin
 
 EXACT_STEP_LIMIT = 64
 
@@ -187,9 +188,7 @@ class StripExit:
 
     p_exit_high_before_halfline: P_x[walk enters [N, inf) before (-inf, 0]].
     mean_overshoot: E_x[S - N at that entry | entry above N first].
-    p_hit_high_before_origin: P_x[walk enters [N, inf) before site 0],
-        computed on states (-L, N) with mass escaping below -L dropped;
-        undecided bounds the error (zero for left-continuous laws).
+    p_hit_high_before_origin: P_x[walk hits N before site 0], exact.
     """
 
     x: int
@@ -197,66 +196,26 @@ class StripExit:
     p_exit_high_before_halfline: float
     mean_overshoot: float
     p_hit_high_before_origin: float
-    undecided: float
 
 
-def _interior_system(law: StepLaw, states: np.ndarray):
-    """I - P restricted to `states`, as a dense matrix."""
-    idx = {int(s): i for i, s in enumerate(states)}
-    m = len(states)
-    A = np.eye(m)
-    for i, s in enumerate(states):
-        for z, w in law.items():
-            j = idx.get(int(s) + z)
-            if j is not None:
-                A[i, j] -= float(w)
-    return A, idx
-
-
-def strip_exit(law: StepLaw, x: int, N: int, lower_cut: int | None = None) -> StripExit:
+def strip_exit(law: StepLaw, x: int, N: int) -> StripExit:
     if not 0 < x < N:
         raise ConstraintViolation("need 0 < x < N")
-    fw = {z: float(w) for z, w in law.items()}
-
-    # Half-line variant: states 1..N-1, absorbed below 1 or at/above N.
-    states = np.arange(1, N)
-    A, _ = _interior_system(law, states)
-    b_hit = np.array([sum(w for z, w in fw.items() if s + z >= N) for s in states])
-    b_over = np.array([sum((s + z - N) * w for z, w in fw.items() if s + z >= N)
-                       for s in states])
-    try:
-        lu = lu_factor(A)
-    except Exception as e:  # pragma: no cover - cannot occur for valid laws
-        raise SingularSystem(str(e)) from e
-    u = lu_solve(lu, b_hit)
-    v = lu_solve(lu, b_over)
-    p_high = float(u[x - 1])
-    overshoot = float(v[x - 1] / u[x - 1]) if u[x - 1] > 0 else 0.0
-
-    # Point variant: absorbed only at site 0 or at/above N.  States run
-    # down to lower_cut+1; mass jumping to <= lower_cut is dropped and
-    # reported as `undecided` (an upper bound on the truncation error).
-    if lower_cut is None:
-        # a left-continuous walk cannot pass 0 downward without hitting it
-        lower_cut = -1 if law.zmin >= -1 else -4 * N
-    states2 = np.array([s for s in range(lower_cut + 1, N) if s != 0])
-    A2, _ = _interior_system(law, states2)
-    b2 = np.array([sum(w for z, w in fw.items() if s + z >= N) for s in states2])
-    b_drop = np.array([sum(w for z, w in fw.items() if s + z <= lower_cut)
-                       for s in states2])
-    try:
-        lu2 = lu_factor(A2)
-    except Exception as e:  # pragma: no cover
-        raise SingularSystem(str(e)) from e
-    u2 = lu_solve(lu2, b2)
-    d2 = lu_solve(lu2, b_drop)
-    i_x = int(np.where(states2 == x)[0][0])
+    # states 1..N-1, absorbed below 1 or at/above N: solve (I - P) u = b
+    # for the entry probability and the expected overshoot at once
+    zmin, pmf = law.pmf_array()
+    s = np.arange(1, N)
+    k = s - s[:, None] - zmin     # pmf index of the jump from row to column
+    P = np.append(pmf, 0.0)[np.where((k >= 0) & (k < len(pmf)), k, -1)]
+    over = s[:, None] + np.arange(zmin, zmin + len(pmf)) - N
+    b = np.column_stack([(over >= 0) @ pmf, np.maximum(over, 0) @ pmf])
+    # I - P is invertible: the walk leaves the strip almost surely
+    u, v = np.linalg.solve(np.eye(N - 1) - P, b)[x - 1]
     return StripExit(
         x=x, N=N,
-        p_exit_high_before_halfline=p_high,
-        mean_overshoot=overshoot,
-        p_hit_high_before_origin=float(u2[i_x]),
-        undecided=float(d2[i_x]),
+        p_exit_high_before_halfline=float(u),
+        mean_overshoot=float(v / u) if u > 0 else 0.0,
+        p_hit_high_before_origin=float(hit_before_origin(law, N)[x]),
     )
 
 

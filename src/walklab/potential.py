@@ -1,47 +1,43 @@
 """Potential kernel a(x), point-absorption Green function, and constants.
 
-build_potential_table gives a(x) and C+- exactly, by one linear solve over
-the Wiener-Hopf roots of the law.  Two independent routes to a(x) check
-it: verify compares the table with a_fourier, and the tests compare both
-with a_partial_sums.
+build_potential_table gives a(x) and C+- exactly, and hit_before_origin
+gives P_y[hit N before 0] exactly, each by one linear solve over the
+Wiener-Hopf roots of the law.  Two independent routes to a(x) check the
+table: verify compares it with a_fourier, the tests both with
+a_partial_sums.
 
 * a_fourier: a(x) = (1/2pi) Int_{-pi}^{pi} Re[(1 - e^{ixl})/(1 - phi(l))] dl.
   The 2(1-cos xl)/(sigma2 l^2) singular part is integrated semi-
-  analytically (|x|/sigma2 minus an explicit tail integral via Si); the
-  smooth remainder is split into a non-oscillatory piece and two
-  oscillatory pieces handled by weighted (cos/sin) adaptive quadrature.
-  Near l = 0 the remainder suffers catastrophic cancellation in float64,
-  so it is evaluated in 40-digit arithmetic on a fixed Gauss-Legendre
-  patch [0, 0.02] (the integrand is analytic there, so the fixed rule is
-  far below rounding error).
+  analytically (|x|/sigma2 minus a tail integral via Si); the smooth
+  remainder is a non-oscillatory piece plus two oscillatory pieces for
+  weighted (cos/sin) adaptive quadrature, each gated by _quad.  On
+  [0, 0.02] the remainder cancels catastrophically in float64, so it is
+  summed there in 40-digit arithmetic on fixed Gauss-Legendre nodes.
 
 * a_partial_sums: sum_{k<=K} [p^k(0) - p^k(-x)] from the exact DP, with
-  the k > K tail extrapolated by fitting the period-aggregated
-  increments to a half-integer power basis and summing the fitted model
-  with Hurwitz zeta functions.  The increments admit an asymptotic
-  expansion in powers k^{-3/2}, k^{-2}, ... , which is what makes the
-  extrapolation quantitatively reliable.  The DP stream cuts its zero and
-  subnormal edges after every step, so the window stops growing like
-  K * span.  The table stays bit-identical to an uncut DP: a step only
-  averages weights, so the cuts shift later weights by at most the mass
-  cut, while every nonzero weight in [-X, X] stays far above it for the
-  laws tested, so the shift rounds away.
+  the k > K tail fitted to the period-aggregated increments in powers
+  k^{-3/2}, k^{-2}, ... (their asymptotic expansion) and summed with
+  Hurwitz zeta functions.  The DP cuts its zero and subnormal edges after
+  every step; a step only averages weights, so a cut shifts later weights
+  by at most the mass cut, which rounds away against every nonzero weight
+  in [-X, X] for the laws tested: the table is bit-identical to an uncut DP.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import sici, zeta
 
 from . import dp
-from .errors import (InconsistentEstimates, OutOfWindow,
-                     QuadratureNotConverged, SingularSystem)
+from .errors import (ConstraintViolation, InconsistentEstimates,
+                     OutOfWindow, QuadratureNotConverged, SingularSystem)
 from .laws import (StepLaw, lattice_structure, moments, one_minus_phi_cos,
                    phi_sin, wiener_hopf_roots)
 
@@ -49,17 +45,39 @@ MP_PATCH = 0.02       # high-precision patch is [0, MP_PATCH]
 MP_DPS = 40
 GL_NODES = 24
 QUAD_TOL = 1e-12
+QUAD_GATE = 1e-10     # largest error estimate a quadrature may return
+
+
+def _quad(f, lo: float, hi: float, what: str, **kw) -> float:
+    """quad at QUAD_TOL; an error estimate above QUAD_GATE or an
+    IntegrationWarning (the estimate may be low) is QuadratureNotConverged."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            val, err = quad(f, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL, **kw)
+        except IntegrationWarning as e:
+            raise QuadratureNotConverged(
+                f"{what}: {' '.join(str(e).split())}") from e
+    if err > QUAD_GATE:
+        raise QuadratureNotConverged(f"{what} error estimate {err:.2g}")
+    return val
 
 
 # ---------------------------------------------------------------------------
 # Smooth remainder of the characteristic-function integrand.
 
-def _ab_float(law: StepLaw, sigma2: float, l: float) -> tuple[float, float]:
-    """A(l) = (1-phi_c)/|1-phi|^2 - 2/(sigma2 l^2),  B(l) = phi_s/|1-phi|^2."""
-    c = one_minus_phi_cos(law, l)
-    s = phi_sin(law, l)
-    d2 = c * c + s * s
-    return c / d2 - 2.0 / (sigma2 * l * l), s / d2
+@lru_cache(maxsize=None)
+def _ab(law: StepLaw):
+    """l -> (A(l), B(l)), memoised (the quadratures of every x share most
+    nodes); A = (1-phi_c)/|1-phi|^2 - 2/(sigma2 l^2), B = phi_s/|1-phi|^2."""
+    sigma2 = float(moments(law).sigma2)
+
+    @lru_cache(maxsize=None)
+    def ab(l: float) -> tuple[float, float]:
+        c, s = one_minus_phi_cos(law, l), phi_sin(law, l)
+        d2 = c * c + s * s
+        return c / d2 - 2.0 / (sigma2 * l * l), s / d2
+    return ab
 
 
 @lru_cache(maxsize=None)
@@ -90,12 +108,9 @@ def _patch_nodes(law: StepLaw):
 @lru_cache(maxsize=None)
 def _a_nonosc_integral(law: StepLaw) -> float:
     """Int_{MP_PATCH}^{pi} A(l) dl, shared by every x."""
-    sigma2 = float(moments(law).sigma2)
-    val, err = quad(lambda l: _ab_float(law, sigma2, l)[0], MP_PATCH, math.pi,
-                    epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-    if err > 1e-10:
-        raise QuadratureNotConverged(f"A integral error estimate {err:.2g}")
-    return val
+    ab = _ab(law)
+    return _quad(lambda l: ab(l)[0], MP_PATCH, math.pi, "A integral",
+                 limit=200)
 
 
 def _tail_integral(x: int) -> float:
@@ -120,15 +135,11 @@ def a_fourier(law: StepLaw, x: int) -> float:
                                + sgn * np.sin(ax * ls) * bv)))
 
     ia_const = _a_nonosc_integral(law)
-    osc_cos, e1 = quad(lambda l: _ab_float(law, sigma2, l)[0], MP_PATCH,
-                       math.pi, weight="cos", wvar=ax,
-                       epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
-    osc_sin, e2 = quad(lambda l: _ab_float(law, sigma2, l)[1], MP_PATCH,
-                       math.pi, weight="sin", wvar=ax,
-                       epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
-    if max(e1, e2) > 1e-10:
-        raise QuadratureNotConverged(
-            f"oscillatory quadrature error estimate {max(e1, e2):.2g}")
+    ab = _ab(law)
+    osc_cos = _quad(lambda l: ab(l)[0], MP_PATCH, math.pi, "cos quadrature",
+                    weight="cos", wvar=ax, limit=400)
+    osc_sin = _quad(lambda l: ab(l)[1], MP_PATCH, math.pi, "sin quadrature",
+                    weight="sin", wvar=ax, limit=400)
 
     i_ab = patch + (ia_const - osc_cos) + sgn * osc_sin
     return ax / sigma2 - 2.0 * _tail_integral(ax) / (math.pi * sigma2) \
@@ -233,6 +244,23 @@ class PotentialTable:
         return self.a(x) + (1.0 if x == 0 else 0.0)
 
 
+def _root_columns(law: StepLaw, lo: int, hi: int):
+    """(right, left) root columns at sites x: r^(x-lo) for the roots inside
+    the unit disc, used on x >= lo, and r^(x-hi) for those outside, used on
+    x <= hi; anchored where largest, they keep the solves well conditioned."""
+    roots = [complex(r) for r in wiener_hopf_roots(law)]
+    inner = np.array([r for r in roots if abs(r) < 1])
+    outer = np.array([r for r in roots if abs(r) > 1])
+
+    def right(x):
+        return inner[None, :] ** (x[:, None] - lo)
+
+    def left(x):
+        return outer[None, :] ** (x[:, None] - hi)
+
+    return right, left
+
+
 def build_potential_table(law: StepLaw, X: int = 80) -> PotentialTable:
     """a(x) on [-X, X] and C+- from one linear solve over the roots of
     laws.wiener_hopf_roots.
@@ -244,23 +272,13 @@ def build_potential_table(law: StepLaw, X: int = 80) -> PotentialTable:
         sigma2 a(x) = -x + C- + sum_{|r|>1} beta_r r^x    for x <= b-1.
 
     The two forms agree on [1-a, b-1] and vanish at 0: a + b equations in
-    C+, C-, the a-1 alphas and the b-1 betas.  Each root's column is
-    anchored where it is largest, r^(x-(1-a)) inside the disc and
-    r^(x-(b-1)) outside, which keeps the system well conditioned.  The
-    source equation at 0 is not imposed; its residual, with that of the
-    solve, is the table's error estimate.
+    C+, C-, the a-1 alphas and the b-1 betas, with the root columns of
+    _root_columns.  The source equation at 0 is not imposed; its residual,
+    with that of the solve, is the table's error estimate.
     """
     a, b = -law.zmin, law.zmax
     sigma2 = float(moments(law).sigma2)
-    roots = [complex(r) for r in wiener_hopf_roots(law)]
-    inner = np.array([r for r in roots if abs(r) < 1])
-    outer = np.array([r for r in roots if abs(r) > 1])
-
-    def right(x):   # inner-root columns at sites x >= 1-a
-        return inner[None, :] ** (x[:, None] - (1 - a))
-
-    def left(x):    # outer-root columns at sites x <= b-1
-        return outer[None, :] ** (x[:, None] - (b - 1))
+    right, left = _root_columns(law, 1 - a, b - 1)
 
     # unknowns C+, C-, alphas, betas; rows: the forms agree at each y of
     # [1-a, b-1], then the right form vanishes at 0
@@ -294,6 +312,47 @@ def build_potential_table(law: StepLaw, X: int = 80) -> PotentialTable:
                           error_estimate=float(err))
 
 
+def hit_before_origin(law: StepLaw, N: int) -> np.ndarray:
+    """h(y) = P_y[hit N before 0] for y = 0..N, exact, from one linear
+    solve over the roots of laws.wiener_hopf_roots.  h is bounded and
+    harmonic off {0, N}; with a = -zmin, b = zmax,
+
+        h(y) = c  + sum_{|r|<1} alpha_r r^(y-(N+1-a))   for y >= N+1-a,
+        h(y) = c' + sum_{|r|>1} beta_r r^(y-(b-1))      for y <= b-1,
+
+    and h on [b, N-a] is free.  h(0) = 0, h(N) = 1, harmonicity at 1..N-1
+    and agreement of the forms where they overlap ([N+1-a, b-1]) make a
+    square system in N+1 unknowns, or a+b when the forms overlap."""
+    if N < 1:
+        raise ConstraintViolation("need N >= 1")
+    a, b = -law.zmin, law.zmax
+    lo = N + 1 - a
+    right, left = _root_columns(law, lo, b - 1)
+    free = np.arange(b, lo)
+    n = a + b + len(free)
+
+    # h at 1-a .. N-1+b as rows over the unknowns (c, alphas, c', betas,
+    # free h): the left form to b-1, free h on [b, N-a], then the right
+    ys = np.arange(1 - a, N + b)
+    r, l = ys >= lo, ys <= b - 1
+    R, L = np.zeros((2, len(ys), n), complex)
+    R[r, 0], R[r, 1:a] = 1.0, right(ys[r])
+    L[l, a], L[l, a + 1:a + b] = 1.0, left(ys[l])
+    H = np.where(l[:, None], L, R)
+    H[free - (1 - a), a + b + np.arange(len(free))] = 1.0
+
+    # row y + a - 1 of H is site y; sum_z p(z) h(y+z) - h(y) at 1..N-1
+    _, pmf = law.pmf_array()
+    harm = sum(p * H[j:j + N - 1] for j, p in enumerate(pmf)) \
+        - H[a:a + N - 1]
+    A = np.vstack([harm, H[[a - 1, N + a - 1]], (R - L)[r & l]])
+    try:
+        coef = np.linalg.solve(A, np.eye(n)[N])   # 1 in the row h(N) = 1
+    except np.linalg.LinAlgError as e:
+        raise SingularSystem(f"{law.name}: hit-{N} root solve: {e}") from e
+    return (H[a - 1:N + a] @ coef).real
+
+
 def harmonicity_residuals(law: StepLaw, table: PotentialTable) -> np.ndarray:
     """Sum_z p(z) a(x+z) - a(x) - 1(x=0) on the interior of the window."""
     lo = -table.X - law.zmin
@@ -320,38 +379,22 @@ class WalkConstants:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
-def _c_star_quadrature(law: StepLaw) -> tuple[float, float]:
-    """C* two ways: via the subtracted-singularity integral of A, and via
-    the direct difference against 1/(1 - cos l)."""
+def _c_star_quadrature(law: StepLaw) -> float:
+    """C* by the subtracted-singularity integral of A.  The direct form,
+    against 1/(1 - cos l), is the same number, as Int_0^pi [2/l^2 -
+    1/(1 - cos l)] dl = [cot(l/2) - 2/l]_0^pi = -2/pi exactly."""
     sigma2 = float(moments(law).sigma2)
-    ls, ws, av, _ = _patch_nodes(law)
-    patch_a = float(np.sum(ws * av))
-    int_a = patch_a + _a_nonosc_integral(law)
-    c_star_sub = sigma2 * int_a / math.pi - 2.0 / math.pi ** 2
-
-    def h(l):
-        # 2/l^2 - 1/(1 - cos l), series for small l
-        if l < 0.15:
-            l2 = l * l
-            return -(1.0 / 6.0 + l2 / 120.0 + l2 * l2 / 3024.0
-                     + l2 * l2 * l2 / 86400.0)
-        return 2.0 / (l * l) - 0.5 / math.sin(0.5 * l) ** 2
-
-    hint, herr = quad(h, 0.0, math.pi, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
-    if herr > 1e-10:
-        raise QuadratureNotConverged("C* comparison integral")
-    # direct form: (1/pi) [ sigma2 Int ((1-phi_c)/|1-phi|^2) - Int 1/(1-cos) ]
-    #            = (1/pi) [ sigma2 Int A + Int h ]
-    c_star_direct = (sigma2 * int_a + hint) / math.pi
-    return c_star_sub, c_star_direct
+    _, ws, av, _ = _patch_nodes(law)
+    int_a = float(np.sum(ws * av)) + _a_nonosc_integral(law)
+    return sigma2 * int_a / math.pi - 2.0 / math.pi ** 2
 
 
-CONSTANTS_TOL = 1e-8   # root solve vs each form of C*, and vs lambda3
+CONSTANTS_TOL = 1e-8   # root solve vs the quadrature C*, and vs lambda3
 
 
 def constants(law: StepLaw, table: PotentialTable) -> WalkConstants:
     """lambda3 exact; C+- from the table's root solve and C* = (C+ + C-)/2,
-    checked against both quadrature forms of C* and against the exact
+    checked against the quadrature C* and against the exact
     lambda3 = (C- - C+)/2.  Each error is the gap to the independent route
     plus the solve's own error."""
     m = moments(law)
@@ -360,10 +403,9 @@ def constants(law: StepLaw, table: PotentialTable) -> WalkConstants:
     c_plus, c_minus = table.c_plus, table.c_minus
     c_star = (c_plus + c_minus) / 2.0
 
-    cs_sub, cs_dir = _c_star_quadrature(law)
+    cs = _c_star_quadrature(law)
     for name, val, ref in [
-            ("C* subtracted quadrature", cs_sub, c_star),
-            ("C* direct quadrature", cs_dir, c_star),
+            ("C* quadrature", cs, c_star),
             ("lambda3 vs (C- - C+)/2", lam3, (c_minus - c_plus) / 2.0)]:
         if not abs(val - ref) <= CONSTANTS_TOL:
             raise InconsistentEstimates(
@@ -372,12 +414,11 @@ def constants(law: StepLaw, table: PotentialTable) -> WalkConstants:
     solve = sigma2 * table.error_estimate
     return WalkConstants(
         lambda3=lam3, c_star=c_star, c_plus=c_plus, c_minus=c_minus,
-        errors={"c_star": max(abs(cs_sub - c_star),
-                              abs(cs_dir - c_star)) + solve,
-                "c_plus": abs(c_plus - (cs_sub - lam3)) + solve,
-                "c_minus": abs(c_minus - (cs_sub + lam3)) + solve},
+        errors={"c_star": abs(cs - c_star) + solve,
+                "c_plus": abs(c_plus - (cs - lam3)) + solve,
+                "c_minus": abs(c_minus - (cs + lam3)) + solve},
         provenance={"lambda3": "exact moments",
-                    "c_star": "(C+ + C-)/2, checked by two quadratures",
+                    "c_star": "(C+ + C-)/2, checked by quadrature",
                     "c_plus": table.method,
                     "c_minus": table.method},
     )

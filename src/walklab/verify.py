@@ -170,7 +170,8 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
                           default=0.0), ""
     except QuadratureNotConverged as e:
         gap, detail = math.inf, str(e)
-    _check(results, "potential table vs Fourier route", gap, 1e-10, detail)
+    _check(results, "potential table vs Fourier route", gap,
+           potential.QUAD_GATE, detail)
 
     ladder_invariants(law, pair, results)
 
@@ -189,16 +190,17 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
                0.0 if ok else max(-g1, -g2, g2 - g1 / 1.5), 1e-12,
                f"gap(256)={g1:.3g}, gap(1024)={g2:.3g}")
 
-    # strip solver vs Green-ratio identity for hitting N before 0
+    # exact hit-N solve vs the root-free G(x,N)/G(N,N), G from a_fourier
     N = 30
     for x in (5, 17):
-        se = engine.strip_exit(law, x, N)
-        ratio = potential.green_point(table, x, N) / \
-            potential.green_point(table, N, N)
-        _check(results, f"strip vs green ratio x={x}",
-               se.p_hit_high_before_origin - ratio,
-               se.undecided + 1e-8,
-               f"undecided={se.undecided:.3g}")
+        hit = engine.strip_exit(law, x, N).p_hit_high_before_origin
+        try:
+            a = {y: potential.a_fourier(law, y) for y in (x, -N, x - N, N)}
+            gap, detail = hit - (a[x] + a[-N] - a[x - N]) / (a[N] + a[-N]), ""
+        except QuadratureNotConverged as e:
+            gap, detail = math.inf, str(e)
+        _check(results, f"strip vs green ratio x={x}", gap,
+               potential.QUAD_GATE, detail)
 
 
 def ladder_invariants(law: StepLaw, pair: ladder.HarmonicPair,

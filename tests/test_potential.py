@@ -1,18 +1,21 @@
 """Potential kernel by two independent routes, Green function at the origin,
 and the walk constants."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from walklab import build_law, dp
-from walklab.errors import OutOfWindow, SingularSystem
+from walklab.errors import (OutOfWindow, QuadratureNotConverged,
+                            SingularSystem)
 from walklab.kernels import build_kernels
 from walklab.laws import lattice_structure, moments
 from walklab.potential import (_c_star_quadrature, _fit_tail,
                                _partial_sum_table, a_fourier, a_partial_sums,
                                build_potential_table, constants,
                                expansion_check, green_point,
-                               harmonicity_residuals)
+                               harmonicity_residuals, hit_before_origin)
 from walklab.verify import FOURIER_XS
 
 from conftest import zero_mean_laws
@@ -238,13 +241,40 @@ def test_root_solve_for_any_law(law):
                                                 rel=1e-9, abs=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(zero_mean_laws(span=12))
+def test_hit_before_origin_is_green_ratio(law):
+    """The exact hit-N solve is G(x,N)/G(N,N) with G(x,y) = a(x) + a(-y)
+    - a(x-y), a taken from the root-free Fourier route."""
+    N = 30
+    h = hit_before_origin(law, N)
+    assert h[0] == pytest.approx(0.0, abs=1e-12)
+    assert h[N] == pytest.approx(1.0, abs=1e-12)
+    for x in (5, 17):
+        a = {y: a_fourier(law, y) for y in (x, -N, x - N, N)}
+        assert h[x] == pytest.approx(
+            (a[x] + a[-N] - a[x - N]) / (a[N] + a[-N]), abs=1e-10)
+
+
+def test_quadrature_gate_is_quiet(capfd):
+    # a sparse wide law whose oscillatory quadrature at x=50 meets round-
+    # off: scipy's IntegrationWarning becomes the typed error, not stderr
+    law = build_law([(-41, "20/61"), (20, "41/61")], "wide61")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(QuadratureNotConverged):
+            a_fourier(law, 50)
+    assert caught == []
+    assert capfd.readouterr().err == ""
+
+
 def test_widest_law_constants():
     # uniform on {-32..32}: symmetric, so lambda3 = 0 and C+ = C- = C*,
-    # which both quadrature forms give as 337.667621366924...
+    # which the quadrature gives as 337.667621366924...
     law = build_law([(z, "1/65") for z in range(-32, 33)], "u32")
     t = build_potential_table(law)
     c = constants(law, t)
-    want = _c_star_quadrature(law)[0]
+    want = _c_star_quadrature(law)
     assert want == pytest.approx(337.667621366924, rel=1e-12)
     assert c.lambda3 == 0.0
     for v in (c.c_plus, c.c_minus, c.c_star):
