@@ -220,17 +220,32 @@ def lattice_structure(law: StepLaw) -> LatticeStructure:
     return LatticeStructure(period=d, shift=zs[0] % d)
 
 
-def char_fn(law: StepLaw, l: float) -> complex:
-    """phi(l) = E exp(i l Y)."""
-    return sum(float(w) * complex(math.cos(z * l), math.sin(z * l))
-               for z, w in law.items())
+# Taylor coefficients of sin t - t, from t^19 down to t^3
+_SIN_SERIES = [(-1) ** k / math.factorial(2 * k + 1) for k in range(9, 0, -1)]
 
 
-def one_minus_phi_cos(law: StepLaw, l: float) -> float:
-    """1 - Re phi(l), written as a sum of squares for stability near l=0."""
-    return sum(float(w) * 2.0 * math.sin(0.5 * z * l) ** 2 for z, w in law.items())
+def _sin_minus_t(t: np.ndarray) -> np.ndarray:
+    """sin t - t; by its Taylor series where |t| < 1, where the difference
+    cancels (the series is truncated below 1e-19 relative)."""
+    out = np.asarray(np.sin(t) - t)
+    small = np.abs(t) < 1.0
+    u = t[small]
+    u2 = u * u
+    acc = np.zeros_like(u)
+    for coef in _SIN_SERIES:
+        acc = acc * u2 + coef
+    out[small] = acc * u2 * u
+    return out
 
 
-def phi_sin(law: StepLaw, l: float) -> float:
-    """Im phi(l), using mean zero for cancellation-free evaluation near l=0."""
-    return sum(float(w) * (math.sin(z * l) - z * l) for z, w in law.items())
+def phi_parts(law: StepLaw, l) -> tuple[np.ndarray, np.ndarray]:
+    """(1 - Re phi(l), Im phi(l)) over an array of l, phi(l) = E exp(i l Y),
+    without cancellation near l = 0: 1 - cos zl is summed as 2 sin^2(zl/2)
+    and, as the mean is zero, Im phi as sum_z p(z) (sin zl - zl)."""
+    l = np.asarray(l, dtype=float)
+    c, s = np.zeros(l.shape), np.zeros(l.shape)
+    for z, w in law.items():
+        t = z * l
+        c += float(w) * 2.0 * np.sin(0.5 * t) ** 2
+        s += float(w) * _sin_minus_t(t)
+    return c, s

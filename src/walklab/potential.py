@@ -7,12 +7,13 @@ table: verify compares it with a_fourier, the tests both with
 a_partial_sums.
 
 * a_fourier: a(x) = (1/2pi) Int_{-pi}^{pi} Re[(1 - e^{ixl})/(1 - phi(l))] dl.
-  The 2(1-cos xl)/(sigma2 l^2) singular part is integrated semi-
-  analytically (|x|/sigma2 minus a tail integral via Si); the smooth
-  remainder is a non-oscillatory piece plus two oscillatory pieces for
-  weighted (cos/sin) adaptive quadrature, each gated by _quad.  On
-  [0, 0.02] the remainder cancels catastrophically in float64, so it is
-  summed there in 40-digit arithmetic on fixed Gauss-Legendre nodes.
+  The integrand is real-analytic and 2pi-periodic (the l^4 zeros of its
+  numerator and of |1 - phi|^2 cancel), so the mean over M equispaced
+  midpoint nodes, the circle rule, converges geometrically in M.  M
+  doubles until two means agree; the gap between them is the rule's
+  computed error, and a rule that has not converged by RULE_MAX_NODES
+  raises QuadratureNotConverged.  C* is the same rule applied to
+  sigma2 [(1 - Re phi)/|1 - phi|^2 - 1/(sigma2 (1 - cos l))].
 
 * a_partial_sums: sum_{k<=K} [p^k(0) - p^k(-x)] from the exact DP, with
   the k > K tail fitted to the period-aggregated increments in powers
@@ -26,124 +27,63 @@ a_partial_sums.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import sici, zeta
 
 from . import dp
 from .errors import (ConstraintViolation, InconsistentEstimates,
                      OutOfWindow, QuadratureNotConverged, SingularSystem)
-from .laws import (StepLaw, lattice_structure, moments, one_minus_phi_cos,
-                   phi_sin, wiener_hopf_roots)
+from .laws import (StepLaw, lattice_structure, moments, phi_parts,
+                   wiener_hopf_roots)
 
-MP_PATCH = 0.02       # high-precision patch is [0, MP_PATCH]
-MP_DPS = 40
-GL_NODES = 24
-QUAD_TOL = 1e-12
-QUAD_GATE = 1e-10     # largest error estimate a quadrature may return
-
-
-def _quad(f, lo: float, hi: float, what: str, **kw) -> float:
-    """quad at QUAD_TOL; an error estimate above QUAD_GATE or an
-    IntegrationWarning (the estimate may be low) is QuadratureNotConverged."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, err = quad(f, lo, hi, epsabs=QUAD_TOL, epsrel=QUAD_TOL, **kw)
-        except IntegrationWarning as e:
-            raise QuadratureNotConverged(
-                f"{what}: {' '.join(str(e).split())}") from e
-    if err > QUAD_GATE:
-        raise QuadratureNotConverged(f"{what} error estimate {err:.2g}")
-    return val
+# the circle rule's node count M doubles from RULE_MIN_NODES until two
+# successive means agree to RULE_TOL * max(1, |mean|)
+RULE_MIN_NODES = 64
+RULE_MAX_NODES = 2 ** 16
+RULE_TOL = 1e-13
+QUAD_GATE = 1e-10     # check tolerance of the routes that use a_fourier
 
 
-# ---------------------------------------------------------------------------
-# Smooth remainder of the characteristic-function integrand.
-
-@lru_cache(maxsize=None)
-def _ab(law: StepLaw):
-    """l -> (A(l), B(l)), memoised (the quadratures of every x share most
-    nodes); A = (1-phi_c)/|1-phi|^2 - 2/(sigma2 l^2), B = phi_s/|1-phi|^2."""
-    sigma2 = float(moments(law).sigma2)
-
-    @lru_cache(maxsize=None)
-    def ab(l: float) -> tuple[float, float]:
-        c, s = one_minus_phi_cos(law, l), phi_sin(law, l)
-        d2 = c * c + s * s
-        return c / d2 - 2.0 / (sigma2 * l * l), s / d2
-    return ab
+@lru_cache(maxsize=8)
+def _circle_nodes(law: StepLaw, M: int):
+    """The M-point midpoint rule on the circle, l_j = pi(2j + 1 - M)/M,
+    reduced to its nodes in (0, pi), as every integrand here is even; with
+    A = (1 - Re phi)/|1 - phi|^2 and B = Im phi/|1 - phi|^2 there."""
+    l = math.pi * np.arange(1, M, 2) / M
+    c, s = phi_parts(law, l)
+    d2 = c * c + s * s
+    return l, c / d2, s / d2
 
 
-@lru_cache(maxsize=None)
-def _patch_nodes(law: StepLaw):
-    """Gauss-Legendre nodes on [0, MP_PATCH] with A, B precomputed in
-    high precision (they do not depend on x)."""
-    t, w = np.polynomial.legendre.leggauss(GL_NODES)
-    ls = 0.5 * MP_PATCH * (t + 1.0)
-    ws = 0.5 * MP_PATCH * w
-    sigma2 = moments(law).sigma2
-    avals, bvals = [], []
-    with mp.workdps(MP_DPS):
-        s2 = mp.mpf(sigma2.numerator) / sigma2.denominator
-        for l in ls:
-            lm = mp.mpf(l)
-            c = mp.mpf(0)
-            s = mp.mpf(0)
-            for z, p in law.items():
-                pm = mp.mpf(p.numerator) / p.denominator
-                c += pm * 2 * mp.sin(z * lm / 2) ** 2
-                s += pm * (mp.sin(z * lm) - z * lm)
-            d2 = c * c + s * s
-            avals.append(float(c / d2 - 2 / (s2 * lm * lm)))
-            bvals.append(float(s / d2))
-    return ls, ws, np.array(avals), np.array(bvals)
-
-
-@lru_cache(maxsize=None)
-def _a_nonosc_integral(law: StepLaw) -> float:
-    """Int_{MP_PATCH}^{pi} A(l) dl, shared by every x."""
-    ab = _ab(law)
-    return _quad(lambda l: ab(l)[0], MP_PATCH, math.pi, "A integral",
-                 limit=200)
-
-
-def _tail_integral(x: int) -> float:
-    """Int_{pi}^{inf} (1 - cos xl)/l^2 dl, for x >= 0, to machine accuracy."""
-    if x == 0:
-        return 0.0
-    si, _ = sici(math.pi * x)
-    j = math.cos(math.pi * x) / math.pi - x * (math.pi / 2.0 - si)
-    return 1.0 / math.pi - j
+def _circle_rule(law: StepLaw, f, what: str, M: int = RULE_MIN_NODES):
+    """Mean of f(l, A, B) over the circle rule, M doubling until two means
+    agree to RULE_TOL; past RULE_MAX_NODES, QuadratureNotConverged."""
+    prev = gap = math.inf
+    while M <= RULE_MAX_NODES:
+        mean = float(np.mean(f(*_circle_nodes(law, M))))
+        gap = abs(mean - prev)
+        if gap <= RULE_TOL * max(1.0, abs(mean)):
+            return mean
+        prev, M = mean, 2 * M
+    raise QuadratureNotConverged(
+        f"{what}: circle rule not converged at {RULE_MAX_NODES} nodes "
+        f"(last two means differ by {gap:.2g})")
 
 
 def a_fourier(law: StepLaw, x: int) -> float:
-    """Potential kernel a(x) by characteristic-function quadrature."""
+    """Potential kernel a(x) by the circle rule: the mean of
+    Re[(1 - e^{ixl})/(1 - phi)] = (1 - cos xl) A + sin(xl) B."""
     if x == 0:
         return 0.0
-    ax = abs(x)
-    sigma2 = float(moments(law).sigma2)
-
-    sgn = 1.0 if x > 0 else -1.0
-    ls, ws, av, bv = _patch_nodes(law)
-    patch = float(np.sum(ws * ((1.0 - np.cos(ax * ls)) * av
-                               + sgn * np.sin(ax * ls) * bv)))
-
-    ia_const = _a_nonosc_integral(law)
-    ab = _ab(law)
-    osc_cos = _quad(lambda l: ab(l)[0], MP_PATCH, math.pi, "cos quadrature",
-                    weight="cos", wvar=ax, limit=400)
-    osc_sin = _quad(lambda l: ab(l)[1], MP_PATCH, math.pi, "sin quadrature",
-                    weight="sin", wvar=ax, limit=400)
-
-    i_ab = patch + (ia_const - osc_cos) + sgn * osc_sin
-    return ax / sigma2 - 2.0 * _tail_integral(ax) / (math.pi * sigma2) \
-        + i_ab / math.pi
+    M = RULE_MIN_NODES
+    while M < 2 * abs(x):      # coarser nodes alias cos(xl)
+        M *= 2
+    return _circle_rule(
+        law, lambda l, A, B: 2.0 * np.sin(0.5 * x * l) ** 2 * A
+        + np.sin(x * l) * B, f"a({x})", M)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +134,10 @@ def _fit_tail(blocks: np.ndarray, m0: int, M: int):
     design = t[:, None] ** (-PS_EXPONENTS[None, :])
     norms = np.linalg.norm(design, axis=0)
     scaled = design / norms
-    # tail over m > M of c_e m^{-e} = c_e M^e zeta(e, M+1)
-    scale = np.array([M ** e * zeta(e, M + 1) for e in PS_EXPONENTS])
+    # tail over m > M of c_e m^{-e} = c_e M^e zeta(e, M+1), Hurwitz zeta
+    with mp.workdps(25):
+        scale = np.array([M ** e * float(mp.zeta(e, M + 1))
+                          for e in PS_EXPONENTS])
 
     def solve(j: int):
         coef, *_ = np.linalg.lstsq(scaled[:, :j], blocks, rcond=None)
@@ -379,22 +321,21 @@ class WalkConstants:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
-def _c_star_quadrature(law: StepLaw) -> float:
-    """C* by the subtracted-singularity integral of A.  The direct form,
-    against 1/(1 - cos l), is the same number, as Int_0^pi [2/l^2 -
-    1/(1 - cos l)] dl = [cot(l/2) - 2/l]_0^pi = -2/pi exactly."""
+def _c_star_circle(law: StepLaw) -> float:
+    """C* = sigma2/pi Int_0^pi [A - 2/(sigma2 l^2)] dl - 2/pi^2 by the circle
+    rule.  As Int_0^pi [2/l^2 - 1/(1 - cos l)] dl = [cot(l/2) - 2/l]_0^pi
+    = -2/pi exactly, C* is the mean of the periodic sigma2 A - 1/(1 - cos l)."""
     sigma2 = float(moments(law).sigma2)
-    _, ws, av, _ = _patch_nodes(law)
-    int_a = float(np.sum(ws * av)) + _a_nonosc_integral(law)
-    return sigma2 * int_a / math.pi - 2.0 / math.pi ** 2
+    return _circle_rule(
+        law, lambda l, A, B: sigma2 * A - 0.5 / np.sin(0.5 * l) ** 2, "C*")
 
 
-CONSTANTS_TOL = 1e-8   # root solve vs the quadrature C*, and vs lambda3
+CONSTANTS_TOL = 1e-8   # root solve vs the circle-rule C*, and vs lambda3
 
 
 def constants(law: StepLaw, table: PotentialTable) -> WalkConstants:
     """lambda3 exact; C+- from the table's root solve and C* = (C+ + C-)/2,
-    checked against the quadrature C* and against the exact
+    checked against the circle-rule C* and against the exact
     lambda3 = (C- - C+)/2.  Each error is the gap to the independent route
     plus the solve's own error."""
     m = moments(law)
@@ -403,9 +344,9 @@ def constants(law: StepLaw, table: PotentialTable) -> WalkConstants:
     c_plus, c_minus = table.c_plus, table.c_minus
     c_star = (c_plus + c_minus) / 2.0
 
-    cs = _c_star_quadrature(law)
+    cs = _c_star_circle(law)
     for name, val, ref in [
-            ("C* quadrature", cs, c_star),
+            ("C* circle rule", cs, c_star),
             ("lambda3 vs (C- - C+)/2", lam3, (c_minus - c_plus) / 2.0)]:
         if not abs(val - ref) <= CONSTANTS_TOL:
             raise InconsistentEstimates(
@@ -418,7 +359,7 @@ def constants(law: StepLaw, table: PotentialTable) -> WalkConstants:
                 "c_plus": abs(c_plus - (cs - lam3)) + solve,
                 "c_minus": abs(c_minus - (cs + lam3)) + solve},
         provenance={"lambda3": "exact moments",
-                    "c_star": "(C+ + C-)/2, checked by quadrature",
+                    "c_star": "(C+ + C-)/2, checked by the circle rule",
                     "c_plus": table.method,
                     "c_minus": table.method},
     )

@@ -28,6 +28,7 @@ from .kernels import WalkKernels
 from .laws import StepLaw, lattice_structure, moments
 
 REL_ERR_FLOOR = 1e-16
+_DP_MODE = {"point": dp.POINT, "halfline": dp.HALFLINE}
 FOURIER_XS = (1, -1, 2, -2, 5, -5, 20, -20, 50, -50, 80, -80)
 
 
@@ -76,15 +77,19 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
                hl.distribution.mass() + tab.h.sum() - 1.0, 1e-10)
 
     # Chapman-Kolmogorov via the dual window (q^n(z, y) = q~^n(y, z)), then
-    # duality (time reversal)
+    # duality (time reversal); the n_big window extends the mhalf one, as
+    # n steps are m steps and then n - m more, bit for bit
     kill = {"point": engine.absorbed_at_origin,
             "halfline": engine.absorbed_on_halfline}
     mhalf, nd = n_big // 2, 256
+    zmin, pmf = law.pmf_array()
     for mode, run in kill.items():
         a = run(law, 2, mhalf)[0].distribution
-        b = run(refl, 3, mhalf)[0].distribution
-        full = run(law, 2, n_big)[0].distribution
-        _check(results, f"Chapman-Kolmogorov {mode} ({mhalf}+{mhalf})",
+        b = run(refl, 3, n_big - mhalf)[0].distribution
+        full = dp.run_dp(a.offset, a.weights, zmin, pmf, n_big - mhalf,
+                         _DP_MODE[mode])
+        _check(results,
+               f"Chapman-Kolmogorov {mode} ({mhalf}+{n_big - mhalf})",
                a.dot(b) - full.prob(3), 1e-10)
     for mode, run in kill.items():
         a = run(law, 2, nd)[0].distribution
@@ -138,10 +143,9 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     else:
         _skip(results, "reflection principle", "law is not the unit-step walk")
 
-    # one-sided continuity: halfline and point kernels coincide on x,y >= 1
+    # one-sided continuity: the halfline and point kernels of the domination
+    # chain coincide on x,y >= 1
     if law.zmin >= -1:
-        q = engine.absorbed_at_origin(law, 3, nd)[0].distribution
-        qh = engine.absorbed_on_halfline(law, 3, nd)[0].distribution
         worst = max(abs(q.prob(y) - qh.prob(y))
                     for y in range(1, q.offset + len(q.weights)))
         _check(results, "halfline == point for left-continuous law",
@@ -163,7 +167,7 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
     res = potential.harmonicity_residuals(law, table)
     _check(results, "potential kernel harmonicity", np.max(np.abs(res)), 1e-8)
     _check(results, "a(0) = 0", table.a(0), 0.0)
-    # the root-free route, at the convergence gate of its own quadratures
+    # the root-free route, at the check tolerance of its circle rule
     try:
         gap, detail = max((abs(table.a(x) - potential.a_fourier(law, x))
                            for x in FOURIER_XS if abs(x) <= table.X),
@@ -182,8 +186,7 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
     ):
         x, y = 2, 3
         gval = fn(x, y)
-        sums = {n: _green_partial_sum(law, name, x, y, n)
-                for n in (256, 1024)}
+        sums = _green_partial_sums(law, _DP_MODE[name], x, y, (256, 1024))
         g1, g2 = gval - sums[256], gval - sums[1024]
         ok = g1 > -1e-12 and g2 > -1e-12 and g1 >= 1.5 * g2
         _check(results, f"green {name} monotone from below",
@@ -238,18 +241,22 @@ def ladder_invariants(law: StepLaw, pair: ladder.HarmonicPair,
            ladder.entrance_law_minus_inf(law, pair).mass() - 1.0, 1e-8)
 
 
-def _green_partial_sum(law: StepLaw, mode: str, x: int, y: int,
-                       n: int) -> float:
-    """sum_{k<=n} q^k(x, y), accumulated step by step."""
+def _green_partial_sums(law: StepLaw, mode: int, x: int, y: int,
+                        ns: tuple[int, ...]) -> dict[int, float]:
+    """{n: sum_{k<=n} q^k(x, y)} for each n of ns, accumulated step by step
+    along one stream."""
     zmin, pmf = law.pmf_array()
     total = 1.0 if x == y else 0.0
-    md = dp.POINT if mode == "point" else dp.HALFLINE
-    for _, off, cur, _ in dp._steps(x, np.ones(1), zmin, pmf, n, md, 1.0,
-                                    dp.DEFAULT_WINDOW_BUDGET):
+    out = {}
+    for k, off, cur, _ in dp._steps(x, np.ones(1), zmin, pmf, max(ns), mode,
+                                    1.0, dp.DEFAULT_WINDOW_BUDGET):
         i = y - off
         if 0 <= i < len(cur):
             total += float(cur[i])
-    return total
+        if k in ns:
+            out[k] = total
+    # a stream that ends early has no mass left to add
+    return {n: out.get(n, total) for n in ns}
 
 
 # ---------------------------------------------------------------------------

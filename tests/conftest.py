@@ -43,14 +43,18 @@ def span3_kernels(span3):
 
 
 @st.composite
-def zero_mean_laws(draw, span=8):
-    """Mixtures of two-point zero-mean laws {-u, v} (plus an atom at 0)
-    with support inside [-a, b], a + b <= span."""
+def zero_mean_laws(draw, span=8, min_span=2, max_parts=3):
+    """Mixtures of up to max_parts two-point zero-mean laws {-u, v} (plus an
+    atom at 0) with support inside [-a, b], min_span <= a + b <= span.
+    When min_span > 2 the first part is {-a, b} itself, so the support
+    spans a + b."""
     a = draw(st.integers(1, span - 1))
-    b = draw(st.integers(1, span - a))
+    b = draw(st.integers(max(1, min_span - a), span - a))
     parts = draw(st.lists(st.tuples(st.integers(1, a), st.integers(1, b),
                                     st.integers(1, 5)), min_size=1,
-                          max_size=3))
+                          max_size=max_parts))
+    if min_span > 2:
+        parts[0] = (a, b, parts[0][2])
     c0 = draw(st.integers(0, 3))
     total = c0 + sum(c for _, _, c in parts)
     pairs = [(0, Fraction(c0, total))]

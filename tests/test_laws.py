@@ -3,13 +3,14 @@ function helpers."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from walklab.errors import (DegenerateLaw, NonUnitMass, NonzeroMean,
                             Reducible, SupportTooWide)
-from walklab.laws import (build_law, char_fn, lattice_structure, load_law,
-                          moments, one_minus_phi_cos, phi_sin)
+from walklab.laws import (build_law, lattice_structure, load_law, moments,
+                          phi_parts)
 
 
 class TestValidation:
@@ -99,25 +100,38 @@ class TestLatticeStructure:
         assert not s.reachable(1, 0)
 
 
+def _phi(law, l):
+    """phi(l) = E exp(i l Y), summed naively."""
+    return sum(float(w) * complex(math.cos(z * l), math.sin(z * l))
+               for z, w in law.items())
+
+
 class TestCharFn:
     def test_reflection(self, l1):
-        assert char_fn(l1, 0.7) == pytest.approx(
-            char_fn(l1.reflected(), -0.7))
+        c, s = phi_parts(l1, 0.7)
+        cr, sr = phi_parts(l1.reflected(), -0.7)
+        assert complex(1.0 - c, s) == pytest.approx(complex(1.0 - cr, sr))
 
     def test_stable_forms_match_naive(self, l1):
-        for l in (1e-8, 1e-3, 0.5, 2.0):
-            phi = char_fn(l1, l)
-            assert one_minus_phi_cos(l1, l) == pytest.approx(
-                1.0 - phi.real, abs=1e-15)
-            # phi_sin subtracts the linear term, which is 0 by mean zero
-            assert phi_sin(l1, l) == pytest.approx(phi.imag, abs=1e-15)
+        ls = np.array([1e-8, 1e-3, 0.5, 2.0])
+        for l, c, s in zip(ls, *phi_parts(l1, ls)):
+            phi = _phi(l1, l)
+            assert c == pytest.approx(1.0 - phi.real, abs=1e-15)
+            # Im phi is summed less the linear term, which is 0 by mean zero
+            assert s == pytest.approx(phi.imag, abs=1e-15)
 
     def test_small_l_scaling(self, l1):
         # 1 - Re phi(l) ~ sigma^2 l^2 / 2 without cancellation noise
         s2 = float(moments(l1).sigma2)
         l = 1e-7
-        assert one_minus_phi_cos(l1, l) == pytest.approx(
-            s2 * l * l / 2, rel=1e-10)
+        assert phi_parts(l1, l)[0] == pytest.approx(s2 * l * l / 2, rel=1e-10)
+
+    def test_small_l_odd_part(self, l1):
+        # Im phi(l) ~ -E[Y^3] l^3 / 6; a naive sum is off by 8e-5 here
+        m3 = float(moments(l1).m3)
+        l = 1e-6
+        assert phi_parts(l1, l)[1] == pytest.approx(-m3 * l ** 3 / 6,
+                                                    rel=1e-10)
 
 
 law_strategy = st.lists(
@@ -142,4 +156,4 @@ def test_random_laws_validate_or_reject(table):
     # spectral gap: 1 - Re phi > 0 away from the lattice period points
     d = lattice_structure(law).period
     l = math.pi / (2 * d)
-    assert one_minus_phi_cos(law, l) > 0
+    assert phi_parts(law, l)[0] > 0

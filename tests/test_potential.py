@@ -1,17 +1,15 @@
 """Potential kernel by two independent routes, Green function at the origin,
 and the walk constants."""
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from walklab import build_law, dp
+from walklab import build_law, dp, potential
 from walklab.errors import (OutOfWindow, QuadratureNotConverged,
                             SingularSystem)
 from walklab.kernels import build_kernels
 from walklab.laws import lattice_structure, moments
-from walklab.potential import (_c_star_quadrature, _fit_tail,
+from walklab.potential import (CONSTANTS_TOL, _c_star_circle, _fit_tail,
                                _partial_sum_table, a_fourier, a_partial_sums,
                                build_potential_table, constants,
                                expansion_check, green_point,
@@ -256,25 +254,47 @@ def test_hit_before_origin_is_green_ratio(law):
             (a[x] + a[-N] - a[x - N]) / (a[N] + a[-N]), abs=1e-10)
 
 
+WIDE61 = [(-41, "20/61"), (20, "41/61")]
+
+
 def test_quadrature_gate_is_quiet(capfd):
-    # a sparse wide law whose oscillatory quadrature at x=50 meets round-
-    # off: scipy's IntegrationWarning becomes the typed error, not stderr
-    law = build_law([(-41, "20/61"), (20, "41/61")], "wide61")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(QuadratureNotConverged):
-            a_fourier(law, 50)
-    assert caught == []
+    # a sparse wide law, period 61, on which adaptive quadrature of the
+    # oscillatory integrand failed at |x| >= 25: the circle rule needs
+    # 8192 nodes and matches the root solve
+    law = build_law(WIDE61, "wide61")
+    t = build_potential_table(law)
+    for x in FOURIER_XS + (25, -25):
+        assert a_fourier(law, x) == pytest.approx(t.a(x), abs=1e-10)
     assert capfd.readouterr().err == ""
+
+
+def test_rule_past_its_node_cap_is_typed(capfd, monkeypatch):
+    law = build_law(WIDE61, "wide61")
+    monkeypatch.setattr(potential, "RULE_MAX_NODES", 4096)
+    with pytest.raises(QuadratureNotConverged, match="4096 nodes"):
+        a_fourier(law, 50)
+    assert capfd.readouterr().err == ""
+
+
+@settings(max_examples=10, deadline=None)
+@given(zero_mean_laws(span=64, min_span=40, max_parts=2))
+def test_circle_rule_on_sparse_wide_laws(law):
+    """2-5 atoms, span 40-64: the root-free routes to a(x) and C* match the
+    root solve."""
+    t = build_potential_table(law)
+    for x in FOURIER_XS:
+        assert a_fourier(law, x) == pytest.approx(t.a(x), abs=1e-10)
+    c_star = (t.c_plus + t.c_minus) / 2.0
+    assert abs(_c_star_circle(law) - c_star) <= CONSTANTS_TOL
 
 
 def test_widest_law_constants():
     # uniform on {-32..32}: symmetric, so lambda3 = 0 and C+ = C- = C*,
-    # which the quadrature gives as 337.667621366924...
+    # which the circle rule gives as 337.667621366924...
     law = build_law([(z, "1/65") for z in range(-32, 33)], "u32")
     t = build_potential_table(law)
     c = constants(law, t)
-    want = _c_star_quadrature(law)
+    want = _c_star_circle(law)
     assert want == pytest.approx(337.667621366924, rel=1e-12)
     assert c.lambda3 == 0.0
     for v in (c.c_plus, c.c_minus, c.c_star):

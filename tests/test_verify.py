@@ -35,6 +35,12 @@ class TestInvariantSuite:
         results = invariant_suite(l1, kernels=None, n_big=256)
         assert all(r.status in ("pass", "skip") for r in results)
 
+    def test_odd_n_big_splits_chapman_kolmogorov(self, span3):
+        results = invariant_suite(span3, kernels=None, n_big=257)
+        ck = [r for r in results if r.name.startswith("Chapman")]
+        assert [r.name[-9:] for r in ck] == ["(128+129)"] * 2
+        assert all(r.status == "pass" for r in ck), ck
+
 
 class TestRegionGating:
     def test_cells_outside_region_raise(self, l1_kernels):
