@@ -130,8 +130,14 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     subnormal weights (``_cut``).  The cut reads the window alone, so n
     steps are m steps followed by n - m steps, bit for bit.  The stream
     ends early once the window is empty.
+
+    np.convolve(cur, pmf) is np.correlate(cur, pmf[::-1]) whenever cur is
+    at least as long as pmf, so the pmf is reversed once per stream and
+    the step calls that kernel directly; a shorter cur keeps np.convolve,
+    which swaps the operands there.
     """
     cur, off = weights, offset
+    rev = np.ascontiguousarray(pmf[::-1])
     for k in range(1, n + 1):
         if len(cur) == 0:
             return
@@ -140,7 +146,8 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                 f"window of {len(cur) + len(pmf) - 1} sites at step {k} "
                 f"exceeds budget {window_budget}"
             )
-        cur = np.convolve(cur, pmf)
+        cur = (np.correlate(cur, rev, "full") if len(cur) >= len(pmf)
+               else np.convolve(cur, pmf))
         off = off + zmin
 
         absorbed = None

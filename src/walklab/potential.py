@@ -18,10 +18,16 @@ a_partial_sums.
 * a_partial_sums: sum_{k<=K} [p^k(0) - p^k(-x)] from the exact DP, with
   the k > K tail fitted to the period-aggregated increments in powers
   k^{-3/2}, k^{-2}, ... (their asymptotic expansion) and summed with
-  Hurwitz zeta functions.  The DP cuts its zero and subnormal edges after
+  Hurwitz zeta functions.  For a law of period d the walk at step k lives
+  on k*zmin + dZ, so the DP runs on the law of (Y - zmin)/d and skips only
+  sites of exact zero weight.  It cuts its zero and subnormal edges after
   every step; a step only averages weights, so a cut shifts later weights
   by at most the mass cut, which rounds away against every nonzero weight
-  in [-X, X] for the laws tested: the table is bit-identical to an uncut DP.
+  in [-X, X] for the laws tested.  The steps' [-X, X] slices are summed in
+  chunks by cumulative sums, in step order, so the partial sums are
+  bit-identical to an uncut full-lattice DP that adds one step at a time.
+  One QR factorisation of the design gives both tail fits; the fit needs
+  at least one block per exponent.
 """
 
 from __future__ import annotations
@@ -90,6 +96,7 @@ def a_fourier(law: StepLaw, x: int) -> float:
 # Partial-sum route.
 
 PS_EXPONENTS = np.arange(1.5, 6.51, 0.5)
+CHUNK_STEPS = 2048    # DP steps per accumulation chunk, rounded to the period
 
 
 @lru_cache(maxsize=None)
@@ -101,52 +108,77 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     M = K // d
     K = M * d
     m0 = M // 16  # fit window: blocks m0+1 .. M (several octaves for conditioning)
+    if M - m0 < len(PS_EXPONENTS):
+        raise ConstraintViolation(
+            f"K={K} gives {M - m0} blocks of {d} steps to fit; the tail fit "
+            f"needs at least {len(PS_EXPONENTS)}")
     zmin, pmf = law.pmf_array()
+    W = 2 * X + 1
 
-    acc = np.ones(2 * X + 1)                # k = 0 term; index x + X
+    acc = np.ones(W)                        # k = 0 term; index x + X
     acc[X] = 0.0                            # except at x = 0
-    blocks = np.zeros((M - m0, 2 * X + 1))
-    win = np.empty(2 * X + 1)
-    # no window budget: the window is bounded by K * span + 1 sites, and
-    # far less once its underflowed edges are cut
-    for k, off, cur, _ in dp._steps(0, np.ones(1), zmin, pmf, K, dp.FREE,
+    blocks = np.empty((M - m0, W))
+    C = CHUNK_STEPS // d * d
+    win = np.zeros((C, W))                  # row k-1 mod C: p^k on [-X, X]
+    # The walk at step k lives on the coset k*zmin + dZ, so the DP runs on
+    # the law of (Y - zmin)/d, whose site i at step k is k*zmin + d*i; the
+    # sites it skips carry exact zeros, which change no sum.  No window
+    # budget: the window is bounded by K * span / d + 1 sites, and far less
+    # once its underflowed edges are cut.  A window of mass 1 never empties,
+    # so the stream yields all K steps and the last chunk ends at k = K.
+    for k, off, cur, _ in dp._steps(0, np.ones(1), 0, pmf[::d], K, dp.FREE,
                                     1.0, math.inf):
-        # p^k(s) for s in [-X, X]
-        win[:] = 0.0
-        lo = max(-X, off)
-        hi = min(X, off + len(cur) - 1)
-        if hi >= lo:
-            win[lo + X: hi + X + 1] = cur[lo - off: hi - off + 1]
-        delta = win[X] - win[::-1]          # p^k(0) - p^k(-x)
-        acc += delta
-        m = (k - 1) // d                    # block index, 0-based
-        if m >= m0:
-            blocks[m - m0] += delta
+        r = (k - 1) % C
+        base = k * zmin + d * off           # site of cur[0]
+        j0 = max(0, -((X + base) // d))     # cur[j0 .. j1] lies in [-X, X]
+        j1 = min(len(cur) - 1, (X - base) // d)
+        if j1 >= j0:
+            s = base + d * j0 + X
+            win[r, s:s + d * (j1 - j0) + 1:d] = cur[j0:j1 + 1]
+        if r < C - 1 and k < K:
+            continue
+        # add the deltas of steps k-r .. k to acc and to their blocks in
+        # step order, as acc += delta and blocks[m] += delta would
+        delta = win[:r + 1, X:X + 1] - win[:r + 1, ::-1]
+        b0, b1 = (k - r - 1) // d, k // d
+        if b1 > m0:
+            part = delta[0::d]
+            for j in range(1, d):
+                part = part + delta[j::d]
+            lo = max(b0, m0)
+            blocks[lo - m0:b1 - m0] = part[lo - b0:]
+        acc = np.cumsum(np.vstack([acc, delta]), axis=0)[-1]
+        win[:r + 1] = 0.0
     tail, bound = _fit_tail(blocks, m0, M)
     return acc, tail, bound
 
 
 def _fit_tail(blocks: np.ndarray, m0: int, M: int):
     """Fit block sums to sum_e c_e m^{-e} and return (tail, bound) arrays;
-    the bound compares with the fit on all but the last two exponents."""
+    the bound compares with the fit on all but the last two exponents.
+    One QR factorisation of the scaled design serves both fits, as the
+    fit on the first j exponents uses the first j columns of Q and R."""
     m = np.arange(m0 + 1, M + 1, dtype=float)
     t = m / M
     design = t[:, None] ** (-PS_EXPONENTS[None, :])
     norms = np.linalg.norm(design, axis=0)
-    scaled = design / norms
+    q, r = np.linalg.qr(design / norms)
+    qtb = q.T @ blocks
     # tail over m > M of c_e m^{-e} = c_e M^e zeta(e, M+1), Hurwitz zeta
     with mp.workdps(25):
         scale = np.array([M ** e * float(mp.zeta(e, M + 1))
                           for e in PS_EXPONENTS])
 
     def solve(j: int):
-        coef, *_ = np.linalg.lstsq(scaled[:, :j], blocks, rcond=None)
-        coef /= norms[:j, None]
+        coef = np.linalg.solve(r[:j, :j], qtb[:j]) / norms[:j, None]
         return scale[:j] @ coef, coef
 
     tail, coef = solve(len(PS_EXPONENTS))
     tail_r, _ = solve(len(PS_EXPONENTS) - 2)
-    bound = np.abs(tail - tail_r) + np.abs(blocks - design @ coef).sum(axis=0)
+    res = design @ coef
+    res -= blocks
+    np.abs(res, out=res)
+    bound = np.abs(tail - tail_r) + res.sum(axis=0)
     return tail, bound
 
 

@@ -1,12 +1,13 @@
 """Potential kernel by two independent routes, Green function at the origin,
 and the walk constants."""
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from walklab import build_law, dp, potential
-from walklab.errors import (OutOfWindow, QuadratureNotConverged,
-                            SingularSystem)
+from walklab.errors import (ConstraintViolation, OutOfWindow,
+                            QuadratureNotConverged, SingularSystem)
 from walklab.kernels import build_kernels
 from walklab.laws import lattice_structure, moments
 from walklab.potential import (CONSTANTS_TOL, _c_star_circle, _fit_tail,
@@ -67,9 +68,10 @@ class TestPartialSumRoute:
             a_partial_sums(l1, 60, X=55)
 
 
-def _reference_table(law, X, K):
-    """_partial_sum_table by a plain loop: every step convolves the whole
-    window, nothing is ever cut."""
+def _reference_blocks(law, X, K):
+    """(acc, blocks, m0, M) of _partial_sum_table by a plain loop: every
+    step convolves the whole window on the full lattice, nothing is ever
+    cut, and every step adds its delta to acc and to its block."""
     d = lattice_structure(law).period
     M = K // d
     K = M * d
@@ -90,6 +92,11 @@ def _reference_table(law, X, K):
         acc += delta
         if (k - 1) // d >= m0:
             blocks[(k - 1) // d - m0] += delta
+    return acc, blocks, m0, M
+
+
+def _reference_table(law, X, K):
+    acc, blocks, m0, M = _reference_blocks(law, X, K)
     tail, bound = _fit_tail(blocks, m0, M)
     return acc, tail, bound
 
@@ -100,6 +107,8 @@ def _reference_table(law, X, K):
     [(-1, "2/3"), (2, "1/3")],                                # span3
     [(z, "1/5") for z in range(-2, 3)],                       # sym5
     [(-1, "6/103"), (0, "91/103"), (1, "6/103")],             # lazy walk
+    [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
+    [(-1, "5/8"), (1, "1/4"), (3, "1/8")],                    # period 2
 ])
 def test_trimmed_table_is_bit_identical(pairs, monkeypatch):
     law = build_law(pairs, "law")
@@ -119,6 +128,49 @@ def test_trimmed_table_is_bit_identical(pairs, monkeypatch):
     # the underflowed edges were cut: the untrimmed window ends at
     # K * span + 1 sites, the cut one at 21-57% of that for these laws
     assert max(widths) < 0.6 * (K * (law.zmax - law.zmin) + 1)
+
+
+def _lstsq_tail(blocks, m0, M):
+    """The tail fit by SVD least squares, one solve per exponent set."""
+    exps = potential.PS_EXPONENTS
+    t = np.arange(m0 + 1, M + 1) / M
+    design = t[:, None] ** -exps
+    norms = np.linalg.norm(design, axis=0)
+    scale = np.array([M ** e * float(mpmath.zeta(e, M + 1)) for e in exps])
+
+    def solve(j):
+        coef, *_ = np.linalg.lstsq(design[:, :j] / norms[:j], blocks,
+                                   rcond=None)
+        return scale[:j] @ (coef / norms[:j, None]), coef / norms[:j, None]
+
+    tail, coef = solve(len(exps))
+    tail_r, _ = solve(len(exps) - 2)
+    return tail, (np.abs(tail - tail_r)
+                  + np.abs(blocks - design @ coef).sum(axis=0))
+
+
+@pytest.mark.parametrize("pairs", [
+    [(-1, "1/2"), (1, "1/2")],                                # srw
+    [(-2, "1/6"), (-1, "1/6"), (0, "1/6"), (1, "1/2")],       # l1
+    [(-1, "6/103"), (0, "91/103"), (1, "6/103")],             # lazy walk
+])
+def test_tail_fit_matches_lstsq(pairs):
+    # the QR fit solves the same least-squares problems as an SVD
+    blocks, m0, M = _reference_blocks(build_law(pairs, "law"), 55, 2 ** 12)[1:]
+    tail, bound = _fit_tail(blocks, m0, M)
+    want_tail, want_bound = _lstsq_tail(blocks, m0, M)
+    tol = 1e-10 * np.maximum(1.0, np.abs(want_tail))
+    assert (np.abs(tail - want_tail) <= tol).all()
+    assert (np.abs(bound - want_bound) <= tol).all()
+
+
+def test_tail_fit_needs_a_block_per_exponent(srw):
+    # srw at K=16 has 8 blocks for 11 exponents: an underdetermined fit,
+    # whose bound (1e-3) understated its error (8.5e-3) at x = 5
+    with pytest.raises(ConstraintViolation, match="blocks"):
+        a_partial_sums(srw, 5, K=16)
+    v, bound = a_partial_sums(srw, 5, K=24)      # 12 blocks
+    assert abs(v - 5) <= bound
 
 
 class TestPotentialTable:
