@@ -116,14 +116,14 @@ def cmd_validate(args) -> int:
 def cmd_compute(args) -> int:
     law = load_law(args.law)
     if args.mode == "free":
-        sl = engine.evolve_free(law, args.x, args.n)
+        res = engine.evolve_free(law, args.x, args.n)
     elif args.mode == "point":
-        sl, _ = engine.absorbed_at_origin(law, args.x, args.n)
+        res = engine.absorbed_at_origin(law, args.x, args.n)
     elif args.mode == "halfline":
-        sl, _ = engine.absorbed_on_halfline(law, args.x, args.n)
+        res = engine.absorbed_on_halfline(law, args.x, args.n)
     else:
-        sl = engine.partial_absorption(law, args.alpha, args.x, args.n)
-    report.emit_slice(sl, args.out)
+        res = engine.partial_absorption(law, args.alpha, args.x, args.n)
+    report.emit_slice(args.mode, args.x, args.n, res, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -16,8 +16,8 @@ After every step, in every mode, the stream cuts the outer runs of sites
 whose weight is zero or subnormal (|w| < TINY), so the window follows the
 mass instead of growing by the span on every step.  ``run_dp`` runs the
 stream n steps and collects what was absorbed; the potential kernel's
-partial sums, the negative-side mass and the Green partial sums read the
-stream step by step instead.
+partial sums and the Green partial sums read the stream step by step
+instead.
 """
 
 from __future__ import annotations
@@ -93,8 +93,10 @@ class Window:
 class DPResult(Window):
     """Outcome of an n-step absorbed evolution.
 
-    The window is the surviving distribution after n steps.
-    absorbed: per-step absorbed mass (POINT mode), index k-1 = step k.
+    The window is the surviving distribution after n steps; in HALFLINE
+    mode its mass() is P_x[T > n], T the first time at a site <= 0.
+    absorbed: per-step absorbed mass (POINT mode), index k-1 = step k; with
+        alpha = 1 it is the passage law f_x(k).
     entry: (n, depth) array of per-step landing profiles in HALFLINE
         mode; entry[k-1, j] is the mass landing at site entry_base + j
         on step k.

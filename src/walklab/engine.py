@@ -1,9 +1,10 @@
 """Exact path functionals of absorbed lattice walks.
 
-Everything here is a thin, typed layer over walklab.dp.  Free
-evolution, kill-at-origin and kill-on-halfline kernels, first-passage
-and entrance laws, partial absorption and negative-side mass each come
-from one run of the step stream, and every kernel is a dp.Window.  The
+Everything here is a thin layer over walklab.dp.  Free evolution,
+kill-at-origin and kill-on-halfline kernels, partial absorption and
+negative-side mass each come from one run_dp, and each kernel is the
+dp.DPResult of its run, which also holds the passage law (absorbed) or
+the entrance law (entry, entry_base) of that run.  The
 finite-strip exit problem is one dense solve on the states 1..N-1, and
 its hit-N-before-0 probability comes exact from potential.hit_before_origin.
 
@@ -30,113 +31,53 @@ from .potential import hit_before_origin
 EXACT_STEP_LIMIT = 64
 
 
-@dataclass
-class AbsorbedKernelSlice:
-    """n-step kernel from x; distribution is the dp.DPResult, which also
-    holds what was absorbed on each step."""
-
-    mode: str  # "free" | "point" | "halfline" | "partial"
-    alpha: float
-    x: int
-    n: int
-    distribution: dp.Window
-
-
-@dataclass
-class FirstPassageSeries:
-    """Passage-to-origin law: values[k-1] = P_x[tau_0 = k]."""
-
-    x: int
-    values: np.ndarray
-
-
-@dataclass
-class EntranceTable:
-    """Joint law of (T, S_T) where T = first time the walk is <= 0.
-
-    h[k-1, j] = P_x[T = k, S_T = entry_base + j].
-    """
-
-    x: int
-    n: int
-    entry_base: int
-    h: np.ndarray
-    deficit: float  # P_x[T > n]
-
-    def t_pmf(self) -> np.ndarray:
-        return self.h.sum(axis=1)
-
-    def h_at(self, k: int, y: int) -> float:
-        j = y - self.entry_base
-        if 1 <= k <= self.n and 0 <= j < self.h.shape[1]:
-            return float(self.h[k - 1, j])
-        return 0.0
-
-    def partial_entrance(self) -> tuple[int, np.ndarray]:
-        """(base, column sums): H_x^+ truncated at n, deficit aside."""
-        return self.entry_base, self.h.sum(axis=0)
-
-
-def evolve_free(law: StepLaw, x: int, n: int) -> AbsorbedKernelSlice:
+def _run(law: StepLaw, x: int, n: int, mode: int,
+         alpha: float = 1.0) -> dp.DPResult:
     zmin, pmf = law.pmf_array()
-    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.FREE)
-    return AbsorbedKernelSlice(mode="free", alpha=0.0, x=x, n=n,
-                               distribution=res)
+    return dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=mode, alpha=alpha)
 
 
-def absorbed_at_origin(law: StepLaw, x: int, n: int):
-    """Kill-at-origin kernel q^k(x, .) and passage law f_x(k), k <= n."""
-    zmin, pmf = law.pmf_array()
-    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.POINT, alpha=1.0)
-    sl = AbsorbedKernelSlice(mode="point", alpha=1.0, x=x, n=n,
-                             distribution=res)
-    return sl, FirstPassageSeries(x=x, values=res.absorbed)
+def evolve_free(law: StepLaw, x: int, n: int) -> dp.DPResult:
+    """Free n-step distribution p^n(x, .)."""
+    return _run(law, x, n, dp.FREE)
 
 
-def absorbed_on_halfline(law: StepLaw, x: int, n: int):
-    """Kill-on-(-inf,0] kernel and the entrance table h_x(k, y)."""
+def absorbed_at_origin(law: StepLaw, x: int, n: int) -> dp.DPResult:
+    """Kill-at-origin kernel q^n(x, .); absorbed[k-1] is the passage law
+    f_x(k), k <= n."""
+    return _run(law, x, n, dp.POINT)
+
+
+def absorbed_on_halfline(law: StepLaw, x: int, n: int) -> dp.DPResult:
+    """Kill-on-(-inf,0] kernel; entry[k-1, j] is the entrance law
+    h_x(k, entry_base + j), and mass() is P_x[T > n]."""
     if x < 1:
         raise ConstraintViolation("halfline absorption requires start x >= 1")
-    zmin, pmf = law.pmf_array()
-    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.HALFLINE)
-    sl = AbsorbedKernelSlice(mode="halfline", alpha=1.0, x=x, n=n,
-                             distribution=res)
-    table = EntranceTable(x=x, n=n, entry_base=res.entry_base, h=res.entry,
-                          deficit=float(res.weights.sum()))
-    return sl, table
+    return _run(law, x, n, dp.HALFLINE)
 
 
 def partial_absorption(law: StepLaw, alpha: float, x: int,
-                       n: int) -> AbsorbedKernelSlice:
-    """q_alpha^k(x, .): mass arriving at 0 is removed with probability alpha.
+                       n: int) -> dp.DPResult:
+    """q_alpha^n(x, .): mass arriving at 0 is removed with probability alpha.
 
     Starting at 0 does not count as an arrival; the zero-step kernel is
     the identity for every alpha.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConstraintViolation("alpha must lie in [0, 1]")
-    zmin, pmf = law.pmf_array()
-    res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.POINT, alpha=alpha)
-    return AbsorbedKernelSlice(mode="partial", alpha=alpha, x=x, n=n,
-                               distribution=res)
+    return _run(law, x, n, dp.POINT, alpha)
 
 
 def r_alpha(law: StepLaw, alpha: float, x: int, n: int) -> dp.Window:
     """r_alpha^n = q_alpha^n - q^n as a window over the union of supports."""
-    qa = partial_absorption(law, alpha, x, n).distribution
-    q = absorbed_at_origin(law, x, n)[0].distribution
-    return qa.minus(q)
+    return partial_absorption(law, alpha, x, n).minus(
+        absorbed_at_origin(law, x, n))
 
 
-def negative_mass(law: StepLaw, x: int, n: int):
-    """Q_x^+(n) = sum_{y <= -1} q^n(x, y), plus the per-step table."""
-    zmin, pmf = law.pmf_array()
-    neg = np.zeros(n + 1)
-    neg[0] = 1.0 if x <= -1 else 0.0
-    for k, off, cur, _ in dp._steps(x, np.ones(1), zmin, pmf, n, dp.POINT,
-                                    1.0, dp.DEFAULT_WINDOW_BUDGET):
-        neg[k] = cur[:max(-off, 0)].sum()  # sites <= -1
-    return float(neg[n]), neg
+def negative_mass(law: StepLaw, x: int, n: int) -> float:
+    """Q_x^+(n) = sum_{y <= -1} q^n(x, y)."""
+    q = absorbed_at_origin(law, x, n)
+    return q.restricted_sum(q.offset, -1)
 
 
 def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
@@ -251,9 +192,3 @@ def absorbed_at_origin_exact(law: StepLaw, x: int, n: int):
     """Rational q^n(x, .) and passage law; n <= 64."""
     return _exact_stream(law, x, n, kill_origin=True)
 
-
-def slice_rows(sl: AbsorbedKernelSlice):
-    """Deterministic (mode, x, n, y, value) rows, y ascending."""
-    d = sl.distribution
-    for i, w in enumerate(d.weights):
-        yield (sl.mode, sl.x, sl.n, d.offset + i, float(w))

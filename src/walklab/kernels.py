@@ -29,8 +29,8 @@ class WalkKernels:
     structure: LatticeStructure
     table: potential.PotentialTable
     pair: ladder.HarmonicPair
-    h_inf_plus: ladder.EntranceLaw
-    h_minus_inf: ladder.EntranceLaw
+    h_inf_plus: Window
+    h_minus_inf: Window
     constants: potential.WalkConstants
     c_plus_entrance: float
     c_minus_entrance: float
@@ -72,8 +72,8 @@ def build_kernels(law: StepLaw, table_X: int = 80,
     pair = ladder.build_harmonic_pair(law, X=pair_X)
     h_inf = ladder.entrance_law_inf(law, pair)
     h_minf = ladder.entrance_law_minus_inf(law, pair)
-    cpe = ladder.c_plus_entrance_route(law, pair, table)
-    cme = ladder.c_minus_entrance_route(law, pair, table)
+    cpe = ladder.c_entrance_route(h_inf, table, float(m.sigma2))
+    cme = ladder.c_entrance_route(h_minf, table, float(m.sigma2))
     for name, solved, entrance in (("C^+", consts.c_plus, cpe),
                                    ("C^-", consts.c_minus, cme)):
         scale = max(abs(solved), abs(entrance), 0.05)

@@ -44,9 +44,6 @@ class LadderHeightLaw:
     # always True now; kept because the benchmark's trace probe reads it
     exact: bool = True
 
-    def height_mean(self) -> float:
-        return self.mean
-
 
 def ladder_height_law(law: StepLaw, direction: str) -> LadderHeightLaw:
     """Exact ladder-height law from the Wiener-Hopf roots of `law`."""
@@ -71,8 +68,8 @@ def ladder_buckets(law: StepLaw, direction: str) -> tuple[np.ndarray, float]:
     from 0 is that of V = 1 - S into (-inf, 0] from 1, and V steps with the
     reflected law; entry site y <= 0 is height 1 - y."""
     walk = law.reflected() if direction == "ascending" else law
-    _, table = absorbed_on_halfline(walk, 1, BUCKET_STEPS)
-    return table.partial_entrance()[1][::-1], table.deficit
+    res = absorbed_on_halfline(walk, 1, BUCKET_STEPS)
+    return res.entry.sum(axis=0)[::-1], res.mass()
 
 
 @dataclass
@@ -146,14 +143,6 @@ def green_halfline(pair: HarmonicPair, sigma2: float, x: int, y: int) -> float:
     return 2.0 * s / sigma2
 
 
-@dataclass
-class EntranceLaw(Window):
-    """Hitting law as a window over the sites it can charge."""
-
-    kind: str    # "H_x_plus" | "H_inf_plus" | "H_minus_inf"
-    x: int | None
-
-
 def _entrance_sums(law: StepLaw, weight) -> np.ndarray:
     """sum_{w>=1} weight(w) p(y - w) for y in [zmin+1, 0]."""
     return np.array([sum(weight(w) * float(law.prob(y - w))
@@ -161,31 +150,31 @@ def _entrance_sums(law: StepLaw, weight) -> np.ndarray:
                      for y in range(law.zmin + 1, 1)])
 
 
-def _h_inf(law: StepLaw, f_table: np.ndarray, sigma2: float) -> EntranceLaw:
+def _h_inf(law: StepLaw, f_table: np.ndarray, sigma2: float) -> Window:
     """(2/sigma2) sum_{j>=1} f(j) p(y - j) on y in [zmin+1, 0]."""
     s = _entrance_sums(law, lambda j: f_table[j - 1])
-    return EntranceLaw(law.zmin + 1, 2.0 * s / sigma2, "H_inf_plus", None)
+    return Window(law.zmin + 1, 2.0 * s / sigma2)
 
 
-def entrance_law_inf(law: StepLaw, pair: HarmonicPair) -> EntranceLaw:
+def entrance_law_inf(law: StepLaw, pair: HarmonicPair) -> Window:
     """H_inf^+: hitting law of (-inf, 0] from a start receding to +inf."""
     sigma2 = float(moments(law).sigma2)
     return _h_inf(law, pair.f_minus, sigma2)
 
 
-def entrance_law_minus_inf(law: StepLaw, pair: HarmonicPair) -> EntranceLaw:
+def entrance_law_minus_inf(law: StepLaw, pair: HarmonicPair) -> Window:
     """H_{-inf}^-: dual hitting law of [0, inf) from a start receding to
     -inf; same code run on the reflected law, pmf reported on y >= 0."""
     sigma2 = float(moments(law).sigma2)
     h = _h_inf(law.reflected(), pair.f_plus, sigma2)
-    return EntranceLaw(0, h.weights[::-1].copy(), "H_minus_inf", None)
+    return Window(0, h.weights[::-1].copy())
 
 
-def entrance_law_from(law: StepLaw, pair: HarmonicPair, x: int) -> EntranceLaw:
+def entrance_law_from(law: StepLaw, pair: HarmonicPair, x: int) -> Window:
     """H_x^+(y) = sum_{w>=1} g_halfline(x, w) p(y - w), y <= 0."""
     sigma2 = float(moments(law).sigma2)
     s = _entrance_sums(law, lambda w: green_halfline(pair, sigma2, x, w))
-    return EntranceLaw(law.zmin + 1, s, "H_x_plus", x)
+    return Window(law.zmin + 1, s)
 
 
 @dataclass
@@ -232,19 +221,9 @@ def potential_identities(law: StepLaw, pair: HarmonicPair,
     return out
 
 
-def c_plus_entrance_route(law: StepLaw, pair: HarmonicPair,
-                          table: PotentialTable) -> float:
-    """C^+ = sum_y H_inf^+(y) (sigma2 a(y) + |y|)."""
-    sigma2 = float(moments(law).sigma2)
-    h = entrance_law_inf(law, pair)
-    return float(sum(h.prob(y) * (sigma2 * table.a(y) + abs(y))
-                     for y in h.sites()))
-
-
-def c_minus_entrance_route(law: StepLaw, pair: HarmonicPair,
-                           table: PotentialTable) -> float:
-    """Dual route under the reflected law."""
-    sigma2 = float(moments(law).sigma2)
-    h = entrance_law_minus_inf(law, pair)
+def c_entrance_route(h: Window, table: PotentialTable,
+                     sigma2: float) -> float:
+    """sum_y h(y) (sigma2 a(y) + |y|): C^+ for h = H_inf^+, C^- for
+    h = H_{-inf}^-."""
     return float(sum(h.prob(y) * (sigma2 * table.a(y) + abs(y))
                      for y in h.sites()))

@@ -97,6 +97,7 @@ def a_fourier(law: StepLaw, x: int) -> float:
 
 PS_EXPONENTS = np.arange(1.5, 6.51, 0.5)
 CHUNK_STEPS = 2048    # DP steps per accumulation chunk, rounded to the period
+FIT_CHUNK_ROWS = 1024  # blocks per chunk of the tail fit's residual sum
 
 
 @lru_cache(maxsize=None)
@@ -175,10 +176,15 @@ def _fit_tail(blocks: np.ndarray, m0: int, M: int):
 
     tail, coef = solve(len(PS_EXPONENTS))
     tail_r, _ = solve(len(PS_EXPONENTS) - 2)
-    res = design @ coef
-    res -= blocks
-    np.abs(res, out=res)
-    bound = np.abs(tail - tail_r) + res.sum(axis=0)
+    # sum |design @ coef - blocks| over row chunks, folding each chunk into
+    # the total in row order, as one axis-0 sum over all rows would
+    res = np.zeros(blocks.shape[1])
+    for i in range(0, len(blocks), FIT_CHUNK_ROWS):
+        part = design[i:i + FIT_CHUNK_ROWS] @ coef
+        part -= blocks[i:i + FIT_CHUNK_ROWS]
+        np.abs(part, out=part)
+        res = np.cumsum(np.vstack([res, part]), axis=0)[-1]
+    bound = np.abs(tail - tail_r) + res
     return tail, bound
 
 

@@ -10,7 +10,7 @@ import io
 import os
 import tempfile
 
-from .engine import AbsorbedKernelSlice, slice_rows
+from .dp import Window
 from .kernels import WalkKernels
 from .potential import expansion_check
 from .verify import ComparisonReport, InvariantResult, SlopeSummary
@@ -43,9 +43,11 @@ def csv_text(header: tuple[str, ...], rows) -> str:
     return buf.getvalue()
 
 
-def emit_slice(sl: AbsorbedKernelSlice, path: str):
-    atomic_write(path, csv_text(("mode", "x", "n", "y", "value"),
-                                slice_rows(sl)))
+def emit_slice(mode: str, x: int, n: int, window: Window, path: str):
+    """The n-step kernel from x as (mode, x, n, y, value) rows, y ascending."""
+    rows = ((mode, x, n, window.offset + i, float(w))
+            for i, w in enumerate(window.weights))
+    atomic_write(path, csv_text(("mode", "x", "n", "y", "value"), rows))
 
 
 def emit_comparison(report: ComparisonReport, path: str):

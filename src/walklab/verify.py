@@ -62,19 +62,17 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
 
     # free evolution mass
     free = engine.evolve_free(law, 0, n_big)
-    _check(results, f"free mass n={n_big}", free.distribution.mass() - 1.0,
-           1e-12)
+    _check(results, f"free mass n={n_big}", free.mass() - 1.0, 1e-12)
 
     # mass conservation, point and halfline modes
     for x in (1, 3):
-        sl, fp = engine.absorbed_at_origin(law, x, n_big)
+        q = engine.absorbed_at_origin(law, x, n_big)
         _check(results, f"point mass bookkeeping x={x}",
-               sl.distribution.mass() + fp.values.sum() - 1.0, 1e-10)
-        _check(results, f"point kernel vanishes at 0, x={x}",
-               sl.distribution.prob(0), 0.0)
-        hl, tab = engine.absorbed_on_halfline(law, x, n_big)
+               q.mass() + q.absorbed.sum() - 1.0, 1e-10)
+        _check(results, f"point kernel vanishes at 0, x={x}", q.prob(0), 0.0)
+        qh = engine.absorbed_on_halfline(law, x, n_big)
         _check(results, f"halfline mass bookkeeping x={x}",
-               hl.distribution.mass() + tab.h.sum() - 1.0, 1e-10)
+               qh.mass() + qh.entry.sum() - 1.0, 1e-10)
 
     # Chapman-Kolmogorov via the dual window (q^n(z, y) = q~^n(y, z)), then
     # duality (time reversal); the n_big window extends the mhalf one, as
@@ -84,21 +82,21 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     mhalf, nd = n_big // 2, 256
     zmin, pmf = law.pmf_array()
     for mode, run in kill.items():
-        a = run(law, 2, mhalf)[0].distribution
-        b = run(refl, 3, n_big - mhalf)[0].distribution
+        a = run(law, 2, mhalf)
+        b = run(refl, 3, n_big - mhalf)
         full = dp.run_dp(a.offset, a.weights, zmin, pmf, n_big - mhalf,
                          _DP_MODE[mode])
         _check(results,
                f"Chapman-Kolmogorov {mode} ({mhalf}+{n_big - mhalf})",
                a.dot(b) - full.prob(3), 1e-10)
     for mode, run in kill.items():
-        a = run(law, 2, nd)[0].distribution
-        b = run(refl, 5, nd)[0].distribution
+        a = run(law, 2, nd)
+        b = run(refl, 5, nd)
         _check(results, f"duality {mode} n={nd}", a.prob(5) - b.prob(2), 1e-12)
 
     # reachability: support of p^n confined to the congruence class
     nr = 257
-    d = engine.evolve_free(law, 0, nr).distribution
+    d = engine.evolve_free(law, 0, nr)
     bad = 0.0
     for i, w in enumerate(d.weights):
         if not struct.reachable(nr, d.offset + i):
@@ -107,9 +105,9 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
 
     # domination chain at n = 256
     x = 3
-    p = engine.evolve_free(law, x, nd).distribution
-    q = engine.absorbed_at_origin(law, x, nd)[0].distribution
-    qh = engine.absorbed_on_halfline(law, x, nd)[0].distribution
+    p = engine.evolve_free(law, x, nd)
+    q = engine.absorbed_at_origin(law, x, nd)
+    qh = engine.absorbed_on_halfline(law, x, nd)
     worst = 0.0
     for i, w in enumerate(qh.weights):
         y = qh.offset + i
@@ -123,17 +121,17 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     # float DP calibrated against rational DP
     nex = 48
     exact = engine.absorbed_at_origin_exact(law, 2, nex)[0]
-    qf = engine.absorbed_at_origin(law, 2, nex)[0].distribution
+    qf = engine.absorbed_at_origin(law, 2, nex)
     err = max(abs(qf.prob(s) - float(v)) for s, v in exact.items())
     _check(results, f"float vs rational DP n={nex}", err, 1e-13)
 
     # reflection-principle oracle (symmetric unit-step walk only)
     if law.increments == (-1, 1):
         nn = 512
-        p = engine.evolve_free(law, 0, nn).distribution
+        p = engine.evolve_free(law, 0, nn)
         worst = 0.0
         for x0, y0 in ((1, 1), (2, 4), (5, 3)):
-            qv = engine.absorbed_at_origin(law, x0, nn)[0].distribution
+            qv = engine.absorbed_at_origin(law, x0, nn)
             for i, w in enumerate(qv.weights):
                 y = qv.offset + i
                 if y < 1:
@@ -374,24 +372,25 @@ def _cells(quantity: str, spec: GridSpec, k: WalkKernels, n: int, xi: float,
     if quantity == "Q+":
         # both signs of x: the vanishing form (x > 0) and the erf form
         for xx in (x, -x):
-            exact, _ = engine.negative_mass(k.law, xx, n)
+            exact = engine.negative_mass(k.law, xx, n)
             yield xx, 0, math.copysign(xi, xx), 0.0, exact
         return
     if quantity == "r_alpha":
         dist = engine.r_alpha(k.law, spec.alpha, x, n)
     elif quantity in ("point", "f_x"):
-        sl, fp = engine.absorbed_at_origin(k.law, x, n)
-        dist = sl.distribution
+        dist = engine.absorbed_at_origin(k.law, x, n)
     else:
-        sl, tab = engine.absorbed_on_halfline(k.law, x, n)
-        dist = sl.distribution
+        dist = engine.absorbed_on_halfline(k.law, x, n)
     if quantity == "f_x":
-        yield x, 0, xi, 0.0, float(fp.values[n - 1])
+        yield x, 0, xi, 0.0, float(dist.absorbed[n - 1])
     elif quantity == "T":
-        yield x, 0, xi, 0.0, float(tab.t_pmf()[n - 1])
+        yield x, 0, xi, 0.0, float(dist.entry[n - 1].sum())
     elif quantity == "h":
-        for y in spec.ys_literal or range(tab.entry_base, 1):
-            yield x, y, xi, float(y), tab.h_at(n, y)
+        # entry holds the sites entry_base..0; any other y is never entered
+        for y in spec.ys_literal or range(dist.entry_base, 1):
+            h = (dist.entry[n - 1, y - dist.entry_base]
+                 if dist.entry_base <= y <= 0 else 0.0)
+            yield x, y, xi, float(y), float(h)
     else:
         for eta in spec.etas:
             y = coord(eta, n)

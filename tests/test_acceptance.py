@@ -57,10 +57,10 @@ def test_criterion_02_unit_walk_closed_forms(srw, srw_kernels):
                             for x in range(-10, 11) if x != 0)
     # reflection principle
     n = 256
-    free = engine.evolve_free(srw, 0, n).distribution
+    free = engine.evolve_free(srw, 0, n)
     refl = 0.0
     for x in (1, 2, 7):
-        q = engine.absorbed_at_origin(srw, x, n)[0].distribution
+        q = engine.absorbed_at_origin(srw, x, n)
         for y in range(1, 40):
             refl = max(refl, abs(q.prob(y)
                                  - (free.prob(y - x) - free.prob(y + x))))
@@ -193,7 +193,7 @@ def test_criterion_09_bound_suites(l1, l1_kernels):
     for n in (1024, 4096):
         best = 0.0
         for x in (1, 4, 15):
-            dist = engine.absorbed_at_origin(l1, x, n)[0].distribution
+            dist = engine.absorbed_at_origin(l1, x, n)
             ys = dist.sites()
             vals = np.asarray(dist.weights)
             nz = ys != 0

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from walklab import engine
 from walklab.cli import main
+from walklab.laws import load_law
 
 L1 = {"name": "l1",
       "pairs": [[-2, "1/6"], [-1, "1/6"], [0, "1/6"], [1, "1/2"]]}
@@ -41,13 +43,29 @@ class TestValidate:
 
 
 class TestCompute:
-    def test_point_slice(self, law_file, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["free", "point", "halfline",
+                                      "partial"])
+    def test_point_slice(self, mode, law_file, tmp_path, capsys):
         out = tmp_path / "slice.csv"
-        assert main(["compute", "--law", law_file, "--mode", "point",
-                     "--x", "3", "--n", "32", "--out", str(out)]) == 0
+        assert main(["compute", "--law", law_file, "--mode", mode, "--x", "3",
+                     "--n", "32", "--alpha", "0.3", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "mode,x,n,y,value"
-        assert all(row.startswith("point,3,32,") for row in lines[1:])
+        law = load_law(law_file)
+        if mode == "free":
+            res = engine.evolve_free(law, 3, 32)
+        elif mode == "point":
+            res = engine.absorbed_at_origin(law, 3, 32)
+        elif mode == "halfline":
+            res = engine.absorbed_on_halfline(law, 3, 32)
+        else:
+            res = engine.partial_absorption(law, 0.3, 3, 32)
+        # one row per site of the engine's window, values round-tripped
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == len(res.weights) > 0
+        assert all(r[:3] == [mode, "3", "32"] for r in rows)
+        assert [int(r[3]) for r in rows] == res.sites().tolist()
+        assert [float(r[4]) for r in rows] == res.weights.tolist()
 
     def test_deterministic(self, law_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -105,6 +123,24 @@ class TestVerify:
         out = capsys.readouterr().out.splitlines()
         assert "  n=256: no rows compared" in out
         assert out[-1].startswith("FAIL: no comparable cells at n=256")
+
+    def test_entrance_sites_outside_the_profile_are_skipped(
+            self, law_file, tmp_path, capsys):
+        # l1 enters (-inf, 0] only at -1 and 0: y = -3, -2 lie below the
+        # entry profile and y = 1, 2 above it, so both sides are 0 there
+        out = tmp_path / "cmp.csv"
+        assert main(["verify", "--law", law_file, "--theorem", "T14",
+                     "--n", "64,256", "--ys=-3,-2,-1,0,1,2",
+                     "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        for n, x in ((64, 2), (256, 4)):
+            for y in (-3, -2, 1, 2):
+                assert (f"skipped: T14 n={n} x={x} y={y}: exact = rhs = 0"
+                        in text)
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert sorted((int(r[2]), int(r[4])) for r in rows) == [
+            (64, -1), (64, 0), (256, -1), (256, 0)]
+        assert all(float(r[5]) > 0 for r in rows)
 
     def test_unknown_theorem_is_usage_error(self, law_file, tmp_path):
         with pytest.raises(SystemExit) as e:

@@ -22,14 +22,14 @@ def _binom_pmf(n, k):
 class TestFree:
     def test_unit_walk_binomial(self, srw):
         n = 12
-        sl = engine.evolve_free(srw, 0, n)
+        p = engine.evolve_free(srw, 0, n)
         for j in range(n + 1):
-            assert sl.distribution.prob(2 * j - n) == pytest.approx(
+            assert p.prob(2 * j - n) == pytest.approx(
                 _binom_pmf(n, j), abs=1e-15)
 
     def test_mass_conserved(self, l1):
-        sl = engine.evolve_free(l1, 3, 500)
-        assert sl.distribution.mass() == pytest.approx(1.0, abs=1e-12)
+        p = engine.evolve_free(l1, 3, 500)
+        assert p.mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_window_budget(self, srw):
         zmin, pmf = srw.pmf_array()
@@ -41,62 +41,63 @@ class TestFree:
 class TestKillAtOrigin:
     def test_two_step_oracle(self, srw):
         # q^2(1,1) = p(1,2)p(2,1): the only surviving path is 1->2->1
-        sl, fp = engine.absorbed_at_origin(srw, 1, 2)
-        assert sl.distribution.prob(1) == pytest.approx(0.25, abs=1e-16)
-        assert fp.values[0] == pytest.approx(0.5, abs=1e-16)
+        q = engine.absorbed_at_origin(srw, 1, 2)
+        assert q.prob(1) == pytest.approx(0.25, abs=1e-16)
+        assert q.absorbed[0] == pytest.approx(0.5, abs=1e-16)
 
     def test_kernel_vanishes_at_origin(self, l1):
-        sl, _ = engine.absorbed_at_origin(l1, 4, 100)
-        assert sl.distribution.prob(0) == 0.0
+        q = engine.absorbed_at_origin(l1, 4, 100)
+        assert q.prob(0) == 0.0
 
     def test_mass_bookkeeping(self, l1):
         n = 300
-        sl, fp = engine.absorbed_at_origin(l1, 2, n)
-        total = sl.distribution.mass() + fp.values.sum()
+        q = engine.absorbed_at_origin(l1, 2, n)
+        total = q.mass() + q.absorbed.sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_start_at_origin_not_absorbed(self, l1):
         # q^0 is the identity: the walk only dies on a later *arrival* at 0
-        sl, fp = engine.absorbed_at_origin(l1, 0, 1)
-        assert sl.distribution.mass() == pytest.approx(
+        q = engine.absorbed_at_origin(l1, 0, 1)
+        assert q.mass() == pytest.approx(
             1 - float(l1.prob(0)), abs=1e-15)
 
     def test_duality(self, l1):
         # q^n(x,y) under p equals q^n(y,x) under the reflected law
         n, x, y = 64, 3, 5
-        a = engine.absorbed_at_origin(l1, x, n)[0].distribution.prob(y)
-        b = engine.absorbed_at_origin(
-            l1.reflected(), y, n)[0].distribution.prob(x)
+        a = engine.absorbed_at_origin(l1, x, n).prob(y)
+        b = engine.absorbed_at_origin(l1.reflected(), y, n).prob(x)
         assert a == pytest.approx(b, abs=1e-14)
 
 
 class TestKillOnHalfline:
     def test_one_step_entry_profile(self, l1):
         # from x=1: P[T=1, S_T=-1] = p(-2), P[T=1, S_T=0] = p(-1)
-        _, tab = engine.absorbed_on_halfline(l1, 1, 1)
-        assert tab.h_at(1, -1) == pytest.approx(1 / 6, abs=1e-16)
-        assert tab.h_at(1, 0) == pytest.approx(1 / 6, abs=1e-16)
-        assert tab.h_at(1, -2) == 0.0
+        qh = engine.absorbed_on_halfline(l1, 1, 1)
+        assert qh.entry_base == -1 and qh.entry.shape == (1, 2)
+        assert qh.entry[0, 0] == pytest.approx(1 / 6, abs=1e-16)   # y = -1
+        assert qh.entry[0, 1] == pytest.approx(1 / 6, abs=1e-16)   # y = 0
 
     def test_no_overshoot_for_unit_down_steps(self, srw):
-        _, tab = engine.absorbed_on_halfline(srw, 1, 50)
-        base, cols = tab.partial_entrance()
-        for y in range(base, 0):
-            assert abs(cols[y - base]) == 0.0
+        qh = engine.absorbed_on_halfline(srw, 1, 50)
+        cols = qh.entry.sum(axis=0)
+        for y in range(qh.entry_base, 0):
+            assert abs(cols[y - qh.entry_base]) == 0.0
 
     def test_t_pmf_matches_surviving_mass(self, l1):
         n = 200
-        sl, tab = engine.absorbed_on_halfline(l1, 3, n)
-        assert tab.t_pmf().sum() == pytest.approx(
-            1.0 - sl.distribution.mass(), abs=1e-12)
-        assert tab.deficit == pytest.approx(
-            sl.distribution.mass(), abs=1e-12)
+        qh = engine.absorbed_on_halfline(l1, 3, n)
+        assert qh.entry.sum(axis=1).sum() == pytest.approx(
+            1.0 - qh.mass(), abs=1e-12)
+        # mass() is P_x[T > n]: what a longer run enters after step n
+        longer = engine.absorbed_on_halfline(l1, 3, 4 * n)
+        assert qh.mass() == pytest.approx(
+            longer.entry[n:].sum() + longer.mass(), abs=1e-12)
 
     def test_dominated_by_point_kernel(self, l1):
         n, x = 128, 4
-        half = engine.absorbed_on_halfline(l1, x, n)[0].distribution
-        point = engine.absorbed_at_origin(l1, x, n)[0].distribution
-        free = engine.evolve_free(l1, x, n).distribution
+        half = engine.absorbed_on_halfline(l1, x, n)
+        point = engine.absorbed_at_origin(l1, x, n)
+        free = engine.evolve_free(l1, x, n)
         for y in range(1, 40):
             q_half, q_pt, p = half.prob(y), point.prob(y), free.prob(y)
             assert 0.0 <= q_half <= q_pt + 1e-15 <= p + 1e-14
@@ -105,21 +106,21 @@ class TestKillOnHalfline:
 class TestPartialAbsorption:
     def test_alpha_one_is_kill_at_origin(self, l1):
         n, x = 64, 2
-        a = engine.partial_absorption(l1, 1.0, x, n).distribution
-        b = engine.absorbed_at_origin(l1, x, n)[0].distribution
+        a = engine.partial_absorption(l1, 1.0, x, n)
+        b = engine.absorbed_at_origin(l1, x, n)
         for y in range(-20, 21):
             assert a.prob(y) == pytest.approx(b.prob(y), abs=1e-15)
 
     def test_alpha_zero_is_free(self, l1):
         n, x = 64, 2
-        a = engine.partial_absorption(l1, 0.0, x, n).distribution
-        b = engine.evolve_free(l1, x, n).distribution
+        a = engine.partial_absorption(l1, 0.0, x, n)
+        b = engine.evolve_free(l1, x, n)
         for y in range(-20, 21):
             assert a.prob(y) == pytest.approx(b.prob(y), abs=1e-15)
 
     def test_monotone_in_alpha(self, l1):
         n, x = 48, 1
-        dists = [engine.partial_absorption(l1, al, x, n).distribution
+        dists = [engine.partial_absorption(l1, al, x, n)
                  for al in (0.0, 0.25, 0.5, 0.75, 1.0)]
         for y in range(-15, 16):
             vals = [d.prob(y) for d in dists]
@@ -132,17 +133,14 @@ class TestPartialAbsorption:
 
 class TestNegativeMass:
     def test_left_continuous_never_crosses(self, srw):
-        q, _ = engine.negative_mass(srw, 5, 200)
-        assert q == 0.0
+        assert engine.negative_mass(srw, 5, 200) == 0.0
 
     def test_one_step_oracle(self, l1):
-        q, cum = engine.negative_mass(l1, 1, 1)
+        q = engine.negative_mass(l1, 1, 1)
         assert q == pytest.approx(1 / 6, abs=1e-16)
-        assert cum[1] == pytest.approx(1 / 6, abs=1e-16)
-        assert cum[0] == 0.0
 
     def test_bounded_by_one(self, l1):
-        q, _ = engine.negative_mass(l1, 2, 512)
+        q = engine.negative_mass(l1, 2, 512)
         assert 0.0 <= q <= 1.0
 
 
@@ -201,7 +199,7 @@ class TestExactMode:
     def test_rational_equals_float(self, l1):
         n, x = 32, 2
         exact = engine.evolve_free_exact(l1, x, n)
-        fl = engine.evolve_free(l1, x, n).distribution
+        fl = engine.evolve_free(l1, x, n)
         for y, w in exact.items():
             assert fl.prob(y) == pytest.approx(float(w), abs=1e-14)
 
@@ -216,10 +214,10 @@ class TestExactMode:
 
 
 def test_reachability_zeros(srw):
-    sl = engine.evolve_free(srw, 0, 9)
+    p = engine.evolve_free(srw, 0, 9)
     for y in range(-9, 10):
         if (y - 9) % 2 != 0:
-            assert sl.distribution.prob(y) == 0.0
+            assert p.prob(y) == 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -247,15 +245,15 @@ def test_run_dp_properties(law, x, n, alpha):
             assert np.array_equal(full.entry, np.concatenate(entry))
             assert abs(full.mass() + full.entry.sum() - 1.0) <= 1e-12
 
-    free = engine.evolve_free(law, x, n).distribution
+    free = engine.evolve_free(law, x, n)
     exact = engine.evolve_free_exact(law, x, n)
     for y in set(exact) | set(free.sites().tolist()):
         assert abs(free.prob(y) - float(exact.get(y, 0))) <= 1e-13
-    sl, fp = engine.absorbed_at_origin(law, x, n)
+    q = engine.absorbed_at_origin(law, x, n)
     exact, passage = engine.absorbed_at_origin_exact(law, x, n)
-    for y in set(exact) | set(sl.distribution.sites().tolist()):
-        assert abs(sl.distribution.prob(y) - float(exact.get(y, 0))) <= 1e-13
-    assert np.max(np.abs(fp.values - np.array(passage, dtype=float))) <= 1e-13
+    for y in set(exact) | set(q.sites().tolist()):
+        assert abs(q.prob(y) - float(exact.get(y, 0))) <= 1e-13
+    assert np.max(np.abs(q.absorbed - np.array(passage, dtype=float))) <= 1e-13
 
 
 def test_cut_takes_only_outer_zero_and_subnormal_runs(srw):
@@ -310,7 +308,7 @@ def test_p_n_extends_the_largest_cached_window(l1, l1_kernels):
     kernels = dataclasses.replace(l1_kernels, _free_cache={})
     for n in (256, 1024, 300, 4096):
         got = kernels.p_n(n)
-        want = engine.evolve_free(l1, 0, n).distribution
+        want = engine.evolve_free(l1, 0, n)
         assert got.offset == want.offset
         assert np.array_equal(got.weights, want.weights)
     assert sorted(kernels._free_cache) == [256, 300, 1024, 4096]

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 
 from walklab import build_law, laws, verify
 from walklab.errors import FactorizationFailed
-from walklab.ladder import (build_harmonic_pair, c_minus_entrance_route,
-                            c_plus_entrance_route, entrance_law_from,
-                            entrance_law_inf, entrance_law_minus_inf,
+from walklab.ladder import (build_harmonic_pair, c_entrance_route,
+                            entrance_law_from, entrance_law_inf,
+                            entrance_law_minus_inf,
                             green_halfline, harmonicity_residual,
                             ladder_height_law, potential_identities)
 from walklab.laws import moments
@@ -26,7 +26,7 @@ class TestLadderHeights:
             lad = ladder_height_law(srw, d)
             assert lad.exact
             assert lad.pmf[0] == pytest.approx(1.0, abs=1e-15)
-            assert lad.height_mean() == pytest.approx(1.0, abs=1e-15)
+            assert lad.mean == pytest.approx(1.0, abs=1e-15)
 
     def test_skewed_ascending_unit(self, l1):
         # up-jumps are unit, so the ascending ladder height is 1
@@ -38,7 +38,7 @@ class TestLadderHeights:
         # support {1, 2} with mean sigma^2/(2 P[Y >= 1]) = 4/3
         lad = ladder_height_law(l1, "descending")
         assert lad.exact
-        assert lad.height_mean() == pytest.approx(4 / 3, abs=1e-13)
+        assert lad.mean == pytest.approx(4 / 3, abs=1e-13)
         assert lad.pmf[0] == pytest.approx(2 / 3, abs=1e-13)
         assert lad.pmf[1] == pytest.approx(1 / 3, abs=1e-13)
 
@@ -46,7 +46,7 @@ class TestLadderHeights:
         # descending side has unit steps, so the ascending mean is exact:
         # E[H+] = sigma^2 / (2 P[Y <= -1]) = 2/(2*(2/3)) = 3/2
         lad = ladder_height_law(span3, "ascending")
-        assert lad.height_mean() == pytest.approx(1.5, abs=1e-13)
+        assert lad.mean == pytest.approx(1.5, abs=1e-13)
 
     def test_pmf_normalized(self, l1, span3):
         for law in (l1, span3):
@@ -174,12 +174,12 @@ class TestEntranceLaws:
         from walklab import engine
         x, n = 4, 4096
         h = entrance_law_from(l1, l1_kernels.pair, x)
-        tab = engine.absorbed_on_halfline(l1, x, n)[1]
-        base, cols = tab.partial_entrance()
+        qh = engine.absorbed_on_halfline(l1, x, n)
+        base, cols = qh.entry_base, qh.entry.sum(axis=0)
         h_lim = entrance_law_inf(l1, l1_kernels.pair)
         # mass still alive at n enters later with the limiting profile
         for y in range(base, 1):
-            est = cols[y - base] + tab.deficit * h_lim.prob(y)
+            est = cols[y - base] + qh.mass() * h_lim.prob(y)
             assert h.prob(y) == pytest.approx(est, abs=2e-3)
 
     def test_identities(self, l1, l1_kernels):
@@ -188,7 +188,10 @@ class TestEntranceLaws:
             assert c.residual < 1e-10, c
 
     def test_entrance_constant_routes(self, l1, l1_kernels):
-        cp = c_plus_entrance_route(l1, l1_kernels.pair, l1_kernels.table)
-        cm = c_minus_entrance_route(l1, l1_kernels.pair, l1_kernels.table)
+        s2 = float(moments(l1).sigma2)
+        cp = c_entrance_route(entrance_law_inf(l1, l1_kernels.pair),
+                              l1_kernels.table, s2)
+        cm = c_entrance_route(entrance_law_minus_inf(l1, l1_kernels.pair),
+                              l1_kernels.table, s2)
         assert cp == pytest.approx(0.5, abs=1e-8)
         assert cm == pytest.approx(0.0, abs=1e-10)

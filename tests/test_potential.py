@@ -154,7 +154,7 @@ def _lstsq_tail(blocks, m0, M):
     [(-2, "1/6"), (-1, "1/6"), (0, "1/6"), (1, "1/2")],       # l1
     [(-1, "6/103"), (0, "91/103"), (1, "6/103")],             # lazy walk
 ])
-def test_tail_fit_matches_lstsq(pairs):
+def test_tail_fit_matches_lstsq(pairs, monkeypatch):
     # the QR fit solves the same least-squares problems as an SVD
     blocks, m0, M = _reference_blocks(build_law(pairs, "law"), 55, 2 ** 12)[1:]
     tail, bound = _fit_tail(blocks, m0, M)
@@ -162,6 +162,13 @@ def test_tail_fit_matches_lstsq(pairs):
     tol = 1e-10 * np.maximum(1.0, np.abs(want_tail))
     assert (np.abs(tail - want_tail) <= tol).all()
     assert (np.abs(bound - want_bound) <= tol).all()
+    # the residual sum runs over row chunks, 1.9 to 3.75 of them here; with
+    # one chunk of all rows it is the one-array sum, and it matches bit for bit
+    assert len(blocks) > potential.FIT_CHUNK_ROWS
+    monkeypatch.setattr(potential, "FIT_CHUNK_ROWS", len(blocks))
+    one_tail, one_bound = _fit_tail(blocks, m0, M)
+    assert np.array_equal(tail, one_tail)
+    assert np.array_equal(bound, one_bound)
 
 
 def test_tail_fit_needs_a_block_per_exponent(srw):
