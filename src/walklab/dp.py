@@ -2,7 +2,7 @@
 
 A distribution over consecutive sites is a ``Window``: a dense float64
 array of weights with site = offset + index.  One step stream evolves a
-window under a step pmf by convolution, applying one of three
+distribution under a step pmf by convolution, applying one of three
 absorption modes after every step:
 
   FREE      no absorption,
@@ -12,12 +12,21 @@ absorption modes after every step:
   HALFLINE  all mass arriving at a site <= 0 is removed, and the profile
             of where it landed is recorded per step (the entrance law).
 
-After every step, in every mode, the stream cuts the outer runs of sites
-whose weight is zero or subnormal (|w| < TINY), so the window follows the
-mass instead of growing by the span on every step.  ``run_dp`` runs the
-stream n steps and collects what was absorbed; the potential kernel's
-partial sums and the Green partial sums read the stream step by step
-instead.
+The stream runs on the period coset.  When every jump is zmin + d*j (d,
+from ``period``, is the lattice period of the law), a walk on the sites
+c + dZ at one step is on c + zmin + dZ at the next, so the stream stores
+only those sites, d apart, and steps with the compressed pmf pmf[::d]:
+the law of (Y - zmin)/d.  For d = 1 that is every site and the pmf
+itself.  After every step, in every mode, the stream cuts the outer runs
+of stored sites whose weight is zero or subnormal (|w| < TINY), so the
+window follows the mass instead of growing by the span on every step.
+
+``run_dp`` splits its initial window by residue class mod d, runs one
+stream per class that holds weight, and lays the survivors and the
+entrance profiles back on consecutive sites once, at the end, with exact
+zeros on the sites no class reaches: every ``Window`` it returns is the
+full-lattice window.  The potential kernel's partial sums and the Green
+partial sums read one strided stream step by step instead.
 """
 
 from __future__ import annotations
@@ -107,66 +116,81 @@ class DPResult(Window):
     entry_base: int = 0
 
 
-def _cut(off: int, arr: np.ndarray) -> tuple[int, np.ndarray]:
-    """Cut the outer runs of zero or subnormal weights, scanning inward
-    from each edge only: a step pays for the sites it cuts, and each site
-    is cut at most once."""
-    a, b = 0, len(arr)
-    while a < b and abs(arr[a]) < TINY:
-        a += 1
-    while b > a and abs(arr[b - 1]) < TINY:
-        b -= 1
-    return off + a, arr[a:b]
+def period(pmf: np.ndarray) -> int:
+    """The gcd d of the pmf's nonzero indices: every jump is zmin + d*j."""
+    return int(np.gcd.reduce(np.flatnonzero(pmf))) or 1
 
 
 def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
            n: int, mode: int, alpha: float, window_budget: float):
     """Yield (k, offset, weights, absorbed) after each step k = 1..n.
 
-    absorbed is the mass removed on step k: a float in POINT mode, the
-    landing profile as a Window in HALFLINE mode, None in FREE mode.  The
-    yielded weights are the live array, not a copy; the stream never
-    writes to an array after yielding it.
+    The window is strided: with d = period(pmf), the site of weights[i]
+    is offset + d*i.  A walk on the coset c + dZ is on c + zmin + dZ one
+    step later, so these are all the sites it reaches.  The stream steps
+    with the compressed pmf pmf[::d], whose tap j is the jump zmin + d*j;
+    for d = 1 that is the pmf itself.
+
+    absorbed is the mass removed on step k: a float in POINT mode (0.0 on
+    the steps where site 0 is off the coset), the landing profile as an
+    (offset, weights) pair on the same stride in HALFLINE mode (None when
+    nothing landed), None in FREE mode.  The yielded weights are the live
+    array, not a copy; the stream never writes to an array after yielding
+    it.
 
     After the absorption, every step cuts the outer runs of zero or
-    subnormal weights (``_cut``).  The cut reads the window alone, so n
-    steps are m steps followed by n - m steps, bit for bit.  The stream
-    ends early once the window is empty.
+    subnormal weights, scanning inward from each edge only: a step pays
+    for the sites it cuts, and each site is cut at most once.  The cut
+    reads the window alone, so n steps are m steps followed by n - m
+    steps, bit for bit.  The stream ends early once the window is empty.
+    window_budget bounds the stored sites, d apart.
 
-    np.convolve(cur, pmf) is np.correlate(cur, pmf[::-1]) whenever cur is
-    at least as long as pmf, so the pmf is reversed once per stream and
-    the step calls that kernel directly; a shorter cur keeps np.convolve,
-    which swaps the operands there.
+    np.convolve(cur, taps) is np.correlate(cur, taps[::-1]) whenever cur
+    is at least as long as taps, so the taps are reversed once per stream
+    and the step calls that kernel directly; a shorter cur keeps
+    np.convolve, which swaps the operands there.
     """
+    d = period(pmf)
+    taps = pmf[::d]
+    t = len(taps)
+    rev = np.ascontiguousarray(taps[::-1])
     cur, off = weights, offset
-    rev = np.ascontiguousarray(pmf[::-1])
     for k in range(1, n + 1):
-        if len(cur) == 0:
+        size = len(cur)
+        if size == 0:
             return
-        if len(cur) + len(pmf) - 1 > window_budget:
+        b = size + t - 1
+        if b > window_budget:
             raise WindowOverflow(
-                f"window of {len(cur) + len(pmf) - 1} sites at step {k} "
-                f"exceeds budget {window_budget}"
+                f"window of {b} sites at step {k} exceeds budget "
+                f"{window_budget}"
             )
-        cur = (np.correlate(cur, rev, "full") if len(cur) >= len(pmf)
-               else np.convolve(cur, pmf))
-        off = off + zmin
+        cur = (np.correlate(cur, rev, "full") if size >= t
+               else np.convolve(cur, taps))
+        off += zmin
 
         absorbed = None
         if mode == POINT:
             absorbed = 0.0
-            i0 = -off
-            if 0 <= i0 < len(cur):
+            i0, r = divmod(-off, d)
+            if r == 0 and 0 <= i0 < b:
                 m = cur[i0]
                 absorbed = alpha * m
                 cur[i0] = (1.0 - alpha) * m
         elif mode == HALFLINE:
-            hi = min(len(cur), -off + 1)  # indices with site <= 0
+            hi = min(b, (-off) // d + 1)  # indices with site <= 0
             if hi > 0:
-                absorbed = Window(off, cur[:hi])
+                absorbed = (off, cur[:hi])
                 cur = cur[hi:]
-                off += hi
-        off, cur = _cut(off, cur)
+                off += d * hi
+                b -= hi
+        a = 0
+        while a < b and -TINY < cur[a] < TINY:
+            a += 1
+        while b > a and -TINY < cur[b - 1] < TINY:
+            b -= 1
+        cur = cur[a:b]
+        off += d * a
         yield k, off, cur, absorbed
 
 
@@ -184,19 +208,37 @@ def run_dp(
 
     In POINT/HALFLINE modes the initial window is taken as already past
     the step-0 absorption (the zero-step kernel is the identity).
+
+    The initial window is split by residue class mod period(pmf); each
+    class with a nonzero weight runs as its own strided stream, and the
+    survivors are laid back on consecutive sites once, at the end, with
+    exact zeros on the sites no class reaches.
     """
-    off, cur = init_offset, np.array(init_weights, dtype=np.float64)
+    d = period(pmf)
+    init = np.array(init_weights, dtype=np.float64)
     absorbed = np.zeros(n) if mode == POINT else None
     entry = None
     entry_base = 0
     if mode == HALFLINE:
         entry = np.zeros((n, -zmin))
         entry_base = 1 + zmin
-    for k, off, cur, removed in _steps(off, cur, zmin, pmf, n, mode, alpha,
-                                       window_budget):
-        if mode == POINT:
-            absorbed[k - 1] = removed
-        elif removed is not None:
-            j = removed.offset - entry_base
-            entry[k - 1, j: j + len(removed.weights)] = removed.weights
-    return DPResult(off, cur, absorbed, entry, entry_base)
+    ends = []
+    for r in [r for r in range(d) if init[r::d].any()] or [0]:
+        off, cur = init_offset + r, init[r::d]
+        for k, off, cur, removed in _steps(off, cur, zmin, pmf, n, mode,
+                                           alpha, window_budget):
+            if mode == POINT:
+                absorbed[k - 1] += removed
+            elif removed is not None:
+                j = removed[0] - entry_base
+                entry[k - 1, j: j + d * len(removed[1]): d] = removed[1]
+        ends.append((off, cur))
+    # at most one class holds site 0 on a given step, so the POINT sums
+    # above add one absorbed mass to zeros
+    live = [e for e in ends if len(e[1])] or ends[:1]
+    lo = min(off for off, _ in live)
+    last = max(off + d * (len(cur) - 1) for off, cur in live)
+    out = np.zeros(max(last - lo + 1, 0))
+    for off, cur in live:
+        out[off - lo: off - lo + d * len(cur): d] = cur
+    return DPResult(lo, out, absorbed, entry, entry_base)

@@ -42,8 +42,7 @@ from mpmath import mp
 from . import dp
 from .errors import (ConstraintViolation, InconsistentEstimates,
                      OutOfWindow, QuadratureNotConverged, SingularSystem)
-from .laws import (StepLaw, lattice_structure, moments, phi_parts,
-                   wiener_hopf_roots)
+from .laws import StepLaw, moments, phi_parts, wiener_hopf_roots
 
 # the circle rule's node count M doubles from RULE_MIN_NODES until two
 # successive means agree to RULE_TOL * max(1, |mean|)
@@ -105,7 +104,8 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     """(acc, tail, bound) for all |x| <= X: acc accumulates
     sum_{k<=K} [p^k(0) - p^k(-x)] along one free DP from 0, and the tail
     beyond K is fitted to the block-aggregated increments."""
-    d = lattice_structure(law).period
+    zmin, pmf = law.pmf_array()
+    d = dp.period(pmf)                      # the stream's stride
     M = K // d
     K = M * d
     m0 = M // 16  # fit window: blocks m0+1 .. M (several octaves for conditioning)
@@ -113,7 +113,6 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
         raise ConstraintViolation(
             f"K={K} gives {M - m0} blocks of {d} steps to fit; the tail fit "
             f"needs at least {len(PS_EXPONENTS)}")
-    zmin, pmf = law.pmf_array()
     W = 2 * X + 1
 
     acc = np.ones(W)                        # k = 0 term; index x + X
@@ -121,20 +120,18 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     blocks = np.empty((M - m0, W))
     C = CHUNK_STEPS // d * d
     win = np.zeros((C, W))                  # row k-1 mod C: p^k on [-X, X]
-    # The walk at step k lives on the coset k*zmin + dZ, so the DP runs on
-    # the law of (Y - zmin)/d, whose site i at step k is k*zmin + d*i; the
-    # sites it skips carry exact zeros, which change no sum.  No window
-    # budget: the window is bounded by K * span / d + 1 sites, and far less
-    # once its underflowed edges are cut.  A window of mass 1 never empties,
-    # so the stream yields all K steps and the last chunk ends at k = K.
-    for k, off, cur, _ in dp._steps(0, np.ones(1), 0, pmf[::d], K, dp.FREE,
+    # The stream's site of cur[j] is off + d*j; the sites it skips carry
+    # exact zeros, which change no sum.  No window budget: the window is
+    # bounded by K * span / d + 1 sites, and far less once its underflowed
+    # edges are cut.  A window of mass 1 never empties, so the stream
+    # yields all K steps and the last chunk ends at k = K.
+    for k, off, cur, _ in dp._steps(0, np.ones(1), zmin, pmf, K, dp.FREE,
                                     1.0, math.inf):
         r = (k - 1) % C
-        base = k * zmin + d * off           # site of cur[0]
-        j0 = max(0, -((X + base) // d))     # cur[j0 .. j1] lies in [-X, X]
-        j1 = min(len(cur) - 1, (X - base) // d)
+        j0 = max(0, -((X + off) // d))      # cur[j0 .. j1] lies in [-X, X]
+        j1 = min(len(cur) - 1, (X - off) // d)
         if j1 >= j0:
-            s = base + d * j0 + X
+            s = off + d * j0 + X
             win[r, s:s + d * (j1 - j0) + 1:d] = cur[j0:j1 + 1]
         if r < C - 1 and k < K:
             continue

@@ -242,14 +242,15 @@ def ladder_invariants(law: StepLaw, pair: ladder.HarmonicPair,
 def _green_partial_sums(law: StepLaw, mode: int, x: int, y: int,
                         ns: tuple[int, ...]) -> dict[int, float]:
     """{n: sum_{k<=n} q^k(x, y)} for each n of ns, accumulated step by step
-    along one stream."""
+    along one stream, whose site of cur[i] is off + d*i."""
     zmin, pmf = law.pmf_array()
+    d = dp.period(pmf)
     total = 1.0 if x == y else 0.0
     out = {}
     for k, off, cur, _ in dp._steps(x, np.ones(1), zmin, pmf, max(ns), mode,
                                     1.0, dp.DEFAULT_WINDOW_BUDGET):
-        i = y - off
-        if 0 <= i < len(cur):
+        i, r = divmod(y - off, d)
+        if r == 0 and 0 <= i < len(cur):
             total += float(cur[i])
         if k in ns:
             out[k] = total

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,28 @@ def zero_mean_laws(draw, span=8, min_span=2, max_parts=3):
     for u, v, c in parts:
         pairs += [(-u, Fraction(c * v, total * (u + v))),
                   (v, Fraction(c * u, total * (u + v)))]
+    try:
+        return build_law(pairs)
+    except Reducible:
+        assume(False)
+
+
+@st.composite
+def periodic_laws(draw, max_period=7, max_parts=3):
+    """Zero-mean laws whose support lies on one coset c + dZ, gcd(c, d) = 1,
+    2 <= d <= max_period: mixtures of two-point laws {-u, v} with
+    v = c (mod d) and -u = c (mod d)."""
+    d = draw(st.integers(2, max_period))
+    c = draw(st.sampled_from([c for c in range(1, d) if math.gcd(c, d) == 1]))
+    parts = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                    st.integers(1, 5)), min_size=1,
+                          max_size=max_parts))
+    total = sum(w for _, _, w in parts)
+    pairs = []
+    for i, j, w in parts:
+        u, v = d - c + d * i, c + d * j
+        pairs += [(-u, Fraction(w * v, total * (u + v))),
+                  (v, Fraction(w * u, total * (u + v)))]
     try:
         return build_law(pairs)
     except Reducible:

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from walklab import build_law, dp, engine
 from walklab.errors import TailNotNegligible, WindowOverflow
+from walklab.laws import lattice_structure
 from walklab.potential import a_fourier
 
-from conftest import zero_mean_laws
+from conftest import periodic_laws, zero_mean_laws
 
 
 def _binom_pmf(n, k):
@@ -258,7 +259,9 @@ def test_run_dp_properties(law, x, n, alpha):
 
 def test_cut_takes_only_outer_zero_and_subnormal_runs(srw):
     arr = np.array([0.0, 1e-310, 0.5, 1e-310, 0.0, 0.25, 5e-324, 0.0])
-    off, w = dp._cut(-3, arr)                      # sites -3..4
+    # one step of the law Y = 0 leaves arr on sites -3..4, then cuts it
+    [(_, off, w, _)] = dp._steps(-3, arr, 0, np.ones(1), 1, dp.FREE, 1.0,
+                                 dp.DEFAULT_WINDOW_BUDGET)
     assert (off, list(w)) == (-1, [0.5, 1e-310, 0.0, 0.25])
     # a period-2 law: the interior zeros between live sites stay
     res = dp.run_dp(0, np.ones(1), -1, srw.pmf_array()[1], 9)
@@ -272,18 +275,30 @@ def test_cut_takes_only_outer_zero_and_subnormal_runs(srw):
                          5).weights) == 0
 
 
-def _uncut_dp(x0, zmin, pmf, n, mode, alpha):
-    """run_dp without any cut: the reference for the edge cut."""
-    off, cur = x0, np.ones(1)
-    for _ in range(n):
+def _full_lattice_dp(offset, weights, zmin, pmf, n, mode, alpha, cut=True):
+    """run_dp on every site of the lattice: np.convolve with the dense pmf,
+    the same absorption and the same edge cut; the reference for the
+    coset stream, and without the cut the reference for the cut."""
+    off, cur = offset, np.array(weights, dtype=float)
+    absorbed, entry = np.zeros(n), np.zeros((n, -zmin))
+    for k in range(n):
+        if len(cur) == 0:
+            break
         cur = np.convolve(cur, pmf)
         off += zmin
         if mode == dp.POINT and 0 <= -off < len(cur):
+            absorbed[k] = alpha * cur[-off]
             cur[-off] *= 1.0 - alpha
         elif mode == dp.HALFLINE:
             hi = max(min(len(cur), -off + 1), 0)
+            j = off - (1 + zmin)
+            entry[k, j:j + hi] = cur[:hi]
             cur, off = cur[hi:], off + hi
-    return off, cur
+        if cut:
+            keep = np.flatnonzero(np.abs(cur) >= dp.TINY)
+            a, b = (keep[0], keep[-1] + 1) if len(keep) else (len(cur),) * 2
+            cur, off = cur[a:b], off + a
+    return off, cur, absorbed, entry
 
 
 @settings(max_examples=20, deadline=None)
@@ -296,12 +311,76 @@ def test_cut_keeps_every_normal_weight(law, x, n, mode, alpha):
     reference window."""
     zmin, pmf = law.pmf_array()
     res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=mode, alpha=alpha)
-    off, ref = _uncut_dp(x, zmin, pmf, n, mode, alpha)
+    off, ref, _, _ = _full_lattice_dp(x, np.ones(1), zmin, pmf, n, mode,
+                                      alpha, cut=False)
     assert off <= res.offset
     assert res.offset + len(res.weights) <= off + len(ref)
     big = np.flatnonzero(ref >= 1e-280)
     got = np.array([res.prob(off + int(i)) for i in big])
     assert np.all(np.abs(got - ref[big]) <= 1e-14 * ref[big])
+
+
+_MODES = [(dp.FREE, 1.0), (dp.POINT, 1.0), (dp.POINT, 0.5),
+          (dp.HALFLINE, 1.0)]
+
+
+def _coset_vs_full(law, offset, weights, n, mode, alpha):
+    zmin, pmf = law.pmf_array()
+    res = dp.run_dp(offset, weights, zmin, pmf, n, mode=mode, alpha=alpha)
+    off, ref, absorbed, entry = _full_lattice_dp(offset, weights, zmin, pmf,
+                                                 n, mode, alpha)
+    got = dp.Window(off, ref)
+    sites = np.union1d(res.sites(), got.sites())
+    return (res, np.array([res.prob(int(y)) for y in sites]),
+            np.array([got.prob(int(y)) for y in sites]), absorbed, entry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(periodic_laws(), st.integers(-6, 6),
+       st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 1.0]), min_size=1,
+                max_size=15),
+       st.integers(1, 300), st.sampled_from(_MODES))
+def test_coset_stream_matches_full_lattice(law, x, weights, n, mode_alpha):
+    """On periodic laws, from windows that span several residue classes,
+    the per-class coset streams agree with the full-lattice DP: every
+    weight, absorbed mass and entrance-law entry agrees to 1e-15.  From a
+    window on one class the same sites are nonzero.  Each class cuts its
+    own edges, so over several classes a subnormal weight that the full
+    lattice keeps between two classes is cut; what it would have added
+    stays far below 1e-280, above which the supports agree."""
+    mode, alpha = mode_alpha
+    x0 = abs(x) + 1 if mode == dp.HALFLINE else x
+    res, got, want, absorbed, entry = _coset_vs_full(law, x0, weights, n,
+                                                     mode, alpha)
+    d = lattice_structure(law).period
+    if len({(x0 + i) % d for i, w in enumerate(weights) if w}) <= 1:
+        assert np.array_equal(got != 0, want != 0)
+    assert np.array_equal(np.abs(got) >= 1e-280, np.abs(want) >= 1e-280)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+    if mode == dp.POINT:
+        assert np.max(np.abs(res.absorbed - absorbed)) <= 1e-15
+    if mode == dp.HALFLINE:
+        assert np.max(np.abs(res.entry - entry)) <= 1e-15
+
+
+@pytest.mark.parametrize("pairs", [
+    [(-1, "1/2"), (1, "1/2")],                                # srw
+    [(-1, "2/3"), (2, "1/3")],                                # span3
+    [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
+])
+@pytest.mark.parametrize("mode, alpha", _MODES)
+def test_coset_stream_is_bit_identical_on_fixtures(pairs, mode, alpha):
+    """On srw, span3 and odd4 the coset stream is the full-lattice DP bit
+    for bit, from one site and from a window over every class."""
+    law = build_law(pairs, "law")
+    for x, weights in ((3, np.ones(1)), (1, np.ones(7))):
+        res, got, want, absorbed, entry = _coset_vs_full(
+            law, x, weights, 600, mode, alpha)
+        assert np.array_equal(got, want)
+        if mode == dp.POINT:
+            assert np.array_equal(res.absorbed, absorbed)
+        if mode == dp.HALFLINE:
+            assert np.array_equal(res.entry, entry)
 
 
 def test_p_n_extends_the_largest_cached_window(l1, l1_kernels):
