@@ -3,10 +3,12 @@
 THEOREMS holds one entry per limit law the verification harness checks:
 its right-hand side as a pure function of (x, y, n) and the precomputed
 kernels, the exact quantity it is compared with, its domain and its
-lattice rule.  Formulas that contain the free n-step probability consume
-the exact DP value by default; pass use_local_clt=True to substitute the
-Gaussian surrogate d * g_n(y - x) * 1(reachable), which isolates
-local-CLT error from limit-theorem error in reports.
+lattice rule.  Formulas that contain the free n-step probability
+p^n(y - x) take it exact by default, from WalkKernels.p_n_at: the
+Chapman-Kolmogorov dot of the two cached half-length free windows.  Pass
+use_local_clt=True to substitute the Gaussian surrogate
+d * g_n(y - x) * 1(reachable), which isolates local-CLT error from
+limit-theorem error in reports.
 """
 
 from __future__ import annotations

@@ -85,6 +85,11 @@ class Window:
         return float(np.dot(self.weights[lo - self.offset: hi - self.offset],
                             other.weights[lo - other.offset: hi - other.offset]))
 
+    def reflected(self, z: int) -> Window:
+        """The window w -> self.prob(z - w)."""
+        return Window(z - self.offset - len(self.weights) + 1,
+                      self.weights[::-1])
+
     def minus(self, other: Window) -> Window:
         """self - other as a window over the union of the two supports."""
         lo = min(self.offset, other.offset)

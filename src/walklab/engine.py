@@ -97,13 +97,9 @@ def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
     n_star = sigma2 * n
     if x_max is None:
         x_max = math.ceil(8.0 * math.sqrt(n_star))
-    zmin, pmf = law.pmf_array()
-    init = np.ones(x_max)
-    res = dp.run_dp(1, init, zmin, pmf, n, mode=dp.POINT, alpha=1.0)
-    nu_trunc = res.restricted_sum(res.offset, -1)
 
     # Gaussian envelope tail (the big-jump term is identically zero here
-    # because x_max/2 >= |support_min|).
+    # because x_max/2 >= |support_min|); both guards run before the DP.
     tail = 0.0
     var4 = 4.0 * n_star
     x = x_max + 1
@@ -118,6 +114,9 @@ def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
     if tail > tol:
         raise TailNotNegligible(f"tail bound {tail:.3g} exceeds tol {tol:.3g}")
 
+    zmin, pmf = law.pmf_array()
+    res = dp.run_dp(1, np.ones(x_max), zmin, pmf, n, mode=dp.POINT, alpha=1.0)
+    nu_trunc = res.restricted_sum(res.offset, -1)
     lo = -int(math.floor(ell * math.sqrt(n_star)))
     expected_particles = res.restricted_sum(lo, -1)
     return nu_trunc, tail, expected_particles

@@ -60,9 +60,24 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     struct = lattice_structure(law)
     refl = law.reflected()
 
-    # free evolution mass
-    free = engine.evolve_free(law, 0, n_big)
+    # free evolution mass, and the free kernel as the Chapman-Kolmogorov dot
+    # of its two halves (kernels.p_n_at); n steps are floor(n/2), then one
+    # step to ceil(n/2) for odd n, then floor(n/2) more, bit for bit
+    zmin, pmf = law.pmf_array()
+    p_lo = engine.evolve_free(law, 0, n_big // 2)
+    p_hi = (p_lo if n_big % 2 == 0 else
+            dp.run_dp(p_lo.offset, p_lo.weights, zmin, pmf, 1))
+    free = dp.run_dp(p_hi.offset, p_hi.weights, zmin, pmf, n_big // 2)
     _check(results, f"free mass n={n_big}", free.mass() - 1.0, 1e-12)
+    # at the argmax and at +-floor(sqrt(sigma2 n)) from it, rounded down to
+    # the period so that all three sites are reachable
+    z0 = free.offset + int(np.argmax(free.weights))
+    step = math.isqrt(int(moments(law).sigma2 * n_big))
+    step -= step % struct.period
+    gap = max(abs(p_hi.dot(p_lo.reflected(z)) / free.prob(z) - 1.0)
+              for z in (z0 - step, z0, z0 + step))
+    _check(results, f"free kernel by Chapman-Kolmogorov n={n_big}", gap,
+           1e-12)
 
     # mass conservation, point and halfline modes
     for x in (1, 3):
@@ -80,7 +95,6 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     kill = {"point": engine.absorbed_at_origin,
             "halfline": engine.absorbed_on_halfline}
     mhalf, nd = n_big // 2, 256
-    zmin, pmf = law.pmf_array()
     for mode, run in kill.items():
         a = run(law, 2, mhalf)
         b = run(refl, 3, n_big - mhalf)

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from walklab import build_law, dp, engine
 from walklab.errors import TailNotNegligible, WindowOverflow
-from walklab.laws import lattice_structure
+from walklab.kernels import WalkKernels
+from walklab.laws import lattice_structure, moments
 from walklab.potential import a_fourier
 
-from conftest import periodic_laws, zero_mean_laws
+from conftest import (L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS, periodic_laws,
+                      zero_mean_laws)
 
 
 def _binom_pmf(n, k):
@@ -156,7 +158,12 @@ class TestNuAndParticles:
         assert 0.0 < nu < 1.0
         assert tail < 1e-3
 
-    def test_truncation_guard(self, l1):
+    def test_truncation_guard(self, l1, monkeypatch):
+        """Both guards read only the law, n and x_max: they raise before
+        the DP runs."""
+        def run_dp(*args, **kwargs):
+            raise AssertionError("nu_and_particles ran its DP")
+        monkeypatch.setattr(dp, "run_dp", run_dp)
         with pytest.raises(TailNotNegligible):
             engine.nu_and_particles(l1, 256, x_max=5)
 
@@ -391,6 +398,65 @@ def test_p_n_extends_the_largest_cached_window(l1, l1_kernels):
         assert got.offset == want.offset
         assert np.array_equal(got.weights, want.weights)
     assert sorted(kernels._free_cache) == [256, 300, 1024, 4096]
+
+
+def _free_kernels(law):
+    """A WalkKernels with an empty free cache; p_n and p_n_at read only
+    the law, so the tables are left out."""
+    return WalkKernels(law, moments(law), lattice_structure(law),
+                       *[None] * 7)
+
+
+def _assert_p_n_at_is_the_dp(law, n):
+    """p_n_at(n, z) against p_n(n).prob(z) for |z| <= 4 sqrt(n): 1e-13
+    relative, and exactly 0.0 wherever the DP gives 0."""
+    kernels = _free_kernels(law)
+    full = kernels.p_n(n)
+    r = int(4 * math.sqrt(n))
+    for z in range(-r, r + 1):
+        got, want = kernels.p_n_at(n, z), full.prob(z)
+        if want == 0.0:
+            assert got == 0.0, (n, z, got)
+        else:
+            assert abs(got - want) <= 1e-13 * want, (n, z, got, want)
+
+
+_P_N_AT_NS = (1, 2, 257, 1024, 4096)
+
+
+@pytest.mark.parametrize("pairs", [
+    SRW_PAIRS, L1_PAIRS, SPAN3_PAIRS,
+    [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
+], ids=["srw", "l1", "span3", "odd4"])
+@pytest.mark.parametrize("n", _P_N_AT_NS)
+def test_p_n_at_is_the_dp_on_fixtures(pairs, n):
+    _assert_p_n_at_is_the_dp(build_law(pairs, "law"), n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(periodic_laws())
+def test_p_n_at_is_the_dp_on_periodic_laws(law):
+    for n in _P_N_AT_NS:
+        _assert_p_n_at_is_the_dp(law, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(zero_mean_laws(), periodic_laws()),
+       st.sampled_from([1, 2, 7, 33, 64]))
+def test_p_n_at_against_rationals(law, n):
+    """Within n ulps of the exact value, the rounding budget of n steps;
+    over random laws the worst seen at n = 64 was 29 ulps, as for the
+    full DP."""
+    kernels = _free_kernels(law)
+    eps = np.finfo(np.float64).eps
+    for z, v in engine.evolve_free_exact(law, 0, n).items():
+        assert abs(kernels.p_n_at(n, z) - float(v)) <= n * eps * float(v)
+
+
+def test_p_n_at_runs_half_the_steps(l1):
+    kernels = _free_kernels(l1)
+    kernels.p_n_at(4096, 5)
+    assert max(kernels._free_cache) == 2048
 
 
 def _fraction_dp(law, x, n, kill_origin):

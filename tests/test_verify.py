@@ -2,7 +2,7 @@
 convergence summaries."""
 import pytest
 
-from walklab import build_law
+from walklab import build_law, engine
 from walklab.asymptotics import THEOREMS, TheoremId
 from walklab.errors import ConstraintViolation
 from walklab.kernels import build_kernels
@@ -54,6 +54,12 @@ class TestInvariantSuite:
         ck = [r for r in results if r.name.startswith("Chapman")]
         assert [r.name[-9:] for r in ck] == ["(128+129)"] * 2
         assert all(r.status == "pass" for r in ck), ck
+        # the free run takes 128 steps, one more to 129, then 128 more: the
+        # single 257-step run bit for bit, so the mass row keeps its value
+        rows = {r.name: r for r in results}
+        assert rows["free kernel by Chapman-Kolmogorov n=257"].status == "pass"
+        assert rows["free mass n=257"].residual == abs(
+            engine.evolve_free(span3, 0, 257).mass() - 1.0)
 
 
 class TestRegionGating:
