@@ -15,9 +15,9 @@ b - 1 outside (none on it, as the law generates Z), and
 the descending ladder takes 1/r for each root r inside the disc.  The
 roots are laws.wiener_hopf_roots, the same ones the potential table is
 solved from.  The product is expanded at ROOT_DPS digits and rounded to
-float once.  The
-truncated half-line DP is kept as the independent route (ladder_buckets),
-checked against the exact laws in verify.invariant_suite.
+float once.  The truncated half-line DP is kept as the independent route:
+ladder_buckets reads a half-line run of verify.invariant_suite, which
+checks it against the exact laws.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .dp import Window
-from .engine import absorbed_on_halfline
+from .dp import DPResult, Window
+from .engine import absorbed_on_halfline  # noqa: F401, walkbench's tracing test reads it here
 from .errors import OutOfWindow
 from .laws import ROOT_DPS, StepLaw, moments, wiener_hopf_roots
 from .potential import PotentialTable
-
-BUCKET_STEPS = 2048   # steps of the DP cross-check
 
 
 @dataclass
@@ -62,14 +60,14 @@ def ladder_height_law(law: StepLaw, direction: str) -> LadderHeightLaw:
                                float(mean))
 
 
-def ladder_buckets(law: StepLaw, direction: str) -> tuple[np.ndarray, float]:
-    """The DP route: (mass entering each height 1..b within BUCKET_STEPS
-    steps, mass not entered by then).  The first entry of S into [1, inf)
-    from 0 is that of V = 1 - S into (-inf, 0] from 1, and V steps with the
-    reflected law; entry site y <= 0 is height 1 - y."""
-    walk = law.reflected() if direction == "ascending" else law
-    res = absorbed_on_halfline(walk, 1, BUCKET_STEPS)
-    return res.entry.sum(axis=0)[::-1], res.mass()
+def ladder_buckets(run: DPResult) -> tuple[np.ndarray, float]:
+    """The DP route, from a half-line run from 1: (mass entering each
+    height 1..b within its steps, mass not entered by then).  The first
+    entry of S into [1, inf) from 0 is that of V = 1 - S into (-inf, 0]
+    from 1, and V steps with the reflected law, so the ascending buckets
+    read a run of the reflected law and the descending ones a run of the
+    law itself; entry site y <= 0 is height 1 - y."""
+    return run.entry.sum(axis=0)[::-1], run.mass()
 
 
 @dataclass

@@ -54,63 +54,105 @@ def _skip(results, name, reason):
     results.append(InvariantResult(name, "skip", 0.0, 0.0, reason))
 
 
+def _stream(law: StepLaw, x: int, mode: int,
+            ns: tuple[int, ...]) -> dict[int, dp.DPResult]:
+    """{n: the n-step run of mode from x} for each n of ns, from one DP
+    stream: each snapshot extends the one before it by run_dp on its window
+    (m steps and then n - m more are the n-step run, bit for bit), and its
+    absorbed or entry is concatenated to cover steps 1..n."""
+    zmin, pmf = law.pmf_array()
+    out, k, res = {}, 0, dp.DPResult(x, np.ones(1))
+    for n in sorted(set(ns)):
+        nxt = dp.run_dp(res.offset, res.weights, zmin, pmf, n - k, mode)
+        if k and mode == dp.POINT:
+            nxt.absorbed = np.concatenate((res.absorbed, nxt.absorbed))
+        elif k and mode == dp.HALFLINE:
+            nxt.entry = np.concatenate((res.entry, nxt.entry))
+        out[n] = res = nxt
+        k = n
+    return out
+
+
 def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
                     n_big: int = 4096) -> list[InvariantResult]:
+    """Exact identities of the DP kernels, at float tolerances.  Each check
+    reads a snapshot of one DP stream per (law, start, mode) (_stream);
+    with m = n_big // 2:
+
+    * free from 0 at 257, m, n_big - m and n_big (and 512 for the unit-step
+      walk): reachability, the two Chapman-Kolmogorov halves of p^n, free
+      mass and the reflection oracle;
+    * point and halfline from 1 at m and n_big: the first window and the
+      full window of Chapman-Kolmogorov, mass bookkeeping x=1 (and the
+      reflection oracle's x=1 at 512); the halfline run at m is the
+      descending ladder-bucket run;
+    * point and halfline from 3 at 48 (point only), 256 and n_big: float
+      vs rational, domination, duality's first side and mass bookkeeping
+      x=3;
+    * point and halfline of the reflected law from 1 at n_big - m: the
+      dual window of Chapman-Kolmogorov; the halfline run is the
+      ascending ladder-bucket run;
+    * point and halfline of the reflected law from 5 at 256: duality's
+      second side.
+
+    Domination also runs free from 3 for 256 steps, the reflection oracle
+    point from 2 and 5 for 512, and the Green checks (with kernels) their
+    partial sums from 2.  Failures are data, not exceptions.
+    """
     results: list[InvariantResult] = []
     struct = lattice_structure(law)
     refl = law.reflected()
+    m, nd, nr, nex = n_big // 2, 256, 257, 48
+    oracle = (512,) if law.increments == (-1, 1) else ()
+    free = _stream(law, 0, dp.FREE, (nr, m, n_big - m, n_big) + oracle)
+    q1 = {"point": _stream(law, 1, dp.POINT, (m, n_big) + oracle),
+          "halfline": _stream(law, 1, dp.HALFLINE, (m, n_big))}
+    q3 = {"point": _stream(law, 3, dp.POINT, (nex, nd, n_big)),
+          "halfline": _stream(law, 3, dp.HALFLINE, (nd, n_big))}
+    kill = {"point": engine.absorbed_at_origin,
+            "halfline": engine.absorbed_on_halfline}
+    r1 = {mode: run(refl, 1, n_big - m) for mode, run in kill.items()}
 
     # free evolution mass, and the free kernel as the Chapman-Kolmogorov dot
-    # of its two halves (kernels.p_n_at); n steps are floor(n/2), then one
-    # step to ceil(n/2) for odd n, then floor(n/2) more, bit for bit
-    zmin, pmf = law.pmf_array()
-    p_lo = engine.evolve_free(law, 0, n_big // 2)
-    p_hi = (p_lo if n_big % 2 == 0 else
-            dp.run_dp(p_lo.offset, p_lo.weights, zmin, pmf, 1))
-    free = dp.run_dp(p_hi.offset, p_hi.weights, zmin, pmf, n_big // 2)
-    _check(results, f"free mass n={n_big}", free.mass() - 1.0, 1e-12)
+    # of its two halves (kernels.p_n_at)
+    p_lo, p_hi, full = free[m], free[n_big - m], free[n_big]
+    _check(results, f"free mass n={n_big}", full.mass() - 1.0, 1e-12)
     # at the argmax and at +-floor(sqrt(sigma2 n)) from it, rounded down to
-    # the period so that all three sites are reachable
-    z0 = free.offset + int(np.argmax(free.weights))
+    # the period; a site where p^n is 0 (the argmax never is) fails only
+    # if the dot there is not 0
+    z0 = full.offset + int(np.argmax(full.weights))
     step = math.isqrt(int(moments(law).sigma2 * n_big))
     step -= step % struct.period
-    gap = max(abs(p_hi.dot(p_lo.reflected(z)) / free.prob(z) - 1.0)
-              for z in (z0 - step, z0, z0 + step))
+    gap = 0.0
+    for z in (z0 - step, z0, z0 + step):
+        dot, pz = p_hi.dot(p_lo.reflected(z)), full.prob(z)
+        gap = max(gap, abs(dot / pz - 1.0) if pz
+                  else math.inf if dot else 0.0)
     _check(results, f"free kernel by Chapman-Kolmogorov n={n_big}", gap,
            1e-12)
 
     # mass conservation, point and halfline modes
-    for x in (1, 3):
-        q = engine.absorbed_at_origin(law, x, n_big)
+    for x, q in ((1, q1), (3, q3)):
+        qp, qh = q["point"][n_big], q["halfline"][n_big]
         _check(results, f"point mass bookkeeping x={x}",
-               q.mass() + q.absorbed.sum() - 1.0, 1e-10)
-        _check(results, f"point kernel vanishes at 0, x={x}", q.prob(0), 0.0)
-        qh = engine.absorbed_on_halfline(law, x, n_big)
+               qp.mass() + qp.absorbed.sum() - 1.0, 1e-10)
+        _check(results, f"point kernel vanishes at 0, x={x}", qp.prob(0),
+               0.0)
         _check(results, f"halfline mass bookkeeping x={x}",
                qh.mass() + qh.entry.sum() - 1.0, 1e-10)
 
-    # Chapman-Kolmogorov via the dual window (q^n(z, y) = q~^n(y, z)), then
-    # duality (time reversal); the n_big window extends the mhalf one, as
-    # n steps are m steps and then n - m more, bit for bit
-    kill = {"point": engine.absorbed_at_origin,
-            "halfline": engine.absorbed_on_halfline}
-    mhalf, nd = n_big // 2, 256
+    # Chapman-Kolmogorov via the dual window, q^n(1, 1) = sum_z q^m(1, z)
+    # q~^(n-m)(1, z), as q^k(z, y) = q~^k(y, z); then duality (time
+    # reversal), q^256(3, 5) = q~^256(5, 3)
+    for mode in kill:
+        _check(results, f"Chapman-Kolmogorov {mode} ({m}+{n_big - m})",
+               q1[mode][m].dot(r1[mode]) - q1[mode][n_big].prob(1), 1e-10)
     for mode, run in kill.items():
-        a = run(law, 2, mhalf)
-        b = run(refl, 3, n_big - mhalf)
-        full = dp.run_dp(a.offset, a.weights, zmin, pmf, n_big - mhalf,
-                         _DP_MODE[mode])
-        _check(results,
-               f"Chapman-Kolmogorov {mode} ({mhalf}+{n_big - mhalf})",
-               a.dot(b) - full.prob(3), 1e-10)
-    for mode, run in kill.items():
-        a = run(law, 2, nd)
-        b = run(refl, 5, nd)
-        _check(results, f"duality {mode} n={nd}", a.prob(5) - b.prob(2), 1e-12)
+        _check(results, f"duality {mode} n={nd}",
+               q3[mode][nd].prob(5) - run(refl, 5, nd).prob(3), 1e-12)
 
     # reachability: support of p^n confined to the congruence class
-    nr = 257
-    d = engine.evolve_free(law, 0, nr)
+    d = free[nr]
     bad = 0.0
     for i, w in enumerate(d.weights):
         if not struct.reachable(nr, d.offset + i):
@@ -118,10 +160,8 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     _check(results, f"reachability n={nr}", bad, 0.0)
 
     # domination chain at n = 256
-    x = 3
-    p = engine.evolve_free(law, x, nd)
-    q = engine.absorbed_at_origin(law, x, nd)
-    qh = engine.absorbed_on_halfline(law, x, nd)
+    p = engine.evolve_free(law, 3, nd)
+    q, qh = q3["point"][nd], q3["halfline"][nd]
     worst = 0.0
     for i, w in enumerate(qh.weights):
         y = qh.offset + i
@@ -133,19 +173,19 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
            max(worst, 0.0), 1e-14)
 
     # float DP calibrated against rational DP
-    nex = 48
-    exact = engine.absorbed_at_origin_exact(law, 2, nex)[0]
-    qf = engine.absorbed_at_origin(law, 2, nex)
+    exact = engine.absorbed_at_origin_exact(law, 3, nex)[0]
+    qf = q3["point"][nex]
     err = max(abs(qf.prob(s) - float(v)) for s, v in exact.items())
     _check(results, f"float vs rational DP n={nex}", err, 1e-13)
 
     # reflection-principle oracle (symmetric unit-step walk only)
-    if law.increments == (-1, 1):
-        nn = 512
-        p = engine.evolve_free(law, 0, nn)
+    if oracle:
+        nn = oracle[0]
+        p = free[nn]
         worst = 0.0
         for x0, y0 in ((1, 1), (2, 4), (5, 3)):
-            qv = engine.absorbed_at_origin(law, x0, nn)
+            qv = (q1["point"][nn] if x0 == 1 else
+                  engine.absorbed_at_origin(law, x0, nn))
             for i, w in enumerate(qv.weights):
                 y = qv.offset + i
                 if y < 1:
@@ -167,12 +207,15 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
               "law has down-jumps below -1")
 
     if kernels is not None:
-        _kernel_invariants(law, kernels, results)
+        buckets = {"ascending": r1["halfline"],
+                   "descending": q1["halfline"][m]}
+        _kernel_invariants(law, kernels, results, buckets)
     return results
 
 
 def _kernel_invariants(law: StepLaw, k: WalkKernels,
-                       results: list[InvariantResult]):
+                       results: list[InvariantResult],
+                       buckets: dict[str, dp.DPResult]):
     sigma2 = k.sigma2()
     table, pair = k.table, k.pair
 
@@ -189,7 +232,7 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
     _check(results, "potential table vs Fourier route", gap,
            potential.QUAD_GATE, detail)
 
-    ladder_invariants(law, pair, results)
+    ladder_invariants(law, pair, results, buckets)
 
     # Green functions dominate their DP partial sums, gap shrinking
     for name, fn in (
@@ -219,9 +262,12 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
 
 
 def ladder_invariants(law: StepLaw, pair: ladder.HarmonicPair,
-                      results: list[InvariantResult]):
+                      results: list[InvariantResult],
+                      buckets: dict[str, dp.DPResult]):
     """Checks of the ladder-height laws and of the harmonic pair built from
-    them; they need no potential table."""
+    them; they need no potential table.  buckets[direction] is the half-line
+    run from 1 that ladder.ladder_buckets reads: of the reflected law for
+    "ascending", of the law for "descending"."""
     sigma2 = float(moments(law).sigma2)
     worst = 0.0
     for side in ("plus", "minus"):
@@ -241,8 +287,8 @@ def ladder_invariants(law: StepLaw, pair: ladder.HarmonicPair,
 
     # each exact height probability lies in [DP bucket, bucket + deficit]
     for d in ("ascending", "descending"):
-        buckets, deficit = ladder.ladder_buckets(law, d)
-        gap = ladder.ladder_height_law(law, d).pmf - buckets
+        entered, deficit = ladder.ladder_buckets(buckets[d])
+        gap = ladder.ladder_height_law(law, d).pmf - entered
         _check(results, f"{d} ladder heights vs DP buckets",
                max(0.0, -gap.min(), (gap - deficit).max()), 1e-12,
                f"deficit={deficit:.3g}")

@@ -171,6 +171,22 @@ class TestReport:
                      "--out", str(out)]) == 0
         assert "[fail]" not in out.read_text()
 
+    @pytest.mark.parametrize("pairs", [
+        [[-1, "1/2"], [1, "1/2"]], L1["pairs"], SPAN3["pairs"],
+        [[z, "1/5"] for z in range(-2, 3)],
+        [[z, "1/4"] for z in (-3, -1, 1, 3)],
+    ], ids=["srw", "l1", "span3", "sym5", "odd4"])
+    def test_tiny_n_big_passes(self, pairs, tmp_path):
+        # the free Chapman-Kolmogorov sites +-sqrt(sigma2 n) off the argmax
+        # can lie off the support of p^n at these n
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"name": "law", "pairs": pairs}))
+        out = tmp_path / "report.txt"
+        for n_big in range(1, 5):
+            assert main(["report", "--law", str(law), "--n-big", str(n_big),
+                         "--out", str(out)]) == 0, n_big
+            assert "[fail]" not in out.read_text(), n_big
+
 
 @pytest.mark.parametrize("argv, code, message", [
     (["verify", "--theorem", "T11i", "--n", "0"], 2,

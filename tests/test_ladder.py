@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from walklab import build_law, laws, verify
+from walklab import build_law, engine, laws, verify
 from walklab.errors import FactorizationFailed
 from walklab.ladder import (build_harmonic_pair, c_entrance_route,
                             entrance_law_from, entrance_law_inf,
@@ -86,9 +86,13 @@ class TestLadderHeights:
 @given(zero_mean_laws(span=12))
 def test_ladder_invariants_for_any_law(law):
     """The ladder laws and the harmonic pair pass the invariant suite's
-    checks, at its tolerances, for random laws of span up to 12."""
+    checks, at its tolerances, for random laws of span up to 12, with the
+    ladder buckets from the suite's 2048-step half-line runs at its default
+    n_big."""
+    runs = {"ascending": engine.absorbed_on_halfline(law.reflected(), 1, 2048),
+            "descending": engine.absorbed_on_halfline(law, 1, 2048)}
     results = []
-    verify.ladder_invariants(law, build_harmonic_pair(law), results)
+    verify.ladder_invariants(law, build_harmonic_pair(law), results, runs)
     assert [r for r in results if r.status != "pass"] == []
 
 

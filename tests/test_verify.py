@@ -1,14 +1,17 @@
 """Invariant suite, scaled comparison grids, region gating, and
 convergence summaries."""
+import numpy as np
 import pytest
 
-from walklab import build_law, engine
+from walklab import build_law, dp, engine
 from walklab.asymptotics import THEOREMS, TheoremId
 from walklab.errors import ConstraintViolation
 from walklab.kernels import build_kernels
 from walklab.report import csv_text, emit_comparison, summary_text
-from walklab.verify import (GridSpec, compare_grid, convergence_report,
-                            invariant_suite)
+from walklab.verify import (GridSpec, _stream, compare_grid,
+                            convergence_report, invariant_suite)
+
+from conftest import L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS
 
 
 class TestInvariantSuite:
@@ -60,6 +63,48 @@ class TestInvariantSuite:
         assert rows["free kernel by Chapman-Kolmogorov n=257"].status == "pass"
         assert rows["free mass n=257"].residual == abs(
             engine.evolve_free(span3, 0, 257).mass() - 1.0)
+
+    def test_suite_step_budget(self, l1, l1_kernels, monkeypatch):
+        """One DP stream per (law, start, mode): a run that repeats a prefix
+        of another from the same start pushes an l1 suite past the budget
+        (41,009 steps when each check ran its own DP)."""
+        steps, count = dp._steps, [0]
+
+        def counted(*args, **kwargs):
+            for item in steps(*args, **kwargs):
+                count[0] += 1
+                yield item
+
+        monkeypatch.setattr(dp, "_steps", counted)
+        invariant_suite(l1, kernels=l1_kernels, n_big=4096)
+        assert 0 < count[0] <= 28_000
+
+
+def _same(a, b):
+    return a is b is None or (a.shape == b.shape
+                              and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("pairs", [
+    SRW_PAIRS, L1_PAIRS, SPAN3_PAIRS,
+    [(-41, "20/61"), (20, "41/61")],                          # period 61
+    [(-1, "5/8"), (1, "1/4"), (3, "1/8")],                    # period 2
+], ids=["srw", "l1", "span3", "p61", "period2"])
+def test_stream_snapshots_are_fresh_runs(pairs):
+    """Each snapshot of one stream, extended past the edge cut, is the
+    fresh run of its length bit for bit, with its passage and entrance
+    tables covering every step."""
+    law = build_law(pairs, "law")
+    zmin, pmf = law.pmf_array()
+    for mode in (dp.FREE, dp.POINT, dp.HALFLINE):
+        for n, got in _stream(law, 3, mode, (257, 2048, 4096)).items():
+            want = dp.run_dp(3, np.ones(1), zmin, pmf, n, mode)
+            assert (got.offset, got.entry_base) == (want.offset,
+                                                    want.entry_base)
+            for a, b in ((got.weights, want.weights),
+                         (got.absorbed, want.absorbed),
+                         (got.entry, want.entry)):
+                assert _same(a, b), (mode, n)
 
 
 class TestRegionGating:
