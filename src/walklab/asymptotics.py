@@ -8,7 +8,9 @@ p^n(y - x) take it exact by default, from WalkKernels.p_n_at: the
 Chapman-Kolmogorov dot of the two cached half-length free windows.  Pass
 use_local_clt=True to substitute the Gaussian surrogate
 d * g_n(y - x) * 1(reachable), which isolates local-CLT error from
-limit-theorem error in reports.
+limit-theorem error in reports; it reads the same table, pair and
+entrance-law sites as the exact form with no DP, so verify's grid plan
+uses it to find a failing cell before any DP runs.
 """
 
 from __future__ import annotations

@@ -80,26 +80,23 @@ def negative_mass(law: StepLaw, x: int, n: int) -> float:
     return q.restricted_sum(q.offset, -1)
 
 
-def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
-                     ell: float = 1.0, tol: float = 0.05):
-    """Truncation of nu_n = sum_{x>=1} Q_x^+(n), with a tail bound, and
-    the expected count of surviving particles in [-ell*sqrt(sigma2 n), -1]
-    when one particle starts on every site of 1..x_max.
+def nu_tail_bound(law: StepLaw, n: int, x_max: int | None = None,
+                  tol: float = 0.05) -> tuple[int, float]:
+    """(x_max, tail bound) of nu_and_particles at n, with no DP; raises
+    TailNotNegligible where nu_and_particles would.
 
-    A single point-absorbed DP with unit mass on every start site gives
-    both sums by linearity.  The tail over x > x_max is bounded by the
-    Gaussian envelope sum_{x > x_max} g_{4n}(x) plus the exact big-jump
-    term sum_{y<0} |y| P[Y < y - x/2], which vanishes for finite support
-    once x_max exceeds twice the largest down-jump.
+    The tail over x > x_max is bounded by the Gaussian envelope
+    sum_{x > x_max} g_{4n}(x) plus the exact big-jump term
+    sum_{y<0} |y| P[Y < y - x/2], which vanishes for finite support once
+    x_max exceeds twice the largest down-jump.  x_max defaults to
+    ceil(8 sqrt(sigma2 n)).
     """
-    m = moments(law)
-    sigma2 = float(m.sigma2)
-    n_star = sigma2 * n
+    n_star = float(moments(law).sigma2) * n
     if x_max is None:
         x_max = math.ceil(8.0 * math.sqrt(n_star))
 
     # Gaussian envelope tail (the big-jump term is identically zero here
-    # because x_max/2 >= |support_min|); both guards run before the DP.
+    # because x_max/2 >= |support_min|)
     tail = 0.0
     var4 = 4.0 * n_star
     x = x_max + 1
@@ -113,7 +110,21 @@ def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
         raise TailNotNegligible("x_max below twice the largest down-jump")
     if tail > tol:
         raise TailNotNegligible(f"tail bound {tail:.3g} exceeds tol {tol:.3g}")
+    return x_max, tail
 
+
+def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
+                     ell: float = 1.0, tol: float = 0.05):
+    """Truncation of nu_n = sum_{x>=1} Q_x^+(n), with a tail bound, and
+    the expected count of surviving particles in [-ell*sqrt(sigma2 n), -1]
+    when one particle starts on every site of 1..x_max.
+
+    A single point-absorbed DP with unit mass on every start site gives
+    both sums by linearity.  x_max and the tail bound come from
+    nu_tail_bound, whose guards run before the DP.
+    """
+    x_max, tail = nu_tail_bound(law, n, x_max, tol)
+    n_star = float(moments(law).sigma2) * n
     zmin, pmf = law.pmf_array()
     res = dp.run_dp(1, np.ones(x_max), zmin, pmf, n, mode=dp.POINT, alpha=1.0)
     nu_trunc = res.restricted_sum(res.offset, -1)

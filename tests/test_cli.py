@@ -187,6 +187,19 @@ class TestReport:
                          "--out", str(out)]) == 0, n_big
             assert "[fail]" not in out.read_text(), n_big
 
+    def test_zero_step_bucket_run_is_skipped(self, law_file, tmp_path):
+        # at n_big = 1 the descending buckets read a run of 0 steps, which
+        # enters no height; the ascending run takes 1 step and is checked
+        out = tmp_path / "report.txt"
+        assert main(["report", "--law", law_file, "--n-big", "1",
+                     "--out", str(out)]) == 0
+        rows = [r.strip() for r in out.read_text().splitlines()
+                if "ladder heights vs DP buckets" in r]
+        assert rows[0].startswith("[pass] ascending ladder heights")
+        assert rows[1] == ("[skip] descending ladder heights vs DP buckets: "
+                           "residual 0 (tol 0) -- the half-line run from 1 "
+                           "has 0 steps")
+
 
 @pytest.mark.parametrize("argv, code, message", [
     (["verify", "--theorem", "T11i", "--n", "0"], 2,

@@ -1,11 +1,15 @@
 """Invariant suite, scaled comparison grids, region gating, and
 convergence summaries."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from walklab import build_law, dp, engine
+from walklab import asymptotics, build_law, dp, engine
 from walklab.asymptotics import THEOREMS, TheoremId
-from walklab.errors import ConstraintViolation
+from walklab.errors import (ConstraintViolation, OutOfWindow,
+                            TailNotNegligible, WalklabError)
 from walklab.kernels import build_kernels
 from walklab.report import csv_text, emit_comparison, summary_text
 from walklab.verify import (GridSpec, _stream, compare_grid,
@@ -135,6 +139,10 @@ IN_DOMAIN = {
 }
 
 
+def _no_dp(*args, **kwargs):
+    raise AssertionError("a grid that fails ran a DP")
+
+
 class TestTheoremTable:
     def test_one_entry_per_id(self):
         assert set(THEOREMS) == set(TheoremId)
@@ -150,22 +158,34 @@ class TestTheoremTable:
             assert r.rel_err == abs(r.exact - r.rhs) / max(abs(r.exact),
                                                            1e-16)
 
-    @pytest.mark.parametrize("theorem, grid, message", [
-        (TheoremId.T11i, dict(xis=(5.0,)),
+    @pytest.mark.parametrize("theorem, grid, error, message", [
+        (TheoremId.T11i, dict(xis=(5.0,)), ConstraintViolation,
          "T11i: |x| v |y| = 46 exceeds a_circ sqrt(n*) = 18.5 at n=64"),
-        (TheoremId.T11ii, dict(etas=(-0.2,)), "T11ii requires xy > 0"),
-        (TheoremId.T11iii_bound, {},
+        (TheoremId.T11ii, dict(etas=(-0.2,)), ConstraintViolation,
+         "T11ii requires xy > 0"),
+        (TheoremId.T11iii_bound, {}, ConstraintViolation,
          "T11iii_bound requires 0 < |x|^|y| < sqrt(n) < |x|v|y|"),
-        (TheoremId.T12_refined, {}, "T12_refined requires y < 0 < x"),
-        (TheoremId.T13, dict(etas=(-0.2,)), "T13 requires x, y >= 1"),
+        (TheoremId.T12_refined, {}, ConstraintViolation,
+         "T12_refined requires y < 0 < x"),
+        (TheoremId.T13, dict(etas=(-0.2,)), ConstraintViolation,
+         "T13 requires x, y >= 1"),
+        # the potential table holds a(x) for |x| <= 80; x = 96 at n = 16384
+        (TheoremId.T11i, dict(ns=(256, 1024, 4096, 16384), xis=(0.65,)),
+         OutOfWindow, "x=96 outside [\u221280, 80]"),
+        # the harmonic pair holds f_+(x) for x <= 400; x = 440 at n = 16384
+        (TheoremId.T13, dict(ns=(256, 16384), xis=(3.0,)), OutOfWindow,
+         "x=440 outside 1..400"),
     ], ids=["a_circ", "same_sign", "T11iii_window", "opposite_sign",
-            "halfline"])
-    def test_out_of_domain_grid_raises(self, theorem, grid, message,
-                                       l1_kernels):
-        spec = GridSpec(theorem, ns=(64, 256), **grid)
-        with pytest.raises(ConstraintViolation) as e:
+            "halfline", "table_window", "pair_window"])
+    def test_out_of_domain_grid_raises(self, theorem, grid, error, message,
+                                       l1_kernels, monkeypatch):
+        """A cell outside the domain or the windows fails the grid before
+        its first DP, whatever its n."""
+        monkeypatch.setattr(dp, "_steps", _no_dp)
+        spec = GridSpec(theorem, **{"ns": (64, 256), **grid})
+        with pytest.raises(error) as e:
             compare_grid(spec, l1_kernels)
-        assert str(e.value) == message
+        assert e.value.args == (message,)
 
     @pytest.mark.parametrize("theorem", [
         TheoremId.T14, TheoremId.C11, TheoremId.P12_Qplus,
@@ -175,6 +195,76 @@ class TestTheoremTable:
         with pytest.raises(ConstraintViolation) as e:
             THEOREMS[theorem].check(0, -1, 64, 18.5)
         assert str(e.value) == f"{theorem.value} requires x != 0"
+
+
+class TestPlan:
+    """compare_grid checks every cell, and evaluates its right-hand side with
+    no DP, before the first DP of the grid."""
+
+    def test_nu_tail_fails_before_the_first_dp(self, monkeypatch):
+        # x_max = ceil(8 sqrt(sigma2 n)) = 4 at n = 2, below twice the
+        # down-jump of 10; n = 256 comes first in the grid
+        law = build_law([(-10, "1/1000"), (0, "989/1000"), (1, "10/1000")],
+                        "deep")
+        k = build_kernels(law)
+        monkeypatch.setattr(dp, "_steps", _no_dp)
+        for theorem in (TheoremId.T15_nu, TheoremId.C12_particles):
+            with pytest.raises(TailNotNegligible,
+                               match="x_max below twice the largest"):
+                compare_grid(GridSpec(theorem, ns=(256, 2)), k)
+
+    def test_one_exact_run_per_start(self, l1_kernels, monkeypatch):
+        """xi = 0.01 and 0.02 both start at x = 1, 2, 4 on l1: one stream
+        per n, and the rows of the two single-xi grids, in grid order."""
+        spec = dict(ns=(256, 1024, 4096), etas=(0.2,))
+        want = sorted(
+            [r for xi in (0.01, 0.02) for r in compare_grid(
+                GridSpec(TheoremId.T11ii, xis=(xi,), **spec),
+                l1_kernels).rows], key=lambda r: r.n)
+        steps, streams = dp._steps, []
+
+        def counted(*args, **kwargs):
+            streams.append(args[4])
+            return steps(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "_steps", counted)
+        rep = compare_grid(GridSpec(TheoremId.T11ii, xis=(0.01, 0.02),
+                                    **spec), l1_kernels)
+        assert streams == [256, 1024, 4096]
+        assert [(r.x, r.xi) for r in rep.rows] == [
+            (1, 0.01), (1, 0.02), (2, 0.01), (2, 0.02), (4, 0.01),
+            (4, 0.02)]
+        assert rep.rows == want
+
+
+@pytest.fixture(scope="session")
+def fixture_kernels(srw_kernels, l1_kernels, span3_kernels):
+    return {"srw": srw_kernels, "l1": l1_kernels, "span3": span3_kernels}
+
+
+@settings(max_examples=120, deadline=None)
+@given(theorem=st.sampled_from(list(TheoremId)),
+       law=st.sampled_from(["srw", "l1", "span3"]),
+       xi=st.floats(-8.0, 8.0), eta=st.floats(-8.0, 8.0),
+       n=st.integers(1, 2048))
+def test_surrogate_rhs_raises_as_the_exact_rhs(fixture_kernels, theorem, law,
+                                               xi, eta, n):
+    """The plan's DP-free right-hand side raises exactly when the exact one
+    does, with the same error and text, on cells inside and outside the
+    table and pair windows: so the plan misses no failing cell."""
+    k = fixture_kernels[law]
+    scale = math.sqrt(k.sigma2() * n)
+    x, y = round(xi * scale), round(eta * scale)
+    outcome = []
+    for clt in (True, False):
+        try:
+            asymptotics.rhs(theorem, k, x, y, n, {"alpha": 0.5, "ell": 1.0},
+                            use_local_clt=clt)
+            outcome.append(None)
+        except (WalklabError, ArithmeticError) as e:
+            # ZeroDivisionError too, at x = 0 or y = 0, off every domain
+            outcome.append((type(e), e.args))
+    assert outcome[0] == outcome[1]
 
 
 class TestCompareGrid:
