@@ -26,6 +26,23 @@ def _floats(s: str):
     return tuple(float(v) for v in s.split(","))
 
 
+# argparse takes a value such as "-0.2,0.2" for an option string and exits
+# 2; main joins a value that starts with "-" to one of these flags, as
+# "--eta=-0.2,0.2", which argparse reads as the value
+SIGNED_FLAGS = ("--xi", "--eta", "--ys", "--n")
+
+
+def _join_signed(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for a in argv:
+        if (out and out[-1] in SIGNED_FLAGS and a.startswith("-")
+                and not a.startswith("--")):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def _where(parse, ok, need: str):
     """An argparse type: parse the text, then require ok of every value."""
     def convert(s: str):
@@ -179,7 +196,8 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_signed(sys.argv[1:] if argv is None else list(argv)))
     handlers = {"validate": cmd_validate, "compute": cmd_compute,
                 "kernels": cmd_kernels, "verify": cmd_verify,
                 "report": cmd_report}

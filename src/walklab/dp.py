@@ -18,8 +18,12 @@ c + dZ at one step is on c + zmin + dZ at the next, so the stream stores
 only those sites, d apart, and steps with the compressed pmf pmf[::d]:
 the law of (Y - zmin)/d.  For d = 1 that is every site and the pmf
 itself.  After every step, in every mode, the stream cuts the outer runs
-of stored sites whose weight is zero or subnormal (|w| < TINY), so the
-window follows the mass instead of growing by the span on every step.
+of stored sites whose weight is below CUT = 2^-200 (|w| < CUT), so the
+window follows the mass instead of growing by the span on every step,
+and it adds the weights it cuts to a running cut mass.  Every kernel
+here is substochastic, so a weight cut at step j moves every later site,
+absorbed mass and entrance-law entry by at most that weight: each of them
+lies within the cut mass of the uncut DP, the error the cut computes.
 
 ``run_dp`` splits its initial window by residue class mod d, runs one
 stream per class that holds weight, and lays the survivors and the
@@ -43,9 +47,9 @@ HALFLINE = 2
 
 DEFAULT_WINDOW_BUDGET = 4_000_000
 
-# Weights below the smallest normal float64 are cut from the edges: each
-# moves a kept neighbour by under TINY, and subnormal arithmetic is slow.
-TINY = float(np.finfo(np.float64).tiny)
+# Edge weights below CUT are cut: far below every tolerance of the lab, and
+# the mass they carry is reported, not assumed small.
+CUT = 2.0 ** -200
 
 
 @dataclass
@@ -114,11 +118,16 @@ class DPResult(Window):
     entry: (n, depth) array of per-step landing profiles in HALFLINE
         mode; entry[k-1, j] is the mass landing at site entry_base + j
         on step k.
+    cut: the total weight the edge cut removed, over every class stream;
+        every site, absorbed mass and entry lies within cut of the uncut
+        DP, and mass() + cut, plus what was absorbed, is the initial mass
+        up to rounding.
     """
 
     absorbed: np.ndarray | None = None
     entry: np.ndarray | None = None
     entry_base: int = 0
+    cut: float = 0.0
 
 
 def period(pmf: np.ndarray) -> int:
@@ -128,7 +137,7 @@ def period(pmf: np.ndarray) -> int:
 
 def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
            n: int, mode: int, alpha: float, window_budget: float):
-    """Yield (k, offset, weights, absorbed) after each step k = 1..n.
+    """Yield (k, offset, weights, absorbed, cut) after each step k = 1..n.
 
     The window is strided: with d = period(pmf), the site of weights[i]
     is offset + d*i.  A walk on the coset c + dZ is on c + zmin + dZ one
@@ -143,12 +152,13 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     array, not a copy; the stream never writes to an array after yielding
     it.
 
-    After the absorption, every step cuts the outer runs of zero or
-    subnormal weights, scanning inward from each edge only: a step pays
-    for the sites it cuts, and each site is cut at most once.  The cut
-    reads the window alone, so n steps are m steps followed by n - m
-    steps, bit for bit.  The stream ends early once the window is empty.
-    window_budget bounds the stored sites, d apart.
+    After the absorption, every step cuts the outer runs of weights below
+    CUT, scanning inward from each edge only: a step pays for the sites it
+    cuts, and each site is cut at most once.  cut is the summed |weight|
+    cut on steps 1..k.  The cut reads the window alone, so n steps are m
+    steps followed by n - m steps, bit for bit.  The stream ends early
+    once the window is empty.  window_budget bounds the stored sites, d
+    apart.
 
     np.convolve(cur, taps) is np.correlate(cur, taps[::-1]) whenever cur
     is at least as long as taps, so the taps are reversed once per stream
@@ -159,7 +169,7 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     taps = pmf[::d]
     t = len(taps)
     rev = np.ascontiguousarray(taps[::-1])
-    cur, off = weights, offset
+    cur, off, cut = weights, offset, 0.0
     for k in range(1, n + 1):
         size = len(cur)
         if size == 0:
@@ -190,13 +200,15 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                 off += d * hi
                 b -= hi
         a = 0
-        while a < b and -TINY < cur[a] < TINY:
+        while a < b and -CUT < (w := cur[a]) < CUT:
+            cut += abs(w)
             a += 1
-        while b > a and -TINY < cur[b - 1] < TINY:
+        while b > a and -CUT < (w := cur[b - 1]) < CUT:
+            cut += abs(w)
             b -= 1
         cur = cur[a:b]
         off += d * a
-        yield k, off, cur, absorbed
+        yield k, off, cur, absorbed, cut
 
 
 def run_dp(
@@ -217,7 +229,8 @@ def run_dp(
     The initial window is split by residue class mod period(pmf); each
     class with a nonzero weight runs as its own strided stream, and the
     survivors are laid back on consecutive sites once, at the end, with
-    exact zeros on the sites no class reaches.
+    exact zeros on the sites no class reaches.  The result's cut adds up
+    the cut mass of every class stream.
     """
     d = period(pmf)
     init = np.array(init_weights, dtype=np.float64)
@@ -227,17 +240,18 @@ def run_dp(
     if mode == HALFLINE:
         entry = np.zeros((n, -zmin))
         entry_base = 1 + zmin
-    ends = []
+    ends, total_cut = [], 0.0
     for r in [r for r in range(d) if init[r::d].any()] or [0]:
-        off, cur = init_offset + r, init[r::d]
-        for k, off, cur, removed in _steps(off, cur, zmin, pmf, n, mode,
-                                           alpha, window_budget):
+        off, cur, cut = init_offset + r, init[r::d], 0.0
+        for k, off, cur, removed, cut in _steps(off, cur, zmin, pmf, n, mode,
+                                                alpha, window_budget):
             if mode == POINT:
                 absorbed[k - 1] += removed
             elif removed is not None:
                 j = removed[0] - entry_base
                 entry[k - 1, j: j + d * len(removed[1]): d] = removed[1]
         ends.append((off, cur))
+        total_cut += cut
     # at most one class holds site 0 on a given step, so the POINT sums
     # above add one absorbed mass to zeros
     live = [e for e in ends if len(e[1])] or ends[:1]
@@ -246,4 +260,4 @@ def run_dp(
     out = np.zeros(max(last - lo + 1, 0))
     for off, cur in live:
         out[off - lo: off - lo + d * len(cur): d] = cur
-    return DPResult(lo, out, absorbed, entry, entry_base)
+    return DPResult(lo, out, absorbed, entry, entry_base, float(total_cut))

@@ -176,22 +176,27 @@ def strip_exit(law: StepLaw, x: int, N: int) -> StripExit:
 def _exact_stream(law: StepLaw, x: int, n: int, kill_origin: bool):
     """Rational n-step kernel from x and, with kill_origin, the passage
     law.  The DP carries integer numerators over D^k, D the lcm of the
-    law's denominators; the Fractions are built once at the end."""
+    law's denominators, as an object array of Python ints on the sites
+    off, off+1, ...: np.convolve with the integer taps is exact.  The
+    Fractions are built once at the end, for the sites of nonzero weight."""
     if n > EXACT_STEP_LIMIT:
         raise ConstraintViolation(
             f"exact mode limited to n <= {EXACT_STEP_LIMIT}")
     D = math.lcm(*(w.denominator for _, w in law.items()))
-    steps = [(z, int(w * D)) for z, w in law.items()]
-    cur, passage = {x: 1}, []
+    taps = np.zeros(law.zmax - law.zmin + 1, dtype=object)
+    for z, w in law.items():
+        taps[z - law.zmin] = int(w * D)
+    cur, off, passage = np.ones(1, dtype=object), x, []
     for k in range(1, n + 1):
-        out: dict[int, int] = {}
-        for s, m in cur.items():
-            for z, c in steps:
-                out[s + z] = out.get(s + z, 0) + m * c
-        cur = out
+        cur = np.convolve(cur, taps)
+        off += law.zmin
         if kill_origin:
-            passage.append(Fraction(cur.pop(0, 0), D ** k))
-    return {s: Fraction(m, D ** n) for s, m in cur.items()}, passage
+            m = 0
+            if 0 <= -off < len(cur):
+                m, cur[-off] = cur[-off], 0
+            passage.append(Fraction(m, D ** k))
+    return ({off + i: Fraction(m, D ** n) for i, m in enumerate(cur) if m},
+            passage)
 
 
 def evolve_free_exact(law: StepLaw, x: int, n: int) -> dict[int, Fraction]:

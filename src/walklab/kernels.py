@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ladder, potential
-from .dp import Window, run_dp
+from .dp import DPResult, Window, run_dp
 from .errors import ConstraintViolation, InconsistentEstimates
 from .laws import LatticeStructure, Moments, StepLaw, lattice_structure, moments
 
@@ -36,19 +36,21 @@ class WalkKernels:
     constants: potential.WalkConstants
     c_plus_entrance: float
     c_minus_entrance: float
-    _free_cache: dict[int, Window] = field(
+    _free_cache: dict[int, DPResult] = field(
         default_factory=dict, repr=False)
 
-    def p_n(self, n: int) -> Window:
+    def p_n(self, n: int) -> DPResult:
         """Exact free n-step distribution from 0 (cached).  A miss extends
         the largest cached p^m, m < n, by n - m steps; runs compose bit for
-        bit, so this is the same window as n steps from 0."""
+        bit, so this is the same window as n steps from 0, and its cut adds
+        the cut mass of the first m steps."""
         if n not in self._free_cache:
             m = max((k for k in self._free_cache if k < n), default=0)
-            start = self._free_cache.get(m, Window(0, np.ones(1)))
+            start = self._free_cache.get(m, DPResult(0, np.ones(1)))
             zmin, pmf = self.law.pmf_array()
-            self._free_cache[n] = run_dp(start.offset, start.weights, zmin,
-                                         pmf, n - m)
+            res = run_dp(start.offset, start.weights, zmin, pmf, n - m)
+            res.cut += start.cut
+            self._free_cache[n] = res
         return self._free_cache[n]
 
     def p_n_at(self, n: int, displacement: int) -> float:

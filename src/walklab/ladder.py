@@ -62,12 +62,14 @@ def ladder_height_law(law: StepLaw, direction: str) -> LadderHeightLaw:
 
 def ladder_buckets(run: DPResult) -> tuple[np.ndarray, float]:
     """The DP route, from a half-line run from 1: (mass entering each
-    height 1..b within its steps, mass not entered by then).  The first
+    height 1..b within its steps, deficit).  The deficit is the mass not
+    entered by then plus the mass the DP cut, as the uncut run's bucket
+    and survivors exceed the cut run's by at most the cut.  The first
     entry of S into [1, inf) from 0 is that of V = 1 - S into (-inf, 0]
     from 1, and V steps with the reflected law, so the ascending buckets
     read a run of the reflected law and the descending ones a run of the
     law itself; entry site y <= 0 is height 1 - y."""
-    return run.entry.sum(axis=0)[::-1], run.mass()
+    return run.entry.sum(axis=0)[::-1], run.mass() + run.cut
 
 
 @dataclass

@@ -20,11 +20,12 @@ a_partial_sums.
   k^{-3/2}, k^{-2}, ... (their asymptotic expansion) and summed with
   Hurwitz zeta functions.  For a law of period d the walk at step k lives
   on k*zmin + dZ, so the DP runs on the law of (Y - zmin)/d and skips only
-  sites of exact zero weight.  It cuts its zero and subnormal edges after
-  every step; a step only averages weights, so a cut shifts later weights
-  by at most the mass cut, which rounds away against every nonzero weight
-  in [-X, X] for the laws tested.  The steps' [-X, X] slices are summed in
-  chunks by cumulative sums, in step order, so the partial sums are
+  sites of exact zero weight.  It cuts its edges below dp.CUT after every
+  step; a step only averages weights, so p^k at every site lies within the
+  mass cut by step k of the uncut DP, and the bound adds twice the sum of
+  that mass over k.  For the laws tested it rounds away against every
+  weight the table reads: the steps' [-X, X] slices are summed in chunks
+  by cumulative sums, in step order, so the partial sums are
   bit-identical to an uncut full-lattice DP that adds one step at a time.
   One QR factorisation of the design gives both tail fits; the fit needs
   at least one block per exponent.
@@ -103,7 +104,8 @@ FIT_CHUNK_ROWS = 1024  # blocks per chunk of the tail fit's residual sum
 def _partial_sum_table(law: StepLaw, X: int, K: int):
     """(acc, tail, bound) for all |x| <= X: acc accumulates
     sum_{k<=K} [p^k(0) - p^k(-x)] along one free DP from 0, and the tail
-    beyond K is fitted to the block-aggregated increments."""
+    beyond K is fitted to the block-aggregated increments.  bound is the
+    fit's bound plus twice the summed cut mass of the K steps."""
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)                      # the stream's stride
     M = K // d
@@ -122,11 +124,13 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     win = np.zeros((C, W))                  # row k-1 mod C: p^k on [-X, X]
     # The stream's site of cur[j] is off + d*j; the sites it skips carry
     # exact zeros, which change no sum.  No window budget: the window is
-    # bounded by K * span / d + 1 sites, and far less once its underflowed
-    # edges are cut.  A window of mass 1 never empties, so the stream
+    # bounded by K * span / d + 1 sites, and far less once its edges below
+    # dp.CUT are cut.  A window of mass 1 never empties, so the stream
     # yields all K steps and the last chunk ends at k = K.
-    for k, off, cur, _ in dp._steps(0, np.ones(1), zmin, pmf, K, dp.FREE,
-                                    1.0, math.inf):
+    cut_sum = 0.0                           # sum over k of the mass cut by k
+    for k, off, cur, _, cut in dp._steps(0, np.ones(1), zmin, pmf, K,
+                                         dp.FREE, 1.0, math.inf):
+        cut_sum += cut
         r = (k - 1) % C
         j0 = max(0, -((X + off) // d))      # cur[j0 .. j1] lies in [-X, X]
         j1 = min(len(cur) - 1, (X - off) // d)
@@ -148,7 +152,7 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
         acc = np.cumsum(np.vstack([acc, delta]), axis=0)[-1]
         win[:r + 1] = 0.0
     tail, bound = _fit_tail(blocks, m0, M)
-    return acc, tail, bound
+    return acc, tail, bound + 2.0 * cut_sum
 
 
 def _fit_tail(blocks: np.ndarray, m0: int, M: int):

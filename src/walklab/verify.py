@@ -58,8 +58,9 @@ def _stream(law: StepLaw, x: int, mode: int,
             ns: tuple[int, ...]) -> dict[int, dp.DPResult]:
     """{n: the n-step run of mode from x} for each n of ns, from one DP
     stream: each snapshot extends the one before it by run_dp on its window
-    (m steps and then n - m more are the n-step run, bit for bit), and its
-    absorbed or entry is concatenated to cover steps 1..n."""
+    (m steps and then n - m more are the n-step run, bit for bit), its
+    absorbed or entry is concatenated to cover steps 1..n, and its cut
+    adds the cut mass of the steps before."""
     zmin, pmf = law.pmf_array()
     out, k, res = {}, 0, dp.DPResult(x, np.ones(1))
     for n in sorted(set(ns)):
@@ -68,6 +69,7 @@ def _stream(law: StepLaw, x: int, mode: int,
             nxt.absorbed = np.concatenate((res.absorbed, nxt.absorbed))
         elif k and mode == dp.HALFLINE:
             nxt.entry = np.concatenate((res.entry, nxt.entry))
+        nxt.cut += res.cut
         out[n] = res = nxt
         k = n
     return out
@@ -116,7 +118,8 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     # free evolution mass, and the free kernel as the Chapman-Kolmogorov dot
     # of its two halves (kernels.p_n_at)
     p_lo, p_hi, full = free[m], free[n_big - m], free[n_big]
-    _check(results, f"free mass n={n_big}", full.mass() - 1.0, 1e-12)
+    _check(results, f"free mass n={n_big}", full.mass() + full.cut - 1.0,
+           1e-12)
     # at the argmax and at +-floor(sqrt(sigma2 n)) from it, rounded down to
     # the period; a site where p^n is 0 (the argmax never is) fails only
     # if the dot there is not 0
@@ -131,15 +134,16 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     _check(results, f"free kernel by Chapman-Kolmogorov n={n_big}", gap,
            1e-12)
 
-    # mass conservation, point and halfline modes
+    # mass conservation, point and halfline modes: what survived, what was
+    # absorbed and what the edge cut removed add up to 1
     for x, q in ((1, q1), (3, q3)):
         qp, qh = q["point"][n_big], q["halfline"][n_big]
         _check(results, f"point mass bookkeeping x={x}",
-               qp.mass() + qp.absorbed.sum() - 1.0, 1e-10)
+               qp.mass() + qp.absorbed.sum() + qp.cut - 1.0, 1e-10)
         _check(results, f"point kernel vanishes at 0, x={x}", qp.prob(0),
                0.0)
         _check(results, f"halfline mass bookkeeping x={x}",
-               qh.mass() + qh.entry.sum() - 1.0, 1e-10)
+               qh.mass() + qh.entry.sum() + qh.cut - 1.0, 1e-10)
 
     # Chapman-Kolmogorov via the dual window, q^n(1, 1) = sum_z q^m(1, z)
     # q~^(n-m)(1, z), as q^k(z, y) = q~^k(y, z); then duality (time
@@ -312,8 +316,8 @@ def _green_partial_sums(law: StepLaw, mode: int, x: int, y: int,
     d = dp.period(pmf)
     total = 1.0 if x == y else 0.0
     out = {}
-    for k, off, cur, _ in dp._steps(x, np.ones(1), zmin, pmf, max(ns), mode,
-                                    1.0, dp.DEFAULT_WINDOW_BUDGET):
+    for k, off, cur, _, _ in dp._steps(x, np.ones(1), zmin, pmf, max(ns),
+                                       mode, 1.0, dp.DEFAULT_WINDOW_BUDGET):
         i, r = divmod(y - off, d)
         if r == 0 and 0 <= i < len(cur):
             total += float(cur[i])

@@ -142,6 +142,21 @@ class TestVerify:
             (64, -1), (64, 0), (256, -1), (256, 0)]
         assert all(float(r[5]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("theorem, signed", [
+        ("T11i", ["--eta", "-0.2,0.2"]),
+        ("T14", ["--ys", "-1,0"]),
+        ("T11i", ["--xi", "-0.1,0.2"]),
+    ])
+    def test_signed_list_follows_its_flag(self, theorem, signed, law_file,
+                                          tmp_path):
+        # a list that starts with "-" is the flag's value, as in the "=" form
+        out = [tmp_path / "spaced.csv", tmp_path / "joined.csv"]
+        argv = ["verify", "--law", law_file, "--theorem", theorem,
+                "--n", "64,256", "--tol", "100"]
+        assert main(argv + signed + ["--out", str(out[0])]) == 0
+        assert main(argv + ["=".join(signed), "--out", str(out[1])]) == 0
+        assert out[0].read_bytes() == out[1].read_bytes()
+
     def test_unknown_theorem_is_usage_error(self, law_file, tmp_path):
         with pytest.raises(SystemExit) as e:
             main(["verify", "--law", law_file, "--theorem", "nope",

@@ -265,47 +265,65 @@ def test_run_dp_properties(law, x, n, alpha):
 
 
 def test_cut_takes_only_outer_zero_and_subnormal_runs(srw):
-    arr = np.array([0.0, 1e-310, 0.5, 1e-310, 0.0, 0.25, 5e-324, 0.0])
+    """The edge cut takes the outer runs of weights below dp.CUT, zero and
+    subnormal ones included, and reports their summed weight."""
+    arr = np.array([0.0, 1e-70, 0.5, 1e-310, 0.0, 0.25, 5e-324, 1e-61])
     # one step of the law Y = 0 leaves arr on sites -3..4, then cuts it
-    [(_, off, w, _)] = dp._steps(-3, arr, 0, np.ones(1), 1, dp.FREE, 1.0,
-                                 dp.DEFAULT_WINDOW_BUDGET)
+    [(_, off, w, _, cut)] = dp._steps(-3, arr, 0, np.ones(1), 1, dp.FREE,
+                                      1.0, dp.DEFAULT_WINDOW_BUDGET)
     assert (off, list(w)) == (-1, [0.5, 1e-310, 0.0, 0.25])
+    assert cut == 1e-70 + 1e-61
     # a period-2 law: the interior zeros between live sites stay
     res = dp.run_dp(0, np.ones(1), -1, srw.pmf_array()[1], 9)
-    assert (res.offset, len(res.weights)) == (-9, 19)
+    assert (res.offset, len(res.weights), res.cut) == (-9, 19, 0.0)
     assert np.count_nonzero(res.weights == 0.0) == 9
-    # an all-subnormal window empties on the first step, ends the stream
-    steps = list(dp._steps(0, np.full(3, 1e-310), -1, np.full(3, 1 / 3), 5,
+    # a window below CUT empties on the first step, ends the stream
+    steps = list(dp._steps(0, np.full(3, 1e-70), -1, np.full(3, 1 / 3), 5,
                            dp.FREE, 1.0, dp.DEFAULT_WINDOW_BUDGET))
-    assert [(k, len(w)) for k, _, w, _ in steps] == [(1, 0)]
-    assert len(dp.run_dp(0, np.full(3, 1e-310), -1, np.full(3, 1 / 3),
-                         5).weights) == 0
+    assert [(k, len(w)) for k, _, w, _, _ in steps] == [(1, 0)]
+    res = dp.run_dp(0, np.full(3, 1e-70), -1, np.full(3, 1 / 3), 5)
+    assert len(res.weights) == 0
+    assert res.cut == pytest.approx(3e-70, rel=1e-15)
 
 
 def _full_lattice_dp(offset, weights, zmin, pmf, n, mode, alpha, cut=True):
     """run_dp on every site of the lattice: np.convolve with the dense pmf,
-    the same absorption and the same edge cut; the reference for the
-    coset stream, and without the cut the reference for the cut."""
+    the same absorption and the same edge cut, applied to each residue
+    class of the start mod the period on its own, as run_dp runs one
+    stream per class; the reference for the coset stream, and without the
+    cut the reference for the cut.  Returns (offset, weights, absorbed,
+    entry, cut mass)."""
+    d = dp.period(pmf)
     off, cur = offset, np.array(weights, dtype=float)
-    absorbed, entry = np.zeros(n), np.zeros((n, -zmin))
-    for k in range(n):
+    absorbed, entry, mass_cut = np.zeros(n), np.zeros((n, -zmin)), 0.0
+    for k in range(1, n + 1):
         if len(cur) == 0:
             break
         cur = np.convolve(cur, pmf)
         off += zmin
         if mode == dp.POINT and 0 <= -off < len(cur):
-            absorbed[k] = alpha * cur[-off]
+            absorbed[k - 1] = alpha * cur[-off]
             cur[-off] *= 1.0 - alpha
         elif mode == dp.HALFLINE:
             hi = max(min(len(cur), -off + 1), 0)
             j = off - (1 + zmin)
-            entry[k, j:j + hi] = cur[:hi]
+            entry[k - 1, j:j + hi] = cur[:hi]
             cur, off = cur[hi:], off + hi
         if cut:
-            keep = np.flatnonzero(np.abs(cur) >= dp.TINY)
-            a, b = (keep[0], keep[-1] + 1) if len(keep) else (len(cur),) * 2
+            # a walk from class c of the start is on c + k*zmin + dZ
+            cls = (off + np.arange(len(cur)) - k * zmin) % d
+            big = np.abs(cur) >= dp.CUT
+            for c in range(d):
+                drop = cls == c
+                keep = np.flatnonzero(drop & big)
+                if len(keep):
+                    drop[keep[0]:keep[-1] + 1] = False
+                mass_cut += np.abs(cur[drop]).sum()
+                cur[drop] = 0.0
+            live = np.flatnonzero(cur)
+            a, b = (live[0], live[-1] + 1) if len(live) else (len(cur),) * 2
             cur, off = cur[a:b], off + a
-    return off, cur, absorbed, entry
+    return off, cur, absorbed, entry, mass_cut
 
 
 @settings(max_examples=20, deadline=None)
@@ -313,18 +331,27 @@ def _full_lattice_dp(offset, weights, zmin, pmf, n, mode, alpha, cut=True):
        st.sampled_from([dp.FREE, dp.POINT, dp.HALFLINE]),
        st.sampled_from([0.5, 1.0]))
 def test_cut_keeps_every_normal_weight(law, x, n, mode, alpha):
-    """Against an uncut DP, every site the reference puts at 1e-280 or
-    more agrees to 1e-14 relative, and the cut window lies inside the
-    reference window."""
+    """Against the uncut DP, every site, absorbed mass and entrance-law
+    entry of the cut run lies within res.cut of it, up to 1e-14 relative
+    rounding; res.cut stays below 1e-50 at these n; and the cut window lies
+    inside the uncut one."""
     zmin, pmf = law.pmf_array()
     res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=mode, alpha=alpha)
-    off, ref, _, _ = _full_lattice_dp(x, np.ones(1), zmin, pmf, n, mode,
-                                      alpha, cut=False)
+    off, ref, absorbed, entry, _ = _full_lattice_dp(
+        x, np.ones(1), zmin, pmf, n, mode, alpha, cut=False)
+    assert 0.0 <= res.cut < 1e-50
     assert off <= res.offset
     assert res.offset + len(res.weights) <= off + len(ref)
-    big = np.flatnonzero(ref >= 1e-280)
-    got = np.array([res.prob(off + int(i)) for i in big])
-    assert np.all(np.abs(got - ref[big]) <= 1e-14 * ref[big])
+
+    def within(got, want):
+        return np.all(np.abs(got - want) <= res.cut + 1e-14 * np.abs(want))
+
+    assert within(np.array([res.prob(off + i) for i in range(len(ref))]),
+                  ref)
+    if mode == dp.POINT:
+        assert within(res.absorbed, absorbed)
+    if mode == dp.HALFLINE:
+        assert within(res.entry, entry)
 
 
 _MODES = [(dp.FREE, 1.0), (dp.POINT, 1.0), (dp.POINT, 0.5),
@@ -334,12 +361,13 @@ _MODES = [(dp.FREE, 1.0), (dp.POINT, 1.0), (dp.POINT, 0.5),
 def _coset_vs_full(law, offset, weights, n, mode, alpha):
     zmin, pmf = law.pmf_array()
     res = dp.run_dp(offset, weights, zmin, pmf, n, mode=mode, alpha=alpha)
-    off, ref, absorbed, entry = _full_lattice_dp(offset, weights, zmin, pmf,
-                                                 n, mode, alpha)
+    off, ref, absorbed, entry, cut = _full_lattice_dp(
+        offset, weights, zmin, pmf, n, mode, alpha)
     got = dp.Window(off, ref)
     sites = np.union1d(res.sites(), got.sites())
     return (res, np.array([res.prob(int(y)) for y in sites]),
-            np.array([got.prob(int(y)) for y in sites]), absorbed, entry)
+            np.array([got.prob(int(y)) for y in sites]), absorbed, entry,
+            cut)
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,21 +377,17 @@ def _coset_vs_full(law, offset, weights, n, mode, alpha):
        st.integers(1, 300), st.sampled_from(_MODES))
 def test_coset_stream_matches_full_lattice(law, x, weights, n, mode_alpha):
     """On periodic laws, from windows that span several residue classes,
-    the per-class coset streams agree with the full-lattice DP: every
-    weight, absorbed mass and entrance-law entry agrees to 1e-15.  From a
-    window on one class the same sites are nonzero.  Each class cuts its
-    own edges, so over several classes a subnormal weight that the full
-    lattice keeps between two classes is cut; what it would have added
-    stays far below 1e-280, above which the supports agree."""
+    the per-class coset streams agree with the full-lattice DP that cuts
+    each class on its own: the same sites are nonzero, every weight,
+    absorbed mass and entrance-law entry agrees to 1e-15, and the cut
+    masses to 1e-12 relative."""
     mode, alpha = mode_alpha
     x0 = abs(x) + 1 if mode == dp.HALFLINE else x
-    res, got, want, absorbed, entry = _coset_vs_full(law, x0, weights, n,
-                                                     mode, alpha)
-    d = lattice_structure(law).period
-    if len({(x0 + i) % d for i, w in enumerate(weights) if w}) <= 1:
-        assert np.array_equal(got != 0, want != 0)
-    assert np.array_equal(np.abs(got) >= 1e-280, np.abs(want) >= 1e-280)
+    res, got, want, absorbed, entry, cut = _coset_vs_full(
+        law, x0, weights, n, mode, alpha)
+    assert np.array_equal(got != 0, want != 0)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+    assert res.cut == pytest.approx(cut, rel=1e-12, abs=0.0)
     if mode == dp.POINT:
         assert np.max(np.abs(res.absorbed - absorbed)) <= 1e-15
     if mode == dp.HALFLINE:
@@ -381,9 +405,10 @@ def test_coset_stream_is_bit_identical_on_fixtures(pairs, mode, alpha):
     for bit, from one site and from a window over every class."""
     law = build_law(pairs, "law")
     for x, weights in ((3, np.ones(1)), (1, np.ones(7))):
-        res, got, want, absorbed, entry = _coset_vs_full(
+        res, got, want, absorbed, entry, cut = _coset_vs_full(
             law, x, weights, 600, mode, alpha)
         assert np.array_equal(got, want)
+        assert res.cut == pytest.approx(cut, rel=1e-12, abs=0.0)
         if mode == dp.POINT:
             assert np.array_equal(res.absorbed, absorbed)
         if mode == dp.HALFLINE:
@@ -481,3 +506,35 @@ def test_integer_rational_dp_equals_fractions(law, x, n):
         _fraction_dp(law, x, n, True)
     assert engine.evolve_free_exact(law, x, n) == \
         _fraction_dp(law, x, n, False)[0]
+
+
+def _integer_dict_dp(law, x, n, kill_origin):
+    """The integer-numerator DP as a dict loop over sites and jumps: the
+    reference for the object-array convolution of engine._exact_stream."""
+    D = math.lcm(*(w.denominator for _, w in law.items()))
+    steps = [(z, int(w * D)) for z, w in law.items()]
+    cur, passage = {x: 1}, []
+    for k in range(1, n + 1):
+        out = {}
+        for s, m in cur.items():
+            for z, c in steps:
+                out[s + z] = out.get(s + z, 0) + m * c
+        cur = out
+        if kill_origin:
+            passage.append(Fraction(cur.pop(0, 0), D ** k))
+    return {s: Fraction(m, D ** n) for s, m in cur.items()}, passage
+
+
+@pytest.mark.parametrize("pairs, n", [
+    (SRW_PAIRS, 64), (SPAN3_PAIRS, 64),
+    ([(z, "1/4") for z in (-3, -1, 1, 3)], 64),               # odd4
+    ([(z, "1/65") for z in range(-32, 33)], 20),              # u32
+], ids=["srw", "span3", "odd4", "u32"])
+def test_rational_convolution_equals_dict_loop(pairs, n):
+    """Equal Fraction dicts and passage laws; u32 stops at 20 steps, as the
+    dict loop takes seconds at 48."""
+    law = build_law(pairs, "law")
+    assert engine.absorbed_at_origin_exact(law, 3, n) == \
+        _integer_dict_dp(law, 3, n, True)
+    assert engine.evolve_free_exact(law, -2, n) == \
+        _integer_dict_dp(law, -2, n, False)[0]

@@ -113,18 +113,24 @@ def _reference_table(law, X, K):
 def test_trimmed_table_is_bit_identical(pairs, monkeypatch):
     law = build_law(pairs, "law")
     X, K = 55, 2 ** 12
-    widths = []
+    widths, cuts = [], []
     steps = dp._steps
 
     def watched(*args, **kwargs):
         for item in steps(*args, **kwargs):
             widths.append(len(item[2]))
+            cuts.append(item[4])
             yield item
 
     monkeypatch.setattr(dp, "_steps", watched)
-    got = _partial_sum_table.__wrapped__(law, X, K)
-    for a, b in zip(got, _reference_table(law, X, K)):
-        assert np.array_equal(a, b)
+    acc, tail, bound = _partial_sum_table.__wrapped__(law, X, K)
+    want_acc, want_tail, want_bound = _reference_table(law, X, K)
+    assert np.array_equal(acc, want_acc)
+    assert np.array_equal(tail, want_tail)
+    # the bound adds twice the cut mass summed over the steps: 0 < it < 1e-50,
+    # so it moves only the bound of x = 0, where the fit's is exactly 0
+    assert 0.0 < sum(cuts) < 1e-50
+    assert np.array_equal(bound, want_bound + 2.0 * sum(cuts))
     # the underflowed edges were cut: the untrimmed window ends at
     # K * span + 1 sites, the cut one at 21-57% of that for these laws
     assert max(widths) < 0.6 * (K * (law.zmax - law.zmin) + 1)

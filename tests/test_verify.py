@@ -97,7 +97,7 @@ def _same(a, b):
 def test_stream_snapshots_are_fresh_runs(pairs):
     """Each snapshot of one stream, extended past the edge cut, is the
     fresh run of its length bit for bit, with its passage and entrance
-    tables covering every step."""
+    tables covering every step and the cut mass of every step."""
     law = build_law(pairs, "law")
     zmin, pmf = law.pmf_array()
     for mode in (dp.FREE, dp.POINT, dp.HALFLINE):
@@ -109,6 +109,7 @@ def test_stream_snapshots_are_fresh_runs(pairs):
                          (got.absorbed, want.absorbed),
                          (got.entry, want.entry)):
                 assert _same(a, b), (mode, n)
+            assert got.cut == pytest.approx(want.cut, rel=1e-12, abs=0.0)
 
 
 class TestRegionGating:
