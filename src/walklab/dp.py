@@ -18,12 +18,12 @@ c + dZ at one step is on c + zmin + dZ at the next, so the stream stores
 only those sites, d apart, and steps with the compressed pmf pmf[::d]:
 the law of (Y - zmin)/d.  For d = 1 that is every site and the pmf
 itself.  After every step, in every mode, the stream cuts the outer runs
-of stored sites whose weight is below CUT = 2^-200 (|w| < CUT), so the
-window follows the mass instead of growing by the span on every step,
-and it adds the weights it cuts to a running cut mass.  Every kernel
-here is substochastic, so a weight cut at step j moves every later site,
-absorbed mass and entrance-law entry by at most that weight: each of them
-lies within the cut mass of the uncut DP, the error the cut computes.
+of stored sites whose weight is below CUT = 2^-200, so the window follows
+the mass instead of growing by the span on every step, and it adds the
+weights it cuts to a running cut mass.  Every kernel here is
+substochastic, so a weight cut at step j moves every later site, absorbed
+mass and entrance-law entry by at most that weight: each of them lies
+within the cut mass of the uncut DP, the error the cut computes.
 
 ``run_dp`` splits its initial window by residue class mod d, runs one
 stream per class that holds weight, and lays the survivors and the
@@ -154,11 +154,12 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
 
     After the absorption, every step cuts the outer runs of weights below
     CUT, scanning inward from each edge only: a step pays for the sites it
-    cuts, and each site is cut at most once.  cut is the summed |weight|
-    cut on steps 1..k.  The cut reads the window alone, so n steps are m
-    steps followed by n - m steps, bit for bit.  The stream ends early
-    once the window is empty.  window_budget bounds the stored sites, d
-    apart.
+    cuts, and each site is cut at most once.  cut is the summed weight
+    cut on steps 1..k; every weight is nonnegative, as the pmf and each
+    initial window the lab passes are.  The cut reads the window alone,
+    so n steps are m steps followed by n - m steps, bit for bit.  The
+    stream ends early once the window is empty.  window_budget bounds the
+    stored sites, d apart.
 
     np.convolve(cur, taps) is np.correlate(cur, taps[::-1]) whenever cur
     is at least as long as taps, so the taps are reversed once per stream
@@ -200,11 +201,11 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                 off += d * hi
                 b -= hi
         a = 0
-        while a < b and -CUT < (w := cur[a]) < CUT:
-            cut += abs(w)
+        while a < b and (w := cur[a]) < CUT:
+            cut += w
             a += 1
-        while b > a and -CUT < (w := cur[b - 1]) < CUT:
-            cut += abs(w)
+        while b > a and (w := cur[b - 1]) < CUT:
+            cut += w
             b -= 1
         cur = cur[a:b]
         off += d * a

@@ -115,13 +115,14 @@ def nu_tail_bound(law: StepLaw, n: int, x_max: int | None = None,
 
 def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
                      ell: float = 1.0, tol: float = 0.05):
-    """Truncation of nu_n = sum_{x>=1} Q_x^+(n), with a tail bound, and
+    """Truncation of nu_n = sum_{x>=1} Q_x^+(n), with an error bound, and
     the expected count of surviving particles in [-ell*sqrt(sigma2 n), -1]
     when one particle starts on every site of 1..x_max.
 
     A single point-absorbed DP with unit mass on every start site gives
     both sums by linearity.  x_max and the tail bound come from
-    nu_tail_bound, whose guards run before the DP.
+    nu_tail_bound, whose guards run before the DP; the error bound adds
+    the DP's cut, within which both sums lie of the uncut DP.
     """
     x_max, tail = nu_tail_bound(law, n, x_max, tol)
     n_star = float(moments(law).sigma2) * n
@@ -130,7 +131,7 @@ def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
     nu_trunc = res.restricted_sum(res.offset, -1)
     lo = -int(math.floor(ell * math.sqrt(n_star)))
     expected_particles = res.restricted_sum(lo, -1)
-    return nu_trunc, tail, expected_particles
+    return nu_trunc, tail + res.cut, expected_particles
 
 
 @dataclass

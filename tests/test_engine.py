@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walklab import build_law, dp, engine
 from walklab.errors import TailNotNegligible, WindowOverflow
@@ -468,14 +468,21 @@ def test_p_n_at_is_the_dp_on_periodic_laws(law):
 @settings(max_examples=20, deadline=None)
 @given(st.one_of(zero_mean_laws(), periodic_laws()),
        st.sampled_from([1, 2, 7, 33, 64]))
+@example(build_law([(-7, Fraction(1, 96)), (-1, Fraction(40, 96)),
+                    (0, Fraction(8, 96)), (1, Fraction(47, 96))], "law"), 64)
 def test_p_n_at_against_rationals(law, n):
-    """Within n ulps of the exact value, the rounding budget of n steps;
-    over random laws the worst seen at n = 64 was 29 ulps, as for the
-    full DP."""
+    """Within n ulps of the exact value, the rounding budget of n steps,
+    plus the cut of the two half windows, which bounds what the edge cut
+    moves the dot by; over random laws the worst seen at n = 64 was 29
+    ulps, as for the full DP.  The example's p^32(-224) = 96^-32 lies
+    below dp.CUT, so p^64(-448) = 96^-64 reads 0.0 within that cut."""
     kernels = _free_kernels(law)
     eps = np.finfo(np.float64).eps
+    cut = kernels.p_n(n // 2).cut + kernels.p_n(n - n // 2).cut
+    assert cut < 1e-50
     for z, v in engine.evolve_free_exact(law, 0, n).items():
-        assert abs(kernels.p_n_at(n, z) - float(v)) <= n * eps * float(v)
+        assert abs(kernels.p_n_at(n, z) - float(v)) <= \
+            n * eps * float(v) + cut
 
 
 def test_p_n_at_runs_half_the_steps(l1):
@@ -501,40 +508,15 @@ def _fraction_dp(law, x, n, kill_origin):
 
 @settings(max_examples=20, deadline=None)
 @given(zero_mean_laws(), st.integers(-6, 6), st.integers(0, 24))
+@example(build_law(SRW_PAIRS, "srw"), 3, 24)
+@example(build_law(SPAN3_PAIRS, "span3"), -2, 24)
+@example(build_law([(z, "1/4") for z in (-3, -1, 1, 3)], "odd4"), 3, 24)
+@example(build_law([(z, "1/65") for z in range(-32, 33)], "u32"), -2, 6)
 def test_integer_rational_dp_equals_fractions(law, x, n):
+    """Equal Fraction dicts and passage laws, on random laws and on four
+    fixtures; u32 stops at 6 steps, as the Fraction loop is slow over 65
+    jumps."""
     assert engine.absorbed_at_origin_exact(law, x, n) == \
         _fraction_dp(law, x, n, True)
     assert engine.evolve_free_exact(law, x, n) == \
         _fraction_dp(law, x, n, False)[0]
-
-
-def _integer_dict_dp(law, x, n, kill_origin):
-    """The integer-numerator DP as a dict loop over sites and jumps: the
-    reference for the object-array convolution of engine._exact_stream."""
-    D = math.lcm(*(w.denominator for _, w in law.items()))
-    steps = [(z, int(w * D)) for z, w in law.items()]
-    cur, passage = {x: 1}, []
-    for k in range(1, n + 1):
-        out = {}
-        for s, m in cur.items():
-            for z, c in steps:
-                out[s + z] = out.get(s + z, 0) + m * c
-        cur = out
-        if kill_origin:
-            passage.append(Fraction(cur.pop(0, 0), D ** k))
-    return {s: Fraction(m, D ** n) for s, m in cur.items()}, passage
-
-
-@pytest.mark.parametrize("pairs, n", [
-    (SRW_PAIRS, 64), (SPAN3_PAIRS, 64),
-    ([(z, "1/4") for z in (-3, -1, 1, 3)], 64),               # odd4
-    ([(z, "1/65") for z in range(-32, 33)], 20),              # u32
-], ids=["srw", "span3", "odd4", "u32"])
-def test_rational_convolution_equals_dict_loop(pairs, n):
-    """Equal Fraction dicts and passage laws; u32 stops at 20 steps, as the
-    dict loop takes seconds at 48."""
-    law = build_law(pairs, "law")
-    assert engine.absorbed_at_origin_exact(law, 3, n) == \
-        _integer_dict_dp(law, 3, n, True)
-    assert engine.evolve_free_exact(law, -2, n) == \
-        _integer_dict_dp(law, -2, n, False)[0]

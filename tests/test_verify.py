@@ -12,8 +12,9 @@ from walklab.errors import (ConstraintViolation, OutOfWindow,
                             TailNotNegligible, WalklabError)
 from walklab.kernels import build_kernels
 from walklab.report import csv_text, emit_comparison, summary_text
-from walklab.verify import (GridSpec, _stream, compare_grid,
-                            convergence_report, invariant_suite)
+from walklab.verify import (GridSpec, _green_partial_sums, _stream,
+                            compare_grid, convergence_report,
+                            invariant_suite)
 
 from conftest import L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS
 
@@ -110,6 +111,21 @@ def test_stream_snapshots_are_fresh_runs(pairs):
                          (got.entry, want.entry)):
                 assert _same(a, b), (mode, n)
             assert got.cut == pytest.approx(want.cut, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mode", [dp.POINT, dp.HALFLINE])
+def test_green_partial_sums_carry_the_cut(l1, mode, monkeypatch):
+    """Each Green partial sum lies within its error of the uncut stream's
+    (dp.CUT = 0 cuts no nonzero weight), and that error is the summed cut,
+    nonzero and below 1e-50 on l1 up to 1024 steps."""
+    ns = (256, 1024)
+    got = _green_partial_sums(l1, mode, 2, 3, ns)
+    monkeypatch.setattr(dp, "CUT", 0.0)
+    uncut = _green_partial_sums(l1, mode, 2, 3, ns)
+    for n in ns:
+        (s, err), (ref, zero) = got[n], uncut[n]
+        assert zero == 0.0 and 0.0 < err < 1e-50
+        assert abs(s - ref) <= err + 1e-15 * ref
 
 
 class TestRegionGating:
