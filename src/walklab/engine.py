@@ -1,12 +1,12 @@
 """Exact path functionals of absorbed lattice walks.
 
 Everything here is a thin layer over walklab.dp.  Free evolution,
-kill-at-origin and kill-on-halfline kernels, partial absorption and
-negative-side mass each come from one run_dp, and each kernel is the
-dp.DPResult of its run, which also holds the passage law (absorbed) or
-the entrance law (entry, entry_base) of that run.  The
-finite-strip exit problem is one dense solve on the states 1..N-1, and
-its hit-N-before-0 probability comes exact from potential.hit_before_origin.
+kill-at-origin and kill-on-halfline kernels and partial absorption each
+come from one run_dp, and each kernel is the dp.DPResult of its run,
+which also holds the passage law (absorbed) or the entrance law (entry,
+entry_base) of that run.  The finite-strip exit problem is one dense
+solve on the states 1..N-1, and its hit-N-before-0 probability comes
+exact from potential.hit_before_origin.
 
 "Exact" means exact up to float64 rounding; an optional rational mode
 (evolve_free_exact / absorbed_at_origin_exact, n <= 64) computes the
@@ -72,12 +72,6 @@ def r_alpha(law: StepLaw, alpha: float, x: int, n: int) -> dp.Window:
     """r_alpha^n = q_alpha^n - q^n as a window over the union of supports."""
     return partial_absorption(law, alpha, x, n).minus(
         absorbed_at_origin(law, x, n))
-
-
-def negative_mass(law: StepLaw, x: int, n: int) -> float:
-    """Q_x^+(n) = sum_{y <= -1} q^n(x, y)."""
-    q = absorbed_at_origin(law, x, n)
-    return q.restricted_sum(q.offset, -1)
 
 
 def nu_tail_bound(law: StepLaw, n: int, x_max: int | None = None,

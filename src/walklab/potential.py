@@ -122,6 +122,7 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     blocks = np.empty((M - m0, W))
     C = CHUNK_STEPS // d * d
     win = np.zeros((C, W))                  # row k-1 mod C: p^k on [-X, X]
+    dbuf = np.empty((C, W))
     # The stream's site of cur[j] is off + d*j; the sites it skips carry
     # exact zeros, which change no sum.  No window budget: the window is
     # bounded by K * span / d + 1 sites, and far less once its edges below
@@ -141,7 +142,8 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
             continue
         # add the deltas of steps k-r .. k to acc and to their blocks in
         # step order, as acc += delta and blocks[m] += delta would
-        delta = win[:r + 1, X:X + 1] - win[:r + 1, ::-1]
+        delta = np.subtract(win[:r + 1, X:X + 1], win[:r + 1, ::-1],
+                            out=dbuf[:r + 1])
         b0, b1 = (k - r - 1) // d, k // d
         if b1 > m0:
             part = delta[0::d]
@@ -149,7 +151,8 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
                 part = part + delta[j::d]
             lo = max(b0, m0)
             blocks[lo - m0:b1 - m0] = part[lo - b0:]
-        acc = np.cumsum(np.vstack([acc, delta]), axis=0)[-1]
+        delta[0] += acc                     # an axis-0 sum adds rows in order
+        acc = delta.sum(axis=0)
         win[:r + 1] = 0.0
     tail, bound = _fit_tail(blocks, m0, M)
     return acc, tail, bound + 2.0 * cut_sum
@@ -184,7 +187,8 @@ def _fit_tail(blocks: np.ndarray, m0: int, M: int):
         part = design[i:i + FIT_CHUNK_ROWS] @ coef
         part -= blocks[i:i + FIT_CHUNK_ROWS]
         np.abs(part, out=part)
-        res = np.cumsum(np.vstack([res, part]), axis=0)[-1]
+        part[0] += res
+        res = part.sum(axis=0)
     bound = np.abs(tail - tail_r) + res
     return tail, bound
 

@@ -81,9 +81,10 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     reads a snapshot of one DP stream per (law, start, mode) (_stream);
     with m = n_big // 2:
 
-    * free from 0 at 257, m, n_big - m and n_big (and 512 for the unit-step
-      walk): reachability, the two Chapman-Kolmogorov halves of p^n, free
-      mass and the reflection oracle;
+    * free from 0 at 256, 257, m, n_big - m and n_big (and 512 for the
+      unit-step walk): domination's free side (p^256(3, .) is the window
+      from 0 shifted by 3), reachability, the two Chapman-Kolmogorov
+      halves of p^n, free mass and the reflection oracle;
     * point and halfline from 1 at m and n_big: the first window and the
       full window of Chapman-Kolmogorov, mass bookkeeping x=1 (and the
       reflection oracle's x=1 at 512); the halfline run at m is the
@@ -97,16 +98,16 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     * point and halfline of the reflected law from 5 at 256: duality's
       second side.
 
-    Domination also runs free from 3 for 256 steps, the reflection oracle
-    point from 2 and 5 for 512, and the Green checks (with kernels) their
-    partial sums from 2.  Failures are data, not exceptions.
+    The reflection oracle also runs point from 2 and 5 for 512, and the
+    Green checks (with kernels) their partial sums from 2.  Failures are
+    data, not exceptions.
     """
     results: list[InvariantResult] = []
     struct = lattice_structure(law)
     refl = law.reflected()
     m, nd, nr, nex = n_big // 2, 256, 257, 48
     oracle = (512,) if law.increments == (-1, 1) else ()
-    free = _stream(law, 0, dp.FREE, (nr, m, n_big - m, n_big) + oracle)
+    free = _stream(law, 0, dp.FREE, (nd, nr, m, n_big - m, n_big) + oracle)
     q1 = {"point": _stream(law, 1, dp.POINT, (m, n_big) + oracle),
           "halfline": _stream(law, 1, dp.HALFLINE, (m, n_big))}
     q3 = {"point": _stream(law, 3, dp.POINT, (nex, nd, n_big)),
@@ -164,7 +165,7 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     _check(results, f"reachability n={nr}", bad, 0.0)
 
     # domination chain at n = 256
-    p = engine.evolve_free(law, 3, nd)
+    p = dp.Window(free[nd].offset + 3, free[nd].weights)
     q, qh = q3["point"][nd], q3["halfline"][nd]
     worst = 0.0
     for i, w in enumerate(qh.weights):
@@ -403,9 +404,18 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
     (ConstraintViolation), a formula that reads a table outside its
     window (OutOfWindow) or a nu_n tail that is not negligible
     (TailNotNegligible) stops the grid before the first DP, with the error
-    of the first such cell in grid order.  The evaluation then runs one
-    exact DP per distinct start and n and the exact right-hand side, and
-    emits rows and skips in grid order.
+    of the first such cell in grid order.  The evaluation then takes the
+    exact side of each cell and the exact right-hand side, and emits rows
+    and skips in grid order.
+
+    A point or halfline cell off the walk's congruence class, at y = 0
+    (point) or at y < 1 (halfline) reads 0.0, as the DP gives there, with
+    no DP.  Otherwise, when y is the only y of its start x at n, its exact
+    side is the dot of two half runs (_half_dot): n steps in all, but
+    about 1/sqrt(2) of the n-step run's site-steps, which grow like
+    n^1.5.  E > 1 distinct ys would cost (1 + E)/(2 sqrt(2)) of those, so
+    such a start, and every other quantity, runs one exact DP per start
+    and n.
     """
     report = ComparisonReport(spec=spec, law_name=k.law.name)
     th = asymptotics.THEOREMS[spec.theorem]
@@ -426,11 +436,19 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
                 0.0 if both_zero else _rel_err(exact, rv),
                 note=f"tail_bound={tail:.3g}"))
             continue
-        runs: dict[int, dp.Window] = {}
+        runs: dict = {}
+        ys = {x: {c[1] for c in cells if c[0] == x} for x, *_ in cells}
         for x, y, xi, eta in cells:
-            if x not in runs:
-                runs[x] = _exact_run(th.exact, spec, k, x, n)
-            exact = _exact_value(th.exact, runs[x], n, y)
+            if th.exact in _DP_MODE and not (
+                    k.structure.reachable(n, y - x)
+                    and (y != 0 if th.exact == "point" else y >= 1)):
+                exact = 0.0
+            elif th.exact in _DP_MODE and len(ys[x]) == 1:
+                exact = _half_dot(th.exact, k.law, x, y, n, runs)
+            else:
+                if x not in runs:
+                    runs[x] = _exact_run(th.exact, k.law, x, n, spec.alpha)
+                exact = _exact_value(th.exact, runs[x], n, y)
             rv = asymptotics.rhs(spec.theorem, k, x, y, n, extras)
             # P61_ralpha emits both of its forms, as rows _p and _g
             forms = ((("_p", rv["p_form"]), ("_g", rv["g_form"]))
@@ -498,14 +516,27 @@ def _cells(quantity: str, spec: GridSpec, k: WalkKernels, n: int, xi: float,
     return [(x, coord(eta, n), xi, eta) for eta in spec.etas]
 
 
-def _exact_run(quantity: str, spec: GridSpec, k: WalkKernels, x: int,
-               n: int):
+def _exact_run(quantity: str, law: StepLaw, x: int, n: int,
+               alpha: float = 1.0):
     """The exact run from x that quantity reads at n."""
     if quantity == "r_alpha":
-        return engine.r_alpha(k.law, spec.alpha, x, n)
+        return engine.r_alpha(law, alpha, x, n)
     if quantity in ("point", "f_x", "Q+"):
-        return engine.absorbed_at_origin(k.law, x, n)
-    return engine.absorbed_on_halfline(k.law, x, n)
+        return engine.absorbed_at_origin(law, x, n)
+    return engine.absorbed_on_halfline(law, x, n)
+
+
+def _half_dot(quantity: str, law: StepLaw, x: int, y: int, n: int,
+              runs: dict) -> float:
+    """q^n(x, y) = sum_z q^(n-m)(x, z) q~^m(y, z), m = n // 2, of the point
+    (x, y != 0) or halfline (x, y >= 1) kernel, q~ that of the reflected
+    law: by time reversal q^m(z, y) = q~^m(y, z).  runs caches the half
+    from x under ("x", x) and the half from y under ("y", y)."""
+    for key, lw, steps in ((("x", x), law, n - n // 2),
+                           (("y", y), law.reflected(), n // 2)):
+        if key not in runs:
+            runs[key] = _exact_run(quantity, lw, key[1], steps)
+    return runs["x", x].dot(runs["y", y])
 
 
 def _exact_value(quantity: str, dist, n: int, y: int) -> float:

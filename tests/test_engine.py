@@ -135,16 +135,20 @@ class TestPartialAbsorption:
 
 
 class TestNegativeMass:
+    """Q_x^+(n) = sum_{y <= -1} q^n(x, y), as verify reads it for Q+."""
+
     def test_left_continuous_never_crosses(self, srw):
-        assert engine.negative_mass(srw, 5, 200) == 0.0
+        q = engine.absorbed_at_origin(srw, 5, 200)
+        assert q.restricted_sum(q.offset, -1) == 0.0
 
     def test_one_step_oracle(self, l1):
-        q = engine.negative_mass(l1, 1, 1)
-        assert q == pytest.approx(1 / 6, abs=1e-16)
+        q = engine.absorbed_at_origin(l1, 1, 1)
+        assert q.restricted_sum(q.offset, -1) == pytest.approx(1 / 6,
+                                                               abs=1e-16)
 
     def test_bounded_by_one(self, l1):
-        q = engine.negative_mass(l1, 2, 512)
-        assert 0.0 <= q <= 1.0
+        q = engine.absorbed_at_origin(l1, 2, 512)
+        assert 0.0 <= q.restricted_sum(q.offset, -1) <= 1.0
 
 
 class TestNuAndParticles:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walklab import asymptotics, build_law, dp, engine
 from walklab.asymptotics import THEOREMS, TheoremId
@@ -12,11 +12,13 @@ from walklab.errors import (ConstraintViolation, OutOfWindow,
                             TailNotNegligible, WalklabError)
 from walklab.kernels import build_kernels
 from walklab.report import csv_text, emit_comparison, summary_text
-from walklab.verify import (GridSpec, _green_partial_sums, _stream,
-                            compare_grid, convergence_report,
-                            invariant_suite)
+from walklab.verify import (GridSpec, _exact_run, _green_partial_sums,
+                            _half_dot, _stream, compare_grid,
+                            convergence_report, invariant_suite)
 
-from conftest import L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS
+from conftest import L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS, zero_mean_laws
+
+PERIOD2_PAIRS = [(-1, "5/8"), (1, "1/4"), (3, "1/8")]
 
 
 class TestInvariantSuite:
@@ -90,11 +92,14 @@ def _same(a, b):
                               and a.tobytes() == b.tobytes())
 
 
-@pytest.mark.parametrize("pairs", [
+_STREAM_LAWS = pytest.mark.parametrize("pairs", [
     SRW_PAIRS, L1_PAIRS, SPAN3_PAIRS,
     [(-41, "20/61"), (20, "41/61")],                          # period 61
-    [(-1, "5/8"), (1, "1/4"), (3, "1/8")],                    # period 2
+    PERIOD2_PAIRS,
 ], ids=["srw", "l1", "span3", "p61", "period2"])
+
+
+@_STREAM_LAWS
 def test_stream_snapshots_are_fresh_runs(pairs):
     """Each snapshot of one stream, extended past the edge cut, is the
     fresh run of its length bit for bit, with its passage and entrance
@@ -111,6 +116,18 @@ def test_stream_snapshots_are_fresh_runs(pairs):
                          (got.entry, want.entry)):
                 assert _same(a, b), (mode, n)
             assert got.cut == pytest.approx(want.cut, rel=1e-12, abs=0.0)
+
+
+@_STREAM_LAWS
+def test_domination_reads_the_free_stream_shifted(pairs):
+    """The suite's free side of domination, p^256(3, .), is the free
+    stream's 256-step window from 0 shifted by 3: the run from 3, bit for
+    bit, as the DP's arithmetic and its cut read the weights alone."""
+    law = build_law(pairs, "law")
+    got = _stream(law, 0, dp.FREE, (256, 257))[256]
+    want = engine.evolve_free(law, 3, 256)
+    assert got.offset + 3 == want.offset and got.cut == want.cut
+    assert _same(got.weights, want.weights)
 
 
 @pytest.mark.parametrize("mode", [dp.POINT, dp.HALFLINE])
@@ -157,7 +174,7 @@ IN_DOMAIN = {
 
 
 def _no_dp(*args, **kwargs):
-    raise AssertionError("a grid that fails ran a DP")
+    raise AssertionError("a DP ran")
 
 
 class TestTheoremTable:
@@ -231,8 +248,9 @@ class TestPlan:
                 compare_grid(GridSpec(theorem, ns=(256, 2)), k)
 
     def test_one_exact_run_per_start(self, l1_kernels, monkeypatch):
-        """xi = 0.01 and 0.02 both start at x = 1, 2, 4 on l1: one stream
-        per n, and the rows of the two single-xi grids, in grid order."""
+        """xi = 0.01 and 0.02 both start at x = 1, 2, 4 on l1, with one y:
+        the two half streams of that (x, y) per n, and the rows of the two
+        single-xi grids, in grid order."""
         spec = dict(ns=(256, 1024, 4096), etas=(0.2,))
         want = sorted(
             [r for xi in (0.01, 0.02) for r in compare_grid(
@@ -247,11 +265,54 @@ class TestPlan:
         monkeypatch.setattr(dp, "_steps", counted)
         rep = compare_grid(GridSpec(TheoremId.T11ii, xis=(0.01, 0.02),
                                     **spec), l1_kernels)
-        assert streams == [256, 1024, 4096]
+        assert streams == [128, 128, 512, 512, 2048, 2048]
         assert [(r.x, r.xi) for r in rep.rows] == [
             (1, 0.01), (1, 0.02), (2, 0.01), (2, 0.02), (4, 0.01),
             (4, 0.02)]
         assert rep.rows == want
+
+    def test_off_lattice_cells_run_no_dp(self, span3_kernels, monkeypatch):
+        """Every cell of span3 T11i on the default grid is off the walk's
+        congruence class: its exact side is 0.0 with no DP, as the n-step
+        run gave.  The right-hand side reads the cached p^n half windows."""
+        spec = GridSpec(TheoremId.T11i)
+        for n in spec.ns:
+            span3_kernels.p_n_at(n, 0)
+        monkeypatch.setattr(dp, "_steps", _no_dp)
+        rep = compare_grid(spec, span3_kernels)
+        assert rep.rows == []
+        assert rep.skipped == [f"T11i n={n} x={x} y={x}: exact = rhs = 0"
+                               for n, x in ((256, 5), (1024, 10),
+                                            (4096, 20))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=zero_mean_laws(), n=st.integers(1, 2048), x=st.integers(1, 40),
+       y=st.integers(1, 40), flip=st.booleans(),
+       quantity=st.sampled_from(["point", "halfline"]))
+@example(law=build_law(PERIOD2_PAIRS, "period2"), n=7, x=3, y=2, flip=True,
+         quantity="point")
+@example(law=build_law(PERIOD2_PAIRS, "period2"), n=40, x=5, y=2,
+         flip=False, quantity="halfline")
+def test_half_dot_is_the_single_run(law, n, x, y, flip, quantity):
+    """The dot of the two half runs is the n-step run's q^n(x, y), for y of
+    both signs (point; flip negates y) and y >= 1 (halfline), off the
+    congruence class too: within n ulps, the rounding budget of n steps,
+    plus the cut of the halves and of the run, which bounds what the edge
+    cut moves each side by.  A point cell with n <= 48 is also within n
+    ulps plus the halves' cut of the rational DP."""
+    y = -y if quantity == "point" and flip else y
+    runs = {}
+    got = _half_dot(quantity, law, x, y, n, runs)
+    run = _exact_run(quantity, law, x, n)
+    eps = np.finfo(np.float64).eps
+    cut = runs["x", x].cut + runs["y", y].cut
+    assert cut + run.cut < 1e-50
+    want = run.prob(y)
+    assert abs(got - want) <= n * eps * want + cut + run.cut
+    if quantity == "point" and n <= 48:
+        v = float(engine.absorbed_at_origin_exact(law, x, n)[0].get(y, 0))
+        assert abs(got - v) <= n * eps * v + cut
 
 
 @pytest.fixture(scope="session")
