@@ -1,9 +1,9 @@
 """Dynamic-programming evolution of absorbed lattice walks.
 
-A distribution over consecutive sites is a ``Window``: a dense float64
-array of weights with site = offset + index.  One step stream evolves a
-distribution under a step pmf by convolution, applying one of three
-absorption modes after every step:
+A distribution is a ``Window`` of stride d: a dense float64 array of
+weights with site = offset + d*index (d = 1: consecutive sites).  One
+step stream evolves a distribution under a step pmf by convolution,
+applying one of three absorption modes after every step:
 
   FREE      no absorption,
   POINT     mass arriving at the origin is removed with probability alpha
@@ -25,12 +25,9 @@ substochastic, so a weight cut at step j moves every later site, absorbed
 mass and entrance-law entry by at most that weight: each of them lies
 within the cut mass of the uncut DP, the error the cut computes.
 
-``run_dp`` splits its initial window by residue class mod d, runs one
-stream per class that holds weight, and lays the survivors and the
-entrance profiles back on consecutive sites once, at the end, with exact
-zeros on the sites no class reaches: every ``Window`` it returns is the
-full-lattice window.  The potential kernel's partial sums and the Green
-partial sums read one strided stream step by step instead.
+``run_dp`` returns the window as the stream stores it, of stride d.  Its
+start lies on one coset as well; a start over several classes (the
+many-start window of ``engine.nu_and_particles``) is one run per class.
 """
 
 from __future__ import annotations
@@ -54,14 +51,18 @@ CUT = 2.0 ** -200
 
 @dataclass
 class Window:
-    """Dense window of weights over consecutive sites offset, offset+1, ..."""
+    """Dense window of weights on the sites offset + stride*i."""
 
     offset: int
     weights: np.ndarray
+    stride: int = 1
+
+    def _end(self) -> int:
+        return self.offset + self.stride * len(self.weights)
 
     def prob(self, y: int) -> float:
-        i = y - self.offset
-        if 0 <= i < len(self.weights):
+        i, r = divmod(y - self.offset, self.stride)
+        if r == 0 and 0 <= i < len(self.weights):
             return float(self.weights[i])
         return 0.0
 
@@ -69,59 +70,68 @@ class Window:
         return float(self.weights.sum())
 
     def sites(self) -> np.ndarray:
-        return self.offset + np.arange(len(self.weights))
+        return self.offset + self.stride * np.arange(len(self.weights))
 
     def restricted_sum(self, lo: int, hi: int) -> float:
         """Sum of weights over sites in [lo, hi]."""
-        a = max(lo - self.offset, 0)
-        b = min(hi - self.offset + 1, len(self.weights))
+        a = max(-((self.offset - lo) // self.stride), 0)
+        b = min((hi - self.offset) // self.stride + 1, len(self.weights))
         if b <= a:
             return 0.0
         return float(self.weights[a:b].sum())
 
+    def _aligned(self, other: Window) -> bool:
+        """Whether other, of the same stride, lies on the coset of self."""
+        if other.stride != self.stride:
+            raise ValueError("windows of different strides")
+        return (other.offset - self.offset) % self.stride == 0
+
     def dot(self, other: Window) -> float:
-        """Sum over common sites of the product of the two weights."""
+        """Sum over common sites of the product of the two weights; 0.0
+        for two windows on different cosets."""
+        s = self.stride
         lo = max(self.offset, other.offset)
-        hi = min(self.offset + len(self.weights),
-                 other.offset + len(other.weights))
-        if hi <= lo:
+        hi = min(self._end(), other._end())
+        if hi <= lo or not self._aligned(other):
             return 0.0
-        return float(np.dot(self.weights[lo - self.offset: hi - self.offset],
-                            other.weights[lo - other.offset: hi - other.offset]))
+        a, b, m = (lo - self.offset) // s, (lo - other.offset) // s, \
+            (hi - lo) // s
+        return float(np.dot(self.weights[a:a + m], other.weights[b:b + m]))
 
     def reflected(self, z: int) -> Window:
         """The window w -> self.prob(z - w)."""
-        return Window(z - self.offset - len(self.weights) + 1,
-                      self.weights[::-1])
+        return Window(z - self._end() + self.stride, self.weights[::-1],
+                      self.stride)
 
     def minus(self, other: Window) -> Window:
-        """self - other as a window over the union of the two supports."""
+        """self - other as a window over the union of the two supports,
+        which lie on one coset."""
+        if not self._aligned(other):
+            raise ValueError("windows on different cosets")
+        s = self.stride
         lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.weights),
-                 other.offset + len(other.weights))
-        out = np.zeros(hi - lo)
-        out[self.offset - lo: self.offset - lo + len(self.weights)] += \
-            self.weights
-        out[other.offset - lo: other.offset - lo + len(other.weights)] -= \
-            other.weights
-        return Window(lo, out)
+        out = np.zeros((max(self._end(), other._end()) - lo) // s)
+        i, j = (self.offset - lo) // s, (other.offset - lo) // s
+        out[i: i + len(self.weights)] += self.weights
+        out[j: j + len(other.weights)] -= other.weights
+        return Window(lo, out, s)
 
 
 @dataclass
 class DPResult(Window):
     """Outcome of an n-step absorbed evolution.
 
-    The window is the surviving distribution after n steps; in HALFLINE
-    mode its mass() is P_x[T > n], T the first time at a site <= 0.
+    The window is the surviving distribution after n steps, of stride
+    period(pmf); in HALFLINE mode its mass() is P_x[T > n], T the first
+    time at a site <= 0.
     absorbed: per-step absorbed mass (POINT mode), index k-1 = step k; with
         alpha = 1 it is the passage law f_x(k).
     entry: (n, depth) array of per-step landing profiles in HALFLINE
         mode; entry[k-1, j] is the mass landing at site entry_base + j
         on step k.
-    cut: the total weight the edge cut removed, over every class stream;
-        every site, absorbed mass and entry lies within cut of the uncut
-        DP, and mass() + cut, plus what was absorbed, is the initial mass
-        up to rounding.
+    cut: the total weight the edge cut removed; every site, absorbed mass
+        and entry lies within cut of the uncut DP, and mass() + cut, plus
+        what was absorbed, is the initial mass up to rounding.
     """
 
     absorbed: np.ndarray | None = None
@@ -220,45 +230,28 @@ def run_dp(
     n: int,
     mode: int = FREE,
     alpha: float = 1.0,
-    window_budget: int = DEFAULT_WINDOW_BUDGET,
 ) -> DPResult:
-    """Evolve an initial window n steps with per-step absorption.
+    """Evolve a start on one coset n steps with per-step absorption.
 
-    In POINT/HALFLINE modes the initial window is taken as already past
-    the step-0 absorption (the zero-step kernel is the identity).
-
-    The initial window is split by residue class mod period(pmf); each
-    class with a nonzero weight runs as its own strided stream, and the
-    survivors are laid back on consecutive sites once, at the end, with
-    exact zeros on the sites no class reaches.  The result's cut adds up
-    the cut mass of every class stream.
+    init_weights[i] sits at init_offset + d*i, d = period(pmf), as the
+    window of a DPResult does, so a result continues as a start.  In
+    POINT/HALFLINE modes the start is taken as already past the step-0
+    absorption (the zero-step kernel is the identity).  The result is the
+    window _steps leaves, of stride d; the stream's window budget is
+    DEFAULT_WINDOW_BUDGET stored sites.
     """
     d = period(pmf)
-    init = np.array(init_weights, dtype=np.float64)
+    off, cur, cut = init_offset, np.array(init_weights, dtype=np.float64), 0.0
     absorbed = np.zeros(n) if mode == POINT else None
-    entry = None
-    entry_base = 0
+    entry, entry_base = None, 0
     if mode == HALFLINE:
         entry = np.zeros((n, -zmin))
         entry_base = 1 + zmin
-    ends, total_cut = [], 0.0
-    for r in [r for r in range(d) if init[r::d].any()] or [0]:
-        off, cur, cut = init_offset + r, init[r::d], 0.0
-        for k, off, cur, removed, cut in _steps(off, cur, zmin, pmf, n, mode,
-                                                alpha, window_budget):
-            if mode == POINT:
-                absorbed[k - 1] += removed
-            elif removed is not None:
-                j = removed[0] - entry_base
-                entry[k - 1, j: j + d * len(removed[1]): d] = removed[1]
-        ends.append((off, cur))
-        total_cut += cut
-    # at most one class holds site 0 on a given step, so the POINT sums
-    # above add one absorbed mass to zeros
-    live = [e for e in ends if len(e[1])] or ends[:1]
-    lo = min(off for off, _ in live)
-    last = max(off + d * (len(cur) - 1) for off, cur in live)
-    out = np.zeros(max(last - lo + 1, 0))
-    for off, cur in live:
-        out[off - lo: off - lo + d * len(cur): d] = cur
-    return DPResult(lo, out, absorbed, entry, entry_base, float(total_cut))
+    for k, off, cur, removed, cut in _steps(off, cur, zmin, pmf, n, mode,
+                                            alpha, DEFAULT_WINDOW_BUDGET):
+        if mode == POINT:
+            absorbed[k - 1] = removed
+        elif removed is not None:
+            j = removed[0] - entry_base
+            entry[k - 1, j: j + d * len(removed[1]): d] = removed[1]
+    return DPResult(off, cur, d, absorbed, entry, entry_base, float(cut))

@@ -113,19 +113,22 @@ def nu_and_particles(law: StepLaw, n: int, x_max: int | None = None,
     the expected count of surviving particles in [-ell*sqrt(sigma2 n), -1]
     when one particle starts on every site of 1..x_max.
 
-    A single point-absorbed DP with unit mass on every start site gives
-    both sums by linearity.  x_max and the tail bound come from
-    nu_tail_bound, whose guards run before the DP; the error bound adds
-    the DP's cut, within which both sums lie of the uncut DP.
+    A point-absorbed DP with unit mass on every start site gives both sums
+    by linearity, one run per class of the sites mod the period.  x_max
+    and the tail bound come from nu_tail_bound, whose guards run before
+    the DP; the error bound adds the runs' cuts, within which both sums
+    lie of the uncut DP.
     """
     x_max, tail = nu_tail_bound(law, n, x_max, tol)
     n_star = float(moments(law).sigma2) * n
     zmin, pmf = law.pmf_array()
-    res = dp.run_dp(1, np.ones(x_max), zmin, pmf, n, mode=dp.POINT, alpha=1.0)
-    nu_trunc = res.restricted_sum(res.offset, -1)
+    d = dp.period(pmf)
+    runs = [dp.run_dp(x, np.ones((x_max - x) // d + 1), zmin, pmf, n,
+                      mode=dp.POINT) for x in range(1, min(d, x_max) + 1)]
     lo = -int(math.floor(ell * math.sqrt(n_star)))
-    expected_particles = res.restricted_sum(lo, -1)
-    return nu_trunc, tail + res.cut, expected_particles
+    return (sum(r.restricted_sum(r.offset, -1) for r in runs),
+            tail + sum(r.cut for r in runs),
+            sum(r.restricted_sum(lo, -1) for r in runs))
 
 
 @dataclass

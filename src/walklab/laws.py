@@ -21,6 +21,7 @@ from mpmath import mp
 from .errors import (
     DegenerateLaw,
     FactorizationFailed,
+    LawError,
     NonUnitMass,
     NonzeroMean,
     Reducible,
@@ -109,10 +110,12 @@ def build_law(pairs, name: str = "law", max_span: int = DEFAULT_MAX_SPAN) -> Ste
     Weights may be Fractions, ints, or "num/den" strings.  Raises a
     LawError subclass on any violation; never silently repairs input.
     """
+    try:
+        parsed = [(int(z), Fraction(w)) for z, w in pairs]
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise LawError(f"malformed pairs: {e}") from e
     table: dict[int, Fraction] = {}
-    for z, w in pairs:
-        z = int(z)
-        w = Fraction(w)
+    for z, w in parsed:
         if w < 0:
             raise NonUnitMass(f"negative weight {w} at increment {z}")
         if w == 0:
@@ -142,8 +145,13 @@ def build_law(pairs, name: str = "law", max_span: int = DEFAULT_MAX_SPAN) -> Ste
 def load_law(path: str, max_span: int = DEFAULT_MAX_SPAN) -> StepLaw:
     """Load a law from a JSON file {"name": ..., "pairs": [[z, "p/q"], ...]}."""
     with open(path) as f:
-        doc = json.load(f)
-    return build_law(doc["pairs"], name=doc.get("name", "law"), max_span=max_span)
+        try:
+            doc = json.load(f)
+            pairs = doc["pairs"]
+        except (ValueError, KeyError, TypeError) as e:
+            raise LawError(
+                f'{path} is not a JSON object with "pairs": {e}') from e
+    return build_law(pairs, name=doc.get("name", "law"), max_span=max_span)
 
 
 def moments(law: StepLaw) -> Moments:

@@ -44,9 +44,9 @@ def csv_text(header: tuple[str, ...], rows) -> str:
 
 
 def emit_slice(mode: str, x: int, n: int, window: Window, path: str):
-    """The n-step kernel from x as (mode, x, n, y, value) rows, y ascending."""
-    rows = ((mode, x, n, window.offset + i, float(w))
-            for i, w in enumerate(window.weights))
+    """(mode, x, n, y, value) rows, one per site of the window, y ascending."""
+    rows = ((mode, x, n, y, float(w))
+            for y, w in zip(window.sites().tolist(), window.weights))
     atomic_write(path, csv_text(("mode", "x", "n", "y", "value"), rows))
 
 

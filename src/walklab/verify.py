@@ -124,7 +124,7 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     # at the argmax and at +-floor(sqrt(sigma2 n)) from it, rounded down to
     # the period; a site where p^n is 0 (the argmax never is) fails only
     # if the dot there is not 0
-    z0 = full.offset + int(np.argmax(full.weights))
+    z0 = int(full.sites()[np.argmax(full.weights)])
     step = math.isqrt(int(moments(law).sigma2 * n_big))
     step -= step % struct.period
     gap = 0.0
@@ -158,21 +158,17 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
 
     # reachability: support of p^n confined to the congruence class
     d = free[nr]
-    bad = 0.0
-    for i, w in enumerate(d.weights):
-        if not struct.reachable(nr, d.offset + i):
-            bad = max(bad, abs(w))
+    bad = max((abs(w) for y, w in zip(d.sites().tolist(), d.weights)
+               if not struct.reachable(nr, y)), default=0.0)
     _check(results, f"reachability n={nr}", bad, 0.0)
 
     # domination chain at n = 256
-    p = dp.Window(free[nd].offset + 3, free[nd].weights)
+    p = dp.Window(free[nd].offset + 3, free[nd].weights, free[nd].stride)
     q, qh = q3["point"][nd], q3["halfline"][nd]
     worst = 0.0
-    for i, w in enumerate(qh.weights):
-        y = qh.offset + i
+    for y, w in zip(qh.sites().tolist(), qh.weights):
         worst = max(worst, w - q.prob(y))
-    for i, w in enumerate(q.weights):
-        y = q.offset + i
+    for y, w in zip(q.sites().tolist(), q.weights):
         worst = max(worst, w - p.prob(y))
     _check(results, "domination halfline <= point <= free",
            max(worst, 0.0), 1e-14)
@@ -191,11 +187,10 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
         for x0, y0 in ((1, 1), (2, 4), (5, 3)):
             qv = (q1["point"][nn] if x0 == 1 else
                   engine.absorbed_at_origin(law, x0, nn))
-            for i, w in enumerate(qv.weights):
-                y = qv.offset + i
-                if y < 1:
-                    continue
-                worst = max(worst, abs(w - (p.prob(y - x0) - p.prob(y + x0))))
+            for y, w in zip(qv.sites().tolist(), qv.weights):
+                if y >= 1:
+                    worst = max(worst,
+                                abs(w - (p.prob(y - x0) - p.prob(y + x0))))
         _check(results, "reflection principle", worst, 1e-12)
     else:
         _skip(results, "reflection principle", "law is not the unit-step walk")
@@ -204,7 +199,7 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     # chain coincide on x,y >= 1
     if law.zmin >= -1:
         worst = max(abs(q.prob(y) - qh.prob(y))
-                    for y in range(1, q.offset + len(q.weights)))
+                    for y in q.sites().tolist() if y >= 1)
         _check(results, "halfline == point for left-continuous law",
                worst, 1e-12)
     else:
@@ -316,7 +311,7 @@ def _green_partial_sums(law: StepLaw, mode: int, x: int, y: int,
                         ns: tuple[int, ...]
                         ) -> dict[int, tuple[float, float]]:
     """{n: (sum_{k<=n} q^k(x, y), error)} for each n of ns, accumulated step
-    by step along one stream, whose site of cur[i] is off + d*i.  q^k(x, y)
+    by step along one stream, whose window has stride d.  q^k(x, y)
     lies within the stream's cut at step k of the uncut DP, so the error is
     the sum of those cuts over k <= n."""
     zmin, pmf = law.pmf_array()
@@ -325,9 +320,7 @@ def _green_partial_sums(law: StepLaw, mode: int, x: int, y: int,
     out = {}
     for k, off, cur, _, cut in dp._steps(x, np.ones(1), zmin, pmf, max(ns),
                                          mode, 1.0, dp.DEFAULT_WINDOW_BUDGET):
-        i, r = divmod(y - off, d)
-        if r == 0 and 0 <= i < len(cur):
-            total += float(cur[i])
+        total += dp.Window(off, cur, d).prob(y)
         err, last = err + cut, k
         if k in ns:
             out[k] = total, err

@@ -42,6 +42,21 @@ class TestValidate:
         assert e.value.code == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"name": "l1", "pairs": [[-1, "1/2"], [1, "1/2"]',     # JSON syntax
+    '{"name": "l1"}',                                       # no "pairs"
+    '{"pairs": [[-1, "abc"], [1, "1/2"]]}',                 # weight "abc"
+    '{"pairs": [[-1, "1/0"], [1, "1/2"]]}',                 # weight "1/0"
+], ids=["syntax", "no-pairs", "weight-abc", "weight-1/0"])
+def test_malformed_law_file_is_a_law_error(text, tmp_path, capsys):
+    p = tmp_path / "law.json"
+    p.write_text(text)
+    assert main(["validate", "--law", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: LawError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestCompute:
     @pytest.mark.parametrize("mode", ["free", "point", "halfline",
                                       "partial"])

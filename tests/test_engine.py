@@ -34,11 +34,11 @@ class TestFree:
         p = engine.evolve_free(l1, 3, 500)
         assert p.mass() == pytest.approx(1.0, abs=1e-12)
 
-    def test_window_budget(self, srw):
+    def test_window_budget(self, srw, monkeypatch):
         zmin, pmf = srw.pmf_array()
+        monkeypatch.setattr(dp, "DEFAULT_WINDOW_BUDGET", 50)
         with pytest.raises(WindowOverflow):
-            dp.run_dp(0, np.ones(1), zmin, pmf, 100, mode=dp.FREE,
-                      window_budget=50)
+            dp.run_dp(0, np.ones(1), zmin, pmf, 100, mode=dp.FREE)
 
 
 class TestKillAtOrigin:
@@ -277,10 +277,11 @@ def test_cut_takes_only_outer_zero_and_subnormal_runs(srw):
                                       1.0, dp.DEFAULT_WINDOW_BUDGET)
     assert (off, list(w)) == (-1, [0.5, 1e-310, 0.0, 0.25])
     assert cut == 1e-70 + 1e-61
-    # a period-2 law: the interior zeros between live sites stay
+    # a period-2 law: the window holds its coset only, with no zeros
     res = dp.run_dp(0, np.ones(1), -1, srw.pmf_array()[1], 9)
-    assert (res.offset, len(res.weights), res.cut) == (-9, 19, 0.0)
-    assert np.count_nonzero(res.weights == 0.0) == 9
+    assert (res.offset, len(res.weights), res.stride, res.cut) == \
+        (-9, 10, 2, 0.0)
+    assert np.count_nonzero(res.weights == 0.0) == 0
     # a window below CUT empties on the first step, ends the stream
     steps = list(dp._steps(0, np.full(3, 1e-70), -1, np.full(3, 1 / 3), 5,
                            dp.FREE, 1.0, dp.DEFAULT_WINDOW_BUDGET))
@@ -293,9 +294,9 @@ def test_cut_takes_only_outer_zero_and_subnormal_runs(srw):
 def _full_lattice_dp(offset, weights, zmin, pmf, n, mode, alpha, cut=True):
     """run_dp on every site of the lattice: np.convolve with the dense pmf,
     the same absorption and the same edge cut, applied to each residue
-    class of the start mod the period on its own, as run_dp runs one
-    stream per class; the reference for the coset stream, and without the
-    cut the reference for the cut.  Returns (offset, weights, absorbed,
+    class of the start mod the period on its own, as each class runs its
+    own run_dp; the reference for the coset stream, and without the cut
+    the reference for the cut.  Returns (offset, weights, absorbed,
     entry, cut mass)."""
     d = dp.period(pmf)
     off, cur = offset, np.array(weights, dtype=float)
@@ -344,8 +345,8 @@ def test_cut_keeps_every_normal_weight(law, x, n, mode, alpha):
     off, ref, absorbed, entry, _ = _full_lattice_dp(
         x, np.ones(1), zmin, pmf, n, mode, alpha, cut=False)
     assert 0.0 <= res.cut < 1e-50
-    assert off <= res.offset
-    assert res.offset + len(res.weights) <= off + len(ref)
+    assert res.stride == dp.period(pmf)
+    assert np.all((off <= res.sites()) & (res.sites() < off + len(ref)))
 
     def within(got, want):
         return np.all(np.abs(got - want) <= res.cut + 1e-14 * np.abs(want))
@@ -363,15 +364,29 @@ _MODES = [(dp.FREE, 1.0), (dp.POINT, 1.0), (dp.POINT, 0.5),
 
 
 def _coset_vs_full(law, offset, weights, n, mode, alpha):
+    """One run_dp per residue class of the start mod the period, as
+    nu_and_particles runs them, against the full-lattice DP.  Returns
+    the classes' summed weight at each site of either side, the
+    reference's there, and (summed, reference) pairs of the absorbed
+    masses, the entrance laws and the cut masses.  Two classes never
+    share a site, so each sum adds one run's value to zeros."""
     zmin, pmf = law.pmf_array()
-    res = dp.run_dp(offset, weights, zmin, pmf, n, mode=mode, alpha=alpha)
+    d = dp.period(pmf)
+    weights = np.asarray(weights, dtype=float)
+    runs = [dp.run_dp(offset + r, weights[r::d], zmin, pmf, n, mode=mode,
+                      alpha=alpha) for r in range(min(d, len(weights)))]
+    assert all(res.stride == d for res in runs)
     off, ref, absorbed, entry, cut = _full_lattice_dp(
         offset, weights, zmin, pmf, n, mode, alpha)
-    got = dp.Window(off, ref)
-    sites = np.union1d(res.sites(), got.sites())
-    return (res, np.array([res.prob(int(y)) for y in sites]),
-            np.array([got.prob(int(y)) for y in sites]), absorbed, entry,
-            cut)
+    want = dp.Window(off, ref)
+    sites = np.union1d(np.concatenate([r.sites() for r in runs]),
+                       want.sites()).tolist()
+    got = np.array([sum(r.prob(y) for r in runs) for y in sites])
+    field = {dp.POINT: "absorbed", dp.HALFLINE: "entry"}.get(mode)
+    summed = sum(getattr(r, field) for r in runs) if field else None
+    return (got, np.array([want.prob(y) for y in sites]),
+            (summed, absorbed if mode == dp.POINT else entry),
+            (sum(r.cut for r in runs), cut))
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,21 +396,19 @@ def _coset_vs_full(law, offset, weights, n, mode, alpha):
        st.integers(1, 300), st.sampled_from(_MODES))
 def test_coset_stream_matches_full_lattice(law, x, weights, n, mode_alpha):
     """On periodic laws, from windows that span several residue classes,
-    the per-class coset streams agree with the full-lattice DP that cuts
-    each class on its own: the same sites are nonzero, every weight,
+    the coset streams of the classes agree with the full-lattice DP that
+    cuts each class on its own: the same sites are nonzero, every weight,
     absorbed mass and entrance-law entry agrees to 1e-15, and the cut
     masses to 1e-12 relative."""
     mode, alpha = mode_alpha
     x0 = abs(x) + 1 if mode == dp.HALFLINE else x
-    res, got, want, absorbed, entry, cut = _coset_vs_full(
+    got, want, (absorbed, absorbed_ref), (cut, cut_ref) = _coset_vs_full(
         law, x0, weights, n, mode, alpha)
     assert np.array_equal(got != 0, want != 0)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
-    assert res.cut == pytest.approx(cut, rel=1e-12, abs=0.0)
-    if mode == dp.POINT:
-        assert np.max(np.abs(res.absorbed - absorbed)) <= 1e-15
-    if mode == dp.HALFLINE:
-        assert np.max(np.abs(res.entry - entry)) <= 1e-15
+    assert cut == pytest.approx(cut_ref, rel=1e-12, abs=0.0)
+    if mode != dp.FREE:
+        assert np.max(np.abs(absorbed - absorbed_ref)) <= 1e-15
 
 
 @pytest.mark.parametrize("pairs", [
@@ -409,14 +422,69 @@ def test_coset_stream_is_bit_identical_on_fixtures(pairs, mode, alpha):
     for bit, from one site and from a window over every class."""
     law = build_law(pairs, "law")
     for x, weights in ((3, np.ones(1)), (1, np.ones(7))):
-        res, got, want, absorbed, entry, cut = _coset_vs_full(
+        got, want, (absorbed, absorbed_ref), (cut, cut_ref) = _coset_vs_full(
             law, x, weights, 600, mode, alpha)
         assert np.array_equal(got, want)
-        assert res.cut == pytest.approx(cut, rel=1e-12, abs=0.0)
-        if mode == dp.POINT:
-            assert np.array_equal(res.absorbed, absorbed)
-        if mode == dp.HALFLINE:
-            assert np.array_equal(res.entry, entry)
+        assert cut == pytest.approx(cut_ref, rel=1e-12, abs=0.0)
+        if mode != dp.FREE:
+            assert np.array_equal(absorbed, absorbed_ref)
+
+
+def _laid_back(w):
+    """The strided window w on consecutive sites, with exact zeros on the
+    sites between: the layout run_dp once returned, kept as the
+    reference for the strided Window."""
+    out = np.zeros(max(w.stride * (len(w.weights) - 1) + 1, 0))
+    out[::w.stride] = w.weights
+    return dp.Window(w.offset, out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(periodic_laws(), zero_mean_laws()), st.integers(1, 6),
+       st.integers(1, 200), st.sampled_from([dp.FREE, dp.POINT,
+                                             dp.HALFLINE]),
+       st.integers(-400, 400), st.integers(-400, 400), st.integers(0, 60))
+def test_strided_window_matches_its_laid_back_window(law, x, n, mode, lo,
+                                                     hi, z):
+    """prob, sites, mass, restricted_sum, dot, reflected and minus of a
+    DP window of stride period(pmf) agree with the same window laid back
+    on consecutive sites: in and around the window, over bounds on and
+    off the coset, and for dots on the same coset and on another one."""
+    zmin, pmf = law.pmf_array()
+    d = dp.period(pmf)
+    a = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=mode, alpha=0.5)
+    ref = _laid_back(a)
+    assert a.stride == d
+    ys = range(a.offset - 2 * d - 1, a.offset + d * len(a.weights) + 2 * d)
+    assert [a.prob(y) for y in ys] == [ref.prob(y) for y in ys]
+    assert np.array_equal(a.sites(), ref.sites()[::d])
+    assert a.mass() == pytest.approx(ref.mass(), rel=1e-14, abs=0.0)
+    for lo_, hi_ in ((lo, hi), (lo, -1), (a.offset + lo % d, hi),
+                     (lo, a.offset - 1 + hi % d)):
+        assert a.restricted_sum(lo_, hi_) == pytest.approx(
+            ref.restricted_sum(lo_, hi_), rel=1e-14, abs=0.0)
+
+    # dot with a window of the reflected law, of the same stride, on the
+    # coset of a and on another one (for d > 1)
+    rz, rpmf = law.reflected().pmf_array()
+    b = dp.run_dp(x, np.ones(1), rz, rpmf, n // 2 + 1, mode=mode)
+    for t in (a.offset + b.offset + d * z, a.offset + b.offset + d * z + 1):
+        ab, ref_ab = a.dot(b.reflected(t)), ref.dot(_laid_back(b).reflected(t))
+        assert ab == pytest.approx(ref_ab, rel=1e-14, abs=0.0)
+        if (t - a.offset - b.offset) % d:
+            assert ab == 0.0
+        bt, ref_bt = b.reflected(t), _laid_back(b).reflected(t)
+        assert bt.stride == d
+        assert [bt.prob(y) for y in ys] == [ref_bt.prob(y) for y in ys]
+
+    # minus: two windows on one coset, a partial and a total absorption
+    c = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.POINT, alpha=1.0)
+    diff, ref_diff = a.minus(c), ref.minus(_laid_back(c))
+    assert diff.stride == d
+    span = range(min(a.offset, c.offset) - d,
+                 max(a.offset + d * len(a.weights),
+                     c.offset + d * len(c.weights)) + d)
+    assert [diff.prob(y) for y in span] == [ref_diff.prob(y) for y in span]
 
 
 def test_p_n_extends_the_largest_cached_window(l1, l1_kernels):
