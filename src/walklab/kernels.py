@@ -58,7 +58,10 @@ class WalkKernels:
         displacement, from the two cached half windows: the floor(n/2)
         window is requested first, so that for odd n the ceil(n/2) one
         extends it by one step.  It agrees with p_n(n).prob(z) to float
-        rounding and is exactly 0.0 on the sites the walk cannot reach."""
+        rounding, and is exactly 0.0, with no DP, on the sites the walk
+        cannot reach."""
+        if not self.structure.reachable(n, displacement):
+            return 0.0
         p_lo = self.p_n(n // 2)
         return self.p_n(n - n // 2).dot(p_lo.reflected(displacement))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -107,15 +108,20 @@ class LatticeStructure:
 def build_law(pairs, name: str = "law", max_span: int = DEFAULT_MAX_SPAN) -> StepLaw:
     """Validate raw (increment, weight) pairs into a StepLaw.
 
-    Weights may be Fractions, ints, or "num/den" strings.  Raises a
-    LawError subclass on any violation; never silently repairs input.
+    Increments are integers: a float (even 2.0), a bool or a string is
+    rejected.  Weights may be Fractions, ints, or "num/den" strings.
+    Raises a LawError subclass on any violation; never silently repairs
+    input.
     """
     try:
-        parsed = [(int(z), Fraction(w)) for z, w in pairs]
+        parsed = [(z, Fraction(w)) for z, w in pairs]
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise LawError(f"malformed pairs: {e}") from e
     table: dict[int, Fraction] = {}
     for z, w in parsed:
+        if isinstance(z, bool) or not isinstance(z, numbers.Integral):
+            raise LawError(f"increment {z!r} is not an integer")
+        z = int(z)
         if w < 0:
             raise NonUnitMass(f"negative weight {w} at increment {z}")
         if w == 0:

@@ -17,6 +17,7 @@ Two entry points:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ def _skip(results, name, reason):
 
 
 def _stream(law: StepLaw, x: int, mode: int,
-            ns: tuple[int, ...]) -> dict[int, dp.DPResult]:
+            ns: Iterable[int]) -> dict[int, dp.DPResult]:
     """{n: the n-step run of mode from x} for each n of ns, from one DP
     stream: each snapshot extends the one before it by run_dp on its window
     (m steps and then n - m more are the n-step run, bit for bit), its
@@ -75,50 +76,78 @@ def _stream(law: StepLaw, x: int, mode: int,
     return out
 
 
+def _planned_streams(reads):
+    """Run each DP stream of a plan once, up to its last snapshot, and
+    return snap(law, x, mode, n), the n-step run of mode from x.
+
+    reads lists (law, x, mode, ns), the snapshots ns that the checks read
+    of the run of mode from x.  The plan keys them by (increments,
+    weights, x, mode), so two laws with the same steps (a law equal to its
+    reflection, and that reflection) share one stream per start and mode;
+    _stream runs each key once.  An empty ns runs nothing."""
+    plan: dict[tuple, tuple[StepLaw, set[int]]] = {}
+    for lw, x, mode, ns in reads:
+        key = lw.increments, lw.weights, x, mode
+        plan.setdefault(key, (lw, set()))[1].update(ns)
+    runs = {key: _stream(lw, key[2], key[3], ns)
+            for key, (lw, ns) in plan.items()}
+
+    def snap(lw: StepLaw, x: int, mode: int, n: int) -> dp.DPResult:
+        return runs[lw.increments, lw.weights, x, mode][n]
+    return snap
+
+
 def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
                     n_big: int = 4096) -> list[InvariantResult]:
-    """Exact identities of the DP kernels, at float tolerances.  Each check
-    reads a snapshot of one DP stream per (law, start, mode) (_stream);
-    with m = n_big // 2:
+    """Exact identities of the DP kernels, at float tolerances.
+
+    The suite plans its DPs before it runs any: it lists every snapshot a
+    check reads as (law, start, mode) -> {n}, and runs one stream per key
+    of (increments, weights, start, mode) up to its last snapshot
+    (_planned_streams).  A law equal to its reflection (srw, sym5, a
+    symmetric lazy walk) so reads its own runs for the reflected-law
+    checks.  With m = n_big // 2, the snapshots are:
 
     * free from 0 at 256, 257, m, n_big - m and n_big (and 512 for the
       unit-step walk): domination's free side (p^256(3, .) is the window
       from 0 shifted by 3), reachability, the two Chapman-Kolmogorov
       halves of p^n, free mass and the reflection oracle;
     * point and halfline from 1 at m and n_big: the first window and the
-      full window of Chapman-Kolmogorov, mass bookkeeping x=1 (and the
-      reflection oracle's x=1 at 512); the halfline run at m is the
-      descending ladder-bucket run;
-    * point and halfline from 3 at 48 (point only), 256 and n_big: float
-      vs rational, domination, duality's first side and mass bookkeeping
-      x=3;
+      full window of Chapman-Kolmogorov, mass bookkeeping x=1 at n_big
+      (and the reflection oracle's x=1 at 512); the halfline run at m is
+      the descending ladder-bucket run;
+    * point and halfline from 3 at 48 (point only) and 256: float vs
+      rational, domination, duality's first side and mass bookkeeping
+      x=3 at 256;
     * point and halfline of the reflected law from 1 at n_big - m: the
-      dual window of Chapman-Kolmogorov; the halfline run is the
-      ascending ladder-bucket run;
+      dual window of Chapman-Kolmogorov and mass bookkeeping there; the
+      halfline run is the ascending ladder-bucket run;
     * point and halfline of the reflected law from 5 at 256: duality's
-      second side.
+      second side;
+    * point from 2 and 5 at 512 for the unit-step walk: the reflection
+      oracle.
 
-    The reflection oracle also runs point from 2 and 5 for 512, and the
-    Green checks (with kernels) their partial sums from 2.  Failures are
-    data, not exceptions.
+    The Green checks (with kernels) read every step of their partial sums
+    from 2 (_green_partial_sums), outside the plan.  Failures are data,
+    not exceptions.
     """
     results: list[InvariantResult] = []
     struct = lattice_structure(law)
     refl = law.reflected()
     m, nd, nr, nex = n_big // 2, 256, 257, 48
     oracle = (512,) if law.increments == (-1, 1) else ()
-    free = _stream(law, 0, dp.FREE, (nd, nr, m, n_big - m, n_big) + oracle)
-    q1 = {"point": _stream(law, 1, dp.POINT, (m, n_big) + oracle),
-          "halfline": _stream(law, 1, dp.HALFLINE, (m, n_big))}
-    q3 = {"point": _stream(law, 3, dp.POINT, (nex, nd, n_big)),
-          "halfline": _stream(law, 3, dp.HALFLINE, (nd, n_big))}
-    kill = {"point": engine.absorbed_at_origin,
-            "halfline": engine.absorbed_on_halfline}
-    r1 = {mode: run(refl, 1, n_big - m) for mode, run in kill.items()}
+    F, P, H = dp.FREE, dp.POINT, dp.HALFLINE
+    snap = _planned_streams([
+        (law, 0, F, (nd, nr, m, n_big - m, n_big) + oracle),
+        (law, 1, P, (m, n_big) + oracle), (law, 1, H, (m, n_big)),
+        (law, 3, P, (nex, nd)), (law, 3, H, (nd,)),
+        (refl, 1, P, (n_big - m,)), (refl, 1, H, (n_big - m,)),
+        (refl, 5, P, (nd,)), (refl, 5, H, (nd,)),
+        (law, 2, P, oracle), (law, 5, P, oracle)])
 
     # free evolution mass, and the free kernel as the Chapman-Kolmogorov dot
     # of its two halves (kernels.p_n_at)
-    p_lo, p_hi, full = free[m], free[n_big - m], free[n_big]
+    p_lo, p_hi, full = (snap(law, 0, F, n) for n in (m, n_big - m, n_big))
     _check(results, f"free mass n={n_big}", full.mass() + full.cut - 1.0,
            1e-12)
     # at the argmax and at +-floor(sqrt(sigma2 n)) from it, rounded down to
@@ -136,35 +165,41 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
            1e-12)
 
     # mass conservation, point and halfline modes: what survived, what was
-    # absorbed and what the edge cut removed add up to 1
-    for x, q in ((1, q1), (3, q3)):
-        qp, qh = q["point"][n_big], q["halfline"][n_big]
-        _check(results, f"point mass bookkeeping x={x}",
+    # absorbed and what the edge cut removed add up to 1, at the last
+    # snapshot of each of these runs, which other checks read too
+    for lw, x, n in ((law, 1, n_big), (law, 3, nd), (refl, 1, n_big - m)):
+        at = f"x={x} n={n}" + ("" if lw is law else ", reflected law")
+        qp, qh = snap(lw, x, P, n), snap(lw, x, H, n)
+        _check(results, f"point mass bookkeeping {at}",
                qp.mass() + qp.absorbed.sum() + qp.cut - 1.0, 1e-10)
-        _check(results, f"point kernel vanishes at 0, x={x}", qp.prob(0),
-               0.0)
-        _check(results, f"halfline mass bookkeeping x={x}",
+        if lw is law:
+            _check(results, f"point kernel vanishes at 0, {at}", qp.prob(0),
+                   0.0)
+        _check(results, f"halfline mass bookkeeping {at}",
                qh.mass() + qh.entry.sum() + qh.cut - 1.0, 1e-10)
 
     # Chapman-Kolmogorov via the dual window, q^n(1, 1) = sum_z q^m(1, z)
     # q~^(n-m)(1, z), as q^k(z, y) = q~^k(y, z); then duality (time
     # reversal), q^256(3, 5) = q~^256(5, 3)
-    for mode in kill:
-        _check(results, f"Chapman-Kolmogorov {mode} ({m}+{n_big - m})",
-               q1[mode][m].dot(r1[mode]) - q1[mode][n_big].prob(1), 1e-10)
-    for mode, run in kill.items():
-        _check(results, f"duality {mode} n={nd}",
-               q3[mode][nd].prob(5) - run(refl, 5, nd).prob(3), 1e-12)
+    for name, mode in _DP_MODE.items():
+        _check(results, f"Chapman-Kolmogorov {name} ({m}+{n_big - m})",
+               snap(law, 1, mode, m).dot(snap(refl, 1, mode, n_big - m))
+               - snap(law, 1, mode, n_big).prob(1), 1e-10)
+    for name, mode in _DP_MODE.items():
+        _check(results, f"duality {name} n={nd}",
+               snap(law, 3, mode, nd).prob(5)
+               - snap(refl, 5, mode, nd).prob(3), 1e-12)
 
     # reachability: support of p^n confined to the congruence class
-    d = free[nr]
+    d = snap(law, 0, F, nr)
     bad = max((abs(w) for y, w in zip(d.sites().tolist(), d.weights)
                if not struct.reachable(nr, y)), default=0.0)
     _check(results, f"reachability n={nr}", bad, 0.0)
 
     # domination chain at n = 256
-    p = dp.Window(free[nd].offset + 3, free[nd].weights, free[nd].stride)
-    q, qh = q3["point"][nd], q3["halfline"][nd]
+    free = snap(law, 0, F, nd)
+    p = dp.Window(free.offset + 3, free.weights, free.stride)
+    q, qh = snap(law, 3, P, nd), snap(law, 3, H, nd)
     worst = 0.0
     for y, w in zip(qh.sites().tolist(), qh.weights):
         worst = max(worst, w - q.prob(y))
@@ -175,18 +210,17 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
 
     # float DP calibrated against rational DP
     exact = engine.absorbed_at_origin_exact(law, 3, nex)[0]
-    qf = q3["point"][nex]
+    qf = snap(law, 3, P, nex)
     err = max(abs(qf.prob(s) - float(v)) for s, v in exact.items())
     _check(results, f"float vs rational DP n={nex}", err, 1e-13)
 
     # reflection-principle oracle (symmetric unit-step walk only)
     if oracle:
         nn = oracle[0]
-        p = free[nn]
+        p = snap(law, 0, F, nn)
         worst = 0.0
-        for x0, y0 in ((1, 1), (2, 4), (5, 3)):
-            qv = (q1["point"][nn] if x0 == 1 else
-                  engine.absorbed_at_origin(law, x0, nn))
+        for x0 in (1, 2, 5):
+            qv = snap(law, x0, P, nn)
             for y, w in zip(qv.sites().tolist(), qv.weights):
                 if y >= 1:
                     worst = max(worst,
@@ -207,8 +241,8 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
               "law has down-jumps below -1")
 
     if kernels is not None:
-        buckets = {"ascending": r1["halfline"],
-                   "descending": q1["halfline"][m]}
+        buckets = {"ascending": snap(refl, 1, H, n_big - m),
+                   "descending": snap(law, 1, H, m)}
         _kernel_invariants(law, kernels, results, buckets)
     return results
 
@@ -401,14 +435,15 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
     exact side of each cell and the exact right-hand side, and emits rows
     and skips in grid order.
 
-    A point or halfline cell off the walk's congruence class, at y = 0
-    (point) or at y < 1 (halfline) reads 0.0, as the DP gives there, with
-    no DP.  Otherwise, when y is the only y of its start x at n, its exact
-    side is the dot of two half runs (_half_dot): n steps in all, but
-    about 1/sqrt(2) of the n-step run's site-steps, which grow like
-    n^1.5.  E > 1 distinct ys would cost (1 + E)/(2 sqrt(2)) of those, so
-    such a start, and every other quantity, runs one exact DP per start
-    and n.
+    A cell whose exact side reads only sites where the n-step run holds
+    nothing (_read_sites: off the walk's congruence class at n, or where
+    the run never puts mass) reads 0.0, as the DP gives there, with no
+    DP.  Otherwise, a point or halfline cell whose y is the only y of its
+    start x at n takes its exact side as the dot of two half runs
+    (_half_dot): n steps in all, but about 1/sqrt(2) of the n-step run's
+    site-steps, which grow like n^1.5.  E > 1 distinct ys would cost
+    (1 + E)/(2 sqrt(2)) of those, so such a start, and every other
+    quantity, runs one exact DP per start and n.
     """
     report = ComparisonReport(spec=spec, law_name=k.law.name)
     th = asymptotics.THEOREMS[spec.theorem]
@@ -432,9 +467,9 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
         runs: dict = {}
         ys = {x: {c[1] for c in cells if c[0] == x} for x, *_ in cells}
         for x, y, xi, eta in cells:
-            if th.exact in _DP_MODE and not (
-                    k.structure.reachable(n, y - x)
-                    and (y != 0 if th.exact == "point" else y >= 1)):
+            sites = _read_sites(th.exact, k.law, y)
+            if sites is not None and not any(
+                    k.structure.reachable(n, z - x) for z in sites):
                 exact = 0.0
             elif th.exact in _DP_MODE and len(ys[x]) == 1:
                 exact = _half_dot(th.exact, k.law, x, y, n, runs)
@@ -507,6 +542,25 @@ def _cells(quantity: str, spec: GridSpec, k: WalkKernels, n: int, xi: float,
         return [(x, y, xi, float(y))
                 for y in spec.ys_literal or range(1 + k.law.zmin, 1)]
     return [(x, coord(eta, n), xi, eta) for eta in spec.etas]
+
+
+def _read_sites(quantity: str, law: StepLaw, y: int):
+    """The sites whose step-n weight the exact side of a cell at y reads,
+    in the run's window (point, halfline), its passage law (f_x: site 0)
+    or its entrance law (T: every entry site 1 + zmin..0; h: y); the run
+    gives 0.0 everywhere else.  None for Q+ and r_alpha, which no site
+    rule covers."""
+    if quantity == "point":
+        return (y,) if y != 0 else ()
+    if quantity == "halfline":
+        return (y,) if y >= 1 else ()
+    if quantity == "f_x":
+        return (0,)
+    if quantity == "T":
+        return range(1 + law.zmin, 1)
+    if quantity == "h":
+        return (y,) if 1 + law.zmin <= y <= 0 else ()
+    return None
 
 
 def _exact_run(quantity: str, law: StepLaw, x: int, n: int,

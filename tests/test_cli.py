@@ -47,7 +47,10 @@ class TestValidate:
     '{"name": "l1"}',                                       # no "pairs"
     '{"pairs": [[-1, "abc"], [1, "1/2"]]}',                 # weight "abc"
     '{"pairs": [[-1, "1/0"], [1, "1/2"]]}',                 # weight "1/0"
-], ids=["syntax", "no-pairs", "weight-abc", "weight-1/0"])
+    '{"pairs": [[-1.5, "1/2"], [1, "1/2"]]}',               # increment 1.5
+    '{"pairs": [[-1, "1/2"], [true, "1/2"]]}',              # increment true
+], ids=["syntax", "no-pairs", "weight-abc", "weight-1/0", "increment-1.5",
+        "increment-true"])
 def test_malformed_law_file_is_a_law_error(text, tmp_path, capsys):
     p = tmp_path / "law.json"
     p.write_text(text)

@@ -563,6 +563,14 @@ def test_p_n_at_runs_half_the_steps(l1):
     assert max(kernels._free_cache) == 2048
 
 
+def test_p_n_at_off_the_coset_runs_no_dp(span3):
+    """span3 has period 3 and shift 2: z = 0 is reachable only at n = 0
+    mod 3, so at n = 8192 p_n_at reads 0.0, as the DP gives, with no DP."""
+    kernels = _free_kernels(span3)
+    assert kernels.p_n_at(8192, 0) == 0.0
+    assert kernels._free_cache == {}
+
+
 def _fraction_dp(law, x, n, kill_origin):
     """The rational DP in Fractions, step by step: the reference for the
     integer-numerator DP."""

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from walklab.errors import (DegenerateLaw, NonUnitMass, NonzeroMean,
-                            Reducible, SupportTooWide)
+from walklab.errors import (DegenerateLaw, LawError, NonUnitMass,
+                            NonzeroMean, Reducible, SupportTooWide)
 from walklab.laws import (build_law, lattice_structure, load_law, moments,
                           phi_parts)
 
@@ -45,6 +45,13 @@ class TestValidation:
     def test_duplicates_merge(self):
         law = build_law([(-1, "1/4"), (-1, "1/4"), (1, "1/2")])
         assert law.prob(-1) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("z", [-1.5, -1.0, True, "-1", None],
+                             ids=["1.5", "float", "bool", "str", "none"])
+    def test_increment_must_be_an_integer(self, z):
+        # int() would read -1.5 and -1.0 as -1, and True as 1
+        with pytest.raises(LawError, match="is not an integer"):
+            build_law([(z, "1/2"), (1, "1/2")])
 
     def test_load_law_roundtrip(self, tmp_path):
         p = tmp_path / "law.json"

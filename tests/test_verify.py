@@ -1,5 +1,6 @@
 """Invariant suite, scaled comparison grids, region gating, and
 convergence summaries."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,10 @@ from walklab.errors import (ConstraintViolation, OutOfWindow,
                             TailNotNegligible, WalklabError)
 from walklab.kernels import build_kernels
 from walklab.report import csv_text, emit_comparison, summary_text
-from walklab.verify import (GridSpec, _exact_run, _green_partial_sums,
-                            _half_dot, _stream, compare_grid,
-                            convergence_report, invariant_suite)
+from walklab.verify import (GridSpec, _exact_run, _exact_value,
+                            _green_partial_sums, _half_dot, _stream,
+                            compare_grid, convergence_report,
+                            invariant_suite)
 
 from conftest import L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS, zero_mean_laws
 
@@ -71,10 +73,18 @@ class TestInvariantSuite:
         assert rows["free mass n=257"].residual == abs(
             engine.evolve_free(span3, 0, 257).mass() - 1.0)
 
-    def test_suite_step_budget(self, l1, l1_kernels, monkeypatch):
-        """One DP stream per (law, start, mode): a run that repeats a prefix
-        of another from the same start pushes an l1 suite past the budget
-        (41,009 steps when each check ran its own DP)."""
+    def test_suite_step_budget(self, l1, l1_kernels, srw, srw_kernels,
+                               monkeypatch):
+        """One DP stream per (increments, weights, start, mode), run up to
+        its last snapshot.  l1: 4096 steps each of free, point and halfline
+        from 1, 2048 each of the reflected law's point and halfline from
+        1, 256 each from 3 and from 5 in both modes, and 1024 each of the
+        two Green partial sums.  srw is its own reflection, so its
+        reflected runs are its runs from 1 and 5, and the reflection
+        oracle adds 512 from 2 and extends the point run from 5 to 512.  A
+        stream run past its last read, or a reflected run that the law
+        already has, changes the count (41,009 steps on l1 when each check
+        ran its own DP, 27,136 when the x=3 streams ran to n_big)."""
         steps, count = dp._steps, [0]
 
         def counted(*args, **kwargs):
@@ -83,8 +93,26 @@ class TestInvariantSuite:
                 yield item
 
         monkeypatch.setattr(dp, "_steps", counted)
-        invariant_suite(l1, kernels=l1_kernels, n_big=4096)
-        assert 0 < count[0] <= 28_000
+        for law, kernels, want in ((l1, l1_kernels, 19_456),
+                                   (srw, srw_kernels, 16_128)):
+            count[0] = 0
+            invariant_suite(law, kernels=kernels, n_big=4096)
+            assert count[0] == want <= 28_000, law.name
+
+    def test_mass_rows_name_their_n(self, l1):
+        """Mass bookkeeping reads x=1 at n_big, x=3 at 256 and the
+        reflected law from 1 at n_big - n_big // 2, each row naming its n."""
+        names = [r.name for r in invariant_suite(l1, n_big=513)
+                 if "mass bookkeeping" in r.name or "vanishes" in r.name]
+        assert names == [
+            "point mass bookkeeping x=1 n=513",
+            "point kernel vanishes at 0, x=1 n=513",
+            "halfline mass bookkeeping x=1 n=513",
+            "point mass bookkeeping x=3 n=256",
+            "point kernel vanishes at 0, x=3 n=256",
+            "halfline mass bookkeeping x=3 n=256",
+            "point mass bookkeeping x=1 n=257, reflected law",
+            "halfline mass bookkeeping x=1 n=257, reflected law"]
 
 
 def _same(a, b):
@@ -274,16 +302,44 @@ class TestPlan:
     def test_off_lattice_cells_run_no_dp(self, span3_kernels, monkeypatch):
         """Every cell of span3 T11i on the default grid is off the walk's
         congruence class: its exact side is 0.0 with no DP, as the n-step
-        run gave.  The right-hand side reads the cached p^n half windows."""
-        spec = GridSpec(TheoremId.T11i)
-        for n in spec.ns:
-            span3_kernels.p_n_at(n, 0)
+        run gave, and so is the free factor p^n(0) of its right-hand
+        side."""
+        k = dataclasses.replace(span3_kernels, _free_cache={})
         monkeypatch.setattr(dp, "_steps", _no_dp)
-        rep = compare_grid(spec, span3_kernels)
-        assert rep.rows == []
+        rep = compare_grid(GridSpec(TheoremId.T11i), k)
+        assert rep.rows == [] and k._free_cache == {}
         assert rep.skipped == [f"T11i n={n} x={x} y={x}: exact = rhs = 0"
                                for n, x in ((256, 5), (1024, 10),
                                             (4096, 20))]
+
+    @pytest.mark.parametrize("theorem", [
+        TheoremId.C11, TheoremId.ThmA_passage, TheoremId.T14],
+        ids=lambda t: t.value)
+    def test_off_lattice_reads_run_no_dp(self, theorem, span3, span3_kernels,
+                                         monkeypatch):
+        """On span3 (period 3) the default cells start at x = 5, 10, 20 and
+        read site 0 (f_x, the passage law), the entry sites 1 + zmin..0 =
+        0 (T) or y = 0 (h), which are off the coset at n = 256 and 4096:
+        those cells read 0.0 with no DP, and only n = 1024 runs one.  Every
+        row reads the value of the n-step run."""
+        spec = GridSpec(theorem)
+        quantity = THEOREMS[theorem].exact
+        steps, streams = dp._steps, []
+
+        def counted(*args, **kwargs):
+            streams.append(args[4])
+            return steps(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "_steps", counted)
+        rep = compare_grid(spec, span3_kernels)
+        assert streams == [1024]
+        monkeypatch.setattr(dp, "_steps", steps)
+        exact = {n: _exact_value(quantity, _exact_run(quantity, span3, x, n),
+                                 n, 0)
+                 for n, x in ((256, 5), (1024, 10), (4096, 20))}
+        assert exact[256] == exact[4096] == 0.0 < exact[1024]
+        assert len(rep.rows) + len(rep.skipped) == 3
+        assert all(r.exact == exact[r.n] for r in rep.rows)
 
 
 @settings(max_examples=60, deadline=None)
