@@ -2,15 +2,16 @@
 
 THEOREMS holds one entry per limit law the verification harness checks:
 its right-hand side as a pure function of (x, y, n) and the precomputed
-kernels, the exact quantity it is compared with, its domain and its
-lattice rule.  Formulas that contain the free n-step probability
-p^n(y - x) take it exact by default, from WalkKernels.p_n_at: the
-Chapman-Kolmogorov dot of the two cached half-length free windows.  Pass
-use_local_clt=True to substitute the Gaussian surrogate
-d * g_n(y - x) * 1(reachable), which isolates local-CLT error from
-limit-theorem error in reports; it reads the same table, pair and
-entrance-law sites as the exact form with no DP, so verify's grid plan
-uses it to find a failing cell before any DP runs.
+kernels, the exact quantity it is compared with and its domain; T11i,
+T11ii and T13 carry the lattice factor, so both sides of a cell off the
+walk's congruence class are 0.0.  Formulas that contain the free n-step
+probability p^n(y - x) take it exact by default, from
+WalkKernels.p_n_at: the Chapman-Kolmogorov dot of the two cached
+half-length free windows.  Pass use_local_clt=True to substitute the
+Gaussian surrogate d * g_n(y - x) * 1(reachable), which isolates
+local-CLT error from limit-theorem error in reports; it reads the same
+table, pair and entrance-law sites as the exact form with no DP, so
+verify's grid plan uses it to find a failing cell before any DP runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import ConstraintViolation, MissingKernel
+from .errors import ConstraintViolation
 from .kernels import WalkKernels
 from .potential import PotentialTable
 
@@ -85,7 +86,6 @@ class Theorem:
     domain: str = ""   # the condition `inside` tests, for the error text
     inside: Callable | None = None   # (x, y, n) -> bool
     gated: bool = False    # needs |x| v |y| <= a_circ sqrt(n*)
-    lattice: bool = False  # cells off the walk's congruence class skipped
 
     def check(self, x: int, y: int, n: int, lim: float):
         """Raise ConstraintViolation if the cell lies outside the domain;
@@ -138,10 +138,10 @@ THEOREMS = {t.id: t for t in (
     Theorem(TheoremId.T11i, "point", lambda k, x, y, n, e:
             _p_n(k, n, y - x, e.clt) * ((e.s2 * e.s2 * e.t.a_star(x)
                                          * e.t.a(-y) + x * y) / e.n_star),
-            gated=True, lattice=True),
+            gated=True),
     Theorem(TheoremId.T11ii, "point", lambda k, x, y, n, e:
             _lattice(k, n, y - x, e.g.g(n, y - x) - e.g.g(n, y + x)),
-            "xy > 0", lambda x, y, n: x * y > 0, lattice=True),
+            "xy > 0", lambda x, y, n: x * y > 0),
     Theorem(TheoremId.T11iii_bound, "point", lambda k, x, y, n, e:
             min(abs(x), abs(y)) / max(abs(x), abs(y))
             * e.g.g(4 * n, max(abs(x), abs(y))),
@@ -153,7 +153,7 @@ THEOREMS = {t.id: t for t in (
     Theorem(TheoremId.T13, "halfline", lambda k, x, y, n, e:
             _p_n(k, n, y - x, e.clt)
             * (2.0 * k.pair.fp(x) * k.pair.fm(y) / e.n_star),
-            "x, y >= 1", lambda x, y, n: x >= 1 and y >= 1, lattice=True),
+            "x, y >= 1", lambda x, y, n: x >= 1 and y >= 1),
     Theorem(TheoremId.T14, "h", _entrance, "x != 0", _x_nonzero),
     Theorem(TheoremId.C11, "T", lambda k, x, y, n, e:
             k.pair.fp(x) * e.g.g(n, x) / n,
@@ -187,8 +187,6 @@ def rhs(theorem: TheoremId, k: WalkKernels, x: int, y: int, n: int,
     Returns a float for most ids; P61_ralpha returns a dict with both
     emitted forms ('p_form' uses p^n(y-x), 'g_form' uses g_n(|x|+|y|)).
     """
-    if k.table is None:
-        raise MissingKernel("potential table not built")
     s2 = k.sigma2()
     env = _Env(GaussKernel(s2), s2, s2 * n, k.table, extras or {},
                use_local_clt)

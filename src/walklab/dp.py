@@ -42,7 +42,7 @@ FREE = 0
 POINT = 1
 HALFLINE = 2
 
-DEFAULT_WINDOW_BUDGET = 4_000_000
+WINDOW_BUDGET = 4_000_000   # stored sites a stream may hold
 
 # Edge weights below CUT are cut: far below every tolerance of the lab, and
 # the mass they carry is reported, not assumed small.
@@ -146,7 +146,7 @@ def period(pmf: np.ndarray) -> int:
 
 
 def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
-           n: int, mode: int, alpha: float, window_budget: float):
+           n: int, mode: int, alpha: float):
     """Yield (k, offset, weights, absorbed, cut) after each step k = 1..n.
 
     The window is strided: with d = period(pmf), the site of weights[i]
@@ -168,7 +168,7 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     cut on steps 1..k; every weight is nonnegative, as the pmf and each
     initial window the lab passes are.  The cut reads the window alone,
     so n steps are m steps followed by n - m steps, bit for bit.  The
-    stream ends early once the window is empty.  window_budget bounds the
+    stream ends early once the window is empty.  WINDOW_BUDGET bounds the
     stored sites, d apart.
 
     np.convolve(cur, taps) is np.correlate(cur, taps[::-1]) whenever cur
@@ -186,10 +186,10 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
         if size == 0:
             return
         b = size + t - 1
-        if b > window_budget:
+        if b > WINDOW_BUDGET:
             raise WindowOverflow(
                 f"window of {b} sites at step {k} exceeds budget "
-                f"{window_budget}"
+                f"{WINDOW_BUDGET}"
             )
         cur = (np.correlate(cur, rev, "full") if size >= t
                else np.convolve(cur, taps))
@@ -237,8 +237,7 @@ def run_dp(
     window of a DPResult does, so a result continues as a start.  In
     POINT/HALFLINE modes the start is taken as already past the step-0
     absorption (the zero-step kernel is the identity).  The result is the
-    window _steps leaves, of stride d; the stream's window budget is
-    DEFAULT_WINDOW_BUDGET stored sites.
+    window _steps leaves, of stride d.
     """
     d = period(pmf)
     off, cur, cut = init_offset, np.array(init_weights, dtype=np.float64), 0.0
@@ -248,7 +247,7 @@ def run_dp(
         entry = np.zeros((n, -zmin))
         entry_base = 1 + zmin
     for k, off, cur, removed, cut in _steps(off, cur, zmin, pmf, n, mode,
-                                            alpha, DEFAULT_WINDOW_BUDGET):
+                                            alpha):
         if mode == POINT:
             absorbed[k - 1] = removed
         elif removed is not None:

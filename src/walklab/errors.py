@@ -53,10 +53,6 @@ class FactorizationFailed(WalklabError):
     """The Wiener-Hopf roots of a step law could not be resolved."""
 
 
-class MissingKernel(WalklabError, KeyError):
-    """A kernel bundle lacks a table needed for the requested formula."""
-
-
 class InconsistentEstimates(WalklabError):
     """Two independent routes to the same constant disagree."""
 

@@ -177,50 +177,6 @@ def entrance_law_from(law: StepLaw, pair: HarmonicPair, x: int) -> Window:
     return Window(law.zmin + 1, s)
 
 
-@dataclass
-class IdentityCheck:
-    name: str
-    lhs: float
-    rhs: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def potential_identities(law: StepLaw, pair: HarmonicPair,
-                         table: PotentialTable,
-                         xs=(5, 20, 50), ys=(0, -3)) -> list[IdentityCheck]:
-    """Cross-checks tying the entrance laws, f_+, and a(x) together.
-
-    The hitting-decomposition check needs y <= 0; x values must be
-    positive and inside both windows.
-    """
-    sigma2 = float(moments(law).sigma2)
-    h_inf = entrance_law_inf(law, pair)
-    out = []
-    out.append(IdentityCheck("H_inf_plus normalization", h_inf.mass(), 1.0))
-    for x in xs:
-        hx = entrance_law_from(law, pair, x)
-        out.append(IdentityCheck(f"hitting-law mass x={x}", hx.mass(), 1.0))
-        lhs = sum(hx.prob(z) * (-z) for z in hx.sites())
-        out.append(IdentityCheck(
-            f"overshoot mean vs f_+(x)-x, x={x}", lhs, pair.fp(x) - x))
-        lhs = sum(hx.prob(z) * (sigma2 * table.a(z) - z) for z in hx.sites())
-        out.append(IdentityCheck(
-            f"potential transport x={x}", lhs, sigma2 * table.a(x) - x))
-        for y in ys:
-            lhs = sum(hx.prob(z) * table.a(z - y) for z in hx.sites())
-            out.append(IdentityCheck(
-                f"hitting decomposition x={x}, y={y}", lhs,
-                table.a(x - y) - pair.fp(x) / sigma2))
-    # edge behavior: f_+(X) - X vs the limit sum of H_inf_plus overshoot
-    limit = sum(h_inf.prob(z) * (-z) for z in h_inf.sites())
-    out.append(IdentityCheck("f_+ centering at window edge",
-                             pair.fp(pair.X) - pair.X, limit))
-    return out
-
-
 def c_entrance_route(h: Window, table: PotentialTable,
                      sigma2: float) -> float:
     """sum_y h(y) (sigma2 a(y) + |y|): C^+ for h = H_inf^+, C^- for

@@ -29,7 +29,7 @@ from .errors import (
     SupportTooWide,
 )
 
-DEFAULT_MAX_SPAN = 64
+MAX_SPAN = 64         # widest support build_law accepts, zmax - zmin
 ROOT_DPS = 50         # digits of the root polish and the product expansion
 NEWTON_STEPS = 60     # a simple root needs about 3 from a float64 seed
 
@@ -82,8 +82,6 @@ class StepLaw:
 class Moments:
     sigma2: Fraction
     m3: Fraction            # E[Y^3]
-    m3_pos: Fraction        # E[Y^3; Y > 0]
-    m3_neg: Fraction        # E[Y^3; Y < 0]
     lambda3: Fraction       # E[Y^3] / (3 sigma^2)
     left_continuous: bool   # no downward jump below -1
     right_continuous: bool  # no upward jump above +1
@@ -105,17 +103,19 @@ class LatticeStructure:
         return (displacement - n * self.shift) % self.period == 0
 
 
-def build_law(pairs, name: str = "law", max_span: int = DEFAULT_MAX_SPAN) -> StepLaw:
+def build_law(pairs, name: str = "law") -> StepLaw:
     """Validate raw (increment, weight) pairs into a StepLaw.
 
-    Increments are integers: a float (even 2.0), a bool or a string is
-    rejected.  Weights may be Fractions, ints, or "num/den" strings.
-    Raises a LawError subclass on any violation; never silently repairs
-    input.
+    The name is a string.  Increments are integers: a float (even 2.0), a
+    bool or a string is rejected.  Weights may be Fractions, ints, or
+    "num/den" strings; a weight that is not finite is rejected.  Raises a
+    LawError subclass on any violation; never silently repairs input.
     """
+    if not isinstance(name, str):
+        raise LawError(f"name {name!r} is not a string")
     try:
         parsed = [(z, Fraction(w)) for z, w in pairs]
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise LawError(f"malformed pairs: {e}") from e
     table: dict[int, Fraction] = {}
     for z, w in parsed:
@@ -136,9 +136,9 @@ def build_law(pairs, name: str = "law", max_span: int = DEFAULT_MAX_SPAN) -> Ste
     if mean != 0:
         raise NonzeroMean(f"mean is {mean}, expected 0")
     incs = sorted(table)
-    if incs[-1] - incs[0] > max_span:
+    if incs[-1] - incs[0] > MAX_SPAN:
         raise SupportTooWide(
-            f"support span {incs[-1] - incs[0]} exceeds budget {max_span}"
+            f"support span {incs[-1] - incs[0]} exceeds budget {MAX_SPAN}"
         )
     if len(incs) == 1:
         raise DegenerateLaw("law is a point mass at 0")
@@ -148,7 +148,7 @@ def build_law(pairs, name: str = "law", max_span: int = DEFAULT_MAX_SPAN) -> Ste
     return StepLaw(name, tuple(incs), tuple(table[z] for z in incs))
 
 
-def load_law(path: str, max_span: int = DEFAULT_MAX_SPAN) -> StepLaw:
+def load_law(path: str) -> StepLaw:
     """Load a law from a JSON file {"name": ..., "pairs": [[z, "p/q"], ...]}."""
     with open(path) as f:
         try:
@@ -157,7 +157,7 @@ def load_law(path: str, max_span: int = DEFAULT_MAX_SPAN) -> StepLaw:
         except (ValueError, KeyError, TypeError) as e:
             raise LawError(
                 f'{path} is not a JSON object with "pairs": {e}') from e
-    return build_law(pairs, name=doc.get("name", "law"), max_span=max_span)
+    return build_law(pairs, name=doc.get("name", "law"))
 
 
 def moments(law: StepLaw) -> Moments:
@@ -165,13 +165,9 @@ def moments(law: StepLaw) -> Moments:
     if sigma2 == 0:
         raise DegenerateLaw("zero variance")
     m3 = sum(w * z ** 3 for z, w in law.items())
-    m3_pos = sum(w * z ** 3 for z, w in law.items() if z > 0)
-    m3_neg = sum(w * z ** 3 for z, w in law.items() if z < 0)
     return Moments(
         sigma2=sigma2,
         m3=m3,
-        m3_pos=m3_pos,
-        m3_neg=m3_neg,
         lambda3=m3 / (3 * sigma2),
         left_continuous=law.zmin >= -1,
         right_continuous=law.zmax <= 1,

@@ -124,13 +124,11 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     win = np.zeros((C, W))                  # row k-1 mod C: p^k on [-X, X]
     dbuf = np.empty((C, W))
     # The stream's site of cur[j] is off + d*j; the sites it skips carry
-    # exact zeros, which change no sum.  No window budget: the window is
-    # bounded by K * span / d + 1 sites, and far less once its edges below
-    # dp.CUT are cut.  A window of mass 1 never empties, so the stream
-    # yields all K steps and the last chunk ends at k = K.
+    # exact zeros, which change no sum.  A window of mass 1 never empties,
+    # so the stream yields all K steps and the last chunk ends at k = K.
     cut_sum = 0.0                           # sum over k of the mass cut by k
     for k, off, cur, _, cut in dp._steps(0, np.ones(1), zmin, pmf, K,
-                                         dp.FREE, 1.0, math.inf):
+                                         dp.FREE, 1.0):
         cut_sum += cut
         r = (k - 1) % C
         j0 = max(0, -((X + off) // d))      # cur[j0 .. j1] lies in [-X, X]
@@ -193,15 +191,13 @@ def _fit_tail(blocks: np.ndarray, m0: int, M: int):
     return tail, bound
 
 
-def a_partial_sums(law: StepLaw, x: int, K: int = 2 ** 16,
-                   X: int | None = None) -> tuple[float, float]:
-    """(extrapolated partial-sum value of a(x), remainder bound)."""
+def a_partial_sums(law: StepLaw, x: int,
+                   K: int = 2 ** 16) -> tuple[float, float]:
+    """(extrapolated partial-sum value of a(x), remainder bound), from the
+    table on [-X, X], X = max(55, |x|)."""
     if x == 0:
         return 0.0, 0.0
-    if X is None:
-        X = max(55, abs(x))
-    elif abs(x) > X:
-        raise OutOfWindow(f"|x|={abs(x)} exceeds window {X}")
+    X = max(55, abs(x))
     acc, tail, bound = _partial_sum_table(law, X, K)
     i = x + X
     return float(acc[i] + tail[i]), float(bound[i])

@@ -11,6 +11,9 @@ from walklab.kernels import build_kernels
 SRW_PAIRS = [(-1, "1/2"), (1, "1/2")]
 L1_PAIRS = [(-2, "1/6"), (-1, "1/6"), (0, "1/6"), (1, "1/2")]
 SPAN3_PAIRS = [(-1, "2/3"), (2, "1/3")]
+# x_max = ceil(8 sqrt(sigma2 n)) of nu_and_particles is 4 at n = 2, below
+# twice the down-jump of 10
+DEEP_PAIRS = [(-10, "1/1000"), (0, "989/1000"), (1, "10/1000")]
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from walklab.asymptotics import GaussKernel, TheoremId, passage_density, rhs
-from walklab.errors import MissingKernel
 from walklab.laws import lattice_structure
 
 

@@ -49,8 +49,11 @@ class TestValidate:
     '{"pairs": [[-1, "1/0"], [1, "1/2"]]}',                 # weight "1/0"
     '{"pairs": [[-1.5, "1/2"], [1, "1/2"]]}',               # increment 1.5
     '{"pairs": [[-1, "1/2"], [true, "1/2"]]}',              # increment true
+    '{"name": 5, "pairs": [[-1, "1/2"], [1, "1/2"]]}',      # name 5
+    '{"pairs": [[-1, Infinity], [1, "1/2"]]}',              # weight Infinity
+    '{"pairs": [[-1, 1e400], [1, "1/2"]]}',                 # weight 1e400
 ], ids=["syntax", "no-pairs", "weight-abc", "weight-1/0", "increment-1.5",
-        "increment-true"])
+        "increment-true", "name-5", "weight-Infinity", "weight-1e400"])
 def test_malformed_law_file_is_a_law_error(text, tmp_path, capsys):
     p = tmp_path / "law.json"
     p.write_text(text)
@@ -279,6 +282,19 @@ class TestReport:
      "sites the entrance sums read for l1"),
     (["report", "--n-big", "-4"], 2,
      "argument --n-big: '-4': need n_big >= 1"),
+    # finite, but past 2^53 once scaled: typed before any DP or Gaussian
+    (["verify", "--theorem", "T11i", "--xi", "1e308"], 1,
+     "error: ConstraintViolation: scaled coordinate 1e+308 * sqrt(sigma2 n) "
+     "= inf at n=256 lies outside [-2^53, 2^53]"),
+    (["verify", "--theorem", "T11i", "--xi", "1e300"], 1,
+     "error: ConstraintViolation: scaled coordinate 1e+300 * sqrt(sigma2 n) "
+     "= 1.85e+301 at n=256 lies outside [-2^53, 2^53]"),
+    (["verify", "--theorem", "T11i", "--eta", "1e308"], 1,
+     "error: ConstraintViolation: scaled coordinate 1e+308 * sqrt(sigma2 n) "
+     "= inf at n=256 lies outside [-2^53, 2^53]"),
+    (["verify", "--theorem", "T11i", "--eta", "1e300"], 1,
+     "error: ConstraintViolation: scaled coordinate 1e+300 * sqrt(sigma2 n) "
+     "= 1.85e+301 at n=256 lies outside [-2^53, 2^53]"),
 ])
 def test_bad_input_is_a_typed_error(argv, code, message, law_file, tmp_path,
                                     capsys):

@@ -14,8 +14,8 @@ from walklab.kernels import WalkKernels
 from walklab.laws import lattice_structure, moments
 from walklab.potential import a_fourier
 
-from conftest import (L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS, periodic_laws,
-                      zero_mean_laws)
+from conftest import (DEEP_PAIRS, L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS,
+                      periodic_laws, zero_mean_laws)
 
 
 def _binom_pmf(n, k):
@@ -36,7 +36,7 @@ class TestFree:
 
     def test_window_budget(self, srw, monkeypatch):
         zmin, pmf = srw.pmf_array()
-        monkeypatch.setattr(dp, "DEFAULT_WINDOW_BUDGET", 50)
+        monkeypatch.setattr(dp, "WINDOW_BUDGET", 50)
         with pytest.raises(WindowOverflow):
             dp.run_dp(0, np.ones(1), zmin, pmf, 100, mode=dp.FREE)
 
@@ -162,14 +162,15 @@ class TestNuAndParticles:
         assert 0.0 < nu < 1.0
         assert tail < 1e-3
 
-    def test_truncation_guard(self, l1, monkeypatch):
-        """Both guards read only the law, n and x_max: they raise before
-        the DP runs."""
+    def test_truncation_guard(self, monkeypatch):
+        """The guard reads only the law and n: it raises before the DP
+        runs."""
         def run_dp(*args, **kwargs):
             raise AssertionError("nu_and_particles ran its DP")
         monkeypatch.setattr(dp, "run_dp", run_dp)
-        with pytest.raises(TailNotNegligible):
-            engine.nu_and_particles(l1, 256, x_max=5)
+        with pytest.raises(TailNotNegligible,
+                           match="x_max below twice the largest"):
+            engine.nu_and_particles(build_law(DEEP_PAIRS, "deep"), 2)
 
 
 class TestStripExit:
@@ -274,7 +275,7 @@ def test_cut_takes_only_outer_zero_and_subnormal_runs(srw):
     arr = np.array([0.0, 1e-70, 0.5, 1e-310, 0.0, 0.25, 5e-324, 1e-61])
     # one step of the law Y = 0 leaves arr on sites -3..4, then cuts it
     [(_, off, w, _, cut)] = dp._steps(-3, arr, 0, np.ones(1), 1, dp.FREE,
-                                      1.0, dp.DEFAULT_WINDOW_BUDGET)
+                                      1.0)
     assert (off, list(w)) == (-1, [0.5, 1e-310, 0.0, 0.25])
     assert cut == 1e-70 + 1e-61
     # a period-2 law: the window holds its coset only, with no zeros
@@ -284,7 +285,7 @@ def test_cut_takes_only_outer_zero_and_subnormal_runs(srw):
     assert np.count_nonzero(res.weights == 0.0) == 0
     # a window below CUT empties on the first step, ends the stream
     steps = list(dp._steps(0, np.full(3, 1e-70), -1, np.full(3, 1 / 3), 5,
-                           dp.FREE, 1.0, dp.DEFAULT_WINDOW_BUDGET))
+                           dp.FREE, 1.0))
     assert [(k, len(w)) for k, _, w, _, _ in steps] == [(1, 0)]
     res = dp.run_dp(0, np.full(3, 1e-70), -1, np.full(3, 1 / 3), 5)
     assert len(res.weights) == 0

@@ -12,7 +12,7 @@ from walklab.ladder import (build_harmonic_pair, c_entrance_route,
                             entrance_law_from, entrance_law_inf,
                             entrance_law_minus_inf,
                             green_halfline, harmonicity_residual,
-                            ladder_height_law, potential_identities)
+                            ladder_height_law)
 from walklab.laws import moments
 
 from conftest import zero_mean_laws
@@ -187,9 +187,22 @@ class TestEntranceLaws:
             assert h.prob(y) == pytest.approx(est, abs=2e-3)
 
     def test_identities(self, l1, l1_kernels):
-        checks = potential_identities(l1, l1_kernels.pair, l1_kernels.table)
-        for c in checks:
-            assert c.residual < 1e-10, c
+        """The suite's rows tie H_x^+ to f_+ and a(x) at x = 5, 20, 50, and
+        H_inf^+ has mass 1; the edge of f_+ is centred on the mean
+        overshoot of H_inf^+."""
+        rows = {r.name: r for r in verify.invariant_suite(
+            l1, l1_kernels, n_big=256)}
+        for name in ("H_inf_plus normalization",
+                     "hitting-law mass x=5,20,50",
+                     "overshoot mean vs f_+(x) - x, x=5,20,50",
+                     "potential transport x=5,20,50",
+                     "hitting decomposition x=5,20,50, y=0,-3"):
+            assert rows[name].status == "pass", rows[name]
+            assert rows[name].residual < 1e-10, rows[name]
+        pair = l1_kernels.pair
+        h_inf = entrance_law_inf(l1, pair)
+        limit = sum(h_inf.prob(z) * (-z) for z in h_inf.sites())
+        assert abs(pair.fp(pair.X) - pair.X - limit) < 1e-10
 
     def test_entrance_constant_routes(self, l1, l1_kernels):
         s2 = float(moments(l1).sigma2)

@@ -63,10 +63,6 @@ class TestPartialSumRoute:
             v, bound = a_partial_sums(l1, x)
             assert abs(v - a_fourier(l1, x)) <= max(bound, 1e-9)
 
-    def test_window_guard(self, l1):
-        with pytest.raises(OutOfWindow):
-            a_partial_sums(l1, 60, X=55)
-
 
 def _reference_blocks(law, X, K):
     """(acc, blocks, m0, M) of _partial_sum_table by a plain loop: every

@@ -18,7 +18,8 @@ from walklab.verify import (GridSpec, _exact_run, _exact_value,
                             compare_grid, convergence_report,
                             invariant_suite)
 
-from conftest import L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS, zero_mean_laws
+from conftest import (DEEP_PAIRS, L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS,
+                      zero_mean_laws)
 
 PERIOD2_PAIRS = [(-1, "5/8"), (1, "1/4"), (3, "1/8")]
 
@@ -264,10 +265,9 @@ class TestPlan:
     no DP, before the first DP of the grid."""
 
     def test_nu_tail_fails_before_the_first_dp(self, monkeypatch):
-        # x_max = ceil(8 sqrt(sigma2 n)) = 4 at n = 2, below twice the
-        # down-jump of 10; n = 256 comes first in the grid
-        law = build_law([(-10, "1/1000"), (0, "989/1000"), (1, "10/1000")],
-                        "deep")
+        # the tail of the deep law is not bounded at n = 2; n = 256 comes
+        # first in the grid
+        law = build_law(DEEP_PAIRS, "deep")
         k = build_kernels(law)
         monkeypatch.setattr(dp, "_steps", _no_dp)
         for theorem in (TheoremId.T15_nu, TheoremId.C12_particles):
@@ -299,18 +299,22 @@ class TestPlan:
             (4, 0.02)]
         assert rep.rows == want
 
-    def test_off_lattice_cells_run_no_dp(self, span3_kernels, monkeypatch):
-        """Every cell of span3 T11i on the default grid is off the walk's
-        congruence class: its exact side is 0.0 with no DP, as the n-step
-        run gave, and so is the free factor p^n(0) of its right-hand
-        side."""
+    @pytest.mark.parametrize("theorem", [
+        TheoremId.T11i, TheoremId.T11ii, TheoremId.T13],
+        ids=lambda t: t.value)
+    def test_off_lattice_cells_run_no_dp(self, theorem, span3_kernels,
+                                         monkeypatch):
+        """Every cell of span3 on the default grid is off the walk's
+        congruence class.  T11i, T11ii and T13 carry the lattice factor:
+        the exact side is 0.0 with no DP, as the n-step run gave, and so is
+        the right-hand side, with no DP for a free factor p^n(0)."""
         k = dataclasses.replace(span3_kernels, _free_cache={})
         monkeypatch.setattr(dp, "_steps", _no_dp)
-        rep = compare_grid(GridSpec(TheoremId.T11i), k)
+        rep = compare_grid(GridSpec(theorem), k)
         assert rep.rows == [] and k._free_cache == {}
-        assert rep.skipped == [f"T11i n={n} x={x} y={x}: exact = rhs = 0"
-                               for n, x in ((256, 5), (1024, 10),
-                                            (4096, 20))]
+        assert rep.skipped == [
+            f"{theorem.value} n={n} x={x} y={x}: exact = rhs = 0"
+            for n, x in ((256, 5), (1024, 10), (4096, 20))]
 
     @pytest.mark.parametrize("theorem", [
         TheoremId.C11, TheoremId.ThmA_passage, TheoremId.T14],
