@@ -19,7 +19,10 @@ from .laws import lattice_structure, load_law, moments
 
 
 def _ints(s: str):
-    return tuple(int(v) for v in s.split(","))
+    v = tuple(int(v) for v in s.split(","))
+    if len(set(v)) < len(v):    # a repeated n or y would repeat its rows
+        raise argparse.ArgumentTypeError(f"{s!r}: need distinct values")
+    return v
 
 
 def _floats(s: str):

@@ -28,7 +28,8 @@ a_partial_sums.
   by cumulative sums, in step order, so the partial sums are
   bit-identical to an uncut full-lattice DP that adds one step at a time.
   One QR factorisation of the design gives both tail fits; the fit needs
-  at least one block per exponent.
+  at least one block per exponent.  time_sums, the one routine that sums
+  a DP stream over time, also gives the report's Green partial sums.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 from mpmath import mp
@@ -100,49 +102,52 @@ CHUNK_STEPS = 2048    # DP steps per accumulation chunk, rounded to the period
 FIT_CHUNK_ROWS = 1024  # blocks per chunk of the tail fit's residual sum
 
 
-@lru_cache(maxsize=None)
-def _partial_sum_table(law: StepLaw, X: int, K: int):
-    """(acc, tail, bound) for all |x| <= X: acc accumulates
-    sum_{k<=K} [p^k(0) - p^k(-x)] along one free DP from 0, and the tail
-    beyond K is fitted to the block-aggregated increments.  bound is the
-    fit's bound plus twice the summed cut mass of the K steps."""
+def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
+    """(acc, blocks, cut, mass) of the DP stream of mode from start, summed
+    over steps k <= K, K rounded down to a multiple of the period d.
+
+    acc[x + X] = sum_{k<=K} [w_k(0) - w_k(-x)], |x| <= X, w_k the weights
+    after step k and w_0 the start; in point and half-line mode site 0
+    holds no mass, so acc at -y is minus sum_{k<=K} q^k(start, y).
+    blocks[m - m0 - 1] sums the terms of steps (m-1)d+1 .. md, for
+    m0 < m <= M = K/d, m0 = M // 16: the tail fit's window.  cut is the
+    sum over k <= K of c_k, the mass cut by step k, and w_k lies within c_k
+    of the uncut DP's.  mass is the weight left after step K.  The sites the coset stream
+    skips carry exact zeros, which change no sum.  A window that empties
+    ends the stream; each later step is within its last cut of 0."""
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)                      # the stream's stride
     M = K // d
     K = M * d
-    m0 = M // 16  # fit window: blocks m0+1 .. M (several octaves for conditioning)
-    if M - m0 < len(PS_EXPONENTS):
-        raise ConstraintViolation(
-            f"K={K} gives {M - m0} blocks of {d} steps to fit; the tail fit "
-            f"needs at least {len(PS_EXPONENTS)}")
+    m0 = M // 16
     W = 2 * X + 1
 
-    acc = np.ones(W)                        # k = 0 term; index x + X
-    acc[X] = 0.0                            # except at x = 0
-    blocks = np.empty((M - m0, W))
+    acc = np.full(W, float(start == 0))     # k = 0 term; index x + X
+    if abs(start) <= X:
+        acc[X - start] -= 1.0
+    blocks = np.zeros((M - m0, W))
     C = CHUNK_STEPS // d * d
-    win = np.zeros((C, W))                  # row k-1 mod C: p^k on [-X, X]
+    win = np.zeros((C, W))                  # row k-1 mod C: w_k on [-X, X]
     dbuf = np.empty((C, W))
-    # The stream's site of cur[j] is off + d*j; the sites it skips carry
-    # exact zeros, which change no sum.  A window of mass 1 never empties,
-    # so the stream yields all K steps and the last chunk ends at k = K.
-    cut_sum = 0.0                           # sum over k of the mass cut by k
-    for k, off, cur, _, cut in dp._steps(0, np.ones(1), zmin, pmf, K,
-                                         dp.FREE, 1.0):
-        cut_sum += cut
-        r = (k - 1) % C
-        j0 = max(0, -((X + off) // d))      # cur[j0 .. j1] lies in [-X, X]
-        j1 = min(len(cur) - 1, (X - off) // d)
-        if j1 >= j0:
-            s = off + d * j0 + X
-            win[r, s:s + d * (j1 - j0) + 1:d] = cur[j0:j1 + 1]
-        if r < C - 1 and k < K:
-            continue
-        # add the deltas of steps k-r .. k to acc and to their blocks in
-        # step order, as acc += delta and blocks[m] += delta would
-        delta = np.subtract(win[:r + 1, X:X + 1], win[:r + 1, ::-1],
-                            out=dbuf[:r + 1])
-        b0, b1 = (k - r - 1) // d, k // d
+    steps = dp._steps(start, np.ones(1), zmin, pmf, K, mode, 1.0)
+    k, cur, cut, cut_sum = 0, np.ones(1), 0.0, 0.0
+    while True:
+        k0 = k
+        for k, off, cur, _, cut in islice(steps, C):
+            cut_sum += cut
+            j0 = max(0, -((X + off) // d))  # cur[j0 .. j1] lies in [-X, X]
+            j1 = min(len(cur) - 1, (X - off) // d)
+            if j1 >= j0:
+                s = off + d * j0 + X
+                win[k - k0 - 1, s:s + d * (j1 - j0) + 1:d] = cur[j0:j1 + 1]
+        if k == k0:
+            return acc, blocks, cut_sum + (K - k) * cut, float(cur.sum())
+        # add the deltas of steps k0+1 .. k to acc and to their blocks in
+        # step order, as acc += delta and blocks[m] += delta would; past
+        # the end of an emptied stream, zero rows fill the last block
+        n = -((k0 - k) // d) * d           # whole blocks
+        delta = np.subtract(win[:n, X:X + 1], win[:n, ::-1], out=dbuf[:n])
+        b0, b1 = k0 // d, (k0 + n) // d
         if b1 > m0:
             part = delta[0::d]
             for j in range(1, d):
@@ -151,9 +156,18 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
             blocks[lo - m0:b1 - m0] = part[lo - b0:]
         delta[0] += acc                     # an axis-0 sum adds rows in order
         acc = delta.sum(axis=0)
-        win[:r + 1] = 0.0
-    tail, bound = _fit_tail(blocks, m0, M)
-    return acc, tail, bound + 2.0 * cut_sum
+        win[:n] = 0.0
+
+
+@lru_cache(maxsize=None)
+def _partial_sum_table(law: StepLaw, X: int, K: int):
+    """(acc, tail, bound) for all |x| <= X: acc is time_sums' of the free
+    stream from 0, and the tail beyond K is fitted to its block sums.
+    bound is the fit's bound plus twice the summed cut mass."""
+    acc, blocks, cut, _ = time_sums(law, 0, dp.FREE, X, K)
+    M = K // dp.period(law.pmf_array()[1])
+    tail, bound = _fit_tail(blocks, M - len(blocks), M)
+    return acc, tail, bound + 2.0 * cut
 
 
 def _fit_tail(blocks: np.ndarray, m0: int, M: int):
@@ -161,6 +175,10 @@ def _fit_tail(blocks: np.ndarray, m0: int, M: int):
     the bound compares with the fit on all but the last two exponents.
     One QR factorisation of the scaled design serves both fits, as the
     fit on the first j exponents uses the first j columns of Q and R."""
+    if M - m0 < len(PS_EXPONENTS):
+        raise ConstraintViolation(
+            f"{M - m0} blocks of {M} to fit; the tail fit needs at least "
+            f"{len(PS_EXPONENTS)}")
     m = np.arange(m0 + 1, M + 1, dtype=float)
     t = m / M
     design = t[:, None] ** (-PS_EXPONENTS[None, :])

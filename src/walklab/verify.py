@@ -127,9 +127,10 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     * point from 2 and 5 at 512 for the unit-step walk: the reflection
       oracle.
 
-    The Green checks (with kernels) read every step of their partial sums
-    from 2 (_green_partial_sums), outside the plan.  Failures are data,
-    not exceptions.
+    The Green checks (with kernels) sum the point and halfline streams
+    from 2 over their first 1024 steps (potential.time_sums), outside the
+    plan, and bound each Green function's gap to its sum by G(y,y) times
+    the mass left.  Failures are data, not exceptions.
     """
     results: list[InvariantResult] = []
     struct = lattice_structure(law)
@@ -291,22 +292,21 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
               for x in hs for y in (0, -3)])):
         _check(results, name, max(map(abs, gaps)), 1e-10)
 
-    # Green functions dominate their DP partial sums, gap shrinking
+    # Green functions against their DP sums S_K from x = 2 at y = 3, K =
+    # 1024 rounded down to the period: G(x,y) - S_K = sum_z q^K(x,z) G(z,y)
+    # - q^K(x,y) lies in [0, G(y,y) P_x[T > K]], as G(z,y) <= G(y,y) (the
+    # maximum principle); each side, and the mass left, widened by the cut
+    x, y, K = 2, 3, 1024
     for name, fn in (
         ("point", lambda x, y: potential.green_point(table, x, y)),
         ("halfline", lambda x, y: ladder.green_halfline(pair, sigma2, x, y)),
     ):
-        x, y = 2, 3
-        gval = fn(x, y)
-        sums = _green_partial_sums(law, _DP_MODE[name], x, y, (256, 1024))
-        (s1, e1), (s2, e2) = sums[256], sums[1024]
-        g1, g2 = gval - s1, gval - s2
-        # each gap is within its sum's cut error: check the worst reading
-        lo1, lo2, hi2 = g1 - e1, g2 - e2, g2 + e2
-        ok = lo1 > -1e-12 and lo2 > -1e-12 and lo1 >= 1.5 * hi2
-        _check(results, f"green {name} monotone from below",
-               0.0 if ok else max(-lo1, -lo2, hi2 - lo1 / 1.5), 1e-12,
-               f"gap(256)={g1:.3g}, gap(1024)={g2:.3g}")
+        acc, _, cut, mass = potential.time_sums(law, x, _DP_MODE[name], y, K)
+        gap = fn(x, y) + acc[0]             # acc[0], at -y, is -S_K
+        bound = fn(y, y) * (mass + cut) + cut
+        _check(results, f"green {name} tail bound x={x} y={y}",
+               max(-cut - gap, gap - bound, 0.0), 1e-12,
+               f"gap={gap:.3g}, bound={bound:.3g}")
 
     # exact hit-N solve vs the root-free G(x,N)/G(N,N), G from a_fourier
     N = 30
@@ -364,28 +364,6 @@ def ladder_invariants(law: StepLaw, pair: ladder.HarmonicPair,
            ladder.entrance_law_minus_inf(law, pair).mass() - 1.0, 1e-8)
 
 
-def _green_partial_sums(law: StepLaw, mode: int, x: int, y: int,
-                        ns: tuple[int, ...]
-                        ) -> dict[int, tuple[float, float]]:
-    """{n: (sum_{k<=n} q^k(x, y), error)} for each n of ns, accumulated step
-    by step along one stream, whose window has stride d.  q^k(x, y)
-    lies within the stream's cut at step k of the uncut DP, so the error is
-    the sum of those cuts over k <= n."""
-    zmin, pmf = law.pmf_array()
-    d = dp.period(pmf)
-    total, err, cut, last = (1.0 if x == y else 0.0), 0.0, 0.0, 0
-    out = {}
-    for k, off, cur, _, cut in dp._steps(x, np.ones(1), zmin, pmf, max(ns),
-                                         mode, 1.0):
-        total += dp.Window(off, cur, d).prob(y)
-        err, last = err + cut, k
-        if k in ns:
-            out[k] = total, err
-    # a stream that ends early has no mass left to add; each later step
-    # is within the final cut of 0
-    return {n: out.get(n, (total, err + (n - last) * cut)) for n in ns}
-
-
 # ---------------------------------------------------------------------------
 # Theorem comparison grids.
 
@@ -426,15 +404,6 @@ class ComparisonReport:
         """Largest rel_err over the rows at n; None if n compared no rows."""
         errs = [r.rel_err for r in self.rows if r.n == n]
         return max(errs) if errs else None
-
-    def cells(self):
-        """Group rows by scaled coordinates, sorted: {(theorem,xi,eta): rows}."""
-        out: dict[tuple, list[Row]] = {}
-        for r in self.rows:
-            out.setdefault((r.theorem, r.xi, r.eta), []).append(r)
-        for v in out.values():
-            v.sort(key=lambda r: r.n)
-        return out
 
 
 def _rel_err(exact: float, rhs_val: float) -> float:
@@ -649,12 +618,18 @@ class SlopeSummary:
 
 
 def convergence_report(reports: list[ComparisonReport]) -> list[SlopeSummary]:
-    """Fit log(rel_err) against log(n) per scaled cell."""
+    """Fit log(rel_err) against log(n) per scaled cell, over at least two
+    distinct n.  A cell is (theorem, xi, eta, x > 0): the sign of x keeps
+    apart Q+'s two cells at xi = 0, whose xi 0.0 and -0.0 compare equal."""
     out = []
     for rep in reports:
-        for (th, xi, eta), rows in sorted(rep.cells().items()):
-            usable = [r for r in rows if r.rel_err > 0]
-            if len(usable) < 2:
+        cells: dict[tuple, list[Row]] = {}
+        for r in sorted(rep.rows, key=lambda r: r.n):
+            if r.rel_err > 0:
+                cells.setdefault((r.theorem, r.xi, r.eta, r.x > 0),
+                                 []).append(r)
+        for (th, xi, eta, _), usable in sorted(cells.items()):
+            if len({r.n for r in usable}) < 2:
                 continue
             ln = np.log([r.n for r in usable])
             le = np.log([r.rel_err for r in usable])

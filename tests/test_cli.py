@@ -178,6 +178,20 @@ class TestVerify:
         assert main(argv + ["=".join(signed), "--out", str(out[1])]) == 0
         assert out[0].read_bytes() == out[1].read_bytes()
 
+    def test_slopes_keep_the_two_signs_of_x_apart(self, law_file, tmp_path,
+                                                  capsys):
+        # P12_Qplus at xi = 0 has cells x = 1 (xi 0.0) and x = -1 (xi -0.0),
+        # which compare equal: each gets its own slope over its two rows
+        assert main(["verify", "--law", law_file, "--theorem", "P12_Qplus",
+                     "--xi", "0", "--n", "256,1024",
+                     "--out", str(tmp_path / "cmp.csv")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        slopes = [line for line in out if "slope" in line][1:]
+        assert [line.split(":")[0] for line in slopes] == [
+            "  P12_Qplus xi=-0.0 eta=0.0", "  P12_Qplus xi=0.0 eta=0.0"]
+        assert slopes[0].endswith("final rel_err 0.00013513446915443462")
+        assert slopes[1].endswith("final rel_err 0.0031900786990532283")
+
     def test_unknown_theorem_is_usage_error(self, law_file, tmp_path):
         with pytest.raises(SystemExit) as e:
             main(["verify", "--law", law_file, "--theorem", "nope",
@@ -295,6 +309,11 @@ class TestReport:
     (["verify", "--theorem", "T11i", "--eta", "1e300"], 1,
      "error: ConstraintViolation: scaled coordinate 1e+300 * sqrt(sigma2 n) "
      "= 1.85e+301 at n=256 lies outside [-2^53, 2^53]"),
+    # a repeated n or y would write its rows twice (a slope at one n)
+    (["verify", "--theorem", "T11ii", "--n", "256,256"], 2,
+     "argument --n: '256,256': need distinct values"),
+    (["verify", "--theorem", "T14", "--n", "64", "--ys=-1,0,-1"], 2,
+     "argument --ys: '-1,0,-1': need distinct values"),
 ])
 def test_bad_input_is_a_typed_error(argv, code, message, law_file, tmp_path,
                                     capsys):

@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from walklab import asymptotics, build_law, dp, engine
+from walklab import asymptotics, build_law, dp, engine, ladder, potential
 from walklab.asymptotics import THEOREMS, TheoremId
 from walklab.errors import (ConstraintViolation, OutOfWindow,
                             TailNotNegligible, WalklabError)
 from walklab.kernels import build_kernels
 from walklab.report import csv_text, emit_comparison, summary_text
-from walklab.verify import (GridSpec, _exact_run, _exact_value,
-                            _green_partial_sums, _half_dot, _stream,
-                            compare_grid, convergence_report,
+from walklab.verify import (GridSpec, _exact_run, _exact_value, _half_dot,
+                            _stream, compare_grid, convergence_report,
                             invariant_suite)
 
 from conftest import (DEEP_PAIRS, L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS,
-                      zero_mean_laws)
+                      periodic_laws, zero_mean_laws)
 
 PERIOD2_PAIRS = [(-1, "5/8"), (1, "1/4"), (3, "1/8")]
 
@@ -56,11 +55,9 @@ class TestInvariantSuite:
         law = build_law([(-41, "20/61"), (20, "41/61")], "p61")
         results = invariant_suite(law, kernels=build_kernels(law))
         failures = [r.name for r in results if r.status == "fail"]
-        # The check asks gap(256) >= 1.5 gap(1024), a heuristic ratio that
-        # this law misses at 1.40.  ROADMAP item 3 replaces it with a
-        # computed Green tail; then this row passes and the assertion
-        # flips to no failures.
-        assert failures == ["green point monotone from below"]
+        # every row passes, the Green rows too: their bound holds for
+        # every law (the point row reads gap/bound 0.56 here)
+        assert failures == []
 
     def test_odd_n_big_splits_chapman_kolmogorov(self, span3):
         results = invariant_suite(span3, kernels=None, n_big=257)
@@ -80,12 +77,14 @@ class TestInvariantSuite:
         its last snapshot.  l1: 4096 steps each of free, point and halfline
         from 1, 2048 each of the reflected law's point and halfline from
         1, 256 each from 3 and from 5 in both modes, and 1024 each of the
-        two Green partial sums.  srw is its own reflection, so its
-        reflected runs are its runs from 1 and 5, and the reflection
-        oracle adds 512 from 2 and extends the point run from 5 to 512.  A
-        stream run past its last read, or a reflected run that the law
-        already has, changes the count (41,009 steps on l1 when each check
-        ran its own DP, 27,136 when the x=3 streams ran to n_big)."""
+        two Green partial sums (potential.time_sums, which caches nothing,
+        so the count does not depend on the tests run before).  srw is its
+        own reflection, so its reflected runs are its runs from 1 and 5,
+        and the reflection oracle adds 512 from 2 and extends the point run
+        from 5 to 512.  A stream run past its last read, or a reflected run
+        that the law already has, changes the count (41,009 steps on l1
+        when each check ran its own DP, 27,136 when the x=3 streams ran to
+        n_big)."""
         steps, count = dp._steps, [0]
 
         def counted(*args, **kwargs):
@@ -161,17 +160,69 @@ def test_domination_reads_the_free_stream_shifted(pairs):
 
 @pytest.mark.parametrize("mode", [dp.POINT, dp.HALFLINE])
 def test_green_partial_sums_carry_the_cut(l1, mode, monkeypatch):
-    """Each Green partial sum lies within its error of the uncut stream's
-    (dp.CUT = 0 cuts no nonzero weight), and that error is the summed cut,
-    nonzero and below 1e-50 on l1 up to 1024 steps."""
-    ns = (256, 1024)
-    got = _green_partial_sums(l1, mode, 2, 3, ns)
-    monkeypatch.setattr(dp, "CUT", 0.0)
-    uncut = _green_partial_sums(l1, mode, 2, 3, ns)
-    for n in ns:
-        (s, err), (ref, zero) = got[n], uncut[n]
+    """Each Green partial sum that potential.time_sums reads at x = -y
+    lies within its error of the uncut stream's (dp.CUT = 0 cuts no
+    nonzero weight), and that error is the summed cut, nonzero and below
+    1e-50 on l1 up to 1024 steps; so does the mass left."""
+    for K in (256, 1024):
+        acc, _, err, mass = potential.time_sums(l1, 2, mode, 3, K)
+        with monkeypatch.context() as m:
+            m.setattr(dp, "CUT", 0.0)
+            ref, _, zero, ref_mass = potential.time_sums(l1, 2, mode, 3, K)
         assert zero == 0.0 and 0.0 < err < 1e-50
-        assert abs(s - ref) <= err + 1e-15 * ref
+        assert abs(acc[0] - ref[0]) <= err + 1e-15 * abs(ref[0])
+        assert abs(mass - ref_mass) <= err + 1e-15 * ref_mass
+
+
+@pytest.mark.parametrize("mode", [dp.POINT, dp.HALFLINE])
+@pytest.mark.parametrize("pairs", [L1_PAIRS, PERIOD2_PAIRS],
+                         ids=["l1", "period2"])
+def test_green_sums_after_the_window_empties(pairs, mode, monkeypatch):
+    """A cut that empties the absorbed window ends the stream early, on
+    the period-2 law within a block of two steps: the steps already
+    collected still count, and each later step adds the last cut to the
+    error.  The sums are the stream's own, step by step."""
+    monkeypatch.setattr(dp, "CUT", 2e-3)
+    law = build_law(pairs, "law")
+    zmin, pmf = law.pmf_array()
+    want, ends, err = np.zeros(7), 0, 0.0
+    want[3 - 2] = -1.0                      # the start, at x = -2
+    for k, off, cur, _, cut in dp._steps(2, np.ones(1), zmin, pmf, 1024,
+                                         mode, 1.0):
+        w = dp.Window(off, cur, dp.period(pmf))
+        want -= [w.prob(-x) for x in range(-3, 4)]
+        ends, err = k, err + cut
+    assert 0 < ends < 1024
+    acc, _, got_err, mass = potential.time_sums(law, 2, mode, 3, 1024)
+    assert np.array_equal(acc, want) and mass == 0.0
+    assert got_err == err + (1024 - ends) * cut
+    if len(pairs) == 3:
+        assert ends % 2 == 1                # the stream ends mid-block
+
+
+@settings(max_examples=10, deadline=None)
+@given(law=st.one_of(zero_mean_laws(), periodic_laws()))
+def test_green_rows_hold_for_any_law(law):
+    """0 <= G(2,3) - S_K <= G(3,3) P_2[T > K] is a theorem, so both Green
+    rows pass on every valid law."""
+    rows = [r for r in invariant_suite(law, build_kernels(law), n_big=64)
+            if r.name.startswith("green")]
+    assert [r.status for r in rows] == ["pass", "pass"], rows
+
+
+@pytest.mark.parametrize("scale", [1.02, 0.93])
+def test_green_rows_catch_a_wrong_green_function(l1, l1_kernels, scale,
+                                                 monkeypatch):
+    """On l1 the point row fails a Green function 2% too high or 7% too
+    low, and so does the half-line row."""
+    point, half = potential.green_point, ladder.green_halfline
+    monkeypatch.setattr(potential, "green_point",
+                        lambda *a: scale * point(*a))
+    monkeypatch.setattr(ladder, "green_halfline",
+                        lambda *a: scale * half(*a))
+    rows = [r for r in invariant_suite(l1, l1_kernels, n_big=64)
+            if r.name.startswith("green")]
+    assert [r.status for r in rows] == ["fail", "fail"], rows
 
 
 class TestRegionGating:
@@ -466,6 +517,12 @@ class TestConvergenceReport:
         slopes = convergence_report([rep])
         assert slopes
         assert all(s.slope < 0 for s in slopes)
+
+    def test_no_slope_from_one_n(self, l1_kernels):
+        # rows at one n, even several of them, fit no slope
+        rep = compare_grid(GridSpec(TheoremId.T11ii, ns=(256, 256)),
+                           l1_kernels)
+        assert len(rep.rows) == 2 and convergence_report([rep]) == []
 
     def test_identical_inputs_identical_summary(self, l1_kernels):
         rep = compare_grid(GridSpec(TheoremId.C11, ns=(256, 1024)),
