@@ -1,9 +1,9 @@
 """Dynamic-programming evolution of absorbed lattice walks.
 
 A distribution is a ``Window`` of stride d: a dense float64 array of
-weights with site = offset + d*index (d = 1: consecutive sites).  One
-step stream evolves a distribution under a step pmf by convolution,
-applying one of three absorption modes after every step:
+weights with site = offset + d*index (d = 1: consecutive sites).  A
+step stream, _steps, evolves a distribution under a step pmf by
+convolution, applying one of three absorption modes after every step:
 
   FREE      no absorption,
   POINT     mass arriving at the origin is removed with probability alpha
@@ -28,6 +28,11 @@ within the cut mass of the uncut DP, the error the cut computes.
 ``run_dp`` returns the window as the stream stores it, of stride d.  Its
 start lies on one coset as well; a start over several classes (the
 many-start window of ``engine.nu_and_particles``) is one run per class.
+
+The free stream of the partial-sum table, which reads every step's
+weights on a fixed window [-X, X], runs in blocks of BLOCK_STEPS steps
+instead (_blocks): one convolution with p^{*L} moves the window L steps,
+one matrix product reads the L slices, and the cut runs once a block.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import WindowOverflow
 
@@ -43,6 +49,7 @@ POINT = 1
 HALFLINE = 2
 
 WINDOW_BUDGET = 4_000_000   # stored sites a stream may hold
+BLOCK_STEPS = 64            # steps per block of the free partial-sum stream
 
 # Edge weights below CUT are cut: far below every tolerance of the lab, and
 # the mass they carry is reported, not assumed small.
@@ -220,6 +227,93 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
         cur = cur[a:b]
         off += d * a
         yield k, off, cur, absorbed, cut
+
+
+def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
+            n: int, X: int):
+    """Yield (k, rows, cut, weights) after each block of FREE steps.
+
+    The free stream of _steps, BLOCK_STEPS steps at a time, n in all.  A
+    free walk is translation-invariant, so r steps from the window w are
+    one convolution of w with p^{*r}; the block advances by one
+    np.correlate with the compressed taps of p^{*r} and then cuts the
+    outer runs below CUT once.  rows[j - 1], j = 1..r, is w_{k - r + j}
+    on [-X, X], site -X + i in column i: one matrix product of the r
+    rows of compressed taps of p^{*j} with the sliding window of the
+    block's start over the sites they reach.  A block of r < BLOCK_STEPS
+    steps ends the stream when n is not a multiple.
+
+    The cut runs at block ends, so cut, the summed weight cut by step k,
+    holds for the block's last row; each earlier row lies within the cut
+    of the block's start.  The weights are the live window after step k,
+    of stride period(pmf); WINDOW_BUDGET bounds it on every advance.  The
+    stream ends early once the window is empty.
+
+    Row j of a block that starts at offset o holds the indices
+    i = a_j + q, q = 0..Wc-1, of its coset, with a_j = -((X + o +
+    j zmin) // d) the first in [-X, X] and Wc = 2X // d + 1; it sits at
+    column (X + o + j zmin) mod d + d q.  With E = max_j a_j, its weight
+    is sum_m T_j[m] w[a_j + q - m] = sum_s T'_j[s] w[E + q - s], where
+    T'_j is T_j, the compressed taps of p^{*j}, shifted right by E - a_j:
+    the same sliding window of w serves every row.  The shifts and
+    columns depend on (X + o) mod d alone: one matrix per residue.
+    """
+    d = period(pmf)
+    taps = pmf[::d]
+    powers = [taps]                         # compressed taps of p^{*j}
+    for _ in range(BLOCK_STEPS - 1):
+        powers.append(np.convolve(powers[-1], taps))
+    Wc = 2 * X // d + 1
+
+    def plan(rho: int):
+        """(first, T, columns) for blocks with X + offset = rho (mod d):
+        first = E + (X + offset) // d, T the reversed shifted taps, one
+        row per step, and columns the flat position of each row entry."""
+        j = np.arange(1, BLOCK_STEPS + 1)
+        a = -((rho + j * zmin) // d)
+        width = max(a.max() - a_j + len(p) for a_j, p in zip(a, powers))
+        T = np.zeros((BLOCK_STEPS, width))
+        for row, a_j, p in zip(T, a, powers):
+            end = width - (a.max() - a_j)
+            row[end - len(p):end] = p[::-1]
+        columns = ((j - 1) * d * Wc + (rho + j * zmin) % d)[:, None] \
+            + d * np.arange(Wc)
+        return int(a.max()), T, columns
+
+    plans = [plan(rho) for rho in range(d)]
+    cur, off, cut, k = np.asarray(weights, dtype=np.float64), offset, 0.0, 0
+    while k < n and len(cur):
+        r = min(BLOCK_STEPS, n - k)
+        c = X + off
+        first, T, columns = plans[c % d]
+        lo = first - c // d - T.shape[1] + 1   # index of the window's start
+        span = np.zeros(T.shape[1] + Wc - 1)
+        a, b = max(lo, 0), min(lo + len(span), len(cur))
+        if b > a:
+            span[a - lo:b - lo] = cur[a:b]
+        rows = np.zeros(r * d * Wc)
+        rows[columns[:r]] = T[:r] @ as_strided(        # span[s + q] at (s, q)
+            span, (T.shape[1], Wc), 2 * span.strides, writeable=False)
+        rows = rows.reshape(r, d * Wc)[:, :2 * X + 1]
+
+        p = powers[r - 1]
+        size = len(cur) + len(p) - 1
+        if size > WINDOW_BUDGET:
+            raise WindowOverflow(
+                f"window of {size} sites at step {k + r} exceeds budget "
+                f"{WINDOW_BUDGET}"
+            )
+        cur = (np.correlate(cur, p[::-1], "full") if len(cur) >= len(p)
+               else np.convolve(cur, p))
+        off += r * zmin
+        keep = cur >= CUT
+        a = int(keep.argmax())
+        b = len(cur) - int(keep[::-1].argmax()) if keep[a] else a
+        cut += float(cur[:a].sum() + cur[b:].sum())
+        cur = cur[a:b]
+        off += d * a
+        k += r
+        yield k, rows, cut, cur
 
 
 def run_dp(

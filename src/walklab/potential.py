@@ -20,16 +20,18 @@ a_partial_sums.
   k^{-3/2}, k^{-2}, ... (their asymptotic expansion) and summed with
   Hurwitz zeta functions.  For a law of period d the walk at step k lives
   on k*zmin + dZ, so the DP runs on the law of (Y - zmin)/d and skips only
-  sites of exact zero weight.  It cuts its edges below dp.CUT after every
-  step; a step only averages weights, so p^k at every site lies within the
-  mass cut by step k of the uncut DP, and the bound adds twice the sum of
-  that mass over k.  For the laws tested it rounds away against every
-  weight the table reads: the steps' [-X, X] slices are summed in chunks
-  by cumulative sums, in step order, so the partial sums are
-  bit-identical to an uncut full-lattice DP that adds one step at a time.
-  One QR factorisation of the design gives both tail fits; the fit needs
-  at least one block per exponent.  time_sums, the one routine that sums
-  a DP stream over time, also gives the report's Green partial sums.
+  sites of exact zero weight.  The free stream runs in blocks of
+  dp.BLOCK_STEPS steps (dp._blocks): one convolution with p^{*L} moves the
+  window, one matrix product gives the L steps' [-X, X] slices, and the
+  edges below dp.CUT are cut once a block; a step only averages weights,
+  so p^k at every site lies within the mass cut by the start of its block
+  of the uncut DP, and the bound adds twice the sum of that mass over k.
+  The slices are summed in chunks by cumulative sums, in step order.  The
+  bound also carries the rounding of the sums and of the blocks the tail
+  fit reads, from gamma_n (see _partial_sum_table).  One QR factorisation
+  of the design gives both tail fits; the fit needs at least one block
+  per exponent.  time_sums, the one routine that sums a DP stream over
+  time, also gives the report's Green partial sums, one step at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 from mpmath import mp
@@ -102,19 +103,43 @@ CHUNK_STEPS = 2048    # DP steps per accumulation chunk, rounded to the period
 FIT_CHUNK_ROWS = 1024  # blocks per chunk of the tail fit's residual sum
 
 
+def _window_rows(steps, X: int, d: int):
+    """The rows of a _steps stream: (k, row, cut, weights) per step, row
+    the (1, 2X + 1) array of w_k on [-X, X], site -X + i in column i."""
+    for k, off, cur, _, cut in steps:
+        row = np.zeros((1, 2 * X + 1))
+        j0 = max(0, -((X + off) // d))      # cur[j0 .. j1] lies in [-X, X]
+        j1 = min(len(cur) - 1, (X - off) // d)
+        if j1 >= j0:
+            s = off + d * j0 + X
+            row[0, s:s + d * (j1 - j0) + 1:d] = cur[j0:j1 + 1]
+        yield k, row, cut, cur
+
+
 def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
-    """(acc, blocks, cut, mass) of the DP stream of mode from start, summed
-    over steps k <= K, K rounded down to a multiple of the period d.
+    """(acc, blocks, cut, mass, origin) of the DP stream of mode from
+    start, summed over steps k <= K, K rounded down to a multiple of the
+    period d.
 
     acc[x + X] = sum_{k<=K} [w_k(0) - w_k(-x)], |x| <= X, w_k the weights
     after step k and w_0 the start; in point and half-line mode site 0
     holds no mass, so acc at -y is minus sum_{k<=K} q^k(start, y).
     blocks[m - m0 - 1] sums the terms of steps (m-1)d+1 .. md, for
-    m0 < m <= M = K/d, m0 = M // 16: the tail fit's window.  cut is the
-    sum over k <= K of c_k, the mass cut by step k, and w_k lies within c_k
-    of the uncut DP's.  mass is the weight left after step K.  The sites the coset stream
+    m0 < m <= M = K/d, m0 = M // 16: the tail fit's window.  origin[m - 1]
+    sums w_k(0) over the steps of block m, 0 < m <= M.  cut is the sum
+    over k <= K of c_k, a bound on how far w_k lies from the uncut DP's.
+    mass is the weight left after step K.  The sites the coset stream
     skips carry exact zeros, which change no sum.  A window that empties
-    ends the stream; each later step is within its last cut of 0."""
+    ends the stream; each later step is within its last cut of 0.
+
+    The rows w_k on [-X, X] come in groups: the free stream's from
+    dp._blocks, BLOCK_STEPS at a time, the absorbed streams' from
+    dp._steps, one at a time.  The cut of a group holds for its last row
+    and the cut before it for the others, as dp._blocks cuts only at block
+    ends; for one row per group c_k is the stream's own.  Chunks of rows,
+    a multiple of BLOCK_STEPS and of d long, are summed by cumulative
+    sums in step order: the absorbed streams' sums are those of adding
+    one step at a time, bit for bit."""
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)                      # the stream's stride
     M = K // d
@@ -126,28 +151,20 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
     if abs(start) <= X:
         acc[X - start] -= 1.0
     blocks = np.zeros((M - m0, W))
-    C = CHUNK_STEPS // d * d
+    origin = np.zeros(M)
+    lcm = math.lcm(dp.BLOCK_STEPS, d)
+    C = max(1, CHUNK_STEPS // lcm) * lcm
     win = np.zeros((C, W))                  # row k-1 mod C: w_k on [-X, X]
     dbuf = np.empty((C, W))
-    steps = dp._steps(start, np.ones(1), zmin, pmf, K, mode, 1.0)
-    k, cur, cut, cut_sum = 0, np.ones(1), 0.0, 0.0
-    while True:
-        k0 = k
-        for k, off, cur, _, cut in islice(steps, C):
-            cut_sum += cut
-            j0 = max(0, -((X + off) // d))  # cur[j0 .. j1] lies in [-X, X]
-            j1 = min(len(cur) - 1, (X - off) // d)
-            if j1 >= j0:
-                s = off + d * j0 + X
-                win[k - k0 - 1, s:s + d * (j1 - j0) + 1:d] = cur[j0:j1 + 1]
-        if k == k0:
-            return acc, blocks, cut_sum + (K - k) * cut, float(cur.sum())
-        # add the deltas of steps k0+1 .. k to acc and to their blocks in
-        # step order, as acc += delta and blocks[m] += delta would; past
-        # the end of an emptied stream, zero rows fill the last block
+
+    def fold(k0: int, k: int) -> np.ndarray:
+        """Add the deltas of steps k0+1 .. k to acc and to their blocks in
+        step order, as acc += delta and blocks[m] += delta would; past the
+        end of an emptied stream, zero rows fill the last block."""
         n = -((k0 - k) // d) * d           # whole blocks
         delta = np.subtract(win[:n, X:X + 1], win[:n, ::-1], out=dbuf[:n])
         b0, b1 = k0 // d, (k0 + n) // d
+        origin[b0:b1] = win[:n, X].reshape(-1, d).sum(axis=1)
         if b1 > m0:
             part = delta[0::d]
             for j in range(1, d):
@@ -155,26 +172,97 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
             lo = max(b0, m0)
             blocks[lo - m0:b1 - m0] = part[lo - b0:]
         delta[0] += acc                     # an axis-0 sum adds rows in order
-        acc = delta.sum(axis=0)
         win[:n] = 0.0
+        return delta.sum(axis=0)
+
+    if mode == dp.FREE:
+        rows = dp._blocks(start, np.ones(1), zmin, pmf, K, X)
+    else:
+        rows = _window_rows(
+            dp._steps(start, np.ones(1), zmin, pmf, K, mode, 1.0), X, d)
+    k = k0 = 0
+    cut = cut_sum = 0.0
+    cur = np.ones(1)
+    for k, group, group_cut, cur in rows:
+        cut_sum += (len(group) - 1) * cut + group_cut
+        cut = group_cut
+        win[k - k0 - len(group):k - k0] = group
+        if k - k0 == C:
+            acc, k0 = fold(k0, k), k
+    if k > k0:
+        acc = fold(k0, k)
+    return acc, blocks, cut_sum + (K - k) * cut, float(cur.sum()), origin
+
+
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), u = 2^-53 the unit roundoff."""
+    nu = n * 2.0 ** -53
+    return nu / (1.0 - nu)
+
+
+def _rounding_gamma(law: StepLaw, k):
+    """gamma_(3 n_k), n_k = (2t+2)k + 3Lt + 1: the relative rounding of the
+    free block stream's time sums through step k (see _partial_sum_table),
+    t the compressed tap count and L = dp.BLOCK_STEPS."""
+    _, pmf = law.pmf_array()
+    t = len(pmf[::dp.period(pmf)])
+    return _gamma(3 * ((2 * t + 2) * k + 3 * dp.BLOCK_STEPS * t + 1))
 
 
 @lru_cache(maxsize=None)
 def _partial_sum_table(law: StepLaw, X: int, K: int):
     """(acc, tail, bound) for all |x| <= X: acc is time_sums' of the free
     stream from 0, and the tail beyond K is fitted to its block sums.
-    bound is the fit's bound plus twice the summed cut mass."""
-    acc, blocks, cut, _ = time_sums(law, 0, dp.FREE, X, K)
-    M = K // dp.period(law.pmf_array()[1])
-    tail, bound = _fit_tail(blocks, M - len(blocks), M)
-    return acc, tail, bound + 2.0 * cut
+    bound is the fit's bound, plus twice the summed cut mass, plus the
+    rounding of acc and the rounding of the blocks that the tail carries.
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3).  With u = 2^-53 and gamma_n = n u / (1 - n u): a sum of n
+    nonnegative products is computed, in any order, within relative
+    gamma_n of its value; gamma_a + gamma_b + gamma_a gamma_b <=
+    gamma_(a+b); and n terms added in turn are within gamma_(n-1) times
+    the sum of their magnitudes.  Let t be the compressed tap count and
+    L = dp.BLOCK_STEPS.  At step k = bL + j of dp._blocks (1 <= j <= L)
+    every weight w_k(y) lies within relative gamma_(n) of the exact law's
+    p^k, n = k + 2Ltb + 2Lt + (j-1)t <= (2t+1)k + 3Lt:
+      - the rounded pmf moves each path's weight, and so p^k, by gamma_k;
+      - the taps of p^{*j} are j-1 convolutions of at most t products:
+        gamma_((j-1)t);
+      - an advance sums at most L(t-1)+1 products with the taps of p^{*L}:
+        gamma_(2Lt) a block, b blocks before step k;
+      - a row sums at most 2Lt products with the taps of p^{*j}.
+    Each term w_k(0) - w_k(-x) rounds once more and at most k + 1 terms
+    are added in turn, so a time sum through step k lies within
+    gamma_(n_k) S of the exact one, n_k = (2t+2)k + 3Lt + 1, S the sum of
+    w_k(0) + w_k(-x) over its steps.  For acc, S <= 2 sum_k w_k(0) + 1 -
+    acc(x), read from time_sums' origin and acc, and for block m, with
+    last step k = md, S = 2 origin[m-1] - blocks[m]; as these S are
+    computed, within relative gamma_(2 n_k) of the exact ones,
+    gamma_(3 n_k) S bounds each sum's error.  The tail is linear in the
+    blocks, tail = sum_m l_m blocks[m], so it carries sum_m |l_m| times
+    their bounds.  The fit's design is ill-conditioned (sum_m |l_m| is
+    about 1e8 at K = 2^16), so that term is the bound's largest.
+    """
+    acc, blocks, cut, _, origin = time_sums(law, 0, dp.FREE, X, K)
+    d = dp.period(law.pmf_array()[1])
+    M = len(origin)
+    m0 = M - len(blocks)
+    tail, bound, weights = _fit_tail(blocks, m0, M)
+    spread = np.abs(weights) * _rounding_gamma(
+        law, d * np.arange(m0 + 1, M + 1))
+    rounding = _rounding_gamma(law, d * M) \
+        * (2.0 * origin.sum() + 1.0 - acc) \
+        + 2.0 * (spread @ origin[m0:]) - spread @ blocks
+    return acc, tail, bound + 2.0 * cut + rounding
 
 
 def _fit_tail(blocks: np.ndarray, m0: int, M: int):
-    """Fit block sums to sum_e c_e m^{-e} and return (tail, bound) arrays;
-    the bound compares with the fit on all but the last two exponents.
-    One QR factorisation of the scaled design serves both fits, as the
-    fit on the first j exponents uses the first j columns of Q and R."""
+    """Fit block sums to sum_e c_e m^{-e} and return (tail, bound,
+    weights); the bound compares with the fit on all but the last two
+    exponents, and tail = weights @ blocks, the fit being linear in the
+    blocks.  One QR factorisation of the scaled design serves both fits,
+    as the fit on the first j exponents uses the first j columns of Q and
+    R."""
     if M - m0 < len(PS_EXPONENTS):
         raise ConstraintViolation(
             f"{M - m0} blocks of {M} to fit; the tail fit needs at least "
@@ -206,7 +294,8 @@ def _fit_tail(blocks: np.ndarray, m0: int, M: int):
         part[0] += res
         res = part.sum(axis=0)
     bound = np.abs(tail - tail_r) + res
-    return tail, bound
+    weights = q @ np.linalg.solve(r.T, scale / norms)
+    return tail, bound, weights
 
 
 def a_partial_sums(law: StepLaw, x: int,

@@ -301,7 +301,8 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
         ("point", lambda x, y: potential.green_point(table, x, y)),
         ("halfline", lambda x, y: ladder.green_halfline(pair, sigma2, x, y)),
     ):
-        acc, _, cut, mass = potential.time_sums(law, x, _DP_MODE[name], y, K)
+        acc, _, cut, mass, _ = potential.time_sums(
+            law, x, _DP_MODE[name], y, K)
         gap = fn(x, y) + acc[0]             # acc[0], at -y, is -S_K
         bound = fn(y, y) * (mass + cut) + cut
         _check(results, f"green {name} tail bound x={x} y={y}",

@@ -39,6 +39,9 @@ class TestFree:
         monkeypatch.setattr(dp, "WINDOW_BUDGET", 50)
         with pytest.raises(WindowOverflow):
             dp.run_dp(0, np.ones(1), zmin, pmf, 100, mode=dp.FREE)
+        # the block stream of the partial sums checks it on every advance
+        with pytest.raises(WindowOverflow, match="65 sites at step 64"):
+            list(dp._blocks(0, np.ones(1), zmin, pmf, 1024, 5))
 
 
 class TestKillAtOrigin:

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from walklab import build_law, dp, potential
+from walklab import build_law, dp, engine, potential
 from walklab.errors import (ConstraintViolation, OutOfWindow,
                             QuadratureNotConverged, SingularSystem)
 from walklab.kernels import build_kernels
 from walklab.laws import lattice_structure, moments
 from walklab.potential import (CONSTANTS_TOL, _c_star_circle, _fit_tail,
-                               _partial_sum_table, a_fourier, a_partial_sums,
+                               a_fourier, a_partial_sums,
                                build_potential_table, constants,
                                expansion_check, green_point,
                                harmonicity_residuals, hit_before_origin)
@@ -61,7 +61,30 @@ class TestPartialSumRoute:
         # reported remainder bound dominates the observed cross-method error
         for x in (7, 23, 41):
             v, bound = a_partial_sums(l1, x)
-            assert abs(v - a_fourier(l1, x)) <= max(bound, 1e-9)
+            assert abs(v - a_fourier(l1, x)) <= bound
+
+
+@pytest.mark.parametrize("pairs", [
+    [(-1, "1/2"), (1, "1/2")],                                # srw
+    [(-2, "1/6"), (-1, "1/6"), (0, "1/6"), (1, "1/2")],       # l1
+    [(-1, "2/3"), (2, "1/3")],                                # span3
+    [(z, "1/5") for z in range(-2, 3)],                       # sym5
+    [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
+    [(-1, "5/8"), (1, "1/4"), (3, "1/8")],                    # period 2
+])
+def test_bound_covers_exact_a(pairs):
+    """At the default K the bound, rounding included, covers the gap to
+    the exact a(x): |x| for srw, else the root solve within its error.
+    Without the rounding term srw's gap at x = 5 was 3.0e-13 against a
+    bound of 6.0e-14."""
+    law = build_law(pairs, "law")
+    table = build_potential_table(law)
+    srw = law.increments == (-1, 1)
+    for x in (-50, -17, -5, -1, 1, 5, 17, 50):
+        v, bound = a_partial_sums(law, x)
+        exact, err = (abs(x), 0.0) if srw else (table.a(x),
+                                               table.error_estimate)
+        assert abs(v - exact) <= bound + err
 
 
 def _reference_blocks(law, X, K):
@@ -91,10 +114,30 @@ def _reference_blocks(law, X, K):
     return acc, blocks, m0, M
 
 
-def _reference_table(law, X, K):
-    acc, blocks, m0, M = _reference_blocks(law, X, K)
-    tail, bound = _fit_tail(blocks, m0, M)
-    return acc, tail, bound
+def _check_blocks_against_reference(law, X, K):
+    """time_sums' free stream against the plain loop, which adds one
+    uncut step at a time: acc and the blocks lie within twice the cut and
+    the rounding bounds of the two routes, the loop's with n_k = (span +
+    3)k + 1 (span + 1 taps, the pmf and the sum), and the tail within the
+    fit applied to the blocks' bounds.  Returns the cut."""
+    acc, blocks, cut, _, origin = potential.time_sums(law, 0, dp.FREE, X, K)
+    want_acc, want_blocks, m0, M = _reference_blocks(law, X, K)
+    k = K // M * np.arange(m0 + 1, M + 1)  # each block's last step
+
+    def gamma(k):                           # both routes' gamma_(3 n_k)
+        plain = (law.zmax - law.zmin + 3) * k + 1
+        return (potential._rounding_gamma(law, k)
+                + potential._gamma(3 * plain))
+
+    err = gamma(K // M * M) * (2.0 * origin.sum() + 1.0 - acc) + 2.0 * cut
+    assert (np.abs(acc - want_acc) <= err).all()
+    block_err = gamma(k)[:, None] * (2.0 * origin[m0:, None] - blocks) \
+        + 2.0 * cut
+    assert (np.abs(blocks - want_blocks) <= block_err).all()
+    tail, _, weights = _fit_tail(blocks, m0, M)
+    want_tail = _fit_tail(want_blocks, m0, M)[0]
+    assert (np.abs(tail - want_tail) <= np.abs(weights) @ block_err).all()
+    return cut
 
 
 @pytest.mark.parametrize("pairs", [
@@ -107,29 +150,69 @@ def _reference_table(law, X, K):
     [(-1, "5/8"), (1, "1/4"), (3, "1/8")],                    # period 2
 ])
 def test_trimmed_table_is_bit_identical(pairs, monkeypatch):
+    """The cut block stream against the plain loop, within the rounding
+    bounds (the name dates from when the two agreed bit for bit)."""
     law = build_law(pairs, "law")
     X, K = 55, 2 ** 12
-    widths, cuts = [], []
-    steps = dp._steps
+    widths = []
+    stream = dp._blocks
 
     def watched(*args, **kwargs):
-        for item in steps(*args, **kwargs):
-            widths.append(len(item[2]))
-            cuts.append(item[4])
+        for item in stream(*args, **kwargs):
+            widths.append(len(item[3]))
             yield item
 
-    monkeypatch.setattr(dp, "_steps", watched)
-    acc, tail, bound = _partial_sum_table.__wrapped__(law, X, K)
-    want_acc, want_tail, want_bound = _reference_table(law, X, K)
-    assert np.array_equal(acc, want_acc)
-    assert np.array_equal(tail, want_tail)
-    # the bound adds twice the cut mass summed over the steps: 0 < it < 1e-50,
-    # so it moves only the bound of x = 0, where the fit's is exactly 0
-    assert 0.0 < sum(cuts) < 1e-50
-    assert np.array_equal(bound, want_bound + 2.0 * sum(cuts))
+    monkeypatch.setattr(dp, "_blocks", watched)
+    cut = _check_blocks_against_reference(law, X, K)
+    # the bound adds twice the cut mass summed over the steps: 0 < it < 1e-50
+    assert 0.0 < cut < 1e-50
     # the underflowed edges were cut: the untrimmed window ends at
     # K * span + 1 sites, the cut one at 21-57% of that for these laws
     assert max(widths) < 0.6 * (K * (law.zmax - law.zmin) + 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(zero_mean_laws())
+def test_block_stream_for_any_law(law):
+    """The block stream against the plain loop, periodic laws included."""
+    _check_blocks_against_reference(law, 20, 2 ** 9)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(-1, "1/2"), (1, "1/2")],                                # srw
+    [(-2, "1/6"), (-1, "1/6"), (0, "1/6"), (1, "1/2")],       # l1
+    [(-1, "2/3"), (2, "1/3")],                                # span3
+    [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
+    [(-1, "5/8"), (1, "1/4"), (3, "1/8")],                    # period 2
+])
+def test_block_stream_is_exact(pairs, monkeypatch):
+    """With blocks of 8 steps, 60 steps are seven blocks and a partial
+    one of 4; acc, blocks and origin match the rational DP's sums within
+    their rounding bounds, and nothing is cut."""
+    monkeypatch.setattr(dp, "BLOCK_STEPS", 8)
+    law = build_law(pairs, "law")
+    X, K = 12, 60
+    acc, blocks, cut, mass, origin = potential.time_sums(law, 0, dp.FREE,
+                                                         X, K)
+    d = lattice_structure(law).period
+    M = K // d
+    w = [engine.evolve_free_exact(law, 0, k) for k in range(1, K + 1)]
+    terms = [[p.get(0, 0) - p.get(-x, 0) for x in range(-X, X + 1)]
+             for p in w]
+    want = [float(1 - (x == 0) + sum(t[x + X] for t in terms))
+            for x in range(-X, X + 1)]
+    gamma = potential._rounding_gamma(law, K)
+    assert cut == 0.0 and mass == pytest.approx(1.0, abs=1e-13)
+    assert (np.abs(acc - want) <= gamma * (2.0 * origin.sum() + 1.0 - acc)
+            ).all()
+    want_origin = [float(sum(p.get(0, 0) for p in w[m * d:(m + 1) * d]))
+                   for m in range(M)]
+    assert np.abs(origin - want_origin).max() <= gamma * origin.sum()
+    m0 = M - len(blocks)
+    want_blocks = [[float(sum(t[i] for t in terms[m * d:(m + 1) * d]))
+                    for i in range(2 * X + 1)] for m in range(m0, M)]
+    assert (np.abs(blocks - want_blocks)
+            <= gamma * (2.0 * origin[m0:, None] - blocks)).all()
 
 
 def _lstsq_tail(blocks, m0, M):
@@ -159,16 +242,18 @@ def _lstsq_tail(blocks, m0, M):
 def test_tail_fit_matches_lstsq(pairs, monkeypatch):
     # the QR fit solves the same least-squares problems as an SVD
     blocks, m0, M = _reference_blocks(build_law(pairs, "law"), 55, 2 ** 12)[1:]
-    tail, bound = _fit_tail(blocks, m0, M)
+    tail, bound, weights = _fit_tail(blocks, m0, M)
     want_tail, want_bound = _lstsq_tail(blocks, m0, M)
     tol = 1e-10 * np.maximum(1.0, np.abs(want_tail))
     assert (np.abs(tail - want_tail) <= tol).all()
     assert (np.abs(bound - want_bound) <= tol).all()
+    # the fit is linear in the blocks: tail = weights @ blocks
+    assert (np.abs(weights @ blocks - tail) <= tol).all()
     # the residual sum runs over row chunks, 1.9 to 3.75 of them here; with
     # one chunk of all rows it is the one-array sum, and it matches bit for bit
     assert len(blocks) > potential.FIT_CHUNK_ROWS
     monkeypatch.setattr(potential, "FIT_CHUNK_ROWS", len(blocks))
-    one_tail, one_bound = _fit_tail(blocks, m0, M)
+    one_tail, one_bound, _ = _fit_tail(blocks, m0, M)
     assert np.array_equal(tail, one_tail)
     assert np.array_equal(bound, one_bound)
 

@@ -165,10 +165,11 @@ def test_green_partial_sums_carry_the_cut(l1, mode, monkeypatch):
     nonzero weight), and that error is the summed cut, nonzero and below
     1e-50 on l1 up to 1024 steps; so does the mass left."""
     for K in (256, 1024):
-        acc, _, err, mass = potential.time_sums(l1, 2, mode, 3, K)
+        acc, _, err, mass, _ = potential.time_sums(l1, 2, mode, 3, K)
         with monkeypatch.context() as m:
             m.setattr(dp, "CUT", 0.0)
-            ref, _, zero, ref_mass = potential.time_sums(l1, 2, mode, 3, K)
+            ref, _, zero, ref_mass, _ = potential.time_sums(l1, 2, mode, 3,
+                                                           K)
         assert zero == 0.0 and 0.0 < err < 1e-50
         assert abs(acc[0] - ref[0]) <= err + 1e-15 * abs(ref[0])
         assert abs(mass - ref_mass) <= err + 1e-15 * ref_mass
@@ -193,7 +194,7 @@ def test_green_sums_after_the_window_empties(pairs, mode, monkeypatch):
         want -= [w.prob(-x) for x in range(-3, 4)]
         ends, err = k, err + cut
     assert 0 < ends < 1024
-    acc, _, got_err, mass = potential.time_sums(law, 2, mode, 3, 1024)
+    acc, _, got_err, mass, _ = potential.time_sums(law, 2, mode, 3, 1024)
     assert np.array_equal(acc, want) and mass == 0.0
     assert got_err == err + (1024 - ends) * cut
     if len(pairs) == 3:
