@@ -1,9 +1,10 @@
 """Dynamic-programming evolution of absorbed lattice walks.
 
 A distribution is a ``Window`` of stride d: a dense float64 array of
-weights with site = offset + d*index (d = 1: consecutive sites).  A
+weights with site = offset + d*index (d = 1: consecutive sites).  One
 step stream, _steps, evolves a distribution under a step pmf by
-convolution, applying one of three absorption modes after every step:
+convolution in every mode, applying one of three absorption modes after
+every step:
 
   FREE      no absorption,
   POINT     mass arriving at the origin is removed with probability alpha
@@ -17,22 +18,22 @@ from ``period``, is the lattice period of the law), a walk on the sites
 c + dZ at one step is on c + zmin + dZ at the next, so the stream stores
 only those sites, d apart, and steps with the compressed pmf pmf[::d]:
 the law of (Y - zmin)/d.  For d = 1 that is every site and the pmf
-itself.  After every step, in every mode, the stream cuts the outer runs
-of stored sites whose weight is below CUT = 2^-200, so the window follows
-the mass instead of growing by the span on every step, and it adds the
-weights it cuts to a running cut mass.  Every kernel here is
-substochastic, so a weight cut at step j moves every later site, absorbed
-mass and entrance-law entry by at most that weight: each of them lies
-within the cut mass of the uncut DP, the error the cut computes.
+itself.  The absorbed streams advance one step at a time, the free
+stream, which is translation-invariant, BLOCK_STEPS at a time (see
+_steps).  After every advance the stream cuts the outer runs of stored
+sites whose weight is below CUT = 2^-200, so the window follows the mass
+instead of growing by the span on every step, and it adds the weights it
+cuts to a running cut mass.  Every kernel here is substochastic, so a
+weight cut at step j moves every later site, absorbed mass and
+entrance-law entry by at most that weight: each of them lies within the
+cut mass of the uncut DP, the error the cut computes.
 
 ``run_dp`` returns the window as the stream stores it, of stride d.  Its
 start lies on one coset as well; a start over several classes (the
 many-start window of ``engine.nu_and_particles``) is one run per class.
 
-The free stream of the partial-sum table, which reads every step's
-weights on a fixed window [-X, X], runs in blocks of BLOCK_STEPS steps
-instead (_blocks): one convolution with p^{*L} moves the window L steps,
-one matrix product reads the L slices, and the cut runs once a block.
+_blocks reads every step's weights on a fixed window [-X, X] off the
+free stream, for the partial-sum table: one matrix product per block.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ POINT = 1
 HALFLINE = 2
 
 WINDOW_BUDGET = 4_000_000   # stored sites a stream may hold
-BLOCK_STEPS = 64            # steps per block of the free partial-sum stream
+BLOCK_STEPS = 64            # steps per advance of a free stream
 
 # Edge weights below CUT are cut: far below every tolerance of the lab, and
 # the mass they carry is reported, not assumed small.
@@ -110,19 +111,6 @@ class Window:
         return Window(z - self._end() + self.stride, self.weights[::-1],
                       self.stride)
 
-    def minus(self, other: Window) -> Window:
-        """self - other as a window over the union of the two supports,
-        which lie on one coset."""
-        if not self._aligned(other):
-            raise ValueError("windows on different cosets")
-        s = self.stride
-        lo = min(self.offset, other.offset)
-        out = np.zeros((max(self._end(), other._end()) - lo) // s)
-        i, j = (self.offset - lo) // s, (other.offset - lo) // s
-        out[i: i + len(self.weights)] += self.weights
-        out[j: j + len(other.weights)] -= other.weights
-        return Window(lo, out, s)
-
 
 @dataclass
 class DPResult(Window):
@@ -152,15 +140,27 @@ def period(pmf: np.ndarray) -> int:
     return int(np.gcd.reduce(np.flatnonzero(pmf))) or 1
 
 
+def _powers(taps: np.ndarray, m: int) -> list[np.ndarray]:
+    """The compressed taps of p^{*j}, j = 1..max(m, 1), taps = p^{*1}."""
+    powers = [taps]
+    for _ in range(m - 1):
+        powers.append(np.convolve(powers[-1], taps))
+    return powers
+
+
 def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
            n: int, mode: int, alpha: float):
-    """Yield (k, offset, weights, absorbed, cut) after each step k = 1..n.
+    """Yield (k, offset, weights, absorbed, cut) after each advance, n
+    steps in all.
 
     The window is strided: with d = period(pmf), the site of weights[i]
     is offset + d*i.  A walk on the coset c + dZ is on c + zmin + dZ one
     step later, so these are all the sites it reaches.  The stream steps
-    with the compressed pmf pmf[::d], whose tap j is the jump zmin + d*j;
-    for d = 1 that is the pmf itself.
+    with the compressed pmf pmf[::d], whose tap j is the jump zmin + d*j.
+    A POINT or HALFLINE stream advances one step at a time.  A FREE
+    stream advances L = min(BLOCK_STEPS, n) steps at a time, by one
+    convolution with the compressed taps of p^{*L}, and a last block of
+    n mod L steps ends it.
 
     absorbed is the mass removed on step k: a float in POINT mode (0.0 on
     the steps where site 0 is off the coset), the landing profile as an
@@ -169,85 +169,91 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     array, not a copy; the stream never writes to an array after yielding
     it.
 
-    After the absorption, every step cuts the outer runs of weights below
-    CUT, scanning inward from each edge only: a step pays for the sites it
-    cuts, and each site is cut at most once.  cut is the summed weight
-    cut on steps 1..k; every weight is nonnegative, as the pmf and each
-    initial window the lab passes are.  The cut reads the window alone,
-    so n steps are m steps followed by n - m steps, bit for bit.  The
-    stream ends early once the window is empty.  WINDOW_BUDGET bounds the
-    stored sites, d apart.
+    After the absorption, every advance cuts the outer runs of weights
+    below CUT: a step scans inward from each edge only, so it pays for the
+    sites it cuts, and a block of r > 1 steps, whose edges move r spans,
+    finds them with one vectorised scan.  cut is the summed weight cut by
+    step k; every weight is nonnegative, as the pmf and each initial
+    window the lab passes are.  A weight cut at the end of a block moves
+    each step inside the next one by at most itself.  The cut reads the
+    window alone, so n steps are m steps followed by n - m steps, bit for
+    bit, in the absorbed modes, and in FREE mode when m is a multiple of
+    BLOCK_STEPS.  The stream ends early once the window is empty.
+    WINDOW_BUDGET bounds the stored sites, d apart, on every advance.
 
     np.convolve(cur, taps) is np.correlate(cur, taps[::-1]) whenever cur
-    is at least as long as taps, so the taps are reversed once per stream
-    and the step calls that kernel directly; a shorter cur keeps
+    is at least as long as taps, so the taps are reversed once per block
+    length and the advance calls that kernel directly; a shorter cur keeps
     np.convolve, which swaps the operands there.
     """
     d = period(pmf)
     taps = pmf[::d]
-    t = len(taps)
-    rev = np.ascontiguousarray(taps[::-1])
-    cur, off, cut = weights, offset, 0.0
-    for k in range(1, n + 1):
-        size = len(cur)
-        if size == 0:
+    powers = _powers(taps, min(BLOCK_STEPS, n)) if mode == FREE else [taps]
+    L = len(powers)
+    cur, off, cut, k = weights, offset, 0.0, 0
+    # count advances of r steps: the full blocks, then a partial one
+    for r, count in ((L, n // L), (n % L, 1)):
+        if r == 0:
             return
-        b = size + t - 1
-        if b > WINDOW_BUDGET:
-            raise WindowOverflow(
-                f"window of {b} sites at step {k} exceeds budget "
-                f"{WINDOW_BUDGET}"
-            )
-        cur = (np.correlate(cur, rev, "full") if size >= t
-               else np.convolve(cur, taps))
-        off += zmin
+        taps = powers[r - 1]
+        rev = np.ascontiguousarray(taps[::-1])
+        t, shift = len(taps), r * zmin
+        for _ in range(count):
+            size = len(cur)
+            if size == 0:
+                return
+            b = size + t - 1
+            if b > WINDOW_BUDGET:
+                raise WindowOverflow(f"window of {b} sites at step {k + r} "
+                                     f"exceeds budget {WINDOW_BUDGET}")
+            cur = (np.correlate(cur, rev, "full") if size >= t
+                   else np.convolve(cur, taps))
+            off += shift
 
-        absorbed = None
-        if mode == POINT:
-            absorbed = 0.0
-            i0, r = divmod(-off, d)
-            if r == 0 and 0 <= i0 < b:
-                m = cur[i0]
-                absorbed = alpha * m
-                cur[i0] = (1.0 - alpha) * m
-        elif mode == HALFLINE:
-            hi = min(b, (-off) // d + 1)  # indices with site <= 0
-            if hi > 0:
-                absorbed = (off, cur[:hi])
-                cur = cur[hi:]
-                off += d * hi
-                b -= hi
-        a = 0
-        while a < b and (w := cur[a]) < CUT:
-            cut += w
-            a += 1
-        while b > a and (w := cur[b - 1]) < CUT:
-            cut += w
-            b -= 1
-        cur = cur[a:b]
-        off += d * a
-        yield k, off, cur, absorbed, cut
+            absorbed = None
+            if mode == POINT:
+                absorbed = 0.0
+                i0, rem = divmod(-off, d)
+                if rem == 0 and 0 <= i0 < b:
+                    m = cur[i0]
+                    absorbed = alpha * m
+                    cur[i0] = (1.0 - alpha) * m
+            elif mode == HALFLINE:
+                hi = min(b, (-off) // d + 1)  # indices with site <= 0
+                if hi > 0:
+                    absorbed = (off, cur[:hi])
+                    cur = cur[hi:]
+                    off += d * hi
+                    b -= hi
+            if r > 1:
+                keep = cur >= CUT
+                a = int(keep.argmax())
+                b = b - int(keep[::-1].argmax()) if keep[a] else a
+                cut += float(cur[:a].sum() + cur[b:].sum())
+            else:
+                a = 0
+                while a < b and (w := cur[a]) < CUT:
+                    cut += w
+                    a += 1
+                while b > a and (w := cur[b - 1]) < CUT:
+                    cut += w
+                    b -= 1
+            cur = cur[a:b]
+            off += d * a
+            k += r
+            yield k, off, cur, absorbed, cut
 
 
 def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             n: int, X: int):
-    """Yield (k, rows, cut, weights) after each block of FREE steps.
+    """Yield (k, rows, cut, weights) after each block of the FREE stream
+    of _steps, whose (k, cut, weights) these are.
 
-    The free stream of _steps, BLOCK_STEPS steps at a time, n in all.  A
-    free walk is translation-invariant, so r steps from the window w are
-    one convolution of w with p^{*r}; the block advances by one
-    np.correlate with the compressed taps of p^{*r} and then cuts the
-    outer runs below CUT once.  rows[j - 1], j = 1..r, is w_{k - r + j}
-    on [-X, X], site -X + i in column i: one matrix product of the r
-    rows of compressed taps of p^{*j} with the sliding window of the
-    block's start over the sites they reach.  A block of r < BLOCK_STEPS
-    steps ends the stream when n is not a multiple.
-
-    The cut runs at block ends, so cut, the summed weight cut by step k,
-    holds for the block's last row; each earlier row lies within the cut
-    of the block's start.  The weights are the live window after step k,
-    of stride period(pmf); WINDOW_BUDGET bounds it on every advance.  The
-    stream ends early once the window is empty.
+    rows[j - 1], j = 1..r, r the block's length, is w_{k - r + j} on
+    [-X, X], site -X + i in column i: one matrix product of the r rows of
+    compressed taps of p^{*j} with the sliding window of the block's start
+    over the sites they reach.  Each row lies within the cut of the
+    block's start (see _steps).
 
     Row j of a block that starts at offset o holds the indices
     i = a_j + q, q = 0..Wc-1, of its coset, with a_j = -((X + o +
@@ -259,20 +265,18 @@ def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     columns depend on (X + o) mod d alone: one matrix per residue.
     """
     d = period(pmf)
-    taps = pmf[::d]
-    powers = [taps]                         # compressed taps of p^{*j}
-    for _ in range(BLOCK_STEPS - 1):
-        powers.append(np.convolve(powers[-1], taps))
+    powers = _powers(pmf[::d], min(BLOCK_STEPS, n))
+    L = len(powers)
     Wc = 2 * X // d + 1
 
     def plan(rho: int):
         """(first, T, columns) for blocks with X + offset = rho (mod d):
         first = E + (X + offset) // d, T the reversed shifted taps, one
         row per step, and columns the flat position of each row entry."""
-        j = np.arange(1, BLOCK_STEPS + 1)
+        j = np.arange(1, L + 1)
         a = -((rho + j * zmin) // d)
         width = max(a.max() - a_j + len(p) for a_j, p in zip(a, powers))
-        T = np.zeros((BLOCK_STEPS, width))
+        T = np.zeros((L, width))
         for row, a_j, p in zip(T, a, powers):
             end = width - (a.max() - a_j)
             row[end - len(p):end] = p[::-1]
@@ -281,10 +285,10 @@ def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
         return int(a.max()), T, columns
 
     plans = [plan(rho) for rho in range(d)]
-    cur, off, cut, k = np.asarray(weights, dtype=np.float64), offset, 0.0, 0
-    while k < n and len(cur):
-        r = min(BLOCK_STEPS, n - k)
-        c = X + off
+    off, cur, k0 = offset, weights, 0
+    for k, nxt_off, nxt, _, cut in _steps(offset, weights, zmin, pmf, n,
+                                          FREE, 1.0):
+        r, c = k - k0, X + off
         first, T, columns = plans[c % d]
         lo = first - c // d - T.shape[1] + 1   # index of the window's start
         span = np.zeros(T.shape[1] + Wc - 1)
@@ -294,26 +298,8 @@ def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
         rows = np.zeros(r * d * Wc)
         rows[columns[:r]] = T[:r] @ as_strided(        # span[s + q] at (s, q)
             span, (T.shape[1], Wc), 2 * span.strides, writeable=False)
-        rows = rows.reshape(r, d * Wc)[:, :2 * X + 1]
-
-        p = powers[r - 1]
-        size = len(cur) + len(p) - 1
-        if size > WINDOW_BUDGET:
-            raise WindowOverflow(
-                f"window of {size} sites at step {k + r} exceeds budget "
-                f"{WINDOW_BUDGET}"
-            )
-        cur = (np.correlate(cur, p[::-1], "full") if len(cur) >= len(p)
-               else np.convolve(cur, p))
-        off += r * zmin
-        keep = cur >= CUT
-        a = int(keep.argmax())
-        b = len(cur) - int(keep[::-1].argmax()) if keep[a] else a
-        cut += float(cur[:a].sum() + cur[b:].sum())
-        cur = cur[a:b]
-        off += d * a
-        k += r
-        yield k, rows, cut, cur
+        yield k, rows.reshape(r, d * Wc)[:, :2 * X + 1], cut, nxt
+        off, cur, k0 = nxt_off, nxt, k
 
 
 def run_dp(

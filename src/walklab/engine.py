@@ -68,12 +68,6 @@ def partial_absorption(law: StepLaw, alpha: float, x: int,
     return _run(law, x, n, dp.POINT, alpha)
 
 
-def r_alpha(law: StepLaw, alpha: float, x: int, n: int) -> dp.Window:
-    """r_alpha^n = q_alpha^n - q^n as a window over the union of supports."""
-    return partial_absorption(law, alpha, x, n).minus(
-        absorbed_at_origin(law, x, n))
-
-
 def nu_tail_bound(law: StepLaw, n: int) -> tuple[int, float]:
     """(x_max, tail bound) of nu_and_particles at n, with no DP; raises
     TailNotNegligible where nu_and_particles would.

@@ -41,9 +41,11 @@ class WalkKernels:
 
     def p_n(self, n: int) -> DPResult:
         """Exact free n-step distribution from 0 (cached).  A miss extends
-        the largest cached p^m, m < n, by n - m steps; runs compose bit for
-        bit, so this is the same window as n steps from 0, and its cut adds
-        the cut mass of the first m steps."""
+        the largest cached p^m, m < n, by n - m steps, and its cut adds the
+        cut mass of the first m steps.  When m is a multiple of
+        dp.BLOCK_STEPS the extension takes the blocks of a run from 0, so
+        its window is the n-step run's bit for bit; otherwise it is that
+        run's to float rounding."""
         if n not in self._free_cache:
             m = max((k for k in self._free_cache if k < n), default=0)
             start = self._free_cache.get(m, DPResult(0, np.ones(1)))

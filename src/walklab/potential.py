@@ -20,12 +20,13 @@ a_partial_sums.
   k^{-3/2}, k^{-2}, ... (their asymptotic expansion) and summed with
   Hurwitz zeta functions.  For a law of period d the walk at step k lives
   on k*zmin + dZ, so the DP runs on the law of (Y - zmin)/d and skips only
-  sites of exact zero weight.  The free stream runs in blocks of
-  dp.BLOCK_STEPS steps (dp._blocks): one convolution with p^{*L} moves the
-  window, one matrix product gives the L steps' [-X, X] slices, and the
-  edges below dp.CUT are cut once a block; a step only averages weights,
-  so p^k at every site lies within the mass cut by the start of its block
-  of the uncut DP, and the bound adds twice the sum of that mass over k.
+  sites of exact zero weight.  The free stream advances dp.BLOCK_STEPS
+  steps at a time by one convolution with p^{*L} (dp._steps), and
+  dp._blocks reads the L steps' [-X, X] slices with one matrix product
+  from the block's start.  The edges below dp.CUT are cut once a block,
+  and a step only averages weights, so p^k at every site lies within the
+  mass cut by the start of its block of the uncut DP, and the bound adds
+  twice the sum of that mass over k.
   The slices are summed in chunks by cumulative sums, in step order.  The
   bound also carries the rounding of the sums and of the blocks the tail
   fit reads, from gamma_n (see _partial_sum_table).  One QR factorisation
@@ -132,14 +133,14 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
     skips carry exact zeros, which change no sum.  A window that empties
     ends the stream; each later step is within its last cut of 0.
 
-    The rows w_k on [-X, X] come in groups: the free stream's from
-    dp._blocks, BLOCK_STEPS at a time, the absorbed streams' from
-    dp._steps, one at a time.  The cut of a group holds for its last row
-    and the cut before it for the others, as dp._blocks cuts only at block
-    ends; for one row per group c_k is the stream's own.  Chunks of rows,
-    a multiple of BLOCK_STEPS and of d long, are summed by cumulative
-    sums in step order: the absorbed streams' sums are those of adding
-    one step at a time, bit for bit."""
+    The rows w_k on [-X, X] come in groups, one per advance of dp._steps:
+    the free stream's from dp._blocks, BLOCK_STEPS at a time, the absorbed
+    streams' one at a time.  The cut of a group holds for its last row
+    and the cut before it for the others, as the free stream cuts only at
+    block ends; for one row per group c_k is the stream's own.  Chunks of
+    rows, a multiple of BLOCK_STEPS and of d long, are summed by
+    cumulative sums in step order: the absorbed streams' sums are those
+    of adding one step at a time, bit for bit."""
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)                      # the stream's stride
     M = K // d

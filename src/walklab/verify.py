@@ -58,10 +58,12 @@ def _skip(results, name, reason):
 def _stream(law: StepLaw, x: int, mode: int,
             ns: Iterable[int]) -> dict[int, dp.DPResult]:
     """{n: the n-step run of mode from x} for each n of ns, from one DP
-    stream: each snapshot extends the one before it by run_dp on its window
-    (m steps and then n - m more are the n-step run, bit for bit), its
-    absorbed or entry is concatenated to cover steps 1..n, and its cut
-    adds the cut mass of the steps before."""
+    stream: each snapshot extends the one before it by run_dp on its window,
+    its absorbed or entry is concatenated to cover steps 1..n, and its cut
+    adds the cut mass of the steps before.  m steps and then n - m more are
+    the n-step run bit for bit in the absorbed modes.  A free snapshot is
+    that too when the snapshot before it ends at a multiple of
+    dp.BLOCK_STEPS, and lies within float rounding of it otherwise."""
     zmin, pmf = law.pmf_array()
     out, k, res = {}, 0, dp.DPResult(x, np.ones(1))
     for n in sorted(set(ns)):
@@ -482,7 +484,13 @@ def _plan(spec: GridSpec, k: WalkKernels,
           extras: dict) -> list[tuple[int, list[tuple]]]:
     """[(n, [(x, y, xi, eta), ...]) for n in spec.ns]: every cell of the
     grid, each checked and its right-hand side evaluated with no DP (see
-    compare_grid).  The cells of one xi share the start x."""
+    compare_grid).  The cells of one xi share the start x, which is
+    max(1, round(xi sqrt(sigma2 n))), so a negative xi is refused."""
+    for xi in spec.xis:
+        if xi < 0:
+            raise ConstraintViolation(
+                f"xi = {xi!r} < 0: a grid's start x = xi sqrt(sigma2 n) "
+                f"needs xi >= 0")
     sigma2 = k.sigma2()
     th = asymptotics.THEOREMS[spec.theorem]
 
@@ -562,9 +570,11 @@ def _read_sites(quantity: str, law: StepLaw, y: int):
 
 def _exact_run(quantity: str, law: StepLaw, x: int, n: int,
                alpha: float = 1.0):
-    """The exact run from x that quantity reads at n."""
+    """The exact run from x that quantity reads at n; for r_alpha the
+    pair (q_alpha^n, q^n)."""
     if quantity == "r_alpha":
-        return engine.r_alpha(law, alpha, x, n)
+        return (engine.partial_absorption(law, alpha, x, n),
+                engine.absorbed_at_origin(law, x, n))
     if quantity in ("point", "f_x", "Q+"):
         return engine.absorbed_at_origin(law, x, n)
     return engine.absorbed_on_halfline(law, x, n)
@@ -585,6 +595,8 @@ def _half_dot(quantity: str, law: StepLaw, x: int, y: int, n: int,
 
 def _exact_value(quantity: str, dist, n: int, y: int) -> float:
     """The exact quantity at (n, y) from the run of _exact_run."""
+    if quantity == "r_alpha":
+        return dist[0].prob(y) - dist[1].prob(y)
     if quantity == "Q+":
         return dist.restricted_sum(dist.offset, -1)
     if quantity == "f_x":

@@ -166,7 +166,6 @@ class TestVerify:
     @pytest.mark.parametrize("theorem, signed", [
         ("T11i", ["--eta", "-0.2,0.2"]),
         ("T14", ["--ys", "-1,0"]),
-        ("T11i", ["--xi", "-0.1,0.2"]),
     ])
     def test_signed_list_follows_its_flag(self, theorem, signed, law_file,
                                           tmp_path):
@@ -314,6 +313,10 @@ class TestReport:
      "argument --n: '256,256': need distinct values"),
     (["verify", "--theorem", "T14", "--n", "64", "--ys=-1,0,-1"], 2,
      "argument --ys: '-1,0,-1': need distinct values"),
+    # a negative xi would read the start x = 1 at every n
+    (["verify", "--theorem", "T11i", "--n", "64,256", "--xi", "-0.1,0.2"],
+     1, "error: ConstraintViolation: xi = -0.1 < 0: a grid's start "
+     "x = xi sqrt(sigma2 n) needs xi >= 0"),
 ])
 def test_bad_input_is_a_typed_error(argv, code, message, law_file, tmp_path,
                                     capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from walklab import build_law, dp, engine
+from walklab import build_law, dp, engine, potential
 from walklab.errors import TailNotNegligible, WindowOverflow
 from walklab.kernels import WalkKernels
 from walklab.laws import lattice_structure, moments
@@ -132,10 +132,6 @@ class TestPartialAbsorption:
             vals = [d.prob(y) for d in dists]
             assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_r_alpha_nonnegative(self, l1):
-        r = engine.r_alpha(l1, 0.5, 3, 64)
-        assert (np.asarray(r.weights) >= -1e-18).all()
-
 
 class TestNegativeMass:
     """Q_x^+(n) = sum_{y <= -1} q^n(x, y), as verify reads it for Q+."""
@@ -240,8 +236,15 @@ def test_reachability_zeros(srw):
 @given(zero_mean_laws(), st.integers(-6, 6), st.integers(1, 48),
        st.sampled_from([0.0, 0.5, 1.0]))
 def test_run_dp_properties(law, x, n, alpha):
-    """run_dp(n) is n chained run_dp(1) calls bit for bit in every mode;
-    FREE and POINT match the rational DP; HALFLINE conserves mass."""
+    """With one-step blocks, run_dp(n) is n chained run_dp(1) calls bit
+    for bit in every mode; FREE and POINT match the rational DP; HALFLINE
+    conserves mass."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dp, "BLOCK_STEPS", 1)
+        _check_run_dp_properties(law, x, n, alpha)
+
+
+def _check_run_dp_properties(law, x, n, alpha):
     zmin, pmf = law.pmf_array()
     for mode, x0 in ((dp.FREE, x), (dp.POINT, x), (dp.HALFLINE, abs(x) + 1)):
         full = dp.run_dp(x0, np.ones(1), zmin, pmf, n, mode=mode, alpha=alpha)
@@ -272,9 +275,11 @@ def test_run_dp_properties(law, x, n, alpha):
     assert np.max(np.abs(q.absorbed - np.array(passage, dtype=float))) <= 1e-13
 
 
-def test_cut_takes_only_outer_zero_and_subnormal_runs(srw):
+def test_cut_takes_only_outer_zero_and_subnormal_runs(srw, monkeypatch):
     """The edge cut takes the outer runs of weights below dp.CUT, zero and
-    subnormal ones included, and reports their summed weight."""
+    subnormal ones included, and reports their summed weight; with
+    one-step blocks, a free stream's cut runs after every step."""
+    monkeypatch.setattr(dp, "BLOCK_STEPS", 1)
     arr = np.array([0.0, 1e-70, 0.5, 1e-310, 0.0, 0.25, 5e-324, 1e-61])
     # one step of the law Y = 0 leaves arr on sites -3..4, then cuts it
     [(_, off, w, _, cut)] = dp._steps(-3, arr, 0, np.ones(1), 1, dp.FREE,
@@ -400,14 +405,16 @@ def _coset_vs_full(law, offset, weights, n, mode, alpha):
        st.integers(1, 300), st.sampled_from(_MODES))
 def test_coset_stream_matches_full_lattice(law, x, weights, n, mode_alpha):
     """On periodic laws, from windows that span several residue classes,
-    the coset streams of the classes agree with the full-lattice DP that
-    cuts each class on its own: the same sites are nonzero, every weight,
-    absorbed mass and entrance-law entry agrees to 1e-15, and the cut
-    masses to 1e-12 relative."""
+    the coset streams of the classes, in one-step blocks, agree with the
+    full-lattice DP that cuts each class on its own: the same sites are
+    nonzero, every weight, absorbed mass and entrance-law entry agrees to
+    1e-15, and the cut masses to 1e-12 relative."""
     mode, alpha = mode_alpha
     x0 = abs(x) + 1 if mode == dp.HALFLINE else x
-    got, want, (absorbed, absorbed_ref), (cut, cut_ref) = _coset_vs_full(
-        law, x0, weights, n, mode, alpha)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dp, "BLOCK_STEPS", 1)
+        got, want, (absorbed, absorbed_ref), (cut, cut_ref) = \
+            _coset_vs_full(law, x0, weights, n, mode, alpha)
     assert np.array_equal(got != 0, want != 0)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
     assert cut == pytest.approx(cut_ref, rel=1e-12, abs=0.0)
@@ -421,9 +428,12 @@ def test_coset_stream_matches_full_lattice(law, x, weights, n, mode_alpha):
     [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
 ])
 @pytest.mark.parametrize("mode, alpha", _MODES)
-def test_coset_stream_is_bit_identical_on_fixtures(pairs, mode, alpha):
-    """On srw, span3 and odd4 the coset stream is the full-lattice DP bit
-    for bit, from one site and from a window over every class."""
+def test_coset_stream_is_bit_identical_on_fixtures(pairs, mode, alpha,
+                                                   monkeypatch):
+    """On srw, span3 and odd4 the coset stream, in one-step blocks, is the
+    full-lattice DP bit for bit, from one site and from a window over
+    every class."""
+    monkeypatch.setattr(dp, "BLOCK_STEPS", 1)
     law = build_law(pairs, "law")
     for x, weights in ((3, np.ones(1)), (1, np.ones(7))):
         got, want, (absorbed, absorbed_ref), (cut, cut_ref) = _coset_vs_full(
@@ -432,6 +442,66 @@ def test_coset_stream_is_bit_identical_on_fixtures(pairs, mode, alpha):
         assert cut == pytest.approx(cut_ref, rel=1e-12, abs=0.0)
         if mode != dp.FREE:
             assert np.array_equal(absorbed, absorbed_ref)
+
+
+_BLOCK_LAWS = pytest.mark.parametrize("pairs", [
+    SRW_PAIRS, L1_PAIRS, SPAN3_PAIRS,
+    [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
+    [(-41, "20/61"), (20, "41/61")],                          # period 61
+], ids=["srw", "l1", "span3", "odd4", "p61"])
+
+
+def _free_run(law, x, n, block_steps):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dp, "BLOCK_STEPS", block_steps)
+        return engine.evolve_free(law, x, n)
+
+
+def _assert_blocks_match_steps(law, x, n):
+    """The free run in blocks of dp.BLOCK_STEPS against the one-step run.
+    By the count in potential._partial_sum_table, every weight of either,
+    uncut, lies within relative gamma_(n_k) of the exact p^n, n_k =
+    (2t+2)n + 3Lt + 1, so the two differ by at most gamma_(3 n_k) (the
+    bound of potential._rounding_gamma) times the larger, plus both runs'
+    cut."""
+    blocks, steps = _free_run(law, x, n, dp.BLOCK_STEPS), \
+        _free_run(law, x, n, 1)
+    sites = np.union1d(blocks.sites(), steps.sites())
+    a = np.array([blocks.prob(y) for y in sites])
+    b = np.array([steps.prob(y) for y in sites])
+    bound = potential._rounding_gamma(law, n) * np.maximum(a, b) \
+        + blocks.cut + steps.cut
+    assert (np.abs(a - b) <= bound).all()
+
+
+@_BLOCK_LAWS
+def test_free_blocks_match_the_one_step_stream(pairs):
+    law = build_law(pairs, "law")
+    for n in (1, 63, 64, 65, 1000, 4096):
+        _assert_blocks_match_steps(law, 3, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(zero_mean_laws(), periodic_laws()), st.integers(-6, 6),
+       st.integers(1, 700))
+def test_free_blocks_match_the_one_step_stream_for_any_law(law, x, n):
+    _assert_blocks_match_steps(law, x, n)
+
+
+@_BLOCK_LAWS
+def test_free_blocks_match_the_rational_dp(pairs, monkeypatch):
+    """With blocks of 8 steps, 60 steps are seven blocks and a partial one
+    of 4; nothing is cut, and every weight lies within relative
+    gamma_(3 n_k) (potential._rounding_gamma) of the rational DP's."""
+    monkeypatch.setattr(dp, "BLOCK_STEPS", 8)
+    law = build_law(pairs, "law")
+    res = engine.evolve_free(law, 3, 60)
+    exact = engine.evolve_free_exact(law, 3, 60)
+    gamma = potential._rounding_gamma(law, 60)
+    assert res.cut == 0.0
+    for y in set(exact) | set(res.sites().tolist()):
+        want = float(exact.get(y, 0))
+        assert abs(res.prob(y) - want) <= gamma * want
 
 
 def _laid_back(w):
@@ -450,8 +520,8 @@ def _laid_back(w):
        st.integers(-400, 400), st.integers(-400, 400), st.integers(0, 60))
 def test_strided_window_matches_its_laid_back_window(law, x, n, mode, lo,
                                                      hi, z):
-    """prob, sites, mass, restricted_sum, dot, reflected and minus of a
-    DP window of stride period(pmf) agree with the same window laid back
+    """prob, sites, mass, restricted_sum, dot and reflected of a DP
+    window of stride period(pmf) agree with the same window laid back
     on consecutive sites: in and around the window, over bounds on and
     off the coset, and for dots on the same coset and on another one."""
     zmin, pmf = law.pmf_array()
@@ -480,15 +550,6 @@ def test_strided_window_matches_its_laid_back_window(law, x, n, mode, lo,
         bt, ref_bt = b.reflected(t), _laid_back(b).reflected(t)
         assert bt.stride == d
         assert [bt.prob(y) for y in ys] == [ref_bt.prob(y) for y in ys]
-
-    # minus: two windows on one coset, a partial and a total absorption
-    c = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=dp.POINT, alpha=1.0)
-    diff, ref_diff = a.minus(c), ref.minus(_laid_back(c))
-    assert diff.stride == d
-    span = range(min(a.offset, c.offset) - d,
-                 max(a.offset + d * len(a.weights),
-                     c.offset + d * len(c.weights)) + d)
-    assert [diff.prob(y) for y in span] == [ref_diff.prob(y) for y in span]
 
 
 def test_p_n_extends_the_largest_cached_window(l1, l1_kernels):

@@ -59,13 +59,15 @@ class TestInvariantSuite:
         # every law (the point row reads gap/bound 0.56 here)
         assert failures == []
 
-    def test_odd_n_big_splits_chapman_kolmogorov(self, span3):
+    def test_odd_n_big_splits_chapman_kolmogorov(self, span3, monkeypatch):
+        monkeypatch.setattr(dp, "BLOCK_STEPS", 1)
         results = invariant_suite(span3, kernels=None, n_big=257)
         ck = [r for r in results if r.name.startswith("Chapman")]
         assert [r.name[-9:] for r in ck] == ["(128+129)"] * 2
         assert all(r.status == "pass" for r in ck), ck
-        # the free run takes 128 steps, one more to 129, then 128 more: the
-        # single 257-step run bit for bit, so the mass row keeps its value
+        # in one-step blocks, the free run takes 128 steps, one more to 129,
+        # then 128 more: the single 257-step run bit for bit, so the mass
+        # row keeps its value
         rows = {r.name: r for r in results}
         assert rows["free kernel by Chapman-Kolmogorov n=257"].status == "pass"
         assert rows["free mass n=257"].residual == abs(
@@ -84,7 +86,9 @@ class TestInvariantSuite:
         from 5 to 512.  A stream run past its last read, or a reflected run
         that the law already has, changes the count (41,009 steps on l1
         when each check ran its own DP, 27,136 when the x=3 streams ran to
-        n_big)."""
+        n_big).  The count is of steps: the free streams run in one-step
+        blocks here."""
+        monkeypatch.setattr(dp, "BLOCK_STEPS", 1)
         steps, count = dp._steps, [0]
 
         def counted(*args, **kwargs):
@@ -128,10 +132,12 @@ _STREAM_LAWS = pytest.mark.parametrize("pairs", [
 
 
 @_STREAM_LAWS
-def test_stream_snapshots_are_fresh_runs(pairs):
-    """Each snapshot of one stream, extended past the edge cut, is the
-    fresh run of its length bit for bit, with its passage and entrance
-    tables covering every step and the cut mass of every step."""
+def test_stream_snapshots_are_fresh_runs(pairs, monkeypatch):
+    """With one-step blocks, each snapshot of one stream, extended past
+    the edge cut, is the fresh run of its length bit for bit, with its
+    passage and entrance tables covering every step and the cut mass of
+    every step."""
+    monkeypatch.setattr(dp, "BLOCK_STEPS", 1)
     law = build_law(pairs, "law")
     zmin, pmf = law.pmf_array()
     for mode in (dp.FREE, dp.POINT, dp.HALFLINE):
@@ -144,6 +150,26 @@ def test_stream_snapshots_are_fresh_runs(pairs):
                          (got.entry, want.entry)):
                 assert _same(a, b), (mode, n)
             assert got.cut == pytest.approx(want.cut, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("pairs", [
+    L1_PAIRS, SPAN3_PAIRS, [(-41, "20/61"), (20, "41/61")],
+], ids=["l1", "span3", "p61"])
+def test_free_snapshots_on_block_ends_are_fresh_runs(pairs):
+    """A free snapshot at a multiple of dp.BLOCK_STEPS ends a block, so
+    the stream extended from it takes the fresh run's blocks: 0 -> 256 ->
+    4096 gives the 4096-step run's weights bit for bit, and its cut, the
+    same nonnegative block cuts summed in another order, within
+    2 gamma_m relative of it, m the number of blocks."""
+    assert 256 % dp.BLOCK_STEPS == 0
+    law = build_law(pairs, "law")
+    zmin, pmf = law.pmf_array()
+    got = _stream(law, 0, dp.FREE, (256, 4096))[4096]
+    want = dp.run_dp(0, np.ones(1), zmin, pmf, 4096)
+    assert got.offset == want.offset
+    assert _same(got.weights, want.weights)
+    assert got.cut == pytest.approx(
+        want.cut, rel=2 * potential._gamma(4096 // dp.BLOCK_STEPS), abs=0.0)
 
 
 @_STREAM_LAWS
