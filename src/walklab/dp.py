@@ -18,27 +18,33 @@ from ``period``, is the lattice period of the law), a walk on the sites
 c + dZ at one step is on c + zmin + dZ at the next, so the stream stores
 only those sites, d apart, and steps with the compressed pmf pmf[::d]:
 the law of (Y - zmin)/d.  For d = 1 that is every site and the pmf
-itself.  The absorbed streams advance one step at a time, the free
-stream, which is translation-invariant, BLOCK_STEPS at a time (see
-_steps).  After every advance the stream cuts the outer runs of stored
-sites whose weight is below CUT = 2^-200, so the window follows the mass
-instead of growing by the span on every step, and it adds the weights it
-cuts to a running cut mass.  Every kernel here is substochastic, so a
-weight cut at step j moves every later site, absorbed mass and
-entrance-law entry by at most that weight: each of them lies within the
-cut mass of the uncut DP, the error the cut computes.
+itself.  Every stream advances in blocks of up to BLOCK_STEPS steps
+(see _steps): the free stream by one convolution with p^{*L}, an
+absorbed stream by the same convolution of the sites that cannot reach
+the absorbing set within the block and by cached killed matrices of the
+strip that can.  After every advance the stream cuts the outer runs of
+stored sites whose weight is below CUT = 2^-200, so the window follows
+the mass instead of growing by the span on every step, and it adds the
+weights it cuts to a running cut mass.  Every kernel here is
+substochastic, so a weight cut at step j moves every later site,
+absorbed mass and entrance-law entry by at most that weight: each of
+them lies within the cut mass of the uncut DP, the error the cut
+computes.
 
 ``run_dp`` returns the window as the stream stores it, of stride d.  Its
 start lies on one coset as well; a start over several classes (the
 many-start window of ``engine.nu_and_particles``) is one run per class.
 
-_blocks reads every step's weights on a fixed window [-X, X] off the
-free stream, for the partial-sum table: one matrix product per block.
+_blocks reads every step's weights on a fixed window [-X, X] off a
+stream, for the time sums of ``potential``: one matrix product per
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -50,11 +56,12 @@ POINT = 1
 HALFLINE = 2
 
 WINDOW_BUDGET = 4_000_000   # stored sites a stream may hold
-BLOCK_STEPS = 64            # steps per advance of a free stream
+BLOCK_STEPS = 64            # most steps per block, a power of two
 
 # Edge weights below CUT are cut: far below every tolerance of the lab, and
 # the mass they carry is reported, not assumed small.
 CUT = 2.0 ** -200
+
 
 
 @dataclass
@@ -140,12 +147,167 @@ def period(pmf: np.ndarray) -> int:
     return int(np.gcd.reduce(np.flatnonzero(pmf))) or 1
 
 
+@lru_cache(maxsize=128)      # the caches here bound the memory they hold
+def _power_list(key: bytes) -> list[np.ndarray]:
+    """[p^{*1}], np.frombuffer(key) its compressed taps: the list _powers
+    grows, one per step law in the process."""
+    return [np.frombuffer(key)]
+
+
 def _powers(taps: np.ndarray, m: int) -> list[np.ndarray]:
-    """The compressed taps of p^{*j}, j = 1..max(m, 1), taps = p^{*1}."""
-    powers = [taps]
-    for _ in range(m - 1):
-        powers.append(np.convolve(powers[-1], taps))
-    return powers
+    """The compressed taps of p^{*j}, j = 1..max(m, 1), taps = p^{*1}:
+    the law's cached list, grown to the largest m asked for, each power
+    one convolution of the one before with taps."""
+    powers = _power_list(taps.tobytes())
+    while len(powers) < m:
+        powers.append(np.convolve(powers[-1], powers[0]))
+    return powers[:max(m, 1)]
+
+
+def _block_len(t: int, zmin: int, d: int, n: int, mode: int,
+               offset: int) -> int:
+    """Steps per block of an n-step stream from a window at offset, t the
+    compressed tap count.  FREE: min(BLOCK_STEPS, n).  POINT and
+    HALFLINE: the largest power of two L <= min(BLOCK_STEPS, n) whose
+    strip (_plan) holds fewer than 2 BLOCK_STEPS sites: at most L(t-1) + 1
+    (POINT) or ceil(L |zmin| / d) (HALFLINE).  A HALFLINE start with a
+    site <= 0 steps one at a time."""
+    m = min(BLOCK_STEPS, n)
+    if mode == FREE:
+        return max(m, 1)
+    if mode == HALFLINE and offset < 1:
+        return 1
+
+    def strip(L: int) -> int:
+        return L * (t - 1) + 1 if mode == POINT else -(L * zmin // d)
+
+    L = 1
+    while 2 * L <= m and strip(2 * L) < 2 * BLOCK_STEPS:
+        L *= 2
+    return L
+
+
+def _strip(zmin: int, d: int, t: int, mode: int, L: int, rho: int):
+    """(first, size) of the strip of an L-step block of a POINT or
+    HALFLINE stream on rho + dZ, t compressed taps: the sites of rho + dZ
+    that can reach the absorbing set within L steps, those in
+    [-L zmax, -L zmin] (POINT) or in [1, -L zmin] (HALFLINE); size of
+    them from first, d apart."""
+    lo = -L * (zmin + d * (t - 1)) if mode == POINT else 1
+    first = lo + (rho - lo) % d
+    return first, max((-L * zmin - first) // d + 1, 0)
+
+
+def _strip_walk(key: bytes, zmin: int, d: int, mode: int, alpha: float,
+                L: int, rho: int):
+    """Yield (base, walk, live, lost) after each of the L steps of the
+    killed walks from the strip's sites (_strip), np.frombuffer(key) the
+    compressed taps.  walk[q, i] is the weight of the walk from site i at
+    column i + q, the site base + d(i + q), and the first live rows hold
+    every site the walks reach.  lost lists (c, masses): what the step
+    removed at the site base + dc, one mass per walk (POINT: site 0, with
+    alpha; HALFLINE: the sites 1 + zmin..0).  Each step sums the same
+    products as the one-step advance of _steps."""
+    taps = np.frombuffer(key)
+    t = len(taps)
+    first, size = _strip(zmin, d, t, mode, L, rho)
+    walk = np.zeros((L * (t - 1) + 1, size))
+    walk[0] = 1.0
+    for j in range(1, L + 1):
+        live = (j - 1) * (t - 1) + 1
+        nxt = np.zeros_like(walk)
+        for m, tap in enumerate(taps):
+            nxt[m:m + live] += tap * walk[:live]
+        walk, live, base = nxt, live + t - 1, first + j * zmin
+        if mode == POINT:
+            c, rem = divmod(-base, d)
+            sites = range(c, c + 1 if rem == 0 else c)
+        else:
+            sites = range(-((base - 1 - zmin) // d), -base // d + 1)
+        lost = []
+        for c in sites:
+            i = np.arange(max(c - live + 1, 0), min(c + 1, size))
+            q = c - i                       # the walks i at column c
+            if len(i):
+                masses = np.zeros(size)
+                if mode == POINT:
+                    masses[i] = alpha * walk[q, i]
+                    walk[q, i] = (1.0 - alpha) * walk[q, i]
+                else:
+                    masses[i] = walk[q, i]
+                    walk[q, i] = 0.0
+                lost.append((c, masses))
+        yield base, walk, live, lost
+
+
+class _Plan(NamedTuple):
+    first: int               # the strip's first site
+    size: int                # its sites, d apart
+    killed: np.ndarray       # (size, size + L(t-1))
+    lost: np.ndarray         # (size, len(cols))
+    cols: np.ndarray         # flat positions of lost's columns
+
+
+@lru_cache(maxsize=128)      # a stream keeps the plans it uses in a dict
+def _plan(key: bytes, zmin: int, d: int, mode: int, alpha: float, L: int,
+          rho: int) -> _Plan:
+    """The strip plan of an L-step block of a POINT or HALFLINE stream
+    whose window lies on rho + dZ, np.frombuffer(key) its compressed taps.
+    In the frame where column c after the block is the site first + L zmin
+    + dc, killed[i] is the weight of the killed walk from the strip's site
+    i (_strip_walk) after L steps.  lost[i] holds the masses it lost on the
+    way, at the flat positions cols of the block's absorbed output: (L,),
+    one mass per step, in POINT mode, (L, -zmin), site 1 + zmin + e in
+    column e, in HALFLINE mode.  Every entry is a sum of nonnegative
+    products."""
+    t = len(key) // 8
+    first, size = _strip(zmin, d, t, mode, L, rho)
+    w = 1 if mode == POINT else -zmin
+    lost, cols = [np.zeros((size, 0))], []
+    for j, (base, walk, _, removed) in enumerate(
+            _strip_walk(key, zmin, d, mode, alpha, L, rho)):
+        for c, masses in removed:
+            lost.append(masses[:, None])
+            cols.append(j * w + (0 if mode == POINT
+                                 else base + d * c - 1 - zmin))
+    killed = np.zeros((size, size + L * (t - 1)))
+    s0, s1 = killed.strides                 # walk[q, i] at column i + q
+    as_strided(killed, walk.shape, (s1, s0 + s1))[...] = walk
+    return _Plan(first, size, killed, np.hstack(lost),
+                 np.array(cols, dtype=np.intp))
+
+
+@lru_cache(maxsize=128)
+def _strip_rows(key: bytes, zmin: int, d: int, mode: int, L: int, rho: int,
+                X: int) -> np.ndarray:
+    """(size, L(2X+1)): entry (i, (j-1)(2X+1) + x + X) is the weight at
+    site x, |x| <= X, after step j of the killed walk (alpha = 1) from the
+    strip's site i of an L-step block on rho + dZ (_plan)."""
+    t = len(key) // 8
+    size = _strip(zmin, d, t, mode, L, rho)[1]
+    rows = np.zeros((size, L, 2 * X + 1))
+    i = np.arange(size)[:, None]
+    for j, (base, walk, live, _) in enumerate(
+            _strip_walk(key, zmin, d, mode, 1.0, L, rho)):
+        c = np.arange(-((base + X) // d), (X - base) // d + 1)
+        q = c - i                           # walk i at column c, site x
+        ok = (q >= 0) & (q < live)
+        rows[:, j, base + d * c + X] = np.where(
+            ok, walk[np.where(ok, q, 0), i], 0.0)
+    return rows.reshape(size, -1)
+
+
+def _split(p: _Plan, off: int, cur: np.ndarray, d: int):
+    """(s, strip): s the index of the strip's first site in the window
+    (off, cur), strip the window's weights on the strip, zeros past its
+    ends, or None where the two do not meet."""
+    s = (p.first - off) // d
+    a, b = max(s, 0), min(s + p.size, len(cur))
+    if b <= a:
+        return s, None
+    strip = np.zeros(p.size)
+    strip[a - s:b - s] = cur[a:b]
+    return s, strip
 
 
 def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
@@ -157,17 +319,25 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     is offset + d*i.  A walk on the coset c + dZ is on c + zmin + dZ one
     step later, so these are all the sites it reaches.  The stream steps
     with the compressed pmf pmf[::d], whose tap j is the jump zmin + d*j.
-    A POINT or HALFLINE stream advances one step at a time.  A FREE
-    stream advances L = min(BLOCK_STEPS, n) steps at a time, by one
-    convolution with the compressed taps of p^{*L}, and a last block of
-    n mod L steps ends it.
 
-    absorbed is the mass removed on step k: a float in POINT mode (0.0 on
-    the steps where site 0 is off the coset), the landing profile as an
-    (offset, weights) pair on the same stride in HALFLINE mode (None when
-    nothing landed), None in FREE mode.  The yielded weights are the live
-    array, not a copy; the stream never writes to an array after yielding
-    it.
+    The stream advances L steps at a time (_block_len), then takes the
+    n mod L steps left: a FREE stream in one more block, a POINT or
+    HALFLINE stream one step at a time.  A FREE block is one convolution
+    with the compressed taps of p^{*L}.  An absorbed block splits the
+    window at its start: the strip of sites that can reach the absorbing
+    set ({0}, or the sites <= 0) within L steps, and the far sites, which
+    cannot.  The far sites advance by the same convolution, the strip by
+    one product with its killed matrix, and the two add (_plan, cached
+    per phase rho = offset mod d).  Every product is of nonnegative
+    numbers, so nothing cancels, and a site the absorption empties holds
+    exactly 0.0.
+
+    absorbed is the mass removed on the r steps of the advance: an array
+    of r masses in POINT mode (0.0 on the steps where site 0 is off the
+    coset), an (r, -zmin) array of landing profiles, site 1 + zmin + e in
+    column e, in HALFLINE mode, None in FREE mode.  The yielded weights
+    are the live array, not a copy; the stream never writes to an array
+    after yielding it.
 
     After the absorption, every advance cuts the outer runs of weights
     below CUT: a step scans inward from each edge only, so it pays for the
@@ -177,9 +347,10 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     window the lab passes are.  A weight cut at the end of a block moves
     each step inside the next one by at most itself.  The cut reads the
     window alone, so n steps are m steps followed by n - m steps, bit for
-    bit, in the absorbed modes, and in FREE mode when m is a multiple of
-    BLOCK_STEPS.  The stream ends early once the window is empty.
-    WINDOW_BUDGET bounds the stored sites, d apart, on every advance.
+    bit, when m is a multiple of the n-step stream's L and the
+    (n - m)-step stream takes the same L.  The stream ends early once the
+    window is empty.  WINDOW_BUDGET bounds the stored sites, d apart, on
+    every advance.
 
     np.convolve(cur, taps) is np.correlate(cur, taps[::-1]) whenever cur
     is at least as long as taps, so the taps are reversed once per block
@@ -188,20 +359,36 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     """
     d = period(pmf)
     taps = pmf[::d]
-    powers = _powers(taps, min(BLOCK_STEPS, n)) if mode == FREE else [taps]
-    L = len(powers)
+    key, w = taps.tobytes(), 1 if mode == POINT else -zmin
+    L = _block_len(len(taps), zmin, d, n, mode, offset)
+    powers = _powers(taps, L)
+    plans: dict[int, _Plan] = {}
     cur, off, cut, k = weights, offset, 0.0, 0
-    # count advances of r steps: the full blocks, then a partial one
-    for r, count in ((L, n // L), (n % L, 1)):
+    # count advances of r steps: the full blocks, then the rest
+    for r, count in ((L, n // L), (n % L, 1) if mode == FREE else
+                     (1, n % L)):
         if r == 0:
             return
         taps = powers[r - 1]
         rev = np.ascontiguousarray(taps[::-1])
         t, shift = len(taps), r * zmin
+        block = r > 1 and mode != FREE
         for _ in range(count):
             size = len(cur)
             if size == 0:
                 return
+            if block:
+                rho = off % d
+                if rho not in plans:
+                    plans[rho] = _plan(key, zmin, d, mode, alpha, r, rho)
+                p = plans[rho]
+                s, strip = _split(p, off, cur, d)
+                if strip is not None:       # the far sites, strip zeroed
+                    lo = min(s, 0)
+                    far = np.zeros(max(size, s + p.size) - lo)
+                    far[-lo:size - lo] = cur
+                    far[s - lo:s - lo + p.size] = 0.0
+                    cur, off, s, size = far, off + d * lo, s - lo, len(far)
             b = size + t - 1
             if b > WINDOW_BUDGET:
                 raise WindowOverflow(f"window of {b} sites at step {k + r} "
@@ -211,17 +398,28 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             off += shift
 
             absorbed = None
-            if mode == POINT:
-                absorbed = 0.0
+            if block:
+                absorbed = np.zeros(r * w)
+                if strip is not None:
+                    cur[s:s + p.killed.shape[1]] += strip @ p.killed
+                    absorbed[p.cols] = strip @ p.lost
+                if mode == HALFLINE:
+                    absorbed = absorbed.reshape(r, w)
+            elif mode == POINT:
+                absorbed = np.zeros(1)
                 i0, rem = divmod(-off, d)
                 if rem == 0 and 0 <= i0 < b:
                     m = cur[i0]
-                    absorbed = alpha * m
+                    absorbed[0] = alpha * m
                     cur[i0] = (1.0 - alpha) * m
             elif mode == HALFLINE:
+                absorbed = np.zeros((1, w))
+            if mode == HALFLINE:
                 hi = min(b, (-off) // d + 1)  # indices with site <= 0
                 if hi > 0:
-                    absorbed = (off, cur[:hi])
+                    if not block:
+                        e = off - 1 - zmin
+                        absorbed[0, e:e + d * hi:d] = cur[:hi]
                     cur = cur[hi:]
                     off += d * hi
                     b -= hi
@@ -232,11 +430,11 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                 cut += float(cur[:a].sum() + cur[b:].sum())
             else:
                 a = 0
-                while a < b and (w := cur[a]) < CUT:
-                    cut += w
+                while a < b and (v := cur[a]) < CUT:
+                    cut += v
                     a += 1
-                while b > a and (w := cur[b - 1]) < CUT:
-                    cut += w
+                while b > a and (v := cur[b - 1]) < CUT:
+                    cut += v
                     b -= 1
             cur = cur[a:b]
             off += d * a
@@ -245,15 +443,18 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
 
 
 def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
-            n: int, X: int):
-    """Yield (k, rows, cut, weights) after each block of the FREE stream
-    of _steps, whose (k, cut, weights) these are.
+            n: int, X: int, mode: int = FREE):
+    """Yield (k, rows, cut, weights) after each advance of the stream of
+    mode (alpha = 1) of _steps, whose (k, cut, weights) these are.
 
-    rows[j - 1], j = 1..r, r the block's length, is w_{k - r + j} on
-    [-X, X], site -X + i in column i: one matrix product of the r rows of
-    compressed taps of p^{*j} with the sliding window of the block's start
-    over the sites they reach.  Each row lies within the cut of the
-    block's start (see _steps).
+    rows[j - 1], j = 1..r, r the advance's length, is w_{k - r + j} on
+    [-X, X], site -X + i in column i.  The row of a one-step advance is
+    read off its window.  The rows of a block are one matrix product of
+    the r rows of compressed taps of p^{*j} with the sliding window of the
+    block's start over the sites they reach, its strip zeroed, plus, in
+    the absorbed modes, the strip's weights times its rows (_strip_rows;
+    see _steps: within a block the far sites evolve freely).  Each row lies
+    within the cut of the block's start.
 
     Row j of a block that starts at offset o holds the indices
     i = a_j + q, q = 0..Wc-1, of its coset, with a_j = -((X + o +
@@ -265,8 +466,10 @@ def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     columns depend on (X + o) mod d alone: one matrix per residue.
     """
     d = period(pmf)
-    powers = _powers(pmf[::d], min(BLOCK_STEPS, n))
-    L = len(powers)
+    taps = pmf[::d]
+    key = taps.tobytes()
+    L = _block_len(len(taps), zmin, d, n, mode, offset)
+    powers = _powers(taps, L)
     Wc = 2 * X // d + 1
 
     def plan(rho: int):
@@ -287,18 +490,35 @@ def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     plans = [plan(rho) for rho in range(d)]
     off, cur, k0 = offset, weights, 0
     for k, nxt_off, nxt, _, cut in _steps(offset, weights, zmin, pmf, n,
-                                          FREE, 1.0):
+                                          mode, 1.0):
         r, c = k - k0, X + off
-        first, T, columns = plans[c % d]
-        lo = first - c // d - T.shape[1] + 1   # index of the window's start
-        span = np.zeros(T.shape[1] + Wc - 1)
-        a, b = max(lo, 0), min(lo + len(span), len(cur))
-        if b > a:
-            span[a - lo:b - lo] = cur[a:b]
-        rows = np.zeros(r * d * Wc)
-        rows[columns[:r]] = T[:r] @ as_strided(        # span[s + q] at (s, q)
-            span, (T.shape[1], Wc), 2 * span.strides, writeable=False)
-        yield k, rows.reshape(r, d * Wc)[:, :2 * X + 1], cut, nxt
+        if r == 1:
+            rows = np.zeros((1, 2 * X + 1))
+            j0 = max(0, -((X + nxt_off) // d))   # nxt[j0..j1] in [-X, X]
+            j1 = min(len(nxt) - 1, (X - nxt_off) // d)
+            if j1 >= j0:
+                x = nxt_off + d * j0 + X
+                rows[0, x:x + d * (j1 - j0) + 1:d] = nxt[j0:j1 + 1]
+        else:
+            first, T, columns = plans[c % d]
+            lo = first - c // d - T.shape[1] + 1   # the window's start
+            span = np.zeros(T.shape[1] + Wc - 1)
+            a, b = max(lo, 0), min(lo + len(span), len(cur))
+            if b > a:
+                span[a - lo:b - lo] = cur[a:b]
+            strip = None
+            if mode != FREE:
+                p = _plan(key, zmin, d, mode, 1.0, r, off % d)
+                s, strip = _split(p, off, cur, d)
+                span[max(s - lo, 0):max(s - lo + p.size, 0)] = 0.0
+            rows = np.zeros(r * d * Wc)
+            rows[columns[:r]] = T[:r] @ as_strided(    # span[s + q] at (s, q)
+                span, (T.shape[1], Wc), 2 * span.strides, writeable=False)
+            rows = rows.reshape(r, d * Wc)[:, :2 * X + 1]
+            if strip is not None:
+                rows += (strip @ _strip_rows(key, zmin, d, mode, r, off % d,
+                                             X)).reshape(r, -1)
+        yield k, rows, cut, nxt
         off, cur, k0 = nxt_off, nxt, k
 
 
@@ -314,7 +534,9 @@ def run_dp(
     """Evolve a start on one coset n steps with per-step absorption.
 
     init_weights[i] sits at init_offset + d*i, d = period(pmf), as the
-    window of a DPResult does, so a result continues as a start.  In
+    window of a DPResult does, so a result continues as a start: m steps
+    and then n - m more are the n-step run bit for bit when m ends a block
+    of both (see _steps), and within float rounding of it otherwise.  In
     POINT/HALFLINE modes the start is taken as already past the step-0
     absorption (the zero-step kernel is the identity).  The result is the
     window _steps leaves, of stride d.
@@ -328,9 +550,7 @@ def run_dp(
         entry_base = 1 + zmin
     for k, off, cur, removed, cut in _steps(off, cur, zmin, pmf, n, mode,
                                             alpha):
-        if mode == POINT:
-            absorbed[k - 1] = removed
-        elif removed is not None:
-            j = removed[0] - entry_base
-            entry[k - 1, j: j + d * len(removed[1]): d] = removed[1]
+        if removed is not None:
+            (absorbed if mode == POINT else entry)[k - len(removed):k] = \
+                removed
     return DPResult(off, cur, d, absorbed, entry, entry_base, float(cut))

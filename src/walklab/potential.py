@@ -32,7 +32,8 @@ a_partial_sums.
   fit reads, from gamma_n (see _partial_sum_table).  One QR factorisation
   of the design gives both tail fits; the fit needs at least one block
   per exponent.  time_sums, the one routine that sums a DP stream over
-  time, also gives the report's Green partial sums, one step at a time.
+  time, also gives the report's Green partial sums, from the point and
+  half-line streams in blocks.
 """
 
 from __future__ import annotations
@@ -104,19 +105,6 @@ CHUNK_STEPS = 2048    # DP steps per accumulation chunk, rounded to the period
 FIT_CHUNK_ROWS = 1024  # blocks per chunk of the tail fit's residual sum
 
 
-def _window_rows(steps, X: int, d: int):
-    """The rows of a _steps stream: (k, row, cut, weights) per step, row
-    the (1, 2X + 1) array of w_k on [-X, X], site -X + i in column i."""
-    for k, off, cur, _, cut in steps:
-        row = np.zeros((1, 2 * X + 1))
-        j0 = max(0, -((X + off) // d))      # cur[j0 .. j1] lies in [-X, X]
-        j1 = min(len(cur) - 1, (X - off) // d)
-        if j1 >= j0:
-            s = off + d * j0 + X
-            row[0, s:s + d * (j1 - j0) + 1:d] = cur[j0:j1 + 1]
-        yield k, row, cut, cur
-
-
 def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
     """(acc, blocks, cut, mass, origin) of the DP stream of mode from
     start, summed over steps k <= K, K rounded down to a multiple of the
@@ -133,14 +121,15 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
     skips carry exact zeros, which change no sum.  A window that empties
     ends the stream; each later step is within its last cut of 0.
 
-    The rows w_k on [-X, X] come in groups, one per advance of dp._steps:
-    the free stream's from dp._blocks, BLOCK_STEPS at a time, the absorbed
-    streams' one at a time.  The cut of a group holds for its last row
-    and the cut before it for the others, as the free stream cuts only at
-    block ends; for one row per group c_k is the stream's own.  Chunks of
-    rows, a multiple of BLOCK_STEPS and of d long, are summed by
-    cumulative sums in step order: the absorbed streams' sums are those
-    of adding one step at a time, bit for bit."""
+    The rows w_k on [-X, X] come from dp._blocks in groups, one per
+    advance of the stream: a block of up to BLOCK_STEPS rows, or one row
+    of a single step.  The cut of a group holds for its last row and the
+    cut before it for the others, as a stream cuts only at the ends of
+    its advances; for one row per group c_k is the stream's own.  Chunks
+    of rows, a multiple of BLOCK_STEPS and of d long, hold whole groups,
+    as every block length divides BLOCK_STEPS, and are summed by
+    cumulative sums in step order: every sum is that of adding the rows
+    one step at a time, bit for bit."""
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)                      # the stream's stride
     M = K // d
@@ -176,11 +165,7 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
         win[:n] = 0.0
         return delta.sum(axis=0)
 
-    if mode == dp.FREE:
-        rows = dp._blocks(start, np.ones(1), zmin, pmf, K, X)
-    else:
-        rows = _window_rows(
-            dp._steps(start, np.ones(1), zmin, pmf, K, mode, 1.0), X, d)
+    rows = dp._blocks(start, np.ones(1), zmin, pmf, K, X, mode)
     k = k0 = 0
     cut = cut_sum = 0.0
     cur = np.ones(1)

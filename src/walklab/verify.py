@@ -60,10 +60,9 @@ def _stream(law: StepLaw, x: int, mode: int,
     """{n: the n-step run of mode from x} for each n of ns, from one DP
     stream: each snapshot extends the one before it by run_dp on its window,
     its absorbed or entry is concatenated to cover steps 1..n, and its cut
-    adds the cut mass of the steps before.  m steps and then n - m more are
-    the n-step run bit for bit in the absorbed modes.  A free snapshot is
-    that too when the snapshot before it ends at a multiple of
-    dp.BLOCK_STEPS, and lies within float rounding of it otherwise."""
+    adds the cut mass of the steps before.  A snapshot is the n-step run
+    bit for bit when the snapshot before it ends a block of both runs
+    (dp.run_dp), and lies within float rounding of it otherwise."""
     zmin, pmf = law.pmf_array()
     out, k, res = {}, 0, dp.DPResult(x, np.ones(1))
     for n in sorted(set(ns)):

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, artifact outputs."""
+import ast
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from walklab import engine
+import walklab
+from walklab import dp, engine
 from walklab.cli import main
 from walklab.laws import load_law
 
@@ -178,9 +183,11 @@ class TestVerify:
         assert out[0].read_bytes() == out[1].read_bytes()
 
     def test_slopes_keep_the_two_signs_of_x_apart(self, law_file, tmp_path,
-                                                  capsys):
+                                                  capsys, monkeypatch):
         # P12_Qplus at xi = 0 has cells x = 1 (xi 0.0) and x = -1 (xi -0.0),
-        # which compare equal: each gets its own slope over its two rows
+        # which compare equal: each gets its own slope over its two rows;
+        # the digits are those of the one-step streams
+        monkeypatch.setattr(dp, "BLOCK_STEPS", 1)
         assert main(["verify", "--law", law_file, "--theorem", "P12_Qplus",
                      "--xi", "0", "--n", "256,1024",
                      "--out", str(tmp_path / "cmp.csv")]) == 0
@@ -328,3 +335,24 @@ def test_bad_input_is_a_typed_error(argv, code, message, law_file, tmp_path,
     assert rc == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_import_loads_no_other_library_and_builds_no_plan():
+    """Importing the CLI in a fresh process loads, beside the standard
+    library, numpy and mpmath (with mpmath's optional gmpy2) only, and
+    builds no DP plan: the strip plans and the powers of the taps are
+    built when a stream first needs them."""
+    code = ("import sys; before = set(sys.modules); import walklab.cli; "
+            "from walklab import dp; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "- {m.split('.')[0] for m in before})); "
+            "print(*(f.cache_info().currsize for f in "
+            "(dp._plan, dp._strip_rows, dp._power_list)))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(walklab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    loaded = set(ast.literal_eval(out[0])) - set(sys.stdlib_module_names)
+    assert {"numpy", "mpmath"} <= loaded <= {"numpy", "mpmath", "gmpy2",
+                                             "walklab"}
+    assert out[1] == "0 0 0"

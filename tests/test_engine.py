@@ -344,11 +344,14 @@ def _full_lattice_dp(offset, weights, zmin, pmf, n, mode, alpha, cut=True):
 @given(zero_mean_laws(span=8), st.integers(1, 6), st.integers(1, 1500),
        st.sampled_from([dp.FREE, dp.POINT, dp.HALFLINE]),
        st.sampled_from([0.5, 1.0]))
+@example(build_law([(-2, "1/3"), (1, "2/3")], "law"), 1, 1014, dp.FREE, 0.5)
 def test_cut_keeps_every_normal_weight(law, x, n, mode, alpha):
-    """Against the uncut DP, every site, absorbed mass and entrance-law
-    entry of the cut run lies within res.cut of it, up to 1e-14 relative
-    rounding; res.cut stays below 1e-50 at these n; and the cut window lies
-    inside the uncut one."""
+    """Against the uncut one-step DP, every site, absorbed mass and
+    entrance-law entry of the cut block run lies within res.cut of it, up
+    to the rounding of the two runs, gamma_(3 n_k) of the larger value
+    (potential._rounding_gamma; the example is a free run whose bulk
+    sites differ by 1.02e-14 relative); res.cut stays below 1e-50 at these
+    n; and the cut window lies inside the uncut one."""
     zmin, pmf = law.pmf_array()
     res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=mode, alpha=alpha)
     off, ref, absorbed, entry, _ = _full_lattice_dp(
@@ -357,8 +360,11 @@ def test_cut_keeps_every_normal_weight(law, x, n, mode, alpha):
     assert res.stride == dp.period(pmf)
     assert np.all((off <= res.sites()) & (res.sites() < off + len(ref)))
 
+    gamma = potential._rounding_gamma(law, n)
+
     def within(got, want):
-        return np.all(np.abs(got - want) <= res.cut + 1e-14 * np.abs(want))
+        return np.all(np.abs(got - want)
+                      <= res.cut + gamma * np.maximum(got, want))
 
     assert within(np.array([res.prob(off + i) for i in range(len(ref))]),
                   ref)
@@ -449,29 +455,49 @@ _BLOCK_LAWS = pytest.mark.parametrize("pairs", [
     [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
     [(-41, "20/61"), (20, "41/61")],                          # period 61
 ], ids=["srw", "l1", "span3", "odd4", "p61"])
+W3_PAIRS = [(z, "1/7") for z in range(-3, 4)]
+U32_PAIRS = [(z, "1/65") for z in range(-32, 33)]
+_ABSORBED = [(dp.POINT, 1.0), (dp.POINT, 0.5), (dp.HALFLINE, 1.0)]
 
 
-def _free_run(law, x, n, block_steps):
+def _block_run(law, x, n, block_steps, mode=dp.FREE, alpha=1.0,
+               weights=(1.0,)):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dp, "BLOCK_STEPS", block_steps)
-        return engine.evolve_free(law, x, n)
+        zmin, pmf = law.pmf_array()
+        return dp.run_dp(x, np.array(weights), zmin, pmf, n, mode, alpha)
 
 
-def _assert_blocks_match_steps(law, x, n):
-    """The free run in blocks of dp.BLOCK_STEPS against the one-step run.
-    By the count in potential._partial_sum_table, every weight of either,
-    uncut, lies within relative gamma_(n_k) of the exact p^n, n_k =
-    (2t+2)n + 3Lt + 1, so the two differ by at most gamma_(3 n_k) (the
-    bound of potential._rounding_gamma) times the larger, plus both runs'
-    cut."""
-    blocks, steps = _free_run(law, x, n, dp.BLOCK_STEPS), \
-        _free_run(law, x, n, 1)
+def _assert_blocks_match_steps(law, x, n, mode=dp.FREE, alpha=1.0,
+                               weights=(1.0,)):
+    """The run in blocks of dp.BLOCK_STEPS against the one-step run.
+    By the count in potential._partial_sum_table, every weight of a free
+    run, uncut, lies within relative gamma_(n') of the exact p^n, n' =
+    (2t+1)n + 3Lt.  An absorbed block rounds its strip's part no more
+    often than its far part (L steps of t products, then a product with
+    at most Lt strip sites), and once more where the two parts add: one
+    rounding a block, within n_k = (2t+2)n + 3Lt + 1.  So the two runs'
+    weights, absorbed masses and entrance-law entries, each a sum of
+    nonnegative products, differ by at most gamma_(3 n_k) (the bound of
+    potential._rounding_gamma) times the larger, plus both runs' cut.
+    Absorption at 0 with alpha = 1 leaves exactly 0.0 there."""
+    blocks, steps = (_block_run(law, x, n, b, mode, alpha, weights)
+                     for b in (dp.BLOCK_STEPS, 1))
+    gamma = potential._rounding_gamma(law, n)
+    cut = blocks.cut + steps.cut
+
+    def close(a, b):
+        return (np.abs(a - b) <= gamma * np.maximum(a, b) + cut).all()
+
     sites = np.union1d(blocks.sites(), steps.sites())
-    a = np.array([blocks.prob(y) for y in sites])
-    b = np.array([steps.prob(y) for y in sites])
-    bound = potential._rounding_gamma(law, n) * np.maximum(a, b) \
-        + blocks.cut + steps.cut
-    assert (np.abs(a - b) <= bound).all()
+    assert close(np.array([blocks.prob(y) for y in sites]),
+                 np.array([steps.prob(y) for y in sites]))
+    if mode == dp.POINT:
+        assert close(blocks.absorbed, steps.absorbed)
+        if alpha == 1.0:
+            assert blocks.prob(0) == 0.0
+    if mode == dp.HALFLINE:
+        assert close(blocks.entry, steps.entry)
 
 
 @_BLOCK_LAWS
@@ -502,6 +528,155 @@ def test_free_blocks_match_the_rational_dp(pairs, monkeypatch):
     for y in set(exact) | set(res.sites().tolist()):
         want = float(exact.get(y, 0))
         assert abs(res.prob(y) - want) <= gamma * want
+
+
+@pytest.mark.parametrize("pairs, point, halfline", [
+    (SRW_PAIRS, 64, 64), (L1_PAIRS, 32, 32), (W3_PAIRS, 16, 32),
+    (U32_PAIRS, 1, 2), ([(-41, "20/61"), (20, "41/61")], 64, 64),
+], ids=["srw", "l1", "w3", "u32", "p61"])
+def test_block_length_follows_the_strip(pairs, point, halfline):
+    """An absorbed stream's L is the largest power of two up to
+    min(BLOCK_STEPS, n) whose strip holds fewer than 2 BLOCK_STEPS sites:
+    at most L(t-1) + 1 (point) or ceil(L |zmin| / d) (half line); a
+    half-line start with a site <= 0 steps one at a time."""
+    zmin, pmf = build_law(pairs, "law").pmf_array()
+    d = dp.period(pmf)
+    t = len(pmf[::d])
+    for mode, want in ((dp.POINT, point), (dp.HALFLINE, halfline)):
+        assert dp._block_len(t, zmin, d, 4096, mode, 1) == want
+        assert dp._block_len(t, zmin, d, 5, mode, 1) == min(want, 4)
+    assert dp._block_len(t, zmin, d, 4096, dp.HALFLINE, 0) == 1
+
+
+@_BLOCK_LAWS
+@pytest.mark.parametrize("mode, alpha", _ABSORBED)
+def test_absorbed_blocks_match_the_one_step_stream(pairs, mode, alpha):
+    law = build_law(pairs, "law")
+    for n in (1, 63, 64, 65, 1000, 4096):
+        _assert_blocks_match_steps(law, 3, n, mode, alpha)
+
+
+@pytest.mark.parametrize("mode, alpha", _ABSORBED)
+def test_absorbed_blocks_match_the_one_step_stream_on_w3(mode, alpha):
+    """The uniform law on -3..3, whose point blocks are 16 steps long."""
+    law = build_law(W3_PAIRS, "w3")
+    for n in (15, 16, 17, 1000):
+        _assert_blocks_match_steps(law, 3, n, mode, alpha)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(zero_mean_laws(), periodic_laws()), st.integers(-6, 6),
+       st.integers(1, 700), st.sampled_from(_ABSORBED))
+def test_absorbed_blocks_match_the_one_step_stream_for_any_law(
+        law, x, n, mode_alpha):
+    mode, alpha = mode_alpha
+    x0 = abs(x) + 1 if mode == dp.HALFLINE else x
+    _assert_blocks_match_steps(law, x0, n, mode, alpha)
+
+
+@pytest.mark.parametrize("mode, alpha", _ABSORBED)
+def test_absorbed_blocks_from_any_start(l1, mode, alpha):
+    """A start inside the strip (x = 1), one outside it (x = 200, whose
+    first blocks advance by the free convolution alone), and
+    nu_and_particles' many-start window, one unit on each of 1..x_max,
+    which covers the strip and the far sites on its right."""
+    n = 1000
+    x_max = engine.nu_tail_bound(l1, n)[0]
+    for x, weights in ((1, (1.0,)), (200, (1.0,)), (1, np.ones(x_max))):
+        _assert_blocks_match_steps(l1, x, n, mode, alpha, weights)
+
+
+def _halfline_exact(law, x, n):
+    """Rational half-line kernel after n steps from x, {y: value}, and its
+    entrance law, {(k, y): value}, by the integer DP of
+    engine._exact_stream: numerators over D^k, D the law's common
+    denominator."""
+    D = math.lcm(*(w.denominator for _, w in law.items()))
+    taps = np.zeros(law.zmax - law.zmin + 1, dtype=object)
+    for z, w in law.items():
+        taps[z - law.zmin] = int(w * D)
+    cur, off, entry = np.ones(1, dtype=object), x, {}
+    for k in range(1, n + 1):
+        cur = np.convolve(cur, taps)
+        off += law.zmin
+        hi = max(min(len(cur), 1 - off), 0)   # the sites <= 0
+        entry.update({(k, off + i): Fraction(m, D ** k)
+                      for i, m in enumerate(cur[:hi]) if m})
+        cur, off = cur[hi:], off + hi
+    return ({off + i: Fraction(m, D ** n) for i, m in enumerate(cur) if m},
+            entry)
+
+
+@_BLOCK_LAWS
+def test_absorbed_blocks_match_the_rational_dp(pairs, monkeypatch):
+    """With BLOCK_STEPS = 8 the strip rule takes L = 8 (srw, span3, p61),
+    4 (l1) or 2 (odd4): 60 and 63 steps are whole blocks, then up to 7
+    single steps.  Nothing is cut, and the point kernel and its passage
+    law, and the half-line kernel and its entrance law, lie within
+    relative gamma_(3 n_k) (potential._rounding_gamma) of the rational
+    DP's."""
+    monkeypatch.setattr(dp, "BLOCK_STEPS", 8)
+    law = build_law(pairs, "law")
+
+    def close(got, want):
+        want = np.array(want, dtype=float)
+        return (np.abs(got - want) <= gamma * want).all()
+
+    for n in (60, 63):
+        gamma = potential._rounding_gamma(law, n)
+        q = engine.absorbed_at_origin(law, 3, n)
+        exact, passage = engine.absorbed_at_origin_exact(law, 3, n)
+        h = engine.absorbed_on_halfline(law, 3, n)
+        h_exact, entry = _halfline_exact(law, 3, n)
+        assert q.cut == h.cut == 0.0
+        for res, ex in ((q, exact), (h, h_exact)):
+            ys = sorted(set(ex) | set(res.sites().tolist()))
+            assert close([res.prob(y) for y in ys], [ex.get(y, 0) for y in ys])
+        assert close(q.absorbed, passage)
+        ys = h.entry_base + np.arange(h.entry.shape[1])
+        assert close(h.entry, [[entry.get((k, y), 0) for y in ys]
+                               for k in range(1, n + 1)])
+
+
+def test_widest_point_stream_steps_one_at_a_time():
+    """u32's point strip for L = 2 would hold 129 sites, so its point
+    stream takes today's one-step advance, bit for bit, and its half-line
+    stream two steps a block."""
+    law = build_law(U32_PAIRS, "u32")
+    got, want = (_block_run(law, 5, 300, b, dp.POINT)
+                 for b in (dp.BLOCK_STEPS, 1))
+    assert got.offset == want.offset and got.cut == want.cut
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.absorbed, want.absorbed)
+    _assert_blocks_match_steps(law, 5, 301, dp.HALFLINE)
+
+
+@_BLOCK_LAWS
+@pytest.mark.parametrize("mode", [dp.POINT, dp.HALFLINE])
+def test_absorbed_time_sums_in_blocks(pairs, mode):
+    """time_sums of an absorbed stream reads a block's rows off the far
+    sites' matrix product and the strip's rows matrix, and a single
+    step's off its window: against one-step blocks, every sum of the
+    nonnegative weights w_k(-x) lies within gamma_(3 n_k) of the larger
+    plus both runs' error; site 0 holds no mass in either, to the bit."""
+    law = build_law(pairs, "law")
+    X, K = 5, 1000
+    got, want = [], []
+    for out, b in ((got, dp.BLOCK_STEPS), (want, 1)):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dp, "BLOCK_STEPS", b)
+            out.extend(potential.time_sums(law, 2, mode, X, K))
+    (acc, blocks, cut, mass, origin), (acc1, blocks1, cut1, mass1, origin1) \
+        = got, want
+    gamma = potential._rounding_gamma(law, K)
+    start = np.zeros(2 * X + 1)
+    start[X - 2] = -1.0                     # the k = 0 term at x = -2
+    S = np.maximum(start - acc, start - acc1)
+    assert (np.abs(acc - acc1) <= gamma * S + cut + cut1).all()
+    assert (np.abs(blocks - blocks1)
+            <= gamma * np.maximum(-blocks, -blocks1) + cut + cut1).all()
+    assert abs(mass - mass1) <= gamma * max(mass, mass1) + cut + cut1
+    assert not origin.any() and not origin1.any()
 
 
 def _laid_back(w):

@@ -208,7 +208,9 @@ def test_green_sums_after_the_window_empties(pairs, mode, monkeypatch):
     """A cut that empties the absorbed window ends the stream early, on
     the period-2 law within a block of two steps: the steps already
     collected still count, and each later step adds the last cut to the
-    error.  The sums are the stream's own, step by step."""
+    error.  The sums are the stream's own, step by step, in one-step
+    blocks."""
+    monkeypatch.setattr(dp, "BLOCK_STEPS", 1)
     monkeypatch.setattr(dp, "CUT", 2e-3)
     law = build_law(pairs, "law")
     zmin, pmf = law.pmf_array()
