@@ -35,9 +35,9 @@ computes.
 start lies on one coset as well; a start over several classes (the
 many-start window of ``engine.nu_and_particles``) is one run per class.
 
-_blocks reads every step's weights on a fixed window [-X, X] off a
-stream, for the time sums of ``potential``: one matrix product per
-block.
+_blocks reads the weights of each advance's steps, summed, on a fixed
+window [-X, X] off a stream, for the time sums of ``potential``: one
+matrix product per block.
 """
 
 from __future__ import annotations
@@ -280,21 +280,21 @@ def _plan(key: bytes, zmin: int, d: int, mode: int, alpha: float, L: int,
 @lru_cache(maxsize=128)
 def _strip_rows(key: bytes, zmin: int, d: int, mode: int, L: int, rho: int,
                 X: int) -> np.ndarray:
-    """(size, L(2X+1)): entry (i, (j-1)(2X+1) + x + X) is the weight at
-    site x, |x| <= X, after step j of the killed walk (alpha = 1) from the
-    strip's site i of an L-step block on rho + dZ (_plan)."""
+    """(size, 2X+1): entry (i, x + X) is the weight at site x, |x| <= X,
+    summed over the L steps of the killed walk (alpha = 1) from the
+    strip's site i of an L-step block on rho + dZ (_plan), in step
+    order."""
     t = len(key) // 8
     size = _strip(zmin, d, t, mode, L, rho)[1]
-    rows = np.zeros((size, L, 2 * X + 1))
+    rows = np.zeros((size, 2 * X + 1))
     i = np.arange(size)[:, None]
-    for j, (base, walk, live, _) in enumerate(
-            _strip_walk(key, zmin, d, mode, 1.0, L, rho)):
+    for base, walk, live, _ in _strip_walk(key, zmin, d, mode, 1.0, L, rho):
         c = np.arange(-((base + X) // d), (X - base) // d + 1)
         q = c - i                           # walk i at column c, site x
         ok = (q >= 0) & (q < live)
-        rows[:, j, base + d * c + X] = np.where(
-            ok, walk[np.where(ok, q, 0), i], 0.0)
-    return rows.reshape(size, -1)
+        rows[:, base + d * c + X] += np.where(ok, walk[np.where(ok, q, 0), i],
+                                              0.0)
+    return rows
 
 
 def _split(p: _Plan, off: int, cur: np.ndarray, d: int):
@@ -444,26 +444,30 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
 
 def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             n: int, X: int, mode: int = FREE):
-    """Yield (k, rows, cut, weights) after each advance of the stream of
+    """Yield (k, row, cut, weights) after each advance of the stream of
     mode (alpha = 1) of _steps, whose (k, cut, weights) these are.
 
-    rows[j - 1], j = 1..r, r the advance's length, is w_{k - r + j} on
-    [-X, X], site -X + i in column i.  The row of a one-step advance is
-    read off its window.  The rows of a block are one matrix product of
-    the r rows of compressed taps of p^{*j} with the sliding window of the
-    block's start over the sites they reach, its strip zeroed, plus, in
-    the absorbed modes, the strip's weights times its rows (_strip_rows;
-    see _steps: within a block the far sites evolve freely).  Each row lies
-    within the cut of the block's start.
+    row[i] is sum_{j=1..r} w_{k-r+j} at the site -X + i, |site| <= X, r
+    the advance's length: the weights of its steps summed.  The row of a
+    one-step advance is read off its window.  The row of a block is one
+    matrix product from the block's start over the sites its steps reach,
+    its strip zeroed, plus, in the absorbed modes, the strip's weights
+    times its summed rows (_strip_rows; see _steps: within a block the far
+    sites evolve freely).  A block's row lies within r times the cut of
+    its start, a one-step row within its step's own cut.
 
-    Row j of a block that starts at offset o holds the indices
+    Step j of a block that starts at offset o holds the indices
     i = a_j + q, q = 0..Wc-1, of its coset, with a_j = -((X + o +
     j zmin) // d) the first in [-X, X] and Wc = 2X // d + 1; it sits at
-    column (X + o + j zmin) mod d + d q.  With E = max_j a_j, its weight
-    is sum_m T_j[m] w[a_j + q - m] = sum_s T'_j[s] w[E + q - s], where
-    T'_j is T_j, the compressed taps of p^{*j}, shifted right by E - a_j:
-    the same sliding window of w serves every row.  The shifts and
-    columns depend on (X + o) mod d alone: one matrix per residue.
+    column (X + o + j zmin) mod d + d q, its phase plus d q.  With
+    E = max_j a_j, its weight is sum_m T_j[m] w[a_j + q - m] =
+    sum_s T'_j[s] w[E + q - s], where T'_j is T_j, the compressed taps of
+    p^{*j}, shifted right by E - a_j: the same sliding window of w serves
+    every step.  So the steps of one phase sum their T'_j, each entry at
+    most r nonnegative taps, and one product of those rows, at most
+    min(d, r), with the sliding window gives the row, phase by phase.
+    The shifts and phases depend on (X + o) mod d and r alone: one plan
+    each.
     """
     d = period(pmf)
     taps = pmf[::d]
@@ -472,35 +476,35 @@ def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     powers = _powers(taps, L)
     Wc = 2 * X // d + 1
 
-    def plan(rho: int):
-        """(first, T, columns) for blocks with X + offset = rho (mod d):
-        first = E + (X + offset) // d, T the reversed shifted taps, one
-        row per step, and columns the flat position of each row entry."""
-        j = np.arange(1, L + 1)
+    @lru_cache(maxsize=None)
+    def plan(rho: int, r: int):
+        """(first, T, phases) for r-step blocks with X + offset = rho
+        (mod d): first = E + (X + offset) // d, and T[i] the reversed
+        shifted taps of the steps at column phase phases[i], summed in
+        step order."""
+        j = np.arange(1, r + 1)
         a = -((rho + j * zmin) // d)
         width = max(a.max() - a_j + len(p) for a_j, p in zip(a, powers))
-        T = np.zeros((L, width))
-        for row, a_j, p in zip(T, a, powers):
+        phases, at = np.unique((rho + j * zmin) % d, return_inverse=True)
+        T = np.zeros((len(phases), width))
+        for i, a_j, p in zip(at, a, powers):
             end = width - (a.max() - a_j)
-            row[end - len(p):end] = p[::-1]
-        columns = ((j - 1) * d * Wc + (rho + j * zmin) % d)[:, None] \
-            + d * np.arange(Wc)
-        return int(a.max()), T, columns
+            T[i, end - len(p):end] += p[::-1]
+        return int(a.max()), T, phases
 
-    plans = [plan(rho) for rho in range(d)]
     off, cur, k0 = offset, weights, 0
     for k, nxt_off, nxt, _, cut in _steps(offset, weights, zmin, pmf, n,
                                           mode, 1.0):
         r, c = k - k0, X + off
         if r == 1:
-            rows = np.zeros((1, 2 * X + 1))
+            row = np.zeros(2 * X + 1)
             j0 = max(0, -((X + nxt_off) // d))   # nxt[j0..j1] in [-X, X]
             j1 = min(len(nxt) - 1, (X - nxt_off) // d)
             if j1 >= j0:
                 x = nxt_off + d * j0 + X
-                rows[0, x:x + d * (j1 - j0) + 1:d] = nxt[j0:j1 + 1]
+                row[x:x + d * (j1 - j0) + 1:d] = nxt[j0:j1 + 1]
         else:
-            first, T, columns = plans[c % d]
+            first, T, phases = plan(c % d, r)
             lo = first - c // d - T.shape[1] + 1   # the window's start
             span = np.zeros(T.shape[1] + Wc - 1)
             a, b = max(lo, 0), min(lo + len(span), len(cur))
@@ -511,14 +515,14 @@ def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                 p = _plan(key, zmin, d, mode, 1.0, r, off % d)
                 s, strip = _split(p, off, cur, d)
                 span[max(s - lo, 0):max(s - lo + p.size, 0)] = 0.0
-            rows = np.zeros(r * d * Wc)
-            rows[columns[:r]] = T[:r] @ as_strided(    # span[s + q] at (s, q)
-                span, (T.shape[1], Wc), 2 * span.strides, writeable=False)
-            rows = rows.reshape(r, d * Wc)[:, :2 * X + 1]
+            by_phase = np.zeros((Wc, d))          # column phase + d q
+            by_phase[:, phases] = (T @ as_strided(  # span[s + q] at (s, q)
+                span, (T.shape[1], Wc), 2 * span.strides,
+                writeable=False)).T
+            row = by_phase.reshape(-1)[:2 * X + 1]
             if strip is not None:
-                rows += (strip @ _strip_rows(key, zmin, d, mode, r, off % d,
-                                             X)).reshape(r, -1)
-        yield k, rows, cut, nxt
+                row += strip @ _strip_rows(key, zmin, d, mode, r, off % d, X)
+        yield k, row, cut, nxt
         off, cur, k0 = nxt_off, nxt, k
 
 

@@ -16,24 +16,25 @@ a_partial_sums.
   sigma2 [(1 - Re phi)/|1 - phi|^2 - 1/(sigma2 (1 - cos l))].
 
 * a_partial_sums: sum_{k<=K} [p^k(0) - p^k(-x)] from the exact DP, with
-  the k > K tail fitted to the period-aggregated increments in powers
-  k^{-3/2}, k^{-2}, ... (their asymptotic expansion) and summed with
-  Hurwitz zeta functions.  For a law of period d the walk at step k lives
+  the k > K tail of the period-aggregated increments, in powers k^{-3/2},
+  k^{-2}, ... (their asymptotic expansion), fitted to their sums over
+  groups of steps and summed with Hurwitz zeta functions.  For a law of period d the walk at step k lives
   on k*zmin + dZ, so the DP runs on the law of (Y - zmin)/d and skips only
   sites of exact zero weight.  The free stream advances dp.BLOCK_STEPS
   steps at a time by one convolution with p^{*L} (dp._steps), and
-  dp._blocks reads the L steps' [-X, X] slices with one matrix product
-  from the block's start.  The edges below dp.CUT are cut once a block,
-  and a step only averages weights, so p^k at every site lies within the
-  mass cut by the start of its block of the uncut DP, and the bound adds
-  twice the sum of that mass over k.
-  The slices are summed in chunks by cumulative sums, in step order.  The
-  bound also carries the rounding of the sums and of the blocks the tail
-  fit reads, from gamma_n (see _partial_sum_table).  One QR factorisation
-  of the design gives both tail fits; the fit needs at least one block
-  per exponent.  time_sums, the one routine that sums a DP stream over
-  time, also gives the report's Green partial sums, from the point and
-  half-line streams in blocks.
+  dp._blocks reads the L steps' [-X, X] slices, summed, with one matrix
+  product from the block's start.  The edges below dp.CUT are cut once a
+  block, and a step only averages weights, so p^k at every site lies
+  within the mass cut by the start of its block of the uncut DP, and the
+  bound adds twice the sum of that mass over k.
+  The summed slices are added in step order into groups of
+  G = lcm(dp.BLOCK_STEPS, d) steps, and the tail is fitted to the group
+  sums.  The bound also carries the rounding of the sums and of the
+  groups the tail fit reads, from gamma_n (see _partial_sum_table).  One
+  QR factorisation of the design gives both tail fits; the fit needs at
+  least one group per exponent.  time_sums, the one routine that sums a
+  DP stream over time, also gives the report's Green partial sums, from
+  the point and half-line streams in blocks.
 """
 
 from __future__ import annotations
@@ -101,8 +102,6 @@ def a_fourier(law: StepLaw, x: int) -> float:
 # Partial-sum route.
 
 PS_EXPONENTS = np.arange(1.5, 6.51, 0.5)
-CHUNK_STEPS = 2048    # DP steps per accumulation chunk, rounded to the period
-FIT_CHUNK_ROWS = 1024  # blocks per chunk of the tail fit's residual sum
 
 
 def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
@@ -113,70 +112,43 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
     acc[x + X] = sum_{k<=K} [w_k(0) - w_k(-x)], |x| <= X, w_k the weights
     after step k and w_0 the start; in point and half-line mode site 0
     holds no mass, so acc at -y is minus sum_{k<=K} q^k(start, y).
-    blocks[m - m0 - 1] sums the terms of steps (m-1)d+1 .. md, for
-    m0 < m <= M = K/d, m0 = M // 16: the tail fit's window.  origin[m - 1]
-    sums w_k(0) over the steps of block m, 0 < m <= M.  cut is the sum
-    over k <= K of c_k, a bound on how far w_k lies from the uncut DP's.
-    mass is the weight left after step K.  The sites the coset stream
-    skips carry exact zeros, which change no sum.  A window that empties
-    ends the stream; each later step is within its last cut of 0.
+    blocks[g] sums the terms of the steps of group g, gG+1 .. (g+1)G, and
+    origin[g] sums w_k(0) over them, G = lcm(dp.BLOCK_STEPS, d); the last
+    group ends at K.  cut is the sum over k <= K of c_k, a bound on how
+    far w_k lies from the uncut DP's.  mass is the weight left after step
+    K.  The sites the coset stream skips carry exact zeros, which change
+    no sum.  A window that empties ends the stream; each later step is
+    within its last cut of 0.
 
-    The rows w_k on [-X, X] come from dp._blocks in groups, one per
-    advance of the stream: a block of up to BLOCK_STEPS rows, or one row
-    of a single step.  The cut of a group holds for its last row and the
-    cut before it for the others, as a stream cuts only at the ends of
-    its advances; for one row per group c_k is the stream's own.  Chunks
-    of rows, a multiple of BLOCK_STEPS and of d long, hold whole groups,
-    as every block length divides BLOCK_STEPS, and are summed by
-    cumulative sums in step order: every sum is that of adding the rows
-    one step at a time, bit for bit."""
+    dp._blocks yields one row per advance of the stream, the weights of
+    its r steps summed on [-X, X].  A stream cuts only at the ends of its
+    advances, so the row lies within (r - 1) times the cut before it plus
+    its own.  The rows are added in step order to their group's: every
+    advance starts at a multiple of its length, which divides
+    dp.BLOCK_STEPS and so G, and lies within one group.  Each group's
+    terms w_k(0) - w_k(-x) are then taken once, and acc adds them to the
+    start's in step order."""
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)                      # the stream's stride
-    M = K // d
-    K = M * d
-    m0 = M // 16
-    W = 2 * X + 1
+    K = K // d * d
+    G = math.lcm(dp.BLOCK_STEPS, d)
 
-    acc = np.full(W, float(start == 0))     # k = 0 term; index x + X
-    if abs(start) <= X:
-        acc[X - start] -= 1.0
-    blocks = np.zeros((M - m0, W))
-    origin = np.zeros(M)
-    lcm = math.lcm(dp.BLOCK_STEPS, d)
-    C = max(1, CHUNK_STEPS // lcm) * lcm
-    win = np.zeros((C, W))                  # row k-1 mod C: w_k on [-X, X]
-    dbuf = np.empty((C, W))
-
-    def fold(k0: int, k: int) -> np.ndarray:
-        """Add the deltas of steps k0+1 .. k to acc and to their blocks in
-        step order, as acc += delta and blocks[m] += delta would; past the
-        end of an emptied stream, zero rows fill the last block."""
-        n = -((k0 - k) // d) * d           # whole blocks
-        delta = np.subtract(win[:n, X:X + 1], win[:n, ::-1], out=dbuf[:n])
-        b0, b1 = k0 // d, (k0 + n) // d
-        origin[b0:b1] = win[:n, X].reshape(-1, d).sum(axis=1)
-        if b1 > m0:
-            part = delta[0::d]
-            for j in range(1, d):
-                part = part + delta[j::d]
-            lo = max(b0, m0)
-            blocks[lo - m0:b1 - m0] = part[lo - b0:]
-        delta[0] += acc                     # an axis-0 sum adds rows in order
-        win[:n] = 0.0
-        return delta.sum(axis=0)
-
-    rows = dp._blocks(start, np.ones(1), zmin, pmf, K, X, mode)
+    rows = np.zeros((-(-K // G), 2 * X + 1))   # row g: w_k summed over g
     k = k0 = 0
     cut = cut_sum = 0.0
     cur = np.ones(1)
-    for k, group, group_cut, cur in rows:
-        cut_sum += (len(group) - 1) * cut + group_cut
-        cut = group_cut
-        win[k - k0 - len(group):k - k0] = group
-        if k - k0 == C:
-            acc, k0 = fold(k0, k), k
-    if k > k0:
-        acc = fold(k0, k)
+    for k, row, row_cut, cur in dp._blocks(start, np.ones(1), zmin, pmf, K,
+                                           X, mode):
+        cut_sum += (k - k0 - 1) * cut + row_cut
+        cut, k0 = row_cut, k
+        rows[(k - 1) // G] += row
+    origin = rows[:, X]
+    blocks = origin[:, None] - rows[:, ::-1]
+    first = np.full((1, 2 * X + 1), float(start == 0))   # the k = 0 term
+    if abs(start) <= X:
+        first[0, X - start] -= 1.0
+    # an axis-0 sum adds the rows in order
+    acc = np.concatenate([first, blocks]).sum(axis=0)
     return acc, blocks, cut_sum + (K - k) * cut, float(cur.sum()), origin
 
 
@@ -187,20 +159,24 @@ def _gamma(n):
 
 
 def _rounding_gamma(law: StepLaw, k):
-    """gamma_(3 n_k), n_k = (2t+2)k + 3Lt + 1: the relative rounding of the
-    free block stream's time sums through step k (see _partial_sum_table),
-    t the compressed tap count and L = dp.BLOCK_STEPS."""
+    """gamma_(3 n_k), n_k = (2t+1)k + ceil(k/L) + 3Lt + L + 1: the
+    relative rounding of the free block stream's time sums through step k
+    (see _partial_sum_table), t the compressed tap count and
+    L = dp.BLOCK_STEPS."""
     _, pmf = law.pmf_array()
     t = len(pmf[::dp.period(pmf)])
-    return _gamma(3 * ((2 * t + 2) * k + 3 * dp.BLOCK_STEPS * t + 1))
+    L = dp.BLOCK_STEPS
+    return _gamma(3 * ((2 * t + 1) * k + -(-k // L) + 3 * L * t + L + 1))
 
 
 @lru_cache(maxsize=None)
 def _partial_sum_table(law: StepLaw, X: int, K: int):
     """(acc, tail, bound) for all |x| <= X: acc is time_sums' of the free
-    stream from 0, and the tail beyond K is fitted to its block sums.
-    bound is the fit's bound, plus twice the summed cut mass, plus the
-    rounding of acc and the rounding of the blocks that the tail carries.
+    stream from 0 through K rounded down to a multiple of
+    G = lcm(dp.BLOCK_STEPS, d), and the tail beyond it is fitted to its
+    group sums.  bound is the fit's bound, plus twice the summed cut mass,
+    plus the rounding of acc and the rounding of the groups that the tail
+    carries.
 
     Rounding (Higham, Accuracy and Stability of Numerical Algorithms,
     ch. 3).  With u = 2^-53 and gamma_n = n u / (1 - n u): a sum of n
@@ -208,57 +184,70 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     gamma_n of its value; gamma_a + gamma_b + gamma_a gamma_b <=
     gamma_(a+b); and n terms added in turn are within gamma_(n-1) times
     the sum of their magnitudes.  Let t be the compressed tap count and
-    L = dp.BLOCK_STEPS.  At step k = bL + j of dp._blocks (1 <= j <= L)
-    every weight w_k(y) lies within relative gamma_(n) of the exact law's
-    p^k, n = k + 2Ltb + 2Lt + (j-1)t <= (2t+1)k + 3Lt:
-      - the rounded pmf moves each path's weight, and so p^k, by gamma_k;
-      - the taps of p^{*j} are j-1 convolutions of at most t products:
-        gamma_((j-1)t);
+    L = dp.BLOCK_STEPS.  dp._blocks yields one row per advance, the sum
+    R_k of w_j over the advance's r <= L steps, k = bL + r its last.
+    Every entry of R_k lies within relative gamma_(n) of that of the
+    exact law's, n = k + 2Ltb + L(t+1) + 2Lt <= (2t+1)k + 3Lt + L:
+      - the rounded pmf moves each path's weight, and so p^j, by gamma_k;
+      - the taps of p^{*j}, j <= L, are j-1 convolutions of at most t
+        products: gamma_((L-1)t);
       - an advance sums at most L(t-1)+1 products with the taps of p^{*L}:
         gamma_(2Lt) a block, b blocks before step k;
-      - a row sums at most 2Lt products with the taps of p^{*j}.
-    Each term w_k(0) - w_k(-x) rounds once more and at most k + 1 terms
-    are added in turn, so a time sum through step k lies within
-    gamma_(n_k) S of the exact one, n_k = (2t+2)k + 3Lt + 1, S the sum of
-    w_k(0) + w_k(-x) over its steps.  For acc, S <= 2 sum_k w_k(0) + 1 -
-    acc(x), read from time_sums' origin and acc, and for block m, with
-    last step k = md, S = 2 origin[m-1] - blocks[m]; as these S are
-    computed, within relative gamma_(2 n_k) of the exact ones,
-    gamma_(3 n_k) S bounds each sum's error.  The tail is linear in the
-    blocks, tail = sum_m l_m blocks[m], so it carries sum_m |l_m| times
-    their bounds.  The fit's design is ill-conditioned (sum_m |l_m| is
-    about 1e8 at K = 2^16), so that term is the bound's largest.
+      - the summed taps of a column phase add at most L taps of p^{*j}:
+        gamma_(L(t+1));
+      - a row sums at most 2Lt products with them.
+    A group adds its A advances' nonnegative rows in turn, its term
+    w(0) - w(-x) rounds once, and acc adds the N groups' terms and the
+    start's: A - 1 + 1 + N more roundings, at most the ceil(k/L) advances
+    through step k, k the last group's last step.  So a time sum through
+    step k lies within gamma_(n_k) S of the exact one, n_k = (2t+1)k +
+    ceil(k/L) + 3Lt + L + 1, S the sum of w_j(0) + w_j(-x) over its steps.
+    For acc, S <= 2 sum_j w_j(0) + 1 - acc(x), read from time_sums' origin
+    and acc, and for group g, with last step k = (g+1)G, S = 2 origin[g] -
+    blocks[g]; as these S are computed, within relative gamma_(2 n_k) of
+    the exact ones, gamma_(3 n_k) S bounds each sum's error.  The tail is
+    linear in the groups, tail = sum_g l_g blocks[g], so it carries
+    sum_g |l_g| times their bounds.  The fit's design is ill-conditioned
+    (sum_g |l_g| is about 3e6 at K = 2^16), so that term is the bound's
+    largest.
     """
-    acc, blocks, cut, _, origin = time_sums(law, 0, dp.FREE, X, K)
     d = dp.period(law.pmf_array()[1])
-    M = len(origin)
-    m0 = M - len(blocks)
-    tail, bound, weights = _fit_tail(blocks, m0, M)
+    G = math.lcm(dp.BLOCK_STEPS, d)
+    acc, blocks, cut, _, origin = time_sums(law, 0, dp.FREE, X, K // G * G)
+    tail, bound, weights = _fit_tail(blocks, G, d)
     spread = np.abs(weights) * _rounding_gamma(
-        law, d * np.arange(m0 + 1, M + 1))
-    rounding = _rounding_gamma(law, d * M) \
+        law, G * np.arange(1, len(blocks) + 1))
+    rounding = _rounding_gamma(law, G * len(blocks)) \
         * (2.0 * origin.sum() + 1.0 - acc) \
-        + 2.0 * (spread @ origin[m0:]) - spread @ blocks
+        + 2.0 * (spread @ origin) - spread @ blocks
     return acc, tail, bound + 2.0 * cut + rounding
 
 
-def _fit_tail(blocks: np.ndarray, m0: int, M: int):
-    """Fit block sums to sum_e c_e m^{-e} and return (tail, bound,
-    weights); the bound compares with the fit on all but the last two
-    exponents, and tail = weights @ blocks, the fit being linear in the
-    blocks.  One QR factorisation of the scaled design serves both fits,
-    as the fit on the first j exponents uses the first j columns of Q and
-    R."""
-    if M - m0 < len(PS_EXPONENTS):
+def _fit_tail(blocks: np.ndarray, G: int, d: int):
+    """Fit the sums of the N = len(blocks) groups of G steps to
+    sum_e c_e m^{-e} summed over each group's d-step units m, and return
+    (tail, bound, weights).  The fit reads the groups g0 < g <= N,
+    g0 = N // 16, 1-based; the bound compares with the fit on all but the
+    last two exponents, and tail = weights @ blocks, the fit being linear
+    in the groups (weights is 0 before the window).  One QR factorisation
+    of the scaled design serves both fits, as the fit on the first j
+    exponents uses the first j columns of Q and R."""
+    N = len(blocks)
+    g0 = N // 16
+    E = len(PS_EXPONENTS)
+    if N - g0 < E:              # N = E groups fit, as g0 = 0 below 16
         raise ConstraintViolation(
-            f"{M - m0} blocks of {M} to fit; the tail fit needs at least "
-            f"{len(PS_EXPONENTS)}")
-    m = np.arange(m0 + 1, M + 1, dtype=float)
-    t = m / M
-    design = t[:, None] ** (-PS_EXPONENTS[None, :])
+            f"K rounded down to a multiple of G = {G} is {N * G}: {N - g0} "
+            f"groups of G steps to fit; the tail fit needs at least {E}, so "
+            f"K >= {E * G}")
+    U = G // d                  # d-step units per group
+    M = N * U
+    t = np.arange(g0 * U + 1, M + 1) / M
+    design = np.stack([(t ** -e).reshape(-1, U).sum(axis=1)
+                       for e in PS_EXPONENTS], axis=1)
     norms = np.linalg.norm(design, axis=0)
     q, r = np.linalg.qr(design / norms)
-    qtb = q.T @ blocks
+    qtb = q.T @ blocks[g0:]
     # tail over m > M of c_e m^{-e} = c_e M^e zeta(e, M+1), Hurwitz zeta
     with mp.workdps(25):
         scale = np.array([M ** e * float(mp.zeta(e, M + 1))
@@ -268,26 +257,22 @@ def _fit_tail(blocks: np.ndarray, m0: int, M: int):
         coef = np.linalg.solve(r[:j, :j], qtb[:j]) / norms[:j, None]
         return scale[:j] @ coef, coef
 
-    tail, coef = solve(len(PS_EXPONENTS))
-    tail_r, _ = solve(len(PS_EXPONENTS) - 2)
-    # sum |design @ coef - blocks| over row chunks, folding each chunk into
-    # the total in row order, as one axis-0 sum over all rows would
-    res = np.zeros(blocks.shape[1])
-    for i in range(0, len(blocks), FIT_CHUNK_ROWS):
-        part = design[i:i + FIT_CHUNK_ROWS] @ coef
-        part -= blocks[i:i + FIT_CHUNK_ROWS]
-        np.abs(part, out=part)
-        part[0] += res
-        res = part.sum(axis=0)
-    bound = np.abs(tail - tail_r) + res
-    weights = q @ np.linalg.solve(r.T, scale / norms)
+    tail, coef = solve(E)
+    tail_r, _ = solve(E - 2)
+    bound = np.abs(tail - tail_r) \
+        + np.abs(design @ coef - blocks[g0:]).sum(axis=0)
+    weights = np.zeros(N)
+    weights[g0:] = q @ np.linalg.solve(r.T, scale / norms)
     return tail, bound, weights
 
 
 def a_partial_sums(law: StepLaw, x: int,
                    K: int = 2 ** 16) -> tuple[float, float]:
     """(extrapolated partial-sum value of a(x), remainder bound), from the
-    table on [-X, X], X = max(55, |x|)."""
+    table on [-X, X], X = max(55, |x|).  The table sums the first K steps
+    rounded down to a multiple of G = lcm(dp.BLOCK_STEPS, d), d the
+    period, and fits the tail to sums over groups of G steps, so K needs
+    at least 11 G (ConstraintViolation)."""
     if x == 0:
         return 0.0, 0.0
     X = max(55, abs(x))

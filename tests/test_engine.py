@@ -473,14 +473,16 @@ def _assert_blocks_match_steps(law, x, n, mode=dp.FREE, alpha=1.0,
     """The run in blocks of dp.BLOCK_STEPS against the one-step run.
     By the count in potential._partial_sum_table, every weight of a free
     run, uncut, lies within relative gamma_(n') of the exact p^n, n' =
-    (2t+1)n + 3Lt.  An absorbed block rounds its strip's part no more
-    often than its far part (L steps of t products, then a product with
-    at most Lt strip sites), and once more where the two parts add: one
-    rounding a block, within n_k = (2t+2)n + 3Lt + 1.  So the two runs'
-    weights, absorbed masses and entrance-law entries, each a sum of
-    nonnegative products, differ by at most gamma_(3 n_k) (the bound of
-    potential._rounding_gamma) times the larger, plus both runs' cut.
-    Absorption at 0 with alpha = 1 leaves exactly 0.0 there."""
+    (2t+1)n + 3Lt.  An absorbed block of L' steps rounds its strip's part
+    no more often than its far part (L' steps of t products, then a
+    product with at most L't strip sites), and once more where the two
+    parts add.  The count gives a block 2L't roundings, and its advance
+    takes at most L'(t-1) + 1 + (L'-1)t, fewer by L' + t - 1, so that one
+    fits within n'.  So the two runs' weights, absorbed masses and
+    entrance-law entries, each a sum of nonnegative products, differ by at
+    most gamma_(3 n_k), n_k > n' (the bound of potential._rounding_gamma),
+    times the larger, plus both runs' cut.  Absorption at 0 with
+    alpha = 1 leaves exactly 0.0 there."""
     blocks, steps = (_block_run(law, x, n, b, mode, alpha, weights)
                      for b in (dp.BLOCK_STEPS, 1))
     gamma = potential._rounding_gamma(law, n)
@@ -651,32 +653,75 @@ def test_widest_point_stream_steps_one_at_a_time():
     _assert_blocks_match_steps(law, 5, 301, dp.HALFLINE)
 
 
+def _assert_time_sums_match_one_step(law, start, mode, X, K):
+    """time_sums in blocks of dp.BLOCK_STEPS against one-step blocks,
+    whose groups of d steps, G/d at a time, add up to the block run's
+    groups of G = lcm(BLOCK_STEPS, d).  Every sum of the nonnegative
+    weights w_k(0) and w_k(-x) lies within gamma_(3 n_k) of the larger, n_k
+    the larger of the two runs' counts (potential._rounding_gamma), plus
+    both runs' cut, twice for a free stream's terms w_k(0) - w_k(-x): each
+    run rounds within gamma_(n_k), and the one-step run's count of k terms
+    holds the G/d added here.  Returns both runs' time_sums."""
+    d = dp.period(law.pmf_array()[1])
+    runs, gamma = [], 0.0
+    for b in (dp.BLOCK_STEPS, 1):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dp, "BLOCK_STEPS", b)
+            runs.append(potential.time_sums(law, start, mode, X, K))
+            gamma = max(gamma, potential._rounding_gamma(law, K))
+    (acc, blocks, cut, mass, origin), (acc1, blocks1, cut1, mass1, origin1) \
+        = runs
+    at = np.arange(0, len(origin1), math.lcm(dp.BLOCK_STEPS, d) // d)
+    blocks1, origin1 = (np.add.reduceat(v, at) for v in (blocks1, origin1))
+    err = cut + cut1
+    terms = 2.0 * err if mode == dp.FREE else err   # site 0 empty otherwise
+    first = np.full(2 * X + 1, float(start == 0))   # the k = 0 term
+    if abs(start) <= X:
+        first[X - start] -= 1.0
+
+    def close(a, b, S, err):
+        return (np.abs(a - b) <= gamma * S + err).all()
+
+    # the sums of w_k(0) + w_k(-x), from each run's own
+    assert close(acc, acc1, np.maximum(2.0 * origin.sum() - acc,
+                                       2.0 * origin1.sum() - acc1) + first,
+                 terms)
+    assert close(blocks, blocks1, np.maximum(2.0 * origin[:, None] - blocks,
+                                             2.0 * origin1[:, None]
+                                             - blocks1), terms)
+    assert close(origin, origin1, np.maximum(origin, origin1), err)
+    assert close(mass, mass1, max(mass, mass1), err)
+    return runs
+
+
 @_BLOCK_LAWS
 @pytest.mark.parametrize("mode", [dp.POINT, dp.HALFLINE])
 def test_absorbed_time_sums_in_blocks(pairs, mode):
-    """time_sums of an absorbed stream reads a block's rows off the far
-    sites' matrix product and the strip's rows matrix, and a single
-    step's off its window: against one-step blocks, every sum of the
-    nonnegative weights w_k(-x) lies within gamma_(3 n_k) of the larger
-    plus both runs' error; site 0 holds no mass in either, to the bit."""
+    """time_sums of an absorbed stream reads a block's summed row off the
+    far sites' matrix product and the strip's summed rows, and a single
+    step's off its window: against one-step blocks, within the rounding
+    bound and the cut (_assert_time_sums_match_one_step); site 0 holds no
+    mass in either, to the bit."""
     law = build_law(pairs, "law")
-    X, K = 5, 1000
-    got, want = [], []
-    for out, b in ((got, dp.BLOCK_STEPS), (want, 1)):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(dp, "BLOCK_STEPS", b)
-            out.extend(potential.time_sums(law, 2, mode, X, K))
-    (acc, blocks, cut, mass, origin), (acc1, blocks1, cut1, mass1, origin1) \
-        = got, want
-    gamma = potential._rounding_gamma(law, K)
-    start = np.zeros(2 * X + 1)
-    start[X - 2] = -1.0                     # the k = 0 term at x = -2
-    S = np.maximum(start - acc, start - acc1)
-    assert (np.abs(acc - acc1) <= gamma * S + cut + cut1).all()
-    assert (np.abs(blocks - blocks1)
-            <= gamma * np.maximum(-blocks, -blocks1) + cut + cut1).all()
-    assert abs(mass - mass1) <= gamma * max(mass, mass1) + cut + cut1
-    assert not origin.any() and not origin1.any()
+    runs = _assert_time_sums_match_one_step(law, 2, mode, 5, 1000)
+    assert not runs[0][4].any() and not runs[1][4].any()
+
+
+@pytest.mark.parametrize("pairs", [
+    [(-1, "6/103"), (0, "91/103"), (1, "6/103")],             # lazy walk
+    [(z, "1/5") for z in range(-2, 3)],                       # sym5
+    W3_PAIRS,
+    [(-7, "3/10"), (3, "7/10")],                              # period 10
+], ids=["lazy", "sym5", "w3", "p10"])
+@pytest.mark.parametrize("mode", [dp.FREE, dp.POINT, dp.HALFLINE])
+def test_time_sums_in_groups_match_one_step_blocks(pairs, mode):
+    """time_sums in every mode, from 0 (free) or 2, in blocks of 64 steps
+    and groups of lcm(64, d) against one-step blocks: 1000 steps are 15
+    groups of 64 and one of 40 on d = 1, three of 320 and one of 40 on
+    the period-10 law."""
+    law = build_law(pairs, "law")
+    start = 0 if mode == dp.FREE else 2
+    _assert_time_sums_match_one_step(law, start, mode, 7, 1000)
 
 
 def _laid_back(w):

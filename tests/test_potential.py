@@ -1,5 +1,8 @@
 """Potential kernel by two independent routes, Green function at the origin,
 and the walk constants."""
+import math
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -71,12 +74,15 @@ class TestPartialSumRoute:
     [(z, "1/5") for z in range(-2, 3)],                       # sym5
     [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
     [(-1, "5/8"), (1, "1/4"), (3, "1/8")],                    # period 2
+    [(-41, "20/61"), (20, "41/61")],                          # period 61
 ])
 def test_bound_covers_exact_a(pairs):
     """At the default K the bound, rounding included, covers the gap to
     the exact a(x): |x| for srw, else the root solve within its error.
     Without the rounding term srw's gap at x = 5 was 3.0e-13 against a
-    bound of 6.0e-14."""
+    bound of 6.0e-14.  The period-61 law groups its steps by
+    G = lcm(64, 61) = 3904, so its fit reads 15 groups: a gap near 1e-10
+    against a bound near 3e-4."""
     law = build_law(pairs, "law")
     table = build_potential_table(law)
     srw = law.increments == (-1, 1)
@@ -87,18 +93,24 @@ def test_bound_covers_exact_a(pairs):
         assert abs(v - exact) <= bound + err
 
 
-def _reference_blocks(law, X, K):
-    """(acc, blocks, m0, M) of _partial_sum_table by a plain loop: every
-    step convolves the whole window on the full lattice, nothing is ever
-    cut, and every step adds its delta to acc and to its block."""
+def _groups(law):
+    """(G, d): the steps per group of the tail fit, lcm(dp.BLOCK_STEPS, d),
+    and the period d."""
     d = lattice_structure(law).period
-    M = K // d
-    K = M * d
-    m0 = M // 16
+    return math.lcm(dp.BLOCK_STEPS, d), d
+
+
+def _reference_blocks(law, X, K):
+    """(acc, blocks) of _partial_sum_table by a plain loop over the first
+    K steps, K rounded down to a multiple of G (_groups): every step
+    convolves the whole window on the full lattice, nothing is ever cut,
+    and every step adds its delta to acc and to its group of G steps."""
+    G, _ = _groups(law)
+    K = K // G * G
     zmin, pmf = law.pmf_array()
     acc = np.ones(2 * X + 1)
     acc[X] = 0.0
-    blocks = np.zeros((M - m0, 2 * X + 1))
+    blocks = np.zeros((K // G, 2 * X + 1))
     cur, off = np.ones(1), 0
     for k in range(1, K + 1):
         cur = np.convolve(cur, pmf)
@@ -109,33 +121,35 @@ def _reference_blocks(law, X, K):
         win[inside] = cur[i[inside]]
         delta = win[X] - win[::-1]
         acc += delta
-        if (k - 1) // d >= m0:
-            blocks[(k - 1) // d - m0] += delta
-    return acc, blocks, m0, M
+        blocks[(k - 1) // G] += delta
+    return acc, blocks
 
 
 def _check_blocks_against_reference(law, X, K):
     """time_sums' free stream against the plain loop, which adds one
-    uncut step at a time: acc and the blocks lie within twice the cut and
-    the rounding bounds of the two routes, the loop's with n_k = (span +
-    3)k + 1 (span + 1 taps, the pmf and the sum), and the tail within the
-    fit applied to the blocks' bounds.  Returns the cut."""
+    uncut step at a time, over K rounded down to a multiple of G: acc and
+    the group sums lie within twice the cut and the rounding bounds of the
+    two routes, the loop's with n_k = (span + 3)k + 1 (span + 1 taps, the
+    pmf and the sum), and the tail within the fit applied to the groups'
+    bounds.  Returns the cut."""
+    G, d = _groups(law)
+    K = K // G * G
     acc, blocks, cut, _, origin = potential.time_sums(law, 0, dp.FREE, X, K)
-    want_acc, want_blocks, m0, M = _reference_blocks(law, X, K)
-    k = K // M * np.arange(m0 + 1, M + 1)  # each block's last step
+    want_acc, want_blocks = _reference_blocks(law, X, K)
+    k = G * np.arange(1, len(blocks) + 1)  # each group's last step
 
     def gamma(k):                           # both routes' gamma_(3 n_k)
         plain = (law.zmax - law.zmin + 3) * k + 1
         return (potential._rounding_gamma(law, k)
                 + potential._gamma(3 * plain))
 
-    err = gamma(K // M * M) * (2.0 * origin.sum() + 1.0 - acc) + 2.0 * cut
+    err = gamma(K) * (2.0 * origin.sum() + 1.0 - acc) + 2.0 * cut
     assert (np.abs(acc - want_acc) <= err).all()
-    block_err = gamma(k)[:, None] * (2.0 * origin[m0:, None] - blocks) \
+    block_err = gamma(k)[:, None] * (2.0 * origin[:, None] - blocks) \
         + 2.0 * cut
     assert (np.abs(blocks - want_blocks) <= block_err).all()
-    tail, _, weights = _fit_tail(blocks, m0, M)
-    want_tail = _fit_tail(want_blocks, m0, M)[0]
+    tail, _, weights = _fit_tail(blocks, G, d)
+    want_tail = _fit_tail(want_blocks, G, d)[0]
     assert (np.abs(tail - want_tail) <= np.abs(weights) @ block_err).all()
     return cut
 
@@ -174,8 +188,13 @@ def test_trimmed_table_is_bit_identical(pairs, monkeypatch):
 @settings(max_examples=20, deadline=None)
 @given(zero_mean_laws())
 def test_block_stream_for_any_law(law):
-    """The block stream against the plain loop, periodic laws included."""
-    _check_blocks_against_reference(law, 20, 2 ** 9)
+    """The block stream against the plain loop, periodic laws included, in
+    blocks of 8 steps: G = lcm(8, d) is at most 56 for these laws (d <= 8),
+    and K = max(2^9, 11 G) holds the 11 groups the fit needs."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dp, "BLOCK_STEPS", 8)
+        _check_blocks_against_reference(law, 20, max(2 ** 9,
+                                                     11 * _groups(law)[0]))
 
 
 @pytest.mark.parametrize("pairs", [
@@ -187,15 +206,15 @@ def test_block_stream_for_any_law(law):
 ])
 def test_block_stream_is_exact(pairs, monkeypatch):
     """With blocks of 8 steps, 60 steps are seven blocks and a partial
-    one of 4; acc, blocks and origin match the rational DP's sums within
-    their rounding bounds, and nothing is cut."""
+    one of 4, in groups of G = lcm(8, d) steps, the last one short; acc,
+    the group sums and origin match the rational DP's sums within their
+    rounding bounds, and nothing is cut."""
     monkeypatch.setattr(dp, "BLOCK_STEPS", 8)
     law = build_law(pairs, "law")
     X, K = 12, 60
     acc, blocks, cut, mass, origin = potential.time_sums(law, 0, dp.FREE,
                                                          X, K)
-    d = lattice_structure(law).period
-    M = K // d
+    G, _ = _groups(law)
     w = [engine.evolve_free_exact(law, 0, k) for k in range(1, K + 1)]
     terms = [[p.get(0, 0) - p.get(-x, 0) for x in range(-X, X + 1)]
              for p in w]
@@ -205,33 +224,58 @@ def test_block_stream_is_exact(pairs, monkeypatch):
     assert cut == 0.0 and mass == pytest.approx(1.0, abs=1e-13)
     assert (np.abs(acc - want) <= gamma * (2.0 * origin.sum() + 1.0 - acc)
             ).all()
-    want_origin = [float(sum(p.get(0, 0) for p in w[m * d:(m + 1) * d]))
-                   for m in range(M)]
+    groups = range(0, K, G)
+    assert len(blocks) == len(origin) == len(groups)
+    want_origin = [float(sum(p.get(0, 0) for p in w[g:g + G]))
+                   for g in groups]
     assert np.abs(origin - want_origin).max() <= gamma * origin.sum()
-    m0 = M - len(blocks)
-    want_blocks = [[float(sum(t[i] for t in terms[m * d:(m + 1) * d]))
-                    for i in range(2 * X + 1)] for m in range(m0, M)]
+    want_blocks = [[float(sum(t[i] for t in terms[g:g + G]))
+                    for i in range(2 * X + 1)] for g in groups]
     assert (np.abs(blocks - want_blocks)
-            <= gamma * (2.0 * origin[m0:, None] - blocks)).all()
+            <= gamma * (2.0 * origin[:, None] - blocks)).all()
 
 
-def _lstsq_tail(blocks, m0, M):
-    """The tail fit by SVD least squares, one solve per exponent set."""
+@pytest.mark.parametrize("mode", [dp.FREE, dp.POINT, dp.HALFLINE])
+def test_time_sums_cut_counts_every_step(l1, mode):
+    """time_sums' cut sums one bound per step: a block's steps before its
+    last read the window of its start, within the cut before the block,
+    and its last step the cut window, within the block's own."""
+    zmin, pmf = l1.pmf_array()
+    start, K = (0 if mode == dp.FREE else 2), 1000
+    want, k0, before = 0.0, 0, 0.0
+    for k, _, _, _, cut in dp._steps(start, np.ones(1), zmin, pmf, K, mode,
+                                     1.0):
+        want += (k - k0 - 1) * before + cut
+        k0, before = k, cut
+    got = potential.time_sums(l1, start, mode, 3, K)[2]
+    assert k0 == K and 0.0 < before < 1e-50
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _lstsq_tail(blocks, G, d):
+    """The tail fit by SVD least squares, one solve per exponent set, on
+    the groups g0 < g <= N, g0 = N // 16, each design row the sum of its
+    G/d units' rows, added as _fit_tail adds them: at K = 2^12 the lazy
+    walk's fit moves by 1e-8 relative when they are added in another
+    order."""
     exps = potential.PS_EXPONENTS
-    t = np.arange(m0 + 1, M + 1) / M
-    design = t[:, None] ** -exps
+    N, U = len(blocks), G // d
+    g0, M = N // 16, N * U
+    t = np.arange(g0 * U + 1, M + 1) / M
+    design = np.stack([(t ** -e).reshape(-1, U).sum(axis=1) for e in exps],
+                      axis=1)
     norms = np.linalg.norm(design, axis=0)
     scale = np.array([M ** e * float(mpmath.zeta(e, M + 1)) for e in exps])
 
     def solve(j):
-        coef, *_ = np.linalg.lstsq(design[:, :j] / norms[:j], blocks,
+        coef, *_ = np.linalg.lstsq(design[:, :j] / norms[:j], blocks[g0:],
                                    rcond=None)
         return scale[:j] @ (coef / norms[:j, None]), coef / norms[:j, None]
 
     tail, coef = solve(len(exps))
     tail_r, _ = solve(len(exps) - 2)
     return tail, (np.abs(tail - tail_r)
-                  + np.abs(blocks - design @ coef).sum(axis=0))
+                  + np.abs(blocks[g0:] - design @ coef).sum(axis=0))
 
 
 @pytest.mark.parametrize("pairs", [
@@ -239,32 +283,46 @@ def _lstsq_tail(blocks, m0, M):
     [(-2, "1/6"), (-1, "1/6"), (0, "1/6"), (1, "1/2")],       # l1
     [(-1, "6/103"), (0, "91/103"), (1, "6/103")],             # lazy walk
 ])
-def test_tail_fit_matches_lstsq(pairs, monkeypatch):
-    # the QR fit solves the same least-squares problems as an SVD
-    blocks, m0, M = _reference_blocks(build_law(pairs, "law"), 55, 2 ** 12)[1:]
-    tail, bound, weights = _fit_tail(blocks, m0, M)
-    want_tail, want_bound = _lstsq_tail(blocks, m0, M)
+def test_tail_fit_matches_lstsq(pairs):
+    # the QR fit solves the same least-squares problems as an SVD, on the
+    # 60 groups of 64 steps that follow the first 4
+    law = build_law(pairs, "law")
+    G, d = _groups(law)
+    blocks = _reference_blocks(law, 55, 2 ** 12)[1]
+    tail, bound, weights = _fit_tail(blocks, G, d)
+    want_tail, want_bound = _lstsq_tail(blocks, G, d)
     tol = 1e-10 * np.maximum(1.0, np.abs(want_tail))
     assert (np.abs(tail - want_tail) <= tol).all()
     assert (np.abs(bound - want_bound) <= tol).all()
-    # the fit is linear in the blocks: tail = weights @ blocks
+    # the fit is linear in the groups, and reads none before its window
     assert (np.abs(weights @ blocks - tail) <= tol).all()
-    # the residual sum runs over row chunks, 1.9 to 3.75 of them here; with
-    # one chunk of all rows it is the one-array sum, and it matches bit for bit
-    assert len(blocks) > potential.FIT_CHUNK_ROWS
-    monkeypatch.setattr(potential, "FIT_CHUNK_ROWS", len(blocks))
-    one_tail, one_bound, _ = _fit_tail(blocks, m0, M)
-    assert np.array_equal(tail, one_tail)
-    assert np.array_equal(bound, one_bound)
+    assert not weights[:len(blocks) // 16].any()
 
 
 def test_tail_fit_needs_a_block_per_exponent(srw):
-    # srw at K=16 has 8 blocks for 11 exponents: an underdetermined fit,
-    # whose bound (1e-3) understated its error (8.5e-3) at x = 5
-    with pytest.raises(ConstraintViolation, match="blocks"):
-        a_partial_sums(srw, 5, K=16)
-    v, bound = a_partial_sums(srw, 5, K=24)      # 12 blocks
+    # the fit needs a group of G = 64 steps per exponent: srw at K = 640
+    # has 10 groups for 11 exponents, an underdetermined fit (an earlier
+    # fit on 2-step blocks, 8 of them at K = 16, bounded its error at
+    # x = 5 by 1e-3 where it was 8.5e-3), and K = 24 has none
+    for K in (24, 640):
+        with pytest.raises(ConstraintViolation, match="K >= 704"):
+            a_partial_sums(srw, 5, K=K)
+    v, bound = a_partial_sums(srw, 5, K=704)     # 11 groups
     assert abs(v - 5) <= bound
+
+
+def test_table_holds_no_array_per_step():
+    """The table keeps one row per group of 64 steps, 1024 of them for the
+    lazy walk at K = 2^16, not one per step: its peak allocation stays
+    below 8 MB (74 MB when every period's row was kept)."""
+    law = build_law([(-1, "6/103"), (0, "91/103"), (1, "6/103")], "lazy")
+    tracemalloc.start()
+    try:
+        potential._partial_sum_table.__wrapped__(law, 55, 2 ** 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 class TestPotentialTable:
