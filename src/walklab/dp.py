@@ -35,9 +35,9 @@ computes.
 start lies on one coset as well; a start over several classes (the
 many-start window of ``engine.nu_and_particles``) is one run per class.
 
-_blocks reads the weights of each advance's steps, summed, on a fixed
-window [-X, X] off a stream, for the time sums of ``potential``: one
-matrix product per block.
+Given X, _steps also yields the weights of each advance's steps,
+summed, on the fixed window [-X, X], for the time sums of ``potential``:
+one matrix product per block, plus the strip's share from its plan.
 """
 
 from __future__ import annotations
@@ -198,21 +198,45 @@ def _strip(zmin: int, d: int, t: int, mode: int, L: int, rho: int):
     return first, max((-L * zmin - first) // d + 1, 0)
 
 
-def _strip_walk(key: bytes, zmin: int, d: int, mode: int, alpha: float,
-                L: int, rho: int):
-    """Yield (base, walk, live, lost) after each of the L steps of the
-    killed walks from the strip's sites (_strip), np.frombuffer(key) the
-    compressed taps.  walk[q, i] is the weight of the walk from site i at
-    column i + q, the site base + d(i + q), and the first live rows hold
-    every site the walks reach.  lost lists (c, masses): what the step
-    removed at the site base + dc, one mass per walk (POINT: site 0, with
-    alpha; HALFLINE: the sites 1 + zmin..0).  Each step sums the same
-    products as the one-step advance of _steps."""
+class _Plan(NamedTuple):
+    first: int               # the strip's first site
+    size: int                # its sites, d apart
+    killed: np.ndarray       # (size, size + L(t-1))
+    lost: np.ndarray         # (size, len(cols))
+    cols: np.ndarray         # flat positions of lost's columns
+    rows: np.ndarray | None  # (size, 2X+1), None without X
+
+
+@lru_cache(maxsize=128)      # a stream keeps the plans it uses in a dict
+def _plan(key: bytes, zmin: int, d: int, mode: int, alpha: float, L: int,
+          rho: int, X: int | None = None) -> _Plan:
+    """The strip plan of an L-step block of a POINT or HALFLINE stream
+    whose window lies on rho + dZ, np.frombuffer(key) its compressed taps.
+
+    The killed walks from the strip's sites (_strip) step L times, as the
+    one-step advance of _steps does: walk[q, i] is the weight of the walk
+    from site i at column i + q, the site first + j zmin + d(i + q) after
+    step j, and its first live rows hold every site the walks reach.  Each
+    step removes the mass at the absorbing sites the walks reach (POINT:
+    site 0, with alpha; HALFLINE: the sites 1 + zmin..0).
+
+    In the frame where column c after the block is the site first + L zmin
+    + dc, killed[i] is the weight of the walk from site i after L steps.
+    lost[i] holds the masses it lost on the way, at the flat positions
+    cols of the block's absorbed output: (L,), one mass per step, in POINT
+    mode, (L, -zmin), site 1 + zmin + e in column e, in HALFLINE mode.
+    Given X, rows[i, x + X] is the walk's weight at site x, |x| <= X,
+    summed over the L steps in step order.  Every entry is a sum of
+    nonnegative products."""
     taps = np.frombuffer(key)
     t = len(taps)
     first, size = _strip(zmin, d, t, mode, L, rho)
+    w = 1 if mode == POINT else -zmin
     walk = np.zeros((L * (t - 1) + 1, size))
     walk[0] = 1.0
+    walks = np.arange(size)[:, None]
+    lost, cols = [np.zeros((size, 0))], []
+    rows = None if X is None else np.zeros((size, 2 * X + 1))
     for j in range(1, L + 1):
         live = (j - 1) * (t - 1) + 1
         nxt = np.zeros_like(walk)
@@ -224,7 +248,6 @@ def _strip_walk(key: bytes, zmin: int, d: int, mode: int, alpha: float,
             sites = range(c, c + 1 if rem == 0 else c)
         else:
             sites = range(-((base - 1 - zmin) // d), -base // d + 1)
-        lost = []
         for c in sites:
             i = np.arange(max(c - live + 1, 0), min(c + 1, size))
             q = c - i                       # the walks i at column c
@@ -236,65 +259,20 @@ def _strip_walk(key: bytes, zmin: int, d: int, mode: int, alpha: float,
                 else:
                     masses[i] = walk[q, i]
                     walk[q, i] = 0.0
-                lost.append((c, masses))
-        yield base, walk, live, lost
-
-
-class _Plan(NamedTuple):
-    first: int               # the strip's first site
-    size: int                # its sites, d apart
-    killed: np.ndarray       # (size, size + L(t-1))
-    lost: np.ndarray         # (size, len(cols))
-    cols: np.ndarray         # flat positions of lost's columns
-
-
-@lru_cache(maxsize=128)      # a stream keeps the plans it uses in a dict
-def _plan(key: bytes, zmin: int, d: int, mode: int, alpha: float, L: int,
-          rho: int) -> _Plan:
-    """The strip plan of an L-step block of a POINT or HALFLINE stream
-    whose window lies on rho + dZ, np.frombuffer(key) its compressed taps.
-    In the frame where column c after the block is the site first + L zmin
-    + dc, killed[i] is the weight of the killed walk from the strip's site
-    i (_strip_walk) after L steps.  lost[i] holds the masses it lost on the
-    way, at the flat positions cols of the block's absorbed output: (L,),
-    one mass per step, in POINT mode, (L, -zmin), site 1 + zmin + e in
-    column e, in HALFLINE mode.  Every entry is a sum of nonnegative
-    products."""
-    t = len(key) // 8
-    first, size = _strip(zmin, d, t, mode, L, rho)
-    w = 1 if mode == POINT else -zmin
-    lost, cols = [np.zeros((size, 0))], []
-    for j, (base, walk, _, removed) in enumerate(
-            _strip_walk(key, zmin, d, mode, alpha, L, rho)):
-        for c, masses in removed:
-            lost.append(masses[:, None])
-            cols.append(j * w + (0 if mode == POINT
-                                 else base + d * c - 1 - zmin))
+                lost.append(masses[:, None])
+                cols.append((j - 1) * w + (0 if mode == POINT
+                                           else base + d * c - 1 - zmin))
+        if rows is not None:
+            c = np.arange(-((base + X) // d), (X - base) // d + 1)
+            q = c - walks                   # walk i at column c, site x
+            ok = (q >= 0) & (q < live)
+            rows[:, base + d * c + X] += np.where(
+                ok, walk[np.where(ok, q, 0), walks], 0.0)
     killed = np.zeros((size, size + L * (t - 1)))
     s0, s1 = killed.strides                 # walk[q, i] at column i + q
     as_strided(killed, walk.shape, (s1, s0 + s1))[...] = walk
     return _Plan(first, size, killed, np.hstack(lost),
-                 np.array(cols, dtype=np.intp))
-
-
-@lru_cache(maxsize=128)
-def _strip_rows(key: bytes, zmin: int, d: int, mode: int, L: int, rho: int,
-                X: int) -> np.ndarray:
-    """(size, 2X+1): entry (i, x + X) is the weight at site x, |x| <= X,
-    summed over the L steps of the killed walk (alpha = 1) from the
-    strip's site i of an L-step block on rho + dZ (_plan), in step
-    order."""
-    t = len(key) // 8
-    size = _strip(zmin, d, t, mode, L, rho)[1]
-    rows = np.zeros((size, 2 * X + 1))
-    i = np.arange(size)[:, None]
-    for base, walk, live, _ in _strip_walk(key, zmin, d, mode, 1.0, L, rho):
-        c = np.arange(-((base + X) // d), (X - base) // d + 1)
-        q = c - i                           # walk i at column c, site x
-        ok = (q >= 0) & (q < live)
-        rows[:, base + d * c + X] += np.where(ok, walk[np.where(ok, q, 0), i],
-                                              0.0)
-    return rows
+                 np.array(cols, dtype=np.intp), rows)
 
 
 def _split(p: _Plan, off: int, cur: np.ndarray, d: int):
@@ -310,10 +288,45 @@ def _split(p: _Plan, off: int, cur: np.ndarray, d: int):
     return s, strip
 
 
+def _phase_taps(powers: list[np.ndarray], zmin: int, d: int, rho: int,
+                r: int):
+    """(first, T, phases) for the rows of r-step blocks with X + offset =
+    rho (mod d), powers[j - 1] the compressed taps of p^{*j}: first =
+    E + (X + offset) // d, and T[i] the reversed shifted taps of the steps
+    at column phase phases[i], summed in step order (see _steps)."""
+    j = np.arange(1, r + 1)
+    a = -((rho + j * zmin) // d)
+    width = max(a.max() - a_j + len(p) for a_j, p in zip(a, powers))
+    phases, at = np.unique((rho + j * zmin) % d, return_inverse=True)
+    T = np.zeros((len(phases), width))
+    for i, a_j, p in zip(at, a, powers):
+        end = width - (a.max() - a_j)
+        T[i, end - len(p):end] += p[::-1]
+    return int(a.max()), T, phases
+
+
+def _block_row(phase_taps, c: int, d: int, cur: np.ndarray,
+               X: int) -> np.ndarray:
+    """The weights of a block's steps, summed, on [-X, X], from the window
+    cur at its start, c = X + its offset: one product of the summed taps
+    (_phase_taps) with the window's sliding window, phase by phase."""
+    first, T, phases = phase_taps
+    Wc = 2 * X // d + 1
+    lo = first - c // d - T.shape[1] + 1     # the window's start
+    span = np.zeros(T.shape[1] + Wc - 1)
+    a, b = max(lo, 0), min(lo + len(span), len(cur))
+    if b > a:
+        span[a - lo:b - lo] = cur[a:b]
+    by_phase = np.zeros((Wc, d))            # column phase + d q
+    by_phase[:, phases] = (T @ as_strided(    # span[s + q] at (s, q)
+        span, (T.shape[1], Wc), 2 * span.strides, writeable=False)).T
+    return by_phase.reshape(-1)[:2 * X + 1]
+
+
 def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
-           n: int, mode: int, alpha: float):
-    """Yield (k, offset, weights, absorbed, cut) after each advance, n
-    steps in all.
+           n: int, mode: int, alpha: float, X: int | None = None):
+    """Yield (k, offset, weights, absorbed, cut, row) after each advance,
+    n steps in all.
 
     The window is strided: with d = period(pmf), the site of weights[i]
     is offset + d*i.  A walk on the coset c + dZ is on c + zmin + dZ one
@@ -339,6 +352,28 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     are the live array, not a copy; the stream never writes to an array
     after yielding it.
 
+    row is None without X.  Given X, row[i] is sum_{j=1..r} w_{k-r+j} at
+    the site -X + i, |site| <= X: the weights of the advance's steps
+    summed.  The row of a one-step advance is read off its window.  The
+    row of a block is one matrix product from the block's start over the
+    sites its steps reach, its strip zeroed (within a block the far sites
+    evolve freely), plus, in the absorbed modes, the strip's weights times
+    its plan's summed rows.  A block's row lies within r times the cut of
+    its start, a one-step row within its step's own cut.
+
+    Step j of a block that starts at offset o holds the indices
+    i = a_j + q, q = 0..Wc-1, of its coset, with a_j = -((X + o +
+    j zmin) // d) the first in [-X, X] and Wc = 2X // d + 1; it sits at
+    column (X + o + j zmin) mod d + d q, its phase plus d q.  With
+    E = max_j a_j, its weight is sum_m T_j[m] w[a_j + q - m] =
+    sum_s T'_j[s] w[E + q - s], where T'_j is T_j, the compressed taps of
+    p^{*j}, shifted right by E - a_j: the same sliding window of w serves
+    every step.  So the steps of one phase sum their T'_j, each entry at
+    most r nonnegative taps, and one product of those rows, at most
+    min(d, r), with the sliding window gives the row, phase by phase.
+    The shifts and phases depend on (X + o) mod d and r alone: the stream
+    builds them once each (_phase_taps).
+
     After the absorption, every advance cuts the outer runs of weights
     below CUT: a step scans inward from each edge only, so it pays for the
     sites it cuts, and a block of r > 1 steps, whose edges move r spans,
@@ -363,6 +398,7 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     L = _block_len(len(taps), zmin, d, n, mode, offset)
     powers = _powers(taps, L)
     plans: dict[int, _Plan] = {}
+    phase_taps: dict[tuple[int, int], tuple] = {}
     cur, off, cut, k = weights, offset, 0.0, 0
     # count advances of r steps: the full blocks, then the rest
     for r, count in ((L, n // L), (n % L, 1) if mode == FREE else
@@ -380,7 +416,7 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             if block:
                 rho = off % d
                 if rho not in plans:
-                    plans[rho] = _plan(key, zmin, d, mode, alpha, r, rho)
+                    plans[rho] = _plan(key, zmin, d, mode, alpha, r, rho, X)
                 p = plans[rho]
                 s, strip = _split(p, off, cur, d)
                 if strip is not None:       # the far sites, strip zeroed
@@ -389,6 +425,15 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                     far[-lo:size - lo] = cur
                     far[s - lo:s - lo + p.size] = 0.0
                     cur, off, s, size = far, off + d * lo, s - lo, len(far)
+            row = None
+            if X is not None and r > 1:     # from the start, strip zeroed
+                c = X + off
+                if (c % d, r) not in phase_taps:
+                    phase_taps[c % d, r] = _phase_taps(powers, zmin, d,
+                                                       c % d, r)
+                row = _block_row(phase_taps[c % d, r], c, d, cur, X)
+                if block and strip is not None:
+                    row += strip @ p.rows
             b = size + t - 1
             if b > WINDOW_BUDGET:
                 raise WindowOverflow(f"window of {b} sites at step {k + r} "
@@ -439,91 +484,14 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             cur = cur[a:b]
             off += d * a
             k += r
-            yield k, off, cur, absorbed, cut
-
-
-def _blocks(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
-            n: int, X: int, mode: int = FREE):
-    """Yield (k, row, cut, weights) after each advance of the stream of
-    mode (alpha = 1) of _steps, whose (k, cut, weights) these are.
-
-    row[i] is sum_{j=1..r} w_{k-r+j} at the site -X + i, |site| <= X, r
-    the advance's length: the weights of its steps summed.  The row of a
-    one-step advance is read off its window.  The row of a block is one
-    matrix product from the block's start over the sites its steps reach,
-    its strip zeroed, plus, in the absorbed modes, the strip's weights
-    times its summed rows (_strip_rows; see _steps: within a block the far
-    sites evolve freely).  A block's row lies within r times the cut of
-    its start, a one-step row within its step's own cut.
-
-    Step j of a block that starts at offset o holds the indices
-    i = a_j + q, q = 0..Wc-1, of its coset, with a_j = -((X + o +
-    j zmin) // d) the first in [-X, X] and Wc = 2X // d + 1; it sits at
-    column (X + o + j zmin) mod d + d q, its phase plus d q.  With
-    E = max_j a_j, its weight is sum_m T_j[m] w[a_j + q - m] =
-    sum_s T'_j[s] w[E + q - s], where T'_j is T_j, the compressed taps of
-    p^{*j}, shifted right by E - a_j: the same sliding window of w serves
-    every step.  So the steps of one phase sum their T'_j, each entry at
-    most r nonnegative taps, and one product of those rows, at most
-    min(d, r), with the sliding window gives the row, phase by phase.
-    The shifts and phases depend on (X + o) mod d and r alone: one plan
-    each.
-    """
-    d = period(pmf)
-    taps = pmf[::d]
-    key = taps.tobytes()
-    L = _block_len(len(taps), zmin, d, n, mode, offset)
-    powers = _powers(taps, L)
-    Wc = 2 * X // d + 1
-
-    @lru_cache(maxsize=None)
-    def plan(rho: int, r: int):
-        """(first, T, phases) for r-step blocks with X + offset = rho
-        (mod d): first = E + (X + offset) // d, and T[i] the reversed
-        shifted taps of the steps at column phase phases[i], summed in
-        step order."""
-        j = np.arange(1, r + 1)
-        a = -((rho + j * zmin) // d)
-        width = max(a.max() - a_j + len(p) for a_j, p in zip(a, powers))
-        phases, at = np.unique((rho + j * zmin) % d, return_inverse=True)
-        T = np.zeros((len(phases), width))
-        for i, a_j, p in zip(at, a, powers):
-            end = width - (a.max() - a_j)
-            T[i, end - len(p):end] += p[::-1]
-        return int(a.max()), T, phases
-
-    off, cur, k0 = offset, weights, 0
-    for k, nxt_off, nxt, _, cut in _steps(offset, weights, zmin, pmf, n,
-                                          mode, 1.0):
-        r, c = k - k0, X + off
-        if r == 1:
-            row = np.zeros(2 * X + 1)
-            j0 = max(0, -((X + nxt_off) // d))   # nxt[j0..j1] in [-X, X]
-            j1 = min(len(nxt) - 1, (X - nxt_off) // d)
-            if j1 >= j0:
-                x = nxt_off + d * j0 + X
-                row[x:x + d * (j1 - j0) + 1:d] = nxt[j0:j1 + 1]
-        else:
-            first, T, phases = plan(c % d, r)
-            lo = first - c // d - T.shape[1] + 1   # the window's start
-            span = np.zeros(T.shape[1] + Wc - 1)
-            a, b = max(lo, 0), min(lo + len(span), len(cur))
-            if b > a:
-                span[a - lo:b - lo] = cur[a:b]
-            strip = None
-            if mode != FREE:
-                p = _plan(key, zmin, d, mode, 1.0, r, off % d)
-                s, strip = _split(p, off, cur, d)
-                span[max(s - lo, 0):max(s - lo + p.size, 0)] = 0.0
-            by_phase = np.zeros((Wc, d))          # column phase + d q
-            by_phase[:, phases] = (T @ as_strided(  # span[s + q] at (s, q)
-                span, (T.shape[1], Wc), 2 * span.strides,
-                writeable=False)).T
-            row = by_phase.reshape(-1)[:2 * X + 1]
-            if strip is not None:
-                row += strip @ _strip_rows(key, zmin, d, mode, r, off % d, X)
-        yield k, row, cut, nxt
-        off, cur, k0 = nxt_off, nxt, k
+            if X is not None and r == 1:    # the window's sites in [-X, X]
+                row = np.zeros(2 * X + 1)
+                j0 = max(0, -((X + off) // d))
+                j1 = min(len(cur) - 1, (X - off) // d)
+                if j1 >= j0:
+                    x = off + d * j0 + X
+                    row[x:x + d * (j1 - j0) + 1:d] = cur[j0:j1 + 1]
+            yield k, off, cur, absorbed, cut, row
 
 
 def run_dp(
@@ -552,8 +520,8 @@ def run_dp(
     if mode == HALFLINE:
         entry = np.zeros((n, -zmin))
         entry_base = 1 + zmin
-    for k, off, cur, removed, cut in _steps(off, cur, zmin, pmf, n, mode,
-                                            alpha):
+    for k, off, cur, removed, cut, _ in _steps(off, cur, zmin, pmf, n,
+                                               mode, alpha):
         if removed is not None:
             (absorbed if mode == POINT else entry)[k - len(removed):k] = \
                 removed

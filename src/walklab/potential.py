@@ -21,8 +21,8 @@ a_partial_sums.
   groups of steps and summed with Hurwitz zeta functions.  For a law of period d the walk at step k lives
   on k*zmin + dZ, so the DP runs on the law of (Y - zmin)/d and skips only
   sites of exact zero weight.  The free stream advances dp.BLOCK_STEPS
-  steps at a time by one convolution with p^{*L} (dp._steps), and
-  dp._blocks reads the L steps' [-X, X] slices, summed, with one matrix
+  steps at a time by one convolution with p^{*L} (dp._steps), which
+  also yields the L steps' [-X, X] slices, summed, by one matrix
   product from the block's start.  The edges below dp.CUT are cut once a
   block, and a step only averages weights, so p^k at every site lies
   within the mass cut by the start of its block of the uncut DP, and the
@@ -34,7 +34,8 @@ a_partial_sums.
   QR factorisation of the design gives both tail fits; the fit needs at
   least one group per exponent.  time_sums, the one routine that sums a
   DP stream over time, also gives the report's Green partial sums, from
-  the point and half-line streams in blocks.
+  the point and half-line streams in blocks, whose strip plans carry the
+  strip's summed rows (dp._plan).
 """
 
 from __future__ import annotations
@@ -120,12 +121,12 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
     no sum.  A window that empties ends the stream; each later step is
     within its last cut of 0.
 
-    dp._blocks yields one row per advance of the stream, the weights of
-    its r steps summed on [-X, X].  A stream cuts only at the ends of its
-    advances, so the row lies within (r - 1) times the cut before it plus
-    its own.  The rows are added in step order to their group's: every
-    advance starts at a multiple of its length, which divides
-    dp.BLOCK_STEPS and so G, and lies within one group.  Each group's
+    dp._steps, given X, yields one row per advance of the stream, the
+    weights of its r steps summed on [-X, X].  A stream cuts only at the
+    ends of its advances, so the row lies within (r - 1) times the cut
+    before it plus its own.  The rows are added in step order to their
+    group's: every advance starts at a multiple of its length, which
+    divides dp.BLOCK_STEPS and so G, and lies within one group.  Each group's
     terms w_k(0) - w_k(-x) are then taken once, and acc adds them to the
     start's in step order."""
     zmin, pmf = law.pmf_array()
@@ -137,8 +138,8 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
     k = k0 = 0
     cut = cut_sum = 0.0
     cur = np.ones(1)
-    for k, row, row_cut, cur in dp._blocks(start, np.ones(1), zmin, pmf, K,
-                                           X, mode):
+    for k, _, cur, _, row_cut, row in dp._steps(start, np.ones(1), zmin, pmf,
+                                                K, mode, 1.0, X):
         cut_sum += (k - k0 - 1) * cut + row_cut
         cut, k0 = row_cut, k
         rows[(k - 1) // G] += row
@@ -184,7 +185,7 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     gamma_n of its value; gamma_a + gamma_b + gamma_a gamma_b <=
     gamma_(a+b); and n terms added in turn are within gamma_(n-1) times
     the sum of their magnitudes.  Let t be the compressed tap count and
-    L = dp.BLOCK_STEPS.  dp._blocks yields one row per advance, the sum
+    L = dp.BLOCK_STEPS.  dp._steps yields one row per advance, the sum
     R_k of w_j over the advance's r <= L steps, k = bL + r its last.
     Every entry of R_k lies within relative gamma_(n) of that of the
     exact law's, n = k + 2Ltb + L(t+1) + 2Lt <= (2t+1)k + 3Lt + L:

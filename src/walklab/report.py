@@ -116,8 +116,11 @@ def summary_text(reports: list[ComparisonReport],
         parts.append(f"theorem {rep.spec.theorem.value} on {rep.law_name}:")
         for n in rep.spec.ns:
             err = rep.max_rel_err(n)
-            parts.append(f"  n={n}: no rows compared" if err is None
-                         else f"  n={n}: max rel_err {_fmt(err)}")
+            line = (f"  n={n}: no rows compared" if err is None
+                    else f"  n={n}: max rel_err {_fmt(err)}")
+            if n in rep.tail_bounds:
+                line += f", tail bound {_fmt(rep.tail_bounds[n])}"
+            parts.append(line)
         for s in rep.skipped:
             parts.append(f"  skipped: {s}")
     if slopes:

@@ -401,6 +401,7 @@ class ComparisonReport:
     law_name: str
     rows: list[Row] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
+    tail_bounds: dict[int, float] = field(default_factory=dict)  # nu_n's
 
     def max_rel_err(self, n: int) -> float | None:
         """Largest rel_err over the rows at n; None if n compared no rows."""
@@ -438,6 +439,8 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
     (1 + E)/(2 sqrt(2)) of those, so such a start, and every other
     quantity, runs one exact DP per start and n.  A cell whose two sides
     are 0.0 is skipped: every off-coset cell of T11i, T11ii and T13.
+    The nu and particles rows keep the error bound of nu_and_particles
+    per n in tail_bounds, for the summary.
     """
     report = ComparisonReport(spec=spec, law_name=k.law.name)
     th = asymptotics.THEOREMS[spec.theorem]
@@ -446,8 +449,9 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
 
     for n, cells in plan:
         if th.exact in ("nu", "particles"):
-            nu, _, particles = engine.nu_and_particles(k.law, n,
-                                                       ell=spec.ell)
+            nu, tail, particles = engine.nu_and_particles(k.law, n,
+                                                          ell=spec.ell)
+            report.tail_bounds[n] = tail
             exact = nu if th.exact == "nu" else particles
             rv = asymptotics.rhs(spec.theorem, k, 0, 0, n, extras)
             both_zero = exact == 0.0 and abs(rv) < 1e-12

@@ -150,6 +150,23 @@ class TestVerify:
         assert "  n=256: no rows compared" in out
         assert out[-1].startswith("FAIL: no comparable cells at n=256")
 
+    @pytest.mark.parametrize("theorem", ["T15_nu", "C12_particles"])
+    def test_summary_prints_the_nu_tail_bound(self, theorem, law_file,
+                                              tmp_path, capsys):
+        # each n= line carries the error bound nu_and_particles returns;
+        # the table keeps its columns
+        out = tmp_path / "cmp.csv"
+        main(["verify", "--law", law_file, "--theorem", theorem,
+              "--n", "64,256", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        law = load_law(law_file)
+        for n in (64, 256):
+            [line] = [s for s in lines if s.startswith(f"  n={n}: ")]
+            bound = float(line.rsplit(", tail bound ", 1)[1])
+            assert bound == engine.nu_and_particles(law, n)[1]
+        assert out.read_text().splitlines()[0] == \
+            "theorem,law,n,x,y,exact,rhs,rel_err"
+
     def test_entrance_sites_outside_the_profile_are_skipped(
             self, law_file, tmp_path, capsys):
         # l1 enters (-inf, 0] only at -1 and 0: y = -3, -2 lie below the
@@ -341,13 +358,14 @@ def test_import_loads_no_other_library_and_builds_no_plan():
     """Importing the CLI in a fresh process loads, beside the standard
     library, numpy and mpmath (with mpmath's optional gmpy2) only, and
     builds no DP plan: the strip plans and the powers of the taps are
-    built when a stream first needs them."""
+    built when a stream first needs them.  Every cache of dp is read, so
+    none escapes the check."""
     code = ("import sys; before = set(sys.modules); import walklab.cli; "
             "from walklab import dp; "
             "print(sorted({m.split('.')[0] for m in sys.modules} "
             "- {m.split('.')[0] for m in before})); "
-            "print(*(f.cache_info().currsize for f in "
-            "(dp._plan, dp._strip_rows, dp._power_list)))")
+            "print({name: f.cache_info().currsize for name, f in "
+            "vars(dp).items() if hasattr(f, 'cache_info')})")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(walklab.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -355,4 +373,6 @@ def test_import_loads_no_other_library_and_builds_no_plan():
     loaded = set(ast.literal_eval(out[0])) - set(sys.stdlib_module_names)
     assert {"numpy", "mpmath"} <= loaded <= {"numpy", "mpmath", "gmpy2",
                                              "walklab"}
-    assert out[1] == "0 0 0"
+    sizes = ast.literal_eval(out[1])
+    assert {"_plan", "_power_list"} <= set(sizes)
+    assert set(sizes.values()) == {0}

@@ -41,7 +41,7 @@ class TestFree:
             dp.run_dp(0, np.ones(1), zmin, pmf, 100, mode=dp.FREE)
         # the block stream of the partial sums checks it on every advance
         with pytest.raises(WindowOverflow, match="65 sites at step 64"):
-            list(dp._blocks(0, np.ones(1), zmin, pmf, 1024, 5))
+            list(dp._steps(0, np.ones(1), zmin, pmf, 1024, dp.FREE, 1.0, 5))
 
 
 class TestKillAtOrigin:
@@ -282,8 +282,8 @@ def test_cut_takes_only_outer_zero_and_subnormal_runs(srw, monkeypatch):
     monkeypatch.setattr(dp, "BLOCK_STEPS", 1)
     arr = np.array([0.0, 1e-70, 0.5, 1e-310, 0.0, 0.25, 5e-324, 1e-61])
     # one step of the law Y = 0 leaves arr on sites -3..4, then cuts it
-    [(_, off, w, _, cut)] = dp._steps(-3, arr, 0, np.ones(1), 1, dp.FREE,
-                                      1.0)
+    [(_, off, w, _, cut, _)] = dp._steps(-3, arr, 0, np.ones(1), 1, dp.FREE,
+                                         1.0)
     assert (off, list(w)) == (-1, [0.5, 1e-310, 0.0, 0.25])
     assert cut == 1e-70 + 1e-61
     # a period-2 law: the window holds its coset only, with no zeros
@@ -294,7 +294,7 @@ def test_cut_takes_only_outer_zero_and_subnormal_runs(srw, monkeypatch):
     # a window below CUT empties on the first step, ends the stream
     steps = list(dp._steps(0, np.full(3, 1e-70), -1, np.full(3, 1 / 3), 5,
                            dp.FREE, 1.0))
-    assert [(k, len(w)) for k, _, w, _, _ in steps] == [(1, 0)]
+    assert [(k, len(w)) for k, _, w, _, _, _ in steps] == [(1, 0)]
     res = dp.run_dp(0, np.full(3, 1e-70), -1, np.full(3, 1 / 3), 5)
     assert len(res.weights) == 0
     assert res.cut == pytest.approx(3e-70, rel=1e-15)
@@ -651,6 +651,48 @@ def test_widest_point_stream_steps_one_at_a_time():
     assert np.array_equal(got.weights, want.weights)
     assert np.array_equal(got.absorbed, want.absorbed)
     _assert_blocks_match_steps(law, 5, 301, dp.HALFLINE)
+
+
+@_BLOCK_LAWS
+@pytest.mark.parametrize("mode, alpha", _ABSORBED)
+def test_strip_plan_matches_one_step_runs(pairs, mode, alpha):
+    """dp._plan at the law's L and X = 3, site by site: each strip site's
+    killed row, lost masses and summed [-3, 3] rows against a one-step run
+    from that site alone.  Both sum the same nonnegative products in other
+    orders, so they agree within gamma_(3 n_L) (potential._rounding_gamma)
+    of the larger value; nothing is cut within L steps of these laws.  The
+    phases 0, 1, d // 2 and d - 1 of the coset are checked."""
+    law = build_law(pairs, "law")
+    zmin, pmf = law.pmf_array()
+    d = dp.period(pmf)
+    taps, X, w = pmf[::d], 3, 1 if mode == dp.POINT else -zmin
+    L = dp._block_len(len(taps), zmin, d, dp.BLOCK_STEPS, mode, 1)
+    gamma = potential._rounding_gamma(law, L)
+
+    def close(a, b):
+        return (np.abs(a - b) <= gamma * np.maximum(a, b)).all()
+
+    for rho in sorted({0, 1 % d, d // 2, d - 1}):
+        p = dp._plan(taps.tobytes(), zmin, d, mode, alpha, L, rho, X)
+        sites = p.first + L * zmin + d * np.arange(p.killed.shape[1])
+        for i in range(p.size):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(dp, "BLOCK_STEPS", 1)
+                run = list(dp._steps(p.first + d * i, np.ones(1), zmin, pmf,
+                                     L, mode, alpha, X))
+            k, off, cur, _, cut, _ = run[-1]
+            assert (k, cut) == (L, 0.0)
+            end = dp.Window(off, cur, d)
+            assert np.isin(end.sites(), sites).all()
+            assert close(p.killed[i], np.array([end.prob(y) for y in sites]))
+            lost = np.zeros(L * w)
+            lost[p.cols] = p.lost[i]
+            assert close(lost, np.concatenate([np.ravel(a)
+                                               for _, _, _, a, _, _ in run]))
+            rows = np.zeros(2 * X + 1)
+            for *_, row in run:
+                rows += row
+            assert close(p.rows[i], rows)
 
 
 def _assert_time_sums_match_one_step(law, start, mode, X, K):

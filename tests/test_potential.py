@@ -169,14 +169,14 @@ def test_trimmed_table_is_bit_identical(pairs, monkeypatch):
     law = build_law(pairs, "law")
     X, K = 55, 2 ** 12
     widths = []
-    stream = dp._blocks
+    stream = dp._steps
 
     def watched(*args, **kwargs):
         for item in stream(*args, **kwargs):
-            widths.append(len(item[3]))
+            widths.append(len(item[2]))
             yield item
 
-    monkeypatch.setattr(dp, "_blocks", watched)
+    monkeypatch.setattr(dp, "_steps", watched)
     cut = _check_blocks_against_reference(law, X, K)
     # the bound adds twice the cut mass summed over the steps: 0 < it < 1e-50
     assert 0.0 < cut < 1e-50
@@ -243,8 +243,8 @@ def test_time_sums_cut_counts_every_step(l1, mode):
     zmin, pmf = l1.pmf_array()
     start, K = (0 if mode == dp.FREE else 2), 1000
     want, k0, before = 0.0, 0, 0.0
-    for k, _, _, _, cut in dp._steps(start, np.ones(1), zmin, pmf, K, mode,
-                                     1.0):
+    for k, _, _, _, cut, _ in dp._steps(start, np.ones(1), zmin, pmf, K,
+                                        mode, 1.0):
         want += (k - k0 - 1) * before + cut
         k0, before = k, cut
     got = potential.time_sums(l1, start, mode, 3, K)[2]

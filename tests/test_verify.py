@@ -216,8 +216,8 @@ def test_green_sums_after_the_window_empties(pairs, mode, monkeypatch):
     zmin, pmf = law.pmf_array()
     want, ends, err = np.zeros(7), 0, 0.0
     want[3 - 2] = -1.0                      # the start, at x = -2
-    for k, off, cur, _, cut in dp._steps(2, np.ones(1), zmin, pmf, 1024,
-                                         mode, 1.0):
+    for k, off, cur, _, cut, _ in dp._steps(2, np.ones(1), zmin, pmf, 1024,
+                                            mode, 1.0):
         w = dp.Window(off, cur, dp.period(pmf))
         want -= [w.prob(-x) for x in range(-3, 4)]
         ends, err = k, err + cut
