@@ -21,15 +21,16 @@ the law of (Y - zmin)/d.  For d = 1 that is every site and the pmf
 itself.  Every stream advances in blocks of up to BLOCK_STEPS steps
 (see _steps): the free stream by one convolution with p^{*L}, an
 absorbed stream by the same convolution of the sites that cannot reach
-the absorbing set within the block and by cached killed matrices of the
-strip that can.  After every advance the stream cuts the outer runs of
-stored sites whose weight is below CUT = 2^-200, so the window follows
-the mass instead of growing by the span on every step, and it adds the
-weights it cuts to a running cut mass.  Every kernel here is
-substochastic, so a weight cut at step j moves every later site,
-absorbed mass and entrance-law entry by at most that weight: each of
-them lies within the cut mass of the uncut DP, the error the cut
-computes.
+the absorbing set within the block and by killed matrices of the strip
+that can (_plan), built by one walk of the strip and cached by strip,
+so every stream of a strip reads the same plan.  After every advance
+the stream cuts the outer runs of stored sites whose weight is below
+CUT = 2^-200, so the window follows the mass instead of growing by the
+span on every step, and it adds the weights it cuts to a running cut
+mass.  Every kernel here is substochastic, so a weight cut at step j
+moves every later site, absorbed mass and entrance-law entry by at most
+that weight: each of them lies within the cut mass of the uncut DP, the
+error the cut computes.
 
 ``run_dp`` returns the window as the stream stores it, of stride d.  Its
 start lies on one coset as well; a start over several classes (the
@@ -37,7 +38,8 @@ many-start window of ``engine.nu_and_particles``) is one run per class.
 
 Given X, _steps also yields the weights of each advance's steps,
 summed, on the fixed window [-X, X], for the time sums of ``potential``:
-one matrix product per block, plus the strip's share from its plan.
+one matrix product per block, plus the strip's share from its plan,
+whose rows the strip's walk sums as it goes.
 """
 
 from __future__ import annotations
@@ -208,17 +210,31 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=128)      # a stream keeps the plans it uses in a dict
+def _plan_slot(key: bytes, zmin: int, d: int, mode: int, alpha: float,
+               L: int, rho: int) -> list[_Plan | None]:
+    """The cache entry of one strip: a list of one item, which _plan sets
+    in place, the strip's plan or None before its first walk."""
+    return [None]
+
+
 def _plan(key: bytes, zmin: int, d: int, mode: int, alpha: float, L: int,
           rho: int, X: int | None = None) -> _Plan:
     """The strip plan of an L-step block of a POINT or HALFLINE stream
     whose window lies on rho + dZ, np.frombuffer(key) its compressed taps.
+
+    The cache is keyed by the strip, (taps, zmin, d, mode, alpha, L, rho),
+    not by X: a plan walked with rows serves every stream of its strip
+    that reads none, and the strip is walked again only for rows it lacks
+    (none yet, or another X).
 
     The killed walks from the strip's sites (_strip) step L times, as the
     one-step advance of _steps does: walk[q, i] is the weight of the walk
     from site i at column i + q, the site first + j zmin + d(i + q) after
     step j, and its first live rows hold every site the walks reach.  Each
     step removes the mass at the absorbing sites the walks reach (POINT:
-    site 0, with alpha; HALFLINE: the sites 1 + zmin..0).
+    site 0, with alpha; HALFLINE: the sites 1 + zmin..0).  Two buffers
+    take turns as the walk and a third holds a tap's products, so a step
+    allocates no array.
 
     In the frame where column c after the block is the site first + L zmin
     + dc, killed[i] is the weight of the walk from site i after L steps.
@@ -226,52 +242,81 @@ def _plan(key: bytes, zmin: int, d: int, mode: int, alpha: float, L: int,
     cols of the block's absorbed output: (L,), one mass per step, in POINT
     mode, (L, -zmin), site 1 + zmin + e in column e, in HALFLINE mode.
     Given X, rows[i, x + X] is the walk's weight at site x, |x| <= X,
-    summed over the L steps in step order.  Every entry is a sum of
+    summed over the L steps in step order: each step adds the walk, one
+    slice, into a sum per (site, walk) of every site the walks reach, and
+    the rows are read off that sum once.  Every entry is a sum of
     nonnegative products."""
-    taps = np.frombuffer(key)
+    slot = _plan_slot(key, zmin, d, mode, alpha, L, rho)
+    p = slot[0]
+    if p is None or X is not None and (p.rows is None
+                                       or p.rows.shape[1] != 2 * X + 1):
+        p = slot[0] = _walk(np.frombuffer(key), zmin, d, mode, alpha, L,
+                            rho, X)
+    return p
+
+
+def _walk(taps: np.ndarray, zmin: int, d: int, mode: int, alpha: float,
+          L: int, rho: int, X: int | None) -> _Plan:
+    """The plan of _plan, from one walk of the strip, with rows given X."""
     t = len(taps)
     first, size = _strip(zmin, d, t, mode, L, rho)
     w = 1 if mode == POINT else -zmin
+    lost, cols = np.zeros((size, L * w)), []    # at most w sites a step
     walk = np.zeros((L * (t - 1) + 1, size))
     walk[0] = 1.0
-    walks = np.arange(size)[:, None]
-    lost, cols = [np.zeros((size, 0))], []
-    rows = None if X is None else np.zeros((size, 2 * X + 1))
+    nxt, prod = np.zeros_like(walk), np.empty_like(walk)
+    if X is not None:
+        # acc[s - lo, i]: the walk from site i summed at site first + d i
+        # + s, s = j zmin + d q after step j; lo..hi holds every such s and
+        # the s of every site in [-X, X]
+        zmax = zmin + d * (t - 1)
+        lo = min(zmin, L * zmin, -X - first - d * (size - 1))
+        hi = max(zmax, L * zmax, X - first)
+        acc = np.zeros((hi - lo + 1, size))
     for j in range(1, L + 1):
         live = (j - 1) * (t - 1) + 1
-        nxt = np.zeros_like(walk)
-        for m, tap in enumerate(taps):
-            nxt[m:m + live] += tap * walk[:live]
-        walk, live, base = nxt, live + t - 1, first + j * zmin
+        np.multiply(walk[:live], taps[0], out=nxt[:live])
+        nxt[live:live + t - 1] = 0.0
+        for m in range(1, t):
+            np.multiply(walk[:live], taps[m], out=prod[:live])
+            nxt[m:m + live] += prod[:live]
+        walk, nxt, live = nxt, walk, live + t - 1
+        base, flat = first + j * zmin, walk.reshape(-1)
         if mode == POINT:
             c, rem = divmod(-base, d)
             sites = range(c, c + 1 if rem == 0 else c)
         else:
             sites = range(-((base - 1 - zmin) // d), -base // d + 1)
         for c in sites:
-            i = np.arange(max(c - live + 1, 0), min(c + 1, size))
-            q = c - i                       # the walks i at column c
-            if len(i):
-                masses = np.zeros(size)
-                if mode == POINT:
-                    masses[i] = alpha * walk[q, i]
-                    walk[q, i] = (1.0 - alpha) * walk[q, i]
-                else:
-                    masses[i] = walk[q, i]
-                    walk[q, i] = 0.0
-                lost.append(masses[:, None])
-                cols.append((j - 1) * w + (0 if mode == POINT
-                                           else base + d * c - 1 - zmin))
-        if rows is not None:
-            c = np.arange(-((base + X) // d), (X - base) // d + 1)
-            q = c - walks                   # walk i at column c, site x
-            ok = (q >= 0) & (q < live)
-            rows[:, base + d * c + X] += np.where(
-                ok, walk[np.where(ok, q, 0), walks], 0.0)
+            i0, i1 = max(c - live + 1, 0), min(c + 1, size)
+            if i0 >= i1:
+                continue
+            # walk[c - i, i] for i = i1 - 1 down to i0, size - 1 apart
+            a = (c - i1 + 1) * size + i1 - 1
+            at = flat[a:a + (i1 - i0 - 1) * (size - 1) + 1:max(size - 1, 1)]
+            out = lost[i0:i1, len(cols)][::-1]
+            if mode == POINT:
+                np.multiply(at, alpha, out=out)
+                at *= 1.0 - alpha
+            else:
+                out[...] = at
+                at[...] = 0.0
+            cols.append((j - 1) * w + (0 if mode == POINT
+                                       else base + d * c - 1 - zmin))
+        if X is not None:
+            s = j * zmin - lo
+            acc[s:s + d * (live - 1) + 1:d] += walk[:live]
     killed = np.zeros((size, size + L * (t - 1)))
     s0, s1 = killed.strides                 # walk[q, i] at column i + q
     as_strided(killed, walk.shape, (s1, s0 + s1))[...] = walk
-    return _Plan(first, size, killed, np.hstack(lost),
+    rows = None
+    if X is not None:   # rows[i, x + X] = acc[x - first - d i - lo, i],
+        a0, a1 = acc.strides            # read from i = size - 1 down
+        top = acc[-X - first - d * (size - 1) - lo:, size - 1:]
+        rows = np.ascontiguousarray(as_strided(
+            top, (size, 2 * X + 1), (d * a0 - a1, a0), writeable=False)[::-1])
+    return _Plan(first, size, killed,
+                 np.ascontiguousarray(lost[:, :len(cols)]),
                  np.array(cols, dtype=np.intp), rows)
 
 
@@ -288,12 +333,13 @@ def _split(p: _Plan, off: int, cur: np.ndarray, d: int):
     return s, strip
 
 
-def _phase_taps(powers: list[np.ndarray], zmin: int, d: int, rho: int,
-                r: int):
+@lru_cache(maxsize=128)
+def _phase_taps(key: bytes, zmin: int, d: int, rho: int, r: int):
     """(first, T, phases) for the rows of r-step blocks with X + offset =
-    rho (mod d), powers[j - 1] the compressed taps of p^{*j}: first =
+    rho (mod d), np.frombuffer(key) the compressed taps: first =
     E + (X + offset) // d, and T[i] the reversed shifted taps of the steps
     at column phase phases[i], summed in step order (see _steps)."""
+    powers = _powers(np.frombuffer(key), r)
     j = np.arange(1, r + 1)
     a = -((rho + j * zmin) // d)
     width = max(a.max() - a_j + len(p) for a_j, p in zip(a, powers))
@@ -340,10 +386,10 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     window at its start: the strip of sites that can reach the absorbing
     set ({0}, or the sites <= 0) within L steps, and the far sites, which
     cannot.  The far sites advance by the same convolution, the strip by
-    one product with its killed matrix, and the two add (_plan, cached
-    per phase rho = offset mod d).  Every product is of nonnegative
-    numbers, so nothing cancels, and a site the absorption empties holds
-    exactly 0.0.
+    one product with its killed matrix, and the two add (_plan, one per
+    phase rho = offset mod d, cached by strip).  Every product is of
+    nonnegative numbers, so nothing cancels, and a site the absorption
+    empties holds exactly 0.0.
 
     absorbed is the mass removed on the r steps of the advance: an array
     of r masses in POINT mode (0.0 on the steps where site 0 is off the
@@ -371,8 +417,8 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     every step.  So the steps of one phase sum their T'_j, each entry at
     most r nonnegative taps, and one product of those rows, at most
     min(d, r), with the sliding window gives the row, phase by phase.
-    The shifts and phases depend on (X + o) mod d and r alone: the stream
-    builds them once each (_phase_taps).
+    The shifts and phases depend on the law, (X + o) mod d and r alone:
+    they are built once per process for each (_phase_taps).
 
     After the absorption, every advance cuts the outer runs of weights
     below CUT: a step scans inward from each edge only, so it pays for the
@@ -398,7 +444,6 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     L = _block_len(len(taps), zmin, d, n, mode, offset)
     powers = _powers(taps, L)
     plans: dict[int, _Plan] = {}
-    phase_taps: dict[tuple[int, int], tuple] = {}
     cur, off, cut, k = weights, offset, 0.0, 0
     # count advances of r steps: the full blocks, then the rest
     for r, count in ((L, n // L), (n % L, 1) if mode == FREE else
@@ -428,10 +473,8 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             row = None
             if X is not None and r > 1:     # from the start, strip zeroed
                 c = X + off
-                if (c % d, r) not in phase_taps:
-                    phase_taps[c % d, r] = _phase_taps(powers, zmin, d,
-                                                       c % d, r)
-                row = _block_row(phase_taps[c % d, r], c, d, cur, X)
+                row = _block_row(_phase_taps(key, zmin, d, c % d, r), c, d,
+                                 cur, X)
                 if block and strip is not None:
                     row += strip @ p.rows
             b = size + t - 1

@@ -160,7 +160,9 @@ def load_law(path: str) -> StepLaw:
     return build_law(pairs, name=doc.get("name", "law"))
 
 
+@lru_cache(maxsize=None)
 def moments(law: StepLaw) -> Moments:
+    """The law's exact moments; cached, as StepLaw and Moments are frozen."""
     sigma2 = sum(w * z * z for z, w in law.items())
     if sigma2 == 0:
         raise DegenerateLaw("zero variance")

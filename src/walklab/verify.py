@@ -31,6 +31,7 @@ from .laws import StepLaw, lattice_structure, moments
 REL_ERR_FLOOR = 1e-16
 _DP_MODE = {"point": dp.POINT, "halfline": dp.HALFLINE}
 FOURIER_XS = (1, -1, 2, -2, 5, -5, 20, -20, 50, -50, 80, -80)
+GREEN_X, GREEN_Y, GREEN_K = 2, 3, 1024   # the Green checks' x, y and K
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,10 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     The Green checks (with kernels) sum the point and halfline streams
     from 2 over their first 1024 steps (potential.time_sums), outside the
     plan, and bound each Green function's gap to its sum by G(y,y) times
-    the mass left.  Failures are data, not exceptions.
+    the mass left.  Those two streams run first: their strip plans
+    (dp._plan) carry the rows they read, and serve the plan's streams of
+    the same strips, so each strip is walked once.  Failures are data,
+    not exceptions.
     """
     results: list[InvariantResult] = []
     struct = lattice_structure(law)
@@ -139,6 +143,9 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     m, nd, nr, nex = n_big // 2, 256, 257, 48
     oracle = (512,) if law.increments == (-1, 1) else ()
     F, P, H = dp.FREE, dp.POINT, dp.HALFLINE
+    greens = {} if kernels is None else {
+        name: potential.time_sums(law, GREEN_X, mode, GREEN_Y, GREEN_K)
+        for name, mode in _DP_MODE.items()}
     snap = _planned_streams([
         (law, 0, F, (nd, nr, m, n_big - m, n_big) + oracle),
         (law, 1, P, (m, n_big) + oracle), (law, 1, H, (m, n_big)),
@@ -245,13 +252,13 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     if kernels is not None:
         buckets = {"ascending": snap(refl, 1, H, n_big - m),
                    "descending": snap(law, 1, H, m)}
-        _kernel_invariants(law, kernels, results, buckets)
+        _kernel_invariants(law, kernels, results, buckets, greens)
     return results
 
 
 def _kernel_invariants(law: StepLaw, k: WalkKernels,
                        results: list[InvariantResult],
-                       buckets: dict[str, dp.DPResult]):
+                       buckets: dict[str, dp.DPResult], greens: dict):
     sigma2 = k.sigma2()
     table, pair = k.table, k.pair
 
@@ -294,16 +301,16 @@ def _kernel_invariants(law: StepLaw, k: WalkKernels,
         _check(results, name, max(map(abs, gaps)), 1e-10)
 
     # Green functions against their DP sums S_K from x = 2 at y = 3, K =
-    # 1024 rounded down to the period: G(x,y) - S_K = sum_z q^K(x,z) G(z,y)
-    # - q^K(x,y) lies in [0, G(y,y) P_x[T > K]], as G(z,y) <= G(y,y) (the
-    # maximum principle); each side, and the mass left, widened by the cut
-    x, y, K = 2, 3, 1024
+    # 1024 rounded down to the period (greens[name], time_sums' of the
+    # stream): G(x,y) - S_K = sum_z q^K(x,z) G(z,y) - q^K(x,y) lies in
+    # [0, G(y,y) P_x[T > K]], as G(z,y) <= G(y,y) (the maximum principle);
+    # each side, and the mass left, widened by the cut
+    x, y = GREEN_X, GREEN_Y
     for name, fn in (
         ("point", lambda x, y: potential.green_point(table, x, y)),
         ("halfline", lambda x, y: ladder.green_halfline(pair, sigma2, x, y)),
     ):
-        acc, _, cut, mass, _ = potential.time_sums(
-            law, x, _DP_MODE[name], y, K)
+        acc, _, cut, mass, _ = greens[name]
         gap = fn(x, y) + acc[0]             # acc[0], at -y, is -S_K
         bound = fn(y, y) * (mass + cut) + cut
         _check(results, f"green {name} tail bound x={x} y={y}",

@@ -656,16 +656,20 @@ def test_widest_point_stream_steps_one_at_a_time():
 @_BLOCK_LAWS
 @pytest.mark.parametrize("mode, alpha", _ABSORBED)
 def test_strip_plan_matches_one_step_runs(pairs, mode, alpha):
-    """dp._plan at the law's L and X = 3, site by site: each strip site's
-    killed row, lost masses and summed [-3, 3] rows against a one-step run
-    from that site alone.  Both sum the same nonnegative products in other
-    orders, so they agree within gamma_(3 n_L) (potential._rounding_gamma)
-    of the larger value; nothing is cut within L steps of these laws.  The
-    phases 0, 1, d // 2 and d - 1 of the coset are checked."""
+    """dp._plan at the law's L and X = 0, 3 and 55, site by site: each
+    strip site's killed row, lost masses and summed [-X, X] rows against a
+    one-step run from that site alone.  Both sum the same nonnegative
+    products in other orders, so they agree within gamma_(3 n_L)
+    (potential._rounding_gamma) of the larger value; nothing is cut within
+    L steps of these laws.  Each X walks the strip afresh, and its rows
+    are, to the bit, the central columns of the rows for X = 55, its
+    killed, lost and cols those of X = 55; a stream without rows reads
+    the last plan walked.  The phases 0, 1, d // 2 and d - 1 of the coset
+    are checked."""
     law = build_law(pairs, "law")
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)
-    taps, X, w = pmf[::d], 3, 1 if mode == dp.POINT else -zmin
+    taps, Xs, w = pmf[::d], (0, 3, 55), 1 if mode == dp.POINT else -zmin
     L = dp._block_len(len(taps), zmin, d, dp.BLOCK_STEPS, mode, 1)
     gamma = potential._rounding_gamma(law, L)
 
@@ -673,26 +677,41 @@ def test_strip_plan_matches_one_step_runs(pairs, mode, alpha):
         return (np.abs(a - b) <= gamma * np.maximum(a, b)).all()
 
     for rho in sorted({0, 1 % d, d // 2, d - 1}):
-        p = dp._plan(taps.tobytes(), zmin, d, mode, alpha, L, rho, X)
-        sites = p.first + L * zmin + d * np.arange(p.killed.shape[1])
-        for i in range(p.size):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(dp, "BLOCK_STEPS", 1)
-                run = list(dp._steps(p.first + d * i, np.ones(1), zmin, pmf,
-                                     L, mode, alpha, X))
-            k, off, cur, _, cut, _ = run[-1]
-            assert (k, cut) == (L, 0.0)
-            end = dp.Window(off, cur, d)
-            assert np.isin(end.sites(), sites).all()
-            assert close(p.killed[i], np.array([end.prob(y) for y in sites]))
-            lost = np.zeros(L * w)
-            lost[p.cols] = p.lost[i]
-            assert close(lost, np.concatenate([np.ravel(a)
-                                               for _, _, _, a, _, _ in run]))
-            rows = np.zeros(2 * X + 1)
-            for *_, row in run:
-                rows += row
-            assert close(p.rows[i], rows)
+        plans = {}
+        for X in Xs:
+            dp._plan_slot.cache_clear()     # a fresh walk for each X
+            plans[X] = dp._plan(taps.tobytes(), zmin, d, mode, alpha, L,
+                                rho, X)
+        wide = plans[Xs[-1]]
+        for X, p in plans.items():
+            e = Xs[-1] - X
+            assert np.array_equal(p.rows, wide.rows[:, e:e + 2 * X + 1])
+            for a, b in zip(p[:-1], wide[:-1]):
+                assert np.array_equal(a, b)
+        # a stream without rows reads the plan its strip was walked for
+        assert dp._plan(taps.tobytes(), zmin, d, mode, alpha, L,
+                        rho) is wide
+        for X, p in plans.items():
+            sites = p.first + L * zmin + d * np.arange(p.killed.shape[1])
+            for i in range(p.size):
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(dp, "BLOCK_STEPS", 1)
+                    run = list(dp._steps(p.first + d * i, np.ones(1), zmin,
+                                         pmf, L, mode, alpha, X))
+                k, off, cur, _, cut, _ = run[-1]
+                assert (k, cut) == (L, 0.0)
+                end = dp.Window(off, cur, d)
+                assert np.isin(end.sites(), sites).all()
+                assert close(p.killed[i],
+                             np.array([end.prob(y) for y in sites]))
+                lost = np.zeros(L * w)
+                lost[p.cols] = p.lost[i]
+                assert close(lost, np.concatenate(
+                    [np.ravel(a) for _, _, _, a, _, _ in run]))
+                rows = np.zeros(2 * X + 1)
+                for *_, row in run:
+                    rows += row
+                assert close(p.rows[i], rows)
 
 
 def _assert_time_sums_match_one_step(law, start, mode, X, K):

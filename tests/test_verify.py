@@ -119,6 +119,35 @@ class TestInvariantSuite:
             "halfline mass bookkeeping x=1 n=257, reflected law"]
 
 
+@pytest.mark.parametrize("pairs", [L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS],
+                         ids=["l1", "span3", "srw"])
+def test_suite_walks_each_strip_once(pairs, monkeypatch):
+    """The suite walks each strip (dp._plan, keyed by strip) once: the two
+    Green time sums run first and walk their strips with rows, and the
+    row-less streams of the same strips read those plans (span3 visits 3
+    phases).  Its results do not depend on which stream walks a strip
+    first: after a suite without kernels has walked every strip without
+    rows, the Green streams walk theirs again with rows, and the suite
+    reads as it does from an empty cache."""
+    law = build_law(pairs, "law")
+    kernels = build_kernels(law)
+    walk, walks = dp._walk, []
+
+    def counted(taps, zmin, d, mode, alpha, L, rho, X):
+        walks.append((taps.tobytes(), zmin, d, mode, alpha, L, rho))
+        return walk(taps, zmin, d, mode, alpha, L, rho, X)
+
+    monkeypatch.setattr(dp, "_walk", counted)
+    dp._plan_slot.cache_clear()
+    first = invariant_suite(law, kernels)
+    assert walks and len(walks) == len(set(walks))
+    dp._plan_slot.cache_clear()
+    invariant_suite(law)
+    walks.clear()
+    assert invariant_suite(law, kernels) == first
+    assert walks and len(walks) == len(set(walks))
+
+
 def _same(a, b):
     return a is b is None or (a.shape == b.shape
                               and a.tobytes() == b.tobytes())
