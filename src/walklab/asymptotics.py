@@ -2,7 +2,8 @@
 
 THEOREMS holds one entry per limit law the verification harness checks:
 its right-hand side as a pure function of (x, y, n) and the precomputed
-kernels, the exact quantity it is compared with and its domain; T11i,
+kernels, the key of the exact side it is compared with (one record of
+verify.EXACT), its domain and the suffixes of its rows.  T11i,
 T11ii and T13 carry the lattice factor, so both sides of a cell off the
 walk's congruence class are 0.0.  Formulas that contain the free n-step
 probability p^n(y - x) take it exact by default, from
@@ -78,14 +79,16 @@ class Theorem:
     """One limit theorem, everything verify needs to check it."""
 
     id: TheoremId
-    # the exact side verify compares with: the "point", "halfline" or
-    # "r_alpha" kernel, "f_x" = f_x(n), "T" = P_x[T = n], "h" = h_x(n, y),
-    # "Q+" = Q_x^+(n), "nu" = nu_n or "particles" (the expected count)
+    # the key of the exact side verify compares with, in verify.EXACT: the
+    # "point", "halfline" or "r_alpha" kernel, "f_x" = f_x(n), "T" =
+    # P_x[T = n], "h" = h_x(n, y), "Q+" = Q_x^+(n), "nu" = nu_n or
+    # "particles" (the expected count)
     exact: str
     formula: Callable  # (k, x, y, n, _Env) -> right-hand side
     domain: str = ""   # the condition `inside` tests, for the error text
     inside: Callable | None = None   # (x, y, n) -> bool
     gated: bool = False    # needs |x| v |y| <= a_circ sqrt(n*)
+    forms: tuple[str, ...] = ("",)   # row suffixes, a value per form
 
     def check(self, x: int, y: int, n: int, lim: float):
         """Raise ConstraintViolation if the cell lies outside the domain;
@@ -123,11 +126,11 @@ def _entrance(k, x, y, n, e):
 
 
 def _r_alpha(k, x, y, n, e):
-    """P61_ralpha, in both emitted forms."""
+    """P61_ralpha's two forms, with p^n(y - x) and with g_n(|x| + |y|)."""
     alpha = e.extras["alpha"]
     lead = (1.0 - alpha) / alpha * e.s2 * (e.t.a_star(x) + e.t.a_star(-y)) / n
-    return {"p_form": lead * _p_n(k, n, y - x, e.clt),
-            "g_form": lead * e.g.g(n, abs(x) + abs(y))}
+    return (lead * _p_n(k, n, y - x, e.clt),
+            lead * e.g.g(n, abs(x) + abs(y)))
 
 
 def _x_nonzero(x, y, n):
@@ -167,7 +170,7 @@ THEOREMS = {t.id: t for t in (
     Theorem(TheoremId.C12_particles, "particles", lambda k, x, y, n, e:
             0.5 * k.constants.c_plus
             * math.erf(e.extras["ell"] / math.sqrt(2.0))),
-    Theorem(TheoremId.P61_ralpha, "r_alpha", _r_alpha),
+    Theorem(TheoremId.P61_ralpha, "r_alpha", _r_alpha, forms=("_p", "_g")),
     Theorem(TheoremId.ThmA_passage, "f_x", lambda k, x, y, n, e:
             math.sqrt(e.s2) * e.t.a_star(x) * math.exp(-x * x / (
                 2.0 * e.s2 * n)) / (math.sqrt(2.0 * math.pi) * n ** 1.5),
@@ -184,8 +187,8 @@ def rhs(theorem: TheoremId, k: WalkKernels, x: int, y: int, n: int,
         extras: dict | None = None, use_local_clt: bool = False):
     """Evaluate a theorem's asymptotic right-hand side.
 
-    Returns a float for most ids; P61_ralpha returns a dict with both
-    emitted forms ('p_form' uses p^n(y-x), 'g_form' uses g_n(|x|+|y|)).
+    Returns a float, or one float per form of Theorem.forms: P61_ralpha's
+    with p^n(y-x), then with g_n(|x|+|y|).
     """
     s2 = k.sigma2()
     env = _Env(GaussKernel(s2), s2, s2 * n, k.table, extras or {},

@@ -18,15 +18,19 @@ from .kernels import build_kernels
 from .laws import lattice_structure, load_law, moments
 
 
-def _ints(s: str):
-    v = tuple(int(v) for v in s.split(","))
-    if len(set(v)) < len(v):    # a repeated n or y would repeat its rows
+def _distinct(parse, s: str):
+    v = tuple(parse(v) for v in s.split(","))
+    if len(set(v)) < len(v):    # a repeated value would repeat its rows
         raise argparse.ArgumentTypeError(f"{s!r}: need distinct values")
     return v
 
 
+def _ints(s: str):
+    return _distinct(int, s)
+
+
 def _floats(s: str):
-    return tuple(float(v) for v in s.split(","))
+    return _distinct(float, s)
 
 
 # argparse takes a value such as "-0.2,0.2" for an option string and exits

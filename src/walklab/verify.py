@@ -17,7 +17,7 @@ Two entry points:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -416,86 +416,155 @@ class ComparisonReport:
         return max(errs) if errs else None
 
 
-def _rel_err(exact: float, rhs_val: float) -> float:
-    return abs(exact - rhs_val) / max(abs(exact), REL_ERR_FLOOR)
+@dataclass(frozen=True)
+class Exact:
+    """One exact side, the record of EXACT that Theorem.exact names: the
+    cell (x, y) at n reads value(run(law, x, n, spec), n, y).  Where no
+    site of sites(law, y) is reachable from x at n, the run holds 0.0 at
+    every site the value reads, and compare_grid takes 0.0 with no DP."""
+
+    run: Callable     # (law, x, n, spec) -> the exact run from x
+    value: Callable   # (run, n, y) -> the exact side at (n, y)
+    cells: Callable   # (spec, law, n, coord) -> [(x, y, xi, eta), ...]
+    # (law, y) -> the sites whose step-n weight, in the window, the passage
+    # or the entrance law, the value reads (None: no site rule applies)
+    sites: Callable | None = None
+    half_dot: bool = False   # the value is the run's q^n(x, y): _half_dot
+    tail: int | None = None  # the item of the run holding its tail bound
+
+
+def _point(law: StepLaw, x: int, n: int, spec: GridSpec) -> dp.DPResult:
+    return engine.absorbed_at_origin(law, x, n)
+
+
+def _halfline(law: StepLaw, x: int, n: int, spec: GridSpec) -> dp.DPResult:
+    return engine.absorbed_on_halfline(law, x, n)
+
+
+def _r_alpha(law: StepLaw, x: int, n: int, spec: GridSpec):
+    return (engine.partial_absorption(law, spec.alpha, x, n),
+            engine.absorbed_at_origin(law, x, n))
+
+
+def _nu(law: StepLaw, x: int, n: int, spec: GridSpec):
+    return engine.nu_and_particles(law, n, ell=spec.ell)
+
+
+def _starts(spec: GridSpec, n: int, coord):
+    """(x, xi) per xi, lazily: xi's cells share x = max(1, coord(xi, n))."""
+    return ((max(1, coord(xi, n)), xi) for xi in spec.xis)
+
+
+def _scaled(spec: GridSpec, law: StepLaw, n: int, coord) -> list[tuple]:
+    return [(x, coord(eta, n), xi, eta)
+            for x, xi in _starts(spec, n, coord) for eta in spec.etas]
+
+
+def _at_zero(spec: GridSpec, law: StepLaw, n: int, coord) -> list[tuple]:
+    return [(x, 0, xi, 0.0) for x, xi in _starts(spec, n, coord)]
+
+
+def _both_signs(spec: GridSpec, law: StepLaw, n: int, coord) -> list[tuple]:
+    """Both signs of x: the vanishing form (x > 0) and the erf form."""
+    return [(xx, 0, math.copysign(xi, xx), 0.0)
+            for x, xi in _starts(spec, n, coord) for xx in (x, -x)]
+
+
+def _entered(spec: GridSpec, law: StepLaw, n: int, coord) -> list[tuple]:
+    """The ys of --ys, or every site where a half-line run can enter."""
+    return [(x, y, xi, float(y)) for x, xi in _starts(spec, n, coord)
+            for y in spec.ys_literal or range(1 + law.zmin, 1)]
+
+
+def _one_cell(spec: GridSpec, law: StepLaw, n: int, coord) -> list[tuple]:
+    """After nu_tail_bound, which raises where nu_and_particles would."""
+    engine.nu_tail_bound(law, n)
+    return [(0, 0, 0.0, 0.0)]
+
+
+# h's run has an entry column at y exactly where the site rule lists y, as
+# its entry_base is 1 + zmin
+EXACT = {
+    "point": Exact(_point, lambda r, n, y: r.prob(y), _scaled,
+                   lambda law, y: (y,) if y != 0 else (), half_dot=True),
+    "halfline": Exact(_halfline, lambda r, n, y: r.prob(y), _scaled,
+                      lambda law, y: (y,) if y >= 1 else (), half_dot=True),
+    "r_alpha": Exact(_r_alpha, lambda r, n, y: r[0].prob(y) - r[1].prob(y),
+                     _scaled),
+    "f_x": Exact(_point, lambda r, n, y: float(r.absorbed[n - 1]), _at_zero,
+                 lambda law, y: (0,)),
+    "T": Exact(_halfline, lambda r, n, y: float(r.entry[n - 1].sum()),
+               _at_zero, lambda law, y: range(1 + law.zmin, 1)),
+    "h": Exact(_halfline,
+               lambda r, n, y: float(r.entry[n - 1, y - r.entry_base]),
+               _entered,
+               lambda law, y: (y,) if 1 + law.zmin <= y <= 0 else ()),
+    "Q+": Exact(_point, lambda r, n, y: r.restricted_sum(r.offset, -1),
+                _both_signs),
+    "nu": Exact(_nu, lambda r, n, y: r[0], _one_cell, tail=1),
+    "particles": Exact(_nu, lambda r, n, y: r[2], _one_cell, tail=1),
+}
 
 
 def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
-    """Compare a theorem's right-hand side with the exact quantity on every
-    cell of the grid, in two passes.
+    """Compare a theorem's right-hand side with its exact side, the record
+    EXACT[Theorem.exact], on every cell of the grid, in two passes.
 
     The plan (_plan) lists the cells (n, x, y, xi, eta), checks each
     against the theorem's domain (Theorem.check) and evaluates its
     right-hand side with the local-CLT surrogate for p^n, which reads the
-    same potential-table, harmonic-pair and entrance-law sites as the
-    exact form and runs no DP.  So a scaled coordinate outside
-    [-2^53, 2^53] or a cell outside the domain (ConstraintViolation), a
-    formula that reads a table outside its window (OutOfWindow) or a nu_n
-    tail that cannot be bounded (TailNotNegligible) stops the grid before
-    the first DP, with the error of the first such cell in grid order.
-    The evaluation then takes the exact side of each cell and the exact
-    right-hand side, and emits rows and skips in grid order.
+    same table, pair and entrance-law sites as the exact form and runs no
+    DP.  So a scaled coordinate outside [-2^53, 2^53] or a cell outside
+    the domain (ConstraintViolation), a formula that reads a table outside
+    its window (OutOfWindow) or a nu_n tail that cannot be bounded
+    (TailNotNegligible) stops the grid before the first DP, with the error
+    of the first such cell in grid order.  The evaluation then takes both
+    exact sides of each cell, and emits rows and skips in grid order.
 
     A cell whose exact side reads only sites where the n-step run holds
-    nothing (_read_sites: off the walk's congruence class at n, or where
-    the run never puts mass) reads 0.0, as the DP gives there, with no
-    DP.  Otherwise, a point or halfline cell whose y is the only y of its
+    nothing (Exact.sites) reads 0.0, as the DP gives there, with no DP.
+    Otherwise, a point or halfline cell whose y is the only y of its
     start x at n takes its exact side as the dot of two half runs
     (_half_dot): n steps in all, but about 1/sqrt(2) of the n-step run's
     site-steps, which grow like n^1.5.  E > 1 distinct ys would cost
-    (1 + E)/(2 sqrt(2)) of those, so such a start, and every other
-    quantity, runs one exact DP per start and n.  A cell whose two sides
-    are 0.0 is skipped: every off-coset cell of T11i, T11ii and T13.
-    The nu and particles rows keep the error bound of nu_and_particles
-    per n in tail_bounds, for the summary.
+    (1 + E)/(2 sqrt(2)) of those, so such a start, and every other exact
+    side, runs one exact DP per start and n.  A cell whose two sides are
+    0.0 is skipped: every off-coset cell of T11i, T11ii and T13, and the
+    nu and particles cells of a left-continuous law (C+ = 0.0).  Their
+    tail bounds go to tail_bounds, and P61_ralpha emits a row per form.
     """
     report = ComparisonReport(spec=spec, law_name=k.law.name)
     th = asymptotics.THEOREMS[spec.theorem]
+    ex = EXACT[th.exact]
     extras = {"alpha": spec.alpha, "ell": spec.ell}
-    plan = _plan(spec, k, extras)
-
-    for n, cells in plan:
-        if th.exact in ("nu", "particles"):
-            nu, tail, particles = engine.nu_and_particles(k.law, n,
-                                                          ell=spec.ell)
-            report.tail_bounds[n] = tail
-            exact = nu if th.exact == "nu" else particles
-            rv = asymptotics.rhs(spec.theorem, k, 0, 0, n, extras)
-            both_zero = exact == 0.0 and abs(rv) < 1e-12
-            if both_zero:
-                report.skipped.append(f"{th.id.value} n={n}: exact = rhs = 0")
-            report.rows.append(Row(
-                th.id.value, k.law.name, n, 0, 0, exact, rv,
-                0.0 if both_zero else _rel_err(exact, rv)))
-            continue
+    for n, cells in _plan(spec, k, ex, extras):
         runs: dict = {}
         ys = {x: {c[1] for c in cells if c[0] == x} for x, *_ in cells}
         for x, y, xi, eta in cells:
-            sites = _read_sites(th.exact, k.law, y)
-            if sites is not None and not any(
-                    k.structure.reachable(n, z - x) for z in sites):
+            if ex.sites and not any(k.structure.reachable(n, z - x)
+                                    for z in ex.sites(k.law, y)):
                 exact = 0.0
-            elif th.exact in _DP_MODE and len(ys[x]) == 1:
-                exact = _half_dot(th.exact, k.law, x, y, n, runs)
+            elif ex.half_dot and len(ys[x]) == 1:
+                exact = _half_dot(ex.run, k.law, x, y, n, runs)
             else:
                 if x not in runs:
-                    runs[x] = _exact_run(th.exact, k.law, x, n, spec.alpha)
-                exact = _exact_value(th.exact, runs[x], n, y)
+                    runs[x] = ex.run(k.law, x, n, spec)
+                exact = ex.value(runs[x], n, y)
+                if ex.tail is not None:
+                    report.tail_bounds[n] = runs[x][ex.tail]
             rv = asymptotics.rhs(spec.theorem, k, x, y, n, extras)
-            # P61_ralpha emits both of its forms, as rows _p and _g
-            forms = ((("_p", rv["p_form"]), ("_g", rv["g_form"]))
-                     if isinstance(rv, dict) else (("", rv),))
-            for suffix, v in forms:
+            for suffix, v in zip(th.forms, rv if len(th.forms) > 1
+                                 else (rv,)):
                 _append(report, th, k, n, x, y, exact, v, xi, eta, suffix)
     return report
 
 
-def _plan(spec: GridSpec, k: WalkKernels,
+def _plan(spec: GridSpec, k: WalkKernels, ex: Exact,
           extras: dict) -> list[tuple[int, list[tuple]]]:
     """[(n, [(x, y, xi, eta), ...]) for n in spec.ns]: every cell of the
-    grid, each checked and its right-hand side evaluated with no DP (see
-    compare_grid).  The cells of one xi share the start x, which is
-    max(1, round(xi sqrt(sigma2 n))), so a negative xi is refused."""
+    grid (ex.cells), each checked and its right-hand side evaluated with
+    no DP (see compare_grid).  A negative xi is refused: its start,
+    max(1, round(xi sqrt(sigma2 n))), would be 1 at every n."""
     for xi in spec.xis:
         if xi < 0:
             raise ConstraintViolation(
@@ -527,12 +596,7 @@ def _plan(spec: GridSpec, k: WalkKernels,
 
     plan = []
     for n in spec.ns:
-        if th.exact in ("nu", "particles"):
-            engine.nu_tail_bound(k.law, n)
-            cells = [(0, 0, 0.0, 0.0)]
-        else:
-            cells = [c for xi in spec.xis
-                     for c in _cells(th.exact, spec, k, n, xi, coord)]
+        cells = ex.cells(spec, k.law, n, coord)
         lim = spec.a_circ * math.sqrt(sigma2 * n)
         for x, y, _, _ in cells:
             th.check(x, y, n, lim)
@@ -542,82 +606,17 @@ def _plan(spec: GridSpec, k: WalkKernels,
     return plan
 
 
-def _cells(quantity: str, spec: GridSpec, k: WalkKernels, n: int, xi: float,
-           coord) -> list[tuple]:
-    """(x, y, xi, eta) of every cell at xi and n; all but those of Q+
-    share the start x."""
-    x = max(1, coord(xi, n))
-    if quantity == "Q+":
-        # both signs of x: the vanishing form (x > 0) and the erf form
-        return [(xx, 0, math.copysign(xi, xx), 0.0) for xx in (x, -x)]
-    if quantity in ("f_x", "T"):
-        return [(x, 0, xi, 0.0)]
-    if quantity == "h":
-        # a half-line run enters (-inf, 0] at 1 + zmin..0 only
-        return [(x, y, xi, float(y))
-                for y in spec.ys_literal or range(1 + k.law.zmin, 1)]
-    return [(x, coord(eta, n), xi, eta) for eta in spec.etas]
-
-
-def _read_sites(quantity: str, law: StepLaw, y: int):
-    """The sites whose step-n weight the exact side of a cell at y reads,
-    in the run's window (point, halfline), its passage law (f_x: site 0)
-    or its entrance law (T: every entry site 1 + zmin..0; h: y); the run
-    gives 0.0 everywhere else.  None for Q+ and r_alpha, which no site
-    rule covers."""
-    if quantity == "point":
-        return (y,) if y != 0 else ()
-    if quantity == "halfline":
-        return (y,) if y >= 1 else ()
-    if quantity == "f_x":
-        return (0,)
-    if quantity == "T":
-        return range(1 + law.zmin, 1)
-    if quantity == "h":
-        return (y,) if 1 + law.zmin <= y <= 0 else ()
-    return None
-
-
-def _exact_run(quantity: str, law: StepLaw, x: int, n: int,
-               alpha: float = 1.0):
-    """The exact run from x that quantity reads at n; for r_alpha the
-    pair (q_alpha^n, q^n)."""
-    if quantity == "r_alpha":
-        return (engine.partial_absorption(law, alpha, x, n),
-                engine.absorbed_at_origin(law, x, n))
-    if quantity in ("point", "f_x", "Q+"):
-        return engine.absorbed_at_origin(law, x, n)
-    return engine.absorbed_on_halfline(law, x, n)
-
-
-def _half_dot(quantity: str, law: StepLaw, x: int, y: int, n: int,
+def _half_dot(run, law: StepLaw, x: int, y: int, n: int,
               runs: dict) -> float:
     """q^n(x, y) = sum_z q^(n-m)(x, z) q~^m(y, z), m = n // 2, of the point
-    (x, y != 0) or halfline (x, y >= 1) kernel, q~ that of the reflected
-    law: by time reversal q^m(z, y) = q~^m(y, z).  runs caches the half
-    from x under ("x", x) and the half from y under ("y", y)."""
+    (x, y != 0) or halfline (x, y >= 1) kernel, whose run reads no spec,
+    q~ that of the reflected law: by time reversal q^m(z, y) = q~^m(y, z).
+    runs caches the half from x under ("x", x), from y under ("y", y)."""
     for key, lw, steps in ((("x", x), law, n - n // 2),
                            (("y", y), law.reflected(), n // 2)):
         if key not in runs:
-            runs[key] = _exact_run(quantity, lw, key[1], steps)
+            runs[key] = run(lw, key[1], steps, None)
     return runs["x", x].dot(runs["y", y])
-
-
-def _exact_value(quantity: str, dist, n: int, y: int) -> float:
-    """The exact quantity at (n, y) from the run of _exact_run."""
-    if quantity == "r_alpha":
-        return dist[0].prob(y) - dist[1].prob(y)
-    if quantity == "Q+":
-        return dist.restricted_sum(dist.offset, -1)
-    if quantity == "f_x":
-        return float(dist.absorbed[n - 1])
-    if quantity == "T":
-        return float(dist.entry[n - 1].sum())
-    if quantity == "h":
-        # entry holds the sites entry_base..0; any other y is never entered
-        return (float(dist.entry[n - 1, y - dist.entry_base])
-                if dist.entry_base <= y <= 0 else 0.0)
-    return dist.prob(y)
 
 
 def _append(report: ComparisonReport, th: asymptotics.Theorem,
@@ -626,8 +625,9 @@ def _append(report: ComparisonReport, th: asymptotics.Theorem,
     if exact == 0.0 and rv == 0.0:
         report.skipped.append(f"{name} n={n} x={x} y={y}: exact = rhs = 0")
         return
+    rel_err = abs(exact - rv) / max(abs(exact), REL_ERR_FLOOR)
     report.rows.append(Row(name, k.law.name, n, x, y, float(exact),
-                           float(rv), _rel_err(exact, rv), xi, eta))
+                           float(rv), rel_err, xi, eta))
 
 
 @dataclass

@@ -114,13 +114,13 @@ class TestEvaluators:
         n, x, y = 1024, 6, -6
         forms = rhs(TheoremId.P61_ralpha, l1_kernels, x, y, n,
                     {"alpha": 0.5}, use_local_clt=True)
-        assert forms["p_form"] == pytest.approx(forms["g_form"], rel=1e-12)
+        assert forms[0] == pytest.approx(forms[1], rel=1e-12)
 
     def test_two_forms_differ_same_sign(self, l1_kernels):
         n, x, y = 1024, 6, 6
         forms = rhs(TheoremId.P61_ralpha, l1_kernels, x, y, n,
                     {"alpha": 0.5}, use_local_clt=True)
-        assert forms["p_form"] != pytest.approx(forms["g_form"], rel=1e-3)
+        assert forms[0] != pytest.approx(forms[1], rel=1e-3)
 
     def test_reflection_swap_symmetry(self, l1_kernels, span3_kernels):
         # rhs(T13) at (x,y) under p equals rhs(T13) at (y,x) under the

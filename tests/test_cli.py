@@ -215,6 +215,23 @@ class TestVerify:
         assert slopes[0].endswith("final rel_err 0.00013513446915443462")
         assert slopes[1].endswith("final rel_err 0.0031900786990532283")
 
+    def test_left_continuous_nu_compares_nothing(self, tmp_path, capsys):
+        # C+ = 0 on srw: nu_n and its limit are both 0.0 at every n, so every
+        # cell is skipped and the grid fails as one that compares nothing
+        law = tmp_path / "srw.json"
+        law.write_text(json.dumps(
+            {"name": "srw", "pairs": [[-1, "1/2"], [1, "1/2"]]}))
+        out = tmp_path / "cmp.csv"
+        rc = main(["verify", "--law", str(law), "--theorem", "T15_nu",
+                   "--n", "64,256", "--out", str(out)])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "FAIL: no comparable cells at n=256 (2 skipped)"
+        assert [s for s in lines if s.startswith("  skipped: ")] == [
+            f"  skipped: T15_nu n={n} x=0 y=0: exact = rhs = 0"
+            for n in (64, 256)]
+        assert out.read_text() == "theorem,law,n,x,y,exact,rhs,rel_err\n"
+
     def test_unknown_theorem_is_usage_error(self, law_file, tmp_path):
         with pytest.raises(SystemExit) as e:
             main(["verify", "--law", law_file, "--theorem", "nope",
@@ -341,6 +358,13 @@ class TestReport:
     (["verify", "--theorem", "T11i", "--n", "64,256", "--xi", "-0.1,0.2"],
      1, "error: ConstraintViolation: xi = -0.1 < 0: a grid's start "
      "x = xi sqrt(sigma2 n) needs xi >= 0"),
+    # so would a repeated xi or eta; 0 and -0 are one value
+    (["verify", "--theorem", "C11", "--n", "64", "--xi", "0.2,0.2"], 2,
+     "argument --xi: '0.2,0.2': need distinct values"),
+    (["verify", "--theorem", "P12_Qplus", "--n", "64", "--xi", "0,-0"], 2,
+     "argument --xi: '0,-0': need distinct values"),
+    (["verify", "--theorem", "T11ii", "--n", "64", "--eta", "0.2,0.5,0.2"],
+     2, "argument --eta: '0.2,0.5,0.2': need distinct values"),
 ])
 def test_bad_input_is_a_typed_error(argv, code, message, law_file, tmp_path,
                                     capsys):

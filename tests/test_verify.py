@@ -12,9 +12,10 @@ from walklab.asymptotics import THEOREMS, TheoremId
 from walklab.errors import (ConstraintViolation, OutOfWindow,
                             TailNotNegligible, WalklabError)
 from walklab.kernels import build_kernels
+from walklab.laws import lattice_structure
 from walklab.report import csv_text, emit_comparison, summary_text
-from walklab.verify import (GridSpec, _exact_run, _exact_value, _half_dot,
-                            _stream, compare_grid, convergence_report,
+from walklab.verify import (EXACT, GridSpec, _half_dot, _stream,
+                            compare_grid, convergence_report,
                             invariant_suite)
 
 from conftest import (DEEP_PAIRS, L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS,
@@ -320,6 +321,11 @@ class TestTheoremTable:
         assert set(THEOREMS) == set(TheoremId)
         assert all(t.id is i for i, t in THEOREMS.items())
 
+    def test_every_exact_side_is_one_record(self):
+        # each theorem names a record of verify.EXACT, and each record is
+        # named by some theorem
+        assert {t.exact for t in THEOREMS.values()} == set(EXACT)
+
     @pytest.mark.parametrize("theorem", list(TheoremId),
                              ids=lambda t: t.value)
     def test_every_theorem_compares(self, theorem, l1_kernels):
@@ -436,7 +442,7 @@ class TestPlan:
         those cells read 0.0 with no DP, and only n = 1024 runs one.  Every
         row reads the value of the n-step run."""
         spec = GridSpec(theorem)
-        quantity = THEOREMS[theorem].exact
+        ex = EXACT[THEOREMS[theorem].exact]
         steps, streams = dp._steps, []
 
         def counted(*args, **kwargs):
@@ -447,8 +453,7 @@ class TestPlan:
         rep = compare_grid(spec, span3_kernels)
         assert streams == [1024]
         monkeypatch.setattr(dp, "_steps", steps)
-        exact = {n: _exact_value(quantity, _exact_run(quantity, span3, x, n),
-                                 n, 0)
+        exact = {n: ex.value(ex.run(span3, x, n, spec), n, 0)
                  for n, x in ((256, 5), (1024, 10), (4096, 20))}
         assert exact[256] == exact[4096] == 0.0 < exact[1024]
         assert len(rep.rows) + len(rep.skipped) == 3
@@ -472,8 +477,8 @@ def test_half_dot_is_the_single_run(law, n, x, y, flip, quantity):
     ulps plus the halves' cut of the rational DP."""
     y = -y if quantity == "point" and flip else y
     runs = {}
-    got = _half_dot(quantity, law, x, y, n, runs)
-    run = _exact_run(quantity, law, x, n)
+    got = _half_dot(EXACT[quantity].run, law, x, y, n, runs)
+    run = EXACT[quantity].run(law, x, n, None)
     eps = np.finfo(np.float64).eps
     cut = runs["x", x].cut + runs["y", y].cut
     assert cut + run.cut < 1e-50
@@ -482,6 +487,33 @@ def test_half_dot_is_the_single_run(law, n, x, y, flip, quantity):
     if quantity == "point" and n <= 48:
         v = float(engine.absorbed_at_origin_exact(law, x, n)[0].get(y, 0))
         assert abs(got - v) <= n * eps * v + cut
+
+
+@settings(max_examples=80, deadline=None)
+@given(law=st.one_of(zero_mean_laws(), periodic_laws()),
+       n=st.integers(1, 600), x=st.integers(1, 40), y=st.integers(-12, 40))
+@example(law=build_law(SPAN3_PAIRS, "span3"), n=256, x=5, y=0)
+@example(law=build_law(PERIOD2_PAIRS, "period2"), n=7, x=3, y=-1)
+def test_site_rule_zero_is_the_runs_value(law, n, x, y):
+    """Wherever a record's site rule lists no site that the walk from x
+    reaches at n, the value its n-step run gives at (n, y) is exactly
+    0.0, the value compare_grid takes there with no DP.  The one value
+    with no column outside its sites, h at y outside 1 + zmin..0, reads
+    a run whose entry columns are exactly 1 + zmin..0."""
+    struct = lattice_structure(law)
+    runs = {}
+    for key, ex in EXACT.items():
+        if ex.sites is None or any(struct.reachable(n, z - x)
+                                   for z in ex.sites(law, y)):
+            continue
+        if ex.run not in runs:
+            runs[ex.run] = ex.run(law, x, n, None)
+        run = runs[ex.run]
+        if key == "h" and not 1 + law.zmin <= y <= 0:
+            assert run.entry_base == 1 + law.zmin
+            assert run.entry.shape == (n, -law.zmin)
+            continue
+        assert ex.value(run, n, y) == 0.0, key
 
 
 @pytest.fixture(scope="session")
@@ -531,10 +563,15 @@ class TestCompareGrid:
         assert xs == [xs[0], 2 * xs[0], 4 * xs[0]]
 
     def test_unit_walk_nu_degenerate_cells_skipped(self, srw_kernels):
-        rep = compare_grid(GridSpec(TheoremId.T15_nu, ns=(256,)),
-                           srw_kernels)
-        assert rep.skipped
-        assert all(r.rel_err == 0.0 for r in rep.rows)
+        # C+ = 0.0 on a left-continuous law, and so is nu_n: each n's one
+        # cell is skipped, as every cell whose two sides are 0.0 is
+        for theorem in (TheoremId.T15_nu, TheoremId.C12_particles):
+            rep = compare_grid(GridSpec(theorem, ns=(64, 256)), srw_kernels)
+            assert rep.rows == []
+            assert rep.skipped == [
+                f"{theorem.value} n={n} x=0 y=0: exact = rhs = 0"
+                for n in (64, 256)]
+            assert set(rep.tail_bounds) == {64, 256}
 
     def test_determinism(self, l1_kernels):
         spec = GridSpec(TheoremId.T13, ns=(256, 1024))
