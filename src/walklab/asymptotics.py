@@ -6,13 +6,13 @@ kernels, the key of the exact side it is compared with (one record of
 verify.EXACT), its domain and the suffixes of its rows.  T11i,
 T11ii and T13 carry the lattice factor, so both sides of a cell off the
 walk's congruence class are 0.0.  Formulas that contain the free n-step
-probability p^n(y - x) take it exact by default, from
-WalkKernels.p_n_at: the Chapman-Kolmogorov dot of the two cached
-half-length free windows.  Pass use_local_clt=True to substitute the
-Gaussian surrogate d * g_n(y - x) * 1(reachable), which isolates
-local-CLT error from limit-theorem error in reports; it reads the same
-table, pair and entrance-law sites as the exact form with no DP, so
-verify's grid plan uses it to find a failing cell before any DP runs.
+probability p^n(y - x) take it by default from potential.p_fourier, the
+tilted Fourier rule, which runs no DP and bounds its own error.  Pass
+use_local_clt=True to substitute the Gaussian surrogate
+d * g_n(y - x) * 1(reachable), which isolates local-CLT error from
+limit-theorem error in reports; it reads the same table, pair and
+entrance-law sites as the exact form, so verify's grid plan uses it to
+find a failing cell before any exact side runs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ConstraintViolation
 from .kernels import WalkKernels
-from .potential import PotentialTable
+from .potential import PotentialTable, p_fourier
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,8 @@ class Theorem:
     inside: Callable | None = None   # (x, y, n) -> bool
     gated: bool = False    # needs |x| v |y| <= a_circ sqrt(n*)
     forms: tuple[str, ...] = ("",)   # row suffixes, a value per form
+    # the GridSpec fields the formula reads, by name, from _Env.extras
+    extras: tuple[str, ...] = ()
 
     def check(self, x: int, y: int, n: int, lim: float):
         """Raise ConstraintViolation if the cell lies outside the domain;
@@ -116,7 +118,7 @@ def _p_n(k: WalkKernels, n: int, displacement: int,
     if use_local_clt:
         return _lattice(k, n, displacement,
                         GaussKernel(k.sigma2()).g(n, displacement))
-    return k.p_n_at(n, displacement)
+    return p_fourier(k.law, n, displacement)[0]
 
 
 def _entrance(k, x, y, n, e):
@@ -169,8 +171,9 @@ THEOREMS = {t.id: t for t in (
             0.5 * k.constants.c_plus),
     Theorem(TheoremId.C12_particles, "particles", lambda k, x, y, n, e:
             0.5 * k.constants.c_plus
-            * math.erf(e.extras["ell"] / math.sqrt(2.0))),
-    Theorem(TheoremId.P61_ralpha, "r_alpha", _r_alpha, forms=("_p", "_g")),
+            * math.erf(e.extras["ell"] / math.sqrt(2.0)), extras=("ell",)),
+    Theorem(TheoremId.P61_ralpha, "r_alpha", _r_alpha, forms=("_p", "_g"),
+            extras=("alpha",)),
     Theorem(TheoremId.ThmA_passage, "f_x", lambda k, x, y, n, e:
             math.sqrt(e.s2) * e.t.a_star(x) * math.exp(-x * x / (
                 2.0 * e.s2 * n)) / (math.sqrt(2.0 * math.pi) * n ** 1.5),

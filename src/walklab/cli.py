@@ -90,25 +90,28 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--pair-window", default=400,
                    type=_where(int, lambda x: x >= 1, "pair window >= 1"))
 
+    # a grid flag not given keeps GridSpec's default: each sets the field
+    # it names as dest
     w = sub.add_parser("verify", help="compare a limit theorem against "
-                                      "the exact engine on a scaled grid")
+                                      "the exact engine on a scaled grid",
+                       argument_default=argparse.SUPPRESS)
     w.add_argument("--law", required=True)
     w.add_argument("--theorem", required=True,
                    choices=[t.value for t in TheoremId])
-    w.add_argument("--xi", type=_where(_floats, math.isfinite, "finite xi"),
-                   default=(0.2,))
-    w.add_argument("--eta", type=_where(_floats, math.isfinite, "finite eta"),
-                   default=(0.2,))
-    w.add_argument("--n", type=_where(_ints, lambda n: n >= 1, "n >= 1"),
-                   default=(256, 1024, 4096))
-    w.add_argument("--alpha", default=0.5, type=_where(
+    w.add_argument("--xi", dest="xis",
+                   type=_where(_floats, math.isfinite, "finite xi"))
+    w.add_argument("--eta", dest="etas",
+                   type=_where(_floats, math.isfinite, "finite eta"))
+    w.add_argument("--n", dest="ns",
+                   type=_where(_ints, lambda n: n >= 1, "n >= 1"))
+    w.add_argument("--alpha", type=_where(
         float, lambda a: 0.0 < a <= 1.0, "0 < alpha <= 1"))
-    w.add_argument("--ell", default=1.0, type=_where(
+    w.add_argument("--ell", type=_where(
         _where(float, math.isfinite, "finite ell"), lambda e: e > 0.0,
         "ell > 0"))
-    w.add_argument("--a-circ", default=2.0, type=_where(
+    w.add_argument("--a-circ", dest="a_circ", type=_where(
         float, lambda a: math.isfinite(a) and a > 0.0, "finite a_circ > 0"))
-    w.add_argument("--ys", type=_ints, default=None,
+    w.add_argument("--ys", dest="ys_literal", type=_ints,
                    help="literal y values (entrance-law theorems)")
     w.add_argument("--tol", default=0.15, type=_where(
         float, lambda t: math.isfinite(t) and t >= 0.0, "finite tol >= 0"),
@@ -165,13 +168,26 @@ def cmd_kernels(args) -> int:
     return 0
 
 
+# the flag of each GridSpec field a theorem may not read
+GRID_FLAGS = {"xis": "--xi", "etas": "--eta", "ys_literal": "--ys",
+              "alpha": "--alpha", "ell": "--ell", "a_circ": "--a-circ"}
+
+
+def _grid_spec(args, parser: argparse.ArgumentParser) -> verify.GridSpec:
+    """The verify grid of the flags given; a flag whose value the theorem
+    would drop (verify.unread_fields) is a usage error."""
+    spec = verify.GridSpec(TheoremId(args.theorem), **{
+        f: getattr(args, f) for f in ("ns", *GRID_FLAGS) if hasattr(args, f)})
+    for f in verify.unread_fields(spec):
+        parser.error(f"argument {GRID_FLAGS[f]}: {args.theorem} does not "
+                     f"read it")
+    return spec
+
+
 def cmd_verify(args) -> int:
     law = load_law(args.law)
     k = build_kernels(law)
-    spec = verify.GridSpec(
-        theorem=TheoremId(args.theorem), ns=args.n, xis=args.xi,
-        etas=args.eta, a_circ=args.a_circ, alpha=args.alpha, ell=args.ell,
-        ys_literal=args.ys)
+    spec = args.spec
     rep = verify.compare_grid(spec, k)
     slopes = verify.convergence_report([rep])
     report.emit_comparison(rep, args.out)
@@ -179,16 +195,17 @@ def cmd_verify(args) -> int:
     if args.summary:
         report.atomic_write(args.summary, text)
     print(text, end="")
-    final_err = rep.max_rel_err(max(args.n))
+    n = max(spec.ns)
+    final_err = rep.max_rel_err(n)
     if final_err is None:
-        print(f"FAIL: no comparable cells at n={max(args.n)} "
+        print(f"FAIL: no comparable cells at n={n} "
               f"({len(rep.skipped)} skipped)")
         return 1
     if final_err > args.tol:
-        print(f"FAIL: max rel_err {final_err:.3g} at n={max(args.n)} "
+        print(f"FAIL: max rel_err {final_err:.3g} at n={n} "
               f"exceeds tol {args.tol}")
         return 1
-    print(f"PASS: max rel_err {final_err:.3g} at n={max(args.n)}")
+    print(f"PASS: max rel_err {final_err:.3g} at n={n}")
     return 0
 
 
@@ -203,8 +220,11 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(
+    parser = build_parser()
+    args = parser.parse_args(
         _join_signed(sys.argv[1:] if argv is None else list(argv)))
+    if args.command == "verify":
+        args.spec = _grid_spec(args, parser)
     handlers = {"validate": cmd_validate, "compute": cmd_compute,
                 "kernels": cmd_kernels, "verify": cmd_verify,
                 "report": cmd_report}

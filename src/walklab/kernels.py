@@ -1,10 +1,14 @@
 """One-stop bundle of everything a law's asymptotic formulas need.
 
 build_kernels precomputes the potential table, harmonic pair, entrance
-laws, and constants for a law.  The bundle caches exact free
-distributions p^n(0, .) per step count, and reads one free value
-p^n(0, z) as the Chapman-Kolmogorov dot of two half-length windows,
-which costs about a third of the full-length DP.
+laws, and constants for a law.  The bundle also keeps the DP route to
+the free kernel: it caches exact free distributions p^n(0, .) per step
+count (p_n), and reads one free value p^n(0, z) as the
+Chapman-Kolmogorov dot of two half-length windows (p_n_at), which costs
+about a third of the full-length DP.  The right-hand sides read p^n from
+the DP-free route, potential.p_fourier, so no library code calls p_n or
+p_n_at; they stay until the benchmark, which traces p_n, is refreshed
+(ROADMAP item 7).
 """
 
 from __future__ import annotations

@@ -100,6 +100,194 @@ def a_fourier(law: StepLaw, x: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Free kernel by a tilted Fourier rule.
+
+U = 2.0 ** -53      # unit roundoff
+# relative error of numpy's float64 exp, log, log1p, sin, cos and arctan2:
+# NumPy documents at most 4 ulp for its vectorised transcendentals, and an
+# ulp of v is at most 2u|v|
+FN_ERR = 8 * U
+TILT_STEPS = 100    # most Newton steps of the tilt
+NODE_BLOCK = 2 ** 15    # entries of one block of the rule's node-tap sums
+
+
+def _tilt(logq: np.ndarray, j: np.ndarray, mu: float):
+    """(theta, m, q): E_theta[J] near mu, and the tilted law
+    q = exp(logq + theta j - m)/W, m = max(logq + theta j), W the sum.
+    Newton steps on K'(theta) = mu from theta = 0; a step that leaves the
+    bracket the steps have built is a bisection of it.  K' increases with
+    theta, so the bracket holds the root."""
+    theta, lo, hi = 0.0, -math.inf, math.inf
+    for _ in range(TILT_STEPS):
+        a = logq + theta * j
+        m = float(a.max())
+        w = np.exp(a - m)
+        W = float(w.sum())
+        q = w / W
+        mean = float(q @ j)
+        gap = mu - mean
+        if abs(gap) <= 2.0 ** -40 * j[-1]:
+            break
+        lo, hi = (theta, hi) if gap > 0 else (lo, theta)
+        var = float(q @ (j - mean) ** 2)
+        new = theta + gap / var if var > 0 else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi) if math.isfinite(lo + hi) \
+                else theta + math.copysign(1.0 + abs(theta), gap)
+        theta = new
+    return theta, m, q
+
+
+def p_fourier(law: StepLaw, n: int, z: int) -> tuple[float, float]:
+    """(p^n(z), bound): the free n-step kernel from 0 at z by a tilted
+    Fourier rule, with no DP, and a bound on its gap to the exact value.
+
+    The rule works on the compressed law J = (Y - zmin)/d of taps q_j,
+    j < t, as dp does: p^n(z) = P(T_n = k), T_n the sum of n copies of J
+    and k = (z - n zmin)/d.  Off the coset, or with k outside [0, n(t-1)],
+    it is 0.0; at k = 0 and k = n(t-1) it is q_0^n and q_(t-1)^n, within
+    gamma_(n+1) of them.  Elsewhere the exponential tilt q_theta(j) =
+    q_j e^(theta j)/M(theta), theta chosen by _tilt so that E_theta[J] is
+    near mu = k/n (the saddle point; Daniels, Ann. Math. Statist. 25,
+    1954), gives p^n(z) = M(theta)^n e^(-theta k) P_theta(T_n = k), and
+
+        P_theta(T_n = k) + alias = (1/N) sum_{m<N} psi(l_m)^n,
+
+    psi(l) = E_theta[e^(il(J - mu))] and l_m = 2 pi m / N, as the rule sums
+    P_theta(T_n = k + iN) over all i.  psi(-l) is the conjugate of psi(l),
+    so the sum is one of real parts over m = 0..N/2.  Under the tilt k is
+    the mean, so by Hoeffding's inequality the alias is at most
+    2 exp(-2 s^2/(n (t-1)^2)), s = N - |k - n E_theta[J]|, and 0 once N
+    exceeds both k and n(t-1) - k.  N is the smallest power of two for
+    which that bound is below u times the local-CLT estimate
+    1/sqrt(2 pi n var_theta) of P_theta(T_n = k), or for which it is 0.
+    Each psi is summed tap by tap as 1 - c + is, c = sum q 2 sin^2(x/2)
+    and s = sum q sin x, x = l(j - mu), so |psi| near 1 keeps its relative
+    accuracy; psi^n = exp(n log|psi|) e^(i n arg psi), log|psi| by log1p.
+
+    The factor is e^(n Kc - theta z/d), Kc(theta) = log E[e^(theta Y/d)]
+    the cumulant of (J - E[J]) = Y/d, summed as log1p(sum q_j expm1(x_j)),
+    x_j = theta (j - E[J]), which keeps Kc's relative accuracy as theta
+    goes to 0 (x is shifted by c0 where e^x could overflow).
+
+    bound is the alias bound plus a rounding bound.  Rounding: arithmetic
+    rounds within u = 2^-53, and the functions within FN_ERR.
+      - The tilted taps.  Let the computed taps q~ sum to S, q^ = q~/S,
+        and q* the exact tilted law.  Each q~_j is C q*_j (1 + e_j), C
+        common to all j, |e_j| <= delta: the float pmf (u), log (FN_ERR
+        |log q_j|), the exponent's sum and shift (u (|theta j| + |a_j| +
+        |a_j - m|), a_j = log q_j + theta j), exp (FN_ERR) and the
+        division (u).  q^ and q* both sum to 1, so q^_j/q*_j lies within
+        2 delta/(1 - delta) of 1, and a path of n steps, and so
+        P^(T_n = k), moves by a factor within exp(2 n delta/(1 - 3 delta)).
+      - The factor.  Kc carries its sum (the pmf, expm1 and the products,
+        2u + FN_ERR, and gamma_t, over sum q |expm1 x|), x's rounding
+        (4u |theta| (t-1), c0's shift included), log1p and c0 + log1p;
+        n Kc, theta z/d, their difference and exp add theirs.
+      - The rule.  At node m, |psi^ - psi| <= eps_m = 1.01 (g c + l_m (g
+        A + 20 u (t-1))), A = sum q |j - mu| (as |sin x| <= l |j - mu|),
+        g = 2 gamma_(t+1) + 2 FN_ERR + 4u (the sums, the products, sin
+        and the division by S) and 10 u (t-1) l_m the error of x (l_m, mu
+        and j - mu rounded).  So |psi^n - psi^^n| <= n eps_m (r +
+        eps_m)^(n-1), r = |psi^|, and evaluating exp(n log|psi^|) cos(n
+        arg psi^) adds r^n expm1(E_m), E_m the error of the two
+        exponents: log1p's argument, within 3u (c |2 - c| + s^2), over
+        r^2, log1p and arg (FN_ERR), arg's 1 - c (u / r), times n, then
+        exp and cos.  Where E_m >= 1 or r < eps_m the term is within
+        3 (r + eps_m)^n.  The weighted terms are summed by math.fsum,
+        within u of the sum.
+    """
+    zmin, pmf = law.pmf_array()
+    d = dp.period(pmf)
+    k, off = divmod(z - n * zmin, d)
+    taps = pmf[::d]
+    span = len(taps) - 1                    # t - 1
+    top = n * span
+    if off or not 0 <= k <= top:
+        return 0.0, 0.0
+    if k == 0 or k == top:
+        v = float(taps[0 if k == 0 else -1]) ** n
+        return v, v * _gamma(n + 1)
+
+    idx = np.flatnonzero(taps)
+    j, qj = idx.astype(float), taps[idx]
+    logq = np.log(qj)
+    mu = k / n
+    theta, m, q = _tilt(logq, j, mu)
+    mean = float(q @ j)
+    var = float(q @ (j - mean) ** 2)
+    shift = abs(k - n * mean) + n * span * _gamma(2 * len(j) + 2)
+
+    # nodes: Hoeffding's alias bound below u times P_theta(T_n = k)
+    p_est = 1.0 / math.sqrt(max(1.0, 2.0 * math.pi * n * var))
+    need = span * math.sqrt(0.5 * n * math.log(2.0 / (U * p_est))) + shift
+    clear = max(k, top - k) + 1             # N >= clear: no alias at all
+    N = 2
+    while N < min(need, clear):
+        N *= 2
+
+    lam = (2.0 * math.pi / N) * np.arange(N // 2 + 1)
+    c, s = np.empty((2, len(lam)))
+    half = 0.5 * (j - mu)
+    rows = max(1, NODE_BLOCK // len(j))     # nodes per block of the sums
+    for i in range(0, len(lam), rows):
+        y = np.multiply.outer(lam[i:i + rows], half)     # x/2
+        c[i:i + rows] = np.sin(y) ** 2 @ (2.0 * q)
+        s[i:i + rows] = np.sin(y + y) @ q
+    with np.errstate(divide="ignore"):
+        lr = 0.5 * np.log1p(np.maximum(c * (c - 2.0) + s * s, -1.0))
+    arg = np.arctan2(s, 1.0 - c)
+    terms = np.exp(n * lr) * np.cos(n * arg)
+    weight = np.full(len(lam), 2.0)
+    weight[[0, -1]] = 1.0                   # m = 0 and m = N/2 appear once
+    D = math.fsum(weight * terms) / N
+
+    # rounding of the rule
+    t = len(j)
+    g = 2.0 * _gamma(t + 1) + 2.0 * FN_ERR + 4.0 * U
+    eps = 1.01 * (g * c + lam * (g * float(q @ np.abs(j - mu))
+                                 + 20.0 * U * span))
+    r = np.exp(lr)
+    rt = np.maximum(r, eps)
+    E = n * (1.5 * 1.01 * U * (c * np.abs(2.0 - c) + s * s) / rt ** 2
+             + (FN_ERR + U) * (np.abs(lr) + np.abs(arg)) + U / rt) \
+        + 2.0 * FN_ERR
+    with np.errstate(divide="ignore"):
+        grown = np.exp(n * np.logaddexp(lr, np.log(eps)))   # (r + eps)^n
+    ok = (E < 1.0) & (r >= eps)
+    err = np.where(ok, grown * n * eps / np.maximum(r + eps, 1e-300)
+                   + np.exp(n * lr) * np.expm1(np.minimum(E, 1.0)),
+                   3.0 * grown)
+    rule_err = float(weight @ err) / N + U * abs(D)
+
+    # the factor e^(n Kc - theta z/d); x = theta (j - E[J]), E[J] = -zmin/d
+    x = theta * (j + zmin / d)
+    c0 = max(0.0, float(x.max()) - 600.0)
+    e = np.expm1(x - c0)
+    sm = float(qj @ e)
+    Kc = c0 + math.log1p(sm)
+    expo = n * Kc - theta * (z / d)
+    F = math.exp(expo)
+
+    # rounding of the tilted taps and of the factor
+    a = logq + theta * j
+    delta = 1.01 * float((2.0 * U + FN_ERR + FN_ERR * np.abs(logq) + U * (
+        np.abs(theta * j) + np.abs(a) + np.abs(a - m))).max())
+    dKc = (2.0 * U + FN_ERR + _gamma(t)) * float(qj @ np.abs(e)) / (1.0 + sm) \
+        + 4.04 * U * abs(theta) * span + 3.0 * U * c0 \
+        + FN_ERR * abs(Kc - c0) + U * abs(Kc)
+    rel = math.expm1(2.0 * n * delta / (1.0 - 3.0 * delta) + n * dKc + U * (
+        abs(n * Kc) + 2.0 * abs(theta * z / d) + abs(expo)) + FN_ERR)
+
+    alias = 0.0
+    if N < clear:
+        alias = 2.0 * math.exp(-2.0 * (N - shift) ** 2 / (n * span * span))
+    # p^n(z) >= 0, so clamping D at 0 only narrows the gap
+    bound = F * ((1.0 + rel) * (alias + rule_err) + rel * abs(D))
+    return F * max(D, 0.0), bound
+
+
+# ---------------------------------------------------------------------------
 # Partial-sum route.
 
 PS_EXPONENTS = np.arange(1.5, 6.51, 0.5)
@@ -155,7 +343,7 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
 
 def _gamma(n):
     """gamma_n = n u / (1 - n u), u = 2^-53 the unit roundoff."""
-    nu = n * 2.0 ** -53
+    nu = n * U
     return nu / (1.0 - nu)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -165,13 +165,25 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
     z0 = int(full.sites()[np.argmax(full.weights)])
     step = math.isqrt(int(moments(law).sigma2 * n_big))
     step -= step % struct.period
+    sites = (z0 - step, z0, z0 + step)
     gap = 0.0
-    for z in (z0 - step, z0, z0 + step):
+    for z in sites:
         dot, pz = p_hi.dot(p_lo.reflected(z)), full.prob(z)
         gap = max(gap, abs(dot / pz - 1.0) if pz
                   else math.inf if dot else 0.0)
     _check(results, f"free kernel by Chapman-Kolmogorov n={n_big}", gap,
            1e-12)
+    # the same sites by the tilted Fourier rule, within its bound plus the
+    # window's rounding (gamma_(3 n_k) of the block stream's sums, which
+    # bounds a single weight) and cut; the row reports the worst site
+    gamma = potential._rounding_gamma(law, n_big)
+    pairs = []
+    for z in sites:
+        (v, bound), pz = potential.p_fourier(law, n_big, z), full.prob(z)
+        pairs.append((abs(v - pz), bound + gamma * pz + full.cut))
+    gap, tol = max(pairs, key=lambda p: p[0] / p[1] if p[1]
+                   else math.inf if p[0] else 0.0)
+    _check(results, f"free kernel by Fourier rule n={n_big}", gap, tol)
 
     # mass conservation, point and halfline modes: what survived, what was
     # absorbed and what the edge cut removed add up to 1, at the last
@@ -431,6 +443,9 @@ class Exact:
     sites: Callable | None = None
     half_dot: bool = False   # the value is the run's q^n(x, y): _half_dot
     tail: int | None = None  # the item of the run holding its tail bound
+    # the GridSpec fields, beyond theorem and ns, whose values the cells,
+    # the run or the value read
+    reads: tuple[str, ...] = ()
 
 
 def _point(law: StepLaw, x: int, n: int, spec: GridSpec) -> dp.DPResult:
@@ -486,24 +501,45 @@ def _one_cell(spec: GridSpec, law: StepLaw, n: int, coord) -> list[tuple]:
 # its entry_base is 1 + zmin
 EXACT = {
     "point": Exact(_point, lambda r, n, y: r.prob(y), _scaled,
-                   lambda law, y: (y,) if y != 0 else (), half_dot=True),
+                   lambda law, y: (y,) if y != 0 else (), half_dot=True,
+                   reads=("xis", "etas")),
     "halfline": Exact(_halfline, lambda r, n, y: r.prob(y), _scaled,
-                      lambda law, y: (y,) if y >= 1 else (), half_dot=True),
+                      lambda law, y: (y,) if y >= 1 else (), half_dot=True,
+                      reads=("xis", "etas")),
     "r_alpha": Exact(_r_alpha, lambda r, n, y: r[0].prob(y) - r[1].prob(y),
-                     _scaled),
+                     _scaled, reads=("xis", "etas", "alpha")),
     "f_x": Exact(_point, lambda r, n, y: float(r.absorbed[n - 1]), _at_zero,
-                 lambda law, y: (0,)),
+                 lambda law, y: (0,), reads=("xis",)),
     "T": Exact(_halfline, lambda r, n, y: float(r.entry[n - 1].sum()),
-               _at_zero, lambda law, y: range(1 + law.zmin, 1)),
+               _at_zero, lambda law, y: range(1 + law.zmin, 1),
+               reads=("xis",)),
     "h": Exact(_halfline,
                lambda r, n, y: float(r.entry[n - 1, y - r.entry_base]),
                _entered,
-               lambda law, y: (y,) if 1 + law.zmin <= y <= 0 else ()),
+               lambda law, y: (y,) if 1 + law.zmin <= y <= 0 else (),
+               reads=("xis", "ys_literal")),
     "Q+": Exact(_point, lambda r, n, y: r.restricted_sum(r.offset, -1),
-                _both_signs),
+                _both_signs, reads=("xis",)),
+    # nu_n reads none of ell, which sets only the particles' interval
     "nu": Exact(_nu, lambda r, n, y: r[0], _one_cell, tail=1),
-    "particles": Exact(_nu, lambda r, n, y: r[2], _one_cell, tail=1),
+    "particles": Exact(_nu, lambda r, n, y: r[2], _one_cell, tail=1,
+                       reads=("ell",)),
 }
+
+
+def unread_fields(spec: GridSpec) -> list[str]:
+    """The fields of spec, in GridSpec's order, that differ from their
+    defaults but that the theorem reads nowhere: not its exact side's
+    record (Exact.reads), nor its formula (Theorem.extras), nor its domain
+    gate (a_circ, where Theorem.gated).  compare_grid would drop them."""
+    th = asymptotics.THEOREMS[spec.theorem]
+    reads = {"theorem", "ns", *EXACT[th.exact].reads, *th.extras}
+    if th.gated:
+        reads.add("a_circ")
+    default = GridSpec(spec.theorem)
+    return [f.name for f in fields(GridSpec)
+            if f.name not in reads
+            and getattr(spec, f.name) != getattr(default, f.name)]
 
 
 def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
@@ -536,7 +572,7 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
     report = ComparisonReport(spec=spec, law_name=k.law.name)
     th = asymptotics.THEOREMS[spec.theorem]
     ex = EXACT[th.exact]
-    extras = {"alpha": spec.alpha, "ell": spec.ell}
+    extras = {f: getattr(spec, f) for f in th.extras}
     for n, cells in _plan(spec, k, ex, extras):
         runs: dict = {}
         ys = {x: {c[1] for c in cells if c[0] == x} for x, *_ in cells}

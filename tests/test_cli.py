@@ -232,6 +232,48 @@ class TestVerify:
             for n in (64, 256)]
         assert out.read_text() == "theorem,law,n,x,y,exact,rhs,rel_err\n"
 
+    @pytest.mark.parametrize("theorem, flags", [
+        ("T11i", ["--ys", "0,-1,-2"]),
+        ("T15_nu", ["--xi", "0.2,0.7"]),
+        ("T15_nu", ["--ell", "2"]),
+        ("T13", ["--alpha", "0.3"]),
+        ("T13", ["--a-circ", "3"]),
+        ("C11", ["--eta", "0.5"]),
+        ("T14", ["--eta", "0.5"]),
+        ("P61_ralpha", ["--ell", "0.5"]),
+        ("C12_particles", ["--xi", "0.5"]),
+    ])
+    def test_unread_flag_is_usage_error(self, theorem, flags, law_file,
+                                        tmp_path, capsys, monkeypatch):
+        # a flag whose value the theorem would drop exits 2 before any DP
+        monkeypatch.setattr(dp, "_steps", None)
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as e:
+            main(["verify", "--law", law_file, "--theorem", theorem,
+                  "--n", "64,256", *flags, "--out", str(out)])
+        assert e.value.code == 2
+        assert (f"error: argument {flags[0]}: {theorem} does not read it"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theorem, flags", [
+        ("C11", ["--eta", "0.2"]),
+        ("T15_nu", ["--xi", "0.2", "--eta", "0.2", "--alpha", "0.5",
+                    "--ell", "1", "--a-circ", "2"]),
+        ("C12_particles", ["--ell", "2"]),
+        ("P61_ralpha", ["--alpha", "0.3"]),
+        ("T11i", ["--a-circ", "3"]),
+    ])
+    def test_read_or_default_flag_runs(self, theorem, flags, law_file,
+                                       tmp_path):
+        # a flag the theorem reads, or one that restates the default and
+        # so drops nothing, runs the grid
+        out = tmp_path / "x.csv"
+        assert main(["verify", "--law", law_file, "--theorem", theorem,
+                     "--n", "64,256", "--tol", "100", *flags,
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
     def test_unknown_theorem_is_usage_error(self, law_file, tmp_path):
         with pytest.raises(SystemExit) as e:
             main(["verify", "--law", law_file, "--theorem", "nope",

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from walklab import build_law, dp, engine, potential
 from walklab.errors import (ConstraintViolation, OutOfWindow,
@@ -17,10 +17,11 @@ from walklab.potential import (CONSTANTS_TOL, _c_star_circle, _fit_tail,
                                a_fourier, a_partial_sums,
                                build_potential_table, constants,
                                expansion_check, green_point,
-                               harmonicity_residuals, hit_before_origin)
+                               harmonicity_residuals, hit_before_origin,
+                               p_fourier)
 from walklab.verify import FOURIER_XS
 
-from conftest import zero_mean_laws
+from conftest import periodic_laws, zero_mean_laws
 
 
 class TestFourierRoute:
@@ -43,6 +44,95 @@ class TestFourierRoute:
         # a(-2) = 3/2/sigma2..., solved by hand: a(1) = 5/4, a(-1) = 3/4
         assert a_fourier(l1, 1) == pytest.approx(1.25, abs=1e-9)
         assert a_fourier(l1, -1) == pytest.approx(0.75, abs=1e-9)
+
+
+def _no_dp(*args, **kwargs):
+    raise AssertionError("a DP ran")
+
+
+def _coset_site(law, n, sd):
+    """The site of p^n's coset nearest sd standard deviations from 0."""
+    zmin, pmf = law.pmf_array()
+    d = dp.period(pmf)
+    z = round(sd * math.sqrt(float(moments(law).sigma2) * n))
+    return z - (z - n * zmin) % d
+
+
+class TestFreeKernelRule:
+    """p_fourier, the tilted Fourier rule for p^n(z), against the free DP
+    and the rational DP."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(zero_mean_laws(), periodic_laws()),
+           st.integers(1, 2048), st.floats(-12.0, 12.0))
+    def test_agrees_with_free_dp(self, law, n, sd):
+        """Out to 12 sd the rule and run_dp agree within the rule's bound
+        plus the DP's rounding (gamma of _rounding_gamma, relative to a sum
+        of nonnegative products) and its cut."""
+        zmin, pmf = law.pmf_array()
+        res = dp.run_dp(0, np.ones(1), zmin, pmf, n)
+        z = _coset_site(law, n, sd)
+        v, bound = p_fourier(law, n, z)
+        pz = res.prob(z)
+        assert abs(v - pz) <= bound + potential._rounding_gamma(law, n) * pz \
+            + res.cut
+
+    @pytest.mark.parametrize("pairs", [
+        [(-2, "1/6"), (-1, "1/6"), (0, "1/6"), (1, "1/2")],       # l1
+        [(-1, "2/3"), (2, "1/3")],                                # span3
+        [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
+        [(-3, "1/5"), (0, "1/2"), (2, "3/10")],                   # tap gaps
+    ])
+    def test_bound_covers_rational_kernel(self, pairs, monkeypatch):
+        """Every site of p^48 from the rational DP lies within the bound of
+        the rule, which runs no DP, plus the rounding of the rational value
+        to a float."""
+        law = build_law(pairs, "law")
+        n = 48
+        exact = engine.evolve_free_exact(law, 0, n)
+        monkeypatch.setattr(dp, "_steps", _no_dp)
+        for z in range(n * law.zmin - 1, n * law.zmax + 2):
+            want = float(exact.get(z, 0))
+            v, bound = p_fourier(law, n, z)
+            assert v >= 0.0
+            assert abs(v - want) <= bound + 2.0 ** -53 * want, z
+
+    def test_support_ends_and_off_coset(self, l1, span3, monkeypatch):
+        """At the support's two ends the rule is q_0^n and q_(t-1)^n; off
+        the coset and past the ends it is 0.0 with a bound of 0.0; none of
+        it runs a DP."""
+        monkeypatch.setattr(dp, "_steps", _no_dp)
+        for n in (1, 7, 1024):
+            assert p_fourier(l1, n, -2 * n)[0] == (1.0 / 6.0) ** n
+            assert p_fourier(l1, n, n)[0] == 0.5 ** n
+            assert p_fourier(span3, n, -n)[0] == (2.0 / 3.0) ** n
+            assert p_fourier(span3, n, 2 * n)[0] == (1.0 / 3.0) ** n
+            for z in (-2 * n - 1, n + 1):
+                assert p_fourier(l1, n, z) == (0.0, 0.0)
+            for z in (-n + 1, -n + 2, 2 * n + 3, -n - 3):
+                assert p_fourier(span3, n, z) == (0.0, 0.0)
+        assert p_fourier(l1, 0, 0) == (1.0, pytest.approx(0.0, abs=1e-15))
+        assert p_fourier(l1, 0, 1) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("pairs", [
+        [(z, "1/65") for z in range(-32, 33)],                    # u32
+        [(-41, "20/61"), (20, "41/61")],                          # p61
+    ], ids=["u32", "p61"])
+    def test_wide_and_periodic_at_4096(self, pairs):
+        """The widest law and a period-61 law at n = 4096, at 0, 3 and 9
+        sd: within the summed bounds of the free DP, and within 1e-11
+        relative of it."""
+        law = build_law(pairs, "law")
+        zmin, pmf = law.pmf_array()
+        n = 4096
+        res = dp.run_dp(0, np.ones(1), zmin, pmf, n)
+        gamma = potential._rounding_gamma(law, n)
+        for sd in (0, 3, 9):
+            z = _coset_site(law, n, sd)
+            v, bound = p_fourier(law, n, z)
+            pz = res.prob(z)
+            assert abs(v - pz) <= bound + gamma * pz + res.cut
+            assert v == pytest.approx(pz, rel=1e-11)
 
 
 class TestPartialSumRoute:

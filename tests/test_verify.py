@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from walklab import asymptotics, build_law, dp, engine, ladder, potential
+from walklab import (asymptotics, build_law, dp, engine, ladder, potential,
+                     verify)
 from walklab.asymptotics import THEOREMS, TheoremId
 from walklab.errors import (ConstraintViolation, OutOfWindow,
                             TailNotNegligible, WalklabError)
@@ -336,6 +337,53 @@ class TestTheoremTable:
             assert r.rel_err == abs(r.exact - r.rhs) / max(abs(r.exact),
                                                            1e-16)
 
+    @pytest.mark.parametrize("theorem", list(TheoremId),
+                             ids=lambda t: t.value)
+    def test_unread_fields_change_nothing(self, theorem, l1_kernels):
+        """A field that unread_fields would report, set away from its
+        default, leaves the grid's rows, skips and tail bounds, or its
+        error, as they were: the declarations (Exact.reads,
+        Theorem.extras, Theorem.gated) name every field a grid reads."""
+        base = GridSpec(theorem, ns=(64, 256), **IN_DOMAIN.get(theorem, {}))
+        moved = dict(xis=(0.3,), etas=(0.4,), ys_literal=(-1,), alpha=0.3,
+                     ell=2.0, a_circ=3.0)
+        spec = dataclasses.replace(base, **moved)
+        unread = verify.unread_fields(spec)
+        other = dataclasses.replace(base, **{f: moved[f] for f in unread})
+        assert verify.unread_fields(other) == unread
+
+        def outcome(s):
+            try:
+                rep = compare_grid(s, l1_kernels)
+            except WalklabError as e:
+                return type(e), e.args
+            return rep.rows, rep.skipped, rep.tail_bounds
+
+        assert outcome(other) == outcome(base)
+
+    def test_unread_fields_by_theorem(self):
+        spec = dict(xis=(0.3,), etas=(0.4,), ys_literal=(-1,), alpha=0.3,
+                    ell=2.0, a_circ=3.0)
+        unread = {t.value: verify.unread_fields(GridSpec(t, **spec))
+                  for t in TheoremId}
+        # in GridSpec's order: xis, etas, a_circ, alpha, ell, ys_literal
+        scaled = ["a_circ", "alpha", "ell", "ys_literal"]
+        at_x = ["etas", "a_circ", "alpha", "ell", "ys_literal"]
+        assert unread == {
+            "T11i": ["alpha", "ell", "ys_literal"],
+            "T11ii": scaled, "T11iii_bound": scaled,
+            "T12_refined": ["alpha", "ell", "ys_literal"],
+            "T13": scaled, "IVbound": scaled,
+            "T14": ["etas", "a_circ", "alpha", "ell"],
+            "EQ14bound": ["etas", "a_circ", "alpha", "ell"],
+            "C11": at_x, "P12_Qplus": at_x, "ThmA_passage": at_x,
+            "T15_nu": ["xis", *at_x],
+            "C12_particles": ["xis", "etas", "a_circ", "alpha",
+                              "ys_literal"],
+            "P61_ralpha": ["a_circ", "ell", "ys_literal"]}
+        # a field at its default is never reported
+        assert all(verify.unread_fields(GridSpec(t)) == [] for t in TheoremId)
+
     @pytest.mark.parametrize("theorem, grid, error, message", [
         (TheoremId.T11i, dict(xis=(5.0,)), ConstraintViolation,
          "T11i: |x| v |y| = 46 exceeds a_circ sqrt(n*) = 18.5 at n=64"),
@@ -413,6 +461,27 @@ class TestPlan:
             (1, 0.01), (1, 0.02), (2, 0.01), (2, 0.02), (4, 0.01),
             (4, 0.02)]
         assert rep.rows == want
+
+    @pytest.mark.parametrize("theorem", [
+        TheoremId.T11i, TheoremId.T13, TheoremId.P61_ralpha],
+        ids=lambda t: t.value)
+    def test_rhs_runs_no_free_stream(self, theorem, l1_kernels,
+                                     monkeypatch):
+        """p^n(y - x) of the right-hand side comes from the tilted Fourier
+        rule: every stream the grid runs is an exact side's, none free,
+        and the kernels' free windows stay empty."""
+        k = dataclasses.replace(l1_kernels, _free_cache={})
+        steps, modes = dp._steps, []
+
+        def counted(*args, **kwargs):
+            modes.append(args[5])
+            return steps(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "_steps", counted)
+        rep = compare_grid(GridSpec(theorem, ns=(256, 1024, 4096)), k)
+        assert len(rep.rows) >= 3
+        assert modes and dp.FREE not in modes
+        assert k._free_cache == {}
 
     @pytest.mark.parametrize("theorem", [
         TheoremId.T11i, TheoremId.T11ii, TheoremId.T13],
