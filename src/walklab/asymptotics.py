@@ -6,13 +6,10 @@ kernels, the key of the exact side it is compared with (one record of
 verify.EXACT), its domain and the suffixes of its rows.  T11i,
 T11ii and T13 carry the lattice factor, so both sides of a cell off the
 walk's congruence class are 0.0.  Formulas that contain the free n-step
-probability p^n(y - x) take it by default from potential.p_fourier, the
-tilted Fourier rule, which runs no DP and bounds its own error.  Pass
-use_local_clt=True to substitute the Gaussian surrogate
-d * g_n(y - x) * 1(reachable), which isolates local-CLT error from
-limit-theorem error in reports; it reads the same table, pair and
-entrance-law sites as the exact form, so verify's grid plan uses it to
-find a failing cell before any exact side runs.
+probability p^n(y - x) take it from potential.p_fourier, the tilted
+Fourier rule, which runs no DP and bounds its own error.  Each such
+formula reads its table and pair before it calls the rule, so a cell
+outside their windows raises OutOfWindow before any quadrature.
 """
 
 from __future__ import annotations
@@ -71,7 +68,6 @@ class _Env(NamedTuple):
     n_star: float
     t: PotentialTable
     extras: dict
-    clt: bool
 
 
 @dataclass(frozen=True)
@@ -113,25 +109,15 @@ def _lattice(k: WalkKernels, n: int, displacement: int, v: float) -> float:
     return k.structure.period * v
 
 
-def _p_n(k: WalkKernels, n: int, displacement: int,
-         use_local_clt: bool) -> float:
-    if use_local_clt:
-        return _lattice(k, n, displacement,
-                        GaussKernel(k.sigma2()).g(n, displacement))
+def _p_n(k: WalkKernels, n: int, displacement: int) -> float:
     return p_fourier(k.law, n, displacement)[0]
-
-
-def _entrance(k, x, y, n, e):
-    """T14; its local-CLT form carries no lattice factor."""
-    base = k.pair.fp(x) * e.g.g(n, x) / n * k.h_inf_plus.prob(y)
-    return base if e.clt else _lattice(k, n, y - x, base)
 
 
 def _r_alpha(k, x, y, n, e):
     """P61_ralpha's two forms, with p^n(y - x) and with g_n(|x| + |y|)."""
     alpha = e.extras["alpha"]
     lead = (1.0 - alpha) / alpha * e.s2 * (e.t.a_star(x) + e.t.a_star(-y)) / n
-    return (lead * _p_n(k, n, y - x, e.clt),
+    return (lead * _p_n(k, n, y - x),
             lead * e.g.g(n, abs(x) + abs(y)))
 
 
@@ -141,8 +127,8 @@ def _x_nonzero(x, y, n):
 
 THEOREMS = {t.id: t for t in (
     Theorem(TheoremId.T11i, "point", lambda k, x, y, n, e:
-            _p_n(k, n, y - x, e.clt) * ((e.s2 * e.s2 * e.t.a_star(x)
-                                         * e.t.a(-y) + x * y) / e.n_star),
+            (e.s2 * e.s2 * e.t.a_star(x) * e.t.a(-y) + x * y) / e.n_star
+            * _p_n(k, n, y - x),
             gated=True),
     Theorem(TheoremId.T11ii, "point", lambda k, x, y, n, e:
             _lattice(k, n, y - x, e.g.g(n, y - x) - e.g.g(n, y + x)),
@@ -156,10 +142,12 @@ THEOREMS = {t.id: t for t in (
             k.constants.c_plus * passage_density(x + abs(y), e.n_star),
             "y < 0 < x", lambda x, y, n: y < 0 < x, gated=True),
     Theorem(TheoremId.T13, "halfline", lambda k, x, y, n, e:
-            _p_n(k, n, y - x, e.clt)
-            * (2.0 * k.pair.fp(x) * k.pair.fm(y) / e.n_star),
+            2.0 * k.pair.fp(x) * k.pair.fm(y) / e.n_star * _p_n(k, n, y - x),
             "x, y >= 1", lambda x, y, n: x >= 1 and y >= 1),
-    Theorem(TheoremId.T14, "h", _entrance, "x != 0", _x_nonzero),
+    Theorem(TheoremId.T14, "h", lambda k, x, y, n, e:
+            _lattice(k, n, y - x, k.pair.fp(x) * e.g.g(n, x) / n
+                     * k.h_inf_plus.prob(y)),
+            "x != 0", _x_nonzero),
     Theorem(TheoremId.C11, "T", lambda k, x, y, n, e:
             k.pair.fp(x) * e.g.g(n, x) / n,
             "x != 0", _x_nonzero),
@@ -187,13 +175,12 @@ THEOREMS = {t.id: t for t in (
 
 
 def rhs(theorem: TheoremId, k: WalkKernels, x: int, y: int, n: int,
-        extras: dict | None = None, use_local_clt: bool = False):
+        extras: dict | None = None):
     """Evaluate a theorem's asymptotic right-hand side.
 
     Returns a float, or one float per form of Theorem.forms: P61_ralpha's
     with p^n(y-x), then with g_n(|x|+|y|).
     """
     s2 = k.sigma2()
-    env = _Env(GaussKernel(s2), s2, s2 * n, k.table, extras or {},
-               use_local_clt)
+    env = _Env(GaussKernel(s2), s2, s2 * n, k.table, extras or {})
     return THEOREMS[theorem].formula(k, x, y, n, env)

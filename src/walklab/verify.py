@@ -155,7 +155,7 @@ def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
         (law, 2, P, oracle), (law, 5, P, oracle)])
 
     # free evolution mass, and the free kernel as the Chapman-Kolmogorov dot
-    # of its two halves (kernels.p_n_at)
+    # of its two halves
     p_lo, p_hi, full = (snap(law, 0, F, n) for n in (m, n_big - m, n_big))
     _check(results, f"free mass n={n_big}", full.mass() + full.cut - 1.0,
            1e-12)
@@ -548,14 +548,14 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
 
     The plan (_plan) lists the cells (n, x, y, xi, eta), checks each
     against the theorem's domain (Theorem.check) and evaluates its
-    right-hand side with the local-CLT surrogate for p^n, which reads the
-    same table, pair and entrance-law sites as the exact form and runs no
-    DP.  So a scaled coordinate outside [-2^53, 2^53] or a cell outside
-    the domain (ConstraintViolation), a formula that reads a table outside
-    its window (OutOfWindow) or a nu_n tail that cannot be bounded
-    (TailNotNegligible) stops the grid before the first DP, with the error
-    of the first such cell in grid order.  The evaluation then takes both
-    exact sides of each cell, and emits rows and skips in grid order.
+    right-hand side, once: no formula runs a DP, as p^n comes from the
+    tilted Fourier rule.  So a scaled coordinate outside [-2^53, 2^53] or
+    a cell outside the domain (ConstraintViolation), a formula that reads
+    a table outside its window (OutOfWindow) or a nu_n tail that cannot
+    be bounded (TailNotNegligible) stops the grid before the first DP,
+    with the error of the first such cell in grid order.  The evaluation
+    then takes the exact side of each cell, pairs it with the planned
+    right-hand side, and emits rows and skips in grid order.
 
     A cell whose exact side reads only sites where the n-step run holds
     nothing (Exact.sites) reads 0.0, as the DP gives there, with no DP.
@@ -576,7 +576,7 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
     for n, cells in _plan(spec, k, ex, extras):
         runs: dict = {}
         ys = {x: {c[1] for c in cells if c[0] == x} for x, *_ in cells}
-        for x, y, xi, eta in cells:
+        for x, y, xi, eta, rv in cells:
             if ex.sites and not any(k.structure.reachable(n, z - x)
                                     for z in ex.sites(k.law, y)):
                 exact = 0.0
@@ -588,7 +588,6 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
                 exact = ex.value(runs[x], n, y)
                 if ex.tail is not None:
                     report.tail_bounds[n] = runs[x][ex.tail]
-            rv = asymptotics.rhs(spec.theorem, k, x, y, n, extras)
             for suffix, v in zip(th.forms, rv if len(th.forms) > 1
                                  else (rv,)):
                 _append(report, th, k, n, x, y, exact, v, xi, eta, suffix)
@@ -597,10 +596,10 @@ def compare_grid(spec: GridSpec, k: WalkKernels) -> ComparisonReport:
 
 def _plan(spec: GridSpec, k: WalkKernels, ex: Exact,
           extras: dict) -> list[tuple[int, list[tuple]]]:
-    """[(n, [(x, y, xi, eta), ...]) for n in spec.ns]: every cell of the
-    grid (ex.cells), each checked and its right-hand side evaluated with
-    no DP (see compare_grid).  A negative xi is refused: its start,
-    max(1, round(xi sqrt(sigma2 n))), would be 1 at every n."""
+    """[(n, [(x, y, xi, eta, rhs), ...]) for n in spec.ns]: every cell of
+    the grid (ex.cells), each checked and then its right-hand side
+    evaluated, with no DP (see compare_grid).  A negative xi is refused:
+    its start, max(1, round(xi sqrt(sigma2 n))), would be 1 at every n."""
     for xi in spec.xis:
         if xi < 0:
             raise ConstraintViolation(
@@ -632,12 +631,12 @@ def _plan(spec: GridSpec, k: WalkKernels, ex: Exact,
 
     plan = []
     for n in spec.ns:
-        cells = ex.cells(spec, k.law, n, coord)
         lim = spec.a_circ * math.sqrt(sigma2 * n)
-        for x, y, _, _ in cells:
+        cells = []
+        for x, y, xi, eta in ex.cells(spec, k.law, n, coord):
             th.check(x, y, n, lim)
-            asymptotics.rhs(spec.theorem, k, x, y, n, extras,
-                            use_local_clt=True)
+            cells.append((x, y, xi, eta,
+                          asymptotics.rhs(spec.theorem, k, x, y, n, extras)))
         plan.append((n, cells))
     return plan
 

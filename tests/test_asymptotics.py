@@ -62,7 +62,7 @@ class TestEvaluators:
     def test_kill_at_origin_formula_unit_walk(self, srw_kernels):
         # x = y = 1: a*(1)a(-1) = 1, xy = 1 -> rhs = 2/n p^n(0) on even n
         n = 400
-        p0 = srw_kernels.p_n_at(n, 0)
+        p0 = srw_kernels.p_n(n).prob(0)
         want = 2.0 / n * p0
         got = rhs(TheoremId.T11i, srw_kernels, 1, 1, n)
         assert got == pytest.approx(want, rel=1e-12)
@@ -78,7 +78,7 @@ class TestEvaluators:
     def test_halfline_formula_identity_harmonics(self, srw_kernels):
         # f_+ = f_- = id for the unit walk: rhs = 2xy/n p^n(y-x)
         n, x, y = 512, 2, 4
-        want = 2 * x * y / n * srw_kernels.p_n_at(n, y - x)
+        want = 2 * x * y / n * srw_kernels.p_n(n).prob(y - x)
         got = rhs(TheoremId.T13, srw_kernels, x, y, n)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -110,16 +110,20 @@ class TestEvaluators:
 
     def test_partial_absorption_forms_coincide_off_diagonal(
             self, l1_kernels):
-        # the two emitted forms agree when xy < 0 with the local-CLT factor
+        # when xy < 0, |x| + |y| = |y - x|: the two emitted forms share
+        # their lead, and differ only by their free factors p^n(y - x)
+        # and g_n(|x| + |y|)
         n, x, y = 1024, 6, -6
         forms = rhs(TheoremId.P61_ralpha, l1_kernels, x, y, n,
-                    {"alpha": 0.5}, use_local_clt=True)
-        assert forms[0] == pytest.approx(forms[1], rel=1e-12)
+                    {"alpha": 0.5})
+        p = l1_kernels.p_n(n).prob(y - x)
+        g = GaussKernel(l1_kernels.sigma2()).g(n, abs(x) + abs(y))
+        assert forms[0] / p == pytest.approx(forms[1] / g, rel=1e-12)
 
     def test_two_forms_differ_same_sign(self, l1_kernels):
         n, x, y = 1024, 6, 6
         forms = rhs(TheoremId.P61_ralpha, l1_kernels, x, y, n,
-                    {"alpha": 0.5}, use_local_clt=True)
+                    {"alpha": 0.5})
         assert forms[0] != pytest.approx(forms[1], rel=1e-3)
 
     def test_reflection_swap_symmetry(self, l1_kernels, span3_kernels):
@@ -127,13 +131,15 @@ class TestEvaluators:
         # reflection, by the f_+ <-> f_- swap; verified on the same law
         # via its own symmetric roles
         n, x, y = 2048, 3, 5
-        a = rhs(TheoremId.T13, l1_kernels, x, y, n, use_local_clt=True)
-        b = rhs(TheoremId.T13, l1_kernels, y, x, n, use_local_clt=True)
-        # f_+(x) f_-(y) vs f_+(y) f_-(x): equal only up to the harmonic
-        # functions; check the exact ratio instead
+        a = rhs(TheoremId.T13, l1_kernels, x, y, n)
+        b = rhs(TheoremId.T13, l1_kernels, y, x, n)
+        # f_+(x) f_-(y) p^n(y - x) vs f_+(y) f_-(x) p^n(x - y): equal only
+        # up to the harmonic functions and the free factors; check the
+        # exact ratio instead
         fp, fm = l1_kernels.pair.fp, l1_kernels.pair.fm
-        assert a * fp(y) * fm(x) == pytest.approx(
-            b * fp(x) * fm(y), rel=1e-12)
+        free = l1_kernels.p_n(n)
+        assert a * fp(y) * fm(x) / free.prob(y - x) == pytest.approx(
+            b * fp(x) * fm(y) / free.prob(x - y), rel=1e-12)
 
     def test_scaling_coherence(self, l1_kernels):
         # n * rhs(C11) at fixed scaled coordinate stabilizes within 1%

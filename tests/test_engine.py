@@ -1,6 +1,5 @@
 """Exact transition kernels: free evolution, kill-at-origin, kill-on-halfline,
 partial absorption, strip exits, and the rational calibration mode."""
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from walklab import build_law, dp, engine, potential
+from walklab import asymptotics, build_law, dp, engine, potential
 from walklab.errors import TailNotNegligible, WindowOverflow
 from walklab.kernels import WalkKernels
 from walklab.laws import lattice_structure, moments
@@ -833,35 +832,35 @@ def test_strided_window_matches_its_laid_back_window(law, x, n, mode, lo,
         assert [bt.prob(y) for y in ys] == [ref_bt.prob(y) for y in ys]
 
 
-def test_p_n_extends_the_largest_cached_window(l1, l1_kernels):
-    kernels = dataclasses.replace(l1_kernels, _free_cache={})
-    for n in (256, 1024, 300, 4096):
-        got = kernels.p_n(n)
-        want = engine.evolve_free(l1, 0, n)
-        assert got.offset == want.offset
-        assert np.array_equal(got.weights, want.weights)
-    assert sorted(kernels._free_cache) == [256, 300, 1024, 4096]
+def _no_dp(*args, **kwargs):
+    raise AssertionError("a DP ran")
 
 
 def _free_kernels(law):
-    """A WalkKernels with an empty free cache; p_n and p_n_at read only
-    the law, so the tables are left out."""
+    """A WalkKernels of the law alone: p_n and the right-hand sides' free
+    factor asymptotics._p_n read only the law, so the tables are left
+    out."""
     return WalkKernels(law, moments(law), lattice_structure(law),
                        *[None] * 7)
 
 
 def _assert_p_n_at_is_the_dp(law, n):
-    """p_n_at(n, z) against p_n(n).prob(z) for |z| <= 4 sqrt(n): 1e-13
-    relative, and exactly 0.0 wherever the DP gives 0."""
+    """The free factor p^n(z) of the right-hand sides (asymptotics._p_n,
+    the tilted Fourier rule) against the free run p_n(n), at nine sites
+    spread over |z| <= 4 sqrt(n) and the site after each: exactly 0.0 off
+    the walk's coset, and elsewhere within the rule's bound plus the
+    run's rounding and cut."""
     kernels = _free_kernels(law)
     full = kernels.p_n(n)
-    r = int(4 * math.sqrt(n))
-    for z in range(-r, r + 1):
-        got, want = kernels.p_n_at(n, z), full.prob(z)
-        if want == 0.0:
-            assert got == 0.0, (n, z, got)
-        else:
-            assert abs(got - want) <= 1e-13 * want, (n, z, got, want)
+    gamma = potential._rounding_gamma(law, n)
+    r = 4 * math.sqrt(n)
+    for z in {round(-r + i * r / 4) + e for i in range(9) for e in (0, 1)}:
+        got, want = asymptotics._p_n(kernels, n, z), full.prob(z)
+        if not kernels.structure.reachable(n, z):
+            assert got == want == 0.0, (n, z, got)
+        bound = potential.p_fourier(law, n, z)[1]
+        assert abs(got - want) <= bound + gamma * want + full.cut, \
+            (n, z, got, want)
 
 
 _P_N_AT_NS = (1, 2, 257, 1024, 4096)
@@ -889,32 +888,27 @@ def test_p_n_at_is_the_dp_on_periodic_laws(law):
 @example(build_law([(-7, Fraction(1, 96)), (-1, Fraction(40, 96)),
                     (0, Fraction(8, 96)), (1, Fraction(47, 96))], "law"), 64)
 def test_p_n_at_against_rationals(law, n):
-    """Within n ulps of the exact value, the rounding budget of n steps,
-    plus the cut of the two half windows, which bounds what the edge cut
-    moves the dot by; over random laws the worst seen at n = 64 was 29
-    ulps, as for the full DP.  The example's p^32(-224) = 96^-32 lies
-    below dp.CUT, so p^64(-448) = 96^-64 reads 0.0 within that cut."""
+    """The right-hand sides' free factor, with no DP, lies within the
+    rule's bound plus the rounding of the rational value to a float of
+    p^n(z) from the rational DP, at every site the walk reaches.  The
+    example's p^64(-448) = 96^-64 is the support's end, q_0^n."""
     kernels = _free_kernels(law)
-    eps = np.finfo(np.float64).eps
-    cut = kernels.p_n(n // 2).cut + kernels.p_n(n - n // 2).cut
-    assert cut < 1e-50
-    for z, v in engine.evolve_free_exact(law, 0, n).items():
-        assert abs(kernels.p_n_at(n, z) - float(v)) <= \
-            n * eps * float(v) + cut
+    exact = engine.evolve_free_exact(law, 0, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp, "_steps", _no_dp)
+        for z, v in exact.items():
+            want = float(v)
+            bound = potential.p_fourier(law, n, z)[1]
+            assert abs(asymptotics._p_n(kernels, n, z) - want) <= \
+                bound + 2.0 ** -53 * want, z
 
 
-def test_p_n_at_runs_half_the_steps(l1):
-    kernels = _free_kernels(l1)
-    kernels.p_n_at(4096, 5)
-    assert max(kernels._free_cache) == 2048
-
-
-def test_p_n_at_off_the_coset_runs_no_dp(span3):
+def test_p_n_at_off_the_coset_runs_no_dp(span3, monkeypatch):
     """span3 has period 3 and shift 2: z = 0 is reachable only at n = 0
-    mod 3, so at n = 8192 p_n_at reads 0.0, as the DP gives, with no DP."""
-    kernels = _free_kernels(span3)
-    assert kernels.p_n_at(8192, 0) == 0.0
-    assert kernels._free_cache == {}
+    mod 3, so at n = 8192 the free factor reads 0.0, as the DP gives, with
+    no DP."""
+    monkeypatch.setattr(dp, "_steps", _no_dp)
+    assert asymptotics._p_n(_free_kernels(span3), 8192, 0) == 0.0
 
 
 def _fraction_dp(law, x, n, kill_origin):

@@ -1,7 +1,6 @@
 """Invariant suite, scaled comparison grids, region gating, and
 convergence summaries."""
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -317,6 +316,10 @@ def _no_dp(*args, **kwargs):
     raise AssertionError("a DP ran")
 
 
+def _no_rule(*args, **kwargs):
+    raise AssertionError("the Fourier rule ran")
+
+
 class TestTheoremTable:
     def test_one_entry_per_id(self):
         assert set(THEOREMS) == set(TheoremId)
@@ -468,9 +471,7 @@ class TestPlan:
     def test_rhs_runs_no_free_stream(self, theorem, l1_kernels,
                                      monkeypatch):
         """p^n(y - x) of the right-hand side comes from the tilted Fourier
-        rule: every stream the grid runs is an exact side's, none free,
-        and the kernels' free windows stay empty."""
-        k = dataclasses.replace(l1_kernels, _free_cache={})
+        rule: every stream the grid runs is an exact side's, none free."""
         steps, modes = dp._steps, []
 
         def counted(*args, **kwargs):
@@ -478,10 +479,47 @@ class TestPlan:
             return steps(*args, **kwargs)
 
         monkeypatch.setattr(dp, "_steps", counted)
-        rep = compare_grid(GridSpec(theorem, ns=(256, 1024, 4096)), k)
+        rep = compare_grid(GridSpec(theorem, ns=(256, 1024, 4096)),
+                           l1_kernels)
         assert len(rep.rows) >= 3
         assert modes and dp.FREE not in modes
-        assert k._free_cache == {}
+
+    @pytest.mark.parametrize("theorem, rows", [
+        (TheoremId.T11i, 12), (TheoremId.P61_ralpha, 24)],
+        ids=["T11i", "P61_ralpha"])
+    def test_one_rhs_per_cell(self, theorem, rows, l1_kernels, monkeypatch):
+        """The plan evaluates each cell's right-hand side once, and the
+        grid reads that value: 2 xis x 2 etas x 3 ns make 12 calls, and
+        one call gives both of P61_ralpha's form rows."""
+        rhs, calls = asymptotics.rhs, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:5])
+            return rhs(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "rhs", counted)
+        rep = compare_grid(GridSpec(theorem, ns=(64, 256, 1024),
+                                    xis=(0.2, 0.4), etas=(0.2, 0.4)),
+                           l1_kernels)
+        assert len(calls) == len(set(calls)) == 12
+        assert len(rep.rows) == rows
+
+    @pytest.mark.parametrize("theorem, xi, message", [
+        (TheoremId.T11i, 0.65, "x=96 outside [\u221280, 80]"),
+        (TheoremId.T13, 3.0, "x=440 outside 1..400"),
+        (TheoremId.P61_ralpha, 0.65, "x=96 outside [\u221280, 80]")],
+        ids=["T11i", "T13", "P61_ralpha"])
+    def test_window_fails_before_quadrature(self, theorem, xi, message,
+                                            l1_kernels, monkeypatch):
+        """A grid whose start leaves the a(x) table or the harmonic pair
+        raises OutOfWindow with no DP and no Fourier rule: each formula
+        reads its table and pair before it calls the rule for p^n."""
+        monkeypatch.setattr(dp, "_steps", _no_dp)
+        monkeypatch.setattr(asymptotics, "p_fourier", _no_rule)
+        with pytest.raises(OutOfWindow) as e:
+            compare_grid(GridSpec(theorem, ns=(16384, 256), xis=(xi,)),
+                         l1_kernels)
+        assert e.value.args == (message,)
 
     @pytest.mark.parametrize("theorem", [
         TheoremId.T11i, TheoremId.T11ii, TheoremId.T13],
@@ -492,10 +530,9 @@ class TestPlan:
         congruence class.  T11i, T11ii and T13 carry the lattice factor:
         the exact side is 0.0 with no DP, as the n-step run gave, and so is
         the right-hand side, with no DP for a free factor p^n(0)."""
-        k = dataclasses.replace(span3_kernels, _free_cache={})
         monkeypatch.setattr(dp, "_steps", _no_dp)
-        rep = compare_grid(GridSpec(theorem), k)
-        assert rep.rows == [] and k._free_cache == {}
+        rep = compare_grid(GridSpec(theorem), span3_kernels)
+        assert rep.rows == []
         assert rep.skipped == [
             f"{theorem.value} n={n} x={x} y={x}: exact = rhs = 0"
             for n, x in ((256, 5), (1024, 10), (4096, 20))]
@@ -583,36 +620,6 @@ def test_site_rule_zero_is_the_runs_value(law, n, x, y):
             assert run.entry.shape == (n, -law.zmin)
             continue
         assert ex.value(run, n, y) == 0.0, key
-
-
-@pytest.fixture(scope="session")
-def fixture_kernels(srw_kernels, l1_kernels, span3_kernels):
-    return {"srw": srw_kernels, "l1": l1_kernels, "span3": span3_kernels}
-
-
-@settings(max_examples=120, deadline=None)
-@given(theorem=st.sampled_from(list(TheoremId)),
-       law=st.sampled_from(["srw", "l1", "span3"]),
-       xi=st.floats(-8.0, 8.0), eta=st.floats(-8.0, 8.0),
-       n=st.integers(1, 2048))
-def test_surrogate_rhs_raises_as_the_exact_rhs(fixture_kernels, theorem, law,
-                                               xi, eta, n):
-    """The plan's DP-free right-hand side raises exactly when the exact one
-    does, with the same error and text, on cells inside and outside the
-    table and pair windows: so the plan misses no failing cell."""
-    k = fixture_kernels[law]
-    scale = math.sqrt(k.sigma2() * n)
-    x, y = round(xi * scale), round(eta * scale)
-    outcome = []
-    for clt in (True, False):
-        try:
-            asymptotics.rhs(theorem, k, x, y, n, {"alpha": 0.5, "ell": 1.0},
-                            use_local_clt=clt)
-            outcome.append(None)
-        except (WalklabError, ArithmeticError) as e:
-            # ZeroDivisionError too, at x = 0 or y = 0, off every domain
-            outcome.append((type(e), e.args))
-    assert outcome[0] == outcome[1]
 
 
 class TestCompareGrid:
