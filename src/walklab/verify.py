@@ -4,8 +4,9 @@ Two entry points:
 
 * invariant_suite(law): structural identities that must hold at tight
   float tolerances (mass bookkeeping, Chapman-Kolmogorov, duality,
-  domination, reachability, Green/harmonicity identities, ...).
-  Failures are data, not exceptions.
+  domination, reachability, Green/harmonicity identities, ...), one row
+  per record of the table INVARIANTS, each with a stable id.  Failures
+  are data, not exceptions.
 
 * compare_grid(spec, kernels): evaluates one limit theorem on a grid of
   scaled coordinates (xi, eta) and a geometric ladder of n, reporting
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -35,10 +37,16 @@ GREEN_X, GREEN_Y, GREEN_K = 2, 3, 1024   # the Green checks' x, y and K
 
 
 # ---------------------------------------------------------------------------
-# Invariant suite.
+# Invariant suite: one table of records, INVARIANTS, applied by one loop.
+
+F, P, H = dp.FREE, dp.POINT, dp.HALFLINE
+ND, NR, NEX, NORACLE = 256, 257, 48, 512   # the n of the rows that fix it
+HIT_XS, STRIP_N = (5, 20, 50), 30    # the entrance laws' x, the strip's N
+
 
 @dataclass
 class InvariantResult:
+    id: str
     name: str
     status: str          # "pass" | "fail" | "skip"
     residual: float
@@ -46,14 +54,208 @@ class InvariantResult:
     detail: str = ""
 
 
-def _check(results, name, residual, tol, detail=""):
-    status = "pass" if abs(residual) <= tol else "fail"
-    results.append(InvariantResult(name, status, float(abs(residual)),
-                                   tol, detail))
+@dataclass(frozen=True)
+class Invariant:
+    """One row of the suite.  id is its key: the same for every law and
+    n_big, and kept when the row is skipped.  name is its label, formatted
+    with n = n_big, m = n_big // 2 and r = n_big - m.  reads lists the DP
+    snapshots the row reads as (side, start, mode, n): side "law" or
+    "reflected", n a step count or "n", "m" or "r".  check(suite, *runs),
+    runs in the order of reads, returns (residual, tol[, detail]), and
+    the row passes when |residual| <= tol; or it returns why the row is
+    skipped.  Where gate(law) gives a reason, the row is skipped with it
+    and reads nothing.  A kernels row runs only given the kernels."""
+
+    id: str
+    name: str
+    check: Callable
+    reads: tuple[tuple, ...] = ()
+    gate: Callable[[StepLaw], str] | None = None
+    kernels: bool = False
 
 
-def _skip(results, name, reason):
-    results.append(InvariantResult(name, "skip", 0.0, 0.0, reason))
+class _Suite:
+    """What the checks read besides their snapshots (the law, n_big and
+    the kernels k), and the checks longer than a line."""
+
+    def __init__(self, law: StepLaw, k: WalkKernels | None, n_big: int):
+        self.law, self.k, self.n_big = law, k, n_big
+        self.struct = lattice_structure(law)
+        self.sigma2 = float(moments(law).sigma2)
+        self.steps = {"n": n_big, "m": n_big // 2, "r": n_big - n_big // 2}
+        # the point and halfline streams from GREEN_X summed at GREEN_Y
+        # over their first GREEN_K steps, run before the plan's streams
+        self.greens = {} if k is None else {
+            name: potential.time_sums(law, GREEN_X, mode, GREEN_Y, GREEN_K)
+            for name, mode in _DP_MODE.items()}
+
+    @cached_property
+    def hitting(self) -> dict[str, list[float]]:
+        """The first-entrance law H_x^+ (ladder.entrance_law_from) against
+        f_+ and a(x), at x in HIT_XS: its mass, its mean overshoot f_+(x) -
+        x, and its transport of sigma2 a(z) - z and of a(z - y), y <= 0,
+        from x to the entry site z."""
+        a, fp, s2 = self.k.table.a, self.k.pair.fp, self.sigma2
+        hs = {x: ladder.entrance_law_from(self.law, self.k.pair, x)
+              for x in HIT_XS}
+
+        def mean(x: int, f) -> float:
+            return sum(hs[x].prob(z) * f(z) for z in hs[x].sites().tolist())
+        return {
+            "mass": [hs[x].mass() - 1.0 for x in hs],
+            "overshoot": [mean(x, lambda z: -z) - (fp(x) - x) for x in hs],
+            "transport": [mean(x, lambda z: s2 * a(z) - z) - (s2 * a(x) - x)
+                          for x in hs],
+            "decomposition": [mean(x, lambda z: a(z - y))
+                              - (a(x - y) - fp(x) / s2)
+                              for x in hs for y in (0, -3)]}
+
+    @cached_property
+    def hit(self) -> np.ndarray:
+        """P_y[hit STRIP_N before 0] for y = 0..STRIP_N, one exact solve."""
+        return potential.hit_before_origin(self.law, STRIP_N)
+
+    def _free_sites(self, full: dp.DPResult) -> tuple[int, int, int]:
+        """The argmax of p^n_big and +-floor(sqrt(sigma2 n_big)) from it,
+        rounded down to the period."""
+        z0 = int(full.sites()[np.argmax(full.weights)])
+        step = math.isqrt(int(moments(self.law).sigma2 * self.n_big))
+        step -= step % self.struct.period
+        return z0 - step, z0, z0 + step
+
+    def _free_ck(self, lo, hi, full):
+        """p^n_big as the dot of its halves at the _free_sites; a site where
+        p^n is 0 (the argmax never is) fails only if the dot is not 0."""
+        gap = 0.0
+        for z in self._free_sites(full):
+            dot, pz = hi.dot(lo.reflected(z)), full.prob(z)
+            gap = max(gap, abs(dot / pz - 1.0) if pz
+                      else math.inf if dot else 0.0)
+        return gap, 1e-12
+
+    def _free_fourier(self, full):
+        """p^n_big by the tilted Fourier rule at the _free_sites, within its
+        bound plus the window's rounding (gamma_(3 n_k) of the block
+        stream's sums, which bounds a single weight) and cut; the row
+        reports the worst site."""
+        gamma = potential._rounding_gamma(self.law, self.n_big)
+        pairs = []
+        for z in self._free_sites(full):
+            v, bound = potential.p_fourier(self.law, self.n_big, z)
+            pz = full.prob(z)
+            pairs.append((abs(v - pz), bound + gamma * pz + full.cut))
+        return max(pairs, key=lambda p: p[0] / p[1] if p[1]
+                   else math.inf if p[0] else 0.0)
+
+    def _domination(self, free, q, qh):
+        """halfline <= point <= free at n = ND from 3, the free side read
+        as the window from 0 shifted by 3."""
+        p = dp.Window(free.offset + 3, free.weights, free.stride)
+        worst = 0.0
+        for y, w in zip(qh.sites().tolist(), qh.weights):
+            worst = max(worst, w - q.prob(y))
+        for y, w in zip(q.sites().tolist(), q.weights):
+            worst = max(worst, w - p.prob(y))
+        return max(worst, 0.0), 1e-14
+
+    def _reflection(self, p, *qs):
+        """q^n(x, y) = p^n(y - x) - p^n(y + x) on y >= 1, x = 1, 2, 5."""
+        worst = 0.0
+        for x0, qv in zip((1, 2, 5), qs):
+            for y, w in zip(qv.sites().tolist(), qv.weights):
+                if y >= 1:
+                    worst = max(worst,
+                                abs(w - (p.prob(y - x0) - p.prob(y + x0))))
+        return worst, 1e-12
+
+    def _pair_harmonicity(self):
+        worst = 0.0
+        for side in ("plus", "minus"):
+            for x in range(-self.law.zmin + 1, 40):
+                worst = max(worst, abs(ladder.harmonicity_residual(
+                    self.law, self.k.pair, side, x)))
+        return worst, 1e-6
+
+    def _buckets(self, run, direction: str):
+        """Each exact height probability lies in [DP bucket, bucket +
+        deficit]; a run of 0 steps enters nothing and bounds nothing."""
+        if not len(run.entry):
+            return "the half-line run from 1 has 0 steps"
+        entered, deficit = ladder.ladder_buckets(run)
+        gap = ladder.ladder_height_law(self.law, direction).pmf - entered
+        return (max(0.0, -gap.min(), (gap - deficit).max()), 1e-12,
+                f"deficit={deficit:.3g}")
+
+    def _green(self, name: str):
+        """G(x,y) - S_K = sum_z q^K(x,z) G(z,y) - q^K(x,y) lies in [0,
+        G(y,y) P_x[T > K]], as G(z,y) <= G(y,y) (the maximum principle);
+        each side, and the mass left, widened by the cut."""
+        g = {"point": lambda x, y: potential.green_point(self.k.table, x, y),
+             "halfline": lambda x, y: ladder.green_halfline(
+                 self.k.pair, self.sigma2, x, y)}[name]
+        acc, _, cut, mass, _ = self.greens[name]
+        x, y = GREEN_X, GREEN_Y
+        gap = g(x, y) + acc[0]             # acc[0], at -y, is -S_K
+        bound = g(y, y) * (mass + cut) + cut
+        return (max(-cut - gap, gap - bound, 0.0), 1e-12,
+                f"gap={gap:.3g}, bound={bound:.3g}")
+
+    def _strip(self, x: int):
+        """The exact hit-N solve against G(x,N)/G(N,N), G from a_fourier."""
+        N = STRIP_N
+
+        def gap() -> float:
+            a = {y: potential.a_fourier(self.law, y)
+                 for y in (x, -N, x - N, N)}
+            return (float(self.hit[x])
+                    - (a[x] + a[-N] - a[x - N]) / (a[N] + a[-N]))
+        return _quadrature(gap)
+
+
+def _quadrature(gap) -> tuple:
+    """gap() at the root-free routes' gate, or inf, with why, where a
+    quadrature of potential.a_fourier did not converge."""
+    try:
+        return gap(), potential.QUAD_GATE
+    except QuadratureNotConverged as e:
+        return math.inf, potential.QUAD_GATE, str(e)
+
+
+def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
+                    n_big: int = 4096) -> list[InvariantResult]:
+    """Exact identities of the DP kernels, at float tolerances: one row
+    per record of INVARIANTS, in its order (see Invariant), the kernel
+    rows only given the kernels.
+
+    The suite plans its DPs before it runs any: the plan is the union of
+    the reads of the rows that run, and _planned_streams runs one stream
+    per (increments, weights, start, mode) up to its last snapshot.  So a
+    law equal to its reflection (srw, sym5, a symmetric lazy walk) reads
+    its own runs for the reflected-law rows.  With kernels, the Green sums
+    run first (_Suite): their strip plans (dp._plan) carry the rows they
+    read, and serve the plan's streams of the same strips, so each strip
+    is walked once.  Failures are data, not exceptions.
+    """
+    s = _Suite(law, kernels, n_big)
+    sides = {"law": law, "reflected": law.reflected()}
+    rows = [(rec, rec.gate and rec.gate(law)) for rec in INVARIANTS
+            if kernels is not None or not rec.kernels]
+    reads = {rec.id: [(sides[side], x, mode, s.steps.get(n, n))
+                      for side, x, mode, n in rec.reads]
+             for rec, skip in rows if not skip}
+    snap = _planned_streams([rd for rds in reads.values() for rd in rds])
+    results = []
+    for rec, skip in rows:
+        out = skip or rec.check(s, *(snap(*rd) for rd in reads[rec.id]))
+        if isinstance(out, str):
+            out, status = (0.0, 0.0, out), "skip"
+        else:
+            status = "pass" if abs(out[0]) <= out[1] else "fail"
+        residual, tol, *detail = out
+        results.append(InvariantResult(rec.id, rec.name.format(**s.steps),
+                                       status, float(abs(residual)), tol,
+                                       *detail))
+    return results
 
 
 def _stream(law: StepLaw, x: int, mode: int,
@@ -82,15 +284,14 @@ def _planned_streams(reads):
     """Run each DP stream of a plan once, up to its last snapshot, and
     return snap(law, x, mode, n), the n-step run of mode from x.
 
-    reads lists (law, x, mode, ns), the snapshots ns that the checks read
-    of the run of mode from x.  The plan keys them by (increments,
-    weights, x, mode), so two laws with the same steps (a law equal to its
-    reflection, and that reflection) share one stream per start and mode;
-    _stream runs each key once.  An empty ns runs nothing."""
+    reads lists the snapshots (law, x, mode, n) that the rows read.  The
+    plan keys them by (increments, weights, x, mode), so two laws with the
+    same steps (a law equal to its reflection, and that reflection) share
+    one stream per start and mode; _stream runs each key once."""
     plan: dict[tuple, tuple[StepLaw, set[int]]] = {}
-    for lw, x, mode, ns in reads:
+    for lw, x, mode, n in reads:
         key = lw.increments, lw.weights, x, mode
-        plan.setdefault(key, (lw, set()))[1].update(ns)
+        plan.setdefault(key, (lw, set()))[1].add(n)
     runs = {key: _stream(lw, key[2], key[3], ns)
             for key, (lw, ns) in plan.items()}
 
@@ -99,290 +300,128 @@ def _planned_streams(reads):
     return snap
 
 
-def invariant_suite(law: StepLaw, kernels: WalkKernels | None = None,
-                    n_big: int = 4096) -> list[InvariantResult]:
-    """Exact identities of the DP kernels, at float tolerances.
-
-    The suite plans its DPs before it runs any: it lists every snapshot a
-    check reads as (law, start, mode) -> {n}, and runs one stream per key
-    of (increments, weights, start, mode) up to its last snapshot
-    (_planned_streams).  A law equal to its reflection (srw, sym5, a
-    symmetric lazy walk) so reads its own runs for the reflected-law
-    checks.  With m = n_big // 2, the snapshots are:
-
-    * free from 0 at 256, 257, m, n_big - m and n_big (and 512 for the
-      unit-step walk): domination's free side (p^256(3, .) is the window
-      from 0 shifted by 3), reachability, the two Chapman-Kolmogorov
-      halves of p^n, free mass and the reflection oracle;
-    * point and halfline from 1 at m and n_big: the first window and the
-      full window of Chapman-Kolmogorov, mass bookkeeping x=1 at n_big
-      (and the reflection oracle's x=1 at 512); the halfline run at m is
-      the descending ladder-bucket run;
-    * point and halfline from 3 at 48 (point only) and 256: float vs
-      rational, domination, duality's first side and mass bookkeeping
-      x=3 at 256;
-    * point and halfline of the reflected law from 1 at n_big - m: the
-      dual window of Chapman-Kolmogorov and mass bookkeeping there; the
-      halfline run is the ascending ladder-bucket run;
-    * point and halfline of the reflected law from 5 at 256: duality's
-      second side;
-    * point from 2 and 5 at 512 for the unit-step walk: the reflection
-      oracle.
-
-    The Green checks (with kernels) sum the point and halfline streams
-    from 2 over their first 1024 steps (potential.time_sums), outside the
-    plan, and bound each Green function's gap to its sum by G(y,y) times
-    the mass left.  Those two streams run first: their strip plans
-    (dp._plan) carry the rows they read, and serve the plan's streams of
-    the same strips, so each strip is walked once.  Failures are data,
-    not exceptions.
-    """
-    results: list[InvariantResult] = []
-    struct = lattice_structure(law)
-    refl = law.reflected()
-    m, nd, nr, nex = n_big // 2, 256, 257, 48
-    oracle = (512,) if law.increments == (-1, 1) else ()
-    F, P, H = dp.FREE, dp.POINT, dp.HALFLINE
-    greens = {} if kernels is None else {
-        name: potential.time_sums(law, GREEN_X, mode, GREEN_Y, GREEN_K)
-        for name, mode in _DP_MODE.items()}
-    snap = _planned_streams([
-        (law, 0, F, (nd, nr, m, n_big - m, n_big) + oracle),
-        (law, 1, P, (m, n_big) + oracle), (law, 1, H, (m, n_big)),
-        (law, 3, P, (nex, nd)), (law, 3, H, (nd,)),
-        (refl, 1, P, (n_big - m,)), (refl, 1, H, (n_big - m,)),
-        (refl, 5, P, (nd,)), (refl, 5, H, (nd,)),
-        (law, 2, P, oracle), (law, 5, P, oracle)])
-
-    # free evolution mass, and the free kernel as the Chapman-Kolmogorov dot
-    # of its two halves
-    p_lo, p_hi, full = (snap(law, 0, F, n) for n in (m, n_big - m, n_big))
-    _check(results, f"free mass n={n_big}", full.mass() + full.cut - 1.0,
-           1e-12)
-    # at the argmax and at +-floor(sqrt(sigma2 n)) from it, rounded down to
-    # the period; a site where p^n is 0 (the argmax never is) fails only
-    # if the dot there is not 0
-    z0 = int(full.sites()[np.argmax(full.weights)])
-    step = math.isqrt(int(moments(law).sigma2 * n_big))
-    step -= step % struct.period
-    sites = (z0 - step, z0, z0 + step)
-    gap = 0.0
-    for z in sites:
-        dot, pz = p_hi.dot(p_lo.reflected(z)), full.prob(z)
-        gap = max(gap, abs(dot / pz - 1.0) if pz
-                  else math.inf if dot else 0.0)
-    _check(results, f"free kernel by Chapman-Kolmogorov n={n_big}", gap,
-           1e-12)
-    # the same sites by the tilted Fourier rule, within its bound plus the
-    # window's rounding (gamma_(3 n_k) of the block stream's sums, which
-    # bounds a single weight) and cut; the row reports the worst site
-    gamma = potential._rounding_gamma(law, n_big)
-    pairs = []
-    for z in sites:
-        (v, bound), pz = potential.p_fourier(law, n_big, z), full.prob(z)
-        pairs.append((abs(v - pz), bound + gamma * pz + full.cut))
-    gap, tol = max(pairs, key=lambda p: p[0] / p[1] if p[1]
-                   else math.inf if p[0] else 0.0)
-    _check(results, f"free kernel by Fourier rule n={n_big}", gap, tol)
-
-    # mass conservation, point and halfline modes: what survived, what was
-    # absorbed and what the edge cut removed add up to 1, at the last
-    # snapshot of each of these runs, which other checks read too
-    for lw, x, n in ((law, 1, n_big), (law, 3, nd), (refl, 1, n_big - m)):
-        at = f"x={x} n={n}" + ("" if lw is law else ", reflected law")
-        qp, qh = snap(lw, x, P, n), snap(lw, x, H, n)
-        _check(results, f"point mass bookkeeping {at}",
-               qp.mass() + qp.absorbed.sum() + qp.cut - 1.0, 1e-10)
-        if lw is law:
-            _check(results, f"point kernel vanishes at 0, {at}", qp.prob(0),
-                   0.0)
-        _check(results, f"halfline mass bookkeeping {at}",
-               qh.mass() + qh.entry.sum() + qh.cut - 1.0, 1e-10)
-
-    # Chapman-Kolmogorov via the dual window, q^n(1, 1) = sum_z q^m(1, z)
-    # q~^(n-m)(1, z), as q^k(z, y) = q~^k(y, z); then duality (time
-    # reversal), q^256(3, 5) = q~^256(5, 3)
-    for name, mode in _DP_MODE.items():
-        _check(results, f"Chapman-Kolmogorov {name} ({m}+{n_big - m})",
-               snap(law, 1, mode, m).dot(snap(refl, 1, mode, n_big - m))
-               - snap(law, 1, mode, n_big).prob(1), 1e-10)
-    for name, mode in _DP_MODE.items():
-        _check(results, f"duality {name} n={nd}",
-               snap(law, 3, mode, nd).prob(5)
-               - snap(refl, 5, mode, nd).prob(3), 1e-12)
-
-    # reachability: support of p^n confined to the congruence class
-    d = snap(law, 0, F, nr)
-    bad = max((abs(w) for y, w in zip(d.sites().tolist(), d.weights)
-               if not struct.reachable(nr, y)), default=0.0)
-    _check(results, f"reachability n={nr}", bad, 0.0)
-
-    # domination chain at n = 256
-    free = snap(law, 0, F, nd)
-    p = dp.Window(free.offset + 3, free.weights, free.stride)
-    q, qh = snap(law, 3, P, nd), snap(law, 3, H, nd)
-    worst = 0.0
-    for y, w in zip(qh.sites().tolist(), qh.weights):
-        worst = max(worst, w - q.prob(y))
-    for y, w in zip(q.sites().tolist(), q.weights):
-        worst = max(worst, w - p.prob(y))
-    _check(results, "domination halfline <= point <= free",
-           max(worst, 0.0), 1e-14)
-
-    # float DP calibrated against rational DP
-    exact = engine.absorbed_at_origin_exact(law, 3, nex)[0]
-    qf = snap(law, 3, P, nex)
-    err = max(abs(qf.prob(s) - float(v)) for s, v in exact.items())
-    _check(results, f"float vs rational DP n={nex}", err, 1e-13)
-
-    # reflection-principle oracle (symmetric unit-step walk only)
-    if oracle:
-        nn = oracle[0]
-        p = snap(law, 0, F, nn)
-        worst = 0.0
-        for x0 in (1, 2, 5):
-            qv = snap(law, x0, P, nn)
-            for y, w in zip(qv.sites().tolist(), qv.weights):
-                if y >= 1:
-                    worst = max(worst,
-                                abs(w - (p.prob(y - x0) - p.prob(y + x0))))
-        _check(results, "reflection principle", worst, 1e-12)
-    else:
-        _skip(results, "reflection principle", "law is not the unit-step walk")
-
-    # one-sided continuity: the halfline and point kernels of the domination
-    # chain coincide on x,y >= 1
-    if law.zmin >= -1:
-        worst = max(abs(q.prob(y) - qh.prob(y))
-                    for y in q.sites().tolist() if y >= 1)
-        _check(results, "halfline == point for left-continuous law",
-               worst, 1e-12)
-    else:
-        _skip(results, "halfline == point for left-continuous law",
-              "law has down-jumps below -1")
-
-    if kernels is not None:
-        buckets = {"ascending": snap(refl, 1, H, n_big - m),
-                   "descending": snap(law, 1, H, m)}
-        _kernel_invariants(law, kernels, results, buckets, greens)
-    return results
+def _mass_rows(tag: str, side: str, x: int, n, at: str) -> list[Invariant]:
+    """Mass conservation, point and halfline modes: what survived, what
+    was absorbed and what the edge cut removed add up to 1."""
+    point = ((side, x, P, n),)
+    vanishes = [Invariant(f"vanishes.{tag}",
+                          f"point kernel vanishes at 0, {at}",
+                          lambda s, q: (q.prob(0), 0.0), point)]
+    return [Invariant(f"mass.point.{tag}", f"point mass bookkeeping {at}",
+                      lambda s, q: (q.mass() + q.absorbed.sum() + q.cut - 1.0,
+                                    1e-10), point),
+            *(vanishes if side == "law" else []),
+            Invariant(f"mass.halfline.{tag}",
+                      f"halfline mass bookkeeping {at}",
+                      lambda s, q: (q.mass() + q.entry.sum() + q.cut - 1.0,
+                                    1e-10), ((side, x, H, n),))]
 
 
-def _kernel_invariants(law: StepLaw, k: WalkKernels,
-                       results: list[InvariantResult],
-                       buckets: dict[str, dp.DPResult], greens: dict):
-    sigma2 = k.sigma2()
-    table, pair = k.table, k.pair
-
-    res = potential.harmonicity_residuals(law, table)
-    _check(results, "potential kernel harmonicity", np.max(np.abs(res)), 1e-8)
-    _check(results, "a(0) = 0", table.a(0), 0.0)
+INVARIANTS: tuple[Invariant, ...] = (
+    Invariant("free.mass", "free mass n={n}",
+              lambda s, full: (full.mass() + full.cut - 1.0, 1e-12),
+              (("law", 0, F, "n"),)),
+    Invariant("free.chapman-kolmogorov",
+              "free kernel by Chapman-Kolmogorov n={n}", _Suite._free_ck,
+              (("law", 0, F, "m"), ("law", 0, F, "r"), ("law", 0, F, "n"))),
+    Invariant("free.fourier", "free kernel by Fourier rule n={n}",
+              _Suite._free_fourier, (("law", 0, F, "n"),)),
+    *_mass_rows("x1", "law", 1, "n", "x=1 n={n}"),
+    *_mass_rows("x3", "law", 3, ND, f"x=3 n={ND}"),
+    *_mass_rows("reflected", "reflected", 1, "r", "x=1 n={r}, reflected law"),
+    # the dual window: q^n(1, 1) = sum_z q^m(1, z) q~^r(1, z), as q^k(z, y)
+    # = q~^k(y, z); then time reversal, q^ND(3, 5) = q~^ND(5, 3)
+    *(Invariant(f"chapman-kolmogorov.{name}",
+                f"Chapman-Kolmogorov {name} ({{m}}+{{r}})",
+                lambda s, q, qr, full: (q.dot(qr) - full.prob(1), 1e-10),
+                (("law", 1, mode, "m"), ("reflected", 1, mode, "r"),
+                 ("law", 1, mode, "n"))) for name, mode in _DP_MODE.items()),
+    *(Invariant(f"duality.{name}", f"duality {name} n={ND}",
+                lambda s, q, qr: (q.prob(5) - qr.prob(3), 1e-12),
+                (("law", 3, mode, ND), ("reflected", 5, mode, ND)))
+      for name, mode in _DP_MODE.items()),
+    # the support of p^n is confined to its congruence class
+    Invariant("reachability", f"reachability n={NR}",
+              lambda s, d: (max((abs(w) for y, w in zip(d.sites().tolist(),
+                                                        d.weights)
+                                 if not s.struct.reachable(NR, y)),
+                                default=0.0), 0.0), (("law", 0, F, NR),)),
+    Invariant("domination", "domination halfline <= point <= free",
+              _Suite._domination,
+              (("law", 0, F, ND), ("law", 3, P, ND), ("law", 3, H, ND))),
+    # the float DP calibrated against the rational DP
+    Invariant("float-vs-rational", f"float vs rational DP n={NEX}",
+              lambda s, q: (max(abs(q.prob(z) - float(v)) for z, v in
+                                engine.absorbed_at_origin_exact(
+                                    s.law, 3, NEX)[0].items()), 1e-13),
+              (("law", 3, P, NEX),)),
+    Invariant("reflection-principle", "reflection principle",
+              _Suite._reflection,
+              (("law", 0, F, NORACLE), ("law", 1, P, NORACLE),
+               ("law", 2, P, NORACLE), ("law", 5, P, NORACLE)),
+              gate=lambda law: "" if law.increments == (-1, 1)
+              else "law is not the unit-step walk"),
+    # the halfline and point kernels of the domination row agree on y >= 1
+    Invariant("left-continuous", "halfline == point for left-continuous law",
+              lambda s, q, qh: (max(abs(q.prob(y) - qh.prob(y))
+                                    for y in q.sites().tolist() if y >= 1),
+                                1e-12),
+              (("law", 3, P, ND), ("law", 3, H, ND)),
+              gate=lambda law: "" if law.zmin >= -1
+              else "law has down-jumps below -1"),
+    Invariant("potential.harmonicity", "potential kernel harmonicity",
+              lambda s: (np.max(np.abs(potential.harmonicity_residuals(
+                  s.law, s.k.table))), 1e-8), kernels=True),
+    Invariant("potential.a0", "a(0) = 0", lambda s: (s.k.table.a(0), 0.0),
+              kernels=True),
     # the root-free route, at the check tolerance of its circle rule
-    try:
-        gap, detail = max((abs(table.a(x) - potential.a_fourier(law, x))
-                           for x in FOURIER_XS if abs(x) <= table.X),
-                          default=0.0), ""
-    except QuadratureNotConverged as e:
-        gap, detail = math.inf, str(e)
-    _check(results, "potential table vs Fourier route", gap,
-           potential.QUAD_GATE, detail)
-
-    ladder_invariants(law, pair, results, buckets)
-
-    # the first-entrance law H_x^+ (ladder.entrance_law_from) against f_+
-    # and a(x): its mass, its mean overshoot f_+(x) - x, and its transport
-    # of sigma2 a(z) - z and of a(z - y), y <= 0, from x to the entry
-    # site z; each row is the worst residual over its x (and y)
-    hs = {x: ladder.entrance_law_from(law, pair, x) for x in (5, 20, 50)}
-
-    def mean(x: int, f) -> float:
-        return sum(hs[x].prob(z) * f(z) for z in hs[x].sites().tolist())
-
-    at = "x=" + ",".join(map(str, hs))
-    for name, gaps in (
-            (f"hitting-law mass {at}", [hs[x].mass() - 1.0 for x in hs]),
-            (f"overshoot mean vs f_+(x) - x, {at}",
-             [mean(x, lambda z: -z) - (pair.fp(x) - x) for x in hs]),
-            (f"potential transport {at}",
-             [mean(x, lambda z: sigma2 * table.a(z) - z)
-              - (sigma2 * table.a(x) - x) for x in hs]),
-            (f"hitting decomposition {at}, y=0,-3",
-             [mean(x, lambda z: table.a(z - y))
-              - (table.a(x - y) - pair.fp(x) / sigma2)
-              for x in hs for y in (0, -3)])):
-        _check(results, name, max(map(abs, gaps)), 1e-10)
-
-    # Green functions against their DP sums S_K from x = 2 at y = 3, K =
-    # 1024 rounded down to the period (greens[name], time_sums' of the
-    # stream): G(x,y) - S_K = sum_z q^K(x,z) G(z,y) - q^K(x,y) lies in
-    # [0, G(y,y) P_x[T > K]], as G(z,y) <= G(y,y) (the maximum principle);
-    # each side, and the mass left, widened by the cut
-    x, y = GREEN_X, GREEN_Y
-    for name, fn in (
-        ("point", lambda x, y: potential.green_point(table, x, y)),
-        ("halfline", lambda x, y: ladder.green_halfline(pair, sigma2, x, y)),
-    ):
-        acc, _, cut, mass, _ = greens[name]
-        gap = fn(x, y) + acc[0]             # acc[0], at -y, is -S_K
-        bound = fn(y, y) * (mass + cut) + cut
-        _check(results, f"green {name} tail bound x={x} y={y}",
-               max(-cut - gap, gap - bound, 0.0), 1e-12,
-               f"gap={gap:.3g}, bound={bound:.3g}")
-
-    # exact hit-N solve vs the root-free G(x,N)/G(N,N), G from a_fourier
-    N = 30
-    for x in (5, 17):
-        hit = engine.strip_exit(law, x, N).p_hit_high_before_origin
-        try:
-            a = {y: potential.a_fourier(law, y) for y in (x, -N, x - N, N)}
-            gap, detail = hit - (a[x] + a[-N] - a[x - N]) / (a[N] + a[-N]), ""
-        except QuadratureNotConverged as e:
-            gap, detail = math.inf, str(e)
-        _check(results, f"strip vs green ratio x={x}", gap,
-               potential.QUAD_GATE, detail)
-
-
-def ladder_invariants(law: StepLaw, pair: ladder.HarmonicPair,
-                      results: list[InvariantResult],
-                      buckets: dict[str, dp.DPResult]):
-    """Checks of the ladder-height laws and of the harmonic pair built from
-    them; they need no potential table.  buckets[direction] is the half-line
-    run from 1 that ladder.ladder_buckets reads: of the reflected law for
-    "ascending", of the law for "descending"."""
-    sigma2 = float(moments(law).sigma2)
-    worst = 0.0
-    for side in ("plus", "minus"):
-        for x in range(-law.zmin + 1, 40):
-            worst = max(worst, abs(ladder.harmonicity_residual(
-                law, pair, side, x)))
-    _check(results, "harmonic pair harmonicity", worst, 1e-6)
-
-    edge = max(abs(pair.fp(pair.X) / pair.X - 1.0),
-               abs(pair.fm(pair.X) / pair.X - 1.0))
-    _check(results, "f_pm(X)/X near 1 at table edge", edge, 0.05)
-
-    rem_a = sum(float(pair.fm(j)) *
-                float(sum(w for z, w in law.items() if z <= -j))
-                for j in range(1, -law.zmin + 1)) - sigma2 / 2.0
-    _check(results, "ladder-mean identity (sigma^2/2)", rem_a, 1e-8)
-
-    # each exact height probability lies in [DP bucket, bucket + deficit];
-    # a run of 0 steps enters nothing and bounds nothing
-    for d in ("ascending", "descending"):
-        if not len(buckets[d].entry):
-            _skip(results, f"{d} ladder heights vs DP buckets",
-                  "the half-line run from 1 has 0 steps")
-            continue
-        entered, deficit = ladder.ladder_buckets(buckets[d])
-        gap = ladder.ladder_height_law(law, d).pmf - entered
-        _check(results, f"{d} ladder heights vs DP buckets",
-               max(0.0, -gap.min(), (gap - deficit).max()), 1e-12,
-               f"deficit={deficit:.3g}")
-
-    _check(results, "H_inf_plus normalization",
-           ladder.entrance_law_inf(law, pair).mass() - 1.0, 1e-8)
-    _check(results, "H_minus_inf normalization",
-           ladder.entrance_law_minus_inf(law, pair).mass() - 1.0, 1e-8)
+    Invariant("potential.fourier", "potential table vs Fourier route",
+              lambda s: _quadrature(lambda: max(
+                  (abs(s.k.table.a(x) - potential.a_fourier(s.law, x))
+                   for x in FOURIER_XS if abs(x) <= s.k.table.X),
+                  default=0.0)), kernels=True),
+    # the ladder-height laws and the harmonic pair built from them, which
+    # read no potential table
+    Invariant("pair.harmonicity", "harmonic pair harmonicity",
+              _Suite._pair_harmonicity, kernels=True),
+    Invariant("pair.edge", "f_pm(X)/X near 1 at table edge",
+              lambda s: (max(abs(f(s.k.pair.X) / s.k.pair.X - 1.0)
+                             for f in (s.k.pair.fp, s.k.pair.fm)), 0.05),
+              kernels=True),
+    Invariant("ladder.mean", "ladder-mean identity (sigma^2/2)",
+              lambda s: (sum(float(s.k.pair.fm(j))
+                             * float(sum(w for z, w in s.law.items()
+                                         if z <= -j))
+                             for j in range(1, -s.law.zmin + 1))
+                         - s.sigma2 / 2.0, 1e-8), kernels=True),
+    # ladder.ladder_buckets reads the half-line run from 1 of the reflected
+    # law for the ascending heights, of the law for the descending ones
+    *(Invariant(f"ladder.{d}", f"{d} ladder heights vs DP buckets",
+                partial(_Suite._buckets, direction=d), (read,), kernels=True)
+      for d, read in (("ascending", ("reflected", 1, H, "r")),
+                      ("descending", ("law", 1, H, "m")))),
+    Invariant("entrance.inf-plus", "H_inf_plus normalization",
+              lambda s: (s.k.h_inf_plus.mass() - 1.0, 1e-8), kernels=True),
+    Invariant("entrance.minus-inf", "H_minus_inf normalization",
+              lambda s: (s.k.h_minus_inf.mass() - 1.0, 1e-8), kernels=True),
+    # each row is the worst residual over its x (and y): _Suite.hitting
+    *(Invariant(f"hitting.{kind}", label.format(",".join(map(str, HIT_XS))),
+                lambda s, kind=kind: (max(map(abs, s.hitting[kind])), 1e-10),
+                kernels=True)
+      for kind, label in (("mass", "hitting-law mass x={}"),
+                          ("overshoot", "overshoot mean vs f_+(x) - x, x={}"),
+                          ("transport", "potential transport x={}"),
+                          ("decomposition",
+                           "hitting decomposition x={}, y=0,-3"))),
+    # G(GREEN_X, GREEN_Y) against its DP sum over GREEN_K steps, rounded
+    # down to the period (potential.time_sums)
+    *(Invariant(f"green.{name}",
+                f"green {name} tail bound x={GREEN_X} y={GREEN_Y}",
+                partial(_Suite._green, name=name), kernels=True)
+      for name in _DP_MODE),
+    *(Invariant(f"strip.x{x}", f"strip vs green ratio x={x}",
+                partial(_Suite._strip, x=x), kernels=True) for x in (5, 17)),
+)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Ladder height laws, the harmonic pair (f_+, f_-), half-line Green
 function, and entrance laws with their exact identities."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 
 from walklab import build_law, engine, laws, verify
 from walklab.errors import FactorizationFailed
-from walklab.ladder import (build_harmonic_pair, c_entrance_route,
-                            entrance_law_from, entrance_law_inf,
-                            entrance_law_minus_inf,
+from walklab.kernels import build_kernels
+from walklab.ladder import (c_entrance_route, entrance_law_from,
+                            entrance_law_inf, entrance_law_minus_inf,
                             green_halfline, harmonicity_residual,
                             ladder_height_law)
 from walklab.laws import moments
@@ -82,17 +83,22 @@ class TestLadderHeights:
             ladder_height_law(law, "ascending")
 
 
+LADDER_ROWS = ("pair.harmonicity", "pair.edge", "ladder.mean",
+               "ladder.ascending", "ladder.descending", "entrance.inf-plus",
+               "entrance.minus-inf")
+
+
 @settings(max_examples=15, deadline=None)
 @given(zero_mean_laws(span=12))
 def test_ladder_invariants_for_any_law(law):
     """The ladder laws and the harmonic pair pass the invariant suite's
-    checks, at its tolerances, for random laws of span up to 12, with the
+    rows, at its tolerances, for random laws of span up to 12, with the
     ladder buckets from the suite's 2048-step half-line runs at its default
-    n_big."""
-    runs = {"ascending": engine.absorbed_on_halfline(law.reflected(), 1, 2048),
-            "descending": engine.absorbed_on_halfline(law, 1, 2048)}
-    results = []
-    verify.ladder_invariants(law, build_harmonic_pair(law), results, runs)
+    n_big: the suite runs with its table cut to those rows."""
+    rows = tuple(r for r in verify.INVARIANTS if r.id in LADDER_ROWS)
+    with mock.patch.object(verify, "INVARIANTS", rows):
+        results = verify.invariant_suite(law, build_kernels(law))
+    assert [r.id for r in results] == list(LADDER_ROWS)
     assert [r for r in results if r.status != "pass"] == []
 
 

@@ -120,6 +120,90 @@ class TestInvariantSuite:
             "halfline mass bookkeeping x=1 n=257, reflected law"]
 
 
+ROW_IDS = [
+    "free.mass", "free.chapman-kolmogorov", "free.fourier",
+    "mass.point.x1", "vanishes.x1", "mass.halfline.x1",
+    "mass.point.x3", "vanishes.x3", "mass.halfline.x3",
+    "mass.point.reflected", "mass.halfline.reflected",
+    "chapman-kolmogorov.point", "chapman-kolmogorov.halfline",
+    "duality.point", "duality.halfline", "reachability", "domination",
+    "float-vs-rational", "reflection-principle", "left-continuous",
+    "potential.harmonicity", "potential.a0", "potential.fourier",
+    "pair.harmonicity", "pair.edge", "ladder.mean", "ladder.ascending",
+    "ladder.descending", "entrance.inf-plus", "entrance.minus-inf",
+    "hitting.mass", "hitting.overshoot", "hitting.transport",
+    "hitting.decomposition", "green.point", "green.halfline", "strip.x5",
+    "strip.x17"]
+
+
+@pytest.mark.parametrize("fixture, runs_oracle", [("l1", False),
+                                                  ("srw", True)])
+def test_row_ids_do_not_depend_on_law_or_n_big(fixture, runs_oracle,
+                                               request):
+    """Each row keeps its id at every n_big, where its name changes, and a
+    skipped row keeps its id: l1 skips the reflection oracle and the
+    left-continuous row, srw runs both.  Without kernels the suite emits
+    the rows before the kernel rows, in the same order."""
+    law = request.getfixturevalue(fixture)
+    kernels = request.getfixturevalue(fixture + "_kernels")
+    names = set()
+    for n_big in (64, 4096):
+        rows = invariant_suite(law, kernels, n_big=n_big)
+        assert [r.id for r in rows] == ROW_IDS
+        status = {r.id: r.status for r in rows}
+        for rid in ("reflection-principle", "left-continuous"):
+            assert (status[rid] == "skip") != runs_oracle, rid
+        names.add(rows[0].name)
+    assert names == {"free mass n=64", "free mass n=4096"}
+    assert [r.id for r in invariant_suite(law, n_big=64)] == ROW_IDS[:20]
+
+
+class _Logged(dict):
+    """A stream's snapshots {n: run} that records each n read."""
+
+    def __init__(self, runs, key, read):
+        super().__init__(runs)
+        self.key, self.read = key, read
+
+    def __getitem__(self, n):
+        self.read.add((self.key, n))
+        return super().__getitem__(n)
+
+
+@pytest.mark.parametrize("fixture", ["l1", "srw", "span3"])
+@pytest.mark.parametrize("n_big", [1, 64, 257])
+def test_plan_is_the_union_of_the_reads(fixture, n_big, request,
+                                        monkeypatch):
+    """Every snapshot a row reads is planned, and every planned snapshot
+    is read: each DP stream (verify._stream) stops at the last snapshot a
+    row reads of it, and a row reads every snapshot of its record's reads
+    (resolved at n_big), gated rows none."""
+    law = request.getfixturevalue(fixture)
+    kernels = request.getfixturevalue(fixture + "_kernels")
+    planned, read = set(), set()
+    stream = verify._stream
+
+    def logged(lw, x, mode, ns):
+        key = lw.increments, lw.weights, x, mode
+        runs = stream(lw, x, mode, ns)
+        planned.update((key, n) for n in runs)
+        return _Logged(runs, key, read)
+
+    monkeypatch.setattr(verify, "_stream", logged)
+    invariant_suite(law, kernels, n_big=n_big)
+    assert read == planned
+    m = n_big // 2
+    steps, sides = {"n": n_big, "m": m, "r": n_big - m}, {
+        "law": law, "reflected": law.reflected()}
+    for rec in verify.INVARIANTS:
+        if rec.gate and rec.gate(law):
+            continue
+        for side, x, mode, n in rec.reads:
+            lw = sides[side]
+            key = lw.increments, lw.weights, x, mode
+            assert (key, steps.get(n, n)) in read, (rec.id, side, x, n)
+
+
 @pytest.mark.parametrize("pairs", [L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS],
                          ids=["l1", "span3", "srw"])
 def test_suite_walks_each_strip_once(pairs, monkeypatch):
