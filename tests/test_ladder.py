@@ -1,5 +1,6 @@
 """Ladder height laws, the harmonic pair (f_+, f_-), half-line Green
 function, and entrance laws with their exact identities."""
+import dataclasses
 import math
 from unittest import mock
 
@@ -100,6 +101,24 @@ def test_ladder_invariants_for_any_law(law):
         results = verify.invariant_suite(law, build_kernels(law))
     assert [r.id for r in results] == list(LADDER_ROWS)
     assert [r for r in results if r.status != "pass"] == []
+
+
+def test_harmonicity_row_checks_wide_laws():
+    """On p61 (zmin = -41) the harmonic pair row reads the 39 sites 42..80:
+    a pair perturbed past x = 41 fails it, which a row reading the sites
+    below 40 alone passed with no site checked."""
+    law = build_law([(-41, "20/61"), (20, "41/61")], "p61")
+    k = build_kernels(law)
+    f_plus = k.pair.f_plus.copy()
+    f_plus[41:] *= 1.0 + 1e-6
+    bad = dataclasses.replace(k, pair=dataclasses.replace(k.pair,
+                                                         f_plus=f_plus))
+    rows = tuple(r for r in verify.INVARIANTS if r.id == "pair.harmonicity")
+    with mock.patch.object(verify, "INVARIANTS", rows):
+        [good] = verify.invariant_suite(law, k, n_big=64)
+        [row] = verify.invariant_suite(law, bad, n_big=64)
+    assert row.status == "fail", row
+    assert good.status == "pass" and 0.0 < good.residual < 1e-12
 
 
 class TestHarmonicPair:
