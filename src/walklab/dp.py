@@ -18,13 +18,15 @@ from ``period``, is the lattice period of the law), a walk on the sites
 c + dZ at one step is on c + zmin + dZ at the next, so the stream stores
 only those sites, d apart, and steps with the compressed pmf pmf[::d]:
 the law of (Y - zmin)/d.  For d = 1 that is every site and the pmf
-itself.  Every stream advances in blocks of up to BLOCK_STEPS steps
-(see _steps): the free stream by one convolution with p^{*L}, an
+itself.  Every stream advances in blocks of L <= BLOCK_STEPS steps and
+ends with one block of the n mod L steps left (see _steps), each block
+one advance: the free stream by one convolution with p^{*L}, an
 absorbed stream by the same convolution of the sites that cannot reach
 the absorbing set within the block and by killed matrices of the strip
-that can (_plan), built by one walk of the strip and cached by strip,
-so every stream of a strip reads the same plan.  After every advance
-the stream cuts the outer runs of stored sites whose weight is below
+that can (_plan), built by one walk of the strip and cached by strip
+and block length, so every stream of a strip reads the same plan; a
+one-step block is a one-step plan.  After every advance the stream
+cuts the outer runs of stored sites whose weight is below
 CUT = 2^-200, so the window follows the mass instead of growing by the
 span on every step, and it adds the weights it cuts to a running cut
 mass.  Every kernel here is substochastic, so a weight cut at step j
@@ -51,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import WindowOverflow
+from .errors import ConstraintViolation, WindowOverflow
 
 FREE = 0
 POINT = 1
@@ -166,24 +168,21 @@ def _powers(taps: np.ndarray, m: int) -> list[np.ndarray]:
     return powers[:max(m, 1)]
 
 
-def _block_len(t: int, zmin: int, d: int, n: int, mode: int,
-               offset: int) -> int:
-    """Steps per block of an n-step stream from a window at offset, t the
-    compressed tap count.  FREE: min(BLOCK_STEPS, n).  POINT and
-    HALFLINE: the largest power of two L <= min(BLOCK_STEPS, n) whose
-    strip (_plan) holds fewer than 2 BLOCK_STEPS sites: at most L(t-1) + 1
-    (POINT) or ceil(L |zmin| / d) (HALFLINE).  A HALFLINE start with a
-    site <= 0 steps one at a time."""
+def _block_len(t: int, zmin: int, d: int, n: int, mode: int) -> int:
+    """Steps per block of an n-step stream, t the compressed tap count.
+    FREE: min(BLOCK_STEPS, n).  POINT and HALFLINE: the largest power of
+    two L <= min(BLOCK_STEPS, n) whose strip (_plan) holds fewer than
+    2 BLOCK_STEPS sites, at most L(t-1) + 1 (POINT) or ceil(L |zmin| / d)
+    (HALFLINE); L = 2 where no such power of two exceeds 1, so every
+    stream of n >= 2 steps advances at least two steps a block."""
     m = min(BLOCK_STEPS, n)
-    if mode == FREE:
+    if mode == FREE or m < 2:
         return max(m, 1)
-    if mode == HALFLINE and offset < 1:
-        return 1
 
     def strip(L: int) -> int:
         return L * (t - 1) + 1 if mode == POINT else -(L * zmin // d)
 
-    L = 1
+    L = 2
     while 2 * L <= m and strip(2 * L) < 2 * BLOCK_STEPS:
         L *= 2
     return L
@@ -227,8 +226,8 @@ def _plan(key: bytes, zmin: int, d: int, mode: int, alpha: float, L: int,
     that reads none, and the strip is walked again only for rows it lacks
     (none yet, or another X).
 
-    The killed walks from the strip's sites (_strip) step L times, as the
-    one-step advance of _steps does: walk[q, i] is the weight of the walk
+    The killed walks from the strip's sites (_strip) step L times, one
+    convolution and one absorption a step: walk[q, i] is the weight of the walk
     from site i at column i + q, the site first + j zmin + d(i + q) after
     step j, and its first live rows hold every site the walks reach.  Each
     step removes the mass at the absorbing sites the walks reach (POINT:
@@ -320,19 +319,6 @@ def _walk(taps: np.ndarray, zmin: int, d: int, mode: int, alpha: float,
                  np.array(cols, dtype=np.intp), rows)
 
 
-def _split(p: _Plan, off: int, cur: np.ndarray, d: int):
-    """(s, strip): s the index of the strip's first site in the window
-    (off, cur), strip the window's weights on the strip, zeros past its
-    ends, or None where the two do not meet."""
-    s = (p.first - off) // d
-    a, b = max(s, 0), min(s + p.size, len(cur))
-    if b <= a:
-        return s, None
-    strip = np.zeros(p.size)
-    strip[a - s:b - s] = cur[a:b]
-    return s, strip
-
-
 @lru_cache(maxsize=128)
 def _phase_taps(key: bytes, zmin: int, d: int, rho: int, r: int):
     """(first, T, phases) for the rows of r-step blocks with X + offset =
@@ -364,8 +350,8 @@ def _block_row(phase_taps, c: int, d: int, cur: np.ndarray,
     if b > a:
         span[a - lo:b - lo] = cur[a:b]
     by_phase = np.zeros((Wc, d))            # column phase + d q
-    by_phase[:, phases] = (T @ as_strided(    # span[s + q] at (s, q)
-        span, (T.shape[1], Wc), 2 * span.strides, writeable=False)).T
+    by_phase[:, phases] = (T @ np.ndarray(    # span[s + q] at (s, q)
+        (T.shape[1], Wc), span.dtype, span, 0, 2 * span.strides)).T
     return by_phase.reshape(-1)[:2 * X + 1]
 
 
@@ -380,16 +366,19 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     with the compressed pmf pmf[::d], whose tap j is the jump zmin + d*j.
 
     The stream advances L steps at a time (_block_len), then takes the
-    n mod L steps left: a FREE stream in one more block, a POINT or
-    HALFLINE stream one step at a time.  A FREE block is one convolution
-    with the compressed taps of p^{*L}.  An absorbed block splits the
-    window at its start: the strip of sites that can reach the absorbing
-    set ({0}, or the sites <= 0) within L steps, and the far sites, which
-    cannot.  The far sites advance by the same convolution, the strip by
-    one product with its killed matrix, and the two add (_plan, one per
-    phase rho = offset mod d, cached by strip).  Every product is of
-    nonnegative numbers, so nothing cancels, and a site the absorption
-    empties holds exactly 0.0.
+    n mod L steps left as one more block of r = n mod L steps; every
+    block is one advance of r steps, r = 1 included.  A FREE block is
+    one convolution with the compressed taps of p^{*r}.  An absorbed
+    block splits the window at its start: the strip of sites that can
+    reach the absorbing set ({0}, or the sites <= 0) within r steps, and
+    the far sites, which cannot.  The far sites advance by the same
+    convolution, the strip by one product with its killed matrix, and
+    the two add (_plan, one per phase rho = offset mod d and block
+    length, cached by strip).  Every product is of nonnegative numbers,
+    so nothing cancels, and a site the absorption empties holds exactly
+    0.0: in HALFLINE mode every site <= 0, which the cut then drops.  A
+    HALFLINE start must hold no weight at a site <= 0 (run_dp refuses
+    one), as the far sites would carry it.
 
     absorbed is the mass removed on the r steps of the advance: an array
     of r masses in POINT mode (0.0 on the steps where site 0 is off the
@@ -400,12 +389,11 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
 
     row is None without X.  Given X, row[i] is sum_{j=1..r} w_{k-r+j} at
     the site -X + i, |site| <= X: the weights of the advance's steps
-    summed.  The row of a one-step advance is read off its window.  The
-    row of a block is one matrix product from the block's start over the
-    sites its steps reach, its strip zeroed (within a block the far sites
-    evolve freely), plus, in the absorbed modes, the strip's weights times
-    its plan's summed rows.  A block's row lies within r times the cut of
-    its start, a one-step row within its step's own cut.
+    summed.  The row is one matrix product from the block's start over
+    the sites its steps reach, its strip zeroed (within a block the far
+    sites evolve freely), plus, in the absorbed modes, the strip's
+    weights times its plan's summed rows.  It lies within r times the cut
+    of the block's start.
 
     Step j of a block that starts at offset o holds the indices
     i = a_j + q, q = 0..Wc-1, of its coset, with a_j = -((X + o +
@@ -421,17 +409,15 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     they are built once per process for each (_phase_taps).
 
     After the absorption, every advance cuts the outer runs of weights
-    below CUT: a step scans inward from each edge only, so it pays for the
-    sites it cuts, and a block of r > 1 steps, whose edges move r spans,
-    finds them with one vectorised scan.  cut is the summed weight cut by
-    step k; every weight is nonnegative, as the pmf and each initial
-    window the lab passes are.  A weight cut at the end of a block moves
-    each step inside the next one by at most itself.  The cut reads the
-    window alone, so n steps are m steps followed by n - m steps, bit for
-    bit, when m is a multiple of the n-step stream's L and the
-    (n - m)-step stream takes the same L.  The stream ends early once the
-    window is empty.  WINDOW_BUDGET bounds the stored sites, d apart, on
-    every advance.
+    below CUT, found by one vectorised scan of the window.  cut is the
+    summed weight cut by step k; every weight is nonnegative, as the pmf
+    and each initial window the lab passes are.  A weight cut at the end
+    of a block moves each step inside the next one by at most itself.
+    The cut reads the window alone, so n steps are m steps followed by
+    n - m steps, bit for bit, when m is a multiple of the n-step stream's
+    L and the (n - m)-step stream takes the same L.  The stream ends
+    early once the window is empty.  WINDOW_BUDGET bounds the stored
+    sites, d apart, on every advance.
 
     np.convolve(cur, taps) is np.correlate(cur, taps[::-1]) whenever cur
     is at least as long as taps, so the taps are reversed once per block
@@ -441,41 +427,42 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     d = period(pmf)
     taps = pmf[::d]
     key, w = taps.tobytes(), 1 if mode == POINT else -zmin
-    L = _block_len(len(taps), zmin, d, n, mode, offset)
+    L = _block_len(len(taps), zmin, d, n, mode)
     powers = _powers(taps, L)
-    plans: dict[int, _Plan] = {}
     cur, off, cut, k = weights, offset, 0.0, 0
     # count advances of r steps: the full blocks, then the rest
-    for r, count in ((L, n // L), (n % L, 1) if mode == FREE else
-                     (1, n % L)):
+    for r, count in ((L, n // L), (n % L, 1)):
         if r == 0:
             return
         taps = powers[r - 1]
         rev = np.ascontiguousarray(taps[::-1])
         t, shift = len(taps), r * zmin
-        block = r > 1 and mode != FREE
+        plans: dict[int, _Plan] = {}
         for _ in range(count):
             size = len(cur)
             if size == 0:
                 return
-            if block:
+            strip = None
+            if mode != FREE:
                 rho = off % d
                 if rho not in plans:
                     plans[rho] = _plan(key, zmin, d, mode, alpha, r, rho, X)
                 p = plans[rho]
-                s, strip = _split(p, off, cur, d)
-                if strip is not None:       # the far sites, strip zeroed
-                    lo = min(s, 0)
+                s = (p.first - off) // d    # the strip's first index
+                if max(s, 0) < min(s + p.size, size):   # the two meet
+                    lo = min(s, 0)          # the far sites, strip zeroed
                     far = np.zeros(max(size, s + p.size) - lo)
                     far[-lo:size - lo] = cur
-                    far[s - lo:s - lo + p.size] = 0.0
-                    cur, off, s, size = far, off + d * lo, s - lo, len(far)
+                    s -= lo
+                    strip = far[s:s + p.size].copy()
+                    far[s:s + p.size] = 0.0
+                    cur, off, size = far, off + d * lo, len(far)
             row = None
-            if X is not None and r > 1:     # from the start, strip zeroed
+            if X is not None:               # from the start, strip zeroed
                 c = X + off
                 row = _block_row(_phase_taps(key, zmin, d, c % d, r), c, d,
                                  cur, X)
-                if block and strip is not None:
+                if strip is not None:
                     row += strip @ p.rows
             b = size + t - 1
             if b > WINDOW_BUDGET:
@@ -486,54 +473,21 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             off += shift
 
             absorbed = None
-            if block:
+            if mode != FREE:
                 absorbed = np.zeros(r * w)
                 if strip is not None:
                     cur[s:s + p.killed.shape[1]] += strip @ p.killed
                     absorbed[p.cols] = strip @ p.lost
                 if mode == HALFLINE:
                     absorbed = absorbed.reshape(r, w)
-            elif mode == POINT:
-                absorbed = np.zeros(1)
-                i0, rem = divmod(-off, d)
-                if rem == 0 and 0 <= i0 < b:
-                    m = cur[i0]
-                    absorbed[0] = alpha * m
-                    cur[i0] = (1.0 - alpha) * m
-            elif mode == HALFLINE:
-                absorbed = np.zeros((1, w))
-            if mode == HALFLINE:
-                hi = min(b, (-off) // d + 1)  # indices with site <= 0
-                if hi > 0:
-                    if not block:
-                        e = off - 1 - zmin
-                        absorbed[0, e:e + d * hi:d] = cur[:hi]
-                    cur = cur[hi:]
-                    off += d * hi
-                    b -= hi
-            if r > 1:
-                keep = cur >= CUT
-                a = int(keep.argmax())
-                b = b - int(keep[::-1].argmax()) if keep[a] else a
+            keep = cur >= CUT
+            a = int(keep.argmax())
+            b = b - int(keep[::-1].argmax()) if keep[a] else a
+            if a or b < len(cur):
                 cut += float(cur[:a].sum() + cur[b:].sum())
-            else:
-                a = 0
-                while a < b and (v := cur[a]) < CUT:
-                    cut += v
-                    a += 1
-                while b > a and (v := cur[b - 1]) < CUT:
-                    cut += v
-                    b -= 1
-            cur = cur[a:b]
-            off += d * a
+                cur = cur[a:b]
+                off += d * a
             k += r
-            if X is not None and r == 1:    # the window's sites in [-X, X]
-                row = np.zeros(2 * X + 1)
-                j0 = max(0, -((X + off) // d))
-                j1 = min(len(cur) - 1, (X - off) // d)
-                if j1 >= j0:
-                    x = off + d * j0 + X
-                    row[x:x + d * (j1 - j0) + 1:d] = cur[j0:j1 + 1]
             yield k, off, cur, absorbed, cut, row
 
 
@@ -553,11 +507,14 @@ def run_dp(
     and then n - m more are the n-step run bit for bit when m ends a block
     of both (see _steps), and within float rounding of it otherwise.  In
     POINT/HALFLINE modes the start is taken as already past the step-0
-    absorption (the zero-step kernel is the identity).  The result is the
-    window _steps leaves, of stride d.
+    absorption (the zero-step kernel is the identity); a HALFLINE start
+    with weight at a site <= 0 raises ConstraintViolation.  The result is
+    the window _steps leaves, of stride d.
     """
     d = period(pmf)
     off, cur, cut = init_offset, np.array(init_weights, dtype=np.float64), 0.0
+    if mode == HALFLINE and cur[:max(-off // d + 1, 0)].any():
+        raise ConstraintViolation("halfline start with weight at a site <= 0")
     absorbed = np.zeros(n) if mode == POINT else None
     entry, entry_base = None, 0
     if mode == HALFLINE:

@@ -9,10 +9,11 @@ solve on the states 1..N-1, and its hit-N-before-0 probability comes
 exact from potential.hit_before_origin.
 
 "Exact" means exact up to float64 rounding; an optional rational mode
-(evolve_free_exact / absorbed_at_origin_exact, n <= 64) computes the
-same kernels as Fractions, from integer numerators over a power of the
-law's common denominator, and is used to calibrate the float tolerances
-quoted elsewhere.
+(evolve_free_exact / absorbed_at_origin_exact /
+absorbed_on_halfline_exact, n <= 64) computes the same kernels as
+Fractions, from integer numerators over a power of the law's common
+denominator, and is used to calibrate the float tolerances quoted
+elsewhere.
 """
 
 from __future__ import annotations
@@ -158,12 +159,15 @@ def strip_exit(law: StepLaw, x: int, N: int) -> StripExit:
 # ---------------------------------------------------------------------------
 # Exact rational mode (small n), used to calibrate float tolerances.
 
-def _exact_stream(law: StepLaw, x: int, n: int, kill_origin: bool):
-    """Rational n-step kernel from x and, with kill_origin, the passage
-    law.  The DP carries integer numerators over D^k, D the lcm of the
-    law's denominators, as an object array of Python ints on the sites
-    off, off+1, ...: np.convolve with the integer taps is exact.  The
-    Fractions are built once at the end, for the sites of nonzero weight."""
+def _exact_stream(law: StepLaw, x: int, n: int, mode: int):
+    """Rational n-step kernel from x in the dp mode, {site: value}, and
+    what the mode removed: the passage law, a list over steps (POINT),
+    the entrance law, {(k, site): value} (HALFLINE), or None (FREE).  The
+    DP carries integer numerators over D^k, D the lcm of the law's
+    denominators, as an object array of Python ints on the sites off,
+    off+1, ...: np.convolve with the integer taps is exact.  The
+    Fractions are built once at the end, for the sites of nonzero
+    weight."""
     if n > EXACT_STEP_LIMIT:
         raise ConstraintViolation(
             f"exact mode limited to n <= {EXACT_STEP_LIMIT}")
@@ -171,24 +175,37 @@ def _exact_stream(law: StepLaw, x: int, n: int, kill_origin: bool):
     taps = np.zeros(law.zmax - law.zmin + 1, dtype=object)
     for z, w in law.items():
         taps[z - law.zmin] = int(w * D)
-    cur, off, passage = np.ones(1, dtype=object), x, []
+    cur, off = np.ones(1, dtype=object), x
+    removed = [] if mode == dp.POINT else {} if mode == dp.HALFLINE else None
     for k in range(1, n + 1):
         cur = np.convolve(cur, taps)
         off += law.zmin
-        if kill_origin:
+        if mode == dp.POINT:
             m = 0
             if 0 <= -off < len(cur):
                 m, cur[-off] = cur[-off], 0
-            passage.append(Fraction(m, D ** k))
+            removed.append(Fraction(m, D ** k))
+        elif mode == dp.HALFLINE:
+            hi = max(min(len(cur), 1 - off), 0)     # the sites <= 0
+            removed.update({(k, off + i): Fraction(m, D ** k)
+                            for i, m in enumerate(cur[:hi]) if m})
+            cur, off = cur[hi:], off + hi
     return ({off + i: Fraction(m, D ** n) for i, m in enumerate(cur) if m},
-            passage)
+            removed)
 
 
 def evolve_free_exact(law: StepLaw, x: int, n: int) -> dict[int, Fraction]:
-    return _exact_stream(law, x, n, kill_origin=False)[0]
+    return _exact_stream(law, x, n, dp.FREE)[0]
 
 
 def absorbed_at_origin_exact(law: StepLaw, x: int, n: int):
     """Rational q^n(x, .) and passage law; n <= 64."""
-    return _exact_stream(law, x, n, kill_origin=True)
+    return _exact_stream(law, x, n, dp.POINT)
 
+
+def absorbed_on_halfline_exact(law: StepLaw, x: int, n: int):
+    """Rational kill-on-(-inf,0] kernel and entrance law, {(k, y):
+    h_x(k, y)}; n <= 64."""
+    if x < 1:
+        raise ConstraintViolation("halfline absorption requires start x >= 1")
+    return _exact_stream(law, x, n, dp.HALFLINE)

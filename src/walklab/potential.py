@@ -313,10 +313,11 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
     weights of its r steps summed on [-X, X].  A stream cuts only at the
     ends of its advances, so the row lies within (r - 1) times the cut
     before it plus its own.  The rows are added in step order to their
-    group's: every advance starts at a multiple of its length, which
-    divides dp.BLOCK_STEPS and so G, and lies within one group.  Each group's
-    terms w_k(0) - w_k(-x) are then taken once, and acc adds them to the
-    start's in step order."""
+    group's: every advance but the last starts at a multiple of the
+    stream's block length L, which divides dp.BLOCK_STEPS and so G, and
+    the last, of the K mod L steps left, ends at K; so each lies within
+    one group.  Each group's terms w_k(0) - w_k(-x) are then taken once,
+    and acc adds them to the start's in step order."""
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)                      # the stream's stride
     K = K // d * d

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from walklab import asymptotics, build_law, dp, engine, potential
-from walklab.errors import TailNotNegligible, WindowOverflow
+from walklab.errors import (ConstraintViolation, TailNotNegligible,
+                             WindowOverflow)
 from walklab.kernels import WalkKernels
 from walklab.laws import lattice_structure, moments
 from walklab.potential import a_fourier
@@ -236,7 +237,7 @@ def test_reachability_zeros(srw):
        st.sampled_from([0.0, 0.5, 1.0]))
 def test_run_dp_properties(law, x, n, alpha):
     """With one-step blocks, run_dp(n) is n chained run_dp(1) calls bit
-    for bit in every mode; FREE and POINT match the rational DP; HALFLINE
+    for bit in every mode, and every mode matches the rational DP; HALFLINE
     conserves mass."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dp, "BLOCK_STEPS", 1)
@@ -272,6 +273,13 @@ def _check_run_dp_properties(law, x, n, alpha):
     for y in set(exact) | set(q.sites().tolist()):
         assert abs(q.prob(y) - float(exact.get(y, 0))) <= 1e-13
     assert np.max(np.abs(q.absorbed - np.array(passage, dtype=float))) <= 1e-13
+    h = engine.absorbed_on_halfline(law, abs(x) + 1, n)
+    exact, entry = engine.absorbed_on_halfline_exact(law, abs(x) + 1, n)
+    for y in set(exact) | set(h.sites().tolist()):
+        assert abs(h.prob(y) - float(exact.get(y, 0))) <= 1e-13
+    for (k, y), v in entry.items():
+        assert abs(h.entry[k - 1, y - h.entry_base] - float(v)) <= 1e-13
+    assert abs(h.entry.sum() - float(sum(entry.values()))) <= 1e-13
 
 
 def test_cut_takes_only_outer_zero_and_subnormal_runs(srw, monkeypatch):
@@ -297,6 +305,14 @@ def test_cut_takes_only_outer_zero_and_subnormal_runs(srw, monkeypatch):
     res = dp.run_dp(0, np.full(3, 1e-70), -1, np.full(3, 1 / 3), 5)
     assert len(res.weights) == 0
     assert res.cut == pytest.approx(3e-70, rel=1e-15)
+
+
+def _laid_on(w, sites):
+    """The weights of the window w at sites, a sorted array that holds
+    every site of w: w.prob at each site, in one pass."""
+    out = np.zeros(len(sites))
+    out[np.searchsorted(sites, w.sites())] = w.weights
+    return out
 
 
 def _full_lattice_dp(offset, weights, zmin, pmf, n, mode, alpha, cut=True):
@@ -365,8 +381,7 @@ def test_cut_keeps_every_normal_weight(law, x, n, mode, alpha):
         return np.all(np.abs(got - want)
                       <= res.cut + gamma * np.maximum(got, want))
 
-    assert within(np.array([res.prob(off + i) for i in range(len(ref))]),
-                  ref)
+    assert within(_laid_on(res, off + np.arange(len(ref))), ref)
     if mode == dp.POINT:
         assert within(res.absorbed, absorbed)
     if mode == dp.HALFLINE:
@@ -394,11 +409,11 @@ def _coset_vs_full(law, offset, weights, n, mode, alpha):
         offset, weights, zmin, pmf, n, mode, alpha)
     want = dp.Window(off, ref)
     sites = np.union1d(np.concatenate([r.sites() for r in runs]),
-                       want.sites()).tolist()
-    got = np.array([sum(r.prob(y) for r in runs) for y in sites])
+                       want.sites())
+    got = sum(_laid_on(r, sites) for r in runs)
     field = {dp.POINT: "absorbed", dp.HALFLINE: "entry"}.get(mode)
     summed = sum(getattr(r, field) for r in runs) if field else None
-    return (got, np.array([want.prob(y) for y in sites]),
+    return (got, _laid_on(want, sites),
             (summed, absorbed if mode == dp.POINT else entry),
             (sum(r.cut for r in runs), cut))
 
@@ -435,18 +450,29 @@ def test_coset_stream_matches_full_lattice(law, x, weights, n, mode_alpha):
 @pytest.mark.parametrize("mode, alpha", _MODES)
 def test_coset_stream_is_bit_identical_on_fixtures(pairs, mode, alpha,
                                                    monkeypatch):
-    """On srw, span3 and odd4 the coset stream, in one-step blocks, is the
-    full-lattice DP bit for bit, from one site and from a window over
-    every class."""
+    """On srw, span3 and odd4 the free coset stream, in one-step blocks,
+    is the full-lattice DP bit for bit, from one site and from a window
+    over every class.  An absorbed one-step block adds its strip's
+    products (the one-step plan) apart from the far sites' convolution,
+    so in the absorbed modes every weight and absorbed mass lies within
+    gamma_(3 n_k) (potential._rounding_gamma) of the larger value, plus
+    both cuts, of the full-lattice DP's."""
     monkeypatch.setattr(dp, "BLOCK_STEPS", 1)
     law = build_law(pairs, "law")
+    gamma = potential._rounding_gamma(law, 600)
     for x, weights in ((3, np.ones(1)), (1, np.ones(7))):
         got, want, (absorbed, absorbed_ref), (cut, cut_ref) = _coset_vs_full(
             law, x, weights, 600, mode, alpha)
-        assert np.array_equal(got, want)
+
+        def close(a, b):
+            return (np.abs(a - b)
+                    <= gamma * np.maximum(a, b) + cut + cut_ref).all()
+
         assert cut == pytest.approx(cut_ref, rel=1e-12, abs=0.0)
-        if mode != dp.FREE:
-            assert np.array_equal(absorbed, absorbed_ref)
+        if mode == dp.FREE:
+            assert np.array_equal(got, want)
+        else:
+            assert close(got, want) and close(absorbed, absorbed_ref)
 
 
 _BLOCK_LAWS = pytest.mark.parametrize("pairs", [
@@ -491,8 +517,7 @@ def _assert_blocks_match_steps(law, x, n, mode=dp.FREE, alpha=1.0,
         return (np.abs(a - b) <= gamma * np.maximum(a, b) + cut).all()
 
     sites = np.union1d(blocks.sites(), steps.sites())
-    assert close(np.array([blocks.prob(y) for y in sites]),
-                 np.array([steps.prob(y) for y in sites]))
+    assert close(_laid_on(blocks, sites), _laid_on(steps, sites))
     if mode == dp.POINT:
         assert close(blocks.absorbed, steps.absorbed)
         if alpha == 1.0:
@@ -533,20 +558,42 @@ def test_free_blocks_match_the_rational_dp(pairs, monkeypatch):
 
 @pytest.mark.parametrize("pairs, point, halfline", [
     (SRW_PAIRS, 64, 64), (L1_PAIRS, 32, 32), (W3_PAIRS, 16, 32),
-    (U32_PAIRS, 1, 2), ([(-41, "20/61"), (20, "41/61")], 64, 64),
+    (U32_PAIRS, 2, 2), ([(-41, "20/61"), (20, "41/61")], 64, 64),
 ], ids=["srw", "l1", "w3", "u32", "p61"])
 def test_block_length_follows_the_strip(pairs, point, halfline):
     """An absorbed stream's L is the largest power of two up to
     min(BLOCK_STEPS, n) whose strip holds fewer than 2 BLOCK_STEPS sites:
-    at most L(t-1) + 1 (point) or ceil(L |zmin| / d) (half line); a
-    half-line start with a site <= 0 steps one at a time."""
+    at most L(t-1) + 1 (point) or ceil(L |zmin| / d) (half line), and
+    at least 2 from n = 2 on (u32's point strip for L = 2 holds 129
+    sites); a one-step stream takes L = 1."""
     zmin, pmf = build_law(pairs, "law").pmf_array()
     d = dp.period(pmf)
     t = len(pmf[::d])
     for mode, want in ((dp.POINT, point), (dp.HALFLINE, halfline)):
-        assert dp._block_len(t, zmin, d, 4096, mode, 1) == want
-        assert dp._block_len(t, zmin, d, 5, mode, 1) == min(want, 4)
-    assert dp._block_len(t, zmin, d, 4096, dp.HALFLINE, 0) == 1
+        assert dp._block_len(t, zmin, d, 4096, mode) == want
+        assert dp._block_len(t, zmin, d, 5, mode) == min(want, 4)
+        assert dp._block_len(t, zmin, d, 2, mode) == 2
+        assert dp._block_len(t, zmin, d, 1, mode) == 1
+
+
+@pytest.mark.parametrize("pairs", [SRW_PAIRS, SPAN3_PAIRS],
+                         ids=["srw", "span3"])
+def test_halfline_start_with_weight_at_or_below_zero_is_refused(pairs):
+    """run_dp refuses a half-line start with weight at a site <= 0, whose
+    far sites the blocks would carry past the absorption; zeros there are
+    taken, and the run is that of the start without them, bit for bit."""
+    zmin, pmf = build_law(pairs, "law").pmf_array()
+    d = dp.period(pmf)
+    for off, weights in ((0, [1.0]), (-2 * d, [0.0, 0.5, 0.0, 1.0]),
+                         (1 - d, [1e-300, 1.0])):
+        with pytest.raises(ConstraintViolation, match="site <= 0"):
+            dp.run_dp(off, np.array(weights), zmin, pmf, 100, dp.HALFLINE)
+    got = dp.run_dp(1 - 2 * d, np.array([0.0, 0.0, 1.0]), zmin, pmf, 100,
+                    dp.HALFLINE)
+    want = dp.run_dp(1, np.ones(1), zmin, pmf, 100, dp.HALFLINE)
+    assert (got.offset, got.cut) == (want.offset, want.cut)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.entry, want.entry)
 
 
 @_BLOCK_LAWS
@@ -587,35 +634,14 @@ def test_absorbed_blocks_from_any_start(l1, mode, alpha):
         _assert_blocks_match_steps(l1, x, n, mode, alpha, weights)
 
 
-def _halfline_exact(law, x, n):
-    """Rational half-line kernel after n steps from x, {y: value}, and its
-    entrance law, {(k, y): value}, by the integer DP of
-    engine._exact_stream: numerators over D^k, D the law's common
-    denominator."""
-    D = math.lcm(*(w.denominator for _, w in law.items()))
-    taps = np.zeros(law.zmax - law.zmin + 1, dtype=object)
-    for z, w in law.items():
-        taps[z - law.zmin] = int(w * D)
-    cur, off, entry = np.ones(1, dtype=object), x, {}
-    for k in range(1, n + 1):
-        cur = np.convolve(cur, taps)
-        off += law.zmin
-        hi = max(min(len(cur), 1 - off), 0)   # the sites <= 0
-        entry.update({(k, off + i): Fraction(m, D ** k)
-                      for i, m in enumerate(cur[:hi]) if m})
-        cur, off = cur[hi:], off + hi
-    return ({off + i: Fraction(m, D ** n) for i, m in enumerate(cur) if m},
-            entry)
-
-
 @_BLOCK_LAWS
 def test_absorbed_blocks_match_the_rational_dp(pairs, monkeypatch):
     """With BLOCK_STEPS = 8 the strip rule takes L = 8 (srw, span3, p61),
-    4 (l1) or 2 (odd4): 60 and 63 steps are whole blocks, then up to 7
-    single steps.  Nothing is cut, and the point kernel and its passage
-    law, and the half-line kernel and its entrance law, lie within
-    relative gamma_(3 n_k) (potential._rounding_gamma) of the rational
-    DP's."""
+    4 (l1) or 2 (odd4): 60 and 63 steps are whole blocks, then a last
+    block of the up to 7 steps left.  Nothing is cut, and the point
+    kernel and its passage law, and the half-line kernel and its
+    entrance law, lie within relative gamma_(3 n_k)
+    (potential._rounding_gamma) of the rational DP's."""
     monkeypatch.setattr(dp, "BLOCK_STEPS", 8)
     law = build_law(pairs, "law")
 
@@ -628,7 +654,7 @@ def test_absorbed_blocks_match_the_rational_dp(pairs, monkeypatch):
         q = engine.absorbed_at_origin(law, 3, n)
         exact, passage = engine.absorbed_at_origin_exact(law, 3, n)
         h = engine.absorbed_on_halfline(law, 3, n)
-        h_exact, entry = _halfline_exact(law, 3, n)
+        h_exact, entry = engine.absorbed_on_halfline_exact(law, 3, n)
         assert q.cut == h.cut == 0.0
         for res, ex in ((q, exact), (h, h_exact)):
             ys = sorted(set(ex) | set(res.sites().tolist()))
@@ -639,17 +665,16 @@ def test_absorbed_blocks_match_the_rational_dp(pairs, monkeypatch):
                                for k in range(1, n + 1)])
 
 
-def test_widest_point_stream_steps_one_at_a_time():
-    """u32's point strip for L = 2 would hold 129 sites, so its point
-    stream takes today's one-step advance, bit for bit, and its half-line
-    stream two steps a block."""
+def test_widest_law_streams_take_two_step_blocks():
+    """u32's point strip for L = 2 holds 129 sites and its half-line strip
+    64, so both streams take blocks of two steps, and 301 steps end in a
+    one-step block; against the one-step blocks, within the rounding
+    bound and the cut."""
     law = build_law(U32_PAIRS, "u32")
-    got, want = (_block_run(law, 5, 300, b, dp.POINT)
-                 for b in (dp.BLOCK_STEPS, 1))
-    assert got.offset == want.offset and got.cut == want.cut
-    assert np.array_equal(got.weights, want.weights)
-    assert np.array_equal(got.absorbed, want.absorbed)
-    _assert_blocks_match_steps(law, 5, 301, dp.HALFLINE)
+    zmin, pmf = law.pmf_array()
+    for mode in (dp.POINT, dp.HALFLINE):
+        assert dp._block_len(len(pmf), zmin, 1, 301, mode) == 2
+        _assert_blocks_match_steps(law, 5, 301, mode)
 
 
 @_BLOCK_LAWS
@@ -657,19 +682,20 @@ def test_widest_point_stream_steps_one_at_a_time():
 def test_strip_plan_matches_one_step_runs(pairs, mode, alpha):
     """dp._plan at the law's L and X = 0, 3 and 55, site by site: each
     strip site's killed row, lost masses and summed [-X, X] rows against a
-    one-step run from that site alone.  Both sum the same nonnegative
-    products in other orders, so they agree within gamma_(3 n_L)
-    (potential._rounding_gamma) of the larger value; nothing is cut within
-    L steps of these laws.  Each X walks the strip afresh, and its rows
-    are, to the bit, the central columns of the rows for X = 55, its
-    killed, lost and cols those of X = 55; a stream without rows reads
-    the last plan walked.  The phases 0, 1, d // 2 and d - 1 of the coset
-    are checked."""
+    run from that site alone in one-step blocks, given X = 55, whose
+    central columns are the rows for each X.  Both sum the same
+    nonnegative products in other orders, so they agree within
+    gamma_(3 n_L) (potential._rounding_gamma) of the larger value;
+    nothing is cut within L steps of these laws.  Each X walks the strip
+    afresh, and its rows are, to the bit, the central columns of the rows
+    for X = 55, its killed, lost and cols those of X = 55; a stream
+    without rows reads the last plan walked.  The phases 0, 1, d // 2 and
+    d - 1 of the coset are checked."""
     law = build_law(pairs, "law")
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)
     taps, Xs, w = pmf[::d], (0, 3, 55), 1 if mode == dp.POINT else -zmin
-    L = dp._block_len(len(taps), zmin, d, dp.BLOCK_STEPS, mode, 1)
+    L = dp._block_len(len(taps), zmin, d, dp.BLOCK_STEPS, mode)
     gamma = potential._rounding_gamma(law, L)
 
     def close(a, b):
@@ -690,27 +716,27 @@ def test_strip_plan_matches_one_step_runs(pairs, mode, alpha):
         # a stream without rows reads the plan its strip was walked for
         assert dp._plan(taps.tobytes(), zmin, d, mode, alpha, L,
                         rho) is wide
-        for X, p in plans.items():
-            sites = p.first + L * zmin + d * np.arange(p.killed.shape[1])
-            for i in range(p.size):
-                with pytest.MonkeyPatch.context() as m:
-                    m.setattr(dp, "BLOCK_STEPS", 1)
-                    run = list(dp._steps(p.first + d * i, np.ones(1), zmin,
-                                         pmf, L, mode, alpha, X))
-                k, off, cur, _, cut, _ = run[-1]
-                assert (k, cut) == (L, 0.0)
-                end = dp.Window(off, cur, d)
-                assert np.isin(end.sites(), sites).all()
-                assert close(p.killed[i],
-                             np.array([end.prob(y) for y in sites]))
-                lost = np.zeros(L * w)
-                lost[p.cols] = p.lost[i]
-                assert close(lost, np.concatenate(
-                    [np.ravel(a) for _, _, _, a, _, _ in run]))
-                rows = np.zeros(2 * X + 1)
-                for *_, row in run:
-                    rows += row
-                assert close(p.rows[i], rows)
+        sites = wide.first + L * zmin + d * np.arange(wide.killed.shape[1])
+        for i in range(wide.size):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(dp, "BLOCK_STEPS", 1)
+                run = list(dp._steps(wide.first + d * i, np.ones(1), zmin,
+                                     pmf, L, mode, alpha, Xs[-1]))
+            k, off, cur, _, cut, _ = run[-1]
+            assert (k, cut) == (L, 0.0)
+            end = dp.Window(off, cur, d)
+            assert np.isin(end.sites(), sites).all()
+            assert close(wide.killed[i], _laid_on(end, sites))
+            lost = np.zeros(L * w)
+            lost[wide.cols] = wide.lost[i]
+            assert close(lost, np.concatenate(
+                [np.ravel(a) for _, _, _, a, _, _ in run]))
+            rows = np.zeros(2 * Xs[-1] + 1)
+            for *_, row in run:
+                rows += row
+            for X, p in plans.items():
+                e = Xs[-1] - X
+                assert close(p.rows[i], rows[e:e + 2 * X + 1])
 
 
 def _assert_time_sums_match_one_step(law, start, mode, X, K):
@@ -758,10 +784,10 @@ def _assert_time_sums_match_one_step(law, start, mode, X, K):
 @pytest.mark.parametrize("mode", [dp.POINT, dp.HALFLINE])
 def test_absorbed_time_sums_in_blocks(pairs, mode):
     """time_sums of an absorbed stream reads a block's summed row off the
-    far sites' matrix product and the strip's summed rows, and a single
-    step's off its window: against one-step blocks, within the rounding
-    bound and the cut (_assert_time_sums_match_one_step); site 0 holds no
-    mass in either, to the bit."""
+    far sites' matrix product and the strip's summed rows, the last block,
+    of the K mod L steps left, included: against one-step blocks, within
+    the rounding bound and the cut (_assert_time_sums_match_one_step);
+    site 0 holds no mass in either, to the bit."""
     law = build_law(pairs, "law")
     runs = _assert_time_sums_match_one_step(law, 2, mode, 5, 1000)
     assert not runs[0][4].any() and not runs[1][4].any()
