@@ -189,9 +189,9 @@ def cmd_verify(args) -> int:
     k = build_kernels(law)
     spec = args.spec
     rep = verify.compare_grid(spec, k)
-    slopes = verify.convergence_report([rep])
+    slopes = verify.convergence_report(rep)
     report.emit_comparison(rep, args.out)
-    text = report.summary_text([rep], slopes, k)
+    text = report.summary_text(rep, slopes, k)
     if args.summary:
         report.atomic_write(args.summary, text)
     print(text, end="")

@@ -151,21 +151,12 @@ def period(pmf: np.ndarray) -> int:
     return int(np.gcd.reduce(np.flatnonzero(pmf))) or 1
 
 
-@lru_cache(maxsize=128)      # the caches here bound the memory they hold
-def _power_list(key: bytes) -> list[np.ndarray]:
-    """[p^{*1}], np.frombuffer(key) its compressed taps: the list _powers
-    grows, one per step law in the process."""
-    return [np.frombuffer(key)]
-
-
-def _powers(taps: np.ndarray, m: int) -> list[np.ndarray]:
-    """The compressed taps of p^{*j}, j = 1..max(m, 1), taps = p^{*1}:
-    the law's cached list, grown to the largest m asked for, each power
-    one convolution of the one before with taps."""
-    powers = _power_list(taps.tobytes())
-    while len(powers) < m:
-        powers.append(np.convolve(powers[-1], powers[0]))
-    return powers[:max(m, 1)]
+@lru_cache(maxsize=128 * BLOCK_STEPS)   # the caches here bound their memory
+def _power(key: bytes, r: int) -> np.ndarray:
+    """The compressed taps of p^{*r}, r >= 1, np.frombuffer(key) those of
+    p: one convolution of p^{*(r-1)} with them."""
+    taps = np.frombuffer(key)
+    return taps if r == 1 else np.convolve(_power(key, r - 1), taps)
 
 
 def _block_len(t: int, zmin: int, d: int, n: int, mode: int) -> int:
@@ -325,7 +316,7 @@ def _phase_taps(key: bytes, zmin: int, d: int, rho: int, r: int):
     rho (mod d), np.frombuffer(key) the compressed taps: first =
     E + (X + offset) // d, and T[i] the reversed shifted taps of the steps
     at column phase phases[i], summed in step order (see _steps)."""
-    powers = _powers(np.frombuffer(key), r)
+    powers = [_power(key, j) for j in range(1, r + 1)]
     j = np.arange(1, r + 1)
     a = -((rho + j * zmin) // d)
     width = max(a.max() - a_j + len(p) for a_j, p in zip(a, powers))
@@ -428,13 +419,12 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     taps = pmf[::d]
     key, w = taps.tobytes(), 1 if mode == POINT else -zmin
     L = _block_len(len(taps), zmin, d, n, mode)
-    powers = _powers(taps, L)
     cur, off, cut, k = weights, offset, 0.0, 0
     # count advances of r steps: the full blocks, then the rest
     for r, count in ((L, n // L), (n % L, 1)):
         if r == 0:
             return
-        taps = powers[r - 1]
+        taps = _power(key, r)
         rev = np.ascontiguousarray(taps[::-1])
         t, shift = len(taps), r * zmin
         plans: dict[int, _Plan] = {}

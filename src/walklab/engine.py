@@ -4,9 +4,9 @@ Everything here is a thin layer over walklab.dp.  Free evolution,
 kill-at-origin and kill-on-halfline kernels and partial absorption each
 come from one run_dp, and each kernel is the dp.DPResult of its run,
 which also holds the passage law (absorbed) or the entrance law (entry,
-entry_base) of that run.  The finite-strip exit problem is one dense
-solve on the states 1..N-1, and its hit-N-before-0 probability comes
-exact from potential.hit_before_origin.
+entry_base) of that run.  nu_and_particles sums point-absorbed runs
+from many starts, and nu_tail_bound gives its truncation bound with no
+DP.
 
 "Exact" means exact up to float64 rounding; an optional rational mode
 (evolve_free_exact / absorbed_at_origin_exact /
@@ -19,7 +19,6 @@ elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +26,6 @@ import numpy as np
 from . import dp
 from .errors import ConstraintViolation, TailNotNegligible
 from .laws import StepLaw, moments
-from .potential import hit_before_origin
 
 EXACT_STEP_LIMIT = 64
 
@@ -117,43 +115,6 @@ def nu_and_particles(law: StepLaw, n: int, ell: float = 1.0):
     return (sum(r.restricted_sum(r.offset, -1) for r in runs),
             tail + sum(r.cut for r in runs),
             sum(r.restricted_sum(lo, -1) for r in runs))
-
-
-@dataclass
-class StripExit:
-    """Exit data for the strip 0 < x < N.
-
-    p_exit_high_before_halfline: P_x[walk enters [N, inf) before (-inf, 0]].
-    mean_overshoot: E_x[S - N at that entry | entry above N first].
-    p_hit_high_before_origin: P_x[walk hits N before site 0], exact.
-    """
-
-    x: int
-    N: int
-    p_exit_high_before_halfline: float
-    mean_overshoot: float
-    p_hit_high_before_origin: float
-
-
-def strip_exit(law: StepLaw, x: int, N: int) -> StripExit:
-    if not 0 < x < N:
-        raise ConstraintViolation("need 0 < x < N")
-    # states 1..N-1, absorbed below 1 or at/above N: solve (I - P) u = b
-    # for the entry probability and the expected overshoot at once
-    zmin, pmf = law.pmf_array()
-    s = np.arange(1, N)
-    k = s - s[:, None] - zmin     # pmf index of the jump from row to column
-    P = np.append(pmf, 0.0)[np.where((k >= 0) & (k < len(pmf)), k, -1)]
-    over = s[:, None] + np.arange(zmin, zmin + len(pmf)) - N
-    b = np.column_stack([(over >= 0) @ pmf, np.maximum(over, 0) @ pmf])
-    # I - P is invertible: the walk leaves the strip almost surely
-    u, v = np.linalg.solve(np.eye(N - 1) - P, b)[x - 1]
-    return StripExit(
-        x=x, N=N,
-        p_exit_high_before_halfline=float(u),
-        mean_overshoot=float(v / u) if u > 0 else 0.0,
-        p_hit_high_before_origin=float(hit_before_origin(law, N)[x]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -106,23 +106,21 @@ def invariants_text(results: list[InvariantResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_text(reports: list[ComparisonReport],
-                 slopes: list[SlopeSummary],
+def summary_text(rep: ComparisonReport, slopes: list[SlopeSummary],
                  k: WalkKernels | None = None) -> str:
     parts = []
     if k is not None:
         parts.append(constants_block(k))
-    for rep in reports:
-        parts.append(f"theorem {rep.spec.theorem.value} on {rep.law_name}:")
-        for n in rep.spec.ns:
-            err = rep.max_rel_err(n)
-            line = (f"  n={n}: no rows compared" if err is None
-                    else f"  n={n}: max rel_err {_fmt(err)}")
-            if n in rep.tail_bounds:
-                line += f", tail bound {_fmt(rep.tail_bounds[n])}"
-            parts.append(line)
-        for s in rep.skipped:
-            parts.append(f"  skipped: {s}")
+    parts.append(f"theorem {rep.spec.theorem.value} on {rep.law_name}:")
+    for n in rep.spec.ns:
+        err = rep.max_rel_err(n)
+        line = (f"  n={n}: no rows compared" if err is None
+                else f"  n={n}: max rel_err {_fmt(err)}")
+        if n in rep.tail_bounds:
+            line += f", tail bound {_fmt(rep.tail_bounds[n])}"
+        parts.append(line)
+    for s in rep.skipped:
+        parts.append(f"  skipped: {s}")
     if slopes:
         parts.append("convergence slopes (log rel_err vs log n; "
                      "tolerances are engineering calibrations, not paper "

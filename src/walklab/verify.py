@@ -716,23 +716,21 @@ class SlopeSummary:
     flagged: bool  # non-negative slope
 
 
-def convergence_report(reports: list[ComparisonReport]) -> list[SlopeSummary]:
+def convergence_report(rep: ComparisonReport) -> list[SlopeSummary]:
     """Fit log(rel_err) against log(n) per scaled cell, over at least two
     distinct n.  A cell is (theorem, xi, eta, x > 0): the sign of x keeps
     apart Q+'s two cells at xi = 0, whose xi 0.0 and -0.0 compare equal."""
     out = []
-    for rep in reports:
-        cells: dict[tuple, list[Row]] = {}
-        for r in sorted(rep.rows, key=lambda r: r.n):
-            if r.rel_err > 0:
-                cells.setdefault((r.theorem, r.xi, r.eta, r.x > 0),
-                                 []).append(r)
-        for (th, xi, eta, _), usable in sorted(cells.items()):
-            if len({r.n for r in usable}) < 2:
-                continue
-            ln = np.log([r.n for r in usable])
-            le = np.log([r.rel_err for r in usable])
-            slope = float(np.polyfit(ln, le, 1)[0])
-            out.append(SlopeSummary(th, xi, eta, slope,
-                                    usable[-1].rel_err, slope >= 0.0))
+    cells: dict[tuple, list[Row]] = {}
+    for r in sorted(rep.rows, key=lambda r: r.n):
+        if r.rel_err > 0:
+            cells.setdefault((r.theorem, r.xi, r.eta, r.x > 0), []).append(r)
+    for (th, xi, eta, _), usable in sorted(cells.items()):
+        if len({r.n for r in usable}) < 2:
+            continue
+        ln = np.log([r.n for r in usable])
+        le = np.log([r.rel_err for r in usable])
+        slope = float(np.polyfit(ln, le, 1)[0])
+        out.append(SlopeSummary(th, xi, eta, slope,
+                                usable[-1].rel_err, slope >= 0.0))
     return out

@@ -16,7 +16,8 @@ from walklab.asymptotics import TheoremId, passage_density, rhs
 from walklab.laws import moments
 from walklab.ladder import entrance_law_inf
 from walklab.potential import (a_fourier, a_partial_sums, expansion_check,
-                               green_point, harmonicity_residuals)
+                               green_point, harmonicity_residuals,
+                               hit_before_origin)
 from walklab.verify import GridSpec, compare_grid, invariant_suite
 
 
@@ -65,11 +66,10 @@ def test_criterion_02_unit_walk_closed_forms(srw, srw_kernels):
             refl = max(refl, abs(q.prob(y)
                                  - (free.prob(y - x) - free.prob(y + x))))
     errs["reflection"] = refl
-    # gambler's ruin by strip solve and by Green ratio
+    # gambler's ruin by the hit-N root solve and by Green ratio
     strip = 0.0
     for N, x in ((10, 3), (40, 11), (60, 59)):
-        se = engine.strip_exit(srw, x, N)
-        strip = max(strip, abs(se.p_hit_high_before_origin - x / N))
+        strip = max(strip, abs(hit_before_origin(srw, N)[x] - x / N))
         ratio = green_point(k.table, x, N) / green_point(k.table, N, N)
         strip = max(strip, abs(ratio - x / N))
     errs["strip"] = strip

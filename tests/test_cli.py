@@ -440,5 +440,5 @@ def test_import_loads_no_other_library_and_builds_no_plan():
     assert {"numpy", "mpmath"} <= loaded <= {"numpy", "mpmath", "gmpy2",
                                              "walklab"}
     sizes = ast.literal_eval(out[1])
-    assert {"_plan_slot", "_phase_taps", "_power_list"} <= set(sizes)
+    assert {"_plan_slot", "_phase_taps", "_power"} <= set(sizes)
     assert set(sizes.values()) == {0}

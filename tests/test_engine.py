@@ -1,5 +1,5 @@
 """Exact transition kernels: free evolution, kill-at-origin, kill-on-halfline,
-partial absorption, strip exits, and the rational calibration mode."""
+partial absorption, and the rational calibration mode."""
 import math
 from fractions import Fraction
 
@@ -12,7 +12,6 @@ from walklab.errors import (ConstraintViolation, TailNotNegligible,
                              WindowOverflow)
 from walklab.kernels import WalkKernels
 from walklab.laws import lattice_structure, moments
-from walklab.potential import a_fourier
 
 from conftest import (DEEP_PAIRS, L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS,
                       periodic_laws, zero_mean_laws)
@@ -170,41 +169,6 @@ class TestNuAndParticles:
         with pytest.raises(TailNotNegligible,
                            match="x_max below twice the largest"):
             engine.nu_and_particles(build_law(DEEP_PAIRS, "deep"), 2)
-
-
-class TestStripExit:
-    def test_gamblers_ruin(self, srw):
-        se = engine.strip_exit(srw, 3, 10)
-        assert se.p_hit_high_before_origin == pytest.approx(0.3, abs=1e-12)
-        assert se.mean_overshoot == 0.0
-
-    def test_one_sided_exit_is_hit(self, srw, l1, span3):
-        # A left-continuous walk enters (-inf, 0] only at 0 and, from above
-        # N, must pass N coming down; a right-continuous one enters
-        # [N, inf) only at N and, from below 0, must pass 0 coming up.
-        # Either way, entering [N, inf) before (-inf, 0] is hitting N
-        # before 0.
-        for law in (srw, l1, l1.reflected(), span3, span3.reflected()):
-            for x, N in ((5, 50), (3, 10), (17, 30), (1, 2)):
-                se = engine.strip_exit(law, x, N)
-                assert 0.0 < se.p_exit_high_before_halfline < 1.0
-                assert se.p_exit_high_before_halfline == pytest.approx(
-                    se.p_hit_high_before_origin, abs=1e-12)
-
-    def test_widest_law_hits_n_exactly(self):
-        # uniform on {-32..32}: the strip box truncated at -4N, absorbing
-        # on entry to [N, inf), was 0.30 off at x=17
-        law = build_law([(z, "1/65") for z in range(-32, 33)], "u32")
-        x, N = 17, 30
-        a = {y: a_fourier(law, y) for y in (x, -N, x - N, N)}
-        green_ratio = (a[x] + a[-N] - a[x - N]) / (a[N] + a[-N])
-        se = engine.strip_exit(law, x, N)
-        assert se.p_hit_high_before_origin == pytest.approx(green_ratio,
-                                                            abs=1e-10)
-
-    def test_requires_interior_start(self, srw):
-        with pytest.raises(ValueError):
-            engine.strip_exit(srw, 0, 10)
 
 
 class TestExactMode:

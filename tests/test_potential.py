@@ -21,7 +21,8 @@ from walklab.potential import (CONSTANTS_TOL, _c_star_circle, _fit_tail,
                                p_fourier)
 from walklab.verify import FOURIER_XS
 
-from conftest import periodic_laws, zero_mean_laws
+from conftest import (L1_PAIRS, SPAN3_PAIRS, SRW_PAIRS, periodic_laws,
+                      zero_mean_laws)
 
 
 class TestFourierRoute:
@@ -533,19 +534,65 @@ def test_root_solve_for_any_law(law):
                                                 rel=1e-9, abs=1e-12)
 
 
+def _green_ratio(law, x, N):
+    """G(x,N)/G(N,N) with G(x,y) = a(x) + a(-y) - a(x-y), a taken from the
+    root-free Fourier route."""
+    a = {y: a_fourier(law, y) for y in (x, -N, x - N, N)}
+    return (a[x] + a[-N] - a[x - N]) / (a[N] + a[-N])
+
+
 @settings(max_examples=30, deadline=None)
 @given(zero_mean_laws(span=12))
 def test_hit_before_origin_is_green_ratio(law):
-    """The exact hit-N solve is G(x,N)/G(N,N) with G(x,y) = a(x) + a(-y)
-    - a(x-y), a taken from the root-free Fourier route."""
+    """The exact hit-N solve is the Green ratio."""
     N = 30
     h = hit_before_origin(law, N)
     assert h[0] == pytest.approx(0.0, abs=1e-12)
     assert h[N] == pytest.approx(1.0, abs=1e-12)
     for x in (5, 17):
-        a = {y: a_fourier(law, y) for y in (x, -N, x - N, N)}
-        assert h[x] == pytest.approx(
-            (a[x] + a[-N] - a[x - N]) / (a[N] + a[-N]), abs=1e-10)
+        assert h[x] == pytest.approx(_green_ratio(law, x, N), abs=1e-10)
+
+
+class TestHitBeforeOrigin:
+    def test_gamblers_ruin(self, srw):
+        assert hit_before_origin(srw, 10)[3] == pytest.approx(0.3, abs=1e-12)
+
+    def test_widest_law_hits_n_exactly(self):
+        # uniform on {-32..32}: at N = 30 <= a + b - 2 the two root forms
+        # overlap
+        law = build_law([(z, "1/65") for z in range(-32, 33)], "u32")
+        x, N = 17, 30
+        assert hit_before_origin(law, N)[x] == pytest.approx(
+            _green_ratio(law, x, N), abs=1e-10)
+
+    @pytest.mark.parametrize("pairs, reflect", [
+        (SRW_PAIRS, False), (L1_PAIRS, False), (L1_PAIRS, True),
+        (SPAN3_PAIRS, False), (SPAN3_PAIRS, True),
+    ], ids=["srw", "l1", "l1-reflected", "span3", "span3-reflected"])
+    @pytest.mark.parametrize("x, N", [(5, 50), (3, 10), (17, 30), (1, 2)])
+    def test_fixed_strips_are_green_ratio(self, pairs, reflect, x, N):
+        law = build_law(pairs, "law")
+        law = law.reflected() if reflect else law
+        h = hit_before_origin(law, N)
+        assert 0.0 < h[x] < 1.0
+        assert h[x] == pytest.approx(_green_ratio(law, x, N), abs=1e-10)
+
+    @pytest.mark.parametrize("pairs", [
+        [(z, "1/5") for z in range(-2, 3)],                       # sym5
+        [(z, "1/4") for z in (-3, -1, 1, 3)],                     # odd4
+    ], ids=["sym5", "odd4"])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_overlapping_forms_are_green_ratio(self, pairs, N):
+        # N <= a + b - 2 (sym5 at N = 2, odd4 at both): the right form
+        # starts at N+1-a, at or below the left form's end b-1, so the
+        # forms overlap and the system has a+b unknowns; sym5 at N = 3 is
+        # the first N where they meet with no overlap and no free site
+        law = build_law(pairs, "law")
+        h = hit_before_origin(law, N)
+        assert h[0] == pytest.approx(0.0, abs=1e-12)
+        assert h[N] == pytest.approx(1.0, abs=1e-12)
+        for x in range(1, N):
+            assert h[x] == pytest.approx(_green_ratio(law, x, N), abs=1e-10)
 
 
 WIDE61 = [(-41, "20/61"), (20, "41/61")]

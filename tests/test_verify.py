@@ -765,7 +765,7 @@ def test_n_without_rows_is_not_an_exact_match(span3_kernels):
                        span3_kernels)
     assert rep.max_rel_err(255) is not None
     assert rep.max_rel_err(256) is None
-    text = summary_text([rep], [])
+    text = summary_text(rep, [])
     assert "  n=255: max rel_err " in text
     assert "  n=256: no rows compared" in text
 
@@ -774,7 +774,7 @@ class TestConvergenceReport:
     def test_negative_slopes_where_theory_holds(self, l1_kernels):
         rep = compare_grid(GridSpec(TheoremId.C11, ns=(256, 1024, 4096)),
                            l1_kernels)
-        slopes = convergence_report([rep])
+        slopes = convergence_report(rep)
         assert slopes
         assert all(s.slope < 0 for s in slopes)
 
@@ -782,12 +782,12 @@ class TestConvergenceReport:
         # rows at one n, even several of them, fit no slope
         rep = compare_grid(GridSpec(TheoremId.T11ii, ns=(256, 256)),
                            l1_kernels)
-        assert len(rep.rows) == 2 and convergence_report([rep]) == []
+        assert len(rep.rows) == 2 and convergence_report(rep) == []
 
     def test_identical_inputs_identical_summary(self, l1_kernels):
         rep = compare_grid(GridSpec(TheoremId.C11, ns=(256, 1024)),
                            l1_kernels)
-        assert convergence_report([rep]) == convergence_report([rep])
+        assert convergence_report(rep) == convergence_report(rep)
 
 
 def test_emit_comparison_atomic(tmp_path, l1_kernels):
