@@ -162,9 +162,9 @@ def cmd_kernels(args) -> int:
     report.emit_potential_table(k, os.path.join(args.out_dir, "potential.csv"))
     report.emit_harmonic_tables(k, os.path.join(args.out_dir, "harmonic.csv"))
     report.emit_entrance_laws(k, os.path.join(args.out_dir, "entrance.csv"))
-    report.atomic_write(os.path.join(args.out_dir, "constants.txt"),
-                        report.constants_block(k))
-    print(report.constants_block(k), end="")
+    text = report.constants_block(k)
+    report.atomic_write(os.path.join(args.out_dir, "constants.txt"), text)
+    print(text, end="")
     return 0
 
 

@@ -10,8 +10,11 @@ every step:
   POINT     mass arriving at the origin is removed with probability alpha
             (alpha=1 is total absorption; the surviving kernel for
             alpha<1 is the partially absorbed kernel),
-  HALFLINE  all mass arriving at a site <= 0 is removed, and the profile
-            of where it landed is recorded per step (the entrance law).
+  HALFLINE  all mass arriving at a site <= 0 is removed.
+
+The two absorbed modes differ only in their absorbing set (_absorbing),
+and a run records what it removed per step and per absorbing site: the
+passage law (POINT) or the entrance law (HALFLINE).
 
 The stream runs on the period coset.  When every jump is zmin + d*j (d,
 from ``period``, is the lattice period of the law), a walk on the sites
@@ -30,9 +33,9 @@ cuts the outer runs of stored sites whose weight is below
 CUT = 2^-200, so the window follows the mass instead of growing by the
 span on every step, and it adds the weights it cuts to a running cut
 mass.  Every kernel here is substochastic, so a weight cut at step j
-moves every later site, absorbed mass and entrance-law entry by at most
-that weight: each of them lies within the cut mass of the uncut DP, the
-error the cut computes.
+moves every later site and absorbed mass by at most that weight: each
+of them lies within the cut mass of the uncut DP, the error the cut
+computes.
 
 ``run_dp`` returns the window as the stream stores it, of stride d.  Its
 start lies on one coset as well; a start over several classes (the
@@ -46,6 +49,7 @@ whose rows the strip's walk sums as it goes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -130,18 +134,18 @@ class DPResult(Window):
     The window is the surviving distribution after n steps, of stride
     period(pmf); in HALFLINE mode its mass() is P_x[T > n], T the first
     time at a site <= 0.
-    absorbed: per-step absorbed mass (POINT mode), index k-1 = step k; with
-        alpha = 1 it is the passage law f_x(k).
-    entry: (n, depth) array of per-step landing profiles in HALFLINE
-        mode; entry[k-1, j] is the mass landing at site entry_base + j
-        on step k.
-    cut: the total weight the edge cut removed; every site, absorbed mass
-        and entry lies within cut of the uncut DP, and mass() + cut, plus
+    absorbed: (n, 1 - entry_base) array, None in FREE mode;
+        absorbed[k-1, j] is the mass removed on step k at site
+        entry_base + j, entry_base the lowest absorbing site
+        (_absorbing).  POINT: entry_base = 0 and one column, with
+        alpha = 1 the passage law f_x(k); HALFLINE: entry_base =
+        1 + zmin, the entrance law.
+    cut: the total weight the edge cut removed; every site and absorbed
+        mass lies within cut of the uncut DP, and mass() + cut, plus
         what was absorbed, is the initial mass up to rounding.
     """
 
     absorbed: np.ndarray | None = None
-    entry: np.ndarray | None = None
     entry_base: int = 0
     cut: float = 0.0
 
@@ -159,34 +163,43 @@ def _power(key: bytes, r: int) -> np.ndarray:
     return taps if r == 1 else np.convolve(_power(key, r - 1), taps)
 
 
-def _block_len(t: int, zmin: int, d: int, n: int, mode: int) -> int:
-    """Steps per block of an n-step stream, t the compressed tap count.
-    FREE: min(BLOCK_STEPS, n).  POINT and HALFLINE: the largest power of
-    two L <= min(BLOCK_STEPS, n) whose strip (_plan) holds fewer than
-    2 BLOCK_STEPS sites, at most L(t-1) + 1 (POINT) or ceil(L |zmin| / d)
-    (HALFLINE); L = 2 where no such power of two exceeds 1, so every
-    stream of n >= 2 steps advances at least two steps a block."""
+def _absorbing(zmin: int, mode: int, alpha: float):
+    """The absorbing set of mode, (edge, rate, floor), None in FREE mode:
+    each step removes the fraction rate of the mass at the sites edge..0,
+    and a live window holds no weight below floor.  POINT: the site 0,
+    rate alpha, no floor (-inf); HALFLINE: the sites 1 + zmin..0, where
+    a step from [1, inf) can land at or below 0, rate 1, floor 1."""
+    if mode == FREE:
+        return None
+    return (0, alpha, -math.inf) if mode == POINT else (1 + zmin, 1.0, 1)
+
+
+def _block_len(t: int, zmin: int, d: int, n: int, ab) -> int:
+    """Steps per block of an n-step stream, t the compressed tap count,
+    ab its absorbing set (_absorbing).  FREE: min(BLOCK_STEPS, n).
+    Absorbed: the largest power of two L <= min(BLOCK_STEPS, n) whose
+    strip (_strip) holds fewer than 2 BLOCK_STEPS sites on every coset;
+    L = 2 where no such power of two exceeds 1, so every stream of n >= 2
+    steps advances at least two steps a block."""
     m = min(BLOCK_STEPS, n)
-    if mode == FREE or m < 2:
+    if ab is None or m < 2:
         return max(m, 1)
-
-    def strip(L: int) -> int:
-        return L * (t - 1) + 1 if mode == POINT else -(L * zmin // d)
-
     L = 2
-    while 2 * L <= m and strip(2 * L) < 2 * BLOCK_STEPS:
+    while 2 * L <= m and _strip(zmin, d, t, ab, 2 * L)[1] < 2 * BLOCK_STEPS:
         L *= 2
     return L
 
 
-def _strip(zmin: int, d: int, t: int, mode: int, L: int, rho: int):
-    """(first, size) of the strip of an L-step block of a POINT or
-    HALFLINE stream on rho + dZ, t compressed taps: the sites of rho + dZ
-    that can reach the absorbing set within L steps, those in
-    [-L zmax, -L zmin] (POINT) or in [1, -L zmin] (HALFLINE); size of
-    them from first, d apart."""
-    lo = -L * (zmin + d * (t - 1)) if mode == POINT else 1
-    first = lo + (rho - lo) % d
+def _strip(zmin: int, d: int, t: int, ab, L: int, rho: int | None = None):
+    """(first, size) of the strip of an L-step block of a stream on
+    rho + dZ, t compressed taps, ab its absorbing set (edge, rate, floor):
+    the sites of rho + dZ that can reach edge..0 within L steps and lie
+    at or above floor, those in [max(floor, edge - L zmax), -L zmin];
+    size of them from first, d apart.  Without rho, the strip on the
+    coset of its lowest site, which holds the most."""
+    edge, _, floor = ab
+    lo = max(floor, edge - L * (zmin + d * (t - 1)))
+    first = lo if rho is None else lo + (rho - lo) % d
     return first, max((-L * zmin - first) // d + 1, 0)
 
 
@@ -200,57 +213,55 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=128)      # a stream keeps the plans it uses in a dict
-def _plan_slot(key: bytes, zmin: int, d: int, mode: int, alpha: float,
-               L: int, rho: int) -> list[_Plan | None]:
+def _plan_slot(key: bytes, zmin: int, d: int, ab, L: int,
+               rho: int) -> list[_Plan | None]:
     """The cache entry of one strip: a list of one item, which _plan sets
     in place, the strip's plan or None before its first walk."""
     return [None]
 
 
-def _plan(key: bytes, zmin: int, d: int, mode: int, alpha: float, L: int,
-          rho: int, X: int | None = None) -> _Plan:
-    """The strip plan of an L-step block of a POINT or HALFLINE stream
-    whose window lies on rho + dZ, np.frombuffer(key) its compressed taps.
+def _plan(key: bytes, zmin: int, d: int, ab, L: int, rho: int,
+          X: int | None = None) -> _Plan:
+    """The strip plan of an L-step block of a stream whose window lies on
+    rho + dZ, np.frombuffer(key) its compressed taps and ab its absorbing
+    set (_absorbing).
 
-    The cache is keyed by the strip, (taps, zmin, d, mode, alpha, L, rho),
-    not by X: a plan walked with rows serves every stream of its strip
-    that reads none, and the strip is walked again only for rows it lacks
+    The cache is keyed by the strip, (taps, zmin, d, ab, L, rho), not by
+    X: a plan walked with rows serves every stream of its strip that
+    reads none, and the strip is walked again only for rows it lacks
     (none yet, or another X).
 
     The killed walks from the strip's sites (_strip) step L times, one
     convolution and one absorption a step: walk[q, i] is the weight of the walk
     from site i at column i + q, the site first + j zmin + d(i + q) after
     step j, and its first live rows hold every site the walks reach.  Each
-    step removes the mass at the absorbing sites the walks reach (POINT:
-    site 0, with alpha; HALFLINE: the sites 1 + zmin..0).  Two buffers
-    take turns as the walk and a third holds a tap's products, so a step
-    allocates no array.
+    step removes the fraction rate of the mass at the absorbing sites
+    edge..0 the walks reach.  Two buffers take turns as the walk and a
+    third holds a tap's products, so a step allocates no array.
 
     In the frame where column c after the block is the site first + L zmin
     + dc, killed[i] is the weight of the walk from site i after L steps.
     lost[i] holds the masses it lost on the way, at the flat positions
-    cols of the block's absorbed output: (L,), one mass per step, in POINT
-    mode, (L, -zmin), site 1 + zmin + e in column e, in HALFLINE mode.
-    Given X, rows[i, x + X] is the walk's weight at site x, |x| <= X,
-    summed over the L steps in step order: each step adds the walk, one
-    slice, into a sum per (site, walk) of every site the walks reach, and
-    the rows are read off that sum once.  Every entry is a sum of
-    nonnegative products."""
-    slot = _plan_slot(key, zmin, d, mode, alpha, L, rho)
+    cols of the block's (L, 1 - edge) absorbed output, site edge + e in
+    column e.  Given X, rows[i, x + X] is the walk's weight at site x,
+    |x| <= X, summed over the L steps in step order: each step adds the
+    walk, one slice, into a sum per (site, walk) of every site the walks
+    reach, and the rows are read off that sum once.  Every entry is a sum
+    of nonnegative products."""
+    slot = _plan_slot(key, zmin, d, ab, L, rho)
     p = slot[0]
     if p is None or X is not None and (p.rows is None
                                        or p.rows.shape[1] != 2 * X + 1):
-        p = slot[0] = _walk(np.frombuffer(key), zmin, d, mode, alpha, L,
-                            rho, X)
+        p = slot[0] = _walk(np.frombuffer(key), zmin, d, ab, L, rho, X)
     return p
 
 
-def _walk(taps: np.ndarray, zmin: int, d: int, mode: int, alpha: float,
-          L: int, rho: int, X: int | None) -> _Plan:
+def _walk(taps: np.ndarray, zmin: int, d: int, ab, L: int, rho: int,
+          X: int | None) -> _Plan:
     """The plan of _plan, from one walk of the strip, with rows given X."""
-    t = len(taps)
-    first, size = _strip(zmin, d, t, mode, L, rho)
-    w = 1 if mode == POINT else -zmin
+    t, (edge, rate, _) = len(taps), ab
+    first, size = _strip(zmin, d, t, ab, L, rho)
+    w = 1 - edge
     lost, cols = np.zeros((size, L * w)), []    # at most w sites a step
     walk = np.zeros((L * (t - 1) + 1, size))
     walk[0] = 1.0
@@ -272,27 +283,17 @@ def _walk(taps: np.ndarray, zmin: int, d: int, mode: int, alpha: float,
             nxt[m:m + live] += prod[:live]
         walk, nxt, live = nxt, walk, live + t - 1
         base, flat = first + j * zmin, walk.reshape(-1)
-        if mode == POINT:
-            c, rem = divmod(-base, d)
-            sites = range(c, c + 1 if rem == 0 else c)
-        else:
-            sites = range(-((base - 1 - zmin) // d), -base // d + 1)
-        for c in sites:
+        # the columns c at the sites base + d c in edge..0
+        for c in range(-((base - edge) // d), -base // d + 1):
             i0, i1 = max(c - live + 1, 0), min(c + 1, size)
             if i0 >= i1:
                 continue
             # walk[c - i, i] for i = i1 - 1 down to i0, size - 1 apart
             a = (c - i1 + 1) * size + i1 - 1
             at = flat[a:a + (i1 - i0 - 1) * (size - 1) + 1:max(size - 1, 1)]
-            out = lost[i0:i1, len(cols)][::-1]
-            if mode == POINT:
-                np.multiply(at, alpha, out=out)
-                at *= 1.0 - alpha
-            else:
-                out[...] = at
-                at[...] = 0.0
-            cols.append((j - 1) * w + (0 if mode == POINT
-                                       else base + d * c - 1 - zmin))
+            np.multiply(at, rate, out=lost[i0:i1, len(cols)][::-1])
+            at *= 1.0 - rate
+            cols.append((j - 1) * w + base + d * c - edge)
         if X is not None:
             s = j * zmin - lo
             acc[s:s + d * (live - 1) + 1:d] += walk[:live]
@@ -361,8 +362,8 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     block is one advance of r steps, r = 1 included.  A FREE block is
     one convolution with the compressed taps of p^{*r}.  An absorbed
     block splits the window at its start: the strip of sites that can
-    reach the absorbing set ({0}, or the sites <= 0) within r steps, and
-    the far sites, which cannot.  The far sites advance by the same
+    reach the absorbing set (_absorbing) within r steps, and the far
+    sites, which cannot.  The far sites advance by the same
     convolution, the strip by one product with its killed matrix, and
     the two add (_plan, one per phase rho = offset mod d and block
     length, cached by strip).  Every product is of nonnegative numbers,
@@ -371,12 +372,11 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     HALFLINE start must hold no weight at a site <= 0 (run_dp refuses
     one), as the far sites would carry it.
 
-    absorbed is the mass removed on the r steps of the advance: an array
-    of r masses in POINT mode (0.0 on the steps where site 0 is off the
-    coset), an (r, -zmin) array of landing profiles, site 1 + zmin + e in
-    column e, in HALFLINE mode, None in FREE mode.  The yielded weights
-    are the live array, not a copy; the stream never writes to an array
-    after yielding it.
+    absorbed is the mass removed on the r steps of the advance, an
+    (r, 1 - edge) array, site edge + e in column e (0.0 off the coset):
+    the passage law (POINT) or the landing profiles (HALFLINE); None in
+    FREE mode.  The yielded weights are the live array, not a copy; the
+    stream never writes to an array after yielding it.
 
     row is None without X.  Given X, row[i] is sum_{j=1..r} w_{k-r+j} at
     the site -X + i, |site| <= X: the weights of the advance's steps
@@ -417,8 +417,8 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     """
     d = period(pmf)
     taps = pmf[::d]
-    key, w = taps.tobytes(), 1 if mode == POINT else -zmin
-    L = _block_len(len(taps), zmin, d, n, mode)
+    key, ab = taps.tobytes(), _absorbing(zmin, mode, alpha)
+    L = _block_len(len(taps), zmin, d, n, ab)
     cur, off, cut, k = weights, offset, 0.0, 0
     # count advances of r steps: the full blocks, then the rest
     for r, count in ((L, n // L), (n % L, 1)):
@@ -433,10 +433,10 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             if size == 0:
                 return
             strip = None
-            if mode != FREE:
+            if ab is not None:
                 rho = off % d
                 if rho not in plans:
-                    plans[rho] = _plan(key, zmin, d, mode, alpha, r, rho, X)
+                    plans[rho] = _plan(key, zmin, d, ab, r, rho, X)
                 p = plans[rho]
                 s = (p.first - off) // d    # the strip's first index
                 if max(s, 0) < min(s + p.size, size):   # the two meet
@@ -463,13 +463,11 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             off += shift
 
             absorbed = None
-            if mode != FREE:
-                absorbed = np.zeros(r * w)
+            if ab is not None:
+                absorbed = np.zeros((r, 1 - ab[0]))
                 if strip is not None:
                     cur[s:s + p.killed.shape[1]] += strip @ p.killed
-                    absorbed[p.cols] = strip @ p.lost
-                if mode == HALFLINE:
-                    absorbed = absorbed.reshape(r, w)
+                    absorbed.reshape(-1)[p.cols] = strip @ p.lost
             keep = cur >= CUT
             a = int(keep.argmax())
             b = b - int(keep[::-1].argmax()) if keep[a] else a
@@ -481,38 +479,32 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             yield k, off, cur, absorbed, cut, row
 
 
-def run_dp(
-    init_offset: int,
-    init_weights: np.ndarray,
-    zmin: int,
-    pmf: np.ndarray,
-    n: int,
-    mode: int = FREE,
-    alpha: float = 1.0,
-) -> DPResult:
+def run_dp(init_offset: int, init_weights: np.ndarray, zmin: int,
+           pmf: np.ndarray, n: int, mode: int = FREE,
+           alpha: float = 1.0) -> DPResult:
     """Evolve a start on one coset n steps with per-step absorption.
 
     init_weights[i] sits at init_offset + d*i, d = period(pmf), as the
     window of a DPResult does, so a result continues as a start: m steps
     and then n - m more are the n-step run bit for bit when m ends a block
     of both (see _steps), and within float rounding of it otherwise.  In
-    POINT/HALFLINE modes the start is taken as already past the step-0
-    absorption (the zero-step kernel is the identity); a HALFLINE start
-    with weight at a site <= 0 raises ConstraintViolation.  The result is
-    the window _steps leaves, of stride d.
+    absorbed modes the start is taken as already past the step-0
+    absorption (the zero-step kernel is the identity); a start with
+    weight below the floor of its absorbing set (_absorbing), a HALFLINE
+    start with weight at a site <= 0, raises ConstraintViolation.  The
+    result is the window _steps leaves, of stride d.
     """
     d = period(pmf)
     off, cur, cut = init_offset, np.array(init_weights, dtype=np.float64), 0.0
-    if mode == HALFLINE and cur[:max(-off // d + 1, 0)].any():
-        raise ConstraintViolation("halfline start with weight at a site <= 0")
-    absorbed = np.zeros(n) if mode == POINT else None
-    entry, entry_base = None, 0
-    if mode == HALFLINE:
-        entry = np.zeros((n, -zmin))
-        entry_base = 1 + zmin
+    ab, absorbed, edge = _absorbing(zmin, mode, alpha), None, 0
+    if ab is not None:
+        edge = ab[0]
+        if cur.any() and off + d * int(np.argmax(cur != 0)) < ab[2]:
+            raise ConstraintViolation(
+                "halfline start with weight at a site <= 0")
+        absorbed = np.zeros((n, 1 - edge))
     for k, off, cur, removed, cut, _ in _steps(off, cur, zmin, pmf, n,
                                                mode, alpha):
         if removed is not None:
-            (absorbed if mode == POINT else entry)[k - len(removed):k] = \
-                removed
-    return DPResult(off, cur, d, absorbed, entry, entry_base, float(cut))
+            absorbed[k - len(removed):k] = removed
+    return DPResult(off, cur, d, absorbed, edge, float(cut))

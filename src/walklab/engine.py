@@ -3,17 +3,18 @@
 Everything here is a thin layer over walklab.dp.  Free evolution,
 kill-at-origin and kill-on-halfline kernels and partial absorption each
 come from one run_dp, and each kernel is the dp.DPResult of its run,
-which also holds the passage law (absorbed) or the entrance law (entry,
-entry_base) of that run.  nu_and_particles sums point-absorbed runs
-from many starts, and nu_tail_bound gives its truncation bound with no
-DP.
+which also holds what the run removed, per step and per absorbing site
+(absorbed, from entry_base): the passage law of a point run, the
+entrance law of a half-line run.  nu_and_particles sums point-absorbed
+runs from many starts, and nu_tail_bound gives its truncation bound
+with no DP.
 
 "Exact" means exact up to float64 rounding; an optional rational mode
 (evolve_free_exact / absorbed_at_origin_exact /
-absorbed_on_halfline_exact, n <= 64) computes the same kernels as
-Fractions, from integer numerators over a power of the law's common
-denominator, and is used to calibrate the float tolerances quoted
-elsewhere.
+absorbed_on_halfline_exact, n <= 64) computes the same kernels, and
+what they removed in one layout, {(k, site): value}, as Fractions, from
+integer numerators over a power of the law's common denominator, and
+is used to calibrate the float tolerances quoted elsewhere.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ def evolve_free(law: StepLaw, x: int, n: int) -> dp.DPResult:
 
 
 def absorbed_at_origin(law: StepLaw, x: int, n: int) -> dp.DPResult:
-    """Kill-at-origin kernel q^n(x, .); absorbed[k-1] is the passage law
-    f_x(k), k <= n."""
+    """Kill-at-origin kernel q^n(x, .); absorbed[k-1, 0] is the passage
+    law f_x(k), k <= n."""
     return _run(law, x, n, dp.POINT)
 
 
 def absorbed_on_halfline(law: StepLaw, x: int, n: int) -> dp.DPResult:
-    """Kill-on-(-inf,0] kernel; entry[k-1, j] is the entrance law
+    """Kill-on-(-inf,0] kernel; absorbed[k-1, j] is the entrance law
     h_x(k, entry_base + j), and mass() is P_x[T > n]."""
     if x < 1:
         raise ConstraintViolation("halfline absorption requires start x >= 1")
@@ -122,13 +123,14 @@ def nu_and_particles(law: StepLaw, n: int, ell: float = 1.0):
 
 def _exact_stream(law: StepLaw, x: int, n: int, mode: int):
     """Rational n-step kernel from x in the dp mode, {site: value}, and
-    what the mode removed: the passage law, a list over steps (POINT),
-    the entrance law, {(k, site): value} (HALFLINE), or None (FREE).  The
-    DP carries integer numerators over D^k, D the lcm of the law's
-    denominators, as an object array of Python ints on the sites off,
-    off+1, ...: np.convolve with the integer taps is exact.  The
+    what its absorbing set (dp._absorbing, at rate 1) removed,
+    {(k, site): value} over the steps k and the absorbing sites: the
+    passage law (POINT) or the entrance law (HALFLINE); None in FREE
+    mode.  The DP carries integer numerators over D^k, D the lcm of the
+    law's denominators, as an object array of Python ints on the sites
+    off, off+1, ...: np.convolve with the integer taps is exact.  The
     Fractions are built once at the end, for the sites of nonzero
-    weight."""
+    weight, and the removed masses as they are removed, where nonzero."""
     if n > EXACT_STEP_LIMIT:
         raise ConstraintViolation(
             f"exact mode limited to n <= {EXACT_STEP_LIMIT}")
@@ -137,20 +139,16 @@ def _exact_stream(law: StepLaw, x: int, n: int, mode: int):
     for z, w in law.items():
         taps[z - law.zmin] = int(w * D)
     cur, off = np.ones(1, dtype=object), x
-    removed = [] if mode == dp.POINT else {} if mode == dp.HALFLINE else None
+    ab = dp._absorbing(law.zmin, mode, 1.0)
+    removed = None if ab is None else {}
     for k in range(1, n + 1):
         cur = np.convolve(cur, taps)
         off += law.zmin
-        if mode == dp.POINT:
-            m = 0
-            if 0 <= -off < len(cur):
-                m, cur[-off] = cur[-off], 0
-            removed.append(Fraction(m, D ** k))
-        elif mode == dp.HALFLINE:
-            hi = max(min(len(cur), 1 - off), 0)     # the sites <= 0
-            removed.update({(k, off + i): Fraction(m, D ** k)
-                            for i, m in enumerate(cur[:hi]) if m})
-            cur, off = cur[hi:], off + hi
+        if ab is not None:      # the sites edge..0 at indices lo..hi-1
+            lo, hi = max(ab[0] - off, 0), max(min(len(cur), 1 - off), 0)
+            removed.update({(k, off + i): Fraction(cur[i], D ** k)
+                            for i in range(lo, hi) if cur[i]})
+            cur[lo:hi] = 0
     return ({off + i: Fraction(m, D ** n) for i, m in enumerate(cur) if m},
             removed)
 
@@ -160,7 +158,8 @@ def evolve_free_exact(law: StepLaw, x: int, n: int) -> dict[int, Fraction]:
 
 
 def absorbed_at_origin_exact(law: StepLaw, x: int, n: int):
-    """Rational q^n(x, .) and passage law; n <= 64."""
+    """Rational q^n(x, .) and passage law, {(k, 0): f_x(k)} over the
+    steps k of nonzero f_x(k); n <= 64."""
     return _exact_stream(law, x, n, dp.POINT)
 
 

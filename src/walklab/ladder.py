@@ -69,7 +69,7 @@ def ladder_buckets(run: DPResult) -> tuple[np.ndarray, float]:
     from 1, and V steps with the reflected law, so the ascending buckets
     read a run of the reflected law and the descending ones a run of the
     law itself; entry site y <= 0 is height 1 - y."""
-    return run.entry.sum(axis=0)[::-1], run.mass() + run.cut
+    return run.absorbed.sum(axis=0)[::-1], run.mass() + run.cut
 
 
 @dataclass

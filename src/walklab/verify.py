@@ -181,7 +181,7 @@ class _Suite:
     def _buckets(self, run, direction: str):
         """Each exact height probability lies in [DP bucket, bucket +
         deficit]; a run of 0 steps enters nothing and bounds nothing."""
-        if not len(run.entry):
+        if not len(run.absorbed):
             return "the half-line run from 1 has 0 steps"
         entered, deficit = ladder.ladder_buckets(run)
         gap = ladder.ladder_height_law(self.law, direction).pmf - entered
@@ -264,7 +264,7 @@ def _stream(law: StepLaw, x: int, mode: int,
             ns: Iterable[int]) -> dict[int, dp.DPResult]:
     """{n: the n-step run of mode from x} for each n of ns, from one DP
     stream: each snapshot extends the one before it by run_dp on its window,
-    its absorbed or entry is concatenated to cover steps 1..n, and its cut
+    its absorbed masses are concatenated to cover steps 1..n, and its cut
     adds the cut mass of the steps before.  A snapshot is the n-step run
     bit for bit when the snapshot before it ends a block of both runs
     (dp.run_dp), and lies within float rounding of it otherwise."""
@@ -272,10 +272,8 @@ def _stream(law: StepLaw, x: int, mode: int,
     out, k, res = {}, 0, dp.DPResult(x, np.ones(1))
     for n in sorted(set(ns)):
         nxt = dp.run_dp(res.offset, res.weights, zmin, pmf, n - k, mode)
-        if k and mode == dp.POINT:
+        if k and nxt.absorbed is not None:
             nxt.absorbed = np.concatenate((res.absorbed, nxt.absorbed))
-        elif k and mode == dp.HALFLINE:
-            nxt.entry = np.concatenate((res.entry, nxt.entry))
         nxt.cut += res.cut
         out[n] = res = nxt
         k = n
@@ -302,21 +300,23 @@ def _planned_streams(reads):
     return snap
 
 
+def _bookkeeping(s, q):
+    return q.mass() + q.absorbed.sum() + q.cut - 1.0, 1e-10
+
+
 def _mass_rows(tag: str, side: str, x: int, n, at: str) -> list[Invariant]:
-    """Mass conservation, point and halfline modes: what survived, what
-    was absorbed and what the edge cut removed add up to 1."""
-    point = ((side, x, P, n),)
-    vanishes = [Invariant(f"vanishes.{tag}",
-                          f"point kernel vanishes at 0, {at}",
-                          lambda s, q: (q.prob(0), 0.0), point)]
-    return [Invariant(f"mass.point.{tag}", f"point mass bookkeeping {at}",
-                      lambda s, q: (q.mass() + q.absorbed.sum() + q.cut - 1.0,
-                                    1e-10), point),
-            *(vanishes if side == "law" else []),
-            Invariant(f"mass.halfline.{tag}",
-                      f"halfline mass bookkeeping {at}",
-                      lambda s, q: (q.mass() + q.entry.sum() + q.cut - 1.0,
-                                    1e-10), ((side, x, H, n),))]
+    """Mass conservation, point and halfline modes, one check: what
+    survived, what was absorbed and what the edge cut removed add up to
+    1; between them, of the law itself, the point kernel's 0 at 0."""
+    rows = [Invariant(f"mass.{name}.{tag}", f"{name} mass bookkeeping {at}",
+                      _bookkeeping, ((side, x, mode, n),))
+            for name, mode in _DP_MODE.items()]
+    if side == "law":
+        rows.insert(1, Invariant(f"vanishes.{tag}",
+                                 f"point kernel vanishes at 0, {at}",
+                                 lambda s, q: (q.prob(0), 0.0),
+                                 ((side, x, P, n),)))
+    return rows
 
 
 INVARIANTS: tuple[Invariant, ...] = (
@@ -538,8 +538,13 @@ def _one_cell(spec: GridSpec, law: StepLaw, n: int, coord) -> list[tuple]:
     return [(0, 0, 0.0, 0.0)]
 
 
-# h's run has an entry column at y exactly where the site rule lists y, as
-# its entry_base is 1 + zmin
+def _removed_at(r: dp.DPResult, n: int, y: int) -> float:
+    """f_x(n) of a point run, P_x[T = n] of a half-line run."""
+    return float(r.absorbed[n - 1].sum())
+
+
+# h's run has an absorbed column at y exactly where the site rule lists y,
+# as its entry_base is 1 + zmin
 EXACT = {
     "point": Exact(_point, lambda r, n, y: r.prob(y), _scaled,
                    lambda law, y: (y,) if y != 0 else (), half_dot=True,
@@ -549,13 +554,12 @@ EXACT = {
                       reads=("xis", "etas")),
     "r_alpha": Exact(_r_alpha, lambda r, n, y: r[0].prob(y) - r[1].prob(y),
                      _scaled, reads=("xis", "etas", "alpha")),
-    "f_x": Exact(_point, lambda r, n, y: float(r.absorbed[n - 1]), _at_zero,
-                 lambda law, y: (0,), reads=("xis",)),
-    "T": Exact(_halfline, lambda r, n, y: float(r.entry[n - 1].sum()),
-               _at_zero, lambda law, y: range(1 + law.zmin, 1),
-               reads=("xis",)),
+    "f_x": Exact(_point, _removed_at, _at_zero, lambda law, y: (0,),
+                 reads=("xis",)),
+    "T": Exact(_halfline, _removed_at, _at_zero,
+               lambda law, y: range(1 + law.zmin, 1), reads=("xis",)),
     "h": Exact(_halfline,
-               lambda r, n, y: float(r.entry[n - 1, y - r.entry_base]),
+               lambda r, n, y: float(r.absorbed[n - 1, y - r.entry_base]),
                _entered,
                lambda law, y: (y,) if 1 + law.zmin <= y <= 0 else (),
                reads=("xis", "ys_literal")),

@@ -48,7 +48,7 @@ class TestKillAtOrigin:
         # q^2(1,1) = p(1,2)p(2,1): the only surviving path is 1->2->1
         q = engine.absorbed_at_origin(srw, 1, 2)
         assert q.prob(1) == pytest.approx(0.25, abs=1e-16)
-        assert q.absorbed[0] == pytest.approx(0.5, abs=1e-16)
+        assert q.absorbed[0, 0] == pytest.approx(0.5, abs=1e-16)
 
     def test_kernel_vanishes_at_origin(self, l1):
         q = engine.absorbed_at_origin(l1, 4, 100)
@@ -78,25 +78,25 @@ class TestKillOnHalfline:
     def test_one_step_entry_profile(self, l1):
         # from x=1: P[T=1, S_T=-1] = p(-2), P[T=1, S_T=0] = p(-1)
         qh = engine.absorbed_on_halfline(l1, 1, 1)
-        assert qh.entry_base == -1 and qh.entry.shape == (1, 2)
-        assert qh.entry[0, 0] == pytest.approx(1 / 6, abs=1e-16)   # y = -1
-        assert qh.entry[0, 1] == pytest.approx(1 / 6, abs=1e-16)   # y = 0
+        assert qh.entry_base == -1 and qh.absorbed.shape == (1, 2)
+        assert qh.absorbed[0, 0] == pytest.approx(1 / 6, abs=1e-16)  # y = -1
+        assert qh.absorbed[0, 1] == pytest.approx(1 / 6, abs=1e-16)  # y = 0
 
     def test_no_overshoot_for_unit_down_steps(self, srw):
         qh = engine.absorbed_on_halfline(srw, 1, 50)
-        cols = qh.entry.sum(axis=0)
+        cols = qh.absorbed.sum(axis=0)
         for y in range(qh.entry_base, 0):
             assert abs(cols[y - qh.entry_base]) == 0.0
 
     def test_t_pmf_matches_surviving_mass(self, l1):
         n = 200
         qh = engine.absorbed_on_halfline(l1, 3, n)
-        assert qh.entry.sum(axis=1).sum() == pytest.approx(
+        assert qh.absorbed.sum(axis=1).sum() == pytest.approx(
             1.0 - qh.mass(), abs=1e-12)
         # mass() is P_x[T > n]: what a longer run enters after step n
         longer = engine.absorbed_on_halfline(l1, 3, 4 * n)
         assert qh.mass() == pytest.approx(
-            longer.entry[n:].sum() + longer.mass(), abs=1e-12)
+            longer.absorbed[n:].sum() + longer.mass(), abs=1e-12)
 
     def test_dominated_by_point_kernel(self, l1):
         n, x = 128, 4
@@ -182,11 +182,11 @@ class TestExactMode:
     def test_rational_absorbed_identity(self, srw):
         dist, absorbed = engine.absorbed_at_origin_exact(srw, 1, 2)
         assert dist[1] == Fraction(1, 4)
-        assert absorbed[0] == Fraction(1, 2)
+        assert absorbed == {(1, 0): Fraction(1, 2)}
 
     def test_rational_mass_exact(self, l1):
         dist, absorbed = engine.absorbed_at_origin_exact(l1, 1, 16)
-        assert sum(dist.values()) + sum(absorbed) == 1
+        assert sum(dist.values()) + sum(absorbed.values()) == 1
 
 
 def test_reachability_zeros(srw):
@@ -212,38 +212,41 @@ def _check_run_dp_properties(law, x, n, alpha):
     zmin, pmf = law.pmf_array()
     for mode, x0 in ((dp.FREE, x), (dp.POINT, x), (dp.HALFLINE, abs(x) + 1)):
         full = dp.run_dp(x0, np.ones(1), zmin, pmf, n, mode=mode, alpha=alpha)
-        off, w, absorbed, entry = x0, np.ones(1), [], []
+        off, w, absorbed = x0, np.ones(1), []
         for _ in range(n):
             one = dp.run_dp(off, w, zmin, pmf, 1, mode=mode, alpha=alpha)
             off, w = one.offset, one.weights
-            if mode == dp.POINT:
-                absorbed.append(one.absorbed)
-            if mode == dp.HALFLINE:
-                entry.append(one.entry)
+            absorbed.append(one.absorbed)
         assert full.offset == off
         assert np.array_equal(full.weights, w)
-        if mode == dp.POINT:
+        if mode != dp.FREE:
             assert np.array_equal(full.absorbed, np.concatenate(absorbed))
-        if mode == dp.HALFLINE:
-            assert np.array_equal(full.entry, np.concatenate(entry))
-            assert abs(full.mass() + full.entry.sum() - 1.0) <= 1e-12
+            assert abs(full.mass() + full.absorbed.sum() - 1.0) <= 1e-12
 
     free = engine.evolve_free(law, x, n)
     exact = engine.evolve_free_exact(law, x, n)
     for y in set(exact) | set(free.sites().tolist()):
         assert abs(free.prob(y) - float(exact.get(y, 0))) <= 1e-13
-    q = engine.absorbed_at_origin(law, x, n)
-    exact, passage = engine.absorbed_at_origin_exact(law, x, n)
-    for y in set(exact) | set(q.sites().tolist()):
-        assert abs(q.prob(y) - float(exact.get(y, 0))) <= 1e-13
-    assert np.max(np.abs(q.absorbed - np.array(passage, dtype=float))) <= 1e-13
-    h = engine.absorbed_on_halfline(law, abs(x) + 1, n)
-    exact, entry = engine.absorbed_on_halfline_exact(law, abs(x) + 1, n)
-    for y in set(exact) | set(h.sites().tolist()):
-        assert abs(h.prob(y) - float(exact.get(y, 0))) <= 1e-13
-    for (k, y), v in entry.items():
-        assert abs(h.entry[k - 1, y - h.entry_base] - float(v)) <= 1e-13
-    assert abs(h.entry.sum() - float(sum(entry.values()))) <= 1e-13
+    for run, (exact, removed) in (
+            (engine.absorbed_at_origin(law, x, n),
+             engine.absorbed_at_origin_exact(law, x, n)),
+            (engine.absorbed_on_halfline(law, abs(x) + 1, n),
+             engine.absorbed_on_halfline_exact(law, abs(x) + 1, n))):
+        for y in set(exact) | set(run.sites().tolist()):
+            assert abs(run.prob(y) - float(exact.get(y, 0))) <= 1e-13
+        assert np.max(np.abs(run.absorbed - _removed_table(run, removed)),
+                      initial=0.0) <= 1e-13
+        assert abs(run.absorbed.sum() - float(sum(removed.values()))) \
+            <= 1e-13
+
+
+def _removed_table(run, removed):
+    """The rational stream's removed masses, {(k, site): value}, in the
+    layout of run.absorbed: row k - 1, column site - run.entry_base."""
+    out = np.zeros(run.absorbed.shape)
+    for (k, y), v in removed.items():
+        out[k - 1, y - run.entry_base] = float(v)
+    return out
 
 
 def test_cut_takes_only_outer_zero_and_subnormal_runs(srw, monkeypatch):
@@ -284,23 +287,25 @@ def _full_lattice_dp(offset, weights, zmin, pmf, n, mode, alpha, cut=True):
     the same absorption and the same edge cut, applied to each residue
     class of the start mod the period on its own, as each class runs its
     own run_dp; the reference for the coset stream, and without the cut
-    the reference for the cut.  Returns (offset, weights, absorbed,
-    entry, cut mass)."""
+    the reference for the cut.  Returns (offset, weights, absorbed, cut
+    mass), absorbed in run_dp's layout: one column, site 0, in point
+    mode, the sites 1 + zmin..0 in half-line mode."""
     d = dp.period(pmf)
     off, cur = offset, np.array(weights, dtype=float)
-    absorbed, entry, mass_cut = np.zeros(n), np.zeros((n, -zmin)), 0.0
+    absorbed = np.zeros((n, -zmin if mode == dp.HALFLINE else 1))
+    mass_cut = 0.0
     for k in range(1, n + 1):
         if len(cur) == 0:
             break
         cur = np.convolve(cur, pmf)
         off += zmin
         if mode == dp.POINT and 0 <= -off < len(cur):
-            absorbed[k - 1] = alpha * cur[-off]
+            absorbed[k - 1, 0] = alpha * cur[-off]
             cur[-off] *= 1.0 - alpha
         elif mode == dp.HALFLINE:
             hi = max(min(len(cur), -off + 1), 0)
             j = off - (1 + zmin)
-            entry[k - 1, j:j + hi] = cur[:hi]
+            absorbed[k - 1, j:j + hi] = cur[:hi]
             cur, off = cur[hi:], off + hi
         if cut:
             # a walk from class c of the start is on c + k*zmin + dZ
@@ -316,7 +321,7 @@ def _full_lattice_dp(offset, weights, zmin, pmf, n, mode, alpha, cut=True):
             live = np.flatnonzero(cur)
             a, b = (live[0], live[-1] + 1) if len(live) else (len(cur),) * 2
             cur, off = cur[a:b], off + a
-    return off, cur, absorbed, entry, mass_cut
+    return off, cur, absorbed, mass_cut
 
 
 @settings(max_examples=20, deadline=None)
@@ -325,15 +330,16 @@ def _full_lattice_dp(offset, weights, zmin, pmf, n, mode, alpha, cut=True):
        st.sampled_from([0.5, 1.0]))
 @example(build_law([(-2, "1/3"), (1, "2/3")], "law"), 1, 1014, dp.FREE, 0.5)
 def test_cut_keeps_every_normal_weight(law, x, n, mode, alpha):
-    """Against the uncut one-step DP, every site, absorbed mass and
-    entrance-law entry of the cut block run lies within res.cut of it, up
+    """Against the uncut one-step DP, every site and absorbed mass
+    (passage law or entrance law) of the cut block run lies within
+    res.cut of it, up
     to the rounding of the two runs, gamma_(3 n_k) of the larger value
     (potential._rounding_gamma; the example is a free run whose bulk
     sites differ by 1.02e-14 relative); res.cut stays below 1e-50 at these
     n; and the cut window lies inside the uncut one."""
     zmin, pmf = law.pmf_array()
     res = dp.run_dp(x, np.ones(1), zmin, pmf, n, mode=mode, alpha=alpha)
-    off, ref, absorbed, entry, _ = _full_lattice_dp(
+    off, ref, absorbed, _ = _full_lattice_dp(
         x, np.ones(1), zmin, pmf, n, mode, alpha, cut=False)
     assert 0.0 <= res.cut < 1e-50
     assert res.stride == dp.period(pmf)
@@ -346,10 +352,8 @@ def test_cut_keeps_every_normal_weight(law, x, n, mode, alpha):
                       <= res.cut + gamma * np.maximum(got, want))
 
     assert within(_laid_on(res, off + np.arange(len(ref))), ref)
-    if mode == dp.POINT:
+    if mode != dp.FREE:
         assert within(res.absorbed, absorbed)
-    if mode == dp.HALFLINE:
-        assert within(res.entry, entry)
 
 
 _MODES = [(dp.FREE, 1.0), (dp.POINT, 1.0), (dp.POINT, 0.5),
@@ -361,24 +365,22 @@ def _coset_vs_full(law, offset, weights, n, mode, alpha):
     nu_and_particles runs them, against the full-lattice DP.  Returns
     the classes' summed weight at each site of either side, the
     reference's there, and (summed, reference) pairs of the absorbed
-    masses, the entrance laws and the cut masses.  Two classes never
-    share a site, so each sum adds one run's value to zeros."""
+    masses (passage or entrance laws) and of the cut masses.  Two classes
+    never share a site, so each sum adds one run's value to zeros."""
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)
     weights = np.asarray(weights, dtype=float)
     runs = [dp.run_dp(offset + r, weights[r::d], zmin, pmf, n, mode=mode,
                       alpha=alpha) for r in range(min(d, len(weights)))]
     assert all(res.stride == d for res in runs)
-    off, ref, absorbed, entry, cut = _full_lattice_dp(
+    off, ref, absorbed, cut = _full_lattice_dp(
         offset, weights, zmin, pmf, n, mode, alpha)
     want = dp.Window(off, ref)
     sites = np.union1d(np.concatenate([r.sites() for r in runs]),
                        want.sites())
     got = sum(_laid_on(r, sites) for r in runs)
-    field = {dp.POINT: "absorbed", dp.HALFLINE: "entry"}.get(mode)
-    summed = sum(getattr(r, field) for r in runs) if field else None
-    return (got, _laid_on(want, sites),
-            (summed, absorbed if mode == dp.POINT else entry),
+    summed = None if mode == dp.FREE else sum(r.absorbed for r in runs)
+    return (got, _laid_on(want, sites), (summed, absorbed),
             (sum(r.cut for r in runs), cut))
 
 
@@ -391,8 +393,8 @@ def test_coset_stream_matches_full_lattice(law, x, weights, n, mode_alpha):
     """On periodic laws, from windows that span several residue classes,
     the coset streams of the classes, in one-step blocks, agree with the
     full-lattice DP that cuts each class on its own: the same sites are
-    nonzero, every weight, absorbed mass and entrance-law entry agrees to
-    1e-15, and the cut masses to 1e-12 relative."""
+    nonzero, every weight and absorbed mass (passage or entrance law)
+    agrees to 1e-15, and the cut masses to 1e-12 relative."""
     mode, alpha = mode_alpha
     x0 = abs(x) + 1 if mode == dp.HALFLINE else x
     with pytest.MonkeyPatch.context() as m:
@@ -482,12 +484,10 @@ def _assert_blocks_match_steps(law, x, n, mode=dp.FREE, alpha=1.0,
 
     sites = np.union1d(blocks.sites(), steps.sites())
     assert close(_laid_on(blocks, sites), _laid_on(steps, sites))
-    if mode == dp.POINT:
+    if mode != dp.FREE:
         assert close(blocks.absorbed, steps.absorbed)
-        if alpha == 1.0:
-            assert blocks.prob(0) == 0.0
-    if mode == dp.HALFLINE:
-        assert close(blocks.entry, steps.entry)
+    if mode == dp.POINT and alpha == 1.0:
+        assert blocks.prob(0) == 0.0
 
 
 @_BLOCK_LAWS
@@ -534,10 +534,11 @@ def test_block_length_follows_the_strip(pairs, point, halfline):
     d = dp.period(pmf)
     t = len(pmf[::d])
     for mode, want in ((dp.POINT, point), (dp.HALFLINE, halfline)):
-        assert dp._block_len(t, zmin, d, 4096, mode) == want
-        assert dp._block_len(t, zmin, d, 5, mode) == min(want, 4)
-        assert dp._block_len(t, zmin, d, 2, mode) == 2
-        assert dp._block_len(t, zmin, d, 1, mode) == 1
+        ab = dp._absorbing(zmin, mode, 1.0)
+        assert dp._block_len(t, zmin, d, 4096, ab) == want
+        assert dp._block_len(t, zmin, d, 5, ab) == min(want, 4)
+        assert dp._block_len(t, zmin, d, 2, ab) == 2
+        assert dp._block_len(t, zmin, d, 1, ab) == 1
 
 
 @pytest.mark.parametrize("pairs", [SRW_PAIRS, SPAN3_PAIRS],
@@ -557,7 +558,7 @@ def test_halfline_start_with_weight_at_or_below_zero_is_refused(pairs):
     want = dp.run_dp(1, np.ones(1), zmin, pmf, 100, dp.HALFLINE)
     assert (got.offset, got.cut) == (want.offset, want.cut)
     assert np.array_equal(got.weights, want.weights)
-    assert np.array_equal(got.entry, want.entry)
+    assert np.array_equal(got.absorbed, want.absorbed)
 
 
 @_BLOCK_LAWS
@@ -616,17 +617,14 @@ def test_absorbed_blocks_match_the_rational_dp(pairs, monkeypatch):
     for n in (60, 63):
         gamma = potential._rounding_gamma(law, n)
         q = engine.absorbed_at_origin(law, 3, n)
-        exact, passage = engine.absorbed_at_origin_exact(law, 3, n)
+        q_exact = engine.absorbed_at_origin_exact(law, 3, n)
         h = engine.absorbed_on_halfline(law, 3, n)
-        h_exact, entry = engine.absorbed_on_halfline_exact(law, 3, n)
+        h_exact = engine.absorbed_on_halfline_exact(law, 3, n)
         assert q.cut == h.cut == 0.0
-        for res, ex in ((q, exact), (h, h_exact)):
+        for res, (ex, removed) in ((q, q_exact), (h, h_exact)):
             ys = sorted(set(ex) | set(res.sites().tolist()))
             assert close([res.prob(y) for y in ys], [ex.get(y, 0) for y in ys])
-        assert close(q.absorbed, passage)
-        ys = h.entry_base + np.arange(h.entry.shape[1])
-        assert close(h.entry, [[entry.get((k, y), 0) for y in ys]
-                               for k in range(1, n + 1)])
+            assert close(res.absorbed, _removed_table(res, removed))
 
 
 def test_widest_law_streams_take_two_step_blocks():
@@ -637,7 +635,8 @@ def test_widest_law_streams_take_two_step_blocks():
     law = build_law(U32_PAIRS, "u32")
     zmin, pmf = law.pmf_array()
     for mode in (dp.POINT, dp.HALFLINE):
-        assert dp._block_len(len(pmf), zmin, 1, 301, mode) == 2
+        assert dp._block_len(len(pmf), zmin, 1, 301,
+                             dp._absorbing(zmin, mode, 1.0)) == 2
         _assert_blocks_match_steps(law, 5, 301, mode)
 
 
@@ -658,8 +657,8 @@ def test_strip_plan_matches_one_step_runs(pairs, mode, alpha):
     law = build_law(pairs, "law")
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)
-    taps, Xs, w = pmf[::d], (0, 3, 55), 1 if mode == dp.POINT else -zmin
-    L = dp._block_len(len(taps), zmin, d, dp.BLOCK_STEPS, mode)
+    taps, Xs, ab = pmf[::d], (0, 3, 55), dp._absorbing(zmin, mode, alpha)
+    L = dp._block_len(len(taps), zmin, d, dp.BLOCK_STEPS, ab)
     gamma = potential._rounding_gamma(law, L)
 
     def close(a, b):
@@ -669,8 +668,7 @@ def test_strip_plan_matches_one_step_runs(pairs, mode, alpha):
         plans = {}
         for X in Xs:
             dp._plan_slot.cache_clear()     # a fresh walk for each X
-            plans[X] = dp._plan(taps.tobytes(), zmin, d, mode, alpha, L,
-                                rho, X)
+            plans[X] = dp._plan(taps.tobytes(), zmin, d, ab, L, rho, X)
         wide = plans[Xs[-1]]
         for X, p in plans.items():
             e = Xs[-1] - X
@@ -678,8 +676,7 @@ def test_strip_plan_matches_one_step_runs(pairs, mode, alpha):
             for a, b in zip(p[:-1], wide[:-1]):
                 assert np.array_equal(a, b)
         # a stream without rows reads the plan its strip was walked for
-        assert dp._plan(taps.tobytes(), zmin, d, mode, alpha, L,
-                        rho) is wide
+        assert dp._plan(taps.tobytes(), zmin, d, ab, L, rho) is wide
         sites = wide.first + L * zmin + d * np.arange(wide.killed.shape[1])
         for i in range(wide.size):
             with pytest.MonkeyPatch.context() as m:
@@ -691,7 +688,7 @@ def test_strip_plan_matches_one_step_runs(pairs, mode, alpha):
             end = dp.Window(off, cur, d)
             assert np.isin(end.sites(), sites).all()
             assert close(wide.killed[i], _laid_on(end, sites))
-            lost = np.zeros(L * w)
+            lost = np.zeros(L * (1 - ab[0]))
             lost[wide.cols] = wide.lost[i]
             assert close(lost, np.concatenate(
                 [np.ravel(a) for _, _, _, a, _, _ in run]))
@@ -901,19 +898,20 @@ def test_p_n_at_off_the_coset_runs_no_dp(span3, monkeypatch):
     assert asymptotics._p_n(_free_kernels(span3), 8192, 0) == 0.0
 
 
-def _fraction_dp(law, x, n, kill_origin):
+def _fraction_dp(law, x, n, killed=None):
     """The rational DP in Fractions, step by step: the reference for the
-    integer-numerator DP."""
-    cur, passage = {x: Fraction(1)}, []
-    for _ in range(n):
+    integer-numerator DP.  Each step removes the mass at every site s
+    with killed(s), into {(k, s): mass}."""
+    cur, removed = {x: Fraction(1)}, {}
+    for k in range(1, n + 1):
         out = {}
         for s, m in cur.items():
             for z, w in law.items():
                 out[s + z] = out.get(s + z, Fraction(0)) + m * w
         cur = out
-        if kill_origin:
-            passage.append(cur.pop(0, Fraction(0)))
-    return cur, passage
+        for s in [s for s in cur if killed and killed(s)]:
+            removed[k, s] = cur.pop(s)
+    return cur, removed
 
 
 @settings(max_examples=20, deadline=None)
@@ -923,10 +921,11 @@ def _fraction_dp(law, x, n, kill_origin):
 @example(build_law([(z, "1/4") for z in (-3, -1, 1, 3)], "odd4"), 3, 24)
 @example(build_law([(z, "1/65") for z in range(-32, 33)], "u32"), -2, 6)
 def test_integer_rational_dp_equals_fractions(law, x, n):
-    """Equal Fraction dicts and passage laws, on random laws and on four
-    fixtures; u32 stops at 6 steps, as the Fraction loop is slow over 65
-    jumps."""
+    """Equal Fraction dicts, and equal passage and entrance laws, on
+    random laws and on four fixtures; u32 stops at 6 steps, as the
+    Fraction loop is slow over 65 jumps."""
     assert engine.absorbed_at_origin_exact(law, x, n) == \
-        _fraction_dp(law, x, n, True)
-    assert engine.evolve_free_exact(law, x, n) == \
-        _fraction_dp(law, x, n, False)[0]
+        _fraction_dp(law, x, n, lambda s: s == 0)
+    assert engine.absorbed_on_halfline_exact(law, abs(x) + 1, n) == \
+        _fraction_dp(law, abs(x) + 1, n, lambda s: s <= 0)
+    assert engine.evolve_free_exact(law, x, n) == _fraction_dp(law, x, n)[0]

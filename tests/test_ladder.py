@@ -204,7 +204,7 @@ class TestEntranceLaws:
         x, n = 4, 4096
         h = entrance_law_from(l1, l1_kernels.pair, x)
         qh = engine.absorbed_on_halfline(l1, x, n)
-        base, cols = qh.entry_base, qh.entry.sum(axis=0)
+        base, cols = qh.entry_base, qh.absorbed.sum(axis=0)
         h_lim = entrance_law_inf(l1, l1_kernels.pair)
         # mass still alive at n enters later with the limiting profile
         for y in range(base, 1):

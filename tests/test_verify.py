@@ -219,9 +219,9 @@ def test_suite_walks_each_strip_once(pairs, monkeypatch):
     kernels = build_kernels(law)
     walk, walks = dp._walk, []
 
-    def counted(taps, zmin, d, mode, alpha, L, rho, X):
-        walks.append((taps.tobytes(), zmin, d, mode, alpha, L, rho))
-        return walk(taps, zmin, d, mode, alpha, L, rho, X)
+    def counted(taps, zmin, d, ab, L, rho, X):
+        walks.append((taps.tobytes(), zmin, d, ab, L, rho))
+        return walk(taps, zmin, d, ab, L, rho, X)
 
     monkeypatch.setattr(dp, "_walk", counted)
     dp._plan_slot.cache_clear()
@@ -250,8 +250,7 @@ _STREAM_LAWS = pytest.mark.parametrize("pairs", [
 def test_stream_snapshots_are_fresh_runs(pairs, monkeypatch):
     """With one-step blocks, each snapshot of one stream, extended past
     the edge cut, is the fresh run of its length bit for bit, with its
-    passage and entrance tables covering every step and the cut mass of
-    every step."""
+    absorbed masses covering every step and the cut mass of every step."""
     monkeypatch.setattr(dp, "BLOCK_STEPS", 1)
     law = build_law(pairs, "law")
     zmin, pmf = law.pmf_array()
@@ -261,8 +260,7 @@ def test_stream_snapshots_are_fresh_runs(pairs, monkeypatch):
             assert (got.offset, got.entry_base) == (want.offset,
                                                     want.entry_base)
             for a, b in ((got.weights, want.weights),
-                         (got.absorbed, want.absorbed),
-                         (got.entry, want.entry)):
+                         (got.absorbed, want.absorbed)):
                 assert _same(a, b), (mode, n)
             assert got.cut == pytest.approx(want.cut, rel=1e-12, abs=0.0)
 
@@ -694,7 +692,7 @@ def test_site_rule_zero_is_the_runs_value(law, n, x, y):
     reaches at n, the value its n-step run gives at (n, y) is exactly
     0.0, the value compare_grid takes there with no DP.  The one value
     with no column outside its sites, h at y outside 1 + zmin..0, reads
-    a run whose entry columns are exactly 1 + zmin..0."""
+    a run whose absorbed columns are exactly 1 + zmin..0."""
     struct = lattice_structure(law)
     runs = {}
     for key, ex in EXACT.items():
@@ -706,7 +704,7 @@ def test_site_rule_zero_is_the_runs_value(law, n, x, y):
         run = runs[ex.run]
         if key == "h" and not 1 + law.zmin <= y <= 0:
             assert run.entry_base == 1 + law.zmin
-            assert run.entry.shape == (n, -law.zmin)
+            assert run.absorbed.shape == (n, -law.zmin)
             continue
         assert ex.value(run, n, y) == 0.0, key
 
