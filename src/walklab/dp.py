@@ -479,6 +479,18 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             yield k, off, cur, absorbed, cut, row
 
 
+def free_deficit(zmin: int, pmf: np.ndarray, n: int) -> float:
+    """What an n-step free stream adds to a unit start's mass, to first
+    order: each block of r steps (_steps) multiplies the mass by the sum
+    of the float taps of p^{*r}, which misses 1 by the float pmf's own
+    deficit and the rounding that built the taps; each summed exactly."""
+    d = period(pmf)
+    taps = pmf[::d]
+    L = _block_len(len(taps), zmin, d, n, None)
+    return sum(count * math.fsum([*_power(taps.tobytes(), r), -1.0])
+               for r, count in ((L, n // L), (n % L, 1)) if r)
+
+
 def run_dp(init_offset: int, init_weights: np.ndarray, zmin: int,
            pmf: np.ndarray, n: int, mode: int = FREE,
            alpha: float = 1.0) -> DPResult:

@@ -123,6 +123,14 @@ class _Suite:
         step -= step % self.struct.period
         return z0 - step, z0, z0 + step
 
+    def _free_mass(self, full):
+        """mass() + cut of p^n_big against what the free stream's kernels
+        give a unit start (dp.free_deficit, a fresh run's; a snapshot that
+        extends shorter runs, _stream, applies a few shorter blocks)."""
+        deficit = dp.free_deficit(*self.law.pmf_array(), self.n_big)
+        return (full.mass() + full.cut - 1.0 - deficit, 1e-12,
+                f"deficit={deficit:.3g}")
+
     def _free_ck(self, lo, hi, full):
         """p^n_big as the dot of its halves at the _free_sites; a site where
         p^n is 0 (the argmax never is) fails only if the dot is not 0."""
@@ -320,8 +328,7 @@ def _mass_rows(tag: str, side: str, x: int, n, at: str) -> list[Invariant]:
 
 
 INVARIANTS: tuple[Invariant, ...] = (
-    Invariant("free.mass", "free mass n={n}",
-              lambda s, full: (full.mass() + full.cut - 1.0, 1e-12),
+    Invariant("free.mass", "free mass n={n}", _Suite._free_mass,
               (("law", 0, F, "n"),)),
     Invariant("free.chapman-kolmogorov",
               "free kernel by Chapman-Kolmogorov n={n}", _Suite._free_ck,

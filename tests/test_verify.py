@@ -71,8 +71,41 @@ class TestInvariantSuite:
         # row keeps its value
         rows = {r.name: r for r in results}
         assert rows["free kernel by Chapman-Kolmogorov n=257"].status == "pass"
+        zmin, pmf = span3.pmf_array()
+        run = engine.evolve_free(span3, 0, 257)
         assert rows["free mass n=257"].residual == abs(
-            engine.evolve_free(span3, 0, 257).mass() - 1.0)
+            run.mass() + run.cut - 1.0 - dp.free_deficit(zmin, pmf, 257))
+
+    @pytest.mark.parametrize("fixture", ["l1", "span3"])
+    def test_free_mass_at_large_n(self, fixture, request):
+        """At n_big = 32768 the free run's mass misses 1 by 1.07e-12 (l1)
+        and 1.63e-12 (span3), past the row's 1e-12, and the DP is not at
+        fault: the float taps of p^{*64} it applies sum to 1 - 2.1e-15 and
+        1 - 3.2e-15.  The row compares the mass with what those kernels
+        give a unit start (dp.free_deficit), so it passes, as does every
+        other row."""
+        law = request.getfixturevalue(fixture)
+        results = invariant_suite(law, kernels=None, n_big=32768)
+        rows = {r.id: r for r in results}
+        assert rows["free.mass"].status == "pass"
+        assert [r.id for r in results if r.status == "fail"] == []
+
+    def test_free_mass_fails_when_a_site_loses_its_weight(self, l1):
+        """The free mass row at n_big = 32768 still catches a run that
+        loses one site's weight: the clean l1 run passes, and the same
+        run without its smallest weight above 2e-12 fails."""
+        n = 32768
+        zmin, pmf = l1.pmf_array()
+        run = dp.run_dp(0, np.ones(1), zmin, pmf, n)
+        check = next(r.check for r in verify.INVARIANTS if r.id == "free.mass")
+        suite = verify._Suite(l1, None, n)
+        residual, tol, *_ = check(suite, run)
+        assert abs(residual) <= tol
+        lost = run.weights.copy()
+        lost[np.argmin(np.where(lost > 2e-12, lost, np.inf))] = 0.0
+        residual, tol, *_ = check(suite, dp.DPResult(run.offset, lost,
+                                                     run.stride, cut=run.cut))
+        assert abs(residual) > tol
 
     def test_suite_step_budget(self, l1, l1_kernels, srw, srw_kernels,
                                monkeypatch):
