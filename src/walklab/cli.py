@@ -142,14 +142,11 @@ def cmd_validate(args) -> int:
 
 def cmd_compute(args) -> int:
     law = load_law(args.law)
-    if args.mode == "free":
-        res = engine.evolve_free(law, args.x, args.n)
-    elif args.mode == "point":
-        res = engine.absorbed_at_origin(law, args.x, args.n)
-    elif args.mode == "halfline":
-        res = engine.absorbed_on_halfline(law, args.x, args.n)
-    else:
-        res = engine.partial_absorption(law, args.alpha, args.x, args.n)
+    run = {"free": engine.evolve_free, "point": engine.absorbed_at_origin,
+           "halfline": engine.absorbed_on_halfline,
+           "partial": lambda law, x, n: engine.partial_absorption(
+               law, args.alpha, x, n)}[args.mode]
+    res = run(law, args.x, args.n)
     report.emit_slice(args.mode, args.x, args.n, res, args.out)
     print(f"wrote {args.out}")
     return 0

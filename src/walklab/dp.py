@@ -137,9 +137,8 @@ class DPResult(Window):
     absorbed: (n, 1 - entry_base) array, None in FREE mode;
         absorbed[k-1, j] is the mass removed on step k at site
         entry_base + j, entry_base the lowest absorbing site
-        (_absorbing).  POINT: entry_base = 0 and one column, with
-        alpha = 1 the passage law f_x(k); HALFLINE: entry_base =
-        1 + zmin, the entrance law.
+        (_absorbing): with alpha = 1 the passage law f_x(k) in POINT
+        mode (entry_base 0, one column), the entrance law in HALFLINE.
     cut: the total weight the edge cut removed; every site and absorbed
         mass lies within cut of the uncut DP, and mass() + cut, plus
         what was absorbed, is the initial mass up to rounding.
@@ -462,12 +461,10 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                    else np.convolve(cur, taps))
             off += shift
 
-            absorbed = None
-            if ab is not None:
-                absorbed = np.zeros((r, 1 - ab[0]))
-                if strip is not None:
-                    cur[s:s + p.killed.shape[1]] += strip @ p.killed
-                    absorbed.reshape(-1)[p.cols] = strip @ p.lost
+            absorbed = None if ab is None else np.zeros((r, 1 - ab[0]))
+            if strip is not None:
+                cur[s:s + p.killed.shape[1]] += strip @ p.killed
+                absorbed.reshape(-1)[p.cols] = strip @ p.lost
             keep = cur >= CUT
             a = int(keep.argmax())
             b = b - int(keep[::-1].argmax()) if keep[a] else a
@@ -508,13 +505,11 @@ def run_dp(init_offset: int, init_weights: np.ndarray, zmin: int,
     """
     d = period(pmf)
     off, cur, cut = init_offset, np.array(init_weights, dtype=np.float64), 0.0
-    ab, absorbed, edge = _absorbing(zmin, mode, alpha), None, 0
-    if ab is not None:
-        edge = ab[0]
-        if cur.any() and off + d * int(np.argmax(cur != 0)) < ab[2]:
-            raise ConstraintViolation(
-                "halfline start with weight at a site <= 0")
-        absorbed = np.zeros((n, 1 - edge))
+    ab = _absorbing(zmin, mode, alpha)
+    edge, _, floor = ab or (0, 0.0, -math.inf)      # FREE: nothing absorbs
+    if cur.any() and off + d * int(np.argmax(cur != 0)) < floor:
+        raise ConstraintViolation("halfline start with weight at a site <= 0")
+    absorbed = None if ab is None else np.zeros((n, 1 - edge))
     for k, off, cur, removed, cut, _ in _steps(off, cur, zmin, pmf, n,
                                                mode, alpha):
         if removed is not None:

@@ -123,14 +123,12 @@ def nu_and_particles(law: StepLaw, n: int, ell: float = 1.0):
 
 def _exact_stream(law: StepLaw, x: int, n: int, mode: int):
     """Rational n-step kernel from x in the dp mode, {site: value}, and
-    what its absorbing set (dp._absorbing, at rate 1) removed,
-    {(k, site): value} over the steps k and the absorbing sites: the
-    passage law (POINT) or the entrance law (HALFLINE); None in FREE
-    mode.  The DP carries integer numerators over D^k, D the lcm of the
-    law's denominators, as an object array of Python ints on the sites
-    off, off+1, ...: np.convolve with the integer taps is exact.  The
-    Fractions are built once at the end, for the sites of nonzero
-    weight, and the removed masses as they are removed, where nonzero."""
+    the nonzero masses its absorbing set (dp._absorbing, at rate 1)
+    removed, {(k, site): value}: the passage law (POINT) or the entrance
+    law (HALFLINE); None in FREE mode.  The DP carries integer numerators
+    over D^k, D the lcm of the law's denominators, as an object array of
+    Python ints on the sites off, off+1, ...: np.convolve with the
+    integer taps is exact."""
     if n > EXACT_STEP_LIMIT:
         raise ConstraintViolation(
             f"exact mode limited to n <= {EXACT_STEP_LIMIT}")
@@ -158,8 +156,7 @@ def evolve_free_exact(law: StepLaw, x: int, n: int) -> dict[int, Fraction]:
 
 
 def absorbed_at_origin_exact(law: StepLaw, x: int, n: int):
-    """Rational q^n(x, .) and passage law, {(k, 0): f_x(k)} over the
-    steps k of nonzero f_x(k); n <= 64."""
+    """Rational q^n(x, .) and passage law, {(k, 0): f_x(k)}; n <= 64."""
     return _exact_stream(law, x, n, dp.POINT)
 
 

@@ -124,9 +124,8 @@ class _Suite:
         return z0 - step, z0, z0 + step
 
     def _free_mass(self, full):
-        """mass() + cut of p^n_big against what the free stream's kernels
-        give a unit start (dp.free_deficit, a fresh run's; a snapshot that
-        extends shorter runs, _stream, applies a few shorter blocks)."""
+        """mass() + cut of p^n_big against what a fresh free stream's
+        kernels give a unit start (dp.free_deficit)."""
         deficit = dp.free_deficit(*self.law.pmf_array(), self.n_big)
         return (full.mass() + full.cut - 1.0 - deficit, 1e-12,
                 f"deficit={deficit:.3g}")
@@ -308,16 +307,13 @@ def _planned_streams(reads):
     return snap
 
 
-def _bookkeeping(s, q):
-    return q.mass() + q.absorbed.sum() + q.cut - 1.0, 1e-10
-
-
 def _mass_rows(tag: str, side: str, x: int, n, at: str) -> list[Invariant]:
-    """Mass conservation, point and halfline modes, one check: what
+    """Mass bookkeeping of the point and halfline runs, one check: what
     survived, what was absorbed and what the edge cut removed add up to
-    1; between them, of the law itself, the point kernel's 0 at 0."""
+    1.  Of the law itself, the point kernel's 0 at 0 sits between them."""
     rows = [Invariant(f"mass.{name}.{tag}", f"{name} mass bookkeeping {at}",
-                      _bookkeeping, ((side, x, mode, n),))
+                      lambda s, q: (q.mass() + q.absorbed.sum() + q.cut - 1.0,
+                                    1e-10), ((side, x, mode, n),))
             for name, mode in _DP_MODE.items()]
     if side == "law":
         rows.insert(1, Invariant(f"vanishes.{tag}",
