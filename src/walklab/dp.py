@@ -41,10 +41,12 @@ computes.
 start lies on one coset as well; a start over several classes (the
 many-start window of ``engine.nu_and_particles``) is one run per class.
 
-Given X, _steps also yields the weights of each advance's steps,
-summed, on the fixed window [-X, X], for the time sums of ``potential``:
-one matrix product per block, plus the strip's share from its plan,
-whose rows the strip's walk sums as it goes.
+Given X, _steps also records, for the time sums of ``potential``, what
+the weights of each advance's steps, summed on the fixed window [-X, X],
+are read from: the block-start weights on the sites the block can carry
+into [-X, X] and, in the absorbed modes, the strip's weights, whose plan
+holds the strip's summed rows, which its walk sums as it goes.  The
+stream itself computes no row.
 """
 
 from __future__ import annotations
@@ -312,10 +314,11 @@ def _walk(taps: np.ndarray, zmin: int, d: int, ab, L: int, rho: int,
 
 @lru_cache(maxsize=128)
 def _phase_taps(key: bytes, zmin: int, d: int, rho: int, r: int):
-    """(first, T, phases) for the rows of r-step blocks with X + offset =
-    rho (mod d), np.frombuffer(key) the compressed taps: first =
-    E + (X + offset) // d, and T[i] the reversed shifted taps of the steps
-    at column phase phases[i], summed in step order (see _steps)."""
+    """(base, T, phases) for the rows of r-step blocks with X + offset =
+    rho (mod d), np.frombuffer(key) the compressed taps: T[i] holds the
+    reversed shifted taps of the steps at column phase phases[i], summed in
+    step order, and the band of a block with c = X + offset starts at the
+    index base - c // d of its window (see _steps)."""
     powers = [_power(key, j) for j in range(1, r + 1)]
     j = np.arange(1, r + 1)
     a = -((rho + j * zmin) // d)
@@ -325,30 +328,22 @@ def _phase_taps(key: bytes, zmin: int, d: int, rho: int, r: int):
     for i, a_j, p in zip(at, a, powers):
         end = width - (a.max() - a_j)
         T[i, end - len(p):end] += p[::-1]
-    return int(a.max()), T, phases
+    return int(a.max()) - width + 1, T, phases
 
 
-def _block_row(phase_taps, c: int, d: int, cur: np.ndarray,
-               X: int) -> np.ndarray:
-    """The weights of a block's steps, summed, on [-X, X], from the window
-    cur at its start, c = X + its offset: one product of the summed taps
-    (_phase_taps) with the window's sliding window, phase by phase."""
-    first, T, phases = phase_taps
-    Wc = 2 * X // d + 1
-    lo = first - c // d - T.shape[1] + 1     # the window's start
-    span = np.zeros(T.shape[1] + Wc - 1)
-    a, b = max(lo, 0), min(lo + len(span), len(cur))
-    if b > a:
-        span[a - lo:b - lo] = cur[a:b]
-    by_phase = np.zeros((Wc, d))            # column phase + d q
-    by_phase[:, phases] = (T @ np.ndarray(    # span[s + q] at (s, q)
-        (T.shape[1], Wc), span.dtype, span, 0, 2 * span.strides)).T
-    return by_phase.reshape(-1)[:2 * X + 1]
+class _Band(NamedTuple):
+    """What an advance of _steps records, given X, for the time sums."""
+    phase: int               # the column phase (X + offset) mod d
+    r: int                   # the block's steps
+    taps: tuple              # _phase_taps of (phase, r)
+    band: np.ndarray         # the block-start weights on the band, strip 0
+    strip: np.ndarray | None  # the strip's weights, None if it holds none
+    rows: np.ndarray | None  # the strip plan's summed rows, None in FREE
 
 
 def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
            n: int, mode: int, alpha: float, X: int | None = None):
-    """Yield (k, offset, weights, absorbed, cut, row) after each advance,
+    """Yield (k, offset, weights, absorbed, cut, band) after each advance,
     n steps in all.
 
     The window is strided: with d = period(pmf), the site of weights[i]
@@ -377,13 +372,16 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     FREE mode.  The yielded weights are the live array, not a copy; the
     stream never writes to an array after yielding it.
 
-    row is None without X.  Given X, row[i] is sum_{j=1..r} w_{k-r+j} at
-    the site -X + i, |site| <= X: the weights of the advance's steps
-    summed.  The row is one matrix product from the block's start over
-    the sites its steps reach, its strip zeroed (within a block the far
-    sites evolve freely), plus, in the absorbed modes, the strip's
-    weights times its plan's summed rows.  It lies within r times the cut
-    of the block's start.
+    band is None without X.  Given X, it is the advance's _Band, from
+    which potential.time_sums reads the row: sum_{j=1..r} w_{k-r+j} at
+    the sites -X..X, the weights of the advance's steps summed.  The
+    stream records the block-start weights on the band, the sites its
+    steps can carry into [-X, X], with the strip zeroed (within a block
+    the far sites evolve freely), and, in the absorbed modes, the
+    strip's weights and its plan's summed rows; the row is the band
+    times the banded matrix of its class's summed taps, plus the strip
+    times those rows.  It lies within r times the cut of the block's
+    start.
 
     Step j of a block that starts at offset o holds the indices
     i = a_j + q, q = 0..Wc-1, of its coset, with a_j = -((X + o +
@@ -391,12 +389,16 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     column (X + o + j zmin) mod d + d q, its phase plus d q.  With
     E = max_j a_j, its weight is sum_m T_j[m] w[a_j + q - m] =
     sum_s T'_j[s] w[E + q - s], where T'_j is T_j, the compressed taps of
-    p^{*j}, shifted right by E - a_j: the same sliding window of w serves
-    every step.  So the steps of one phase sum their T'_j, each entry at
-    most r nonnegative taps, and one product of those rows, at most
-    min(d, r), with the sliding window gives the row, phase by phase.
-    The shifts and phases depend on the law, (X + o) mod d and r alone:
-    they are built once per process for each (_phase_taps).
+    p^{*j}, shifted right by E - a_j: the same window of w, the band
+    E - width + 1 .. E + Wc - 1, serves every step.  So the steps of one
+    phase sum their T'_j, each entry at most r nonnegative taps, and each
+    column of the row is one sum of at most width nonnegative products
+    of those summed taps with the band.  The shifts and phases depend on
+    the law, (X + o) mod d and r alone, so for each class (X + o) mod d
+    and r the band covers the same sites, (X + o) mod d - X + d(E -
+    width + 1) on, and the class's rows are the product of its bands,
+    stacked, with one banded matrix; the summed taps are built once per
+    process for each class (_phase_taps).
 
     After the absorption, every advance cuts the outer runs of weights
     below CUT, found by one vectorised scan of the window.  cut is the
@@ -427,6 +429,7 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
         rev = np.ascontiguousarray(taps[::-1])
         t, shift = len(taps), r * zmin
         plans: dict[int, _Plan] = {}
+        phase_taps: dict[int, tuple] = {}
         for _ in range(count):
             size = len(cur)
             if size == 0:
@@ -446,13 +449,19 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                     strip = far[s:s + p.size].copy()
                     far[s:s + p.size] = 0.0
                     cur, off, size = far, off + d * lo, len(far)
-            row = None
+            band = None
             if X is not None:               # from the start, strip zeroed
                 c = X + off
-                row = _block_row(_phase_taps(key, zmin, d, c % d, r), c, d,
-                                 cur, X)
-                if strip is not None:
-                    row += strip @ p.rows
+                if c % d not in phase_taps:
+                    phase_taps[c % d] = _phase_taps(key, zmin, d, c % d, r)
+                pt = phase_taps[c % d]
+                lo = pt[0] - c // d
+                w = np.zeros(pt[1].shape[1] + 2 * X // d)
+                a, b = max(lo, 0), min(lo + len(w), size)
+                if b > a:
+                    w[a - lo:b - lo] = cur[a:b]
+                band = _Band(c % d, r, pt, w, strip,
+                             None if ab is None else p.rows)
             b = size + t - 1
             if b > WINDOW_BUDGET:
                 raise WindowOverflow(f"window of {b} sites at step {k + r} "
@@ -473,7 +482,7 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                 cur = cur[a:b]
                 off += d * a
             k += r
-            yield k, off, cur, absorbed, cut, row
+            yield k, off, cur, absorbed, cut, band
 
 
 def free_deficit(zmin: int, pmf: np.ndarray, n: int) -> float:

@@ -18,34 +18,38 @@ a_partial_sums.
 * a_partial_sums: sum_{k<=K} [p^k(0) - p^k(-x)] from the exact DP, with
   the k > K tail of the period-aggregated increments, in powers k^{-3/2},
   k^{-2}, ... (their asymptotic expansion), fitted to their sums over
-  groups of steps and summed with Hurwitz zeta functions.  For a law of period d the walk at step k lives
-  on k*zmin + dZ, so the DP runs on the law of (Y - zmin)/d and skips only
-  sites of exact zero weight.  The free stream advances dp.BLOCK_STEPS
-  steps at a time by one convolution with p^{*L} (dp._steps), which
-  also yields the L steps' [-X, X] slices, summed, by one matrix
-  product from the block's start.  The edges below dp.CUT are cut once a
-  block, and a step only averages weights, so p^k at every site lies
-  within the mass cut by the start of its block of the uncut DP, and the
-  bound adds twice the sum of that mass over k.
-  The summed slices are added in step order into groups of
-  G = lcm(dp.BLOCK_STEPS, d) steps, and the tail is fitted to the group
-  sums.  The bound also carries the rounding of the sums and of the
-  groups the tail fit reads, from gamma_n (see _partial_sum_table).  One
-  QR factorisation of the design gives both tail fits; the fit needs at
-  least one group per exponent.  time_sums, the one routine that sums a
-  DP stream over time, also gives the report's Green partial sums, from
-  the point and half-line streams in blocks, whose strip plans carry the
-  strip's summed rows (dp._plan).
+  groups of steps and summed with Hurwitz zeta functions, evaluated in
+  float64 with a derived bound (_hurwitz_scale).  For a law of period d
+  the walk at step k lives on k*zmin + dZ, so the DP runs on the law of
+  (Y - zmin)/d and skips only sites of exact zero weight.  The free
+  stream advances dp.BLOCK_STEPS steps at a time by one convolution with
+  p^{*L} (dp._steps), and records each block's start on the band of
+  sites its steps can carry into [-X, X].  After the stream, the L
+  steps' [-X, X] slices, summed, are read from those bands by one matrix
+  product per class of blocks (time_sums).  The edges below dp.CUT are
+  cut once a block, and a step only averages weights, so p^k at every
+  site lies within the mass cut by the start of its block of the uncut
+  DP, and the bound adds twice the sum of that mass over k.
+  The summed slices are added into groups of G = lcm(dp.BLOCK_STEPS, d)
+  steps, and the tail is fitted to the group sums.  The bound also
+  carries the rounding of the sums and of the groups the tail fit reads,
+  from gamma_n (see _partial_sum_table), and that of the Hurwitz
+  scales.  One QR factorisation of the design gives both tail fits; the
+  fit needs at least one group per exponent.  time_sums, the one routine
+  that sums a DP stream over time, also gives the report's Green partial
+  sums, from the point and half-line streams in blocks, whose strip
+  plans carry the strip's summed rows (dp._plan).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp
+from numpy.lib.stride_tricks import as_strided
 
 from . import dp
 from .errors import (ConstraintViolation, InconsistentEstimates,
@@ -309,29 +313,56 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
     no sum.  A window that empties ends the stream; each later step is
     within its last cut of 0.
 
-    dp._steps, given X, yields one row per advance of the stream, the
-    weights of its r steps summed on [-X, X].  A stream cuts only at the
-    ends of its advances, so the row lies within (r - 1) times the cut
-    before it plus its own.  The rows are added in step order to their
-    group's: every advance but the last starts at a multiple of the
-    stream's block length L, which divides dp.BLOCK_STEPS and so G, and
-    the last, of the K mod L steps left, ends at K; so each lies within
-    one group.  Each group's terms w_k(0) - w_k(-x) are then taken once,
-    and acc adds them to the start's in step order."""
+    dp._steps, given X, records one band per advance of the stream
+    (dp._Band), from which the row of its r steps, their weights summed on
+    [-X, X], is read; a stream cuts only at the ends of its advances, so
+    the row lies within (r - 1) times the cut before it plus its own.
+    The rows are read a class (phase, r) at a time (_band_rows): the
+    records of a class are stacked, up to dp.BLOCK_STEPS of them, and read
+    by a product with the class's banded matrix (_banded, built when the
+    class first appears), taken in column blocks, plus one with its strip
+    plan's rows.  Each row entry is a sum of at most 2Lt nonnegative
+    products in any order, L = dp.BLOCK_STEPS and t the compressed tap
+    count, and each row is added to its group's: every advance but the
+    last starts at a multiple of the stream's block length L, which
+    divides dp.BLOCK_STEPS and so G, and the last, of the K mod L steps
+    left, ends at K, so each lies within one group.  A group's entries add
+    nonnegative rows, so their rounding bounds the same in any order.
+    Each group's terms w_k(0) - w_k(-x) are then taken once, and acc adds
+    them to the start's in step order."""
     zmin, pmf = law.pmf_array()
     d = dp.period(pmf)                      # the stream's stride
     K = K // d * d
     G = math.lcm(dp.BLOCK_STEPS, d)
 
     rows = np.zeros((-(-K // G), 2 * X + 1))   # row g: w_k summed over g
+    stacks: dict[tuple[int, int], tuple[np.ndarray, list, list]] = {}
+
+    def read(B, bands, groups):             # a stack's rows into its groups
+        g = np.array(groups)                # nondecreasing
+        first = np.flatnonzero(np.diff(g, prepend=-1))
+        rows[g[first]] += np.add.reduceat(_band_rows(bands, B, d), first)
+        bands.clear()
+        groups.clear()
+
     k = k0 = 0
     cut = cut_sum = 0.0
     cur = np.ones(1)
-    for k, _, cur, _, row_cut, row in dp._steps(start, np.ones(1), zmin, pmf,
-                                                K, mode, 1.0, X):
+    for k, _, cur, _, row_cut, band in dp._steps(start, np.ones(1), zmin,
+                                                 pmf, K, mode, 1.0, X):
         cut_sum += (k - k0 - 1) * cut + row_cut
         cut, k0 = row_cut, k
-        rows[(k - 1) // G] += row
+        cls = band.phase, band.r
+        if cls not in stacks:
+            stacks[cls] = _banded(band.taps, d, X), [], []
+        B, bands, groups = stacks[cls]
+        bands.append(band)
+        groups.append((k - 1) // G)
+        if len(bands) == dp.BLOCK_STEPS:
+            read(B, bands, groups)
+    for stack in stacks.values():
+        if stack[1]:
+            read(*stack)
     origin = rows[:, X]
     blocks = origin[:, None] - rows[:, ::-1]
     first = np.full((1, 2 * X + 1), float(start == 0))   # the k = 0 term
@@ -340,6 +371,52 @@ def time_sums(law: StepLaw, start: int, mode: int, X: int, K: int):
     # an axis-0 sum adds the rows in order
     acc = np.concatenate([first, blocks]).sum(axis=0)
     return acc, blocks, cut_sum + (K - k) * cut, float(cur.sum()), origin
+
+
+def _banded(taps: tuple, d: int, X: int) -> np.ndarray:
+    """The banded matrix B of a class (phase, r) of advances, taps its
+    dp._phase_taps (base, T, phases): row q + s of column phases[i] + d q
+    holds T[i, s], q = 0..2X // d, so the stacked bands times B are the
+    rows on [-X, X].  Built once per class and time sum."""
+    _, T, phases = taps
+    width, Wc = T.shape[1], 2 * X // d + 1
+    B = np.zeros((width + Wc - 1, Wc, d))       # column phase + d q
+    s0, s1, s2 = B.strides                      # B[q + s, q, phase] = T[i, s]
+    as_strided(B, (d, Wc, width), (s2, s0 + s1, s0))[phases] = T[:, None]
+    return B.reshape(len(B), -1)[:, :2 * X + 1]
+
+
+def _band_rows(bands: list, B: np.ndarray, d: int) -> np.ndarray:
+    """The rows of the advances whose dp._Band records bands holds, all
+    of one class (phase, r), d the period: their stacked bands times the
+    class's banded matrix B (_banded); plus, in the absorbed modes, the
+    stacked strips times their plan's summed rows, a strip that holds
+    nothing as zeros.
+
+    Column c of B is zero outside the rows c // d .. c // d + width - 1,
+    so the product is taken in blocks of max(8, d) columns, each over the
+    rows its columns reach: for the lazy walk at X = 55, 136 of B's 239
+    rows, about half the work of the dense product.  Every entry is the
+    same sum of nonnegative products as in the dense one, in another
+    order.  (Wider blocks also ran slower on the host measured, where a
+    dense product every 64 advances slowed the advances after it.)"""
+    cols = B.shape[1]
+    width = len(B) - (cols - 1) // d
+    S = np.array([b.band for b in bands])
+    R = np.empty((len(S), cols))
+    step = max(8, d)
+    for c in range(0, cols, step):
+        end = min(c + step, cols)
+        rows = slice(c // d, (end - 1) // d + width)
+        R[:, c:end] = S[:, rows] @ B[rows, c:end]
+    plan_rows = bands[0].rows
+    if plan_rows is not None:
+        strips = np.zeros((len(bands), len(plan_rows)))
+        for i, b in enumerate(bands):
+            if b.strip is not None:
+                strips[i] = b.strip
+        R += strips @ plan_rows
+    return R
 
 
 def _gamma(n):
@@ -364,7 +441,8 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     """(acc, tail, bound) for all |x| <= X: acc is time_sums' of the free
     stream from 0 through K rounded down to a multiple of
     G = lcm(dp.BLOCK_STEPS, d), and the tail beyond it is fitted to its
-    group sums.  bound is the fit's bound, plus twice the summed cut mass,
+    group sums.  bound is the fit's bound (which carries the error of its
+    Hurwitz scales), plus twice the summed cut mass,
     plus the rounding of acc and the rounding of the groups that the tail
     carries.
 
@@ -374,7 +452,7 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     gamma_n of its value; gamma_a + gamma_b + gamma_a gamma_b <=
     gamma_(a+b); and n terms added in turn are within gamma_(n-1) times
     the sum of their magnitudes.  Let t be the compressed tap count and
-    L = dp.BLOCK_STEPS.  dp._steps yields one row per advance, the sum
+    L = dp.BLOCK_STEPS.  time_sums reads one row per advance, the sum
     R_k of w_j over the advance's r <= L steps, k = bL + r its last.
     Every entry of R_k lies within relative gamma_(n) of that of the
     exact law's, n = k + 2Ltb + L(t+1) + 2Lt <= (2t+1)k + 3Lt + L:
@@ -385,8 +463,11 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
         gamma_(2Lt) a block, b blocks before step k;
       - the summed taps of a column phase add at most L taps of p^{*j}:
         gamma_(L(t+1));
-      - a row sums at most 2Lt products with them.
-    A group adds its A advances' nonnegative rows in turn, its term
+      - a row sums at most 2Lt products with them, in any order: the
+        product of a class's stacked bands with its banded matrix
+        (_band_rows), whose other entries are exact zeros.
+    A group adds its A advances' nonnegative rows, in any order (class
+    by class, time_sums), so A - 1 roundings bound it, its term
     w(0) - w(-x) rounds once, and acc adds the N groups' terms and the
     start's: A - 1 + 1 + N more roundings, at most the ceil(k/L) advances
     through step k, k the last group's last step.  So a time sum through
@@ -418,10 +499,12 @@ def _fit_tail(blocks: np.ndarray, G: int, d: int):
     sum_e c_e m^{-e} summed over each group's d-step units m, and return
     (tail, bound, weights).  The fit reads the groups g0 < g <= N,
     g0 = N // 16, 1-based; the bound compares with the fit on all but the
-    last two exponents, and tail = weights @ blocks, the fit being linear
-    in the groups (weights is 0 before the window).  One QR factorisation
-    of the scaled design serves both fits, as the fit on the first j
-    exponents uses the first j columns of Q and R."""
+    last two exponents and adds the error of the float Hurwitz scales
+    (_hurwitz_scale) times the coefficients' magnitudes, and tail =
+    weights @ blocks, the fit being linear in the groups (weights is 0
+    before the window).  One QR factorisation of the scaled design serves
+    both fits, as the fit on the first j exponents uses the first j
+    columns of Q and R."""
     N = len(blocks)
     g0 = N // 16
     E = len(PS_EXPONENTS)
@@ -439,9 +522,7 @@ def _fit_tail(blocks: np.ndarray, G: int, d: int):
     q, r = np.linalg.qr(design / norms)
     qtb = q.T @ blocks[g0:]
     # tail over m > M of c_e m^{-e} = c_e M^e zeta(e, M+1), Hurwitz zeta
-    with mp.workdps(25):
-        scale = np.array([M ** e * float(mp.zeta(e, M + 1))
-                          for e in PS_EXPONENTS])
+    scale, scale_err = _hurwitz_scale(PS_EXPONENTS, M)
 
     def solve(j: int):
         coef = np.linalg.solve(r[:j, :j], qtb[:j]) / norms[:j, None]
@@ -450,10 +531,66 @@ def _fit_tail(blocks: np.ndarray, G: int, d: int):
     tail, coef = solve(E)
     tail_r, _ = solve(E - 2)
     bound = np.abs(tail - tail_r) \
-        + np.abs(design @ coef - blocks[g0:]).sum(axis=0)
+        + np.abs(design @ coef - blocks[g0:]).sum(axis=0) \
+        + scale_err @ np.abs(coef)
     weights = np.zeros(N)
     weights[g0:] = q @ np.linalg.solve(r.T, scale / norms)
     return tail, bound, weights
+
+
+# B_2, B_4, .., B_16: the Bernoulli numbers of _hurwitz_scale's terms
+BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+             Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730),
+             Fraction(7, 6), Fraction(-3617, 510))
+
+
+def _hurwitz_scale(e: np.ndarray, M: int):
+    """(scale, err): scale_i = M^e_i zeta(e_i, M+1) = sum_{m>M} (M/m)^e_i
+    in float64, e_i > 1 and M >= 1, and err_i bounds its gap to the exact
+    value.
+
+    The terms m < N = max(M + 1, 32) are summed one by one, and the rest,
+    sum_{m>=N} f(m) with f(x) = (M/x)^e, by Euler-Maclaurin with P = 7
+    Bernoulli terms:
+
+        (M/N)^e [N/(e-1) + 1/2 + sum_{k=1..P} c_k N^{1-2k}],
+        c_k = B_2k/(2k)! (e)_(2k-1), (e)_j = e(e+1)..(e+j-1).
+
+    Every even derivative of f is positive, so the remainder lies between
+    0 and the first omitted term, k = P + 1 (Graham, Knuth & Patashnik,
+    Concrete Mathematics, 2nd ed., 1994, sec. 9.5): its magnitude is the
+    truncation bound.  At N = 32 it is below 1e-19 of the bracket for
+    e <= 6.5; the terms summed one by one keep N from being M + 1 for
+    small M, where the series converges too slowly to stop at P terms.
+
+    Rounding (u = 2^-53, and FN_ERR for pow, as for numpy's other
+    functions): (M/m)^e takes the rounded quotient (u, which the power
+    raises to e u) and pow, so each term lies within eta = 1.01 (e u +
+    FN_ERR) of its value, as does (M/N)^e.  N/(e-1) rounds twice, and
+    c_k N^{1-2k} 5k + 2 times: B_2k/(2k)! once, (e)_(2k-1) 4k - 3 times
+    (its sums and products), N^{-2k} k + 1 times (N^2 and k quotients by
+    it) and three products; so each bracket term lies within
+    gamma_(5P+2) of its value.  The bracket adds P + 1 times, the product
+    with (M/N)^e rounds once, and the sum adds N - M - 1 times.  So with
+    A the sum of the terms' magnitudes, the float sum lies within
+    1.01 (2 eta + gamma_(5P+2) + gamma_(P+N-M+1)) A of the exact one."""
+    N = max(M + 1, 32)
+    P = len(BERNOULLI) - 1
+    e = np.asarray(e, dtype=float)
+    terms = (M / np.arange(M + 1, N, dtype=float)[:, None]) ** e
+    c = np.empty((P + 1, len(e)))           # c_k N^{1-2k}, k = 1 .. P + 1
+    power = 1.0
+    for k, B in enumerate(BERNOULLI, start=1):
+        power /= N * N
+        poch = np.prod(e[:, None] + np.arange(2 * k - 1), axis=1)
+        c[k - 1] = float(B / math.factorial(2 * k)) * poch * N * power
+    bracket = np.vstack([N / (e - 1.0), np.full(len(e), 0.5), c[:P]])
+    head = (M / N) ** e
+    scale = terms.sum(axis=0) + head * bracket.sum(axis=0)
+    A = terms.sum(axis=0) + head * np.abs(bracket).sum(axis=0)
+    rel = 1.01 * (2.02 * (e * U + FN_ERR) + _gamma(5 * P + 2)
+                  + _gamma(P + N - M + 1))
+    return scale, head * np.abs(c[P]) + rel * A
 
 
 def a_partial_sums(law: StepLaw, x: int,

@@ -423,15 +423,18 @@ def test_bad_input_is_a_typed_error(argv, code, message, law_file, tmp_path,
 def test_import_loads_no_other_library_and_builds_no_plan():
     """Importing the CLI in a fresh process loads, beside the standard
     library, numpy and mpmath (with mpmath's optional gmpy2) only, and
-    builds no DP plan: the strip plans and the powers of the taps are
-    built when a stream first needs them.  Every cache of dp is read, so
-    none escapes the check."""
+    builds no DP plan: the strip plans, the powers of the taps and the
+    summed taps the time sums' rows are read with are built when a stream
+    first needs them, and the tables of potential when first asked for.
+    Every cache of dp and of potential is read, so none escapes the
+    check."""
     code = ("import sys; before = set(sys.modules); import walklab.cli; "
-            "from walklab import dp; "
+            "from walklab import dp, potential; "
             "print(sorted({m.split('.')[0] for m in sys.modules} "
             "- {m.split('.')[0] for m in before})); "
-            "print({name: f.cache_info().currsize for name, f in "
-            "vars(dp).items() if hasattr(f, 'cache_info')})")
+            "print({m.__name__ + '.' + name: f.cache_info().currsize "
+            "for m in (dp, potential) "
+            "for name, f in vars(m).items() if hasattr(f, 'cache_info')})")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(walklab.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -440,5 +443,7 @@ def test_import_loads_no_other_library_and_builds_no_plan():
     assert {"numpy", "mpmath"} <= loaded <= {"numpy", "mpmath", "gmpy2",
                                              "walklab"}
     sizes = ast.literal_eval(out[1])
-    assert {"_plan_slot", "_phase_taps", "_power"} <= set(sizes)
+    assert {"walklab.dp._plan_slot", "walklab.dp._phase_taps",
+            "walklab.dp._power", "walklab.potential._circle_nodes",
+            "walklab.potential._partial_sum_table"} <= set(sizes)
     assert set(sizes.values()) == {0}

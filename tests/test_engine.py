@@ -693,8 +693,9 @@ def test_strip_plan_matches_one_step_runs(pairs, mode, alpha):
             assert close(lost, np.concatenate(
                 [np.ravel(a) for _, _, _, a, _, _ in run]))
             rows = np.zeros(2 * Xs[-1] + 1)
-            for *_, row in run:
-                rows += row
+            for *_, band in run:            # each one-step row, read alone
+                rows += potential._band_rows(
+                    [band], potential._banded(band.taps, d, Xs[-1]), d)[0]
             for X, p in plans.items():
                 e = Xs[-1] - X
                 assert close(p.rows[i], rows[e:e + 2 * X + 1])
@@ -769,6 +770,35 @@ def test_time_sums_in_groups_match_one_step_blocks(pairs, mode):
     law = build_law(pairs, "law")
     start = 0 if mode == dp.FREE else 2
     _assert_time_sums_match_one_step(law, start, mode, 7, 1000)
+
+
+@pytest.mark.parametrize("pairs", [SPAN3_PAIRS, [(-7, "3/10"), (3, "7/10")]],
+                         ids=["span3", "p10"])
+@pytest.mark.parametrize("mode", [dp.FREE, dp.POINT, dp.HALFLINE])
+def test_time_sums_read_rotating_phases_by_class(pairs, mode, monkeypatch):
+    """time_sums reads its rows after the stream, one product per class
+    (phase, r) of the bands: on span3 (d = 3) and the period-10 law an
+    8-step block moves the column phase, so consecutive blocks fall in
+    other classes, and K = 1020 is not a multiple of L = 8, so the last
+    block of 4 steps is a class of its own.  Against one-step blocks
+    within the rounding bound and the cut
+    (_assert_time_sums_match_one_step)."""
+    monkeypatch.setattr(dp, "BLOCK_STEPS", 8)
+    law = build_law(pairs, "law")
+    start, K = (0 if mode == dp.FREE else 2), 1020
+    classes, stream = [], dp._steps
+
+    def watched(*args, **kwargs):
+        for item in stream(*args, **kwargs):
+            classes.append((item[5].phase, item[5].r))
+            yield item
+
+    monkeypatch.setattr(dp, "_steps", watched)
+    _assert_time_sums_match_one_step(law, start, mode, 7, K)
+    blocks = [c for c in classes if c[1] > 1]       # the 8-step run's
+    assert len(blocks) == K // 8 + 1 and blocks[-1][1] == K % 8
+    assert len({phase for phase, _ in blocks[:-1]}) > 1
+    assert all(a != b for a, b in zip(blocks, blocks[1:]))
 
 
 def _laid_back(w):

@@ -1,5 +1,7 @@
 """Potential kernel by two independent routes, Green function at the origin,
 and the walk constants."""
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -367,6 +369,34 @@ def _lstsq_tail(blocks, G, d):
     tail_r, _ = solve(len(exps) - 2)
     return tail, (np.abs(tail - tail_r)
                   + np.abs(blocks[g0:] - design @ coef).sum(axis=0))
+
+
+def test_potential_imports_no_mpmath():
+    """The partial-sum route's tail scale is float64 (_hurwitz_scale), so
+    potential imports no mpmath; the tests keep it as the oracle."""
+    tree = ast.parse(inspect.getsource(potential))
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for a in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module]
+    assert names and not [m for m in names if m.split(".")[0] == "mpmath"]
+
+
+@pytest.mark.parametrize("M", [11, 12, 64, 704, 2 ** 15, 2 ** 16, 2 ** 20])
+def test_float_hurwitz_scale_within_its_bound(M):
+    """The tail fit's float M^e zeta(e, M+1), every exponent, against
+    mpmath.zeta at 40 digits: each gap within the derived bound (the
+    first omitted Euler-Maclaurin term plus the rounding), and the bound
+    within 1e-13 relative.  M = 11 is the smallest the fit takes, a
+    period-64 law at K = 704; Euler-Maclaurin from M + 1 = 12 with the
+    same terms misses there by 2.9e-13 relative, and its bound, 3.2e-13,
+    fails the second check."""
+    scale, err = potential._hurwitz_scale(potential.PS_EXPONENTS, M)
+    with mpmath.workdps(40):
+        for e, v, bound in zip(potential.PS_EXPONENTS, scale, err):
+            exact = mpmath.mpf(M) ** e * mpmath.zeta(e, M + 1)
+            assert abs(mpmath.mpf(float(v)) - exact) <= bound
+            assert 0.0 < bound <= 1e-13 * v
 
 
 @pytest.mark.parametrize("pairs", [
