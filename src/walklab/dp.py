@@ -331,6 +331,15 @@ def _phase_taps(key: bytes, zmin: int, d: int, rho: int, r: int):
     return int(a.max()) - width + 1, T, phases
 
 
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A copy of the float array a that starts on a 64-byte boundary."""
+    buf = np.empty(len(a) + 7)
+    i = -buf.ctypes.data % 64 // buf.itemsize
+    out = buf[i:i + len(a)]
+    out[:] = a
+    return out
+
+
 class _Band(NamedTuple):
     """What an advance of _steps records, given X, for the time sums."""
     phase: int               # the column phase (X + offset) mod d
@@ -414,7 +423,10 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     np.convolve(cur, taps) is np.correlate(cur, taps[::-1]) whenever cur
     is at least as long as taps, so the taps are reversed once per block
     length and the advance calls that kernel directly; a shorter cur keeps
-    np.convolve, which swaps the operands there.
+    np.convolve, which swaps the operands there.  The reversed taps sit
+    on a 64-byte boundary (_aligned): np.correlate gives the same bits at
+    any alignment of its operands, but read 129 taps 10-20% and 193 taps
+    25-45% faster there than off it (2,000-6,000 sites, one host).
     """
     d = period(pmf)
     taps = pmf[::d]
@@ -426,7 +438,7 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
         if r == 0:
             return
         taps = _power(key, r)
-        rev = np.ascontiguousarray(taps[::-1])
+        rev = _aligned(taps[::-1])
         t, shift = len(taps), r * zmin
         plans: dict[int, _Plan] = {}
         phase_taps: dict[int, tuple] = {}

@@ -497,6 +497,22 @@ def test_free_blocks_match_the_one_step_stream(pairs):
         _assert_blocks_match_steps(law, 3, n)
 
 
+@pytest.mark.parametrize("t", [1, 3, 65, 129, 193])
+def test_aligned_taps_give_the_same_advance(t):
+    """dp._aligned copies the reversed taps onto a 64-byte boundary, and
+    np.correlate gives the same bits there as at every other alignment,
+    so the stream's advance does not depend on where the taps sit."""
+    rng = np.random.default_rng(t)
+    taps, cur = rng.random(t), rng.random(2000)
+    rev = dp._aligned(taps[::-1])
+    assert rev.ctypes.data % 64 == 0 and np.array_equal(rev, taps[::-1])
+    buf = np.empty(t + 8)
+    for i in range(8):                      # every 8-byte offset
+        buf[i:i + t] = rev
+        assert np.array_equal(np.correlate(cur, buf[i:i + t], "full"),
+                              np.correlate(cur, rev, "full"))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.one_of(zero_mean_laws(), periodic_laws()), st.integers(-6, 6),
        st.integers(1, 700))
