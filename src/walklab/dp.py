@@ -156,12 +156,33 @@ def period(pmf: np.ndarray) -> int:
     return int(np.gcd.reduce(np.flatnonzero(pmf))) or 1
 
 
+def _palindromic(a: np.ndarray) -> bool:
+    """Whether a reads the same, bit for bit, from either end."""
+    return np.array_equal(a, a[::-1])
+
+
+def _mirror(a: np.ndarray) -> np.ndarray:
+    """a with its lower half overwritten by its upper half, reversed:
+    a[i] = a[len(a) - 1 - i] for i < len(a) // 2.  Returns a."""
+    h = len(a) // 2
+    a[:h] = a[::-1][:h]
+    return a
+
+
 @lru_cache(maxsize=128 * BLOCK_STEPS)   # the caches here bound their memory
 def _power(key: bytes, r: int) -> np.ndarray:
     """The compressed taps of p^{*r}, r >= 1, np.frombuffer(key) those of
-    p: one convolution of p^{*(r-1)} with them."""
+    p: one convolution of p^{*(r-1)} with them.  When the taps of p are
+    palindromic, so is the exact p^{*r}, and each convolution's lower
+    half is overwritten by its upper half mirrored (_mirror), so every
+    power is palindromic bit for bit: a mirrored tap is a copy of its
+    partner, whose exact value is its own, so it keeps its partner's
+    rounding bound."""
     taps = np.frombuffer(key)
-    return taps if r == 1 else np.convolve(_power(key, r - 1), taps)
+    if r == 1:
+        return taps
+    out = np.convolve(_power(key, r - 1), taps)
+    return _mirror(out) if _palindromic(taps) else out
 
 
 def _absorbing(zmin: int, mode: int, alpha: float):
@@ -432,6 +453,7 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     taps = pmf[::d]
     key, ab = taps.tobytes(), _absorbing(zmin, mode, alpha)
     L = _block_len(len(taps), zmin, d, n, ab)
+    fold = ab is None and _palindromic(taps) and _palindromic(weights)
     cur, off, cut, k = weights, offset, 0.0, 0
     # count advances of r steps: the full blocks, then the rest
     for r, count in ((L, n // L), (n % L, 1)):
@@ -478,23 +500,50 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
             if b > WINDOW_BUDGET:
                 raise WindowOverflow(f"window of {b} sites at step {k + r} "
                                      f"exceeds budget {WINDOW_BUDGET}")
-            cur = (np.correlate(cur, rev, "full") if size >= t
-                   else np.convolve(cur, taps))
+            if fold:
+                cur = _folded(cur, taps, rev)
+            else:
+                cur = (np.correlate(cur, rev, "full") if size >= t
+                       else np.convolve(cur, taps))
             off += shift
 
             absorbed = None if ab is None else np.zeros((r, 1 - ab[0]))
             if strip is not None:
                 cur[s:s + p.killed.shape[1]] += strip @ p.killed
                 absorbed.reshape(-1)[p.cols] = strip @ p.lost
-            keep = cur >= CUT
-            a = int(keep.argmax())
-            b = b - int(keep[::-1].argmax()) if keep[a] else a
+            if fold:                        # one half, b = len - a
+                keep = cur[b // 2:] >= CUT
+                a = int(keep[::-1].argmax())
+                b = b - a if keep[-1 - a] else a
+            else:
+                keep = cur >= CUT
+                a = int(keep.argmax())
+                b = b - int(keep[::-1].argmax()) if keep[a] else a
             if a or b < len(cur):
                 cut += float(cur[:a].sum() + cur[b:].sum())
                 cur = cur[a:b]
                 off += d * a
             k += r
             yield k, off, cur, absorbed, cut, band
+
+
+def _folded(cur: np.ndarray, taps: np.ndarray,
+            rev: np.ndarray) -> np.ndarray:
+    """The advance of the palindromic window cur by the palindromic taps,
+    rev reversed: the upper half of np.correlate(cur, rev, "full"), from
+    one np.correlate over the inputs it reads, padded with the t - 1 zeros
+    past the window's end, and the lower half its mirror (_mirror).  A
+    window shorter than the taps takes np.convolve, then the mirror."""
+    size, t = len(cur), len(taps)
+    if size < t:
+        return _mirror(np.convolve(cur, taps))
+    out = np.empty(size + t - 1)
+    h = len(out) // 2
+    s = h - t + 1                   # the first input the upper half reads
+    buf = np.zeros(size - s + t - 1)
+    buf[:size - s] = cur[s:]
+    out[h:] = np.correlate(buf, rev, "valid")
+    return _mirror(out)
 
 
 def free_deficit(zmin: int, pmf: np.ndarray, n: int) -> float:

@@ -289,16 +289,31 @@ def _full_lattice_dp(offset, weights, zmin, pmf, n, mode, alpha, cut=True):
     own run_dp; the reference for the coset stream, and without the cut
     the reference for the cut.  Returns (offset, weights, absorbed, cut
     mass), absorbed in run_dp's layout: one column, site 0, in point
-    mode, the sites 1 + zmin..0 in half-line mode."""
+    mode, the sites 1 + zmin..0 in half-line mode.  In FREE mode a class
+    whose start and compressed taps are palindromic is folded as its
+    coset stream is (dp._steps): after each step its sites below its
+    centre take the weights of their mirror sites."""
     d = dp.period(pmf)
     off, cur = offset, np.array(weights, dtype=float)
     absorbed = np.zeros((n, -zmin if mode == dp.HALFLINE else 1))
     mass_cut = 0.0
+    centre = {}         # twice the start centre of each class that folds
+    if mode == dp.FREE and dp._palindromic(pmf[::d]):
+        for r in range(min(d, len(cur))):
+            if dp._palindromic(cur[r::d]):
+                centre[r] = 2 * (offset + r) + d * (len(cur[r::d]) - 1)
     for k in range(1, n + 1):
         if len(cur) == 0:
             break
         cur = np.convolve(cur, pmf)
         off += zmin
+        sites = off + np.arange(len(cur))
+        for r, c2 in centre.items():
+            m2 = c2 + k * (2 * zmin + len(pmf) - 1)     # twice the centre
+            low = np.flatnonzero(((sites - k * zmin - offset) % d == r)
+                                 & (2 * sites < m2)
+                                 & (m2 - sites < off + len(cur)))
+            cur[low] = cur[m2 - sites[low] - off]
         if mode == dp.POINT and 0 <= -off < len(cur):
             absorbed[k - 1, 0] = alpha * cur[-off]
             cur[-off] *= 1.0 - alpha
@@ -418,7 +433,8 @@ def test_coset_stream_is_bit_identical_on_fixtures(pairs, mode, alpha,
                                                    monkeypatch):
     """On srw, span3 and odd4 the free coset stream, in one-step blocks,
     is the full-lattice DP bit for bit, from one site and from a window
-    over every class.  An absorbed one-step block adds its strip's
+    over every class; srw and odd4 and these starts are palindromic, so
+    both fold, each class about its own centre.  An absorbed one-step block adds its strip's
     products (the one-step plan) apart from the far sites' convolution,
     so in the absorbed modes every weight and absorbed mass lies within
     gamma_(3 n_k) (potential._rounding_gamma) of the larger value, plus
@@ -511,6 +527,151 @@ def test_aligned_taps_give_the_same_advance(t):
         buf[i:i + t] = rev
         assert np.array_equal(np.correlate(cur, buf[i:i + t], "full"),
                               np.correlate(cur, rev, "full"))
+
+
+_SYMMETRIC = {"srw": SRW_PAIRS,
+              "lazy": [(-1, "1/4"), (0, "1/2"), (1, "1/4")],
+              "sym5": [(z, "1/5") for z in range(-2, 3)],
+              "odd4": [(z, "1/4") for z in (-3, -1, 1, 3)],
+              "u32": U32_PAIRS}
+_ASYMMETRIC = {"l1": L1_PAIRS, "span3": SPAN3_PAIRS,
+               "p10": [(-7, "3/10"), (3, "7/10")]}
+
+
+def _compressed(pairs):
+    zmin, pmf = build_law(pairs, "law").pmf_array()
+    return zmin, pmf, pmf[::dp.period(pmf)]
+
+
+def _unfolded(offset, weights, zmin, pmf, n):
+    """The free stream of dp._steps without the fold: each advance one
+    full np.correlate with the taps of dp._power (np.convolve for a
+    window shorter than them), and the cut scanned from both ends.
+    Yields (k, offset, weights, cut) after each advance."""
+    d = dp.period(pmf)
+    taps = pmf[::d]
+    L = dp._block_len(len(taps), zmin, d, n, None)
+    off, cur, cut, k = offset, np.asarray(weights, dtype=float), 0.0, 0
+    for r, count in ((L, n // L), (n % L, 1)):
+        power = dp._power(taps.tobytes(), r) if r else None
+        for _ in range(count if r else 0):
+            if len(cur) == 0:
+                return
+            cur = (np.correlate(cur, power[::-1], "full")
+                   if len(cur) >= len(power) else np.convolve(cur, power))
+            live = np.flatnonzero(cur >= dp.CUT)
+            a, b = (live[0], live[-1] + 1) if len(live) else (0, 0)
+            cut += float(cur[:a].sum() + cur[b:].sum())
+            cur, off, k = cur[a:b], off + r * zmin + d * a, k + r
+            yield k, off, cur, cut
+
+
+@pytest.mark.parametrize("name", [*_SYMMETRIC, *_ASYMMETRIC])
+def test_powers_of_palindromic_taps_are_palindromic(name):
+    """dp._power mirrors each convolution of palindromic taps, so every
+    power of a symmetric law is palindromic bit for bit; the powers of a
+    law whose taps are not palindromic are the plain np.convolve chain."""
+    _, _, taps = _compressed({**_SYMMETRIC, **_ASYMMETRIC}[name])
+    key, chain = taps.tobytes(), taps
+    for r in range(1, dp.BLOCK_STEPS + 1):
+        power = dp._power(key, r)
+        if name in _SYMMETRIC:
+            assert np.array_equal(power, power[::-1])
+        else:
+            assert np.array_equal(power, chain)
+        chain = np.convolve(chain, taps)
+
+
+@pytest.mark.parametrize("name", ["srw", "odd4", "sym5"])
+def test_folded_stream_stays_palindromic(name):
+    """A free stream of a symmetric law from a palindromic start is
+    palindromic bit for bit after every advance, the last partial block
+    too: from the origin, from a site away from it, and from a start
+    over several sites of the coset."""
+    zmin, pmf, _ = _compressed(_SYMMETRIC[name])
+    for offset, weights in ((0, [1.0]), (7, [1.0]),
+                            (-3, [0.25, 1.0, 0.5, 1.0, 0.25])):
+        steps = list(dp._steps(offset, np.array(weights), zmin, pmf, 1000,
+                               dp.FREE, 1.0))
+        assert steps[-1][0] == 1000
+        for _, _, w, _, _, _ in steps:
+            assert np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("name, n", [("srw", 4096), ("lazy", 4096),
+                                     ("sym5", 4096), ("odd4", 4096),
+                                     ("u32", 256)])
+def test_folded_stream_matches_the_unfolded_one(name, n):
+    """The folded stream lies within gamma_(3 n_k)
+    (potential._rounding_gamma) of the larger weight, plus both cuts, of
+    the unfolded full-correlate stream: the fold only mirrors sites whose
+    exact weights are equal, and the mirrored taps are copies."""
+    law = build_law(_SYMMETRIC[name], name)
+    zmin, pmf = law.pmf_array()
+    got = dp.run_dp(5, np.ones(1), zmin, pmf, n)
+    k, off, w, cut = list(_unfolded(5, np.ones(1), zmin, pmf, n))[-1]
+    want = dp.Window(off, w, got.stride)
+    assert k == n
+    sites = np.union1d(got.sites(), want.sites())
+    a, b = _laid_on(got, sites), _laid_on(want, sites)
+    tol = potential._rounding_gamma(law, n) * np.maximum(a, b) \
+        + got.cut + cut
+    assert np.all(np.abs(a - b) <= tol)
+
+
+@pytest.mark.parametrize("name", [*_ASYMMETRIC, "srw-skew", "odd4-skew"])
+def test_unfolded_streams_are_unchanged(name):
+    """A stream whose taps or start are not palindromic does not fold:
+    advance by advance it is the unfolded reference bit for bit."""
+    law, _, skew = name.partition("-")
+    zmin, pmf, _ = _compressed({**_SYMMETRIC, **_ASYMMETRIC}[law])
+    weights = np.array([1.0, 0.5, 0.25] if skew else [1.0])
+    got = [(k, off, w, cut) for k, off, w, _, cut, _ in
+           dp._steps(2, weights, zmin, pmf, 1000, dp.FREE, 1.0)]
+    want = list(_unfolded(2, weights, zmin, pmf, 1000))
+    assert len(got) == len(want)
+    for (k, off, w, cut), (k1, off1, w1, cut1) in zip(got, want):
+        assert (k, off, cut) == (k1, off1, cut1)
+        assert np.array_equal(w, w1)
+
+
+@pytest.mark.parametrize("name", ["srw", "lazy", "odd4"])
+def test_folded_stream_continues_bit_for_bit(name):
+    """A folded result continued by run_dp at a block boundary is again
+    a palindromic start, so 640 steps and then 360 are 1000 steps bit for
+    bit."""
+    zmin, pmf, _ = _compressed(_SYMMETRIC[name])
+    whole = dp.run_dp(3, np.ones(1), zmin, pmf, 1000)
+    head = dp.run_dp(3, np.ones(1), zmin, pmf, 640)
+    rest = dp.run_dp(head.offset, head.weights, zmin, pmf, 360)
+    assert rest.offset == whole.offset
+    assert np.array_equal(rest.weights, whole.weights)
+    assert head.cut + rest.cut == pytest.approx(whole.cut, rel=1e-12)
+
+
+def test_fold_halves_the_correlated_sites(monkeypatch):
+    """The fold stays on: srw's free stream at n = 4096 computes at most
+    55% of the output sites the unfolded stream computes, counted over
+    every np.correlate call, and l1's, which does not fold, all of them."""
+    counted, correlate = [0], np.correlate
+
+    def counting(a, v, mode="valid"):
+        out = correlate(a, v, mode)
+        counted[0] += len(out)
+        return out
+
+    monkeypatch.setattr(np, "correlate", counting)
+    share = {}
+    for name, pairs in (("srw", SRW_PAIRS), ("l1", L1_PAIRS)):
+        zmin, pmf, _ = _compressed(pairs)
+        counted[0] = 0
+        dp.run_dp(0, np.ones(1), zmin, pmf, 4096)
+        folded = counted[0]
+        counted[0] = 0
+        list(_unfolded(0, np.ones(1), zmin, pmf, 4096))
+        share[name] = folded / counted[0]
+    assert share["srw"] <= 0.55
+    assert share["l1"] == 1.0
 
 
 @settings(max_examples=20, deadline=None)
