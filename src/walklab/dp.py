@@ -28,7 +28,12 @@ absorbed stream by the same convolution of the sites that cannot reach
 the absorbing set within the block and by killed matrices of the strip
 that can (_plan), built by one walk of the strip and cached by strip
 and block length, so every stream of a strip reads the same plan; a
-one-step block is a one-step plan.  After every advance the stream
+one-step block is a one-step plan.  A free stream whose compressed
+taps and start window are both palindromic, bit for bit (a symmetric
+law from a symmetric start), stays palindromic: it computes the upper
+half of each advance and mirrors it into the lower half (_folded),
+about half the work, and its taps, the powers of palindromic taps, are
+kept palindromic too (_power).  After every advance the stream
 cuts the outer runs of stored sites whose weight is below
 CUT = 2^-200, so the window follows the mass instead of growing by the
 span on every step, and it adds the weights it cuts to a running cut
@@ -384,7 +389,17 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     The stream advances L steps at a time (_block_len), then takes the
     n mod L steps left as one more block of r = n mod L steps; every
     block is one advance of r steps, r = 1 included.  A FREE block is
-    one convolution with the compressed taps of p^{*r}.  An absorbed
+    one convolution with the compressed taps of p^{*r}.  When those taps
+    and the start window are palindromic, bit for bit, the FREE stream
+    folds: each advance computes only the upper half of its outputs and
+    copies it, reversed, into the lower half (_folded), and its cut scans
+    that half and keeps [a, len - a).  Each upper-half output is the same
+    sum of at most L(t-1)+1 nonnegative products as unfolded (the ramp's
+    padding adds exact zeros), and a mirrored site copies its partner,
+    whose exact value is its own, so each weight keeps its rounding bound;
+    the taps of p^{*r} are palindromic bit for bit (_power), so every
+    advance, and the window it leaves, is palindromic again.  Every other
+    stream runs unfolded.  An absorbed
     block splits the window at its start: the strip of sites that can
     reach the absorbing set (_absorbing) within r steps, and the far
     sites, which cannot.  The far sites advance by the same
@@ -437,7 +452,8 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
     of a block moves each step inside the next one by at most itself.
     The cut reads the window alone, so n steps are m steps followed by
     n - m steps, bit for bit, when m is a multiple of the n-step stream's
-    L and the (n - m)-step stream takes the same L.  The stream ends
+    L and the (n - m)-step stream takes the same L: a folded window is a
+    palindromic start, so its continuation folds too.  The stream ends
     early once the window is empty.  WINDOW_BUDGET bounds the stored
     sites, d apart, on every advance.
 
@@ -502,9 +518,10 @@ def _steps(offset: int, weights: np.ndarray, zmin: int, pmf: np.ndarray,
                                      f"exceeds budget {WINDOW_BUDGET}")
             if fold:
                 cur = _folded(cur, taps, rev)
+            elif size >= t:
+                cur = np.correlate(cur, rev, "full")
             else:
-                cur = (np.correlate(cur, rev, "full") if size >= t
-                       else np.convolve(cur, taps))
+                cur = np.convolve(cur, taps)
             off += shift
 
             absorbed = None if ab is None else np.zeros((r, 1 - ab[0]))
@@ -550,7 +567,9 @@ def free_deficit(zmin: int, pmf: np.ndarray, n: int) -> float:
     """What an n-step free stream adds to a unit start's mass, to first
     order: each block of r steps (_steps) multiplies the mass by the sum
     of the float taps of p^{*r}, which misses 1 by the float pmf's own
-    deficit and the rounding that built the taps; each summed exactly."""
+    deficit and the rounding that built the taps; each summed exactly.
+    They are the taps the stream reads, folded or not (_power), so for
+    a symmetric law this is the deficit of the palindromic taps."""
     d = period(pmf)
     taps = pmf[::d]
     L = _block_len(len(taps), zmin, d, n, None)

@@ -23,7 +23,8 @@ a_partial_sums.
   the walk at step k lives on k*zmin + dZ, so the DP runs on the law of
   (Y - zmin)/d and skips only sites of exact zero weight.  The free
   stream advances dp.BLOCK_STEPS steps at a time by one convolution with
-  p^{*L} (dp._steps), and records each block's start on the band of
+  p^{*L} (dp._steps; for a symmetric law, its upper half, mirrored), and
+  records each block's start on the band of
   sites its steps can carry into [-X, X].  After the stream, the L
   steps' [-X, X] slices, summed, are read from those bands by one matrix
   product per class of blocks (time_sums).  The edges below dp.CUT are
@@ -458,9 +459,15 @@ def _partial_sum_table(law: StepLaw, X: int, K: int):
     exact law's, n = k + 2Ltb + L(t+1) + 2Lt <= (2t+1)k + 3Lt + L:
       - the rounded pmf moves each path's weight, and so p^j, by gamma_k;
       - the taps of p^{*j}, j <= L, are j-1 convolutions of at most t
-        products: gamma_((L-1)t);
+        products: gamma_((L-1)t); for palindromic taps dp._power copies
+        each convolution's upper half onto its lower half, and a copied
+        tap's partner has the same exact value, so it keeps that bound;
       - an advance sums at most L(t-1)+1 products with the taps of p^{*L}:
-        gamma_(2Lt) a block, b blocks before step k;
+        gamma_(2Lt) a block, b blocks before step k; a folded advance
+        (dp._folded) computes the upper half so, with exact zeros past
+        the window's end, and each mirrored site copies its partner,
+        whose exact weight is its own, so it inherits the partner's
+        bound;
       - the summed taps of a column phase add at most L taps of p^{*j}:
         gamma_(L(t+1));
       - a row sums at most 2Lt products with them, in any order: the
